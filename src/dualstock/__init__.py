@@ -10,8 +10,7 @@ from .forecast import (
     PriceScaleWarning,
     RegimeSpec,
     build_supervised,
-    forecast_mece,
-    forecast_rolling,
+    forecast,
     scale_price,
     unscale,
 )
@@ -53,7 +52,6 @@ from .wavelet import (
     SmoothingSpec,
     coherence,
     cone_of_influence,
-    cross_wavelet,
     cwt,
     morlet_mother,
     phase_field,

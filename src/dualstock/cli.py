@@ -12,20 +12,23 @@ writes a manifest listing emitted files and their content hashes.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .forecast import ForecastRun, RegimeSpec, forecast_mece, forecast_rolling
-from .lstm import TrainConfig
+from .forecast import ForecastRun, RegimeSpec, forecast
+from .lstm import TrainConfig, TrainingDivergedError
 from .metrics import (
     DEFAULT_REGIMES,
+    ReportGrid,
     assemble_grid,
     write_grid_csv,
     write_grid_json,
@@ -105,19 +108,36 @@ class RunConfig:
                 raise ValueError(f"input file for ticker {name} not found: {path}")
 
 
-def _pick(raw: dict, section: str, cls, defaults):
-    data = raw.get(section, {})
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a dataclass field type (a tuple is a JSON list)."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, arm) for arm in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_conforms(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _section(raw: dict, name: str, defaults):
+    """Merge one config section over a dataclass's defaults, checking keys and types."""
+    data = raw.get(name, {})
     if not isinstance(data, dict):
-        raise ValueError(f"config section {section!r} must be an object")
-    allowed = set(defaults.__dataclass_fields__)
-    unknown = set(data) - allowed
+        raise ValueError(f"config section {name!r} must be an object")
+    hints = typing.get_type_hints(type(defaults))
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    merged = {**{k: getattr(defaults, k) for k in allowed}, **data}
-    for key in ("lags", "duals", "windows", "tickers"):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
-    return cls(**merged)
+        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    for key, value in data.items():
+        hint = hints[key]
+        if not _conforms(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ValueError(f"config key {name}.{key} must be {expected}, got {value!r}")
+    return dataclasses.replace(
+        defaults, **{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+    )
 
 
 def load_config(
@@ -145,13 +165,6 @@ def load_config(
     resolved_seed = seed if seed is not None else raw.get("seed")
     if resolved_seed is None:
         raise ValueError("no master seed: set seed in config or pass --seed")
-    csv_defaults = CsvFormat()
-    csv_raw = dict(raw.get("csv", {}))
-    allowed = set(csv_defaults.__dataclass_fields__)
-    unknown = set(csv_raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in config section 'csv': {sorted(unknown)}")
-    csv_format = CsvFormat(**{**{k: getattr(csv_defaults, k) for k in allowed}, **csv_raw})
     analyses = tuple(raw.get("analyses", ANALYSES))
     return RunConfig(
         tickers=tickers,
@@ -159,9 +172,9 @@ def load_config(
         seed=int(resolved_seed),
         analyses=analyses,
         percent=bool(raw.get("percent", False)),
-        csv_format=csv_format,
-        wavelet=_pick(raw, "wavelet", WaveletOptions, WaveletOptions()),
-        forecast=_pick(raw, "forecast", ForecastOptions, ForecastOptions()),
+        csv_format=_section(raw, "csv", CsvFormat()),
+        wavelet=_section(raw, "wavelet", WaveletOptions()),
+        forecast=_section(raw, "forecast", ForecastOptions()),
     )
 
 
@@ -269,8 +282,12 @@ def cmd_coherence(config: RunConfig) -> CommandOutcome:
             iterations=w.mc_iterations,
             significance_level=w.significance_level,
         )
-        field = coherence(cwt(returns_a.values, grid, morlet), cwt(returns_b.values, grid, morlet), sspec)
-        mask = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc, morlet=morlet)
+        try:
+            field = coherence(cwt(returns_a.values, grid, morlet), cwt(returns_b.values, grid, morlet), sspec)
+            mask = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc, morlet=morlet)
+        except ValueError as exc:
+            outcome.failures.append(f"coherence {label}: {exc}")
+            continue
         field = field.with_significance(mask)
         _write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates), outcome)
         svg_path = out / f"{label}.svg"
@@ -330,22 +347,12 @@ def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
     }
 
 
-def _align_all(series: list[tuple[str, PriceSeries]]):
-    common = set(series[0][1].dates)
-    for _, s in series[1:]:
-        common &= set(s.dates)
-    aligned = []
-    for name, s in series:
-        idx = [i for i, d in enumerate(s.dates) if d in common]
-        aligned.append((name, s.take(idx)))
-    return aligned
-
-
 def cmd_forecast(config: RunConfig) -> CommandOutcome:
     """Execute the declared (ticker x lag x dual x regime) grid."""
     outcome = CommandOutcome()
-    series = _align_all(_load_all(config))
-    if series and series[0][1].n == 0:
+    names = [name for name, _ in config.tickers]
+    series = align_series(*(s for _, s in _load_all(config)))
+    if series[0].n == 0:
         raise ValueError("forecast: tickers share no common dates")
     f = config.forecast
     out = config.out_dir / "forecast"
@@ -355,9 +362,8 @@ def cmd_forecast(config: RunConfig) -> CommandOutcome:
     ]
     if f.mece_train_size is not None:
         regimes.append(RegimeSpec(kind="mece", test_size=f.test_size, train_size=f.mece_train_size))
-    names = [name for name, _ in series]
-    mids = {name: s.mid for name, s in series}
-    dates = series[0][1].dates if series else ()
+    mids = {name: s.mid for name, s in zip(names, series)}
+    dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
     unknown = set(targets) - set(names)
     if unknown:
@@ -387,32 +393,17 @@ def cmd_forecast(config: RunConfig) -> CommandOutcome:
                         clip_norm=f.clip_norm,
                     )
                     try:
-                        if regime.kind == "mece":
-                            run = forecast_mece(
-                                mids[name],
-                                siblings if dual else None,
-                                lag=lag,
-                                include_dual=dual,
-                                cfg=cfg,
-                                train_size=regime.train_size,
-                                test_size=regime.test_size,
-                                ticker=name,
-                                dates=dates,
-                            )
-                        else:
-                            run = forecast_rolling(
-                                mids[name],
-                                siblings if dual else None,
-                                window=regime.window,
-                                lag=lag,
-                                include_dual=dual,
-                                cfg=cfg,
-                                test_size=regime.test_size,
-                                retrain_per_origin=regime.retrain_per_origin,
-                                ticker=name,
-                                dates=dates,
-                            )
-                    except ValueError as exc:
+                        run = forecast(
+                            mids[name],
+                            siblings if dual else None,
+                            regime=regime,
+                            lag=lag,
+                            include_dual=dual,
+                            cfg=cfg,
+                            ticker=name,
+                            dates=dates,
+                        )
+                    except (ValueError, TrainingDivergedError) as exc:
                         outcome.failures.append(
                             f"forecast {name} lag={lag} dual={'yes' if dual else 'no'} "
                             f"{regime.label}: {exc}"
@@ -428,67 +419,46 @@ def cmd_forecast(config: RunConfig) -> CommandOutcome:
                     runs_by_ticker[name].append(run)
 
     declared_regimes = tuple(r.label for r in regimes)
-    grids = []
-    for name in targets:
-        runs = runs_by_ticker[name]
-        if not runs:
-            continue
-        grid = assemble_grid(runs, regimes=declared_regimes, lags=f.lags, duals=f.duals)
-        grids.append(grid)
-        csv_path = out / "grids" / f"{name}.csv"
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_grid_csv(grid, csv_path)
-        outcome.files.append(csv_path)
-        json_path = out / "grids" / f"{name}.json"
-        write_grid_json(grid, json_path)
-        outcome.files.append(json_path)
+    grids = [
+        assemble_grid(runs_by_ticker[name], regimes=declared_regimes, lags=f.lags, duals=f.duals)
+        for name in targets
+        if runs_by_ticker[name]
+    ]
     if grids:
-        long_path = out / "grids" / "long.csv"
-        write_long_csv(grids, long_path)
-        outcome.files.append(long_path)
+        _write_grids(grids, out / "grids", outcome)
     return outcome
 
 
-@dataclass
-class _StoredRun:
-    """Forecast run reconstructed from a run manifest + predictions CSV."""
+def _write_grids(grids: list[ReportGrid], out: Path, outcome: CommandOutcome) -> None:
+    """Per-ticker grid CSV and JSON, plus one long-format CSV across the grids."""
+    out.mkdir(parents=True, exist_ok=True)
+    for grid in grids:
+        write_grid_csv(grid, out / f"{grid.ticker}.csv")
+        write_grid_json(grid, out / f"{grid.ticker}.json")
+        outcome.files += [out / f"{grid.ticker}.csv", out / f"{grid.ticker}.json"]
+    write_long_csv(grids, out / "long.csv")
+    outcome.files.append(out / "long.csv")
 
-    ticker: str
-    lag: int
-    include_dual: bool
-    regime: RegimeSpec
-    predictions: np.ndarray
-    actuals: np.ndarray
 
-
-def _read_run(manifest_path: Path) -> _StoredRun:
+def _read_run(manifest_path: Path) -> ForecastRun:
+    """Forecast run rebuilt from a run descriptor and its predictions CSV."""
     meta = json.loads(manifest_path.read_text(encoding="utf-8"))
-    csv_path = manifest_path.parent / meta["predictions_csv"]
-    actuals: list[float] = []
-    predictions: list[float] = []
-    with csv_path.open(encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx_actual = header.index("actual")
-        idx_predicted = header.index("predicted")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            actuals.append(float(cells[idx_actual]))
-            predictions.append(float(cells[idx_predicted]))
-    regime = RegimeSpec(
-        kind=meta["regime"]["kind"],
-        test_size=meta["regime"]["test_size"],
-        train_size=meta["regime"]["train_size"],
-        window=meta["regime"]["window"],
-        retrain_per_origin=meta["regime"]["retrain_per_origin"],
-    )
-    return _StoredRun(
-        ticker=meta["ticker"],
-        lag=int(meta["lag"]),
-        include_dual=meta["dual"] == "yes",
-        regime=regime,
-        predictions=np.asarray(predictions),
-        actuals=np.asarray(actuals),
-    )
+    try:
+        with (manifest_path.parent / meta["predictions_csv"]).open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        return ForecastRun(
+            ticker=meta["ticker"],
+            lag=int(meta["lag"]),
+            include_dual=meta["dual"] == "yes",
+            regime=RegimeSpec(**meta["regime"]),
+            seed=int(meta["seed"]),
+            predictions=[float(row["predicted"]) for row in rows],
+            actuals=[float(row["actual"]) for row in rows],
+            origins=[int(row["origin_index"]) for row in rows],
+            provenance=[(int(row["train_start"]), int(row["train_end"])) for row in rows],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path.name}: {exc}") from exc
 
 
 def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
@@ -498,7 +468,7 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
     if not manifests:
         raise ValueError(f"no run manifests (*.json) found in {runs_dir}")
     runs = [_read_run(p) for p in manifests]
-    by_ticker: dict[str, list[_StoredRun]] = {}
+    by_ticker: dict[str, list[ForecastRun]] = {}
     for run in runs:
         by_ticker.setdefault(run.ticker, []).append(run)
 
@@ -510,21 +480,11 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
     regimes = tuple(window_labels + ["mece"])
     lags = tuple(sorted({4, 9} | {r.lag for r in runs}))
 
-    out = Path(out_dir) / "report"
-    grids = []
-    for ticker in sorted(by_ticker):
-        grid = assemble_grid(by_ticker[ticker], regimes=regimes, lags=lags, duals=(False, True))
-        grids.append(grid)
-        csv_path = out / f"{ticker}.csv"
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_grid_csv(grid, csv_path)
-        outcome.files.append(csv_path)
-        json_path = out / f"{ticker}.json"
-        write_grid_json(grid, json_path)
-        outcome.files.append(json_path)
-    long_path = out / "long.csv"
-    write_long_csv(grids, long_path)
-    outcome.files.append(long_path)
+    grids = [
+        assemble_grid(by_ticker[ticker], regimes=regimes, lags=lags, duals=(False, True))
+        for ticker in sorted(by_ticker)
+    ]
+    _write_grids(grids, Path(out_dir) / "report", outcome)
     return outcome
 
 

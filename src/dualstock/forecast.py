@@ -1,12 +1,13 @@
-"""Price scaling, lagged feature construction, and the two training regimes.
+"""Price scaling, lagged feature construction, and the regime-driven forecast.
 
 Prices are mapped to x/100 - 1 before modeling (no min-max scaling: the test
 range must stay unknown at training time) and predictions are mapped back to
-price units.  Two regimes are supported: a single mutually-exclusive
-train/test split ("mece") and rolling windows that retrain on exactly the w
-observations preceding each forecast origin.  Every forecast is a pure
-function of observations strictly before its origin; the provenance field
-records the exact training index range per origin.
+price units.  One ``forecast`` serves both training regimes of a
+``RegimeSpec``: a single mutually-exclusive train/test split ("mece") and
+rolling windows that retrain on exactly the w observations preceding each
+forecast origin.  Every forecast is a pure function of observations strictly
+before its origin; the provenance field records the exact training index
+range per origin.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ __all__ = [
     "scale_price",
     "unscale",
     "build_supervised",
-    "forecast_mece",
-    "forecast_rolling",
+    "forecast",
 ]
 
 SCALE_CEILING = 200.0  # price at which x/100 - 1 leaves the tanh range
@@ -128,6 +128,17 @@ class RegimeSpec:
     def label(self) -> str:
         return "mece" if self.kind == "mece" else f"window={self.window}"
 
+    def train_range(self, origin: int, first_origin: int) -> tuple[int, int]:
+        """Training index range [start, end) for the forecast at ``origin``.
+
+        MECE: [0, train_size).  Rolling: [origin - window, origin), or the
+        window before ``first_origin`` when models are not retrained.
+        """
+        if self.kind == "mece":
+            return (0, self.train_size)
+        end = origin if self.retrain_per_origin else first_origin
+        return (end - self.window, end)
+
 
 @dataclass(frozen=True)
 class ForecastRun:
@@ -190,122 +201,59 @@ def _query_window(scaled_own, scaled_siblings, origin, lag, include_dual):
     return block
 
 
-def forecast_mece(
+def forecast(
     own,
     siblings=None,
     *,
+    regime: RegimeSpec,
     lag: int,
     include_dual: bool = False,
     cfg: TrainConfig,
-    train_size: int,
-    test_size: int,
     ticker: str = "",
     dates=None,
 ) -> ForecastRun:
-    """One model trained on the first ``train_size`` observations.
+    """Forecast the final ``regime.test_size`` observations of ``own``.
 
-    All ``test_size`` forecasts (the final observations of the series) come
-    from that single model; each uses only the lag window strictly before its
-    origin.  Provenance is [0, train_size) for every origin.
+    Each origin's model is trained on the range ``regime.train_range`` gives
+    it, and one model is trained per distinct range.  A model that serves
+    every origin is seeded with ``cfg.seed``; a model retrained per rolling
+    origin t is seeded with child_seed(cfg.seed, "origin:t"), so a forecast
+    depends only on its own window.  Each query uses only the lag window
+    strictly before its origin.
     """
     own = np.asarray(own, dtype=np.float64)
     n = len(own)
-    if n < train_size + test_size:
-        raise ValueError(
-            f"need at least train_size+test_size={train_size + test_size} observations, got {n}"
-        )
-    if train_size <= lag:
-        raise ValueError(f"train_size={train_size} leaves no samples at lag={lag}")
-    scaled_own, scaled_sibs = _scaled_inputs(own, siblings, include_dual)
-    train_sibs = None if scaled_sibs is None else tuple(s[:train_size] for s in scaled_sibs)
-    samples = build_supervised(
-        scaled_own[:train_size], train_sibs, lag=lag, include_dual=include_dual
-    )
-    result = train(samples, cfg)
-    origins = np.arange(n - test_size, n)
-    predictions = np.empty(test_size)
-    for k, origin in enumerate(origins):
-        window = _query_window(scaled_own, scaled_sibs, origin, lag, include_dual)
-        predictions[k] = unscale(predict(result.params, window))
-    regime = RegimeSpec(kind="mece", test_size=test_size, train_size=train_size)
-    return ForecastRun(
-        ticker=ticker,
-        lag=lag,
-        include_dual=include_dual,
-        regime=regime,
-        seed=cfg.seed,
-        predictions=predictions,
-        actuals=own[origins],
-        origins=origins,
-        provenance=((0, train_size),) * test_size,
-        dates=None if dates is None else tuple(dates[i] for i in origins),
-    )
-
-
-def forecast_rolling(
-    own,
-    siblings=None,
-    *,
-    window: int,
-    lag: int,
-    include_dual: bool = False,
-    cfg: TrainConfig,
-    test_size: int,
-    retrain_per_origin: bool = True,
-    ticker: str = "",
-    dates=None,
-) -> ForecastRun:
-    """Rolling regime: train on exactly the ``window`` observations before each origin.
-
-    With ``retrain_per_origin`` (the default) a fresh, cold-started model is
-    fitted per origin, seeded per origin from cfg.seed, so a forecast depends
-    only on its own window.  Provenance for origin t is [t-window, t).
-    """
-    if window <= lag:
-        raise ValueError(f"window={window} too small for lag={lag}; need window >= lag+1")
-    own = np.asarray(own, dtype=np.float64)
-    n = len(own)
-    first_origin = n - test_size
-    if first_origin - window < 0:
-        raise ValueError(
-            f"not enough history: first origin {first_origin} needs {window} prior observations"
-        )
+    first_origin = n - regime.test_size
+    if regime.kind == "mece":
+        if first_origin < regime.train_size:
+            raise ValueError(
+                f"need at least train_size+test_size={regime.train_size + regime.test_size} "
+                f"observations, got {n}"
+            )
+        if regime.train_size <= lag:
+            raise ValueError(f"train_size={regime.train_size} leaves no samples at lag={lag}")
+    else:
+        if regime.window <= lag:
+            raise ValueError(f"window={regime.window} too small for lag={lag}; need window >= lag+1")
+        if first_origin - regime.window < 0:
+            raise ValueError(
+                f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
+            )
     scaled_own, scaled_sibs = _scaled_inputs(own, siblings, include_dual)
     origins = np.arange(first_origin, n)
-    predictions = np.empty(test_size)
-    provenance: list[tuple[int, int]] = []
-
-    shared_result = None
-    if not retrain_per_origin:
-        lo = first_origin - window
-        sibs = None if scaled_sibs is None else tuple(s[lo:first_origin] for s in scaled_sibs)
-        samples = build_supervised(
-            scaled_own[lo:first_origin], sibs, lag=lag, include_dual=include_dual
-        )
-        shared_result = train(samples, cfg)
-
-    for k, origin in enumerate(origins):
-        if retrain_per_origin:
-            lo = origin - window
-            sibs = None if scaled_sibs is None else tuple(s[lo:origin] for s in scaled_sibs)
-            samples = build_supervised(
-                scaled_own[lo:origin], sibs, lag=lag, include_dual=include_dual
-            )
-            origin_cfg = replace(cfg, seed=child_seed(cfg.seed, f"origin:{origin}"))
-            result = train(samples, origin_cfg)
-            provenance.append((lo, int(origin)))
-        else:
-            result = shared_result
-            provenance.append((first_origin - window, first_origin))
+    provenance = tuple(regime.train_range(int(t), first_origin) for t in origins)
+    predictions = np.empty(regime.test_size)
+    per_origin_seed = regime.kind == "rolling" and regime.retrain_per_origin
+    trained = None
+    for k, (origin, (start, end)) in enumerate(zip(origins, provenance)):
+        if (start, end) != trained:
+            sibs = None if scaled_sibs is None else tuple(s[start:end] for s in scaled_sibs)
+            samples = build_supervised(scaled_own[start:end], sibs, lag=lag, include_dual=include_dual)
+            seed = child_seed(cfg.seed, f"origin:{origin}") if per_origin_seed else cfg.seed
+            params = train(samples, replace(cfg, seed=seed)).params
+            trained = (start, end)
         query = _query_window(scaled_own, scaled_sibs, origin, lag, include_dual)
-        predictions[k] = unscale(predict(result.params, query))
-
-    regime = RegimeSpec(
-        kind="rolling",
-        test_size=test_size,
-        window=window,
-        retrain_per_origin=retrain_per_origin,
-    )
+        predictions[k] = unscale(predict(params, query))
     return ForecastRun(
         ticker=ticker,
         lag=lag,
@@ -315,6 +263,6 @@ def forecast_rolling(
         predictions=predictions,
         actuals=own[origins],
         origins=origins,
-        provenance=tuple(provenance),
+        provenance=provenance,
         dates=None if dates is None else tuple(dates[i] for i in origins),
     )

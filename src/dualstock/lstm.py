@@ -1,10 +1,13 @@
 """From-scratch LSTM regressor with exact backpropagation through time.
 
-One LSTM layer plus a linear scalar head.  The four gate weight matrices are
-stored stacked as a single (4H, H+D) array in row order [forget, input,
-output, candidate]; per-gate views are exposed as properties.  Training is
-per-sample stochastic with Adam-style moments and global-norm gradient
-clipping, fully determined by the config seed.
+One LSTM layer plus a linear scalar head.  Every parameter lives in one flat
+float64 buffer: the four gate weight matrices stacked as one (4H, H+D)
+block in row order [forget, input, output, candidate], then the stacked
+biases, the head weights and the head bias.  A gate's rows are a slice of
+that block (gate g is ``weights[g*H:(g+1)*H]``).  ``backward`` returns
+gradients in the same layout, so global-norm clipping and the Adam update
+are each one elementwise operation over the buffer.  Training is per-sample
+stochastic, fully determined by the config seed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ __all__ = [
     "FeatureSample",
     "LstmParams",
     "LstmState",
-    "LstmGrads",
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
@@ -63,100 +65,70 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-@dataclass
 class LstmParams:
-    """Gate weights (stacked), biases, and the linear head."""
+    """All parameters of one LSTM layer and its head in one flat float64 buffer.
 
-    weights: np.ndarray  # (4H, H+D), rows [forget; input; output; candidate]
-    biases: np.ndarray  # (4H,)
-    head_w: np.ndarray  # (H,)
-    head_b: float
+    ``flat`` is [weights (4H, H+D) row-major, biases (4H,), head_w (H,),
+    head_b].  ``weights``, ``biases`` and ``head_w`` are views into it and
+    ``head_b`` reads and writes its last element, so one elementwise
+    operation on ``flat`` acts on every parameter.  Gradients use the same
+    layout.
+    """
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        self.head_w = np.asarray(self.head_w, dtype=np.float64)
-        self.head_b = float(self.head_b)
-        if self.weights.ndim != 2 or self.weights.shape[0] % 4:
+    def __init__(self, weights, biases, head_w, head_b: float) -> None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2 or weights.shape[0] % 4:
             raise ValueError("weights must be (4H, H+D)")
-        h = self.weights.shape[0] // 4
-        if self.weights.shape[1] <= h:
+        hsz = weights.shape[0] // 4
+        if weights.shape[1] <= hsz:
             raise ValueError("weights must have H+D columns with D >= 1")
-        if self.biases.shape != (4 * h,) or self.head_w.shape != (h,):
+        if np.shape(biases) != (4 * hsz,) or np.shape(head_w) != (hsz,):
             raise ValueError("bias/head shapes inconsistent with hidden size")
-        for arr in (self.weights, self.biases, self.head_w):
-            if not np.isfinite(arr).all():
-                raise ValueError("parameters must be finite")
-        if not math.isfinite(self.head_b):
+        flat = np.concatenate([weights.ravel(), biases, head_w, [head_b]], dtype=np.float64)
+        if not np.isfinite(flat).all():
             raise ValueError("parameters must be finite")
+        self._bind(flat, hsz, weights.shape[1] - hsz)
+
+    def _bind(self, flat: np.ndarray, hidden_size: int, input_size: int) -> None:
+        self.flat = flat
+        self.hidden_size = hidden_size
+        self.input_size = input_size
+        n_w = 4 * hidden_size * (hidden_size + input_size)
+        self.weights = flat[:n_w].reshape(4 * hidden_size, hidden_size + input_size)
+        self.biases = flat[n_w : n_w + 4 * hidden_size]
+        self.head_w = flat[n_w + 4 * hidden_size : -1]
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, hidden_size: int, input_size: int) -> "LstmParams":
+        params = cls.__new__(cls)
+        params._bind(flat, hidden_size, input_size)
+        return params
 
     @property
-    def hidden_size(self) -> int:
-        return self.weights.shape[0] // 4
+    def head_b(self) -> float:
+        return float(self.flat[-1])
 
-    @property
-    def input_size(self) -> int:
-        return self.weights.shape[1] - self.hidden_size
-
-    # Per-gate views into the stacked arrays.
-    @property
-    def w_forget(self) -> np.ndarray:
-        return self.weights[: self.hidden_size]
-
-    @property
-    def w_input(self) -> np.ndarray:
-        return self.weights[self.hidden_size : 2 * self.hidden_size]
-
-    @property
-    def w_output(self) -> np.ndarray:
-        return self.weights[2 * self.hidden_size : 3 * self.hidden_size]
-
-    @property
-    def w_candidate(self) -> np.ndarray:
-        return self.weights[3 * self.hidden_size :]
-
-    @property
-    def b_forget(self) -> np.ndarray:
-        return self.biases[: self.hidden_size]
-
-    @property
-    def b_input(self) -> np.ndarray:
-        return self.biases[self.hidden_size : 2 * self.hidden_size]
-
-    @property
-    def b_output(self) -> np.ndarray:
-        return self.biases[2 * self.hidden_size : 3 * self.hidden_size]
-
-    @property
-    def b_candidate(self) -> np.ndarray:
-        return self.biases[3 * self.hidden_size :]
+    @head_b.setter
+    def head_b(self, value: float) -> None:
+        self.flat[-1] = value
 
     @classmethod
     def zeros(cls, hidden_size: int, input_size: int) -> "LstmParams":
-        return cls(
-            weights=np.zeros((4 * hidden_size, hidden_size + input_size)),
-            biases=np.zeros(4 * hidden_size),
-            head_w=np.zeros(hidden_size),
-            head_b=0.0,
-        )
+        size = 4 * hidden_size * (hidden_size + input_size) + 5 * hidden_size + 1
+        return cls._wrap(np.zeros(size), hidden_size, input_size)
 
     @classmethod
     def init(cls, rng: np.random.Generator, hidden_size: int, input_size: int) -> "LstmParams":
         """Seeded uniform init in +-1/sqrt(H+D); forget-gate bias +1."""
         bound = 1.0 / math.sqrt(hidden_size + input_size)
-        gates = [rng.uniform(-bound, bound, size=(hidden_size, hidden_size + input_size)) for _ in range(4)]
-        head_w = rng.uniform(-bound, bound, size=hidden_size)
-        biases = np.zeros(4 * hidden_size)
-        biases[:hidden_size] = 1.0
-        return cls(weights=np.vstack(gates), biases=biases, head_w=head_w, head_b=0.0)
+        params = cls.zeros(hidden_size, input_size)
+        params.weights[:] = rng.uniform(-bound, bound, size=params.weights.shape)
+        params.head_w[:] = rng.uniform(-bound, bound, size=hidden_size)
+        params.biases[:hidden_size] = 1.0
+        return params
 
     def copy(self) -> "LstmParams":
-        return LstmParams(
-            weights=self.weights.copy(),
-            biases=self.biases.copy(),
-            head_w=self.head_w.copy(),
-            head_b=self.head_b,
-        )
+        return LstmParams._wrap(self.flat.copy(), self.hidden_size, self.input_size)
 
 
 @dataclass(frozen=True)
@@ -223,36 +195,12 @@ def predict(params: LstmParams, inputs) -> float:
     return prediction
 
 
-@dataclass
-class LstmGrads:
-    """Gradients matching LstmParams' stacked layout."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-    head_w: np.ndarray
-    head_b: float
-
-    def global_norm(self) -> float:
-        total = (
-            float((self.weights * self.weights).sum())
-            + float((self.biases * self.biases).sum())
-            + float((self.head_w * self.head_w).sum())
-            + self.head_b * self.head_b
-        )
-        return math.sqrt(total)
-
-    def scale(self, factor: float) -> None:
-        self.weights *= factor
-        self.biases *= factor
-        self.head_w *= factor
-        self.head_b *= factor
-
-
-def backward(params: LstmParams, sample: FeatureSample, caches, loss_grad: float) -> LstmGrads:
+def backward(params: LstmParams, sample: FeatureSample, caches, loss_grad: float) -> LstmParams:
     """Exact reverse-mode gradients through the head and the unrolled chain.
 
     ``loss_grad`` is dLoss/dPrediction at the head output; for squared error
-    pass 2 * (prediction - target).
+    pass 2 * (prediction - target).  The gradients come back in the
+    parameters' own flat layout.
     """
     hsz = params.hidden_size
     width = hsz + params.input_size
@@ -260,11 +208,10 @@ def backward(params: LstmParams, sample: FeatureSample, caches, loss_grad: float
         raise ValueError("cache does not match the sample's step count")
     if caches and caches[-1]["z"].shape != (width,):
         raise ValueError("cache does not match the parameter shapes")
-    g_weights = np.zeros_like(params.weights)
-    g_biases = np.zeros_like(params.biases)
-    h_last = caches[-1]["h"]
-    g_head_w = loss_grad * h_last
-    g_head_b = float(loss_grad)
+    grads = LstmParams.zeros(hsz, params.input_size)
+    g_weights, g_biases = grads.weights, grads.biases
+    grads.head_w[:] = loss_grad * caches[-1]["h"]
+    grads.head_b = loss_grad
     dh = loss_grad * params.head_w
     dc = np.zeros(hsz)
     dz_all = np.empty(4 * hsz)
@@ -282,7 +229,7 @@ def backward(params: LstmParams, sample: FeatureSample, caches, loss_grad: float
         dcat = params.weights.T @ dz_all
         dh = dcat[:hsz]
         dc = dc * f
-    return LstmGrads(weights=g_weights, biases=g_biases, head_w=g_head_w, head_b=g_head_b)
+    return grads
 
 
 @dataclass(frozen=True)
@@ -293,7 +240,6 @@ class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-2
     hidden_size: int = 16
-    optimizer: str = "adam"
     clip_norm: float = 1.0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -306,8 +252,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
-        if self.optimizer != "adam":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
 
@@ -335,14 +279,8 @@ def train(samples, cfg: TrainConfig) -> TrainResult:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     params = LstmParams.init(rng, cfg.hidden_size, dim)
 
-    m_w = np.zeros_like(params.weights)
-    v_w = np.zeros_like(params.weights)
-    m_b = np.zeros_like(params.biases)
-    v_b = np.zeros_like(params.biases)
-    m_hw = np.zeros_like(params.head_w)
-    v_hw = np.zeros_like(params.head_w)
-    m_hb = 0.0
-    v_hb = 0.0
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
     step = 0
     loss_trace: list[float] = []
 
@@ -355,29 +293,20 @@ def train(samples, cfg: TrainConfig) -> TrainResult:
             err = prediction - sample.target
             sq_sum += err * err
             grads = backward(params, sample, caches, 2.0 * err)
-            norm = grads.global_norm()
+            # Squares are summed per segment in buffer order, not as one dot
+            # product over the buffer: the summation order fixes the rounding
+            # of the norm, and with it every trained model bit for bit.
+            segments = (grads.weights, grads.biases, grads.head_w, grads.flat[-1:])
+            norm = math.sqrt(sum(float((g * g).sum()) for g in segments))
             if norm > cfg.clip_norm:
-                grads.scale(cfg.clip_norm / norm)
+                grads.flat *= cfg.clip_norm / norm
             step += 1
             bias1 = 1.0 - cfg.beta1**step
             bias2 = 1.0 - cfg.beta2**step
             scale = cfg.learning_rate / bias1
-
-            m_w = cfg.beta1 * m_w + (1.0 - cfg.beta1) * grads.weights
-            v_w = cfg.beta2 * v_w + (1.0 - cfg.beta2) * grads.weights**2
-            params.weights -= scale * m_w / (np.sqrt(v_w / bias2) + cfg.epsilon)
-
-            m_b = cfg.beta1 * m_b + (1.0 - cfg.beta1) * grads.biases
-            v_b = cfg.beta2 * v_b + (1.0 - cfg.beta2) * grads.biases**2
-            params.biases -= scale * m_b / (np.sqrt(v_b / bias2) + cfg.epsilon)
-
-            m_hw = cfg.beta1 * m_hw + (1.0 - cfg.beta1) * grads.head_w
-            v_hw = cfg.beta2 * v_hw + (1.0 - cfg.beta2) * grads.head_w**2
-            params.head_w -= scale * m_hw / (np.sqrt(v_hw / bias2) + cfg.epsilon)
-
-            m_hb = cfg.beta1 * m_hb + (1.0 - cfg.beta1) * grads.head_b
-            v_hb = cfg.beta2 * v_hb + (1.0 - cfg.beta2) * grads.head_b**2
-            params.head_b -= scale * m_hb / (math.sqrt(v_hb / bias2) + cfg.epsilon)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grads.flat
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grads.flat**2
+            params.flat -= scale * m / (np.sqrt(v / bias2) + cfg.epsilon)
 
         epoch_mse = sq_sum / len(samples)
         if not math.isfinite(epoch_mse):

@@ -42,15 +42,12 @@ class MonteCarloSpec:
     seed: int
     iterations: int = 1000
     significance_level: float = 0.05
-    surrogate_model: str = "ar1"
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.significance_level < 1.0:
             raise ValueError("significance_level must be in (0, 1)")
-        if self.surrogate_model != "ar1":
-            raise ValueError(f"unsupported surrogate model {self.surrogate_model!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

@@ -185,18 +185,16 @@ def daily_returns(s: PriceSeries) -> ReturnSeries:
     return ReturnSeries(ticker=s.ticker, dates=s.dates[1:], values=values)
 
 
-def align_series(a: PriceSeries, b: PriceSeries) -> tuple[PriceSeries, PriceSeries]:
-    """Restrict both series to their common dates, preserving date order.
+def align_series(*series: PriceSeries) -> tuple[PriceSeries, ...]:
+    """Restrict every series to the dates they all share, preserving date order.
 
-    A disjoint pair yields two empty series; callers that require data must
+    Date-disjoint inputs yield empty series; callers that require data must
     check ``n`` on the results.
     """
-    common = set(a.dates) & set(b.dates)
-    if len(common) == a.n == b.n:
-        return a, b
-    idx_a = [i for i, d in enumerate(a.dates) if d in common]
-    idx_b = [i for i, d in enumerate(b.dates) if d in common]
-    return a.take(idx_a), b.take(idx_b)
+    common = set(series[0].dates).intersection(*(s.dates for s in series[1:]))
+    if all(s.n == len(common) for s in series):
+        return series
+    return tuple(s.take([i for i, d in enumerate(s.dates) if d in common]) for s in series)
 
 
 def premium_series(a: PriceSeries, b: PriceSeries) -> PremiumSeries:

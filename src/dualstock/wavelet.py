@@ -1,7 +1,8 @@
-"""Morlet continuous wavelet transform, cross-wavelet power, and coherence.
+"""Morlet continuous wavelet transform and wavelet coherence.
 
-The transform follows the energy convention: the kernel at scale s carries a
-sqrt(dt/s) weight so every scale has comparable power.  The FFT path builds
+The transform uses the energy convention only: the kernel at scale s carries
+a sqrt(dt/s) weight so every scale has comparable power (coherence does not
+depend on this choice).  The FFT path builds
 each scale's frequency response as the exact discrete Fourier transform of
 the sampled Morlet kernel (an alias-summed Gaussian), so it reproduces the
 direct time-domain summation to machine precision once the series is
@@ -31,7 +32,6 @@ __all__ = [
     "morlet_mother",
     "fourier_factor",
     "cwt",
-    "cross_wavelet",
     "smooth",
     "coherence",
     "phase_field",
@@ -46,13 +46,9 @@ class MorletSpec:
     """Morlet mother-wavelet parameters.
 
     ``omega0`` must be at least 5 for the zero-mean approximation to hold.
-    With ``energy_normalization`` the convolution weights are sqrt(dt/s)
-    (unit-energy convention); without it they are dt/s (amplitude
-    convention).  Coherence is invariant to this choice.
     """
 
     omega0: float = 6.0
-    energy_normalization: bool = True
 
     def __post_init__(self) -> None:
         if self.omega0 < 5:
@@ -148,7 +144,7 @@ def _pad_length(n: int, max_scale: float, dt: float) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _daughter_matrix(grid: ScaleGrid, npad: int, dt: float, energy: bool) -> np.ndarray:
+def _daughter_matrix(grid: ScaleGrid, npad: int, dt: float) -> np.ndarray:
     """Frequency response per scale: exact DFT of the sampled Morlet kernel."""
     omega = _TWO_PI * np.fft.fftfreq(npad, d=dt)
     scales = grid.scales
@@ -159,7 +155,7 @@ def _daughter_matrix(grid: ScaleGrid, npad: int, dt: float, energy: bool) -> np.
         acc = np.zeros(npad)
         for image in range(-3, 4):
             acc += np.exp(-0.5 * (arg - image * spacing) ** 2)
-        norm = math.sqrt(_TWO_PI * s / dt) if energy else math.sqrt(_TWO_PI)
+        norm = math.sqrt(_TWO_PI * s / dt)
         out[j] = norm * math.pi ** -0.25 * acc
     out.flags.writeable = False
     return out
@@ -191,7 +187,7 @@ def cwt(
     xd = x - x.mean()
     npad = _pad_length(n, float(grid.scales[-1]), dt)
     xhat = np.fft.fft(xd, npad)
-    daughters = _daughter_matrix(grid, npad, dt, spec.energy_normalization)
+    daughters = _daughter_matrix(grid, npad, dt)
     coeffs = np.fft.ifft(xhat[None, :] * daughters, axis=1)[:, :n]
     return Scaleogram(values=coeffs, grid=grid, dt=dt)
 
@@ -199,12 +195,6 @@ def cwt(
 def _check_compatible(a: Scaleogram, b: Scaleogram) -> None:
     if a.grid != b.grid or a.n != b.n or a.dt != b.dt:
         raise ValueError("scaleograms must share the same grid, length, and dt")
-
-
-def cross_wavelet(a: Scaleogram, b: Scaleogram) -> Scaleogram:
-    """Cross-wavelet spectrum W(f) * conj(W(g)), entrywise."""
-    _check_compatible(a, b)
-    return Scaleogram(values=a.values * np.conj(b.values), grid=a.grid, dt=a.dt)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import datetime as dt
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from dualstock.cli import load_config, main
+from dualstock.lstm import TrainingDivergedError
 from _oracles import ar1_series, sorted_quantile
 
 
@@ -74,6 +76,23 @@ class TestConfig:
         path.write_text(json.dumps(config), encoding="utf-8")
         monkeypatch.setenv("DUALSTOCK_OUT", str(tmp_path / "envout"))
         assert load_config(path).out_dir == tmp_path / "envout"
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("forecast", {"lags": "4"}), ("forecast", {"epochs": 2.5}), ("wavelet", {"mc_iterations": True})],
+    )
+    def test_wrong_typed_value_rejected(self, tmp_path, section, value):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, **{section: value})
+        key = f"{section}.{next(iter(value))}"
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+    def test_wrong_typed_value_exits_with_config_error(self, tmp_path, capsys):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, analyses=["forecast"], forecast={"lags": "4"})
+        assert main(["run", "--config", str(path)]) == 1
+        assert "config error: config key forecast.lags" in capsys.readouterr().err
 
     def test_missing_seed(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -169,6 +188,21 @@ class TestCoherenceCommand:
         grid = ScaleGrid.for_length(n_returns)
         assert len(rows) == grid.num_scales * n_returns
 
+    def test_failing_pair_does_not_stop_the_others(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path, n=140)
+        write_prices(tmp_path / "flat.csv", np.full(140, 10.0))
+        config_path = write_config(
+            tmp_path,
+            {"AAA": tickers["AAA"], "BBB": tickers["BBB"], "FLAT": "flat.csv"},
+            analyses=["coherence"],
+            wavelet={"mc_iterations": 5},
+        )
+        assert main(["run", "--config", str(config_path), "--only", "coherence"]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [o["path"] for o in manifest["outputs"]] == ["coherence/AAA_BBB.csv", "coherence/AAA_BBB.svg"]
+        assert [f.split(":")[0] for f in manifest["failures"]] == ["coherence AAA_FLAT", "coherence BBB_FLAT"]
+        assert all("zero variance" in f for f in manifest["failures"])
+
     def test_too_short_series_fails(self, tmp_path):
         tickers = synthetic_tickers(tmp_path, n=40)
         tickers.pop("CCC")
@@ -240,6 +274,27 @@ class TestForecastCommand:
         grids = sorted((tmp_path / "out" / "forecast" / "grids").glob("*.csv"))
         assert [g.name for g in grids] == ["AAA.csv", "long.csv"]
 
+    def test_diverged_run_is_recorded_as_its_failure(self, tmp_path, monkeypatch):
+        forecast_module = importlib.import_module("dualstock.forecast")
+        real_train = forecast_module.train
+        calls = []
+
+        def diverge_first(samples, cfg):
+            calls.append(cfg.seed)
+            if len(calls) == 1:
+                raise TrainingDivergedError("training loss became non-finite at step 1")
+            return real_train(samples, cfg)
+
+        monkeypatch.setattr(forecast_module, "train", diverge_first)
+        config_path = self.forecast_config(tmp_path, windows=[5], mece_train_size=80, tickers=["AAA"])
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            "forecast AAA lag=4 dual=no window=5: training loss became non-finite at step 1"
+        ]
+        runs = sorted(o["path"] for o in manifest["outputs"] if "/runs/" in o["path"])
+        assert runs == ["forecast/runs/AAA_lag4_dual-no_mece.csv", "forecast/runs/AAA_lag4_dual-no_mece.json"]
+
     def test_unknown_forecast_ticker_rejected(self, tmp_path):
         config_path = self.forecast_config(tmp_path, tickers=["ZZZ"])
         assert main(["forecast", "--config", str(config_path)]) == 1
@@ -302,6 +357,28 @@ class TestReportCommand:
                 "Training Window = 5", "Training Window = 10", "Training Window = 20",
                 "Training Window = 50", "MECE",
             }
+
+    def test_provenance_after_origin_rejected(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path,
+            tickers,
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA"],
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        csv_path = runs_dir / "AAA_lag4_dual-no_w10.csv"
+        header, first, *rest = csv_path.read_text().strip().split("\n")
+        cells = first.split(",")
+        cells[-1] = str(int(cells[0]) + 1)  # training range ends after its origin
+        csv_path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert "must precede its origin" in manifest["failures"][0]
 
     def test_empty_runs_dir_fails(self, tmp_path):
         empty = tmp_path / "none"

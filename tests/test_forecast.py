@@ -6,14 +6,23 @@ from dualstock.forecast import (
     PriceScaleWarning,
     RegimeSpec,
     build_supervised,
-    forecast_mece,
-    forecast_rolling,
+    forecast,
     scale_price,
     unscale,
 )
 from dualstock.lstm import TrainConfig
 
 FAST = dict(epochs=3, hidden_size=3)
+
+
+def mece(train_size, test_size):
+    return RegimeSpec(kind="mece", train_size=train_size, test_size=test_size)
+
+
+def rolling(window, test_size, retrain_per_origin=True):
+    return RegimeSpec(
+        kind="rolling", window=window, test_size=test_size, retrain_per_origin=retrain_per_origin
+    )
 
 
 def synthetic_prices(n, seed=0, level=25.0):
@@ -106,9 +115,7 @@ class TestRegimeSpec:
 class TestMece:
     def test_bookkeeping_desk_scale(self):
         prices = synthetic_prices(230)
-        run = forecast_mece(
-            prices, lag=4, cfg=TrainConfig(seed=1, **FAST), train_size=200, test_size=30
-        )
+        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(200, 30))
         assert run.regime.label == "mece"
         assert len(run.predictions) == 30
         assert list(run.origins) == list(range(200, 230))
@@ -117,79 +124,74 @@ class TestMece:
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="train_size"):
-            forecast_mece(
-                synthetic_prices(50), lag=4, cfg=TrainConfig(seed=1, **FAST),
-                train_size=100, test_size=20,
+            forecast(
+                synthetic_prices(50), lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(100, 20),
             )
 
     def test_longer_dataset_tests_tail(self):
         prices = synthetic_prices(150)
-        run = forecast_mece(
-            prices, lag=4, cfg=TrainConfig(seed=1, **FAST), train_size=100, test_size=20
-        )
+        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(100, 20))
         assert list(run.origins) == list(range(130, 150))
         assert run.provenance[0] == (0, 100)
 
     def test_deterministic(self):
         prices = synthetic_prices(120)
         cfg = TrainConfig(seed=9, **FAST)
-        r1 = forecast_mece(prices, lag=4, cfg=cfg, train_size=100, test_size=10)
-        r2 = forecast_mece(prices, lag=4, cfg=cfg, train_size=100, test_size=10)
+        r1 = forecast(prices, lag=4, cfg=cfg, regime=mece(100, 10))
+        r2 = forecast(prices, lag=4, cfg=cfg, regime=mece(100, 10))
         assert np.array_equal(r1.predictions, r2.predictions)
 
     def test_misaligned_siblings_rejected(self):
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(119, seed=5), synthetic_prices(120, seed=6))
         with pytest.raises(ValueError, match="aligned"):
-            forecast_mece(
+            forecast(
                 prices, sibs, lag=4, include_dual=True,
-                cfg=TrainConfig(seed=2, **FAST), train_size=100, test_size=10,
+                cfg=TrainConfig(seed=2, **FAST), regime=mece(100, 10),
             )
 
     def test_dual_features_used(self):
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(120, seed=5), synthetic_prices(120, seed=6))
         cfg = TrainConfig(seed=2, **FAST)
-        base = forecast_mece(prices, sibs, lag=4, include_dual=True, cfg=cfg, train_size=100, test_size=10)
+        base = forecast(prices, sibs, lag=4, include_dual=True, cfg=cfg, regime=mece(100, 10))
         poisoned_sibs = (sibs[0] * 1.1, sibs[1])
-        other = forecast_mece(prices, poisoned_sibs, lag=4, include_dual=True, cfg=cfg, train_size=100, test_size=10)
+        other = forecast(prices, poisoned_sibs, lag=4, include_dual=True, cfg=cfg, regime=mece(100, 10))
         assert not np.array_equal(base.predictions, other.predictions)
 
 
 class TestRolling:
     def test_bookkeeping(self):
         prices = synthetic_prices(80)
-        run = forecast_rolling(
-            prices, window=10, lag=4, cfg=TrainConfig(seed=1, **FAST), test_size=15
-        )
+        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(10, 15))
         assert run.regime.label == "window=10"
         for origin, (start, end) in zip(run.origins, run.provenance):
             assert (start, end) == (origin - 10, origin)
 
     def test_window_too_small(self):
         with pytest.raises(ValueError, match="too small"):
-            forecast_rolling(
-                synthetic_prices(80), window=5, lag=9,
-                cfg=TrainConfig(seed=1, **FAST), test_size=10,
+            forecast(
+                synthetic_prices(80), lag=9,
+                cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 10),
             )
 
     def test_not_enough_history(self):
         with pytest.raises(ValueError, match="history"):
-            forecast_rolling(
-                synthetic_prices(20), window=10, lag=4,
-                cfg=TrainConfig(seed=1, **FAST), test_size=15,
+            forecast(
+                synthetic_prices(20), lag=4,
+                cfg=TrainConfig(seed=1, **FAST), regime=rolling(10, 15),
             )
 
     @pytest.mark.parametrize("window", [5, 10])
     def test_poisoning_outside_window(self, window):
         prices = synthetic_prices(60)
         cfg = TrainConfig(seed=4, **FAST)
-        base = forecast_rolling(prices, window=window, lag=4, cfg=cfg, test_size=5)
+        base = forecast(prices, lag=4, cfg=cfg, regime=rolling(window, 5))
         # perturb an observation before every training window of the last
         # 5 origins: windows start at 55 - window
         poisoned = prices.copy()
         poisoned[54 - window] *= 1.5
-        run2 = forecast_rolling(poisoned, window=window, lag=4, cfg=cfg, test_size=5)
+        run2 = forecast(poisoned, lag=4, cfg=cfg, regime=rolling(window, 5))
         # the first origin's window starts at 55-window; index 54-window is
         # outside every window except none -> all later forecasts whose
         # window excludes it must be bit-identical
@@ -201,16 +203,16 @@ class TestRolling:
         prices = synthetic_prices(60)
         sibs = (synthetic_prices(60, seed=2), synthetic_prices(60, seed=3))
         cfg = TrainConfig(seed=4, **FAST)
-        base = forecast_rolling(prices, sibs, window=10, lag=4, cfg=cfg, test_size=5)
+        base = forecast(prices, sibs, lag=4, cfg=cfg, regime=rolling(10, 5))
         poisoned = (sibs[0] * 3.0, sibs[1] + 1.0)
-        run2 = forecast_rolling(prices, poisoned, window=10, lag=4, cfg=cfg, test_size=5)
+        run2 = forecast(prices, poisoned, lag=4, cfg=cfg, regime=rolling(10, 5))
         assert np.array_equal(base.predictions, run2.predictions)
 
     def test_train_once_mode(self):
         prices = synthetic_prices(60)
-        run = forecast_rolling(
-            prices, window=10, lag=4, cfg=TrainConfig(seed=4, **FAST),
-            test_size=5, retrain_per_origin=False,
+        run = forecast(
+            prices, lag=4, cfg=TrainConfig(seed=4, **FAST),
+            regime=rolling(10, 5, retrain_per_origin=False),
         )
         first = 55
         assert run.provenance == ((first - 10, first),) * 5
@@ -219,9 +221,7 @@ class TestRolling:
     def test_single_sample_window(self):
         # window = lag + 1 yields exactly one supervised sample per origin
         prices = synthetic_prices(40)
-        run = forecast_rolling(
-            prices, window=5, lag=4, cfg=TrainConfig(seed=1, **FAST), test_size=3
-        )
+        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 3))
         assert len(run.predictions) == 3
 
 

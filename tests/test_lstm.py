@@ -234,7 +234,7 @@ class TestTrain:
             {"epochs": 0},
             {"learning_rate": 0.0},
             {"hidden_size": 0},
-            {"optimizer": "sgd"},
+            {"learning_rate": -1e-3},
             {"clip_norm": 0.0},
         ],
     )
@@ -247,16 +247,32 @@ class TestTrain:
 
 class TestParams:
     def test_gate_views_alias_stacked_array(self):
+        # a gate's rows are a slice of the stacked arrays, which are views of
+        # the one flat buffer
         params = LstmParams.zeros(3, 2)
-        params.w_forget[0, 0] = 1.5
-        assert params.weights[0, 0] == 1.5
-        params.b_candidate[2] = -0.5
-        assert params.biases[11] == -0.5
+        params.weights[:3][0, 0] = 1.5  # forget gate
+        assert params.flat[0] == 1.5
+        params.biases[9:][2] = -0.5  # candidate gate
+        assert params.flat[params.weights.size + 11] == -0.5
+        params.head_b = 0.25
+        assert params.flat[-1] == 0.25
+
+    def test_flat_layout_order(self):
+        rng = np.random.default_rng(18)
+        params = LstmParams.init(rng, 3, 2)
+        assert params.flat.shape == (4 * 3 * 5 + 4 * 3 + 3 + 1,)
+        expected = np.concatenate(
+            [params.weights.ravel(), params.biases, params.head_w, [params.head_b]]
+        )
+        assert np.array_equal(params.flat, expected)
+        copy = params.copy()
+        copy.flat[:] = 0.0
+        assert np.array_equal(params.flat, expected)
 
     def test_init_forget_bias_one(self):
         rng = np.random.default_rng(17)
         params = LstmParams.init(rng, 4, 2)
-        assert np.array_equal(params.b_forget, np.ones(4))
+        assert np.array_equal(params.biases[:4], np.ones(4))
         assert np.abs(params.weights).max() <= 1 / math.sqrt(6)
 
     def test_rejects_non_finite(self):

@@ -67,7 +67,6 @@ class TestMonteCarloSpec:
         mc = MonteCarloSpec(seed=7)
         assert mc.iterations == 1000
         assert mc.significance_level == 0.05
-        assert mc.surrogate_model == "ar1"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -75,7 +74,7 @@ class TestMonteCarloSpec:
             {"iterations": 0},
             {"significance_level": 0.0},
             {"significance_level": 1.0},
-            {"surrogate_model": "phase"},
+            {"significance_level": 1.5},
             {"seed": -1},
         ],
     )

@@ -139,6 +139,16 @@ class TestAlign:
         ra, rb = align_series(a, b)
         assert ra.n == 0 and rb.n == 0
 
+    def test_three_way_keeps_dates_all_share(self):
+        a = make_series([1, 2, 3, 4])
+        b = make_series([5, 6, 7], ticker="U", start=dt.date(2020, 1, 2))
+        c = make_series([8, 9, 10, 11], ticker="V", start=dt.date(2019, 12, 31))
+        ra, rb, rc = align_series(a, b, c)
+        assert ra.dates == rb.dates == rc.dates == (dt.date(2020, 1, 2), dt.date(2020, 1, 3))
+        assert np.array_equal(ra.mid, [2, 3])
+        assert np.array_equal(rb.mid, [5, 6])
+        assert np.array_equal(rc.mid, [10, 11])
+
 
 class TestPremiumSeries:
     def test_self_premium_zero(self):

@@ -9,7 +9,6 @@ from dualstock.wavelet import (
     Scaleogram,
     SmoothingSpec,
     cone_of_influence,
-    cross_wavelet,
     cwt,
     fourier_factor,
     morlet_mother,
@@ -93,15 +92,6 @@ class TestCwt:
         direct_w = cwt_direct(x, grid.scales)
         assert np.abs(fft_w - direct_w).max() < 1e-8
 
-    def test_amplitude_normalization_mode(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(64)
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=6)
-        energy = cwt(x, grid, MorletSpec(energy_normalization=True)).values
-        amplitude = cwt(x, grid, MorletSpec(energy_normalization=False)).values
-        ratio = np.sqrt(1.0 / grid.scales)  # dt/s vs sqrt(dt/s) weights
-        assert np.allclose(amplitude, energy * ratio[:, None], atol=1e-12)
-
     def test_input_validation(self):
         grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
         with pytest.raises(ValueError, match="length >= 4"):
@@ -115,35 +105,6 @@ class TestCwt:
         grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
         with pytest.raises(ValueError, match="num_scales"):
             Scaleogram(values=np.zeros((3, 10)), grid=grid)
-
-
-class TestCrossWavelet:
-    def setup_method(self):
-        rng = np.random.default_rng(3)
-        self.grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=8)
-        self.a = cwt(rng.standard_normal(128), self.grid)
-        self.b = cwt(rng.standard_normal(128), self.grid)
-
-    def test_self_cross_is_power(self):
-        c = cross_wavelet(self.a, self.a)
-        # FMA contraction leaves ~1 ulp of imaginary residue in z*conj(z)
-        assert np.abs(c.values.imag).max() < 1e-12 * np.abs(c.values).max()
-        assert np.allclose(c.values.real, np.abs(self.a.values) ** 2)
-
-    def test_conjugate_symmetry(self):
-        ab = cross_wavelet(self.a, self.b)
-        ba = cross_wavelet(self.b, self.a)
-        scale = np.abs(ab.values).max()
-        assert np.abs(ab.values - np.conj(ba.values)).max() < 1e-12 * scale
-
-    def test_zero_operand(self):
-        zero = cwt(np.zeros(128), self.grid)
-        assert np.abs(cross_wavelet(self.a, zero).values).max() == 0.0
-
-    def test_grid_mismatch(self):
-        other = cwt(np.zeros(64), self.grid)
-        with pytest.raises(ValueError, match="same grid"):
-            cross_wavelet(self.a, other)
 
 
 class TestSmoothing:
