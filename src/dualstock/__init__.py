@@ -15,6 +15,7 @@ from .forecast import (
     unscale,
 )
 from .lstm import (
+    BatchTrainResult,
     FeatureSample,
     LstmParams,
     LstmState,
@@ -25,7 +26,9 @@ from .lstm import (
     forward_sequence,
     lstm_cell_forward,
     predict,
+    predict_batch,
     train,
+    train_batch,
 )
 from .metrics import MetricTriple, ReportGrid, assemble_grid, mae, mape, rmse
 from .seeds import child_seed

@@ -165,13 +165,18 @@ def load_config(
     resolved_seed = seed if seed is not None else raw.get("seed")
     if resolved_seed is None:
         raise ValueError("no master seed: set seed in config or pass --seed")
-    analyses = tuple(raw.get("analyses", ANALYSES))
+    analyses = raw.get("analyses", list(ANALYSES))
+    if not isinstance(analyses, list) or not all(a in ANALYSES for a in analyses):
+        raise ValueError(f"config key analyses must be a list of names from {ANALYSES}, got {analyses!r}")
+    percent = raw.get("percent", False)
+    if not isinstance(percent, bool):
+        raise ValueError(f"config key percent must be bool, got {percent!r}")
     return RunConfig(
         tickers=tickers,
         out_dir=Path(resolved_out),
         seed=int(resolved_seed),
-        analyses=analyses,
-        percent=bool(raw.get("percent", False)),
+        analyses=tuple(analyses),
+        percent=percent,
         csv_format=_section(raw, "csv", CsvFormat()),
         wavelet=_section(raw, "wavelet", WaveletOptions()),
         forecast=_section(raw, "forecast", ForecastOptions()),
@@ -188,7 +193,11 @@ class CommandOutcome:
         self.failures.extend(other.failures)
 
 
-def _load_all(config: RunConfig) -> list[tuple[str, PriceSeries]]:
+TickerSeries = list[tuple[str, PriceSeries]]
+
+
+def _load_all(config: RunConfig) -> TickerSeries:
+    """Every declared ticker's series, read once per invocation and shared by the analyses."""
     return [
         (name, load_ohlc_csv(path, config.csv_format, ticker=name))
         for name, path in config.tickers
@@ -201,10 +210,9 @@ def _write(path: Path, text: str, outcome: CommandOutcome) -> None:
     outcome.files.append(path)
 
 
-def cmd_premiums(config: RunConfig) -> CommandOutcome:
+def cmd_premiums(config: RunConfig, series: TickerSeries) -> CommandOutcome:
     """Premium series and summary stats for every ticker pair."""
     outcome = CommandOutcome()
-    series = _load_all(config)
     if len(series) < 2:
         raise ValueError("premiums needs at least two tickers")
     out = config.out_dir / "premiums"
@@ -249,10 +257,9 @@ def _coherence_csv(field, dates) -> str:
     return "\n".join(rows) + "\n"
 
 
-def cmd_coherence(config: RunConfig) -> CommandOutcome:
+def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
     """Returns -> CWT -> coherence -> significance -> CSV + SVG per pair."""
     outcome = CommandOutcome()
-    series = _load_all(config)
     if len(series) < 2:
         raise ValueError("coherence needs at least two tickers")
     out = config.out_dir / "coherence"
@@ -347,11 +354,11 @@ def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
     }
 
 
-def cmd_forecast(config: RunConfig) -> CommandOutcome:
+def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
     """Execute the declared (ticker x lag x dual x regime) grid."""
     outcome = CommandOutcome()
-    names = [name for name, _ in config.tickers]
-    series = align_series(*(s for _, s in _load_all(config)))
+    names = [name for name, _ in series]
+    series = align_series(*(s for _, s in series))
     if series[0].n == 0:
         raise ValueError("forecast: tickers share no common dates")
     f = config.forecast
@@ -568,11 +575,16 @@ def main(argv=None) -> int:
             command = args.command
         outcome = CommandOutcome()
         handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
-        for analysis in selected:
-            try:
-                outcome.merge(handlers[analysis](config))
-            except (ValueError, OSError) as exc:
-                outcome.failures.append(f"{analysis}: {exc}")
+        try:
+            series = _load_all(config)
+        except (ValueError, OSError) as exc:
+            outcome.failures += [f"{analysis}: {exc}" for analysis in selected]
+        else:
+            for analysis in selected:
+                try:
+                    outcome.merge(handlers[analysis](config, series))
+                except (ValueError, OSError) as exc:
+                    outcome.failures.append(f"{analysis}: {exc}")
     manifest_path = _write_manifest(out_dir, command, seed, outcome)
     print(f"{len(outcome.files)} files written under {out_dir} (manifest: {manifest_path.name})")
     for failure in outcome.failures:

@@ -5,19 +5,22 @@ range must stay unknown at training time) and predictions are mapped back to
 price units.  One ``forecast`` serves both training regimes of a
 ``RegimeSpec``: a single mutually-exclusive train/test split ("mece") and
 rolling windows that retrain on exactly the w observations preceding each
-forecast origin.  Every forecast is a pure function of observations strictly
-before its origin; the provenance field records the exact training index
-range per origin.
+forecast origin.  The per-origin models of a rolling run train together in
+lockstep (``lstm.train_batch``) and all origins are predicted in one batched
+forward; a model's result does not depend on the batch it trains in, so the
+predictions equal those of one ``train`` per origin bit for bit.  Every
+forecast is a pure function of observations strictly before its origin; the
+provenance field records the exact training index range per origin.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import FeatureSample, TrainConfig, predict, train
+from .lstm import FeatureSample, TrainConfig, predict_batch, train_batch
 from .seeds import child_seed
 
 __all__ = [
@@ -79,20 +82,23 @@ def build_supervised(
         raise ValueError("lag must be >= 1")
     if len(own) <= lag:
         raise ValueError(f"need more than lag={lag} observations, got {len(own)}")
-    if include_dual:
-        if siblings is None or len(siblings) != 2:
-            raise ValueError("include_dual requires exactly two sibling series")
-        sib1 = np.asarray(siblings[0], dtype=np.float64)
-        sib2 = np.asarray(siblings[1], dtype=np.float64)
-        if sib1.shape != own.shape or sib2.shape != own.shape:
-            raise ValueError("sibling series must be aligned with the own series")
-        features = np.column_stack([own, sib1, sib2])
-    else:
-        features = own[:, None]
+    features = _feature_rows(own, siblings, include_dual)
     return [
         FeatureSample(inputs=features[t - lag : t].copy(), target=own[t])
         for t in range(lag, len(own))
     ]
+
+
+def _feature_rows(own: np.ndarray, siblings, include_dual: bool) -> np.ndarray:
+    """The (n, D) input rows: [own] (D = 1), or [own, sib1, sib2] when ``include_dual``."""
+    if not include_dual:
+        return own[:, None]
+    if siblings is None or len(siblings) != 2:
+        raise ValueError("include_dual requires exactly two sibling series")
+    siblings = [np.asarray(s, dtype=np.float64) for s in siblings]
+    if any(s.shape != own.shape for s in siblings):
+        raise ValueError("sibling series must be aligned with the own series")
+    return np.column_stack([own, *siblings])
 
 
 @dataclass(frozen=True)
@@ -178,29 +184,6 @@ class ForecastRun:
         )
 
 
-def _scaled_inputs(own, siblings, include_dual):
-    scaled_own = scale_price(own)
-    if include_dual:
-        if siblings is None or len(siblings) != 2:
-            raise ValueError("include_dual requires exactly two sibling series")
-        scaled_sibs = tuple(scale_price(s) for s in siblings)
-        if any(s.shape != scaled_own.shape for s in scaled_sibs):
-            raise ValueError("sibling series must be aligned with the own series")
-        return scaled_own, scaled_sibs
-    return scaled_own, None
-
-
-def _query_window(scaled_own, scaled_siblings, origin, lag, include_dual):
-    if include_dual:
-        block = np.column_stack(
-            [scaled_own[origin - lag : origin]]
-            + [s[origin - lag : origin] for s in scaled_siblings]
-        )
-    else:
-        block = scaled_own[origin - lag : origin, None]
-    return block
-
-
 def forecast(
     own,
     siblings=None,
@@ -215,11 +198,12 @@ def forecast(
     """Forecast the final ``regime.test_size`` observations of ``own``.
 
     Each origin's model is trained on the range ``regime.train_range`` gives
-    it, and one model is trained per distinct range.  A model that serves
-    every origin is seeded with ``cfg.seed``; a model retrained per rolling
-    origin t is seeded with child_seed(cfg.seed, "origin:t"), so a forecast
-    depends only on its own window.  Each query uses only the lag window
-    strictly before its origin.
+    it, and one model is trained per distinct range; the models train in one
+    lockstep batch and every origin is predicted in one batched forward.  A
+    model that serves every origin is seeded with ``cfg.seed``; a model
+    retrained per rolling origin t is seeded with child_seed(cfg.seed,
+    "origin:t"), so a forecast depends only on its own window.  Each query
+    uses only the lag window strictly before its origin.
     """
     own = np.asarray(own, dtype=np.float64)
     n = len(own)
@@ -239,21 +223,28 @@ def forecast(
             raise ValueError(
                 f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
             )
-    scaled_own, scaled_sibs = _scaled_inputs(own, siblings, include_dual)
+    scaled_own = scale_price(own)
+    scaled_sibs = [scale_price(s) for s in siblings] if include_dual and siblings is not None else None
+    features = _feature_rows(scaled_own, scaled_sibs, include_dual)
+    # windows[k] is a view of feature rows k .. k+lag-1: the inputs of the
+    # sample that targets index k+lag
+    windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=0).transpose(0, 2, 1)
     origins = np.arange(first_origin, n)
     provenance = tuple(regime.train_range(int(t), first_origin) for t in origins)
-    predictions = np.empty(regime.test_size)
+    first_use: dict[tuple[int, int], int] = {}  # training range -> first origin it serves
+    for origin, span in zip(origins, provenance):
+        first_use.setdefault(span, int(origin))
+    spans = list(first_use)
     per_origin_seed = regime.kind == "rolling" and regime.retrain_per_origin
-    trained = None
-    for k, (origin, (start, end)) in enumerate(zip(origins, provenance)):
-        if (start, end) != trained:
-            sibs = None if scaled_sibs is None else tuple(s[start:end] for s in scaled_sibs)
-            samples = build_supervised(scaled_own[start:end], sibs, lag=lag, include_dual=include_dual)
-            seed = child_seed(cfg.seed, f"origin:{origin}") if per_origin_seed else cfg.seed
-            params = train(samples, replace(cfg, seed=seed)).params
-            trained = (start, end)
-        query = _query_window(scaled_own, scaled_sibs, origin, lag, include_dual)
-        predictions[k] = unscale(predict(params, query))
+    seeds = [child_seed(cfg.seed, f"origin:{first_use[s]}") if per_origin_seed else cfg.seed for s in spans]
+    # every range has the same length, so the samples form one (B, N) grid
+    # of target indices; fancy indexing copies their windows
+    count = spans[0][1] - spans[0][0] - lag
+    target_index = np.array([start + lag for start, _ in spans])[:, None] + np.arange(count)
+    trained = train_batch(windows[target_index - lag], scaled_own[target_index], cfg, seeds)
+    model_of = {span: k for k, span in enumerate(spans)}
+    served = trained.flat[[model_of[span] for span in provenance]]
+    predictions = unscale(predict_batch(served, windows[origins - lag], cfg.hidden_size))
     return ForecastRun(
         ticker=ticker,
         lag=lag,

@@ -63,3 +63,73 @@ def ar1_series(phi: float, n: int, rng: np.random.Generator, sigma: float = 1.0)
         prev = phi * prev + sigma * z[t]
         out[t] = prev
     return out
+
+
+def lstm_train_per_sample(samples, cfg):
+    """Per-sample Adam training written one sample and one cell at a time.
+
+    The literal form of ``dualstock.lstm.train``: 1-D matrix-vector products,
+    ``np.outer`` for the weight gradient, and the clip norm summed per
+    segment in buffer order.  Returns the flat parameter buffer and the
+    epoch loss trace.
+    """
+    from dualstock.lstm import LstmParams
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    hsz = cfg.hidden_size
+    params = LstmParams.init(rng, hsz, samples[0].dim)
+    weights, biases, head_w = params.weights, params.biases, params.head_w
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
+    step = 0
+    trace = []
+    for _ in range(cfg.epochs):
+        sq_sum = 0.0
+        for idx in rng.permutation(len(samples)):
+            sample = samples[idx]
+            h, c = np.zeros(hsz), np.zeros(hsz)
+            cells = []
+            for x in sample.inputs:
+                z = np.concatenate([h, x])
+                pre = weights @ z + biases
+                with np.errstate(over="ignore"):
+                    gates = 1.0 / (1.0 + np.exp(-pre[: 3 * hsz]))
+                f, i, o = gates[:hsz], gates[hsz : 2 * hsz], gates[2 * hsz :]
+                c_hat = np.tanh(pre[3 * hsz :])
+                c_prev, c = c, i * c_hat + f * c
+                tanh_c = np.tanh(c)
+                h = o * tanh_c
+                cells.append((z, f, i, o, c_hat, c_prev, tanh_c))
+            err = float(head_w @ h + params.head_b) - sample.target
+            sq_sum += err * err
+            grads = LstmParams.zeros(hsz, params.input_size)
+            grads.head_w[:] = 2.0 * err * h
+            grads.head_b = 2.0 * err
+            dh = 2.0 * err * head_w
+            dc = np.zeros(hsz)
+            for z, f, i, o, c_hat, c_prev, tanh_c in reversed(cells):
+                do = dh * tanh_c
+                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+                dz = np.concatenate(
+                    [
+                        dc * c_prev * f * (1.0 - f),
+                        dc * c_hat * i * (1.0 - i),
+                        do * o * (1.0 - o),
+                        dc * i * (1.0 - c_hat * c_hat),
+                    ]
+                )
+                grads.weights += np.outer(dz, z)
+                grads.biases += dz
+                dh = (weights.T @ dz)[:hsz]
+                dc = dc * f
+            segments = (grads.weights, grads.biases, grads.head_w, grads.flat[-1:])
+            norm = math.sqrt(sum(float((g * g).sum()) for g in segments))
+            if norm > cfg.clip_norm:
+                grads.flat *= cfg.clip_norm / norm
+            step += 1
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grads.flat
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grads.flat**2
+            scale = cfg.learning_rate / (1.0 - cfg.beta1**step)
+            params.flat -= scale * m / (np.sqrt(v / (1.0 - cfg.beta2**step)) + cfg.epsilon)
+        trace.append(sq_sum / len(samples))
+    return params.flat, trace

@@ -94,6 +94,17 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert "config error: config key forecast.lags" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("percent", "false"), ("analyses", "premiums"), ("analyses", ["premiums", "bogus"])]
+    )
+    def test_wrong_typed_top_level_value_exits_with_config_error(self, tmp_path, capsys, key, value):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, **{key: value})
+        with pytest.raises(ValueError, match=f"config key {key} must be"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: config key {key} must be" in capsys.readouterr().err
+
     def test_missing_seed(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
         config = {"tickers": tickers, "out_dir": str(tmp_path / "o")}
@@ -276,16 +287,16 @@ class TestForecastCommand:
 
     def test_diverged_run_is_recorded_as_its_failure(self, tmp_path, monkeypatch):
         forecast_module = importlib.import_module("dualstock.forecast")
-        real_train = forecast_module.train
+        real_train_batch = forecast_module.train_batch
         calls = []
 
-        def diverge_first(samples, cfg):
+        def diverge_first(inputs, targets, cfg, seeds):
             calls.append(cfg.seed)
             if len(calls) == 1:
                 raise TrainingDivergedError("training loss became non-finite at step 1")
-            return real_train(samples, cfg)
+            return real_train_batch(inputs, targets, cfg, seeds)
 
-        monkeypatch.setattr(forecast_module, "train", diverge_first)
+        monkeypatch.setattr(forecast_module, "train_batch", diverge_first)
         config_path = self.forecast_config(tmp_path, windows=[5], mece_train_size=80, tickers=["AAA"])
         assert main(["forecast", "--config", str(config_path)]) == 1
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -330,6 +341,23 @@ class TestDeterminism:
         config_path = write_config(tmp_path, tickers, analyses=["premiums", "forecast"])
         assert main(["run", "--config", str(config_path), "--only", "premiums"]) == 0
         assert not (tmp_path / "out" / "forecast").exists()
+
+    def test_each_input_read_once(self, tmp_path, monkeypatch):
+        cli_module = importlib.import_module("dualstock.cli")
+        real_load = cli_module.load_ohlc_csv
+        loaded = []
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(path.name)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "load_ohlc_csv", counting_load)
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path, tickers, analyses=["premiums", "coherence"], wavelet={"mc_iterations": 2}
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert sorted(loaded) == sorted(tickers.values())
 
 
 class TestReportCommand:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from dualstock.forecast import (
     scale_price,
     unscale,
 )
-from dualstock.lstm import TrainConfig
+from dualstock.lstm import TrainConfig, predict, train
+from dualstock.seeds import child_seed
 
 FAST = dict(epochs=3, hidden_size=3)
 
@@ -223,6 +226,26 @@ class TestRolling:
         prices = synthetic_prices(40)
         run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 3))
         assert len(run.predictions) == 3
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("lag", [4, 9])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_rolling_equals_per_origin_reference(self, lag, dual):
+        # the lockstep batch of a rolling run gives, bit for bit, what one
+        # build_supervised + train + predict per origin gives
+        prices = synthetic_prices(60)
+        sibs = (synthetic_prices(60, seed=5, level=20.0), synthetic_prices(60, seed=6, level=30.0))
+        cfg = TrainConfig(seed=11, **FAST)
+        run = forecast(prices, sibs, lag=lag, include_dual=dual, cfg=cfg, regime=rolling(12, 8))
+        own = scale_price(prices)
+        scaled_sibs = tuple(scale_price(s) for s in sibs)
+        features = np.column_stack([own, *scaled_sibs]) if dual else own[:, None]
+        for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
+            window_sibs = tuple(s[start:end] for s in scaled_sibs)
+            samples = build_supervised(own[start:end], window_sibs, lag=lag, include_dual=dual)
+            params = train(samples, replace(cfg, seed=child_seed(cfg.seed, f"origin:{origin}"))).params
+            assert run.predictions[k] == unscale(predict(params, features[origin - lag : origin]))
 
 
 class TestForecastRunValidation:

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _oracles import lstm_train_per_sample
+from dualstock import lstm
 from dualstock.lstm import (
     FeatureSample,
     LstmParams,
@@ -11,9 +14,13 @@ from dualstock.lstm import (
     TrainingDivergedError,
     backward,
     forward_sequence,
+    _Cache,
+    _check_ranges,
     lstm_cell_forward,
     predict,
+    predict_batch,
     train,
+    train_batch,
 )
 
 # Below this magnitude a 1e-5 central difference cannot resolve the gradient,
@@ -108,6 +115,22 @@ class TestCellForward:
         params = LstmParams.zeros(2, 1)
         with pytest.raises(ValueError, match="shape"):
             lstm_cell_forward(params, np.array([1.0, 2.0]), LstmState.zero(2))
+
+    def test_range_check_is_a_real_check(self):
+        # an activation outside its range raises (also under python -O);
+        # NaN is left to the training loss check
+        cache = _Cache(batch=3, lag=2, hidden_size=2, input_size=1)
+        cache.act[:] = 0.5
+        _check_ranges(cache)
+        cache.act[1, 2, 0] = np.nan
+        _check_ranges(cache)
+        cache.act[0, 1, 3] = 1.0 + 1e-12  # a gate
+        with pytest.raises(FloatingPointError, match="gate"):
+            _check_ranges(cache)
+        cache.act[0, 1, 3] = 0.5
+        cache.z[2, 0, 1] = -1.5  # a hidden output
+        with pytest.raises(FloatingPointError, match="cell"):
+            _check_ranges(cache)
 
 
 class TestForwardSequence:
@@ -218,6 +241,25 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError):
             train([sample], TrainConfig(seed=0, epochs=1, hidden_size=2))
 
+    def test_divergence_mid_epoch_raises_at_epoch_end(self):
+        # the NaN parameters left by one sample reach the next samples of the
+        # epoch; the run still fails as diverged, at the end of that epoch
+        rng = np.random.default_rng(19)
+        samples = self.make_samples(rng, count=4)
+        samples[1] = FeatureSample(inputs=samples[1].inputs, target=float("nan"))
+        with pytest.raises(TrainingDivergedError, match="at step 4$"):
+            train(samples, TrainConfig(seed=0, epochs=3, hidden_size=2))
+
+    @pytest.mark.parametrize("lag, dim, hidden", [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)])
+    def test_matches_per_sample_oracle(self, lag, dim, hidden):
+        rng = np.random.default_rng(20 + lag)
+        samples = self.make_samples(rng, count=7, lag=lag, dim=dim, target=0.2)
+        cfg = TrainConfig(seed=lag, epochs=3, hidden_size=hidden, learning_rate=0.05)
+        result = train(samples, cfg)
+        flat, trace = lstm_train_per_sample(samples, cfg)
+        assert np.array_equal(result.params.flat, flat)
+        assert result.loss_trace == trace
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             train([], TrainConfig(seed=0))
@@ -243,6 +285,80 @@ class TestTrain:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TrainConfig(**base)
+
+
+class TestTrainBatch:
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_model_does_not_depend_on_its_batch(self, batch):
+        rng = np.random.default_rng(30 + batch)
+        count, lag, dim = 5, 3, 2
+        inputs = 0.5 * rng.standard_normal((batch, count, lag, dim))
+        targets = 0.3 * rng.standard_normal((batch, count))
+        seeds = [int(s) for s in rng.integers(0, 2**31, batch)]
+        cfg = TrainConfig(seed=0, epochs=3, hidden_size=4)
+        result = train_batch(inputs, targets, cfg, seeds)
+        assert result.flat.shape == (batch, LstmParams.zeros(4, dim).flat.size)
+        for b in range(batch):
+            samples = [FeatureSample(inputs=inputs[b, k], target=targets[b, k]) for k in range(count)]
+            alone = train(samples, replace(cfg, seed=seeds[b]))
+            assert np.array_equal(result.flat[b], alone.params.flat)
+            assert result.loss_trace[b].tolist() == alone.loss_trace
+            assert np.array_equal(result.params(b).flat, alone.params.flat)
+
+    def test_blocks_do_not_change_models(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        inputs = 0.5 * rng.standard_normal((7, 4, 3, 2))
+        targets = 0.3 * rng.standard_normal((7, 4))
+        seeds = list(range(7))
+        cfg = TrainConfig(seed=0, epochs=2, hidden_size=3)
+        one_block = train_batch(inputs, targets, cfg, seeds)
+        for models_per_block in (1, 3):
+            per_model_bytes = lstm.BLOCK_BYTES // lstm._block_size(3, 3, 2)
+            monkeypatch.setattr(lstm, "BLOCK_BYTES", models_per_block * per_model_bytes)
+            assert lstm._block_size(3, 3, 2) == models_per_block
+            blocked = train_batch(inputs, targets, cfg, seeds)
+            assert np.array_equal(blocked.flat, one_block.flat)
+            assert np.array_equal(blocked.loss_trace, one_block.loss_trace)
+        targets[5, 1] = np.nan  # a model of the last block diverges
+        with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
+            train_batch(inputs, targets, cfg, seeds)
+
+    def test_predict_batch_matches_predict(self):
+        rng = np.random.default_rng(40)
+        models = [LstmParams.init(rng, 3, 2) for _ in range(5)]
+        windows = rng.standard_normal((5, 4, 2))
+        batched = predict_batch(np.stack([p.flat for p in models]), windows, hidden_size=3)
+        assert batched.tolist() == [predict(p, w) for p, w in zip(models, windows)]
+
+    def test_diverged_model_fails_its_batch_with_its_step(self):
+        rng = np.random.default_rng(41)
+        inputs = 0.1 * rng.standard_normal((3, 4, 2, 1))
+        targets = np.full((3, 4), 0.2)
+        targets[1, 2] = np.nan
+        cfg = TrainConfig(seed=0, epochs=2, hidden_size=2)
+        with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
+            train_batch(inputs, targets, cfg, seeds=[1, 2, 3])
+        samples = [FeatureSample(inputs=inputs[1, k], target=targets[1, k]) for k in range(4)]
+        with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
+            train(samples, replace(cfg, seed=2))
+
+    @pytest.mark.parametrize(
+        "inputs, targets, seeds",
+        [
+            (np.zeros((2, 3, 1)), np.zeros((2, 3)), [0, 1]),
+            (np.zeros((2, 3, 2, 1)), np.zeros((2, 4)), [0, 1]),
+            (np.zeros((2, 3, 2, 1)), np.zeros((2, 3)), [0]),
+        ],
+    )
+    def test_shapes_validated(self, inputs, targets, seeds):
+        with pytest.raises(ValueError):
+            train_batch(inputs, targets, TrainConfig(seed=0, epochs=1), seeds)
+
+    def test_mixed_lags_rejected_by_train(self):
+        s1 = FeatureSample(inputs=np.zeros((2, 1)), target=0.0)
+        s2 = FeatureSample(inputs=np.zeros((3, 1)), target=0.0)
+        with pytest.raises(ValueError, match="lag"):
+            train([s1, s2], TrainConfig(seed=0))
 
 
 class TestParams:
