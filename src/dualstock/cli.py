@@ -48,7 +48,7 @@ from .timeseries import (
     render_summary_csv,
     summary_to_dict,
 )
-from .wavelet import MorletSpec, ScaleGrid, SmoothingSpec, coherence, cwt
+from .wavelet import MorletSpec, ScaleGrid, SmoothingSpec
 
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
@@ -244,17 +244,23 @@ def _coherence_csv(field, dates) -> str:
     scales = field.grid.scales
     periods = field.grid.fourier_periods
     significant = field.significant
-    rows = ["time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi"]
+    day_s = [dates[t].isoformat() for t in range(field.n)]
+    # One joined block per scale keeps a few thousand row strings alive at a
+    # time instead of the whole field's; the trailing "" ends the last line.
+    blocks = ["time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi"]
     for j in range(field.grid.num_scales):
         scale_s = f"{scales[j]:.6f}"
         period_s = f"{periods[j]:.6f}"
+        rows = []
         for t in range(field.n):
             sig = int(significant[j, t]) if significant is not None else 0
             rows.append(
-                f"{t},{dates[t].isoformat()},{scale_s},{period_s},"
+                f"{t},{day_s[t]},{scale_s},{period_s},"
                 f"{field.rho2[j, t]:.6f},{field.phase[j, t]:.6f},{sig},{int(inside[j, t])}"
             )
-    return "\n".join(rows) + "\n"
+        blocks.append("\n".join(rows))
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
@@ -290,12 +296,10 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
             significance_level=w.significance_level,
         )
         try:
-            field = coherence(cwt(returns_a.values, grid, morlet), cwt(returns_b.values, grid, morlet), sspec)
-            mask = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc, morlet=morlet)
+            field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc, morlet=morlet)
         except ValueError as exc:
             outcome.failures.append(f"coherence {label}: {exc}")
             continue
-        field = field.with_significance(mask)
         _write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates), outcome)
         svg_path = out / f"{label}.svg"
         svg_path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,19 @@
 
 A cell is significant when the observed squared coherence exceeds the
 empirical (1 - level) quantile of the coherence of independently generated
-AR(1) surrogate pairs fitted to the two input series.  Surrogate iterations
-are seeded individually from (seed, iteration), and the per-cell exceedance
-counters are order-independent sums, so the mask is bit-identical no matter
-how iterations are scheduled.
+AR(1) surrogate pairs fitted to the two input series.  ``significance``
+returns the observed ``CoherenceField`` with its boolean mask and, per cell,
+the exceedance count: how many of the m surrogate coherences reached the
+observed one.
+
+Surrogate iterations are seeded individually from (seed, iteration): each
+draws its z_a and then its z_b from ``SeedSequence((seed, iteration))``.
+They are drawn ``BLOCK_ITERATIONS`` at a time, with the AR(1) recursion
+vectorised over the block's series, and the per-iteration arithmetic is the
+same as ``ar1_surrogate``'s, so the surrogates are bit-identical to one
+``ar1_surrogate`` pair per iteration.  The exceedance counters are
+order-independent sums, so mask and counts are bit-identical no matter how
+iterations are scheduled.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import MorletSpec, ScaleGrid, SmoothingSpec, coherence, cwt
+from .wavelet import CoherenceField, MorletSpec, ScaleGrid, SmoothingSpec, _rho2, coherence, cwt
 
 __all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "ar1_surrogate", "significance"]
 
@@ -70,22 +79,53 @@ def fit_ar1(x) -> AR1Params:
     return AR1Params(phi=phi, sigma=sigma, mean=mean)
 
 
+def _ar1_paths(phi: np.ndarray, sigma: np.ndarray, mean: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """AR(1) paths driven by standard normals z (time, lane), one lane per series.
+
+    Each lane starts from its stationary distribution.  The recursion runs
+    over time for all lanes at once, in place in ``z``, with the arithmetic
+    of the scalar loop prev = phi * prev + sigma * z[t], so a lane's path
+    does not depend on the other lanes.
+    """
+    first = sigma / np.sqrt(1.0 - phi * phi) * z[0]
+    z *= sigma
+    z[0] = first
+    for t in range(1, len(z)):
+        z[t] += phi * z[t - 1]
+    z += mean
+    return z
+
+
 def ar1_surrogate(params: AR1Params, n: int, rng: np.random.Generator) -> np.ndarray:
     """One AR(1) draw of length n, started from the stationary distribution."""
     z = rng.standard_normal(n)
-    out = np.empty(n)
-    stationary_sd = params.sigma / math.sqrt(1.0 - params.phi * params.phi)
-    prev = stationary_sd * z[0]
-    out[0] = prev
-    phi, sigma = params.phi, params.sigma
-    for t in range(1, n):
-        prev = phi * prev + sigma * z[t]
-        out[t] = prev
-    return out + params.mean
+    lane = [np.array([v]) for v in (params.phi, params.sigma, params.mean)]
+    return _ar1_paths(*lane, z[:, None])[:, 0]
 
 
 def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, iteration))))
+
+
+# Surrogate iterations drawn per block.  Their AR(1) recursions run as one
+# vectorised loop over time; the coherence fields are still computed one
+# iteration at a time, so the block only bounds the (2 * block, n) draws.
+BLOCK_ITERATIONS = 64
+
+
+def _surrogate_block(params_a: AR1Params, params_b: AR1Params, n: int, seed: int, iterations) -> np.ndarray:
+    """(2 * len(iterations), n) surrogates: rows 2k and 2k + 1 are iteration k's a and b.
+
+    Iteration i draws its z_a and then its z_b from ``SeedSequence((seed, i))``,
+    so every row equals ``ar1_surrogate`` on that iteration's generator.
+    """
+    z = np.empty((n, 2 * len(iterations)))
+    for k, i in enumerate(iterations):
+        rng = _iteration_rng(seed, i)
+        z[:, 2 * k] = rng.standard_normal(n)
+        z[:, 2 * k + 1] = rng.standard_normal(n)
+    lanes = [np.tile([getattr(params_a, f), getattr(params_b, f)], len(iterations)) for f in ("phi", "sigma", "mean")]
+    return _ar1_paths(*lanes, z).T.copy()
 
 
 def significance(
@@ -97,28 +137,31 @@ def significance(
     mc: MonteCarloSpec,
     morlet: MorletSpec = MorletSpec(),
     dt: float = 1.0,
-) -> np.ndarray:
-    """Boolean grid: observed rho2 above the surrogate (1 - level) quantile.
+) -> CoherenceField:
+    """Observed coherence field with its Monte-Carlo significance mask.
 
-    The quantile is the per-cell order statistic at ceil((1 - level) * m) of
-    the m surrogate coherences, computed through the same transform and
-    smoothing pipeline as the observed field.
+    ``exceedances`` counts, per cell, the m surrogate coherences at or above
+    the observed one.  A cell is significant when the observed rho2 lies
+    above the per-cell order statistic at ceil((1 - level) * m) of the
+    surrogate coherences, computed through the same transform and smoothing
+    pipeline as the observed field.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("series must have equal length")
+    observed = coherence(cwt(a, grid, morlet, dt), cwt(b, grid, morlet, dt), sspec)
     params_a = fit_ar1(a)
     params_b = fit_ar1(b)
-    observed = coherence(cwt(a, grid, morlet, dt), cwt(b, grid, morlet, dt), sspec).rho2
     n = len(a)
-    count_ge = np.zeros(observed.shape, dtype=np.int64)
-    for i in range(mc.iterations):
-        rng = _iteration_rng(mc.seed, i)
-        sur_a = ar1_surrogate(params_a, n, rng)
-        sur_b = ar1_surrogate(params_b, n, rng)
-        rho2 = coherence(cwt(sur_a, grid, morlet, dt), cwt(sur_b, grid, morlet, dt), sspec).rho2
-        count_ge += rho2 >= observed
+    count_ge = np.zeros(observed.rho2.shape, dtype=np.int64)
+    for start in range(0, mc.iterations, BLOCK_ITERATIONS):
+        block = range(start, min(mc.iterations, start + BLOCK_ITERATIONS))
+        surrogates = _surrogate_block(params_a, params_b, n, mc.seed, block)
+        for k in range(len(block)):
+            sur_a = cwt(surrogates[2 * k], grid, morlet, dt)
+            sur_b = cwt(surrogates[2 * k + 1], grid, morlet, dt)
+            count_ge += _rho2(sur_a, sur_b, sspec)[0] >= observed.rho2
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
     threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)
-    return count_ge <= threshold
+    return observed.with_significance(count_ge <= threshold, exceedances=count_ge)

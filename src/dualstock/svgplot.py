@@ -49,6 +49,11 @@ def _color(v: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*_COLOR_STOPS[-1][1])
 
 
+# The heatmap only shows rho^2 quantized to QUANT_LEVELS, each drawn at its
+# level's midpoint.
+_LEVEL_COLORS = tuple(_color((level + 0.5) / QUANT_LEVELS) for level in range(QUANT_LEVELS))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -105,7 +110,7 @@ def render_heatmap(
                 parts.append(
                     f'<rect class="cell" x="{_fmt(x_of(start))}" y="{_fmt(y)}" '
                     f'width="{_fmt((t - start) * cell_w)}" height="{_fmt(cell_h)}" '
-                    f'fill="{_color((level + 0.5) / QUANT_LEVELS)}"/>'
+                    f'fill="{_LEVEL_COLORS[level]}"/>'
                 )
                 start = t
 

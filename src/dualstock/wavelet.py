@@ -2,17 +2,28 @@
 
 The transform uses the energy convention only: the kernel at scale s carries
 a sqrt(dt/s) weight so every scale has comparable power (coherence does not
-depend on this choice).  The FFT path builds
-each scale's frequency response as the exact discrete Fourier transform of
-the sampled Morlet kernel (an alias-summed Gaussian), so it reproduces the
-direct time-domain summation to machine precision once the series is
-zero-padded to a power of two covering the kernel reach.
+depend on this choice).  The FFT path builds each scale's frequency response
+as the exact discrete Fourier transform of the sampled Morlet kernel (an
+alias-summed Gaussian), so it reproduces the direct time-domain summation to
+machine precision once the series is zero-padded to a power of two covering
+the kernel reach.
+
+Padding is per scale: a row of width w * s (w = 1/dt for the transform,
+time_std/dt for the smoothing) is padded to the power of two covering
+n + ceil(8 * w * s) + 1 points, and the rows that share a pad length are
+transformed together (in cache-sized batches), so small scales no longer pay
+for the largest scale's reach.  The frequency tables are built per pad group
+and cached.
 
 Squared coherence smooths scale-normalized spectra with a Gaussian kernel in
 time (standard deviation proportional to scale) and a boxcar across scales;
 both kernels are renormalized at boundaries so weights always sum to one.
-Because numerator and denominators share the same weights, Cauchy-Schwarz
-keeps rho^2 within [0, 1] up to float roundoff.
+The Gaussian is real and symmetric, so its spectrum is real: the two power
+terms |W|^2 / s are smoothed with rfft/irfft against the half spectrum, the
+complex cross term with fft/ifft against the full one.  Because numerator
+and denominators share the same weights, Cauchy-Schwarz keeps rho^2 within
+[0, 1] up to float roundoff.  ``coherence`` adds the phase to the rho^2 that
+Monte-Carlo surrogates compute alone.
 """
 
 from __future__ import annotations
@@ -136,27 +147,70 @@ class Scaleogram:
         return self.values.shape[1]
 
 
-def _pad_length(n: int, max_scale: float, dt: float) -> int:
-    # Power of two covering the series plus the kernel reach (8 sigma) so the
+# Bytes of complex FFT work per batch of rows.  Rows are transformed a few
+# at a time so each batch's buffers stay in cache: at n = 5581 on a 2-vCPU
+# Xeon, batches of 2 MB (16 rows) ran the CWT about a third faster, and the
+# complex time smoothing about 15% faster, than one batch of all 89 rows
+# that share the 8192-point pad.
+ROW_BLOCK_BYTES = 2 << 20
+
+
+def _pad_length(n: int, reach: float) -> int:
+    # Power of two covering the series plus the kernel reach (8 widths) so the
     # circular FFT convolution reproduces the plain truncated sum.
-    need = n + int(math.ceil(8.0 * max_scale / dt)) + 1
+    need = n + int(math.ceil(8.0 * reach)) + 1
     return 1 << max(1, math.ceil(math.log2(need)))
 
 
 @functools.lru_cache(maxsize=64)
-def _daughter_matrix(grid: ScaleGrid, npad: int, dt: float) -> np.ndarray:
-    """Frequency response per scale: exact DFT of the sampled Morlet kernel."""
+def _pad_groups(grid: ScaleGrid, n: int, width: float) -> tuple[tuple[int, int, int], ...]:
+    """Rows [lo, hi) sharing one pad length, for kernels width * scale points wide."""
+    groups: list[tuple[int, int, int]] = []
+    for j, s in enumerate(grid.scales):
+        npad = _pad_length(n, width * float(s))
+        if groups and groups[-1][2] == npad:
+            groups[-1] = (groups[-1][0], j + 1, npad)
+        else:
+            groups.append((j, j + 1, npad))
+    return tuple(groups)
+
+
+def _row_batches(lo: int, hi: int, npad: int):
+    """Consecutive row ranges of one pad group, each within ``ROW_BLOCK_BYTES``."""
+    step = max(1, ROW_BLOCK_BYTES // (16 * npad))
+    return [(r, min(hi, r + step)) for r in range(lo, hi, step)]
+
+
+# exp(-0.5 * x * x) rounds to exactly 0.0 for |x| >= 38.62.
+_UNDERFLOW_ARG = 38.62
+
+
+@functools.lru_cache(maxsize=64)
+def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int, dt: float) -> np.ndarray:
+    """Frequency response of rows [lo, hi): exact DFT of the sampled Morlet kernel.
+
+    That DFT is the Gaussian summed over its aliases k * 2 pi s / dt,
+    k = -3..3.  Along a row the Gaussian's argument is monotone in omega, so
+    an alias whose argument stays beyond ``_UNDERFLOW_ARG`` at both ends of
+    the row adds exactly zero there and is skipped: skipping leaves the
+    table bit-identical.
+    """
     omega = _TWO_PI * np.fft.fftfreq(npad, d=dt)
-    scales = grid.scales
-    out = np.empty((grid.num_scales, npad))
-    for j, s in enumerate(scales):
-        arg = s * omega - grid.omega0
-        spacing = _TWO_PI * s / dt
-        acc = np.zeros(npad)
-        for image in range(-3, 4):
-            acc += np.exp(-0.5 * (arg - image * spacing) ** 2)
-        norm = math.sqrt(_TWO_PI * s / dt)
-        out[j] = norm * math.pi ** -0.25 * acc
+    scales = grid.scales[lo:hi, None]
+    arg = scales * omega - grid.omega0
+    ends = scales * np.array([omega.min(), omega.max()]) - grid.omega0
+    spacing = _TWO_PI * scales / dt
+    acc = np.zeros((hi - lo, npad))
+    for image in range(-3, 4):
+        shifted = ends - image * spacing
+        live = (shifted[:, 0] <= 0.0) & (shifted[:, 1] >= 0.0)
+        live |= np.abs(shifted).min(axis=1) < _UNDERFLOW_ARG
+        rows = np.flatnonzero(live)
+        if rows.size:
+            r = slice(rows[0], rows[-1] + 1)
+            acc[r] += np.exp(-0.5 * (arg[r] - image * spacing[r]) ** 2)
+    norm = np.sqrt(_TWO_PI * scales / dt)
+    out = norm * math.pi ** -0.25 * acc
     out.flags.writeable = False
     return out
 
@@ -170,7 +224,8 @@ def cwt(
     """Continuous wavelet transform of a real series on the given scale grid.
 
     The mean is removed internally.  Computed as an FFT circular convolution
-    after zero-padding to a power of two; matches the direct summation
+    after zero-padding each scale to the power of two covering its own
+    kernel reach; matches the direct summation
     sum_t x(t) * w(s) * conj(psi((t - tau) * dt / s)) with w(s) the
     normalization weight, everywhere on the grid.
     """
@@ -185,10 +240,12 @@ def cwt(
         )
     n = len(x)
     xd = x - x.mean()
-    npad = _pad_length(n, float(grid.scales[-1]), dt)
-    xhat = np.fft.fft(xd, npad)
-    daughters = _daughter_matrix(grid, npad, dt)
-    coeffs = np.fft.ifft(xhat[None, :] * daughters, axis=1)[:, :n]
+    coeffs = np.empty((grid.num_scales, n), dtype=np.complex128)
+    for lo, hi, npad in _pad_groups(grid, n, 1.0 / dt):
+        xhat = np.fft.fft(xd, npad)
+        daughters = _daughter_matrix(grid, lo, hi, npad, dt)
+        for r0, r1 in _row_batches(lo, hi, npad):
+            coeffs[r0:r1] = np.fft.ifft(xhat * daughters[r0 - lo : r1 - lo], axis=1)[:, :n]
     return Scaleogram(values=coeffs, grid=grid, dt=dt)
 
 
@@ -210,36 +267,62 @@ class SmoothingSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss_kernel_fft(grid: ScaleGrid, npad: int, dt: float, time_std: float) -> np.ndarray:
-    m = np.arange(npad)
-    dist = np.minimum(m, npad - m).astype(np.float64)
-    sigmas = time_std * grid.scales / dt
-    kernels = np.exp(-0.5 * (dist[None, :] / sigmas[:, None]) ** 2)
-    out = np.fft.fft(kernels, axis=1)
-    out.flags.writeable = False
-    return out
+def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int, dt: float, time_std: float):
+    """Real spectra of the rows' periodic Gaussians: (rfft half, full length).
+
+    The kernels are real and symmetric, so their spectra are real; the full
+    spectrum mirrors the half one and smooths complex rows.
+    """
+    dist = np.arange(npad // 2 + 1, dtype=np.float64)
+    sigmas = time_std * grid.scales[lo:hi] / dt
+    kernels = np.empty((hi - lo, npad))
+    kernels[:, : npad // 2 + 1] = np.exp(-0.5 * (dist[None, :] / sigmas[:, None]) ** 2)
+    kernels[:, npad // 2 + 1 :] = kernels[:, npad // 2 - 1 : 0 : -1]
+    full = np.empty((hi - lo, npad))
+    full[:, : npad // 2 + 1] = np.fft.rfft(kernels, axis=1).real
+    full[:, npad // 2 + 1 :] = full[:, npad // 2 - 1 : 0 : -1]
+    half = full[:, : npad // 2 + 1].copy()
+    half.flags.writeable = False
+    full.flags.writeable = False
+    return half, full
 
 
 @functools.lru_cache(maxsize=64)
-def _smooth_weight_sums(grid: ScaleGrid, n: int, npad: int, dt: float, time_std: float) -> np.ndarray:
+def _smooth_weight_sums(grid: ScaleGrid, n: int, dt: float, time_std: float) -> np.ndarray:
     """Per-cell sum of kernel weights inside the grid (boundary renormalizer)."""
-    ones_hat = np.fft.fft(np.ones(n), npad)
-    khat = _gauss_kernel_fft(grid, npad, dt, time_std)
-    sums = np.fft.ifft(ones_hat[None, :] * khat, axis=1).real[:, :n]
+    sums = np.empty((grid.num_scales, n))
+    for lo, hi, npad in _pad_groups(grid, n, time_std / dt):
+        half, _ = _gauss_kernel_fft(grid, lo, hi, npad, dt, time_std)
+        ones_hat = np.fft.rfft(np.ones(n), npad)
+        sums[lo:hi] = np.fft.irfft(ones_hat * half, npad, axis=1)[:, :n]
     sums.flags.writeable = False
     return sums
 
 
 def _time_smooth(values: np.ndarray, grid: ScaleGrid, dt: float, time_std: float) -> np.ndarray:
+    """Gaussian time smoothing of each row, renormalized at the boundaries.
+
+    Real rows go through rfft/irfft against the half spectrum; complex rows
+    through fft/ifft against the full one.
+    """
     n = values.shape[1]
-    max_sigma = time_std * float(grid.scales[-1]) / dt
-    npad = 1 << max(1, math.ceil(math.log2(n + math.ceil(8.0 * max_sigma) + 1)))
-    khat = _gauss_kernel_fft(grid, npad, dt, time_std)
-    vhat = np.fft.fft(values, n=npad, axis=1)
-    smoothed = np.fft.ifft(vhat * khat, axis=1)[:, :n]
-    if not np.iscomplexobj(values):
-        smoothed = smoothed.real
-    return smoothed / _smooth_weight_sums(grid, n, npad, dt, time_std)
+    out = np.empty(values.shape, dtype=np.result_type(values.dtype, np.float64))
+    real = not np.iscomplexobj(out)
+    sums = _smooth_weight_sums(grid, n, dt, time_std)
+    for lo, hi, npad in _pad_groups(grid, n, time_std / dt):
+        half, full = _gauss_kernel_fft(grid, lo, hi, npad, dt, time_std)
+        for r0, r1 in _row_batches(lo, hi, npad):
+            rows = slice(r0 - lo, r1 - lo)
+            if real:
+                vhat = np.fft.rfft(values[r0:r1], npad, axis=1)
+                vhat *= half[rows]
+                smoothed = np.fft.irfft(vhat, npad, axis=1)
+            else:
+                vhat = np.fft.fft(values[r0:r1], npad, axis=1)
+                vhat *= full[rows]
+                smoothed = np.fft.ifft(vhat, axis=1)
+            np.divide(smoothed[:, :n], sums[r0:r1], out=out[r0:r1])
+    return out
 
 
 def _scale_boxcar(values: np.ndarray, dj: float, octaves: float) -> np.ndarray:
@@ -295,9 +378,11 @@ def cone_of_influence(n: int, dt: float = 1.0) -> np.ndarray:
 class CoherenceField:
     """Squared coherence, phase, cone of influence, and significance mask.
 
-    ``significant`` is filled by Monte-Carlo significance testing and is None
-    until then.  ``degenerate`` marks cells whose smoothed denominator (or
-    cross magnitude, for phase) vanished; their rho2/phase are reported as 0.
+    ``significant`` and ``exceedances`` (per cell, the number of surrogate
+    coherences at or above the observed one) are filled by Monte-Carlo
+    significance testing and are None until then.  ``degenerate`` marks cells
+    whose smoothed denominator (or cross magnitude, for phase) vanished; their
+    rho2/phase are reported as 0.
     """
 
     rho2: np.ndarray
@@ -307,6 +392,7 @@ class CoherenceField:
     coi: np.ndarray
     significant: np.ndarray | None = None
     degenerate: np.ndarray | None = None
+    exceedances: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         rho2 = np.asarray(self.rho2, dtype=np.float64)
@@ -331,11 +417,32 @@ class CoherenceField:
         periods = self.grid.fourier_periods
         return periods[:, None] <= self.coi[None, :]
 
-    def with_significance(self, mask: np.ndarray) -> "CoherenceField":
+    def with_significance(self, mask: np.ndarray, exceedances: np.ndarray | None = None) -> "CoherenceField":
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.rho2.shape:
             raise ValueError("significance mask shape mismatch")
-        return replace(self, significant=mask)
+        if exceedances is not None and np.shape(exceedances) != self.rho2.shape:
+            raise ValueError("exceedance counts shape mismatch")
+        return replace(self, significant=mask, exceedances=exceedances)
+
+
+def _rho2(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec):
+    """Clamped squared coherence, the smoothed cross spectrum and the cells whose denominator vanished."""
+    _check_compatible(a, b)
+    grid, dt = a.grid, a.dt
+    inv_s = 1.0 / grid.scales[:, None]
+    cross = smooth(a.values * np.conj(b.values) * inv_s, spec, grid=grid, dt=dt)
+    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, spec, grid=grid, dt=dt)
+    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, spec, grid=grid, dt=dt)
+    denom = power_a * power_b
+    degenerate = denom <= 0.0
+    rho2 = cross.real**2
+    rho2 += cross.imag**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 /= denom
+    rho2[degenerate] = 0.0
+    np.clip(rho2, 0.0, 1.0, out=rho2)
+    return rho2, cross, degenerate
 
 
 def coherence(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec = SmoothingSpec()) -> CoherenceField:
@@ -345,23 +452,12 @@ def coherence(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec = SmoothingSpec(
     smoothing operator; cells with a vanishing denominator get rho2 = 0 and
     are flagged degenerate.  Values are clamped into [0, 1] after smoothing.
     """
-    _check_compatible(a, b)
-    grid, dt = a.grid, a.dt
-    inv_s = 1.0 / grid.scales[:, None]
-    cross = smooth(a.values * np.conj(b.values) * inv_s, spec, grid=grid, dt=dt)
-    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, spec, grid=grid, dt=dt)
-    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, spec, grid=grid, dt=dt)
-    denom = power_a * power_b
-    degenerate = denom <= 0.0
-    rho2 = np.zeros_like(denom)
-    np.divide(cross.real**2 + cross.imag**2, denom, out=rho2, where=~degenerate)
-    rho2 = np.clip(rho2, 0.0, 1.0)
-    phase = phase_field(cross)
+    rho2, cross, degenerate = _rho2(a, b, spec)
     return CoherenceField(
         rho2=rho2,
-        phase=phase,
-        grid=grid,
-        dt=dt,
-        coi=cone_of_influence(a.n, dt),
+        phase=phase_field(cross),
+        grid=a.grid,
+        dt=a.dt,
+        coi=cone_of_influence(a.n, a.dt),
         degenerate=degenerate | (cross == 0),
     )

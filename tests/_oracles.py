@@ -133,3 +133,58 @@ def lstm_train_per_sample(samples, cfg):
             params.flat -= scale * m / (np.sqrt(v / (1.0 - cfg.beta2**step)) + cfg.epsilon)
         trace.append(sq_sum / len(samples))
     return params.flat, trace
+
+
+def coherence_single_pad(x_a, x_b, grid, time_std: float = 1.0, octaves: float = 0.6, dt: float = 1.0):
+    """rho^2 and phase by one pad length for every scale and complex FFTs throughout.
+
+    The earlier coherence pipeline, kept literal: every scale is padded to
+    the power of two covering the largest scale's reach, all three smoothed
+    terms go through ``fft``/``ifft`` against the complex kernel spectrum,
+    and the scale boxcar is a per-row mean.
+    """
+    n = len(x_a)
+    scales = grid.scales
+
+    def pad_length(reach):
+        return 1 << max(1, math.ceil(math.log2(n + math.ceil(8.0 * reach) + 1)))
+
+    def transform(x):
+        x = np.asarray(x, dtype=np.float64)
+        npad = pad_length(float(scales[-1]) / dt)
+        omega = 2.0 * math.pi * np.fft.fftfreq(npad, d=dt)
+        daughters = np.empty((len(scales), npad))
+        for j, s in enumerate(scales):
+            arg = s * omega - grid.omega0
+            acc = np.zeros(npad)
+            for image in range(-3, 4):
+                acc += np.exp(-0.5 * (arg - image * 2.0 * math.pi * s / dt) ** 2)
+            daughters[j] = math.sqrt(2.0 * math.pi * s / dt) * math.pi**-0.25 * acc
+        xhat = np.fft.fft(x - x.mean(), npad)
+        return np.fft.ifft(xhat[None, :] * daughters, axis=1)[:, :n]
+
+    def smooth(values):
+        npad = pad_length(time_std * float(scales[-1]) / dt)
+        m = np.arange(npad)
+        dist = np.minimum(m, npad - m).astype(np.float64)
+        sigmas = time_std * scales / dt
+        khat = np.fft.fft(np.exp(-0.5 * (dist[None, :] / sigmas[:, None]) ** 2), axis=1)
+        sums = np.fft.ifft(np.fft.fft(np.ones(n), npad)[None, :] * khat, axis=1).real[:, :n]
+        smoothed = np.fft.ifft(np.fft.fft(values, n=npad, axis=1) * khat, axis=1)[:, :n]
+        if not np.iscomplexobj(values):
+            smoothed = smoothed.real
+        smoothed = smoothed / sums
+        half = octaves / (2.0 * grid.dj)
+        out = np.empty_like(smoothed)
+        for j in range(len(scales)):
+            lo = max(0, math.ceil(j - half))
+            hi = min(len(scales) - 1, math.floor(j + half))
+            out[j] = smoothed[lo : hi + 1].mean(axis=0)
+        return out
+
+    wa, wb = transform(x_a), transform(x_b)
+    inv_s = 1.0 / scales[:, None]
+    cross = smooth(wa * np.conj(wb) * inv_s)
+    denom = smooth(np.abs(wa) ** 2 * inv_s) * smooth(np.abs(wb) ** 2 * inv_s)
+    rho2 = np.clip(np.abs(cross) ** 2 / denom, 0.0, 1.0)
+    return rho2, np.angle(cross)

@@ -87,7 +87,7 @@ def test_03_shared_band_detection():
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & field.inside_coi()
         assert field.rho2[sel].mean() > 0.9
-        mask = significance(a, b, grid, mc=MonteCarloSpec(seed=1003, iterations=1000))
+        mask = significance(a, b, grid, mc=MonteCarloSpec(seed=1003, iterations=1000)).significant
         assert mask[sel].mean() > 0.8
         assert time.perf_counter() - start < 180.0
 
@@ -112,7 +112,7 @@ def test_05_null_calibration():
         a = ar1_series(0.5, n, rng)
         b = ar1_series(0.5, n, rng)
         grid = ScaleGrid.for_length(n)
-        mask = significance(a, b, grid, mc=MonteCarloSpec(seed=2005, iterations=1000))
+        mask = significance(a, b, grid, mc=MonteCarloSpec(seed=2005, iterations=1000)).significant
         field = coherence(cwt(a, grid), cwt(b, grid))
         fraction = mask[field.inside_coi()].mean()
         assert 0.01 <= fraction <= 0.12

@@ -1,6 +1,9 @@
 import datetime as dt
 import importlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,3 +415,19 @@ class TestReportCommand:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["report", "--runs", str(empty), "--out", str(tmp_path / "rep")]) == 1
+
+
+def test_numpy_is_the_only_third_party_import():
+    # scipy may be installed, but it is not a dependency: importing the CLI
+    # in a fresh interpreter must load nothing outside the stdlib but numpy
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import dualstock.cli\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'dualstock'}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

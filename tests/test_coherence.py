@@ -5,6 +5,8 @@ import pytest
 
 from dualstock.wavelet import ScaleGrid, coherence, cwt, phase_field, smooth
 
+from _oracles import ar1_series, coherence_single_pad
+
 
 def field_pair(a, b, grid=None, **kwargs):
     grid = grid or ScaleGrid.for_length(len(a))
@@ -175,3 +177,20 @@ class TestFieldStructure:
         assert f2.significant is mask or np.array_equal(f2.significant, mask)
         with pytest.raises(ValueError, match="shape"):
             f.with_significance(np.zeros((1, 1), dtype=bool))
+
+
+class TestSinglePadOracle:
+    def test_matches_single_pad_complex_pipeline(self):
+        # at n = 300 the default grid's rows pad to 512, 1024 and 2048 points;
+        # the oracle pads them all to 2048 and smooths with complex FFTs
+        n = 300
+        rng = np.random.default_rng(40)
+        a = ar1_series(0.3, n, rng)
+        b = 0.4 * a + ar1_series(0.5, n, rng)
+        grid = ScaleGrid.for_length(n)
+        pads = {1 << math.ceil(math.log2(n + math.ceil(8.0 * s) + 1)) for s in grid.scales}
+        assert len(pads) >= 2
+        rho2, phase = coherence_single_pad(a, b, grid)
+        field = coherence(cwt(a, grid), cwt(b, grid))
+        assert np.abs(field.rho2 - rho2).max() < 1e-12
+        assert np.abs(np.angle(np.exp(1j * (field.phase - phase)))).max() < 1e-12

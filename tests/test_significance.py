@@ -1,3 +1,6 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,9 @@ from dualstock.significance import (
 from dualstock.wavelet import ScaleGrid, coherence, cwt
 
 from _oracles import ar1_series
+
+# the package rebinds ``dualstock.significance`` to the function
+sig_module = importlib.import_module("dualstock.significance")
 
 
 class TestFitAr1:
@@ -61,6 +67,26 @@ class TestSurrogates:
         with pytest.raises(ValueError, match="phi"):
             AR1Params(phi=1.0, sigma=1.0, mean=0.0)
 
+    @pytest.mark.parametrize("phi, sigma, mean", [(-0.35, 0.7, 4.25), (0.93, 0.011, -3.0), (0.2, 13.0, 0.1)])
+    def test_matches_scalar_recursion(self, phi, sigma, mean):
+        # the vectorised recursion on one lane is the scalar loop, bit for bit
+        params = AR1Params(phi=phi, sigma=sigma, mean=mean)
+        for seed in range(12):
+            got = ar1_surrogate(params, 60, np.random.Generator(np.random.PCG64(seed)))
+            want = ar1_series(phi, 60, np.random.Generator(np.random.PCG64(seed)), sigma=sigma) + mean
+            assert np.array_equal(got, want)
+
+    def test_block_draw_bit_equal_to_per_iteration_draws(self):
+        params_a = AR1Params(phi=0.6, sigma=1.3, mean=-0.2)
+        params_b = AR1Params(phi=0.1, sigma=0.02, mean=5.0)
+        seed, n = 77, 300
+        block = sig_module._surrogate_block(params_a, params_b, n, seed, range(5, 12))
+        assert block.shape == (14, n)
+        for k, i in enumerate(range(5, 12)):
+            rng = sig_module._iteration_rng(seed, i)
+            assert np.array_equal(block[2 * k], ar1_surrogate(params_a, n, rng))
+            assert np.array_equal(block[2 * k + 1], ar1_surrogate(params_b, n, rng))
+
 
 class TestMonteCarloSpec:
     def test_defaults(self):
@@ -91,7 +117,7 @@ class TestSignificance:
         x = ar1_series(0.4, 256, rng)
         grid = ScaleGrid.for_length(256)
         mc = MonteCarloSpec(seed=3, iterations=200)
-        mask = significance(x, x, grid, mc=mc)
+        mask = significance(x, x, grid, mc=mc).significant
         f = coherence(cwt(x, grid), cwt(x, grid))
         inside = f.inside_coi()
         assert mask[inside].all()
@@ -102,8 +128,8 @@ class TestSignificance:
         b = ar1_series(0.5, 200, rng)
         grid = ScaleGrid.for_length(200)
         mc = MonteCarloSpec(seed=42, iterations=50)
-        m1 = significance(a, b, grid, mc=mc)
-        m2 = significance(a, b, grid, mc=mc)
+        m1 = significance(a, b, grid, mc=mc).significant
+        m2 = significance(a, b, grid, mc=mc).significant
         assert np.array_equal(m1, m2)
 
     def test_seed_changes_mask(self):
@@ -111,8 +137,8 @@ class TestSignificance:
         a = ar1_series(0.5, 200, rng)
         b = ar1_series(0.5, 200, rng)
         grid = ScaleGrid.for_length(200)
-        m1 = significance(a, b, grid, mc=MonteCarloSpec(seed=1, iterations=50))
-        m2 = significance(a, b, grid, mc=MonteCarloSpec(seed=2, iterations=50))
+        m1 = significance(a, b, grid, mc=MonteCarloSpec(seed=1, iterations=50)).significant
+        m2 = significance(a, b, grid, mc=MonteCarloSpec(seed=2, iterations=50)).significant
         assert not np.array_equal(m1, m2)
 
     def test_length_mismatch(self):
@@ -124,3 +150,51 @@ class TestSignificance:
         grid = ScaleGrid.for_length(128)
         with pytest.raises(ValueError, match="zero variance"):
             significance(np.ones(128), np.ones(128), grid, mc=MonteCarloSpec(seed=0))
+
+    def test_returns_observed_field_with_counts(self):
+        rng = np.random.default_rng(113)
+        a = ar1_series(0.5, 160, rng)
+        b = 0.5 * a + ar1_series(0.5, 160, rng)
+        grid = ScaleGrid.for_length(160)
+        mc = MonteCarloSpec(seed=9, iterations=40, significance_level=0.1)
+        field = significance(a, b, grid, mc=mc)
+        observed = coherence(cwt(a, grid), cwt(b, grid))
+        assert np.array_equal(field.rho2, observed.rho2)
+        assert np.array_equal(field.phase, observed.phase)
+        assert field.exceedances.shape == field.rho2.shape
+        assert field.exceedances.min() >= 0 and field.exceedances.max() <= 40
+        assert np.array_equal(field.significant, field.exceedances <= 4)
+
+    def test_counts_match_per_iteration_reference(self):
+        # one ar1_surrogate pair and one full coherence field per iteration
+        rng = np.random.default_rng(114)
+        a = ar1_series(0.4, 128, rng)
+        b = ar1_series(0.7, 128, rng)
+        grid = ScaleGrid.for_length(128)
+        mc = MonteCarloSpec(seed=21, iterations=12)
+        field = significance(a, b, grid, mc=mc)
+        observed = coherence(cwt(a, grid), cwt(b, grid)).rho2
+        params_a, params_b = fit_ar1(a), fit_ar1(b)
+        counts = np.zeros(observed.shape, dtype=np.int64)
+        for i in range(mc.iterations):
+            it_rng = sig_module._iteration_rng(mc.seed, i)
+            sur_a = ar1_surrogate(params_a, 128, it_rng)
+            sur_b = ar1_surrogate(params_b, 128, it_rng)
+            counts += coherence(cwt(sur_a, grid), cwt(sur_b, grid)).rho2 >= observed
+        assert np.array_equal(field.exceedances, counts)
+        threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)
+        assert np.array_equal(field.significant, counts <= threshold)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_independent_of_block_size(self, block, monkeypatch):
+        rng = np.random.default_rng(115)
+        a = ar1_series(0.5, 140, rng)
+        b = ar1_series(0.2, 140, rng)
+        grid = ScaleGrid.for_length(140)
+        mc = MonteCarloSpec(seed=5, iterations=70)
+        monkeypatch.setattr(sig_module, "BLOCK_ITERATIONS", mc.iterations)
+        reference = significance(a, b, grid, mc=mc)
+        monkeypatch.setattr(sig_module, "BLOCK_ITERATIONS", block)
+        field = significance(a, b, grid, mc=mc)
+        assert np.array_equal(field.significant, reference.significant)
+        assert np.array_equal(field.exceedances, reference.exceedances)

@@ -297,6 +297,21 @@ class TestCsvLoading:
         assert s.ticker == "K"
         assert np.array_equal(s.mid, [10.0, 12.0])
 
+    def test_unpadded_iso_date_accepted(self, tmp_path):
+        path = self.write(tmp_path, "date,high,low\n2020-01-04,10,8\n2020-1-5,11,9\n")
+        s = load_ohlc_csv(path)
+        assert s.dates == (dt.date(2020, 1, 4), dt.date(2020, 1, 5))
+
+    def test_invalid_iso_month_names_line(self, tmp_path):
+        path = self.write(tmp_path, "date,high,low\n2020-12-31,10,8\n2020-13-01,11,9\n")
+        with pytest.raises(ValueError, match=r"line 3: unparseable date '2020-13-01'"):
+            load_ohlc_csv(path)
+
+    def test_invalid_iso_day_skipped_under_skip_policy(self, tmp_path):
+        path = self.write(tmp_path, "date,high,low\n2021-02-28,10,8\n2021-02-29,11,9\n2021-03-01,12,10\n")
+        s = load_ohlc_csv(path, CsvFormat(on_invalid="skip"))
+        assert s.dates == (dt.date(2021, 2, 28), dt.date(2021, 3, 1))
+
     def test_custom_date_format(self, tmp_path):
         path = self.write(tmp_path, "date,high,low\n01/02/2020,10,8\n")
         s = load_ohlc_csv(path, CsvFormat(date_format="%d/%m/%Y"))

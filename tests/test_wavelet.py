@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from dualstock.wavelet import (
 )
 
 from _oracles import cwt_direct
+
+wavelet = importlib.import_module("dualstock.wavelet")
 
 
 class TestMorletMother:
@@ -83,14 +86,47 @@ class TestCwt:
         j_peak = int(np.abs(sg.values[:, n // 2]).argmax())
         assert grid.fourier_periods[j_peak] == pytest.approx(32, rel=0.05)
 
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_matches_direct_summation(self, n):
+    @pytest.mark.parametrize(
+        "n, grid",
+        [
+            (64, ScaleGrid(s0=2.0, dj=1 / 6, num_scales=12)),
+            (256, ScaleGrid(s0=2.0, dj=1 / 6, num_scales=12)),
+            # scales 2..27 pad to 128, 256 and 512 points
+            (100, ScaleGrid(s0=2.0, dj=1 / 4, num_scales=16)),
+        ],
+        ids=["64", "256", "100-three-pads"],
+    )
+    def test_matches_direct_summation(self, n, grid):
         rng = np.random.default_rng(42)
         x = rng.standard_normal(n)
-        grid = ScaleGrid(s0=2.0, dj=1 / 6, num_scales=12)
         fft_w = cwt(x, grid).values
         direct_w = cwt_direct(x, grid.scales)
         assert np.abs(fft_w - direct_w).max() < 1e-8
+
+    def test_rows_grouped_by_own_pad_length(self):
+        # each scale pads to the power of two covering n + ceil(8 s) + 1; the
+        # grid of the three-pad direct-summation case above spans 128..512
+        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=16)
+        pads = [1 << math.ceil(math.log2(100 + math.ceil(8.0 * s) + 1)) for s in grid.scales]
+        groups = wavelet._pad_groups(grid, 100, 1.0)
+        assert [npad for _, _, npad in groups] == [128, 256, 512]
+        assert [npad for lo, hi, npad in groups for _ in range(lo, hi)] == pads
+
+    @pytest.mark.parametrize("n, dt", [(100, 1.0), (300, 0.5), (799, 1.0)])
+    def test_daughter_tables_equal_full_alias_sum(self, n, dt):
+        # skipping the aliases that underflow on a whole row leaves every
+        # pad group's table bit-identical to the literal 7-alias sum
+        grid = ScaleGrid.for_length(n, dt=dt)
+        for lo, hi, npad in wavelet._pad_groups(grid, n, 1.0 / dt):
+            omega = 2.0 * math.pi * np.fft.fftfreq(npad, d=dt)
+            literal = np.empty((hi - lo, npad))
+            for j, s in enumerate(grid.scales[lo:hi]):
+                arg = s * omega - grid.omega0
+                acc = np.zeros(npad)
+                for image in range(-3, 4):
+                    acc += np.exp(-0.5 * (arg - image * (2.0 * math.pi * s / dt)) ** 2)
+                literal[j] = math.sqrt(2.0 * math.pi * s / dt) * math.pi**-0.25 * acc
+            assert np.array_equal(wavelet._daughter_matrix(grid, lo, hi, npad, dt), literal)
 
     def test_input_validation(self):
         grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
@@ -138,6 +174,16 @@ class TestSmoothing:
         via_raw = smooth(sg.values, grid=self.grid, dt=sg.dt)
         assert isinstance(via_scaleogram, Scaleogram)
         assert np.array_equal(via_scaleogram.values, via_raw)
+
+    def test_real_rows_match_complex_path(self):
+        # real rows take rfft/irfft, complex rows fft/ifft against the same kernel
+        rng = np.random.default_rng(12)
+        vals = rng.standard_normal((self.grid.num_scales, self.n))
+        real = smooth(vals, grid=self.grid)
+        cplx = smooth(vals + 0j, grid=self.grid)
+        assert not np.iscomplexobj(real)
+        assert np.abs(real - cplx.real).max() < 1e-13
+        assert np.abs(cplx.imag).max() < 1e-13
 
     def test_requires_grid_for_raw_arrays(self):
         with pytest.raises(ValueError, match="grid is required"):
