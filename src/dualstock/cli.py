@@ -24,6 +24,9 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .atomicfile import atomic_open
 from .forecast import ForecastRun, RegimeSpec, forecast
 from .lstm import TrainConfig, TrainingDivergedError
 from .metrics import (
@@ -206,7 +209,8 @@ def _load_all(config: RunConfig) -> TickerSeries:
 
 def _write(path: Path, text: str, outcome: CommandOutcome) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(text)
     outcome.files.append(path)
 
 
@@ -229,38 +233,89 @@ def cmd_premiums(config: RunConfig, series: TickerSeries) -> CommandOutcome:
         lines += [
             f"{d.isoformat()},{v * scale:.6f}" for d, v in zip(premiums.dates, premiums.values)
         ]
-        _write(out / f"{label}_series.csv", "\n".join(lines) + "\n", outcome)
-        _write(out / f"{label}_summary.csv", render_summary_csv(stats, config.percent), outcome)
-        _write(
-            out / f"{label}_summary.json",
-            json.dumps(summary_to_dict(stats, config.percent), indent=2, sort_keys=True) + "\n",
-            outcome,
-        )
+        try:
+            _write(out / f"{label}_series.csv", "\n".join(lines) + "\n", outcome)
+            _write(out / f"{label}_summary.csv", render_summary_csv(stats, config.percent), outcome)
+            _write(
+                out / f"{label}_summary.json",
+                json.dumps(summary_to_dict(stats, config.percent), indent=2, sort_keys=True) + "\n",
+                outcome,
+            )
+        except OSError as exc:
+            outcome.failures.append(f"premiums {label}: {exc}")
     return outcome
 
 
-def _coherence_csv(field, dates) -> str:
+_DECIMALS = 10 ** np.arange(5, -1, -1)  # place values of the six decimals, in micro-units
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+def _fixed6(values: np.ndarray, out: np.ndarray) -> None:
+    """ASCII of ``"%.6f" % v`` for every |v| < 9.5, into the (n, 9) uint8 ``out``.
+
+    Column 0 is ``-`` when the sign bit is set (so -0.0 and small negatives
+    print ``-0.000000``) and NUL otherwise; then the integer digit, ``.``
+    and six decimals.  The decimals are rounded exactly, halves to even, as
+    ``%`` rounds the exact binary value: with f the fractional part, f * 1e6
+    is p + err exactly (Dekker's product; 1e6 has 20 significant bits and
+    needs no split), p - floor(p) - 0.5 is exact wherever it is near 0, so
+    comparing it with -err decides every half without roundoff.
+    """
+    magnitude = np.abs(values)
+    whole = np.floor(magnitude)
+    frac = magnitude - whole
+    p = frac * 1e6
+    big = _VELTKAMP * frac
+    hi = big - (big - frac)
+    err = (hi * 1e6 - p) + (frac - hi) * 1e6
+    floor_p = np.floor(p)
+    above_half = (p - floor_p) - 0.5
+    micro = floor_p.astype(np.int64)
+    micro += (above_half > -err) | ((above_half == -err) & (micro % 2 == 1))
+    carry = micro // 1_000_000
+    out[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    out[:, 1] = whole.astype(np.int64) + carry + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 3:] = (micro - carry * 1_000_000)[:, None] // _DECIMALS % 10 + ord("0")
+
+
+def _write_coherence_csv(path: Path, field, dates, outcome: CommandOutcome) -> None:
+    """Long-format CSV of a coherence field, written one scale row at a time.
+
+    A row's lines are assembled in an (n, width) byte buffer at fixed
+    columns, NUL where a line is shorter than its columns; dropping the NULs
+    leaves the lines.  The validated field keeps rho2 in [0, 1] and the phase
+    in [-pi, pi], inside the range of ``_fixed6``.
+    """
+    n = field.n
     inside = field.inside_coi()
-    scales = field.grid.scales
-    periods = field.grid.fourier_periods
     significant = field.significant
-    day_s = [dates[t].isoformat() for t in range(field.n)]
-    # One joined block per scale keeps a few thousand row strings alive at a
-    # time instead of the whole field's; the trailing "" ends the last line.
-    blocks = ["time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi"]
-    for j in range(field.grid.num_scales):
-        scale_s = f"{scales[j]:.6f}"
-        period_s = f"{periods[j]:.6f}"
-        rows = []
-        for t in range(field.n):
-            sig = int(significant[j, t]) if significant is not None else 0
-            rows.append(
-                f"{t},{day_s[t]},{scale_s},{period_s},"
-                f"{field.rho2[j, t]:.6f},{field.phase[j, t]:.6f},{sig},{int(inside[j, t])}"
-            )
-        blocks.append("\n".join(rows))
-    blocks.append("")
-    return "\n".join(blocks)
+    prefixes = np.array([f"{t},{dates[t].isoformat()}," for t in range(n)], dtype="S")
+    scale_columns = [
+        f"{s:.6f},{p:.6f},".encode() for s, p in zip(field.grid.scales, field.grid.fourier_periods)
+    ]
+    a = prefixes.itemsize
+    b = a + max(map(len, scale_columns))
+    # [0, a) time and date, [a, b) scale and period, [b, b + 9) rho2,
+    # [b + 10, b + 19) phase, b + 20 significant, b + 22 inside_coi.
+    buf = np.zeros((n, b + 24), dtype=np.uint8)
+    buf[:, :a] = prefixes.view(np.uint8).reshape(n, a)
+    buf[:, [b + 9, b + 19, b + 21]] = ord(",")
+    buf[:, b + 20] = ord("0")
+    buf[:, b + 23] = ord("\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path) as fh:
+        fh.write("time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi\n")
+        for j, scale_column in enumerate(scale_columns):
+            buf[:, a:b] = 0
+            buf[:, a : a + len(scale_column)] = np.frombuffer(scale_column, dtype=np.uint8)
+            _fixed6(field.rho2[j], buf[:, b : b + 9])
+            _fixed6(field.phase[j], buf[:, b + 10 : b + 19])
+            if significant is not None:
+                buf[:, b + 20] = significant[j] + ord("0")
+            buf[:, b + 22] = inside[j] + ord("0")
+            fh.write(buf[buf != 0].tobytes().decode("ascii"))
+    outcome.files.append(path)
 
 
 def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
@@ -300,16 +355,17 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
         except ValueError as exc:
             outcome.failures.append(f"coherence {label}: {exc}")
             continue
-        _write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates), outcome)
-        svg_path = out / f"{label}.svg"
-        svg_path.parent.mkdir(parents=True, exist_ok=True)
-        render_heatmap(
-            field,
-            svg_path,
-            dates=returns_a.dates,
-            title=f"{name_a} / {name_b} squared coherence",
-        )
-        outcome.files.append(svg_path)
+        try:
+            _write_coherence_csv(out / f"{label}.csv", field, returns_a.dates, outcome)
+            svg_path = render_heatmap(
+                field,
+                out / f"{label}.svg",
+                dates=returns_a.dates,
+                title=f"{name_a} / {name_b} squared coherence",
+            )
+            outcome.files.append(svg_path)
+        except OSError as exc:
+            outcome.failures.append(f"coherence {label}: {exc}")
     return outcome
 
 
@@ -519,7 +575,8 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: Comm
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

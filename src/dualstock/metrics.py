@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomicfile import atomic_open
+
 __all__ = [
     "MetricTriple",
     "ReportGrid",
@@ -178,7 +180,8 @@ def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
 
 def write_grid_csv(grid: ReportGrid, path: str | Path) -> None:
     lines = [",".join(row) for row in grid_table_rows(grid)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def grid_to_json_dict(grid: ReportGrid) -> dict:
@@ -205,10 +208,8 @@ def grid_to_json_dict(grid: ReportGrid) -> dict:
 
 
 def write_grid_json(grid: ReportGrid, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(grid_to_json_dict(grid), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(grid_to_json_dict(grid), indent=2, sort_keys=True) + "\n")
 
 
 def long_format_rows(grids) -> list[list[str]]:
@@ -239,4 +240,5 @@ def long_format_rows(grids) -> list[list[str]]:
 
 def write_long_csv(grids, path: str | Path) -> None:
     lines = [",".join(row) for row in long_format_rows(grids)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

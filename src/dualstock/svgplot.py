@@ -6,6 +6,18 @@ follows the usual coherence display: time on x, log2(period) on y with
 period increasing downward, rho^2 as the colormap, phase arrows decimated to
 one per 16x4 cell block (east = in phase, north = +pi/2), the cone of
 influence shaded, and significant regions contoured.
+
+The two large parts are found with numpy and streamed to the file one scale
+row at a time.  The heatmap draws one ``<rect>`` per run of equal quantized
+rho^2 in a row; a run starts at column 0 and wherever the level differs from
+the column before (``flatnonzero`` of the level changes).  The significance
+contour is the set of cell edges between a significant cell and a
+non-significant cell or the plot border; comparing the mask with its four
+shifted neighbours in a zero-padded copy gives one boolean array per side,
+and only the cells with at least one such edge are visited, in row-major
+order, left/right/top/bottom.  Cell-edge coordinates and run widths are
+formatted once each, with the same arithmetic as a per-cell formula, so the
+bytes do not depend on how the runs and edges were found.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomicfile import atomic_open
 from .wavelet import CoherenceField
 
 __all__ = ["render_heatmap"]
@@ -58,6 +71,60 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _escape(text: str) -> str:
+    """Text content for XML: ``&``, ``<`` and ``>`` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _heatmap_rows(rho2: np.ndarray, xs: list[str], ys: list[str], cell_w: float, cell_h: float):
+    """One chunk of ``<rect>`` lines per scale row, one rect per run of a color level."""
+    n = rho2.shape[1]
+    quant = np.minimum((rho2 * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
+    height = _fmt(cell_h)
+    widths: dict[int, str] = {}
+    for j, row in enumerate(quant):
+        starts = [0] + (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
+        lengths = np.diff(starts, append=n).tolist()
+        for length in set(lengths).difference(widths):
+            widths[length] = _fmt(length * cell_w)
+        y = f'" y="{ys[j]}" width="'
+        fill = f'" height="{height}" fill="'
+        yield "".join(
+            [
+                f'<rect class="cell" x="{xs[t]}{y}{widths[length]}{fill}{_LEVEL_COLORS[level]}"/>\n'
+                for t, length, level in zip(starts, lengths, row[starts].tolist())
+            ]
+        )
+
+
+def _contour_rows(mask: np.ndarray, xs: list[str], ys: list[str]):
+    """Path segments of the significance contour, one chunk per scale row."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    sides = (
+        mask & ~padded[1:-1, :-2],  # left neighbour or border not significant
+        mask & ~padded[1:-1, 2:],  # right
+        mask & ~padded[:-2, 1:-1],  # top
+        mask & ~padded[2:, 1:-1],  # bottom
+    )
+    edged = sides[0] | sides[1] | sides[2] | sides[3]
+    for j in range(mask.shape[0]):
+        cells = np.flatnonzero(edged[j])
+        y0, y1 = ys[j], ys[j + 1]
+        segments: list[str] = []
+        for t, left, right, top, bottom in zip(cells.tolist(), *(side[j, cells].tolist() for side in sides)):
+            x0, x1 = xs[t], xs[t + 1]
+            if left:
+                segments.append(f"M{x0} {y0}L{x0} {y1}")
+            if right:
+                segments.append(f"M{x1} {y0}L{x1} {y1}")
+            if top:
+                segments.append(f"M{x0} {y0}L{x1} {y0}")
+            if bottom:
+                segments.append(f"M{x0} {y1}L{x1} {y1}")
+        yield "".join(segments)
+
+
 def render_heatmap(
     field: CoherenceField,
     out_path: str | Path,
@@ -83,62 +150,27 @@ def render_heatmap(
     def y_of_row(j: float) -> float:
         return MARGIN_TOP + j * cell_h
 
-    parts: list[str] = []
-    parts.append('<?xml version="1.0" encoding="UTF-8"?>')
-    parts.append(
+    # Cell edges, each formatted once: xs[t] is x_of(t) and ys[j] is y_of_row(j).
+    xs = [_fmt(x_of(t)) for t in range(n + 1)]
+    ys = [_fmt(y_of_row(j)) for j in range(num_scales + 1)]
+    mask = None if field.significant is None else np.asarray(field.significant, dtype=bool)
+
+    opening: list[str] = []
+    opening.append('<?xml version="1.0" encoding="UTF-8"?>')
+    opening.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     )
-    parts.append(
+    opening.append(
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>'
     )
     if title:
-        parts.append(
+        opening.append(
             f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
-    # Heatmap: run-length encode each scale row at quantized color levels.
-    quant = np.minimum((rho2 * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
-    for j in range(num_scales):
-        row = quant[j]
-        y = y_of_row(j)
-        start = 0
-        for t in range(1, n + 1):
-            if t == n or row[t] != row[start]:
-                level = row[start]
-                parts.append(
-                    f'<rect class="cell" x="{_fmt(x_of(start))}" y="{_fmt(y)}" '
-                    f'width="{_fmt((t - start) * cell_w)}" height="{_fmt(cell_h)}" '
-                    f'fill="{_LEVEL_COLORS[level]}"/>'
-                )
-                start = t
-
-    # Significance contour: edges between significant and non-significant
-    # cells, merged into a single path element.
-    if field.significant is not None:
-        mask = np.asarray(field.significant, dtype=bool)
-        segments: list[str] = []
-        for j in range(num_scales):
-            for t in range(n):
-                if not mask[j, t]:
-                    continue
-                x0, x1 = x_of(t), x_of(t + 1)
-                y0, y1 = y_of_row(j), y_of_row(j + 1)
-                if t == 0 or not mask[j, t - 1]:
-                    segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x0)} {_fmt(y1)}")
-                if t == n - 1 or not mask[j, t + 1]:
-                    segments.append(f"M{_fmt(x1)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y1)}")
-                if j == 0 or not mask[j - 1, t]:
-                    segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y0)}")
-                if j == num_scales - 1 or not mask[j + 1, t]:
-                    segments.append(f"M{_fmt(x0)} {_fmt(y1)}L{_fmt(x1)} {_fmt(y1)}")
-        if segments:
-            parts.append(
-                f'<path class="significance-contour" d="{"".join(segments)}" '
-                f'stroke="#000000" stroke-width="1" fill="none"/>'
-            )
-
+    parts: list[str] = []
     # Phase arrows: one per block, suppressed outside the significant region
     # (when a mask is present) and outside the cone of influence.
     inside = field.inside_coi()
@@ -233,9 +265,19 @@ def render_heatmap(
     )
     parts.append("</svg>")
 
+    # The heatmap and the significance contour (edges between significant
+    # and non-significant cells, merged into a single path element) are
+    # streamed a scale row at a time.
     out = Path(out_path)
     try:
-        out.write_text("\n".join(parts) + "\n", encoding="utf-8")
+        with atomic_open(out) as fh:
+            fh.write("\n".join(opening) + "\n")
+            fh.writelines(_heatmap_rows(rho2, xs, ys, cell_w, cell_h))
+            if mask is not None and mask.any():
+                fh.write('<path class="significance-contour" d="')
+                fh.writelines(_contour_rows(mask, xs, ys))
+                fh.write('" stroke="#000000" stroke-width="1" fill="none"/>\n')
+            fh.write("\n".join(parts) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write SVG to {out}: {exc}") from exc
     return out

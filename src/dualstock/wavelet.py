@@ -401,8 +401,12 @@ class CoherenceField:
             raise ValueError("rho2 and phase must be 2-D grids of equal shape")
         if rho2.shape[0] != self.grid.num_scales:
             raise ValueError("grid dimension mismatch")
-        if rho2.min() < 0.0 or rho2.max() > 1.0:
+        # Range checks written so that NaN fails them; the coherence CSV's
+        # fixed-point formatting relies on both ranges.
+        if not ((rho2 >= 0.0) & (rho2 <= 1.0)).all():
             raise ValueError("rho2 must lie in [0, 1] (clamp before construction)")
+        if not (np.abs(phase) <= math.pi).all():
+            raise ValueError("phase must lie in [-pi, pi]")
         rho2.flags.writeable = False
         phase.flags.writeable = False
         object.__setattr__(self, "rho2", rho2)

@@ -8,8 +8,24 @@ implementation paths.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
+
+from dualstock.svgplot import (
+    ARROW_BLOCK_S,
+    ARROW_BLOCK_T,
+    ARROW_LEN,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    PLOT_H,
+    PLOT_W,
+    QUANT_LEVELS,
+    _LEVEL_COLORS,
+    _fmt,
+)
 
 
 def cwt_direct(x, scales, omega0: float = 6.0, dt: float = 1.0) -> np.ndarray:
@@ -188,3 +204,206 @@ def coherence_single_pad(x_a, x_b, grid, time_std: float = 1.0, octaves: float =
     denom = smooth(np.abs(wa) ** 2 * inv_s) * smooth(np.abs(wb) ** 2 * inv_s)
     rho2 = np.clip(np.abs(cross) ** 2 / denom, 0.0, 1.0)
     return rho2, np.angle(cross)
+
+
+def coherence_csv_per_cell(field, dates) -> str:
+    """The coherence long CSV formatted one f-string per cell, as one string."""
+    inside = field.inside_coi()
+    scales = field.grid.scales
+    periods = field.grid.fourier_periods
+    significant = field.significant
+    day_s = [dates[t].isoformat() for t in range(field.n)]
+    # One joined block per scale keeps a few thousand row strings alive at a
+    # time instead of the whole field's; the trailing "" ends the last line.
+    blocks = ["time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi"]
+    for j in range(field.grid.num_scales):
+        scale_s = f"{scales[j]:.6f}"
+        period_s = f"{periods[j]:.6f}"
+        rows = []
+        for t in range(field.n):
+            sig = int(significant[j, t]) if significant is not None else 0
+            rows.append(
+                f"{t},{day_s[t]},{scale_s},{period_s},"
+                f"{field.rho2[j, t]:.6f},{field.phase[j, t]:.6f},{sig},{int(inside[j, t])}"
+            )
+        blocks.append("\n".join(rows))
+    blocks.append("")
+    return "\n".join(blocks)
+
+
+def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
+    """The coherence SVG with per-cell run and edge loops, joined and written at once."""
+    rho2 = np.asarray(field.rho2)
+    if not np.isfinite(rho2).all():
+        raise ValueError("field contains non-finite rho2 values")
+    num_scales, n = rho2.shape
+    periods = field.grid.fourier_periods
+    dj = field.grid.dj
+
+    width = MARGIN_LEFT + PLOT_W + MARGIN_RIGHT
+    height = MARGIN_TOP + PLOT_H + MARGIN_BOTTOM
+    cell_w = PLOT_W / n
+    cell_h = PLOT_H / num_scales
+
+    def x_of(t: float) -> float:
+        return MARGIN_LEFT + t * cell_w
+
+    def y_of_row(j: float) -> float:
+        return MARGIN_TOP + j * cell_h
+
+    parts: list[str] = []
+    parts.append('<?xml version="1.0" encoding="UTF-8"?>')
+    parts.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+    )
+    parts.append(
+        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>'
+    )
+    if title:
+        parts.append(
+            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{title}</text>'
+        )
+
+    # Heatmap: run-length encode each scale row at quantized color levels.
+    quant = np.minimum((rho2 * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
+    for j in range(num_scales):
+        row = quant[j]
+        y = y_of_row(j)
+        start = 0
+        for t in range(1, n + 1):
+            if t == n or row[t] != row[start]:
+                level = row[start]
+                parts.append(
+                    f'<rect class="cell" x="{_fmt(x_of(start))}" y="{_fmt(y)}" '
+                    f'width="{_fmt((t - start) * cell_w)}" height="{_fmt(cell_h)}" '
+                    f'fill="{_LEVEL_COLORS[level]}"/>'
+                )
+                start = t
+
+    # Significance contour: edges between significant and non-significant
+    # cells, merged into a single path element.
+    if field.significant is not None:
+        mask = np.asarray(field.significant, dtype=bool)
+        segments: list[str] = []
+        for j in range(num_scales):
+            for t in range(n):
+                if not mask[j, t]:
+                    continue
+                x0, x1 = x_of(t), x_of(t + 1)
+                y0, y1 = y_of_row(j), y_of_row(j + 1)
+                if t == 0 or not mask[j, t - 1]:
+                    segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x0)} {_fmt(y1)}")
+                if t == n - 1 or not mask[j, t + 1]:
+                    segments.append(f"M{_fmt(x1)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y1)}")
+                if j == 0 or not mask[j - 1, t]:
+                    segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y0)}")
+                if j == num_scales - 1 or not mask[j + 1, t]:
+                    segments.append(f"M{_fmt(x0)} {_fmt(y1)}L{_fmt(x1)} {_fmt(y1)}")
+        if segments:
+            parts.append(
+                f'<path class="significance-contour" d="{"".join(segments)}" '
+                f'stroke="#000000" stroke-width="1" fill="none"/>'
+            )
+
+    # Phase arrows: one per block, suppressed outside the significant region
+    # (when a mask is present) and outside the cone of influence.
+    inside = field.inside_coi()
+    for jb in range(ARROW_BLOCK_S // 2, num_scales, ARROW_BLOCK_S):
+        for tb in range(ARROW_BLOCK_T // 2, n, ARROW_BLOCK_T):
+            if not inside[jb, tb]:
+                continue
+            if field.significant is not None and not field.significant[jb, tb]:
+                continue
+            theta = float(field.phase[jb, tb])
+            cx = x_of(tb + 0.5)
+            cy = y_of_row(jb + 0.5)
+            dx = math.cos(theta)
+            dy = -math.sin(theta)  # SVG y grows downward; north = up
+            x1, y1 = cx - dx * ARROW_LEN / 2, cy - dy * ARROW_LEN / 2
+            x2, y2 = cx + dx * ARROW_LEN / 2, cy + dy * ARROW_LEN / 2
+            parts.append(
+                f'<line class="phase-arrow" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="#000000" stroke-width="1.2"/>'
+            )
+            head = 3.5
+            for rot in (2.6, -2.6):
+                hx = x2 + head * math.cos(theta + rot)
+                hy = y2 - head * math.sin(theta + rot)
+                parts.append(
+                    f'<path class="phase-arrow-head" d="M{_fmt(x2)} {_fmt(y2)}'
+                    f'L{_fmt(hx)} {_fmt(hy)}" stroke="#000000" stroke-width="1.2" fill="none"/>'
+                )
+
+    # Cone of influence: shade everything below the trustworthy-period curve.
+    # Row coordinate of a period P: j = log2(P / periods[0]) / dj.
+    coi_points = []
+    for t in range(n):
+        p = float(field.coi[t])
+        if p <= float(periods[0]):
+            j = 0.0
+        else:
+            j = min(float(num_scales), math.log2(p / float(periods[0])) / dj + 0.5)
+        coi_points.append((x_of(t + 0.5), y_of_row(j)))
+    bottom = y_of_row(num_scales)
+    d = [f"M{_fmt(MARGIN_LEFT)} {_fmt(bottom)}"]
+    d.append(f"L{_fmt(MARGIN_LEFT)} {_fmt(coi_points[0][1])}")
+    for px, py in coi_points:
+        d.append(f"L{_fmt(px)} {_fmt(py)}")
+    d.append(f"L{_fmt(MARGIN_LEFT + PLOT_W)} {_fmt(coi_points[-1][1])}")
+    d.append(f"L{_fmt(MARGIN_LEFT + PLOT_W)} {_fmt(bottom)}")
+    d.append("Z")
+    parts.append(
+        f'<path class="coi" d="{"".join(d)}" fill="#ffffff" fill-opacity="0.55" stroke="none"/>'
+    )
+
+    # Axes.
+    parts.append(
+        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" width="{_fmt(PLOT_W)}" '
+        f'height="{_fmt(PLOT_H)}" fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+    exp_min = math.ceil(math.log2(float(periods[0])))
+    exp_max = math.floor(math.log2(float(periods[-1])))
+    for exp in range(exp_min, exp_max + 1):
+        p = 2.0**exp
+        j = math.log2(p / float(periods[0])) / dj + 0.5
+        y = y_of_row(j)
+        parts.append(
+            f'<line x1="{_fmt(MARGIN_LEFT - 4)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_LEFT)}" '
+            f'y2="{_fmt(y)}" stroke="#333333" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{p:g}</text>'
+        )
+    parts.append(
+        f'<text x="14" y="{_fmt(MARGIN_TOP + PLOT_H / 2)}" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 14 {_fmt(MARGIN_TOP + PLOT_H / 2)})" '
+        f'text-anchor="middle">period (days)</text>'
+    )
+    n_ticks = min(6, n)
+    for k in range(n_ticks):
+        t = round(k * (n - 1) / max(1, n_ticks - 1))
+        x = x_of(t + 0.5)
+        label = str(dates[t]) if dates is not None else str(t)
+        parts.append(
+            f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP + PLOT_H)}" x2="{_fmt(x)}" '
+            f'y2="{_fmt(MARGIN_TOP + PLOT_H + 4)}" stroke="#333333" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_H + 18)}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+    parts.append(
+        f'<text x="{_fmt(MARGIN_LEFT + PLOT_W / 2)}" y="{_fmt(height - 10)}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">time</text>'
+    )
+    parts.append("</svg>")
+
+    out = Path(out_path)
+    try:
+        out.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"failed to write SVG to {out}: {exc}") from exc
+    return out

@@ -149,6 +149,25 @@ class TestPremiumsCommand:
         assert summary["count_parity"] == summary["n"] == 50
         assert summary["count_premium"] == summary["count_discount"] == 0
 
+    def test_write_error_in_one_pair_does_not_stop_the_others(self, tmp_path):
+        config_path = write_config(tmp_path, synthetic_tickers(tmp_path))
+        (tmp_path / "out" / "premiums" / "AAA_over_CCC_summary.json").mkdir(parents=True)
+        assert main(["premiums", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        listed = [o["path"].split("/")[1] for o in manifest["outputs"]]
+        assert listed == [
+            "AAA_over_BBB_series.csv",
+            "AAA_over_BBB_summary.csv",
+            "AAA_over_BBB_summary.json",
+            "AAA_over_CCC_series.csv",
+            "AAA_over_CCC_summary.csv",
+            "BBB_over_CCC_series.csv",
+            "BBB_over_CCC_summary.csv",
+            "BBB_over_CCC_summary.json",
+        ]
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith("premiums AAA_over_CCC: ")
+
     def test_empty_intersection_fails(self, tmp_path):
         mids = np.full(30, 10.0)
         write_prices(tmp_path / "aaa.csv", mids, start=dt.date(2020, 1, 1))
@@ -216,6 +235,24 @@ class TestCoherenceCommand:
         assert [o["path"] for o in manifest["outputs"]] == ["coherence/AAA_BBB.csv", "coherence/AAA_BBB.svg"]
         assert [f.split(":")[0] for f in manifest["failures"]] == ["coherence AAA_FLAT", "coherence BBB_FLAT"]
         assert all("zero variance" in f for f in manifest["failures"])
+
+    def test_write_error_in_one_pair_does_not_stop_the_others(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path, n=140)
+        config_path = write_config(tmp_path, tickers, analyses=["coherence"], wavelet={"mc_iterations": 1})
+        (tmp_path / "out" / "coherence" / "AAA_CCC.svg").mkdir(parents=True)
+        assert main(["coherence", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [o["path"] for o in manifest["outputs"]] == [
+            "coherence/AAA_BBB.csv",
+            "coherence/AAA_BBB.svg",
+            "coherence/AAA_CCC.csv",
+            "coherence/BBB_CCC.csv",
+            "coherence/BBB_CCC.svg",
+        ]
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith("coherence AAA_CCC: failed to write SVG")
+        on_disk = sorted(p.name for p in (tmp_path / "out" / "coherence").iterdir())
+        assert on_disk == ["AAA_BBB.csv", "AAA_BBB.svg", "AAA_CCC.csv", "AAA_CCC.svg", "BBB_CCC.csv", "BBB_CCC.svg"]
 
     def test_too_short_series_fails(self, tmp_path):
         tickers = synthetic_tickers(tmp_path, n=40)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualstock.wavelet import ScaleGrid, coherence, cwt, phase_field, smooth
+from dualstock.wavelet import CoherenceField, ScaleGrid, coherence, cone_of_influence, cwt, phase_field, smooth
 
 from _oracles import ar1_series, coherence_single_pad
 
@@ -177,6 +177,22 @@ class TestFieldStructure:
         assert f2.significant is mask or np.array_equal(f2.significant, mask)
         with pytest.raises(ValueError, match="shape"):
             f.with_significance(np.zeros((1, 1), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "rho2, phase, message",
+        [
+            (np.nan, 0.0, "rho2 must lie in"),
+            (1.5, 0.0, "rho2 must lie in"),
+            (0.5, np.nan, "phase must lie in"),
+            (0.5, np.nextafter(math.pi, 4.0), "phase must lie in"),
+        ],
+    )
+    def test_out_of_range_or_nan_cells_rejected(self, rho2, phase, message):
+        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=3)
+        cells = dict(rho2=np.full((3, 8), 0.5), phase=np.full((3, 8), -math.pi))
+        cells["rho2"][1, 4], cells["phase"][1, 4] = rho2, phase
+        with pytest.raises(ValueError, match=message):
+            CoherenceField(grid=grid, dt=1.0, coi=cone_of_influence(8), **cells)
 
 
 class TestSinglePadOracle:

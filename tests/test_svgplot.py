@@ -57,6 +57,12 @@ class TestStructure:
         assert "demo title" in text
         assert "d0" in text
 
+    def test_title_is_xml_escaped(self, tmp_path):
+        out = tmp_path / "field.svg"
+        render_heatmap(make_field(), out, title="AT&T / <B> squared coherence")
+        titles = [el.text for el in tags(parse(out), "text") if el.get("font-size") == "14"]
+        assert titles == ["AT&T / <B> squared coherence"]
+
     def test_deterministic_bytes(self, tmp_path):
         f = make_field()
         a = tmp_path / "a.svg"
