@@ -9,27 +9,11 @@ from .forecast import (
     ForecastRun,
     PriceScaleWarning,
     RegimeSpec,
-    build_supervised,
     forecast,
     scale_price,
     unscale,
 )
-from .lstm import (
-    BatchTrainResult,
-    FeatureSample,
-    LstmParams,
-    LstmState,
-    TrainConfig,
-    TrainResult,
-    TrainingDivergedError,
-    backward,
-    forward_sequence,
-    lstm_cell_forward,
-    predict,
-    predict_batch,
-    train,
-    train_batch,
-)
+from .lstm import BatchTrainResult, TrainConfig, TrainingDivergedError, predict_batch, train_batch
 from .metrics import MetricTriple, ReportGrid, assemble_grid, mae, mape, rmse
 from .seeds import child_seed
 from .significance import AR1Params, MonteCarloSpec, ar1_surrogate, fit_ar1, significance

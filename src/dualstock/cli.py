@@ -448,6 +448,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
                     )
                     continue
                 for regime in regimes:
+                    unit = f"{name} lag={lag} dual={'yes' if dual else 'no'} {regime.label}"
                     seed = child_seed(
                         config.seed,
                         f"forecast:{name}:lag={lag}:dual={'yes' if dual else 'no'}:{regime.label}",
@@ -471,18 +472,21 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
                             dates=dates,
                         )
                     except (ValueError, TrainingDivergedError) as exc:
-                        outcome.failures.append(
-                            f"forecast {name} lag={lag} dual={'yes' if dual else 'no'} "
-                            f"{regime.label}: {exc}"
-                        )
+                        outcome.failures.append(f"forecast {unit}: {exc}")
                         continue
                     stem = _run_stem(run)
-                    _write(out / "runs" / f"{stem}.csv", _predictions_csv(run), outcome)
-                    _write(
-                        out / "runs" / f"{stem}.json",
-                        json.dumps(_run_manifest(run, config, f"{stem}.csv"), indent=2, sort_keys=True) + "\n",
-                        outcome,
-                    )
+                    # a run whose files cannot be written is left out of the
+                    # grids; the files written before the error stay listed
+                    try:
+                        _write(out / "runs" / f"{stem}.csv", _predictions_csv(run), outcome)
+                        _write(
+                            out / "runs" / f"{stem}.json",
+                            json.dumps(_run_manifest(run, config, f"{stem}.csv"), indent=2, sort_keys=True) + "\n",
+                            outcome,
+                        )
+                    except OSError as exc:
+                        outcome.failures.append(f"forecast {unit}: {exc}")
+                        continue
                     runs_by_ticker[name].append(run)
 
     declared_regimes = tuple(r.label for r in regimes)
@@ -492,19 +496,27 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
         if runs_by_ticker[name]
     ]
     if grids:
-        _write_grids(grids, out / "grids", outcome)
+        _write_grids(grids, out / "grids", outcome, "forecast")
     return outcome
 
 
-def _write_grids(grids: list[ReportGrid], out: Path, outcome: CommandOutcome) -> None:
-    """Per-ticker grid CSV and JSON, plus one long-format CSV across the grids."""
-    out.mkdir(parents=True, exist_ok=True)
-    for grid in grids:
-        write_grid_csv(grid, out / f"{grid.ticker}.csv")
-        write_grid_json(grid, out / f"{grid.ticker}.json")
-        outcome.files += [out / f"{grid.ticker}.csv", out / f"{grid.ticker}.json"]
-    write_long_csv(grids, out / "long.csv")
-    outcome.files.append(out / "long.csv")
+def _write_grids(grids: list[ReportGrid], out: Path, outcome: CommandOutcome, command: str) -> None:
+    """Per-ticker grid CSV and JSON, plus one long-format CSV across the grids.
+
+    A write error is recorded as the ``command``'s grids failure; the files
+    written before it stay listed.
+    """
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for grid in grids:
+            write_grid_csv(grid, out / f"{grid.ticker}.csv")
+            outcome.files.append(out / f"{grid.ticker}.csv")
+            write_grid_json(grid, out / f"{grid.ticker}.json")
+            outcome.files.append(out / f"{grid.ticker}.json")
+        write_long_csv(grids, out / "long.csv")
+        outcome.files.append(out / "long.csv")
+    except OSError as exc:
+        outcome.failures.append(f"{command} grids: {exc}")
 
 
 def _read_run(manifest_path: Path) -> ForecastRun:
@@ -551,7 +563,7 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
         assemble_grid(by_ticker[ticker], regimes=regimes, lags=lags, duals=(False, True))
         for ticker in sorted(by_ticker)
     ]
-    _write_grids(grids, Path(out_dir) / "report", outcome)
+    _write_grids(grids, Path(out_dir) / "report", outcome, "report")
     return outcome
 
 

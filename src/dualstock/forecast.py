@@ -8,9 +8,10 @@ rolling windows that retrain on exactly the w observations preceding each
 forecast origin.  The per-origin models of a rolling run train together in
 lockstep (``lstm.train_batch``) and all origins are predicted in one batched
 forward; a model's result does not depend on the batch it trains in, so the
-predictions equal those of one ``train`` per origin bit for bit.  Every
-forecast is a pure function of observations strictly before its origin; the
-provenance field records the exact training index range per origin.
+predictions equal, bit for bit, those of each origin's model trained alone
+at B = 1.  Every forecast is a pure function of observations strictly
+before its origin; the provenance field records the exact training index
+range per origin.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import FeatureSample, TrainConfig, predict_batch, train_batch
+from .lstm import TrainConfig, predict_batch, train_batch
 from .seeds import child_seed
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "ForecastRun",
     "scale_price",
     "unscale",
-    "build_supervised",
     "forecast",
 ]
 
@@ -60,33 +60,6 @@ def unscale(y):
     arr = np.asarray(y, dtype=np.float64)
     prices = 100.0 * (arr + 1.0)
     return float(prices) if prices.ndim == 0 else prices
-
-
-def build_supervised(
-    own,
-    siblings=None,
-    *,
-    lag: int,
-    include_dual: bool = False,
-) -> list[FeatureSample]:
-    """Causal (inputs, target) pairs from scaled series.
-
-    The sample targeting index t takes its L = lag input steps from indices
-    t-lag .. t-1.  Each step's vector is the own value alone (D = 1), or
-    [own, sibling1, sibling2] when ``include_dual`` (D = 3).  Sibling data is
-    not touched at all unless ``include_dual`` is set.  Inputs are copied, so
-    later mutation of the source arrays cannot leak into samples.
-    """
-    own = np.asarray(own, dtype=np.float64)
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if len(own) <= lag:
-        raise ValueError(f"need more than lag={lag} observations, got {len(own)}")
-    features = _feature_rows(own, siblings, include_dual)
-    return [
-        FeatureSample(inputs=features[t - lag : t].copy(), target=own[t])
-        for t in range(lag, len(own))
-    ]
 
 
 def _feature_rows(own: np.ndarray, siblings, include_dual: bool) -> np.ndarray:
@@ -204,7 +177,14 @@ def forecast(
     retrained per rolling origin t is seeded with child_seed(cfg.seed,
     "origin:t"), so a forecast depends only on its own window.  Each query
     uses only the lag window strictly before its origin.
+
+    The training sample that targets index t takes its L = lag input steps
+    from indices t-lag .. t-1.  Each step's vector is the own value alone
+    (D = 1), or [own, sibling1, sibling2] when ``include_dual`` (D = 3);
+    sibling data is not touched at all unless ``include_dual`` is set.
     """
+    if lag < 1:
+        raise ValueError(f"lag must be >= 1, got {lag}")
     own = np.asarray(own, dtype=np.float64)
     n = len(own)
     first_origin = n - regime.test_size

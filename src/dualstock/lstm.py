@@ -11,67 +11,38 @@ The numerical core runs B independent models in lockstep: their buffers are
 the rows of one (B, P) array, activations sit in preallocated (L, B, .)
 caches, and each cell step is one stacked ``matmul`` plus elementwise
 operations over the batch.  ``train_batch`` trains the models of a rolling
-run together, in blocks sized to stay in cache; ``train`` is its B = 1 case, and the single-sample
-``lstm_cell_forward``, ``forward_sequence``, ``backward`` and ``predict``
-run the same kernels with B = 1.  Every model keeps its own seed, sample
+run together, in blocks sized to stay in cache, and ``predict_batch``
+predicts them in one forward.  Every model keeps its own seed, sample
 order, clip norm and divergence check, and every product uses the same
 numpy primitive at any B, so a model's trained parameters and loss trace
-are bit-identical whatever batch it trains in.  Training is per-sample
-stochastic, fully determined by the seeds.
+are bit-identical to training it alone at B = 1, whatever batch it trains
+in.  Training is per-sample stochastic, fully determined by the seeds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FeatureSample",
-    "LstmParams",
-    "LstmState",
     "TrainConfig",
-    "TrainResult",
     "TrainingDivergedError",
-    "lstm_cell_forward",
-    "forward_sequence",
-    "predict",
-    "backward",
-    "train",
+    "BatchTrainResult",
     "train_batch",
     "predict_batch",
-    "BatchTrainResult",
 ]
+
+# Adam's decay rates and denominator offset (Kingma & Ba 2015 defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
-
-
-@dataclass(frozen=True)
-class FeatureSample:
-    """One supervised sample: L input vectors (L, D) and a scalar target."""
-
-    inputs: np.ndarray
-    target: float
-
-    def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise ValueError(f"inputs must be (L, D) with L >= 1, got shape {inputs.shape}")
-        inputs.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "target", float(self.target))
-
-    @property
-    def lag(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
 
 
 def _param_count(hidden_size: int, input_size: int) -> int:
@@ -96,81 +67,6 @@ class _Views:
         self.biases = biases
         self.head_w = head_w
         self.head_b = head_b[:, 0]
-
-
-class LstmParams:
-    """All parameters of one LSTM layer and its head in one flat float64 buffer.
-
-    ``flat`` is [weights (4H, H+D) row-major, biases (4H,), head_w (H,),
-    head_b].  ``weights``, ``biases`` and ``head_w`` are views into it and
-    ``head_b`` reads and writes its last element, so one elementwise
-    operation on ``flat`` acts on every parameter.  Gradients use the same
-    layout.
-    """
-
-    def __init__(self, weights, biases, head_w, head_b: float) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[0] % 4:
-            raise ValueError("weights must be (4H, H+D)")
-        hsz = weights.shape[0] // 4
-        if weights.shape[1] <= hsz:
-            raise ValueError("weights must have H+D columns with D >= 1")
-        if np.shape(biases) != (4 * hsz,) or np.shape(head_w) != (hsz,):
-            raise ValueError("bias/head shapes inconsistent with hidden size")
-        flat = np.concatenate([weights.ravel(), biases, head_w, [head_b]], dtype=np.float64)
-        if not np.isfinite(flat).all():
-            raise ValueError("parameters must be finite")
-        self._bind(flat, hsz, weights.shape[1] - hsz)
-
-    def _bind(self, flat: np.ndarray, hidden_size: int, input_size: int) -> None:
-        self.flat = flat
-        self.hidden_size = hidden_size
-        self.input_size = input_size
-        views = self.views = _Views(flat[None], hidden_size, input_size)  # the B = 1 batch
-        self.weights, self.biases, self.head_w = views.weights[0], views.biases[0], views.head_w[0]
-
-    @classmethod
-    def _wrap(cls, flat: np.ndarray, hidden_size: int, input_size: int) -> "LstmParams":
-        params = cls.__new__(cls)
-        params._bind(flat, hidden_size, input_size)
-        return params
-
-    @property
-    def head_b(self) -> float:
-        return float(self.flat[-1])
-
-    @head_b.setter
-    def head_b(self, value: float) -> None:
-        self.flat[-1] = value
-
-    @classmethod
-    def zeros(cls, hidden_size: int, input_size: int) -> "LstmParams":
-        return cls._wrap(np.zeros(_param_count(hidden_size, input_size)), hidden_size, input_size)
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, hidden_size: int, input_size: int) -> "LstmParams":
-        """Seeded uniform init in +-1/sqrt(H+D); forget-gate bias +1."""
-        bound = 1.0 / math.sqrt(hidden_size + input_size)
-        params = cls.zeros(hidden_size, input_size)
-        params.weights[:] = rng.uniform(-bound, bound, size=params.weights.shape)
-        params.head_w[:] = rng.uniform(-bound, bound, size=hidden_size)
-        params.biases[:hidden_size] = 1.0
-        return params
-
-    def copy(self) -> "LstmParams":
-        return LstmParams._wrap(self.flat.copy(), self.hidden_size, self.input_size)
-
-
-@dataclass(frozen=True)
-class LstmState:
-    """Hidden output h and cell state c (each length H)."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zero(cls, hidden_size: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_size), c=np.zeros(hidden_size))
 
 
 class _Cache:
@@ -205,21 +101,6 @@ class _Cache:
     @property
     def lag(self) -> int:
         return self.act.shape[0]
-
-    def step(self, t: int) -> dict:
-        """Cell t of the first model as a dict of views (the single-sample cache)."""
-        hsz = self.hidden_size
-        act = self.act[t, 0]
-        return {
-            "z": self.z[t, 0],
-            "f": act[:hsz],
-            "i": act[hsz : 2 * hsz],
-            "o": act[2 * hsz : 3 * hsz],
-            "c_hat": act[3 * hsz :],
-            "c_prev": self.c[t, 0],
-            "tanh_c": self.tanh_c[t, 0],
-            "h": self.z[t + 1, 0, :hsz],
-        }
 
 
 def _cell(p: _Views, cache: _Cache, t: int) -> None:
@@ -322,50 +203,6 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
     grads.weights[...] = cache.grad_w
 
 
-def _sequence_cache(params: LstmParams, inputs) -> _Cache:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != params.input_size:
-        raise ValueError(f"inputs must have shape (L, {params.input_size}), got {inputs.shape}")
-    cache = _Cache(1, inputs.shape[0], params.hidden_size, params.input_size)
-    cache.z[:-1, 0, params.hidden_size :] = inputs
-    return cache
-
-
-def lstm_cell_forward(params: LstmParams, x, state: LstmState):
-    """One cell step; returns the new state and the cache for backprop.
-
-    f, i, o = sigmoid(W_gate [h, x] + b_gate); c_hat = tanh(W_c [h, x] + b_c);
-    c = i*c_hat + f*c_prev; h = o*tanh(c).  Raises FloatingPointError if an
-    activation leaves its range.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    hsz = params.hidden_size
-    if x.shape != (params.input_size,):
-        raise ValueError(f"input must have shape ({params.input_size},), got {x.shape}")
-    if state.h.shape != (hsz,) or state.c.shape != (hsz,):
-        raise ValueError("state shape inconsistent with parameters")
-    cache = _sequence_cache(params, x[None, :])
-    cache.z[0, 0, :hsz] = state.h
-    cache.c[0, 0] = state.c
-    _forward(params.views, cache)
-    return LstmState(h=cache.z[1, 0, :hsz], c=cache.c[1, 0]), cache.step(0)
-
-
-def forward_sequence(params: LstmParams, sample: FeatureSample):
-    """Run the cell chain from a zero state; prediction = head_w . h_L + head_b.
-
-    Returns the prediction and one cache dict per cell.
-    """
-    cache = _sequence_cache(params, sample.inputs)
-    prediction = float(_forward(params.views, cache)[0])
-    return prediction, [cache.step(t) for t in range(cache.lag)]
-
-
-def predict(params: LstmParams, inputs) -> float:
-    """Prediction for a raw (L, D) input window."""
-    return float(_forward(params.views, _sequence_cache(params, inputs))[0])
-
-
 def predict_batch(flat, inputs, hidden_size: int) -> np.ndarray:
     """Predictions of B models in one forward: ``flat`` is (B, P), ``inputs`` (B, L, D).
 
@@ -384,31 +221,6 @@ def predict_batch(flat, inputs, hidden_size: int) -> np.ndarray:
     return _forward(_Views(flat, hidden_size, dim), cache)
 
 
-def backward(params: LstmParams, sample: FeatureSample, caches, loss_grad: float) -> LstmParams:
-    """Exact reverse-mode gradients through the head and the unrolled chain.
-
-    ``loss_grad`` is dLoss/dPrediction at the head output; for squared error
-    pass 2 * (prediction - target).  The gradients come back in the
-    parameters' own flat layout.
-    """
-    hsz = params.hidden_size
-    width = hsz + params.input_size
-    if len(caches) != sample.lag:
-        raise ValueError("cache does not match the sample's step count")
-    if caches and caches[-1]["z"].shape != (width,):
-        raise ValueError("cache does not match the parameter shapes")
-    cache = _Cache(1, len(caches), hsz, params.input_size)
-    for t, step in enumerate(caches):
-        cache.z[t, 0] = step["z"]
-        cache.act[t, 0] = np.concatenate([step["f"], step["i"], step["o"], step["c_hat"]])
-        cache.c[t, 0] = step["c_prev"]
-        cache.tanh_c[t, 0] = step["tanh_c"]
-    cache.z[-1, 0, :hsz] = caches[-1]["h"]
-    grads = LstmParams.zeros(hsz, params.input_size)
-    _backward(params.views, cache, np.array([float(loss_grad)]), grads.views)
-    return grads
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters; every run is fully determined by the seed."""
@@ -418,9 +230,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     hidden_size: int = 16
     clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -434,22 +243,11 @@ class TrainConfig:
 
 
 @dataclass
-class TrainResult:
-    params: LstmParams
-    loss_trace: list[float] = field(default_factory=list)
-
-
-@dataclass
 class BatchTrainResult:
     """Trained parameters of B models, one (B, P) row each, and their (B, epochs) loss traces."""
 
     flat: np.ndarray
     loss_trace: np.ndarray
-    hidden_size: int
-    input_size: int
-
-    def params(self, model: int) -> LstmParams:
-        return LstmParams._wrap(self.flat[model].copy(), self.hidden_size, self.input_size)
 
 
 # Working-set budget of one lockstep block.  A few MB keeps a block's
@@ -478,10 +276,11 @@ def train_batch(inputs, targets, cfg: TrainConfig, seeds) -> BatchTrainResult:
     an epoch updates every model on its sample ``order_b[s]``.  ``cfg``
     supplies the hyperparameters (its ``seed`` is not used).  Each model's
     gradient is clipped by its own global norm, so a model's parameters and
-    loss trace are bit-identical to ``train`` on its samples and seed alone,
-    and the models run in equal blocks sized from ``BLOCK_BYTES``.  Raises
-    TrainingDivergedError naming the step at which the epoch loss of the
-    first model, in batch order, that diverges became non-finite.
+    loss trace are bit-identical to training it alone (B = 1) on its
+    samples and seed, and the models run in equal blocks sized from
+    ``BLOCK_BYTES``.  Raises TrainingDivergedError naming the step at which
+    the epoch loss of the first model, in batch order, that diverges became
+    non-finite.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -501,7 +300,22 @@ def train_batch(inputs, targets, cfg: TrainConfig, seeds) -> BatchTrainResult:
     # raises for the first diverged model of the batch.
     for block in (slice(start, start + size) for start in range(0, batch, size)):
         _train_block(inputs[block], targets[block], cfg, seeds[block], flat[block], loss_trace[block])
-    return BatchTrainResult(flat=flat, loss_trace=loss_trace, hidden_size=hsz, input_size=dim)
+    return BatchTrainResult(flat=flat, loss_trace=loss_trace)
+
+
+def _init_params(params: _Views, rngs) -> None:
+    """Seeded init of every model's row from its own generator.
+
+    ``weights`` and then ``head_w`` are drawn uniform in +-1/sqrt(H+D); the
+    forget-gate biases are 1 and every other parameter 0.
+    """
+    hsz, width = params.head_w.shape[1], params.weights.shape[2]
+    bound = 1.0 / math.sqrt(width)
+    params.flat.fill(0.0)
+    for weights, head_w, rng in zip(params.weights, params.head_w, rngs):
+        weights[:] = rng.uniform(-bound, bound, size=weights.shape)
+        head_w[:] = rng.uniform(-bound, bound, size=hsz)
+    params.biases[:, :hsz] = 1.0
 
 
 def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seeds, flat, loss_trace) -> None:
@@ -509,9 +323,8 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
     batch, count, lag, dim = inputs.shape
     hsz = cfg.hidden_size
     rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    for row, rng in zip(flat, rngs):
-        row[:] = LstmParams.init(rng, hsz, dim).flat
     params, grads = _Views(flat, hsz, dim), _Views(np.empty_like(flat), hsz, dim)
+    _init_params(params, rngs)
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
     work = np.empty_like(flat)
@@ -539,19 +352,19 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
             if over.any():
                 g *= np.divide(cfg.clip_norm, norm, out=np.ones(batch), where=over)[:, None]
             step += 1
-            bias1 = 1.0 - cfg.beta1**step
-            bias2 = 1.0 - cfg.beta2**step
+            bias1 = 1.0 - BETA1**step
+            bias2 = 1.0 - BETA2**step
             scale = cfg.learning_rate / bias1
             # v = beta2*v + (1-beta2)*g**2; m = beta1*m + (1-beta1)*g;
             # params -= scale*m / (sqrt(v/bias2) + eps), with g's buffer
             # reused once g is spent
-            v *= cfg.beta2
-            v += np.multiply(np.square(g, out=work), 1.0 - cfg.beta2, out=work)
-            m *= cfg.beta1
-            m += np.multiply(g, 1.0 - cfg.beta1, out=g)
+            v *= BETA2
+            v += np.multiply(np.square(g, out=work), 1.0 - BETA2, out=work)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=g)
             denom = np.divide(v, bias2, out=work)
             np.sqrt(denom, out=denom)
-            denom += cfg.epsilon
+            denom += EPSILON
             flat -= np.divide(np.multiply(m, scale, out=g), denom, out=g)
 
         loss_trace[:, epoch] = sq_sum / count
@@ -562,24 +375,3 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
         raise TrainingDivergedError(
             f"training loss became non-finite at step {diverged_at[np.flatnonzero(diverged_at)[0]]}"
         )
-
-
-def train(samples, cfg: TrainConfig) -> TrainResult:
-    """Seeded per-sample Adam training of one model: ``train_batch`` with B = 1.
-
-    Initialization, epoch-wise sample order, and updates are all driven by a
-    PCG64 generator seeded with ``cfg.seed``, so identical (samples, config)
-    give bit-identical parameter trajectories.  Raises
-    TrainingDivergedError when the epoch loss becomes non-finite.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one training sample")
-    if any(s.dim != samples[0].dim for s in samples):
-        raise ValueError("samples must share the same input dimension")
-    if any(s.lag != samples[0].lag for s in samples):
-        raise ValueError("samples must share the same lag")
-    inputs = np.stack([s.inputs for s in samples])[None]
-    targets = np.array([[s.target for s in samples]])
-    result = train_batch(inputs, targets, cfg, seeds=(cfg.seed,))
-    return TrainResult(params=result.params(0), loss_trace=result.loss_trace[0].tolist())

@@ -81,49 +81,83 @@ def ar1_series(phi: float, n: int, rng: np.random.Generator, sigma: float = 1.0)
     return out
 
 
-def lstm_train_per_sample(samples, cfg):
-    """Per-sample Adam training written one sample and one cell at a time.
+def lstm_forward_literal(flat, window, hidden_size: int, cells=None) -> float:
+    """Prediction of one model for one (L, D) window, one cell at a time.
 
-    The literal form of ``dualstock.lstm.train``: 1-D matrix-vector products,
-    ``np.outer`` for the weight gradient, and the clip norm summed per
-    segment in buffer order.  Returns the flat parameter buffer and the
-    epoch loss trace.
+    ``flat`` is the model's (P,) buffer, sliced here by the layout [weights
+    (4H, H+D) row-major, biases (4H,), head_w (H,), head_b]; every product
+    is a 1-D matrix-vector product.  When ``cells`` is a list, each cell's
+    (z, f, i, o, c_hat, c_prev, tanh_c, h) is appended to it.
     """
-    from dualstock.lstm import LstmParams
+    hsz = hidden_size
+    width = hsz + window.shape[1]
+    n_w = 4 * hsz * width
+    weights = flat[:n_w].reshape(4 * hsz, width)
+    biases = flat[n_w : n_w + 4 * hsz]
+    head_w = flat[n_w + 4 * hsz : -1]
+    h, c = np.zeros(hsz), np.zeros(hsz)
+    for x in window:
+        z = np.concatenate([h, x])
+        pre = weights @ z + biases
+        with np.errstate(over="ignore"):
+            gates = 1.0 / (1.0 + np.exp(-pre[: 3 * hsz]))
+        f, i, o = gates[:hsz], gates[hsz : 2 * hsz], gates[2 * hsz :]
+        c_hat = np.tanh(pre[3 * hsz :])
+        c_prev, c = c, i * c_hat + f * c
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        if cells is not None:
+            cells.append((z, f, i, o, c_hat, c_prev, tanh_c, h))
+    return float(head_w @ h + flat[-1])
 
+
+def lstm_train_per_sample(inputs, targets, cfg):
+    """Per-sample Adam training of one model, one sample and one cell at a time.
+
+    ``inputs`` is (N, L, D) and ``targets`` (N,).  The literal form of
+    ``dualstock.lstm.train_batch`` for one model: the init drawn from
+    ``PCG64(cfg.seed)`` (weights, then head weights, uniform in
+    +-1/sqrt(H+D); forget-gate biases 1), one permutation per epoch,
+    ``lstm_forward_literal`` for the forward, ``np.outer`` for the weight
+    gradient, the clip norm summed per segment in buffer order and Adam with
+    beta1 0.9, beta2 0.999 and epsilon 1e-8.  Returns the flat parameter
+    buffer and the epoch loss trace.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     hsz = cfg.hidden_size
-    params = LstmParams.init(rng, hsz, samples[0].dim)
-    weights, biases, head_w = params.weights, params.biases, params.head_w
-    m = np.zeros_like(params.flat)
-    v = np.zeros_like(params.flat)
+    width = hsz + inputs.shape[2]
+    n_w = 4 * hsz * width
+    size = n_w + 5 * hsz + 1
+
+    def segments(buf):
+        return buf[:n_w].reshape(4 * hsz, width), buf[n_w : n_w + 4 * hsz], buf[n_w + 4 * hsz : -1]
+
+    flat = np.zeros(size)
+    weights, biases, head_w = segments(flat)
+    bound = 1.0 / math.sqrt(width)
+    weights[:] = rng.uniform(-bound, bound, size=weights.shape)
+    head_w[:] = rng.uniform(-bound, bound, size=hsz)
+    biases[:hsz] = 1.0
+    m = np.zeros(size)
+    v = np.zeros(size)
     step = 0
     trace = []
     for _ in range(cfg.epochs):
         sq_sum = 0.0
-        for idx in rng.permutation(len(samples)):
-            sample = samples[idx]
-            h, c = np.zeros(hsz), np.zeros(hsz)
+        for idx in rng.permutation(len(inputs)):
             cells = []
-            for x in sample.inputs:
-                z = np.concatenate([h, x])
-                pre = weights @ z + biases
-                with np.errstate(over="ignore"):
-                    gates = 1.0 / (1.0 + np.exp(-pre[: 3 * hsz]))
-                f, i, o = gates[:hsz], gates[hsz : 2 * hsz], gates[2 * hsz :]
-                c_hat = np.tanh(pre[3 * hsz :])
-                c_prev, c = c, i * c_hat + f * c
-                tanh_c = np.tanh(c)
-                h = o * tanh_c
-                cells.append((z, f, i, o, c_hat, c_prev, tanh_c))
-            err = float(head_w @ h + params.head_b) - sample.target
+            err = lstm_forward_literal(flat, inputs[idx], hsz, cells) - targets[idx]
+            h = cells[-1][-1]
             sq_sum += err * err
-            grads = LstmParams.zeros(hsz, params.input_size)
-            grads.head_w[:] = 2.0 * err * h
-            grads.head_b = 2.0 * err
+            grads = np.zeros(size)
+            grad_w, grad_b, grad_head_w = segments(grads)
+            grad_head_w[:] = 2.0 * err * h
+            grads[-1] = 2.0 * err
             dh = 2.0 * err * head_w
             dc = np.zeros(hsz)
-            for z, f, i, o, c_hat, c_prev, tanh_c in reversed(cells):
+            for z, f, i, o, c_hat, c_prev, tanh_c, _ in reversed(cells):
                 do = dh * tanh_c
                 dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
                 dz = np.concatenate(
@@ -134,21 +168,20 @@ def lstm_train_per_sample(samples, cfg):
                         dc * i * (1.0 - c_hat * c_hat),
                     ]
                 )
-                grads.weights += np.outer(dz, z)
-                grads.biases += dz
+                grad_w += np.outer(dz, z)
+                grad_b += dz
                 dh = (weights.T @ dz)[:hsz]
                 dc = dc * f
-            segments = (grads.weights, grads.biases, grads.head_w, grads.flat[-1:])
-            norm = math.sqrt(sum(float((g * g).sum()) for g in segments))
+            norm = math.sqrt(sum(float((g * g).sum()) for g in (grad_w, grad_b, grad_head_w, grads[-1:])))
             if norm > cfg.clip_norm:
-                grads.flat *= cfg.clip_norm / norm
+                grads *= cfg.clip_norm / norm
             step += 1
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grads.flat
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grads.flat**2
-            scale = cfg.learning_rate / (1.0 - cfg.beta1**step)
-            params.flat -= scale * m / (np.sqrt(v / (1.0 - cfg.beta2**step)) + cfg.epsilon)
-        trace.append(sq_sum / len(samples))
-    return params.flat, trace
+            m = 0.9 * m + (1.0 - 0.9) * grads
+            v = 0.999 * v + (1.0 - 0.999) * grads**2
+            scale = cfg.learning_rate / (1.0 - 0.9**step)
+            flat -= scale * m / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+        trace.append(sq_sum / len(inputs))
+    return flat, trace
 
 
 def coherence_single_pad(x_a, x_b, grid, time_std: float = 1.0, octaves: float = 0.6, dt: float = 1.0):

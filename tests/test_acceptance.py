@@ -16,7 +16,7 @@ import pytest
 
 from dualstock.cli import main
 from dualstock.forecast import RegimeSpec, forecast
-from dualstock.lstm import LstmParams, LstmState, TrainConfig, lstm_cell_forward
+from dualstock.lstm import TrainConfig, _param_count, _Views
 from dualstock.metrics import mae, mape, rmse
 from dualstock.significance import MonteCarloSpec, significance
 from dualstock.timeseries import premium_summary
@@ -30,7 +30,7 @@ from _oracles import (
     rmse_brute,
     sorted_quantile,
 )
-from test_lstm import numeric_vs_analytic
+from test_lstm import gates, numeric_vs_analytic, run_cells
 
 
 @contextmanager
@@ -121,23 +121,24 @@ def test_05_null_calibration():
 def test_06_lstm_cell_oracle():
     with criterion(6, "LSTM forward hand values 1e-8; gradcheck < 1e-4 on 50 nets"):
         # zero parameters, zero state
-        params = LstmParams.zeros(1, 1)
-        state, cache = lstm_cell_forward(params, np.array([0.4]), LstmState.zero(1))
-        for gate in ("f", "i", "o"):
-            assert cache[gate][0] == pytest.approx(0.5, abs=1e-8)
-        assert cache["c_hat"][0] == 0.0 and state.h[0] == 0.0
+        zeros = np.zeros(_param_count(1, 1))
+        _, cache = run_cells(zeros, [[0.4]], hidden=1)
+        for gate in gates(cache)[:3]:
+            assert gate[0] == pytest.approx(0.5, abs=1e-8)
+        assert gates(cache)[3][0] == 0.0 and cache.z[1, 0, 0] == 0.0
         # zero parameters, prior cell state 1
-        state, _ = lstm_cell_forward(params, np.array([0.0]), LstmState(h=np.zeros(1), c=np.ones(1)))
-        assert state.c[0] == pytest.approx(0.5, abs=1e-8)
-        assert state.h[0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-8)
+        _, cache = run_cells(zeros, [[0.0]], hidden=1, c0=1.0)
+        assert cache.c[1, 0, 0] == pytest.approx(0.5, abs=1e-8)
+        assert cache.z[1, 0, 0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-8)
         # saturated gates pass the candidate through
-        sat = LstmParams.zeros(1, 1)
-        sat.biases[0] = -20.0
-        sat.biases[1] = 20.0
-        sat.weights[3, 1] = 1.0
+        sat = np.zeros(_param_count(1, 1))
+        views = _Views(sat[None], 1, 1)
+        views.biases[0, 0] = -20.0
+        views.biases[0, 1] = 20.0
+        views.weights[0, 3, 1] = 1.0
         for x in (0.25, -0.9):
-            state, _ = lstm_cell_forward(sat, np.array([x]), LstmState.zero(1))
-            assert state.c[0] == pytest.approx(math.tanh(x), abs=1e-8)
+            _, cache = run_cells(sat, [[x]], hidden=1)
+            assert cache.c[1, 0, 0] == pytest.approx(math.tanh(x), abs=1e-8)
         worst = max(numeric_vs_analytic(seed) for seed in range(50))
         assert worst < 1e-4
 

@@ -346,6 +346,47 @@ class TestForecastCommand:
         runs = sorted(o["path"] for o in manifest["outputs"] if "/runs/" in o["path"])
         assert runs == ["forecast/runs/AAA_lag4_dual-no_mece.csv", "forecast/runs/AAA_lag4_dual-no_mece.json"]
 
+    def test_write_error_in_one_run_does_not_stop_the_others(self, tmp_path):
+        config_path = self.forecast_config(tmp_path)
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        (runs_dir / "AAA_lag4_dual-no_w10.json").mkdir(parents=True)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith("forecast AAA lag=4 dual=no window=10: ")
+        listed = [o["path"].split("/")[-2:] for o in manifest["outputs"]]
+        expected = [
+            f"{t}_lag4_dual-no_{r}.{ext}"
+            for t in ("AAA", "BBB", "CCC") for r in ("mece", "w10", "w5") for ext in ("csv", "json")
+        ]
+        expected.remove("AAA_lag4_dual-no_w10.json")
+        assert [name for folder, name in listed if folder == "runs"] == expected
+        assert sorted(p.name for p in runs_dir.iterdir() if p.is_file()) == expected
+        assert [name for folder, name in listed if folder == "grids"] == [
+            "AAA.csv", "AAA.json", "BBB.csv", "BBB.json", "CCC.csv", "CCC.json", "long.csv"
+        ]
+        # the run that failed is missing from its ticker's grid
+        grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())
+        assert grid["missing"] == ["window=10|lag=4|dual=no"]
+
+    def test_grid_write_error_keeps_the_written_files(self, tmp_path):
+        config_path = self.forecast_config(tmp_path, windows=[5], mece_train_size=None)
+        (tmp_path / "out" / "forecast" / "grids" / "long.csv").mkdir(parents=True)
+        (tmp_path / "rep" / "report" / "long.csv").mkdir(parents=True)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        runs = [f"{t}_lag4_dual-no_w5.{ext}" for t in ("AAA", "BBB", "CCC") for ext in ("csv", "json")]
+        grids = ["AAA.csv", "AAA.json", "BBB.csv", "BBB.json", "CCC.csv", "CCC.json"]
+        for out, command, expected in (
+            ("out", "forecast", [f"forecast/grids/{g}" for g in grids] + [f"forecast/runs/{r}" for r in runs]),
+            ("rep", "report", [f"report/{g}" for g in grids]),
+        ):
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert [o["path"] for o in manifest["outputs"]] == expected
+            assert len(manifest["failures"]) == 1
+            assert manifest["failures"][0].startswith(f"{command} grids: ")
+
     def test_unknown_forecast_ticker_rejected(self, tmp_path):
         config_path = self.forecast_config(tmp_path, tickers=["ZZZ"])
         assert main(["forecast", "--config", str(config_path)]) == 1

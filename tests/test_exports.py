@@ -1,0 +1,36 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import dualstock
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(dualstock.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_exists(name):
+    module = importlib.import_module(f"dualstock.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_listed_names():
+    # every name dualstock/__init__.py imports from a module is in that
+    # module's __all__, so deleting a name cannot leave a stale export behind
+    tree = ast.parse(Path(dualstock.__file__).read_text(encoding="utf-8"))
+    reexports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert {module for module, _ in reexports} >= {"lstm", "forecast"}
+    unlisted = [
+        (module, name)
+        for module, name in reexports
+        if name not in importlib.import_module(f"dualstock.{module}").__all__
+    ]
+    assert unlisted == []
+

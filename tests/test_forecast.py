@@ -1,18 +1,19 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _oracles import lstm_forward_literal, lstm_train_per_sample
 from dualstock.forecast import (
     ForecastRun,
     PriceScaleWarning,
     RegimeSpec,
-    build_supervised,
     forecast,
     scale_price,
     unscale,
 )
-from dualstock.lstm import TrainConfig, predict, train
+from dualstock.lstm import TrainConfig
 from dualstock.seeds import child_seed
 
 FAST = dict(epochs=3, hidden_size=3)
@@ -61,39 +62,67 @@ class TestScaling:
 
 
 class TestBuildSupervised:
-    def test_counting_without_dual(self):
-        samples = build_supervised(np.arange(6, dtype=float) / 10, lag=4)
-        assert len(samples) == 2
-        assert all(s.inputs.shape == (4, 1) for s in samples)
-        assert samples[0].target == 0.4
-        assert np.array_equal(samples[0].inputs[:, 0], [0.0, 0.1, 0.2, 0.3])
+    """The (window, target) samples that ``forecast`` trains on."""
 
-    def test_dual_dimension(self):
-        own = np.linspace(0, 1, 12)
-        sib = (own * 0.5, own * 0.25)
-        samples = build_supervised(own, sib, lag=9, include_dual=True)
-        assert all(s.inputs.shape == (9, 3) for s in samples)
-        assert len(samples) == 3
+    def training_set(self, monkeypatch, *args, **kwargs):
+        """The inputs and targets ``forecast(*args, **kwargs)`` passes to ``train_batch``."""
+        forecast_module = importlib.import_module("dualstock.forecast")
+        real_train_batch = forecast_module.train_batch
+        seen = []
 
-    def test_causality_under_mutation(self):
-        own = np.arange(8, dtype=float)
-        samples = build_supervised(own, lag=3)
-        snapshot = [s.inputs.copy() for s in samples]
-        own[5] = 999.0  # later observation
-        for before, sample in zip(snapshot, samples):
-            assert np.array_equal(before, sample.inputs)
+        def recording(inputs, targets, cfg, seeds):
+            seen.append((inputs, targets))
+            return real_train_batch(inputs, targets, cfg, seeds)
+
+        monkeypatch.setattr(forecast_module, "train_batch", recording)
+        forecast(*args, **kwargs)
+        [(inputs, targets)] = seen
+        return inputs, targets
+
+    def test_counting_without_dual(self, monkeypatch):
+        prices = 100.0 + 10.0 * np.arange(7)
+        inputs, targets = self.training_set(
+            monkeypatch, prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(6, 1)
+        )
+        assert inputs.shape == (1, 2, 4, 1)  # window 6 at lag 4: 2 samples of (4, 1)
+        scaled = scale_price(prices)
+        assert targets[0, 0] == scaled[4]
+        assert np.array_equal(inputs[0, 0, :, 0], scaled[:4])
+        assert np.allclose(scaled[:5], [0.0, 0.1, 0.2, 0.3, 0.4], atol=1e-15)
+
+    def test_dual_dimension(self, monkeypatch):
+        prices = synthetic_prices(13)
+        sib = (synthetic_prices(13, seed=5), synthetic_prices(13, seed=6))
+        inputs, _ = self.training_set(
+            monkeypatch, prices, sib, lag=9, include_dual=True,
+            cfg=TrainConfig(seed=1, **FAST), regime=mece(12, 1),
+        )
+        assert inputs.shape == (1, 3, 9, 3)
+        scaled = [scale_price(x) for x in (prices, *sib)]
+        assert np.array_equal(inputs[0, 2], np.column_stack(scaled)[2:11])
 
     def test_insufficient_length(self):
-        with pytest.raises(ValueError, match="more than lag"):
-            build_supervised(np.ones(4), lag=4)
+        with pytest.raises(ValueError, match="no samples"):
+            forecast(np.full(6, 20.0), lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(4, 2))
+
+    @pytest.mark.parametrize("lag", [0, -1])
+    def test_lag_must_be_positive(self, lag):
+        with pytest.raises(ValueError, match="lag must be >= 1"):
+            forecast(np.full(40, 20.0), lag=lag, cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 3))
 
     def test_dual_requires_two_siblings(self):
         with pytest.raises(ValueError, match="two sibling"):
-            build_supervised(np.ones(10), (np.ones(10),), lag=2, include_dual=True)
+            forecast(
+                np.full(10, 20.0), (np.full(10, 20.0),), lag=2, include_dual=True,
+                cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 2),
+            )
 
     def test_sibling_alignment_checked(self):
         with pytest.raises(ValueError, match="aligned"):
-            build_supervised(np.ones(10), (np.ones(9), np.ones(10)), lag=2, include_dual=True)
+            forecast(
+                np.full(10, 20.0), (np.full(9, 20.0), np.full(10, 20.0)), lag=2, include_dual=True,
+                cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 2),
+            )
 
 
 class TestRegimeSpec:
@@ -232,20 +261,20 @@ class TestBatchedTraining:
     @pytest.mark.parametrize("lag", [4, 9])
     @pytest.mark.parametrize("dual", [False, True])
     def test_rolling_equals_per_origin_reference(self, lag, dual):
-        # the lockstep batch of a rolling run gives, bit for bit, what one
-        # build_supervised + train + predict per origin gives
+        # the lockstep batch of a rolling run gives, bit for bit, what the
+        # literal trainer and forward give for one origin at a time
         prices = synthetic_prices(60)
         sibs = (synthetic_prices(60, seed=5, level=20.0), synthetic_prices(60, seed=6, level=30.0))
         cfg = TrainConfig(seed=11, **FAST)
         run = forecast(prices, sibs, lag=lag, include_dual=dual, cfg=cfg, regime=rolling(12, 8))
         own = scale_price(prices)
-        scaled_sibs = tuple(scale_price(s) for s in sibs)
-        features = np.column_stack([own, *scaled_sibs]) if dual else own[:, None]
+        features = np.column_stack([own, *(scale_price(s) for s in sibs)]) if dual else own[:, None]
         for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
-            window_sibs = tuple(s[start:end] for s in scaled_sibs)
-            samples = build_supervised(own[start:end], window_sibs, lag=lag, include_dual=dual)
-            params = train(samples, replace(cfg, seed=child_seed(cfg.seed, f"origin:{origin}"))).params
-            assert run.predictions[k] == unscale(predict(params, features[origin - lag : origin]))
+            windows = np.array([features[t - lag : t] for t in range(start + lag, end)])
+            seed = child_seed(cfg.seed, f"origin:{origin}")
+            flat, _ = lstm_train_per_sample(windows, own[start + lag : end], replace(cfg, seed=seed))
+            prediction = lstm_forward_literal(flat, features[origin - lag : origin], cfg.hidden_size)
+            assert run.predictions[k] == unscale(prediction)
 
 
 class TestForecastRunValidation:

@@ -4,22 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import lstm_train_per_sample
+from _oracles import lstm_forward_literal, lstm_train_per_sample
 from dualstock import lstm
 from dualstock.lstm import (
-    FeatureSample,
-    LstmParams,
-    LstmState,
     TrainConfig,
     TrainingDivergedError,
-    backward,
-    forward_sequence,
+    _backward,
     _Cache,
     _check_ranges,
-    lstm_cell_forward,
-    predict,
+    _forward,
+    _init_params,
+    _param_count,
+    _Views,
     predict_batch,
-    train,
     train_batch,
 )
 
@@ -28,93 +25,114 @@ from dualstock.lstm import (
 GRADCHECK_FLOOR = 1e-6
 
 
+def random_flat(rng, batch: int, hidden: int, dim: int) -> np.ndarray:
+    """(B, P) parameter buffers with every entry uniform in +-1/sqrt(H+D)."""
+    bound = 1.0 / math.sqrt(hidden + dim)
+    return rng.uniform(-bound, bound, size=(batch, _param_count(hidden, dim)))
+
+
+def run_cells(flat, window, hidden: int, h0=0.0, c0=0.0):
+    """One model's (P,) buffer run over an (L, D) window from the state (h0, c0).
+
+    Returns the prediction and the B = 1 cache holding every cell's activations.
+    """
+    window = np.asarray(window, dtype=np.float64)
+    cache = _Cache(1, window.shape[0], hidden, window.shape[1])
+    cache.z[:-1, 0, hidden:] = window
+    cache.z[0, 0, :hidden] = h0
+    cache.c[0, 0] = c0
+    prediction = _forward(_Views(flat[None], hidden, window.shape[1]), cache)[0]
+    return prediction, cache
+
+
 def numeric_vs_analytic(seed: int) -> float:
-    """Worst relative error between BPTT gradients and central differences."""
+    """Worst relative error between BPTT gradients and central differences.
+
+    Every entry of the (1, P) buffer is perturbed, the head bias included.
+    """
     rng = np.random.default_rng(seed)
     hidden = int(rng.integers(1, 5))
     dim = int(rng.integers(1, 4))
     lag = int(rng.integers(1, 7))
-    params = LstmParams.init(rng, hidden, dim)
-    sample = FeatureSample(inputs=rng.standard_normal((lag, dim)), target=float(rng.standard_normal()))
-    prediction, caches = forward_sequence(params, sample)
-    grads = backward(params, sample, caches, 2.0 * (prediction - sample.target))
+    flat = random_flat(rng, 1, hidden, dim)
+    window = rng.standard_normal((lag, dim))
+    target = float(rng.standard_normal())
+    params = _Views(flat, hidden, dim)
+    cache = _Cache(1, lag, hidden, dim)
+    cache.z[:-1, 0, hidden:] = window
+    grads = _Views(np.empty_like(flat), hidden, dim)
+    _backward(params, cache, 2.0 * (_forward(params, cache) - target), grads)
+    analytic = grads.flat[0].copy()
 
     def loss() -> float:
-        p, _ = forward_sequence(params, sample)
-        return (p - sample.target) ** 2
+        return float((_forward(params, cache)[0] - target) ** 2)
 
     step = 1e-5
     worst = 0.0
-    for arr, grad_arr in (
-        (params.weights, grads.weights),
-        (params.biases, grads.biases),
-        (params.head_w, grads.head_w),
-    ):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            up = loss()
-            arr[idx] = orig - step
-            down = loss()
-            arr[idx] = orig
-            numeric = (up - down) / (2 * step)
-            rel = abs(numeric - grad_arr[idx]) / max(abs(numeric), abs(grad_arr[idx]), GRADCHECK_FLOOR)
-            worst = max(worst, rel)
-    orig = params.head_b
-    params.head_b = orig + step
-    up = loss()
-    params.head_b = orig - step
-    down = loss()
-    params.head_b = orig
-    numeric = (up - down) / (2 * step)
-    worst = max(worst, abs(numeric - grads.head_b) / max(abs(numeric), abs(grads.head_b), GRADCHECK_FLOOR))
+    row = flat[0]
+    for idx in range(row.size):
+        orig = row[idx]
+        row[idx] = orig + step
+        up = loss()
+        row[idx] = orig - step
+        down = loss()
+        row[idx] = orig
+        numeric = (up - down) / (2 * step)
+        rel = abs(numeric - analytic[idx]) / max(abs(numeric), abs(analytic[idx]), GRADCHECK_FLOOR)
+        worst = max(worst, rel)
     return worst
+
+
+def gates(cache: _Cache, t: int = 0):
+    """f, i, o and c_hat of cell t of the first model."""
+    hsz = cache.hidden_size
+    act = cache.act[t, 0]
+    return act[:hsz], act[hsz : 2 * hsz], act[2 * hsz : 3 * hsz], act[3 * hsz :]
 
 
 class TestCellForward:
     def test_zero_params_zero_state(self):
-        params = LstmParams.zeros(2, 1)
-        state, cache = lstm_cell_forward(params, np.array([0.7]), LstmState.zero(2))
-        assert np.array_equal(cache["f"], [0.5, 0.5])
-        assert np.array_equal(cache["i"], [0.5, 0.5])
-        assert np.array_equal(cache["o"], [0.5, 0.5])
-        assert np.array_equal(cache["c_hat"], [0.0, 0.0])
-        assert np.array_equal(state.c, [0.0, 0.0])
-        assert np.array_equal(state.h, [0.0, 0.0])
+        _, cache = run_cells(np.zeros(_param_count(2, 1)), [[0.7]], hidden=2)
+        f, i, o, c_hat = gates(cache)
+        assert np.array_equal(f, [0.5, 0.5])
+        assert np.array_equal(i, [0.5, 0.5])
+        assert np.array_equal(o, [0.5, 0.5])
+        assert np.array_equal(c_hat, [0.0, 0.0])
+        assert np.array_equal(cache.c[1, 0], [0.0, 0.0])
+        assert np.array_equal(cache.z[1, 0, :2], [0.0, 0.0])
 
     def test_zero_params_with_prior_cell(self):
-        params = LstmParams.zeros(1, 1)
-        state, _ = lstm_cell_forward(params, np.array([0.0]), LstmState(h=np.zeros(1), c=np.ones(1)))
-        assert state.c[0] == pytest.approx(0.5, abs=1e-12)
-        assert state.h[0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
-        assert state.h[0] == pytest.approx(0.231059, abs=1e-6)
+        _, cache = run_cells(np.zeros(_param_count(1, 1)), [[0.0]], hidden=1, c0=1.0)
+        c, h = cache.c[1, 0, 0], cache.z[1, 0, 0]
+        assert c == pytest.approx(0.5, abs=1e-12)
+        assert h == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
+        assert h == pytest.approx(0.231059, abs=1e-6)
 
     def test_saturated_gates_pass_input_through_tanh(self):
-        params = LstmParams.zeros(1, 1)
-        params.biases[0] = -20.0  # forget gate shut
-        params.biases[1] = 20.0  # input gate open
-        params.weights[3, 1] = 1.0  # candidate reads x directly
+        flat = np.zeros(_param_count(1, 1))
+        params = _Views(flat[None], 1, 1)
+        params.biases[0, 0] = -20.0  # forget gate shut
+        params.biases[0, 1] = 20.0  # input gate open
+        params.weights[0, 3, 1] = 1.0  # candidate reads x directly
         for x in (0.3, -0.7, 1.2):
-            state, _ = lstm_cell_forward(params, np.array([x]), LstmState.zero(1))
-            assert state.c[0] == pytest.approx(math.tanh(x), abs=1e-8)
+            _, cache = run_cells(flat, [[x]], hidden=1)
+            assert cache.c[1, 0, 0] == pytest.approx(math.tanh(x), abs=1e-8)
 
     def test_gate_ranges_random(self):
         rng = np.random.default_rng(7)
-        params = LstmParams.init(rng, 6, 2)
-        state = LstmState.zero(6)
-        for _ in range(20):
-            state, cache = lstm_cell_forward(params, rng.standard_normal(2), state)
-            for gate in ("f", "i", "o"):
-                assert ((cache[gate] > 0) & (cache[gate] < 1)).all()
-            assert (np.abs(cache["c_hat"]) < 1).all()
-            assert (np.abs(state.h) <= 1).all()
+        flat = random_flat(rng, 1, 6, 2)[0]
+        _, cache = run_cells(flat, rng.standard_normal((20, 2)), hidden=6)
+        for t in range(20):
+            f, i, o, c_hat = gates(cache, t)
+            for gate in (f, i, o):
+                assert ((gate > 0) & (gate < 1)).all()
+            assert (np.abs(c_hat) < 1).all()
+            assert (np.abs(cache.z[t + 1, 0, :6]) <= 1).all()
 
     def test_shape_mismatch(self):
-        params = LstmParams.zeros(2, 1)
+        # a window of D = 2 against a D = 1 model's buffer
         with pytest.raises(ValueError, match="shape"):
-            lstm_cell_forward(params, np.array([1.0, 2.0]), LstmState.zero(2))
+            predict_batch(np.zeros((1, _param_count(2, 1))), np.ones((1, 1, 2)), hidden_size=2)
 
     def test_range_check_is_a_real_check(self):
         # an activation outside its range raises (also under python -O);
@@ -135,40 +153,29 @@ class TestCellForward:
 
 class TestForwardSequence:
     def test_zero_params_returns_head_bias(self):
-        params = LstmParams.zeros(3, 1)
-        params.head_b = 0.42
-        sample = FeatureSample(inputs=np.ones((5, 1)), target=0.0)
-        prediction, caches = forward_sequence(params, sample)
+        flat = np.zeros(_param_count(3, 1))
+        flat[-1] = 0.42
+        prediction, cache = run_cells(flat, np.ones((5, 1)), hidden=3)
         assert prediction == 0.42
-        assert len(caches) == 5
+        assert cache.lag == 5
+        assert predict_batch(flat[None], np.ones((1, 5, 1)), hidden_size=3)[0] == 0.42
 
     def test_single_step_equals_cell_plus_head(self):
         rng = np.random.default_rng(8)
-        params = LstmParams.init(rng, 4, 2)
+        flat = random_flat(rng, 1, 4, 2)
         x = rng.standard_normal(2)
-        state, _ = lstm_cell_forward(params, x, LstmState.zero(4))
-        expected = float(params.head_w @ state.h + params.head_b)
-        prediction, _ = forward_sequence(params, FeatureSample(inputs=x[None, :], target=0.0))
-        assert prediction == expected
-
-    def test_prediction_reads_only_sample_inputs(self):
-        # fuzz: mutating the source array after sample construction must not
-        # change the prediction (inputs are copied and frozen)
-        rng = np.random.default_rng(9)
-        params = LstmParams.init(rng, 3, 1)
-        source = rng.standard_normal((4, 1))
-        sample = FeatureSample(inputs=source.copy(), target=0.0)
-        before, _ = forward_sequence(params, sample)
-        source[:] = 99.0
-        after, _ = forward_sequence(params, sample)
-        assert before == after
+        _, cache = run_cells(flat[0], x[None, :], hidden=4)
+        head = _Views(flat, 4, 2)
+        expected = float(head.head_w[0] @ cache.z[1, 0, :4] + head.head_b[0])
+        assert predict_batch(flat, x[None, None, :], hidden_size=4)[0] == expected
 
     def test_predict_matches_forward(self):
         rng = np.random.default_rng(10)
-        params = LstmParams.init(rng, 3, 2)
+        flat = random_flat(rng, 1, 3, 2)
         window = rng.standard_normal((6, 2))
-        prediction, _ = forward_sequence(params, FeatureSample(inputs=window, target=0.0))
-        assert predict(params, window) == prediction
+        prediction, _ = run_cells(flat[0], window, hidden=3)
+        assert predict_batch(flat, window[None], hidden_size=3)[0] == prediction
+        assert prediction == lstm_forward_literal(flat[0], window, 3)
 
 
 class TestBackward:
@@ -176,99 +183,82 @@ class TestBackward:
         worst = max(numeric_vs_analytic(seed) for seed in range(10))
         assert worst < 1e-4
 
+    def backward(self, seed: int, hidden: int, loss_grad: float) -> _Views:
+        rng = np.random.default_rng(seed)
+        flat = random_flat(rng, 1, hidden, 1)
+        cache = _Cache(1, 4, hidden, 1)
+        cache.z[:-1, 0, hidden:] = rng.standard_normal((4, 1))
+        params = _Views(flat, hidden, 1)
+        _forward(params, cache)
+        grads = _Views(np.full_like(flat, np.nan), hidden, 1)
+        _backward(params, cache, np.array([loss_grad]), grads)
+        return grads
+
     def test_zero_loss_grad_zeroes_everything(self):
-        rng = np.random.default_rng(11)
-        params = LstmParams.init(rng, 3, 1)
-        sample = FeatureSample(inputs=rng.standard_normal((4, 1)), target=0.0)
-        _, caches = forward_sequence(params, sample)
-        grads = backward(params, sample, caches, 0.0)
+        grads = self.backward(11, hidden=3, loss_grad=0.0)
         assert np.abs(grads.weights).max() == 0.0
         assert np.abs(grads.biases).max() == 0.0
         assert np.abs(grads.head_w).max() == 0.0
-        assert grads.head_b == 0.0
+        assert grads.head_b[0] == 0.0
 
     def test_head_bias_gradient_is_loss_grad(self):
-        rng = np.random.default_rng(12)
-        params = LstmParams.init(rng, 2, 1)
-        sample = FeatureSample(inputs=rng.standard_normal((3, 1)), target=0.0)
-        _, caches = forward_sequence(params, sample)
-        grads = backward(params, sample, caches, 1.7)
-        assert grads.head_b == 1.7
+        grads = self.backward(12, hidden=2, loss_grad=1.7)
+        assert grads.head_b[0] == 1.7
 
-    def test_cache_mismatch(self):
-        rng = np.random.default_rng(13)
-        params = LstmParams.init(rng, 2, 1)
-        sample = FeatureSample(inputs=rng.standard_normal((3, 1)), target=0.0)
-        _, caches = forward_sequence(params, sample)
-        with pytest.raises(ValueError, match="cache"):
-            backward(params, sample, caches[:-1], 1.0)
+
+def make_samples(rng, count=10, lag=4, dim=1, target=0.3):
+    """(1, N, L, D) inputs and (1, N) constant targets of one model."""
+    inputs = np.stack([0.1 * rng.standard_normal((lag, dim)) for _ in range(count)])
+    return inputs[None], np.full((1, count), target)
 
 
 class TestTrain:
-    def make_samples(self, rng, count=10, lag=4, dim=1, target=0.3):
-        return [
-            FeatureSample(inputs=0.1 * rng.standard_normal((lag, dim)), target=target)
-            for _ in range(count)
-        ]
-
     def test_constant_target_converges(self):
         rng = np.random.default_rng(14)
-        samples = self.make_samples(rng)
-        result = train(samples, TrainConfig(seed=5, epochs=200, hidden_size=4))
-        assert result.loss_trace[-1] < 1e-4
+        inputs, targets = make_samples(rng)
+        result = train_batch(inputs, targets, TrainConfig(seed=5, epochs=200, hidden_size=4), seeds=[5])
+        assert result.loss_trace[0, -1] < 1e-4
 
     def test_bit_identical_given_seed(self):
         rng = np.random.default_rng(15)
-        samples = self.make_samples(rng, target=0.1)
+        inputs, targets = make_samples(rng, target=0.1)
         cfg = TrainConfig(seed=77, epochs=5, hidden_size=4)
-        r1 = train(samples, cfg)
-        r2 = train(samples, cfg)
-        assert np.array_equal(r1.params.weights, r2.params.weights)
-        assert np.array_equal(r1.params.biases, r2.params.biases)
-        assert np.array_equal(r1.params.head_w, r2.params.head_w)
-        assert r1.params.head_b == r2.params.head_b
-        assert r1.loss_trace == r2.loss_trace
+        r1 = train_batch(inputs, targets, cfg, seeds=[77])
+        r2 = train_batch(inputs, targets, cfg, seeds=[77])
+        assert np.array_equal(r1.flat, r2.flat)
+        assert np.array_equal(r1.loss_trace, r2.loss_trace)
 
     def test_seed_changes_trajectory(self):
         rng = np.random.default_rng(16)
-        samples = self.make_samples(rng, target=0.1)
-        r1 = train(samples, TrainConfig(seed=1, epochs=3, hidden_size=4))
-        r2 = train(samples, TrainConfig(seed=2, epochs=3, hidden_size=4))
-        assert not np.array_equal(r1.params.weights, r2.params.weights)
+        inputs, targets = make_samples(rng, target=0.1)
+        cfg = TrainConfig(seed=0, epochs=3, hidden_size=4)
+        r1 = train_batch(inputs, targets, cfg, seeds=[1])
+        r2 = train_batch(inputs, targets, cfg, seeds=[2])
+        assert not np.array_equal(_Views(r1.flat, 4, 1).weights, _Views(r2.flat, 4, 1).weights)
 
     def test_divergence_raises(self):
-        sample = FeatureSample(inputs=np.zeros((2, 1)), target=float("nan"))
+        cfg = TrainConfig(seed=0, epochs=1, hidden_size=2)
         with pytest.raises(TrainingDivergedError):
-            train([sample], TrainConfig(seed=0, epochs=1, hidden_size=2))
+            train_batch(np.zeros((1, 1, 2, 1)), np.full((1, 1), np.nan), cfg, seeds=[0])
 
     def test_divergence_mid_epoch_raises_at_epoch_end(self):
         # the NaN parameters left by one sample reach the next samples of the
         # epoch; the run still fails as diverged, at the end of that epoch
         rng = np.random.default_rng(19)
-        samples = self.make_samples(rng, count=4)
-        samples[1] = FeatureSample(inputs=samples[1].inputs, target=float("nan"))
+        inputs, targets = make_samples(rng, count=4)
+        targets[0, 1] = np.nan
         with pytest.raises(TrainingDivergedError, match="at step 4$"):
-            train(samples, TrainConfig(seed=0, epochs=3, hidden_size=2))
+            train_batch(inputs, targets, TrainConfig(seed=0, epochs=3, hidden_size=2), seeds=[0])
 
     @pytest.mark.parametrize("lag, dim, hidden", [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)])
     def test_matches_per_sample_oracle(self, lag, dim, hidden):
         rng = np.random.default_rng(20 + lag)
-        samples = self.make_samples(rng, count=7, lag=lag, dim=dim, target=0.2)
+        inputs, targets = make_samples(rng, count=7, lag=lag, dim=dim, target=0.2)
         cfg = TrainConfig(seed=lag, epochs=3, hidden_size=hidden, learning_rate=0.05)
-        result = train(samples, cfg)
-        flat, trace = lstm_train_per_sample(samples, cfg)
-        assert np.array_equal(result.params.flat, flat)
-        assert result.loss_trace == trace
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            train([], TrainConfig(seed=0))
-
-    def test_mixed_dims_rejected(self):
-        s1 = FeatureSample(inputs=np.zeros((2, 1)), target=0.0)
-        s2 = FeatureSample(inputs=np.zeros((2, 3)), target=0.0)
-        with pytest.raises(ValueError, match="dimension"):
-            train([s1, s2], TrainConfig(seed=0))
+        result = train_batch(inputs, targets, cfg, seeds=[lag])
+        flat, trace = lstm_train_per_sample(inputs[0], targets[0], cfg)
+        assert np.array_equal(result.flat[0], flat)
+        assert result.loss_trace[0].tolist() == trace
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -297,13 +287,14 @@ class TestTrainBatch:
         seeds = [int(s) for s in rng.integers(0, 2**31, batch)]
         cfg = TrainConfig(seed=0, epochs=3, hidden_size=4)
         result = train_batch(inputs, targets, cfg, seeds)
-        assert result.flat.shape == (batch, LstmParams.zeros(4, dim).flat.size)
+        assert result.flat.shape == (batch, 4 * 4 * (4 + dim) + 5 * 4 + 1)
         for b in range(batch):
-            samples = [FeatureSample(inputs=inputs[b, k], target=targets[b, k]) for k in range(count)]
-            alone = train(samples, replace(cfg, seed=seeds[b]))
-            assert np.array_equal(result.flat[b], alone.params.flat)
-            assert result.loss_trace[b].tolist() == alone.loss_trace
-            assert np.array_equal(result.params(b).flat, alone.params.flat)
+            alone = train_batch(inputs[b : b + 1], targets[b : b + 1], cfg, seeds[b : b + 1])
+            assert np.array_equal(result.flat[b], alone.flat[0])
+            assert np.array_equal(result.loss_trace[b], alone.loss_trace[0])
+            flat, trace = lstm_train_per_sample(inputs[b], targets[b], replace(cfg, seed=seeds[b]))
+            assert np.array_equal(result.flat[b], flat)
+            assert result.loss_trace[b].tolist() == trace
 
     def test_blocks_do_not_change_models(self, monkeypatch):
         rng = np.random.default_rng(42)
@@ -325,10 +316,10 @@ class TestTrainBatch:
 
     def test_predict_batch_matches_predict(self):
         rng = np.random.default_rng(40)
-        models = [LstmParams.init(rng, 3, 2) for _ in range(5)]
+        flat = random_flat(rng, 5, 3, 2)
         windows = rng.standard_normal((5, 4, 2))
-        batched = predict_batch(np.stack([p.flat for p in models]), windows, hidden_size=3)
-        assert batched.tolist() == [predict(p, w) for p, w in zip(models, windows)]
+        batched = predict_batch(flat, windows, hidden_size=3)
+        assert batched.tolist() == [lstm_forward_literal(p, w, 3) for p, w in zip(flat, windows)]
 
     def test_diverged_model_fails_its_batch_with_its_step(self):
         rng = np.random.default_rng(41)
@@ -338,9 +329,8 @@ class TestTrainBatch:
         cfg = TrainConfig(seed=0, epochs=2, hidden_size=2)
         with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
             train_batch(inputs, targets, cfg, seeds=[1, 2, 3])
-        samples = [FeatureSample(inputs=inputs[1, k], target=targets[1, k]) for k in range(4)]
         with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
-            train(samples, replace(cfg, seed=2))
+            train_batch(inputs[1:2], targets[1:2], cfg, seeds=[2])
 
     @pytest.mark.parametrize(
         "inputs, targets, seeds",
@@ -348,54 +338,45 @@ class TestTrainBatch:
             (np.zeros((2, 3, 1)), np.zeros((2, 3)), [0, 1]),
             (np.zeros((2, 3, 2, 1)), np.zeros((2, 4)), [0, 1]),
             (np.zeros((2, 3, 2, 1)), np.zeros((2, 3)), [0]),
+            pytest.param(np.zeros((1, 0, 2, 1)), np.zeros((1, 0)), [0], id="no-samples"),
+            pytest.param([[np.zeros((2, 1)), np.zeros((2, 3))]], np.zeros((1, 2)), [0], id="mixed-dims"),
+            pytest.param([[np.zeros((2, 1)), np.zeros((3, 1))]], np.zeros((1, 2)), [0], id="mixed-lags"),
         ],
     )
     def test_shapes_validated(self, inputs, targets, seeds):
         with pytest.raises(ValueError):
             train_batch(inputs, targets, TrainConfig(seed=0, epochs=1), seeds)
 
-    def test_mixed_lags_rejected_by_train(self):
-        s1 = FeatureSample(inputs=np.zeros((2, 1)), target=0.0)
-        s2 = FeatureSample(inputs=np.zeros((3, 1)), target=0.0)
-        with pytest.raises(ValueError, match="lag"):
-            train([s1, s2], TrainConfig(seed=0))
-
 
 class TestParams:
     def test_gate_views_alias_stacked_array(self):
         # a gate's rows are a slice of the stacked arrays, which are views of
         # the one flat buffer
-        params = LstmParams.zeros(3, 2)
-        params.weights[:3][0, 0] = 1.5  # forget gate
-        assert params.flat[0] == 1.5
-        params.biases[9:][2] = -0.5  # candidate gate
-        assert params.flat[params.weights.size + 11] == -0.5
-        params.head_b = 0.25
-        assert params.flat[-1] == 0.25
+        params = _Views(np.zeros((1, _param_count(3, 2))), 3, 2)
+        params.weights[0, :3][0, 0] = 1.5  # forget gate
+        assert params.flat[0, 0] == 1.5
+        params.biases[0, 9:][2] = -0.5  # candidate gate
+        assert params.flat[0, params.weights[0].size + 11] == -0.5
+        params.head_b[0] = 0.25
+        assert params.flat[0, -1] == 0.25
 
     def test_flat_layout_order(self):
         rng = np.random.default_rng(18)
-        params = LstmParams.init(rng, 3, 2)
-        assert params.flat.shape == (4 * 3 * 5 + 4 * 3 + 3 + 1,)
-        expected = np.concatenate(
-            [params.weights.ravel(), params.biases, params.head_w, [params.head_b]]
-        )
-        assert np.array_equal(params.flat, expected)
-        copy = params.copy()
-        copy.flat[:] = 0.0
-        assert np.array_equal(params.flat, expected)
+        params = _Views(random_flat(rng, 2, 3, 2), 3, 2)
+        assert params.flat.shape == (2, 4 * 3 * 5 + 4 * 3 + 3 + 1)
+        for b in range(2):
+            expected = np.concatenate(
+                [params.weights[b].ravel(), params.biases[b], params.head_w[b], [params.head_b[b]]]
+            )
+            assert np.array_equal(params.flat[b], expected)
 
     def test_init_forget_bias_one(self):
-        rng = np.random.default_rng(17)
-        params = LstmParams.init(rng, 4, 2)
-        assert np.array_equal(params.biases[:4], np.ones(4))
+        # the buffer starts as garbage (train_batch allocates it with
+        # np.empty): init must overwrite every entry
+        params = _Views(np.full((2, _param_count(4, 2)), np.nan), 4, 2)
+        _init_params(params, [np.random.default_rng(17), np.random.default_rng(18)])
+        assert np.array_equal(params.biases[:, :4], np.ones((2, 4)))
+        assert np.array_equal(params.biases[:, 4:], np.zeros((2, 12)))
+        assert np.array_equal(params.head_b, [0.0, 0.0])
         assert np.abs(params.weights).max() <= 1 / math.sqrt(6)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            LstmParams(
-                weights=np.full((4, 2), np.inf),
-                biases=np.zeros(4),
-                head_w=np.zeros(1),
-                head_b=0.0,
-            )
+        assert np.abs(params.head_w).max() <= 1 / math.sqrt(6)
