@@ -111,6 +111,46 @@ def lstm_forward_literal(flat, window, hidden_size: int, cells=None) -> float:
     return float(head_w @ h + flat[-1])
 
 
+def lstm_grads_literal(flat, window, loss_grad: float, hidden_size: int) -> np.ndarray:
+    """One model's (P,) gradient for one (L, D) window, by BPTT one cell at a time.
+
+    ``loss_grad`` is dLoss/dPrediction.  The forward is
+    ``lstm_forward_literal``; each cell's weight gradient is one ``np.outer``
+    added in reverse cell order, and every product is written left to right
+    as in the textbook formulas.
+    """
+    hsz = hidden_size
+    width = hsz + window.shape[1]
+    n_w = 4 * hsz * width
+    weights = flat[:n_w].reshape(4 * hsz, width)
+    head_w = flat[n_w + 4 * hsz : -1]
+    cells = []
+    lstm_forward_literal(flat, window, hsz, cells)
+    grads = np.zeros(len(flat))
+    grad_w = grads[:n_w].reshape(4 * hsz, width)
+    grad_b = grads[n_w : n_w + 4 * hsz]
+    grads[n_w + 4 * hsz : -1] = loss_grad * cells[-1][-1]
+    grads[-1] = loss_grad
+    dh = loss_grad * head_w
+    dc = np.zeros(hsz)
+    for z, f, i, o, c_hat, c_prev, tanh_c, _ in reversed(cells):
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate(
+            [
+                dc * c_prev * f * (1.0 - f),
+                dc * c_hat * i * (1.0 - i),
+                do * o * (1.0 - o),
+                dc * i * (1.0 - c_hat * c_hat),
+            ]
+        )
+        grad_w += np.outer(dz, z)
+        grad_b += dz
+        dh = (weights.T @ dz)[:hsz]
+        dc = dc * f
+    return grads
+
+
 def lstm_train_per_sample(inputs, targets, cfg):
     """Per-sample Adam training of one model, one sample and one cell at a time.
 
@@ -118,7 +158,7 @@ def lstm_train_per_sample(inputs, targets, cfg):
     ``dualstock.lstm.train_batch`` for one model: the init drawn from
     ``PCG64(cfg.seed)`` (weights, then head weights, uniform in
     +-1/sqrt(H+D); forget-gate biases 1), one permutation per epoch,
-    ``lstm_forward_literal`` for the forward, ``np.outer`` for the weight
+    ``lstm_forward_literal`` for the forward, ``lstm_grads_literal`` for the
     gradient, the clip norm summed per segment in buffer order and Adam with
     beta1 0.9, beta2 0.999 and epsilon 1e-8.  Returns the flat parameter
     buffer and the epoch loss trace.
@@ -147,31 +187,10 @@ def lstm_train_per_sample(inputs, targets, cfg):
     for _ in range(cfg.epochs):
         sq_sum = 0.0
         for idx in rng.permutation(len(inputs)):
-            cells = []
-            err = lstm_forward_literal(flat, inputs[idx], hsz, cells) - targets[idx]
-            h = cells[-1][-1]
+            err = lstm_forward_literal(flat, inputs[idx], hsz) - targets[idx]
             sq_sum += err * err
-            grads = np.zeros(size)
+            grads = lstm_grads_literal(flat, inputs[idx], 2.0 * err, hsz)
             grad_w, grad_b, grad_head_w = segments(grads)
-            grad_head_w[:] = 2.0 * err * h
-            grads[-1] = 2.0 * err
-            dh = 2.0 * err * head_w
-            dc = np.zeros(hsz)
-            for z, f, i, o, c_hat, c_prev, tanh_c, _ in reversed(cells):
-                do = dh * tanh_c
-                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-                dz = np.concatenate(
-                    [
-                        dc * c_prev * f * (1.0 - f),
-                        dc * c_hat * i * (1.0 - i),
-                        do * o * (1.0 - o),
-                        dc * i * (1.0 - c_hat * c_hat),
-                    ]
-                )
-                grad_w += np.outer(dz, z)
-                grad_b += dz
-                dh = (weights.T @ dz)[:hsz]
-                dc = dc * f
             norm = math.sqrt(sum(float((g * g).sum()) for g in (grad_w, grad_b, grad_head_w, grads[-1:])))
             if norm > cfg.clip_norm:
                 grads *= cfg.clip_norm / norm

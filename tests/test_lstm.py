@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import lstm_forward_literal, lstm_train_per_sample
+from _oracles import lstm_forward_literal, lstm_grads_literal, lstm_train_per_sample
 from dualstock import lstm
 from dualstock.lstm import (
     TrainConfig,
@@ -204,6 +204,33 @@ class TestBackward:
     def test_head_bias_gradient_is_loss_grad(self):
         grads = self.backward(12, hidden=2, loss_grad=1.7)
         assert grads.head_b[0] == 1.7
+
+    @pytest.mark.parametrize("batch", [1, 7, 40])
+    @pytest.mark.parametrize("lag, dim, hidden", [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)])
+    def test_matches_literal_gradient_bitwise(self, batch, lag, dim, hidden):
+        # Rows cycle through three kinds: plain, saturated (every
+        # pre-activation about +-40, so gates round onto 0 or 1 and slopes
+        # onto 0, which makes signed zeros) and a zero loss gradient.  At
+        # B = 1 the single row takes each kind in turn.
+        for shift in range(3 if batch == 1 else 1):
+            rng = np.random.default_rng([batch, lag, dim, hidden, shift])
+            flat = random_flat(rng, batch, hidden, dim)
+            windows = rng.standard_normal((batch, lag, dim))
+            loss_grad = rng.standard_normal(batch)
+            params = _Views(flat, hidden, dim)
+            kinds = (np.arange(batch) + shift) % 3
+            saturated = kinds == 1
+            params.weights[saturated] *= 1e-3
+            params.biases[saturated] = 40.0 * rng.choice([-1.0, 1.0], size=(saturated.sum(), 4 * hidden))
+            loss_grad[kinds == 2] = 0.0
+            cache = _Cache(batch, lag, hidden, dim)
+            cache.z[:-1, :, hidden:] = windows.transpose(1, 0, 2)
+            _forward(params, cache)
+            grads = _Views(np.full_like(flat, np.nan), hidden, dim)
+            _backward(params, cache, loss_grad, grads)
+            for b in range(batch):
+                expected = lstm_grads_literal(flat[b], windows[b], loss_grad[b], hidden)
+                assert np.array_equal(grads.flat[b].view(np.uint64), expected.view(np.uint64)), (b, kinds[b])
 
 
 def make_samples(rng, count=10, lag=4, dim=1, target=0.3):
