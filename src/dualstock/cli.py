@@ -471,7 +471,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
                             ticker=name,
                             dates=dates,
                         )
-                    except (ValueError, TrainingDivergedError) as exc:
+                    except (ValueError, FloatingPointError, TrainingDivergedError) as exc:
                         outcome.failures.append(f"forecast {unit}: {exc}")
                         continue
                     stem = _run_stem(run)
@@ -592,6 +592,21 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: Comm
     return path
 
 
+def _unlisted_files(out_dir: Path, outcome: CommandOutcome) -> list[Path]:
+    """Files under the output's analysis subdirectories that the manifest does not list.
+
+    They are left by earlier invocations into the same directory; nothing
+    here removes them.
+    """
+    listed = {p.resolve() for p in outcome.files}
+    return sorted(
+        path.relative_to(out_dir)
+        for sub in (*ANALYSES, "report")
+        for path in (out_dir / sub).rglob("*")
+        if path.is_file() and path.resolve() not in listed
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualstock",
@@ -662,6 +677,8 @@ def main(argv=None) -> int:
     print(f"{len(outcome.files)} files written under {out_dir} (manifest: {manifest_path.name})")
     for failure in outcome.failures:
         print(f"FAILED: {failure}", file=sys.stderr)
+    for path in _unlisted_files(out_dir, outcome):
+        print(f"WARNING: {path} is not listed in {manifest_path.name} (left by an earlier run?)", file=sys.stderr)
     return 1 if outcome.failures else 0
 
 

@@ -10,13 +10,21 @@ moments use the same layout.
 The numerical core runs B independent models in lockstep: their buffers are
 the rows of one (B, P) array, activations sit in preallocated (L, B, .)
 caches, and each cell step is one stacked ``matmul`` plus elementwise
-operations over the batch.  ``train_batch`` trains the models of a rolling
-run together, in blocks sized to stay in cache, and ``predict_batch``
-predicts them in one forward.  Every model keeps its own seed, sample
-order, clip norm and divergence check, and every product uses the same
-numpy primitive at any B, so a model's trained parameters and loss trace
-are bit-identical to training it alone at B = 1, whatever batch it trains
-in.  Training is per-sample stochastic, fully determined by the seeds.
+operations over the batch.  Those operations run over whole contiguous
+(B, 4H) gate rows where they can: the forward takes the sigmoid of the
+full row, and the backward lays out every factor that does not depend on
+the recursion once per step, so that each cell forms dz for all four
+gates in a few row products, keeping each per-sample product's order.
+The weight gradient of a cell is a z-major (B, H+D, 4H) ``einsum`` outer
+product, one multiplication per element, added to a running sum that is
+transposed into the parameter layout once per step.  ``train_batch``
+trains the models of a rolling run together, in blocks sized to stay in
+cache, and ``predict_batch`` predicts them in one forward.  Every model
+keeps its own seed, sample order, clip norm and divergence check, and
+every product uses the same numpy primitive at any B, so a model's
+trained parameters and loss trace are bit-identical to training it alone
+at B = 1, whatever batch it trains in.  Training is per-sample
+stochastic, fully determined by the seeds.
 """
 
 from __future__ import annotations
@@ -75,10 +83,9 @@ class _Cache:
     ``z[t]`` is the input [h_{t-1}, x_t] of cell t (``z[0, :, :H]`` is the
     initial hidden state) and ``z[L, :, :H]`` the final hidden output;
     ``act[t]`` holds [f, i, o, c_hat]; ``c[t]`` is the cell state entering
-    cell t and ``c[L]`` the final one.  ``outer`` and ``grad_w``, allocated
-    by the first backward pass, are contiguous work arrays for the weight
-    gradient: accumulating into the strided rows of a (B, P) buffer is
-    several times slower.
+    cell t and ``c[L]`` the final one.  ``pre`` holds one cell's gate
+    pre-activations.  ``work``, allocated by the first backward pass, holds
+    the backward pass's arrays (see ``_BackwardWork``).
     """
 
     def __init__(self, batch: int, lag: int, hidden_size: int, input_size: int) -> None:
@@ -88,34 +95,64 @@ class _Cache:
         self.act = np.empty((lag, batch, 4 * hidden_size))
         self.c = np.zeros((lag + 1, batch, hidden_size))
         self.tanh_c = np.empty((lag, batch, hidden_size))
+        self.pre = np.empty((batch, 4 * hidden_size))
 
     @functools.cached_property
-    def outer(self) -> np.ndarray:
-        return np.empty_like(self.grad_w)
-
-    @functools.cached_property
-    def grad_w(self) -> np.ndarray:
-        batch, width = self.z.shape[1:]
-        return np.empty((batch, 4 * self.hidden_size, width))
+    def work(self) -> _BackwardWork:
+        lag, batch = self.act.shape[:2]
+        return _BackwardWork(batch, lag, self.hidden_size, self.z.shape[2])
 
     @property
     def lag(self) -> int:
         return self.act.shape[0]
 
 
+class _BackwardWork:
+    """Work arrays of the backward pass over B models and L cells.
+
+    Per cell, the gate slots [f, i, o, c] of dz are multiplied in the order
+    of the per-sample formulas: first [dc * c_prev, dc * c_hat,
+    dh * tanh_c, dc * i] (dc times ``cell_factor`` = [c_prev, c_hat, 0, i],
+    with the o slot then overwritten), then times the cached gates [f, i, o]
+    (the c slot skips this factor), then times ``gate_slope`` =
+    [1 - f, 1 - i, 1 - o, 1 - c_hat**2].  ``tanh_c_slope`` is
+    1 - tanh(c)**2.  ``outer`` and ``grad_w`` are z-major (B, H+D, 4H): one
+    cell's weight gradient and the running sum, added contiguously and
+    transposed into the parameter layout once per pass.
+    """
+
+    def __init__(self, batch: int, lag: int, hidden_size: int, width: int) -> None:
+        gates = 4 * hidden_size
+        # zeros: the o slot is multiplied but never written, and left
+        # uninitialised it could hold slow subnormals or NaNs
+        self.cell_factor = np.zeros((lag, batch, gates))
+        self.gate_slope = np.empty((lag, batch, gates))
+        self.tanh_c_slope = np.empty((lag, batch, hidden_size))
+        self.dz = np.empty((batch, gates))
+        self.grad_b = np.empty((batch, gates))
+        self.dh = np.empty((batch, width, 1))
+        self.dc = np.empty((batch, hidden_size))
+        self.tmp = np.empty((batch, hidden_size))
+        self.outer = np.empty((batch, width, gates))
+        self.grad_w = np.empty((batch, width, gates))
+
+
 def _cell(p: _Views, cache: _Cache, t: int) -> None:
     """Cell t of every model: f, i, o = sigmoid(W_gate z + b_gate),
     c_hat = tanh(W_c z + b_c), c = i*c_hat + f*c_prev, h = o*tanh(c)."""
     hsz = cache.hidden_size
-    act = cache.act[t]
-    np.add(np.matmul(p.weights, cache.z[t, :, :, None])[:, :, 0], p.biases, out=act)
-    gates = act[:, : 3 * hsz]
-    np.negative(gates, out=gates)
-    np.exp(gates, out=gates)
-    gates += 1.0
-    np.divide(1.0, gates, out=gates)
+    act, pre = cache.act[t], cache.pre
+    np.matmul(p.weights, cache.z[t, :, :, None], out=pre[:, :, None])
+    pre += p.biases
+    # The sigmoid runs over whole contiguous rows, the candidate slot
+    # included, which is then overwritten by its tanh: cheaper than four
+    # passes over the strided gate columns.
+    np.negative(pre, out=act)
+    np.exp(act, out=act)
+    act += 1.0
+    np.divide(1.0, act, out=act)
     c_hat = act[:, 3 * hsz :]
-    np.tanh(c_hat, out=c_hat)
+    np.tanh(pre[:, 3 * hsz :], out=c_hat)
     c = cache.c[t + 1]
     np.multiply(act[:, hsz : 2 * hsz], c_hat, out=c)
     c += act[:, :hsz] * cache.c[t]
@@ -142,10 +179,13 @@ def _check_ranges(cache: _Cache) -> None:
 
 
 def _forward(p: _Views, cache: _Cache) -> np.ndarray:
-    """Run every model's cell chain from the cached state; return the (B,) head outputs."""
-    with np.errstate(over="ignore"):  # exp(-z) overflows to inf for saturated gates
-        for t in range(cache.lag):
-            _cell(p, cache, t)
+    """Run every model's cell chain from the cached state; return the (B,) head outputs.
+
+    Saturated gates overflow exp(-z) to inf: callers run it under
+    ``np.errstate(over="ignore")``.
+    """
+    for t in range(cache.lag):
+        _cell(p, cache, t)
     _check_ranges(cache)
     h = cache.z[-1, :, : cache.hidden_size]
     return np.matmul(p.head_w[:, None, :], h[:, :, None])[:, 0, 0] + p.head_b
@@ -158,49 +198,53 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
     ``grads`` in the parameters' own layout.
     """
     hsz = cache.hidden_size
-    f, i, o, c_hat = (cache.act[:, :, k * hsz : (k + 1) * hsz] for k in range(4))
-    # The activation slopes do not depend on the recursion: one operation
-    # each covers every cell.
-    gate_slopes = 1.0 - cache.act[:, :, : 3 * hsz]
-    f_slope, i_slope, o_slope = (gate_slopes[:, :, k * hsz : (k + 1) * hsz] for k in range(3))
-    tanh_c_slope = 1.0 - cache.tanh_c * cache.tanh_c
-    c_hat_slope = 1.0 - c_hat * c_hat
-    cache.grad_w.fill(0.0)
-    grads.biases.fill(0.0)
+    lag, batch = cache.act.shape[:2]
+    w = cache.work
+    act = cache.act.reshape(lag, batch, 4, hsz)
+    cell_factor = w.cell_factor.reshape(lag, batch, 4, hsz)
+    gate_slope = w.gate_slope.reshape(lag, batch, 4, hsz)
+    # The factors that do not depend on the recursion are laid out for all
+    # cells at once, so that each cell multiplies whole (B, 4H) rows.
+    cell_factor[:, :, 0] = cache.c[:-1]
+    cell_factor[:, :, 1::2] = act[:, :, 3:0:-2]  # c_hat, i
+    np.subtract(1.0, act[:, :, :3], out=gate_slope[:, :, :3])
+    np.multiply(act[:, :, 3], act[:, :, 3], out=gate_slope[:, :, 3])
+    np.subtract(1.0, gate_slope[:, :, 3], out=gate_slope[:, :, 3])
+    np.multiply(cache.tanh_c, cache.tanh_c, out=w.tanh_c_slope)
+    np.subtract(1.0, w.tanh_c_slope, out=w.tanh_c_slope)
+    f, o = act[:, :, 0], act[:, :, 2]
+    gates = cache.act[:, :, : 3 * hsz]
+    dz, dc, tmp = w.dz, w.dc, w.tmp
+    dz4 = dz.reshape(batch, 4, hsz)
+    w.grad_w.fill(0.0)
+    w.grad_b.fill(0.0)
+    dc.fill(0.0)
     np.multiply(loss_grad[:, None], cache.z[-1, :, :hsz], out=grads.head_w)
     grads.head_b[:] = loss_grad
-    dh = loss_grad[:, None] * p.head_w
-    dc = np.zeros_like(dh)
-    do = np.empty_like(dh)
-    tmp = np.empty_like(dh)
-    dz = np.empty_like(cache.act[0])
-    dz_f, dz_i, dz_o, dz_c = (dz[:, k * hsz : (k + 1) * hsz] for k in range(4))
+    dh = np.multiply(loss_grad[:, None], p.head_w, out=w.dh[:, :hsz, 0])
     weights_t = p.weights.transpose(0, 2, 1)
     # Every product keeps the left-to-right order of the per-sample formulas,
     # e.g. dz_f = ((dc * c_prev) * f) * (1 - f): reassociating would round
     # differently and change trained models.
-    for t in range(cache.lag - 1, -1, -1):
-        np.multiply(dh, cache.tanh_c[t], out=do)
+    for t in range(lag - 1, -1, -1):
         np.multiply(dh, o[t], out=tmp)
-        tmp *= tanh_c_slope[t]
+        tmp *= w.tanh_c_slope[t]
         dc += tmp
-        np.multiply(dc, cache.c[t], out=dz_f)
-        dz_f *= f[t]
-        dz_f *= f_slope[t]
-        np.multiply(dc, c_hat[t], out=dz_i)
-        dz_i *= i[t]
-        dz_i *= i_slope[t]
-        np.multiply(do, o[t], out=dz_o)
-        dz_o *= o_slope[t]
-        np.multiply(dc, i[t], out=dz_c)
-        dz_c *= c_hat_slope[t]
-        np.multiply(dz[:, :, None], cache.z[t, :, None, :], out=cache.outer)
-        cache.grad_w += cache.outer
-        grads.biases += dz
+        np.multiply(dc[:, None, :], cell_factor[t], out=dz4)
+        np.multiply(dh, cache.tanh_c[t], out=dz4[:, 2])
+        dz[:, : 3 * hsz] *= gates[t]
+        dz *= w.gate_slope[t]
+        # One product per element, as np.outer.  einsum adds it to 0, which
+        # turns -0 into +0; the running sum starts at +0 and never reaches
+        # -0, so adding either zero leaves it bit for bit the same.
+        np.einsum("bj,bk->bjk", cache.z[t], dz, out=w.outer)
+        w.grad_w += w.outer
+        w.grad_b += dz
         if t:
-            dh = np.matmul(weights_t, dz[:, :, None])[:, :hsz, 0]
+            np.matmul(weights_t, dz[:, :, None], out=w.dh)
         dc *= f[t]
-    grads.weights[...] = cache.grad_w
+    grads.weights[...] = w.grad_w.transpose(0, 2, 1)
+    grads.biases[...] = w.grad_b
 
 
 def predict_batch(flat, inputs, hidden_size: int) -> np.ndarray:
@@ -218,7 +262,8 @@ def predict_batch(flat, inputs, hidden_size: int) -> np.ndarray:
         raise ValueError(f"parameters must be (B, P) = {(batch, size)}, got shape {flat.shape}")
     cache = _Cache(batch, lag, hidden_size, dim)
     cache.z[:-1, :, hidden_size:] = inputs.transpose(1, 0, 2)
-    return _forward(_Views(flat, hidden_size, dim), cache)
+    with np.errstate(over="ignore"):
+        return _forward(_Views(flat, hidden_size, dim), cache)
 
 
 @dataclass(frozen=True)
@@ -261,9 +306,18 @@ def _block_size(lag: int, hidden_size: int, input_size: int) -> int:
     """Models per block whose float64 buffers fit ``BLOCK_BYTES``."""
     width = hidden_size + input_size
     size = _param_count(hidden_size, input_size)
-    # params, grads, m, v, Adam work; two weight-gradient work arrays; the
-    # activation cache and the backward slopes
-    floats = 5 * size + 2 * 4 * hidden_size * width + lag * (width + 11 * hidden_size)
+    # Per model: params, grads, m, v and Adam's work (P each); the z-major
+    # weight-gradient outer and sum (4H x (H+D) each); z over L+1 cells and
+    # dh; act, cell_factor and gate_slope (4H per cell), c, tanh_c and
+    # tanh_c_slope (H per cell); pre, dz and grad_b (4H), c's extra cell,
+    # dc and tmp (H).
+    floats = (
+        5 * size
+        + 8 * hidden_size * width
+        + (lag + 2) * width
+        + 15 * hidden_size * lag
+        + 15 * hidden_size
+    )
     return max(1, BLOCK_BYTES // (8 * floats))
 
 
@@ -298,8 +352,9 @@ def train_batch(inputs, targets, cfg: TrainConfig, seeds) -> BatchTrainResult:
     size = -(-batch // blocks)
     # Blocks run in batch order, so the first block with a diverged model
     # raises for the first diverged model of the batch.
-    for block in (slice(start, start + size) for start in range(0, batch, size)):
-        _train_block(inputs[block], targets[block], cfg, seeds[block], flat[block], loss_trace[block])
+    with np.errstate(over="ignore"):
+        for block in (slice(start, start + size) for start in range(0, batch, size)):
+            _train_block(inputs[block], targets[block], cfg, seeds[block], flat[block], loss_trace[block])
     return BatchTrainResult(flat=flat, loss_trace=loss_trace)
 
 
@@ -347,10 +402,12 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
             # product over the buffer: the summation order fixes the rounding
             # of the norm, and with it every trained model bit for bit.
             g = grads.flat
-            norm = np.sqrt(sum(seg.sum(axis=1) for seg in _segments(np.multiply(g, g, out=work), hsz, dim)))
+            g_sq = np.multiply(g, g, out=work)
+            norm = np.sqrt(sum(seg.sum(axis=1) for seg in _segments(g_sq, hsz, dim)))
             over = norm > cfg.clip_norm
             if over.any():
                 g *= np.divide(cfg.clip_norm, norm, out=np.ones(batch), where=over)[:, None]
+                np.multiply(g, g, out=g_sq)  # Adam's g**2 is of the clipped g
             step += 1
             bias1 = 1.0 - BETA1**step
             bias2 = 1.0 - BETA2**step
@@ -359,7 +416,7 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
             # params -= scale*m / (sqrt(v/bias2) + eps), with g's buffer
             # reused once g is spent
             v *= BETA2
-            v += np.multiply(np.square(g, out=work), 1.0 - BETA2, out=work)
+            v += np.multiply(g_sq, 1.0 - BETA2, out=g_sq)
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=g)
             denom = np.divide(v, bias2, out=work)

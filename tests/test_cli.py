@@ -262,7 +262,7 @@ class TestCoherenceCommand:
 
 
 class TestForecastCommand:
-    def forecast_config(self, tmp_path, ticker_files=None, **forecast):
+    def forecast_config(self, tmp_path, ticker_files=None, analyses=("forecast",), **forecast):
         ticker_files = ticker_files or synthetic_tickers(tmp_path)
         defaults = {
             "lags": [4],
@@ -274,7 +274,7 @@ class TestForecastCommand:
             "hidden_size": 3,
         }
         defaults.update(forecast)
-        return write_config(tmp_path, ticker_files, analyses=["forecast"], forecast=defaults)
+        return write_config(tmp_path, ticker_files, analyses=list(analyses), forecast=defaults)
 
     def test_desk_grid(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -345,6 +345,38 @@ class TestForecastCommand:
         ]
         runs = sorted(o["path"] for o in manifest["outputs"] if "/runs/" in o["path"])
         assert runs == ["forecast/runs/AAA_lag4_dual-no_mece.csv", "forecast/runs/AAA_lag4_dual-no_mece.json"]
+
+    def test_range_check_failure_is_recorded_as_its_run_failure(self, tmp_path, monkeypatch):
+        lstm_module = importlib.import_module("dualstock.lstm")
+        real_check = lstm_module._check_ranges
+        calls = []
+
+        def fail_41st_call(cache):
+            calls.append(None)
+            if len(calls) == 41:
+                raise FloatingPointError("gate activations escaped [0, 1]")
+            real_check(cache)
+
+        monkeypatch.setattr(lstm_module, "_check_ranges", fail_41st_call)
+        config_path = self.forecast_config(tmp_path, analyses=("premiums", "forecast"))
+        assert main(["run", "--config", str(config_path)]) == 1
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        # AAA's window=5 and window=10 runs make 3 + 13 checks; the 41st is
+        # inside AAA's MECE training
+        assert manifest["failures"] == ["forecast AAA lag=4 dual=no mece: gate activations escaped [0, 1]"]
+        listed = [o["path"] for o in manifest["outputs"]]
+        runs = [
+            f"forecast/runs/{t}_lag4_dual-no_{r}.{ext}"
+            for t in ("AAA", "BBB", "CCC") for r in ("mece", "w10", "w5") for ext in ("csv", "json")
+        ]
+        runs.remove("forecast/runs/AAA_lag4_dual-no_mece.csv")
+        runs.remove("forecast/runs/AAA_lag4_dual-no_mece.json")
+        grids = [f"forecast/grids/{name}" for name in ("AAA.csv", "AAA.json", "BBB.csv", "BBB.json", "CCC.csv", "CCC.json", "long.csv")]
+        assert [p for p in listed if p.startswith("forecast/")] == grids + runs
+        assert any(p.startswith("premiums/") for p in listed)
+        on_disk = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert on_disk == sorted(listed + ["manifest.json"])
 
     def test_write_error_in_one_run_does_not_stop_the_others(self, tmp_path):
         config_path = self.forecast_config(tmp_path)
@@ -439,6 +471,29 @@ class TestDeterminism:
         )
         assert main(["run", "--config", str(config_path)]) == 0
         assert sorted(loaded) == sorted(tickers.values())
+
+
+class TestStaleFiles:
+    def test_unlisted_files_are_reported_and_kept(self, tmp_path, capsys):
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(tmp_path, tickers)
+        out = tmp_path / "out"
+        assert main(["premiums", "--config", str(config_path)]) == 0
+        assert "WARNING" not in capsys.readouterr().err
+        clean = (out / "manifest.json").read_bytes()
+        stale = [out / "premiums" / "OLD_pair.csv", out / "forecast" / "runs" / "old.json"]
+        for path in stale:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("left over\n", encoding="utf-8")
+        (out / "notes.txt").write_text("outside the analysis folders\n", encoding="utf-8")
+        assert main(["premiums", "--config", str(config_path)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WARNING")]
+        assert warnings == [
+            "WARNING: forecast/runs/old.json is not listed in manifest.json (left by an earlier run?)",
+            "WARNING: premiums/OLD_pair.csv is not listed in manifest.json (left by an earlier run?)",
+        ]
+        assert all(path.is_file() for path in stale)
+        assert (out / "manifest.json").read_bytes() == clean
 
 
 class TestReportCommand:

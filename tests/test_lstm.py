@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -340,6 +341,24 @@ class TestTrainBatch:
         targets[5, 1] = np.nan  # a model of the last block diverges
         with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
             train_batch(inputs, targets, cfg, seeds)
+
+    @pytest.mark.parametrize("lag", [1, 4, 9])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("hidden", [8, 16])
+    def test_block_buffers_fit_the_budget(self, lag, dim, hidden):
+        # one block's cache with every lazily allocated buffer touched, plus
+        # the params, grads, m, v and Adam work arrays of _train_block
+        batch = lstm._block_size(lag, hidden, dim)
+        cache = _Cache(batch, lag, hidden, dim)
+        for name, attr in vars(_Cache).items():
+            if isinstance(attr, functools.cached_property):
+                getattr(cache, name)
+        holders = [cache] + [v for v in vars(cache).values() if hasattr(v, "__dict__")]
+        arrays = [a for h in holders for a in vars(h).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) > 10
+        total = sum(a.nbytes for a in arrays) + 5 * batch * _param_count(hidden, dim) * 8
+        assert total <= lstm.BLOCK_BYTES
+        assert total + total // batch > lstm.BLOCK_BYTES  # counted exactly: one more model would not fit
 
     def test_predict_batch_matches_predict(self):
         rng = np.random.default_rng(40)
