@@ -20,7 +20,6 @@ from .significance import AR1Params, MonteCarloSpec, ar1_surrogate, fit_ar1, sig
 from .svgplot import render_heatmap
 from .timeseries import (
     CsvFormat,
-    PremiumSeries,
     PriceSeries,
     ReturnSeries,
     SummaryStats,
@@ -33,7 +32,6 @@ from .timeseries import (
 )
 from .wavelet import (
     CoherenceField,
-    MorletSpec,
     ScaleGrid,
     Scaleogram,
     SmoothingSpec,

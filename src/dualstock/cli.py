@@ -51,7 +51,7 @@ from .timeseries import (
     render_summary_csv,
     summary_to_dict,
 )
-from .wavelet import MorletSpec, ScaleGrid, SmoothingSpec
+from .wavelet import ScaleGrid, SmoothingSpec
 
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
@@ -124,6 +124,12 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _check_unique(key: str, values: list) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"config key {key} must not repeat {value!r}")
+
+
 def _section(raw: dict, name: str, defaults):
     """Merge one config section over a dataclass's defaults, checking keys and types."""
     data = raw.get(name, {})
@@ -138,6 +144,8 @@ def _section(raw: dict, name: str, defaults):
         if not _conforms(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ValueError(f"config key {name}.{key} must be {expected}, got {value!r}")
+        if isinstance(value, list):
+            _check_unique(f"{name}.{key}", value)
     return dataclasses.replace(
         defaults, **{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     )
@@ -151,16 +159,22 @@ def load_config(
     """Parse and validate a JSON config file, applying flag overrides."""
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     known = {"tickers", "out_dir", "seed", "analyses", "percent", "csv", "wavelet", "forecast"}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "tickers" not in raw or not isinstance(raw["tickers"], dict):
-        raise ValueError("config must map ticker names to CSV paths under 'tickers'")
+    for key, hint in (("seed", int), ("out_dir", str), ("percent", bool)):
+        if key in raw and not _conforms(raw[key], hint):
+            raise ValueError(f"config key {key} must be {hint.__name__}, got {raw[key]!r}")
+    paths = raw.get("tickers")
+    if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
+        raise ValueError(f"config key tickers must be an object mapping names to CSV paths, got {paths!r}")
     base = path.parent
     tickers = tuple(
         (name, (base / p).resolve() if not Path(p).is_absolute() else Path(p))
-        for name, p in raw["tickers"].items()
+        for name, p in paths.items()
     )
     resolved_out = out_dir or raw.get("out_dir") or os.environ.get(OUT_DIR_ENV)
     if resolved_out is None:
@@ -171,15 +185,13 @@ def load_config(
     analyses = raw.get("analyses", list(ANALYSES))
     if not isinstance(analyses, list) or not all(a in ANALYSES for a in analyses):
         raise ValueError(f"config key analyses must be a list of names from {ANALYSES}, got {analyses!r}")
-    percent = raw.get("percent", False)
-    if not isinstance(percent, bool):
-        raise ValueError(f"config key percent must be bool, got {percent!r}")
+    _check_unique("analyses", analyses)
     return RunConfig(
         tickers=tickers,
         out_dir=Path(resolved_out),
         seed=int(resolved_seed),
         analyses=tuple(analyses),
-        percent=percent,
+        percent=raw.get("percent", False),
         csv_format=_section(raw, "csv", CsvFormat()),
         wavelet=_section(raw, "wavelet", WaveletOptions()),
         forecast=_section(raw, "forecast", ForecastOptions()),
@@ -325,7 +337,6 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
         raise ValueError("coherence needs at least two tickers")
     out = config.out_dir / "coherence"
     w = config.wavelet
-    morlet = MorletSpec(omega0=w.omega0)
     sspec = SmoothingSpec(
         time_std_scales=w.time_std_scales, scale_window_octaves=w.scale_window_octaves
     )
@@ -351,7 +362,7 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
             significance_level=w.significance_level,
         )
         try:
-            field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc, morlet=morlet)
+            field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc)
         except ValueError as exc:
             outcome.failures.append(f"coherence {label}: {exc}")
             continue

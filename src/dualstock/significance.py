@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import CoherenceField, MorletSpec, ScaleGrid, SmoothingSpec, _rho2, coherence, cwt
+from .wavelet import CoherenceField, ScaleGrid, SmoothingSpec, _rho2, coherence, cwt
 
 __all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "ar1_surrogate", "significance"]
 
@@ -135,10 +135,11 @@ def significance(
     sspec: SmoothingSpec = SmoothingSpec(),
     *,
     mc: MonteCarloSpec,
-    morlet: MorletSpec = MorletSpec(),
-    dt: float = 1.0,
 ) -> CoherenceField:
-    """Observed coherence field with its Monte-Carlo significance mask.
+    """Observed coherence field of two daily series with its Monte-Carlo significance mask.
+
+    The transforms use the Morlet frequency ``grid.omega0`` and one sample per
+    trading day, for the observed pair and for every surrogate pair alike.
 
     ``exceedances`` counts, per cell, the m surrogate coherences at or above
     the observed one.  A cell is significant when the observed rho2 lies
@@ -150,7 +151,7 @@ def significance(
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("series must have equal length")
-    observed = coherence(cwt(a, grid, morlet, dt), cwt(b, grid, morlet, dt), sspec)
+    observed = coherence(cwt(a, grid), cwt(b, grid), sspec)
     params_a = fit_ar1(a)
     params_b = fit_ar1(b)
     n = len(a)
@@ -159,8 +160,8 @@ def significance(
         block = range(start, min(mc.iterations, start + BLOCK_ITERATIONS))
         surrogates = _surrogate_block(params_a, params_b, n, mc.seed, block)
         for k in range(len(block)):
-            sur_a = cwt(surrogates[2 * k], grid, morlet, dt)
-            sur_b = cwt(surrogates[2 * k + 1], grid, morlet, dt)
+            sur_a = cwt(surrogates[2 * k], grid)
+            sur_b = cwt(surrogates[2 * k + 1], grid)
             count_ge += _rho2(sur_a, sur_b, sspec)[0] >= observed.rho2
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
     threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)

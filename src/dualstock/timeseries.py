@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "PriceSeries",
     "ReturnSeries",
-    "PremiumSeries",
     "SummaryStats",
     "CsvFormat",
     "mid_price",
@@ -110,31 +109,16 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Fractional one-day returns; values[t] = mid[t+1]/mid[t] - 1."""
+    """Dated fractional changes: one ticker's daily returns, or a premium.
 
-    ticker: str
-    dates: tuple[dt.date, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        values = _frozen_array(self.values)
-        if len(values) != len(self.dates):
-            raise ValueError("dates and values must have equal length")
-        _check_dates(self.dates)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
-class PremiumSeries:
-    """Relative premium of one ticker over another on their common dates."""
+    ``daily_returns`` fills values[t] = mid[t+1]/mid[t] - 1 and names the
+    ticker; ``premium_series`` fills mid_a/mid_b - 1 on the pair's common
+    dates and leaves ``ticker`` as None.
+    """
 
     dates: tuple[dt.date, ...]
     values: np.ndarray
+    ticker: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -198,11 +182,11 @@ def align_series(*series: PriceSeries) -> tuple[PriceSeries, ...]:
     return tuple(s.take([i for i, d in enumerate(s.dates) if d in common]) for s in series)
 
 
-def premium_series(a: PriceSeries, b: PriceSeries) -> PremiumSeries:
+def premium_series(a: PriceSeries, b: PriceSeries) -> ReturnSeries:
     """Premium of a over b: mid_a/mid_b - 1 on their common dates."""
     a, b = align_series(a, b)
     values = a.mid / b.mid - 1.0 if a.n else np.empty(0)
-    return PremiumSeries(dates=a.dates, values=values)
+    return ReturnSeries(dates=a.dates, values=values)
 
 
 def _interpolated_quantile(sorted_values: list[float], q: float) -> float:
@@ -216,7 +200,7 @@ def _interpolated_quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] + g * (sorted_values[lo + 1] - sorted_values[lo])
 
 
-def premium_summary(p: PremiumSeries) -> SummaryStats:
+def premium_summary(p: ReturnSeries) -> SummaryStats:
     """Summary statistics and premium-day counts of a premium series.
 
     Quartiles use linear interpolation between order statistics at positions

@@ -1,15 +1,17 @@
 """Morlet continuous wavelet transform and wavelet coherence.
 
-The transform uses the energy convention only: the kernel at scale s carries
-a sqrt(dt/s) weight so every scale has comparable power (coherence does not
-depend on this choice).  The FFT path builds each scale's frequency response
-as the exact discrete Fourier transform of the sampled Morlet kernel (an
-alias-summed Gaussian), so it reproduces the direct time-domain summation to
-machine precision once the series is zero-padded to a power of two covering
-the kernel reach.
+One sample is one trading day: scales, periods and the cone of influence
+are all in days.  The Morlet frequency ``omega0`` is stored on ``ScaleGrid``
+alone.  The transform uses the energy convention only: the kernel at scale s
+carries a 1/sqrt(s) weight so every scale has comparable power (coherence
+does not depend on this choice).  The FFT path builds each scale's frequency
+response as the exact discrete Fourier transform of the sampled Morlet
+kernel (an alias-summed Gaussian), so it reproduces the direct time-domain
+summation to machine precision once the series is zero-padded to a power of
+two covering the kernel reach.
 
-Padding is per scale: a row of width w * s (w = 1/dt for the transform,
-time_std/dt for the smoothing) is padded to the power of two covering
+Padding is per scale: a row of width w * s (w = 1 for the transform,
+time_std for the smoothing) is padded to the power of two covering
 n + ceil(8 * w * s) + 1 points, and the rows that share a pad length are
 transformed together (in cache-sized batches), so small scales no longer pay
 for the largest scale's reach.  The frequency tables are built per pad group
@@ -35,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "MorletSpec",
     "ScaleGrid",
     "Scaleogram",
     "SmoothingSpec",
@@ -52,20 +53,6 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class MorletSpec:
-    """Morlet mother-wavelet parameters.
-
-    ``omega0`` must be at least 5 for the zero-mean approximation to hold.
-    """
-
-    omega0: float = 6.0
-
-    def __post_init__(self) -> None:
-        if self.omega0 < 5:
-            raise ValueError(f"omega0 must be >= 5, got {self.omega0}")
-
-
 def fourier_factor(omega0: float) -> float:
     """Ratio of Fourier period to Morlet scale."""
     return 4.0 * math.pi / (omega0 + math.sqrt(2.0 + omega0 * omega0))
@@ -80,7 +67,11 @@ def morlet_mother(t, omega0: float = 6.0):
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Dyadic scale ladder s0 * 2^(j*dj), j = 0..num_scales-1 (scales in days)."""
+    """Dyadic scale ladder s0 * 2^(j*dj), j = 0..num_scales-1 (scales in days).
+
+    ``omega0`` is the Morlet frequency; it must be at least 5 for the
+    zero-mean approximation to hold.
+    """
 
     s0: float
     dj: float
@@ -92,6 +83,8 @@ class ScaleGrid:
             raise ValueError("s0 and dj must be positive")
         if self.num_scales < 1:
             raise ValueError("num_scales must be >= 1")
+        if self.omega0 < 5:
+            raise ValueError(f"omega0 must be >= 5, got {self.omega0}")
 
     @property
     def scales(self) -> np.ndarray:
@@ -106,7 +99,6 @@ class ScaleGrid:
     def for_length(
         cls,
         n: int,
-        dt: float = 1.0,
         s0: float = 2.0,
         dj: float = 1.0 / 12.0,
         omega0: float = 6.0,
@@ -114,7 +106,7 @@ class ScaleGrid:
         """Default grid: largest Fourier period >= min(span/3, 512) days."""
         if n < 4:
             raise ValueError(f"series too short for a scale grid: n={n}")
-        target = min(n * dt / 3.0, 512.0)
+        target = min(n / 3.0, 512.0)
         ff = fourier_factor(omega0)
         smallest_period = s0 * ff
         if target <= smallest_period:
@@ -130,7 +122,6 @@ class Scaleogram:
 
     values: np.ndarray
     grid: ScaleGrid
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -186,20 +177,20 @@ _UNDERFLOW_ARG = 38.62
 
 
 @functools.lru_cache(maxsize=64)
-def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int, dt: float) -> np.ndarray:
+def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int) -> np.ndarray:
     """Frequency response of rows [lo, hi): exact DFT of the sampled Morlet kernel.
 
-    That DFT is the Gaussian summed over its aliases k * 2 pi s / dt,
+    That DFT is the Gaussian summed over its aliases k * 2 pi s,
     k = -3..3.  Along a row the Gaussian's argument is monotone in omega, so
     an alias whose argument stays beyond ``_UNDERFLOW_ARG`` at both ends of
     the row adds exactly zero there and is skipped: skipping leaves the
     table bit-identical.
     """
-    omega = _TWO_PI * np.fft.fftfreq(npad, d=dt)
+    omega = _TWO_PI * np.fft.fftfreq(npad)
     scales = grid.scales[lo:hi, None]
     arg = scales * omega - grid.omega0
     ends = scales * np.array([omega.min(), omega.max()]) - grid.omega0
-    spacing = _TWO_PI * scales / dt
+    spacing = _TWO_PI * scales
     acc = np.zeros((hi - lo, npad))
     for image in range(-3, 4):
         shifted = ends - image * spacing
@@ -209,24 +200,19 @@ def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int, dt: float) ->
         if rows.size:
             r = slice(rows[0], rows[-1] + 1)
             acc[r] += np.exp(-0.5 * (arg[r] - image * spacing[r]) ** 2)
-    norm = np.sqrt(_TWO_PI * scales / dt)
+    norm = np.sqrt(_TWO_PI * scales)
     out = norm * math.pi ** -0.25 * acc
     out.flags.writeable = False
     return out
 
 
-def cwt(
-    x,
-    grid: ScaleGrid,
-    spec: MorletSpec = MorletSpec(),
-    dt: float = 1.0,
-) -> Scaleogram:
-    """Continuous wavelet transform of a real series on the given scale grid.
+def cwt(x, grid: ScaleGrid) -> Scaleogram:
+    """Morlet transform of a real daily series on the grid, at ``grid.omega0``.
 
     The mean is removed internally.  Computed as an FFT circular convolution
     after zero-padding each scale to the power of two covering its own
     kernel reach; matches the direct summation
-    sum_t x(t) * w(s) * conj(psi((t - tau) * dt / s)) with w(s) the
+    sum_t x(t) * w(s) * conj(psi((t - tau) / s)) with w(s) the
     normalization weight, everywhere on the grid.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -234,24 +220,20 @@ def cwt(
         raise ValueError(f"input must be a 1-D series of length >= 4, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
-    if spec.omega0 != grid.omega0:
-        raise ValueError(
-            f"MorletSpec.omega0={spec.omega0} does not match grid.omega0={grid.omega0}"
-        )
     n = len(x)
     xd = x - x.mean()
     coeffs = np.empty((grid.num_scales, n), dtype=np.complex128)
-    for lo, hi, npad in _pad_groups(grid, n, 1.0 / dt):
+    for lo, hi, npad in _pad_groups(grid, n, 1.0):
         xhat = np.fft.fft(xd, npad)
-        daughters = _daughter_matrix(grid, lo, hi, npad, dt)
+        daughters = _daughter_matrix(grid, lo, hi, npad)
         for r0, r1 in _row_batches(lo, hi, npad):
             coeffs[r0:r1] = np.fft.ifft(xhat * daughters[r0 - lo : r1 - lo], axis=1)[:, :n]
-    return Scaleogram(values=coeffs, grid=grid, dt=dt)
+    return Scaleogram(values=coeffs, grid=grid)
 
 
 def _check_compatible(a: Scaleogram, b: Scaleogram) -> None:
-    if a.grid != b.grid or a.n != b.n or a.dt != b.dt:
-        raise ValueError("scaleograms must share the same grid, length, and dt")
+    if a.grid != b.grid or a.n != b.n:
+        raise ValueError("scaleograms must share the same grid and length")
 
 
 @dataclass(frozen=True)
@@ -267,14 +249,14 @@ class SmoothingSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int, dt: float, time_std: float):
+def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int, time_std: float):
     """Real spectra of the rows' periodic Gaussians: (rfft half, full length).
 
     The kernels are real and symmetric, so their spectra are real; the full
     spectrum mirrors the half one and smooths complex rows.
     """
     dist = np.arange(npad // 2 + 1, dtype=np.float64)
-    sigmas = time_std * grid.scales[lo:hi] / dt
+    sigmas = time_std * grid.scales[lo:hi]
     kernels = np.empty((hi - lo, npad))
     kernels[:, : npad // 2 + 1] = np.exp(-0.5 * (dist[None, :] / sigmas[:, None]) ** 2)
     kernels[:, npad // 2 + 1 :] = kernels[:, npad // 2 - 1 : 0 : -1]
@@ -288,18 +270,18 @@ def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int, dt: float, t
 
 
 @functools.lru_cache(maxsize=64)
-def _smooth_weight_sums(grid: ScaleGrid, n: int, dt: float, time_std: float) -> np.ndarray:
+def _smooth_weight_sums(grid: ScaleGrid, n: int, time_std: float) -> np.ndarray:
     """Per-cell sum of kernel weights inside the grid (boundary renormalizer)."""
     sums = np.empty((grid.num_scales, n))
-    for lo, hi, npad in _pad_groups(grid, n, time_std / dt):
-        half, _ = _gauss_kernel_fft(grid, lo, hi, npad, dt, time_std)
+    for lo, hi, npad in _pad_groups(grid, n, time_std):
+        half, _ = _gauss_kernel_fft(grid, lo, hi, npad, time_std)
         ones_hat = np.fft.rfft(np.ones(n), npad)
         sums[lo:hi] = np.fft.irfft(ones_hat * half, npad, axis=1)[:, :n]
     sums.flags.writeable = False
     return sums
 
 
-def _time_smooth(values: np.ndarray, grid: ScaleGrid, dt: float, time_std: float) -> np.ndarray:
+def _time_smooth(values: np.ndarray, grid: ScaleGrid, time_std: float) -> np.ndarray:
     """Gaussian time smoothing of each row, renormalized at the boundaries.
 
     Real rows go through rfft/irfft against the half spectrum; complex rows
@@ -308,9 +290,9 @@ def _time_smooth(values: np.ndarray, grid: ScaleGrid, dt: float, time_std: float
     n = values.shape[1]
     out = np.empty(values.shape, dtype=np.result_type(values.dtype, np.float64))
     real = not np.iscomplexobj(out)
-    sums = _smooth_weight_sums(grid, n, dt, time_std)
-    for lo, hi, npad in _pad_groups(grid, n, time_std / dt):
-        half, full = _gauss_kernel_fft(grid, lo, hi, npad, dt, time_std)
+    sums = _smooth_weight_sums(grid, n, time_std)
+    for lo, hi, npad in _pad_groups(grid, n, time_std):
+        half, full = _gauss_kernel_fft(grid, lo, hi, npad, time_std)
         for r0, r1 in _row_batches(lo, hi, npad):
             rows = slice(r0 - lo, r1 - lo)
             if real:
@@ -336,23 +318,18 @@ def _scale_boxcar(values: np.ndarray, dj: float, octaves: float) -> np.ndarray:
     return out
 
 
-def smooth(data, spec: SmoothingSpec = SmoothingSpec(), *, grid: ScaleGrid | None = None, dt: float = 1.0):
-    """Smooth a Scaleogram or raw (num_scales, n) grid; returns the same shape.
+def smooth(values, spec: SmoothingSpec = SmoothingSpec(), *, grid: ScaleGrid) -> np.ndarray:
+    """Smooth a (num_scales, n) array on ``grid``; returns the same shape.
 
-    Time direction: Gaussian with standard deviation proportional to each
-    scale.  Scale direction: boxcar over the octave window.  Kernels are
-    renormalized wherever they overhang a boundary, so constants are
-    preserved exactly.
+    Time direction: Gaussian with standard deviation ``time_std_scales``
+    times each scale, in days.  Scale direction: boxcar over the octave
+    window.  Kernels are renormalized wherever they overhang a boundary, so
+    constants are preserved exactly.
     """
-    if isinstance(data, Scaleogram):
-        smoothed = smooth(data.values, spec, grid=data.grid, dt=data.dt)
-        return Scaleogram(values=smoothed, grid=data.grid, dt=data.dt)
-    if grid is None:
-        raise ValueError("grid is required when smoothing a raw array")
-    values = np.asarray(data)
+    values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != grid.num_scales:
         raise ValueError(f"grid expects (num_scales, n); got shape {values.shape}")
-    return _scale_boxcar(_time_smooth(values, grid, dt, spec.time_std_scales), grid.dj, spec.scale_window_octaves)
+    return _scale_boxcar(_time_smooth(values, grid, spec.time_std_scales), grid.dj, spec.scale_window_octaves)
 
 
 def phase_field(cross_smoothed: np.ndarray) -> np.ndarray:
@@ -366,12 +343,12 @@ def phase_field(cross_smoothed: np.ndarray) -> np.ndarray:
     return theta
 
 
-def cone_of_influence(n: int, dt: float = 1.0) -> np.ndarray:
-    """Maximum trustworthy Fourier period per time index: sqrt(2)*edge_distance*dt."""
+def cone_of_influence(n: int) -> np.ndarray:
+    """Maximum trustworthy Fourier period per time index: sqrt(2) * edge distance, in days."""
     if n < 2:
         raise ValueError("need n >= 2 for a cone of influence")
     idx = np.arange(n)
-    return math.sqrt(2.0) * np.minimum(idx, n - 1 - idx) * dt
+    return math.sqrt(2.0) * np.minimum(idx, n - 1 - idx)
 
 
 @dataclass(frozen=True)
@@ -388,7 +365,6 @@ class CoherenceField:
     rho2: np.ndarray
     phase: np.ndarray
     grid: ScaleGrid
-    dt: float
     coi: np.ndarray
     significant: np.ndarray | None = None
     degenerate: np.ndarray | None = None
@@ -433,11 +409,11 @@ class CoherenceField:
 def _rho2(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec):
     """Clamped squared coherence, the smoothed cross spectrum and the cells whose denominator vanished."""
     _check_compatible(a, b)
-    grid, dt = a.grid, a.dt
+    grid = a.grid
     inv_s = 1.0 / grid.scales[:, None]
-    cross = smooth(a.values * np.conj(b.values) * inv_s, spec, grid=grid, dt=dt)
-    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, spec, grid=grid, dt=dt)
-    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, spec, grid=grid, dt=dt)
+    cross = smooth(a.values * np.conj(b.values) * inv_s, spec, grid=grid)
+    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, spec, grid=grid)
+    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, spec, grid=grid)
     denom = power_a * power_b
     degenerate = denom <= 0.0
     rho2 = cross.real**2
@@ -461,7 +437,6 @@ def coherence(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec = SmoothingSpec(
         rho2=rho2,
         phase=phase_field(cross),
         grid=a.grid,
-        dt=a.dt,
-        coi=cone_of_influence(a.n, a.dt),
+        coi=cone_of_influence(a.n),
         degenerate=degenerate | (cross == 0),
     )

@@ -34,7 +34,8 @@ def synthetic_tickers(tmp_path, n=120, seed=200):
     return paths
 
 
-def write_config(tmp_path, tickers, out_name="out", **overrides):
+def write_config(tmp_path, tickers, /, out_name="out", **overrides):
+    # positional-only, so an override may replace the tickers as well
     config = {
         "tickers": tickers,
         "out_dir": str(tmp_path / out_name),
@@ -98,7 +99,17 @@ class TestConfig:
         assert "config error: config key forecast.lags" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("percent", "false"), ("analyses", "premiums"), ("analyses", ["premiums", "bogus"])]
+        "key, value",
+        [
+            ("percent", "false"),
+            ("analyses", "premiums"),
+            ("analyses", ["premiums", "bogus"]),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "abc"),
+            ("out_dir", 5),
+            ("tickers", {"AAA": 5}),
+        ],
     )
     def test_wrong_typed_top_level_value_exits_with_config_error(self, tmp_path, capsys, key, value):
         tickers = synthetic_tickers(tmp_path)
@@ -107,6 +118,36 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", str(path)]) == 1
         assert f"config error: config key {key} must be" in capsys.readouterr().err
+
+    def test_top_level_array_exits_with_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ValueError, match="config must be a JSON object, got list"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert "config error: config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, key, repeated",
+        [
+            ({"analyses": ["premiums", "coherence", "premiums"]}, "analyses", "'premiums'"),
+            ({"forecast": {"lags": [4, 4]}}, "forecast.lags", "4"),
+            ({"forecast": {"duals": [False, True, False]}}, "forecast.duals", "False"),
+            ({"forecast": {"windows": [10, 20, 10]}}, "forecast.windows", "10"),
+            ({"forecast": {"tickers": ["AAA", "BBB", "AAA"]}}, "forecast.tickers", "'AAA'"),
+        ],
+        ids=["analyses", "lags", "duals", "windows", "tickers"],
+    )
+    def test_repeated_list_entry_exits_with_config_error(self, tmp_path, capsys, overrides, key, repeated):
+        # a repeated entry would run (and write) the same unit twice
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, **overrides)
+        message = f"config key {key} must not repeat {repeated}"
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_seed(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)

@@ -192,7 +192,7 @@ class TestFieldStructure:
         cells = dict(rho2=np.full((3, 8), 0.5), phase=np.full((3, 8), -math.pi))
         cells["rho2"][1, 4], cells["phase"][1, 4] = rho2, phase
         with pytest.raises(ValueError, match=message):
-            CoherenceField(grid=grid, dt=1.0, coi=cone_of_influence(8), **cells)
+            CoherenceField(grid=grid, coi=cone_of_influence(8), **cells)
 
 
 class TestSinglePadOracle:

@@ -20,7 +20,6 @@ def make_field(num_scales=10, n=100, phase_value=0.0, significant="all"):
         rho2=rho2,
         phase=phase,
         grid=grid,
-        dt=1.0,
         coi=cone_of_influence(n),
         significant=mask,
     )

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dualstock.timeseries import (
     CsvFormat,
-    PremiumSeries,
     PriceSeries,
+    ReturnSeries,
     align_series,
     daily_returns,
     load_ohlc_csv,
@@ -101,7 +101,9 @@ class TestDailyReturns:
 
     def test_dates_shift(self):
         s = make_series([1, 2, 3])
-        assert daily_returns(s).dates == s.dates[1:]
+        r = daily_returns(s)
+        assert r.dates == s.dates[1:]
+        assert r.ticker == "T"
 
     def test_cumulative_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -155,6 +157,7 @@ class TestPremiumSeries:
         s = make_series([1.5, 2.5, 3.5])
         p = premium_series(s, s)
         assert np.array_equal(p.values, np.zeros(3))
+        assert p.ticker is None
 
     def test_fifty_percent(self):
         a = make_series([1.5])
@@ -198,13 +201,13 @@ class TestPremiumSeries:
 
 class TestPremiumSummary:
     def test_singleton(self):
-        s = premium_summary(PremiumSeries(dates=(dt.date(2020, 1, 1),), values=[0.1]))
+        s = premium_summary(ReturnSeries(dates=(dt.date(2020, 1, 1),), values=[0.1]))
         assert s.minimum == s.q1 == s.median == s.mean == s.q3 == s.maximum == 0.1
         assert (s.count_premium, s.count_discount, s.count_parity) == (1, 0, 0)
 
     def test_hand_values(self):
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(4))
-        s = premium_summary(PremiumSeries(dates=dates, values=[-0.1, 0.0, 0.1, 0.2]))
+        s = premium_summary(ReturnSeries(dates=dates, values=[-0.1, 0.0, 0.1, 0.2]))
         assert s.minimum == pytest.approx(-0.1)
         assert s.q1 == pytest.approx(-0.025)
         assert s.median == pytest.approx(0.05)
@@ -217,13 +220,13 @@ class TestPremiumSummary:
         rng = np.random.default_rng(0)
         values = rng.normal(size=25)
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(25))
-        base = premium_summary(PremiumSeries(dates=dates, values=values))
-        perm = premium_summary(PremiumSeries(dates=dates, values=rng.permutation(values)))
+        base = premium_summary(ReturnSeries(dates=dates, values=values))
+        perm = premium_summary(ReturnSeries(dates=dates, values=rng.permutation(values)))
         assert base == perm
 
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
-            premium_summary(PremiumSeries(dates=(), values=[]))
+            premium_summary(ReturnSeries(dates=(), values=[]))
 
     def test_quartiles_match_sort_oracle(self):
         rng = np.random.default_rng(77)
@@ -231,7 +234,7 @@ class TestPremiumSummary:
             n = int(rng.integers(1, 1000))
             values = rng.normal(size=n)
             dates = tuple(dt.date(2000, 1, 1) + dt.timedelta(days=i) for i in range(n))
-            s = premium_summary(PremiumSeries(dates=dates, values=values))
+            s = premium_summary(ReturnSeries(dates=dates, values=values))
             assert s.q1 == sorted_quantile(values, 0.25)
             assert s.median == sorted_quantile(values, 0.5)
             assert s.q3 == sorted_quantile(values, 0.75)
@@ -241,7 +244,7 @@ class TestPremiumSummary:
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=60))
     def test_counts_partition(self, values):
         dates = tuple(dt.date(2000, 1, 1) + dt.timedelta(days=i) for i in range(len(values)))
-        s = premium_summary(PremiumSeries(dates=dates, values=values))
+        s = premium_summary(ReturnSeries(dates=dates, values=values))
         assert s.count_premium + s.count_discount + s.count_parity == s.n == len(values)
 
 
@@ -330,7 +333,7 @@ class TestCsvLoading:
 class TestSummaryRendering:
     def setup_method(self):
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(4))
-        self.stats = premium_summary(PremiumSeries(dates=dates, values=[-0.1, 0.0, 0.1, 0.2]))
+        self.stats = premium_summary(ReturnSeries(dates=dates, values=[-0.1, 0.0, 0.1, 0.2]))
 
     def test_keys_and_rounding(self):
         d = summary_to_dict(self.stats)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dualstock.wavelet import (
-    MorletSpec,
     ScaleGrid,
     Scaleogram,
     SmoothingSpec,
@@ -39,8 +38,8 @@ class TestMorletMother:
         assert energy == pytest.approx(1.0, abs=1e-6)
 
     def test_omega0_bound(self):
-        with pytest.raises(ValueError):
-            MorletSpec(omega0=4.0)
+        with pytest.raises(ValueError, match="omega0 must be >= 5"):
+            ScaleGrid(s0=2.0, dj=1 / 12, num_scales=4, omega0=4.0)
 
 
 class TestScaleGrid:
@@ -112,21 +111,21 @@ class TestCwt:
         assert [npad for _, _, npad in groups] == [128, 256, 512]
         assert [npad for lo, hi, npad in groups for _ in range(lo, hi)] == pads
 
-    @pytest.mark.parametrize("n, dt", [(100, 1.0), (300, 0.5), (799, 1.0)])
-    def test_daughter_tables_equal_full_alias_sum(self, n, dt):
+    @pytest.mark.parametrize("n", [100, 300, 799])
+    def test_daughter_tables_equal_full_alias_sum(self, n):
         # skipping the aliases that underflow on a whole row leaves every
         # pad group's table bit-identical to the literal 7-alias sum
-        grid = ScaleGrid.for_length(n, dt=dt)
-        for lo, hi, npad in wavelet._pad_groups(grid, n, 1.0 / dt):
-            omega = 2.0 * math.pi * np.fft.fftfreq(npad, d=dt)
+        grid = ScaleGrid.for_length(n)
+        for lo, hi, npad in wavelet._pad_groups(grid, n, 1.0):
+            omega = 2.0 * math.pi * np.fft.fftfreq(npad)
             literal = np.empty((hi - lo, npad))
             for j, s in enumerate(grid.scales[lo:hi]):
                 arg = s * omega - grid.omega0
                 acc = np.zeros(npad)
                 for image in range(-3, 4):
-                    acc += np.exp(-0.5 * (arg - image * (2.0 * math.pi * s / dt)) ** 2)
-                literal[j] = math.sqrt(2.0 * math.pi * s / dt) * math.pi**-0.25 * acc
-            assert np.array_equal(wavelet._daughter_matrix(grid, lo, hi, npad, dt), literal)
+                    acc += np.exp(-0.5 * (arg - image * (2.0 * math.pi * s)) ** 2)
+                literal[j] = math.sqrt(2.0 * math.pi * s) * math.pi**-0.25 * acc
+            assert np.array_equal(wavelet._daughter_matrix(grid, lo, hi, npad), literal)
 
     def test_input_validation(self):
         grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
@@ -134,8 +133,6 @@ class TestCwt:
             cwt([1.0, 2.0], grid)
         with pytest.raises(ValueError, match="non-finite"):
             cwt([1.0, np.nan, 2.0, 3.0], grid)
-        with pytest.raises(ValueError, match="omega0"):
-            cwt(np.zeros(16), grid, MorletSpec(omega0=7.0))
 
     def test_scaleogram_shape_validation(self):
         grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
@@ -167,14 +164,6 @@ class TestSmoothing:
         rhs = 2.5 * smooth(a, grid=self.grid) - 1.25 * smooth(b, grid=self.grid)
         assert np.abs(lhs - rhs).max() < 1e-12
 
-    def test_scaleogram_roundtrip_matches_raw(self):
-        rng = np.random.default_rng(11)
-        sg = cwt(rng.standard_normal(self.n), self.grid)
-        via_scaleogram = smooth(sg)
-        via_raw = smooth(sg.values, grid=self.grid, dt=sg.dt)
-        assert isinstance(via_scaleogram, Scaleogram)
-        assert np.array_equal(via_scaleogram.values, via_raw)
-
     def test_real_rows_match_complex_path(self):
         # real rows take rfft/irfft, complex rows fft/ifft against the same kernel
         rng = np.random.default_rng(12)
@@ -186,7 +175,7 @@ class TestSmoothing:
         assert np.abs(cplx.imag).max() < 1e-13
 
     def test_requires_grid_for_raw_arrays(self):
-        with pytest.raises(ValueError, match="grid is required"):
+        with pytest.raises(TypeError, match="grid"):
             smooth(np.zeros((4, 8)))
 
     def test_spec_validation(self):
@@ -215,7 +204,7 @@ class TestConeOfInfluence:
         assert (np.diff(coi[mid:]) < 0).all()
 
     def test_formula(self):
-        n, dt = 64, 0.5
-        coi = cone_of_influence(n, dt)
+        n = 64
+        coi = cone_of_influence(n)
         idx = np.arange(n)
-        assert np.array_equal(coi, math.sqrt(2) * np.minimum(idx, n - 1 - idx) * dt)
+        assert np.array_equal(coi, math.sqrt(2) * np.minimum(idx, n - 1 - idx))

@@ -20,7 +20,6 @@ def make_field(rho2, phase, significant):
         rho2=rho2,
         phase=np.asarray(phase, dtype=np.float64),
         grid=ScaleGrid(s0=2.0, dj=0.25, num_scales=num_scales),
-        dt=1.0,
         # cone_of_influence needs two points; one point is one edge away
         coi=cone_of_influence(n) if n > 1 else np.array([math.sqrt(2.0)]),
         significant=significant,
