@@ -26,7 +26,6 @@ from .timeseries import (
     align_series,
     daily_returns,
     load_ohlc_csv,
-    mid_price,
     premium_series,
     premium_summary,
 )

@@ -30,7 +30,6 @@ from .atomicfile import atomic_open
 from .forecast import ForecastRun, RegimeSpec, forecast
 from .lstm import TrainConfig, TrainingDivergedError
 from .metrics import (
-    DEFAULT_REGIMES,
     ReportGrid,
     assemble_grid,
     write_grid_csv,
@@ -71,6 +70,24 @@ class WaveletOptions:
     mc_iterations: int = 1000
     significance_level: float = 0.05
 
+    def __post_init__(self) -> None:
+        # the records' own checks reject bad values before any analysis runs
+        self.scale_grid(MIN_COHERENCE_LENGTH)
+        self.smoothing()
+        self.monte_carlo(seed=0)
+
+    def scale_grid(self, n: int) -> ScaleGrid:
+        """The scale grid for n returns: ``ScaleGrid.for_length`` unless num_scales is set."""
+        if self.num_scales is None:
+            return ScaleGrid.for_length(n, s0=self.s0, dj=self.dj, omega0=self.omega0)
+        return ScaleGrid(s0=self.s0, dj=self.dj, num_scales=self.num_scales, omega0=self.omega0)
+
+    def smoothing(self) -> SmoothingSpec:
+        return SmoothingSpec(time_std_scales=self.time_std_scales, scale_window_octaves=self.scale_window_octaves)
+
+    def monte_carlo(self, seed: int) -> MonteCarloSpec:
+        return MonteCarloSpec(seed=seed, iterations=self.mc_iterations, significance_level=self.significance_level)
+
 
 @dataclass(frozen=True)
 class ForecastOptions:
@@ -85,6 +102,41 @@ class ForecastOptions:
     learning_rate: float = 1e-2
     clip_norm: float = 1.0
     tickers: tuple[str, ...] | None = None  # forecast subset; all loaded tickers if None
+
+    def __post_init__(self) -> None:
+        # the records' own checks reject bad values before any analysis runs;
+        # no record holds a lag, so its bound is checked here
+        for lag in self.lags:
+            if lag < 1:
+                raise ValueError(f"lags must be >= 1, got {lag}")
+        self.train_config(seed=0)
+        if not any(_runs_at(regime, lag) for regime in self.regimes() for lag in self.lags):
+            raise ValueError(
+                f"forecast.windows {list(self.windows)} and mece_train_size {self.mece_train_size} "
+                f"give no cell at lags {list(self.lags)}: a window runs only at lags below it"
+            )
+
+    def regimes(self) -> list[RegimeSpec]:
+        """One rolling regime per window, then MECE unless mece_train_size is None."""
+        regimes = [
+            RegimeSpec(kind="rolling", test_size=self.test_size, window=w, retrain_per_origin=self.retrain_per_origin)
+            for w in self.windows
+        ]
+        if self.mece_train_size is not None:
+            regimes.append(RegimeSpec(kind="mece", test_size=self.test_size, train_size=self.mece_train_size))
+        return regimes
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(
+            seed=seed, epochs=self.epochs, learning_rate=self.learning_rate,
+            hidden_size=self.hidden_size, clip_norm=self.clip_norm,
+        )
+
+
+def _runs_at(regime: RegimeSpec, lag: int) -> bool:
+    # as in the paper grid, a window runs only at lags below it (window 5 at
+    # lag 4 only); the cells left out are listed as missing in the grids
+    return regime.kind == "mece" or regime.window > lag
 
 
 @dataclass(frozen=True)
@@ -109,6 +161,9 @@ class RunConfig:
         for name, path in self.tickers:
             if not Path(path).is_file():
                 raise ValueError(f"input file for ticker {name} not found: {path}")
+        unknown = set(self.forecast.tickers or ()) - {name for name, _ in self.tickers}
+        if unknown:
+            raise ValueError(f"config section forecast: tickers {sorted(unknown)} are not declared inputs")
 
 
 def _conforms(value, hint) -> bool:
@@ -146,9 +201,22 @@ def _section(raw: dict, name: str, defaults):
             raise ValueError(f"config key {name}.{key} must be {expected}, got {value!r}")
         if isinstance(value, list):
             _check_unique(f"{name}.{key}", value)
-    return dataclasses.replace(
-        defaults, **{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-    )
+    try:
+        return dataclasses.replace(
+            defaults, **{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+        )
+    except ValueError as exc:
+        raise ValueError(f"config section {name}: {exc}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key is an error, not last-one-wins."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {key!r} is repeated in one JSON object")
+        obj[key] = value
+    return obj
 
 
 def load_config(
@@ -158,7 +226,7 @@ def load_config(
 ) -> RunConfig:
     """Parse and validate a JSON config file, applying flag overrides."""
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     known = {"tickers", "out_dir", "seed", "analyses", "percent", "csv", "wavelet", "forecast"}
@@ -337,9 +405,7 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
         raise ValueError("coherence needs at least two tickers")
     out = config.out_dir / "coherence"
     w = config.wavelet
-    sspec = SmoothingSpec(
-        time_std_scales=w.time_std_scales, scale_window_octaves=w.scale_window_octaves
-    )
+    sspec = w.smoothing()
     for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
         label = f"{name_a}_{name_b}"
         aligned_a, aligned_b = align_series(a, b)
@@ -351,16 +417,8 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
             continue
         returns_a = daily_returns(aligned_a)
         returns_b = daily_returns(aligned_b)
-        n = returns_a.n
-        if w.num_scales is None:
-            grid = ScaleGrid.for_length(n, s0=w.s0, dj=w.dj, omega0=w.omega0)
-        else:
-            grid = ScaleGrid(s0=w.s0, dj=w.dj, num_scales=w.num_scales, omega0=w.omega0)
-        mc = MonteCarloSpec(
-            seed=child_seed(config.seed, f"coherence:{name_a}/{name_b}"),
-            iterations=w.mc_iterations,
-            significance_level=w.significance_level,
-        )
+        grid = w.scale_grid(returns_a.n)
+        mc = w.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
         try:
             field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc)
         except ValueError as exc:
@@ -434,18 +492,10 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
         raise ValueError("forecast: tickers share no common dates")
     f = config.forecast
     out = config.out_dir / "forecast"
-    regimes: list[RegimeSpec] = [
-        RegimeSpec(kind="rolling", test_size=f.test_size, window=wnd, retrain_per_origin=f.retrain_per_origin)
-        for wnd in f.windows
-    ]
-    if f.mece_train_size is not None:
-        regimes.append(RegimeSpec(kind="mece", test_size=f.test_size, train_size=f.mece_train_size))
+    regimes = f.regimes()
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
-    unknown = set(targets) - set(names)
-    if unknown:
-        raise ValueError(f"forecast tickers {sorted(unknown)} are not declared inputs")
     runs_by_ticker: dict[str, list[ForecastRun]] = {name: [] for name in targets}
 
     for name in targets:
@@ -459,18 +509,14 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
                     )
                     continue
                 for regime in regimes:
+                    if not _runs_at(regime, lag):
+                        continue
                     unit = f"{name} lag={lag} dual={'yes' if dual else 'no'} {regime.label}"
                     seed = child_seed(
                         config.seed,
                         f"forecast:{name}:lag={lag}:dual={'yes' if dual else 'no'}:{regime.label}",
                     )
-                    cfg = TrainConfig(
-                        seed=seed,
-                        epochs=f.epochs,
-                        learning_rate=f.learning_rate,
-                        hidden_size=f.hidden_size,
-                        clip_norm=f.clip_norm,
-                    )
+                    cfg = f.train_config(seed)
                     try:
                         run = forecast(
                             mids[name],
@@ -562,16 +608,14 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
     for run in runs:
         by_ticker.setdefault(run.ticker, []).append(run)
 
-    observed_windows = sorted(
-        {r.regime.window for r in runs if r.regime.kind == "rolling"}
-    )
-    default_windows = [int(label.split("=")[1]) for label in DEFAULT_REGIMES if label.startswith("window=")]
-    window_labels = [f"window={w}" for w in sorted(set(default_windows) | set(observed_windows))]
-    regimes = tuple(window_labels + ["mece"])
-    lags = tuple(sorted({4, 9} | {r.lag for r in runs}))
+    # the default grid's rows and columns, plus any window or lag the runs add
+    defaults = ForecastOptions()
+    windows = sorted(set(defaults.windows) | {r.regime.window for r in runs if r.regime.kind == "rolling"})
+    regimes = tuple([f"window={w}" for w in windows] + ["mece"])
+    lags = tuple(sorted(set(defaults.lags) | {r.lag for r in runs}))
 
     grids = [
-        assemble_grid(by_ticker[ticker], regimes=regimes, lags=lags, duals=(False, True))
+        assemble_grid(by_ticker[ticker], regimes=regimes, lags=lags, duals=defaults.duals)
         for ticker in sorted(by_ticker)
     ]
     _write_grids(grids, Path(out_dir) / "report", outcome, "report")

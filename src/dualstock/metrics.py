@@ -37,14 +37,6 @@ DEFAULT_REGIMES = ("window=5", "window=10", "window=20", "window=50", "mece")
 
 _METRIC_NAMES = ("RMSE", "MAE", "MAPE")
 
-_REGIME_DISPLAY = {
-    "window=5": "Training Window = 5",
-    "window=10": "Training Window = 10",
-    "window=20": "Training Window = 20",
-    "window=50": "Training Window = 50",
-    "mece": "MECE",
-}
-
 
 def _paired(pred, actual) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, dtype=np.float64)
@@ -163,7 +155,8 @@ def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
     header = ["regime", "metric"] + _column_names(grid)
     rows = [header]
     for regime in grid.regimes:
-        display = _REGIME_DISPLAY.get(regime, regime)
+        # "window=15" displays as "Training Window = 15", any window alike
+        display = "MECE" if regime == "mece" else regime.replace("window=", "Training Window = ")
         for metric in _METRIC_NAMES:
             row = [display, metric]
             for lag in grid.lags:

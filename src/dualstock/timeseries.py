@@ -1,9 +1,12 @@
-"""Daily OHLC series, mid-prices, returns, and dual-class premium statistics.
+"""Daily mid-price series, returns, and dual-class premium statistics.
 
-Prices are strictly positive, dates strictly increasing.  Premiums are stored
-as dimensionless fractions (0.5 means +50%); percent scaling happens only at
-report emission.  Pairwise analysis is defined on the date intersection of
-the two inputs -- there is no calendar imputation.
+The loader forms each row's mid price 0.5 * (high + low), or reads a mid
+column as it is, and the mid is the only price a series stores: every
+analysis reads one price per day.  Prices are strictly positive, dates
+strictly increasing.  Premiums are stored as dimensionless fractions (0.5
+means +50%); percent scaling happens only at report emission.  Pairwise
+analysis is defined on the date intersection of the two inputs -- there is
+no calendar imputation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import csv
 import datetime as dt
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,6 @@ __all__ = [
     "ReturnSeries",
     "SummaryStats",
     "CsvFormat",
-    "mid_price",
     "daily_returns",
     "align_series",
     "premium_series",
@@ -31,12 +33,6 @@ __all__ = [
     "summary_to_dict",
     "render_summary_csv",
 ]
-
-SUMMARY_KEYS = (
-    "min", "q1", "median", "mean", "q3", "max",
-    "count_premium", "count_discount", "count_parity", "n",
-)
-
 
 def _frozen_array(values) -> np.ndarray:
     out = np.array(values, dtype=np.float64)
@@ -57,39 +53,26 @@ def _check_dates(dates: tuple[dt.date, ...]) -> None:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Date-indexed daily high/low prices for one ticker; mid is derived.
+    """Date-indexed daily mid prices for one ticker.
 
-    Invariants: dates strictly increasing, high >= low > 0 elementwise, and
-    mid = 0.5 * (high + low) exactly.  A zero-length series is permitted only
-    so that aligning date-disjoint series has a well-defined result.
+    Invariants: dates strictly increasing and every mid finite and > 0.  The
+    high/low of a day are checked by the loader and not kept.  A zero-length
+    series is permitted only so that aligning date-disjoint series has a
+    well-defined result.
     """
 
     ticker: str
     dates: tuple[dt.date, ...]
-    high: np.ndarray
-    low: np.ndarray
-    mid: np.ndarray = field(init=False)
+    mid: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
-        high = _frozen_array(self.high)
-        low = _frozen_array(self.low)
-        n = len(self.dates)
-        if len(high) != n or len(low) != n:
-            raise ValueError(
-                f"length mismatch: {n} dates vs {len(high)} highs / {len(low)} lows"
-            )
+        mid = _frozen_array(self.mid)
+        if len(mid) != len(self.dates):
+            raise ValueError(f"length mismatch: {len(self.dates)} dates vs {len(mid)} mids")
         _check_dates(self.dates)
-        if n:
-            if not (np.isfinite(high).all() and np.isfinite(low).all()):
-                raise ValueError("prices must be finite")
-            if (low <= 0).any():
-                raise ValueError("prices must be strictly positive")
-            if (high < low).any():
-                raise ValueError("every high must be >= the corresponding low")
-        mid = _frozen_array(0.5 * (high + low))
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "low", low)
+        if not (np.isfinite(mid) & (mid > 0)).all():
+            raise ValueError("mid prices must be finite and strictly positive")
         object.__setattr__(self, "mid", mid)
 
     @property
@@ -99,12 +82,7 @@ class PriceSeries:
     def take(self, indices) -> "PriceSeries":
         """Sub-series at the given (increasing) positions."""
         idx = list(indices)
-        return PriceSeries(
-            ticker=self.ticker,
-            dates=tuple(self.dates[i] for i in idx),
-            high=self.high[idx] if idx else np.empty(0),
-            low=self.low[idx] if idx else np.empty(0),
-        )
+        return PriceSeries(ticker=self.ticker, dates=tuple(self.dates[i] for i in idx), mid=self.mid[idx])
 
 
 @dataclass(frozen=True)
@@ -137,29 +115,22 @@ class ReturnSeries:
 class SummaryStats:
     """Five-number summary plus mean and premium/discount/parity day counts."""
 
-    minimum: float
+    min: float
     q1: float
     median: float
     mean: float
     q3: float
-    maximum: float
+    max: float
     count_premium: int
     count_discount: int
     count_parity: int
     n: int
 
     def __post_init__(self) -> None:
-        if not (self.minimum <= self.q1 <= self.median <= self.q3 <= self.maximum):
+        if not (self.min <= self.q1 <= self.median <= self.q3 <= self.max):
             raise ValueError("summary order statistics out of order")
         if self.count_premium + self.count_discount + self.count_parity != self.n:
             raise ValueError("premium/discount/parity counts must partition n")
-
-
-def mid_price(high: float, low: float) -> float:
-    """Daily mid-price: the average of the day's high and low."""
-    if low <= 0 or high < low:
-        raise ValueError(f"invalid high/low pair ({high}, {low}): need high >= low > 0")
-    return 0.5 * (high + low)
 
 
 def daily_returns(s: PriceSeries) -> ReturnSeries:
@@ -212,12 +183,12 @@ def premium_summary(p: ReturnSeries) -> SummaryStats:
     values = [float(v) for v in p.values]
     xs = sorted(values)
     return SummaryStats(
-        minimum=xs[0],
+        min=xs[0],
         q1=_interpolated_quantile(xs, 0.25),
         median=_interpolated_quantile(xs, 0.5),
         mean=math.fsum(xs) / len(xs),
         q3=_interpolated_quantile(xs, 0.75),
-        maximum=xs[-1],
+        max=xs[-1],
         count_premium=sum(1 for v in values if v > 0),
         count_discount=sum(1 for v in values if v < 0),
         count_parity=sum(1 for v in values if v == 0),
@@ -265,17 +236,17 @@ def load_ohlc_csv(
     fmt: CsvFormat = CsvFormat(),
     ticker: str | None = None,
 ) -> PriceSeries:
-    """Load one ticker's daily prices from a headed CSV file.
+    """Load one ticker's daily mid prices from a headed CSV file.
 
-    Row-level defects follow ``fmt.on_invalid``; structural defects (missing
-    columns, unordered dates, nothing loadable) always raise.  Error messages
-    reference 1-based file line numbers, header included.
+    Each row's high/low (or mid column) is checked here and reduced to its
+    mid.  Row-level defects follow ``fmt.on_invalid``; structural defects
+    (missing columns, unordered dates, nothing loadable) always raise.  Error
+    messages reference 1-based file line numbers, header included.
     """
     path = Path(path)
     name = ticker if ticker is not None else path.stem
     dates: list[dt.date] = []
-    highs: list[float] = []
-    lows: list[float] = []
+    mids: list[float] = []
 
     def bad_row(line: int, reason: str) -> bool:
         if fmt.on_invalid == "fail":
@@ -320,6 +291,7 @@ def load_ohlc_csv(
                 except ValueError:
                     bad_row(line, f"non-numeric price (high={raw_h!r}, low={raw_l!r})")
                     continue
+                mid = 0.5 * (high + low)
             if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
                 bad_row(line, f"non-positive or non-finite price (high={high}, low={low})")
                 continue
@@ -332,37 +304,25 @@ def load_ohlc_csv(
                     f"({dates[-1]} then {date})"
                 )
             dates.append(date)
-            highs.append(high)
-            lows.append(low)
+            mids.append(mid)
 
     if not dates:
         raise ValueError(f"{path}: no valid rows")
-    return PriceSeries(ticker=name, dates=tuple(dates), high=highs, low=lows)
+    return PriceSeries(ticker=name, dates=tuple(dates), mid=mids)
 
 
 def summary_to_dict(stats: SummaryStats, percent: bool = False) -> dict:
-    """Summary as a flat mapping; fractions optionally scaled to percent."""
+    """Summary keyed by field name; float fields scaled to percent if asked and rounded to 6 decimals."""
     scale = 100.0 if percent else 1.0
+    # the module's annotations are strings, so a field's declared type is "float" or "int"
     return {
-        "min": round(stats.minimum * scale, 6),
-        "q1": round(stats.q1 * scale, 6),
-        "median": round(stats.median * scale, 6),
-        "mean": round(stats.mean * scale, 6),
-        "q3": round(stats.q3 * scale, 6),
-        "max": round(stats.maximum * scale, 6),
-        "count_premium": stats.count_premium,
-        "count_discount": stats.count_discount,
-        "count_parity": stats.count_parity,
-        "n": stats.n,
+        f.name: round(getattr(stats, f.name) * scale, 6) if f.type == "float" else getattr(stats, f.name)
+        for f in fields(stats)
     }
 
 
 def render_summary_csv(stats: SummaryStats, percent: bool = False) -> str:
-    """Two-line CSV (header + values); fractions rendered with 6 decimals."""
+    """Two-line CSV (header + values); float fields rendered with 6 decimals."""
     d = summary_to_dict(stats, percent=percent)
-    header = ",".join(SUMMARY_KEYS)
-    cells = []
-    for key in SUMMARY_KEYS:
-        v = d[key]
-        cells.append(f"{v:.6f}" if isinstance(v, float) else str(v))
-    return header + "\n" + ",".join(cells) + "\n"
+    cells = [f"{d[f.name]:.6f}" if f.type == "float" else str(d[f.name]) for f in fields(stats)]
+    return ",".join(d) + "\n" + ",".join(cells) + "\n"

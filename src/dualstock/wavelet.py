@@ -106,6 +106,7 @@ class ScaleGrid:
         """Default grid: largest Fourier period >= min(span/3, 512) days."""
         if n < 4:
             raise ValueError(f"series too short for a scale grid: n={n}")
+        cls(s0=s0, dj=dj, num_scales=1, omega0=omega0)  # checks s0, dj and omega0 before they are used
         target = min(n / 3.0, 512.0)
         ff = fourier_factor(omega0)
         smallest_period = s0 * ff

@@ -278,7 +278,7 @@ def test_10_desk_scale_end_to_end(desk_scale_run):
         assert stats.median == sorted_quantile(values, 0.5)
         assert stats.q3 == sorted_quantile(values, 0.75)
         assert stats.mean == math.fsum(values) / len(values)
-        assert stats.minimum == min(values) and stats.maximum == max(values)
+        assert stats.min == min(values) and stats.max == max(values)
         assert stats.count_premium == sum(1 for v in values if v > 0)
         assert stats.count_discount == sum(1 for v in values if v < 0)
         emitted = json.loads((root / "o1" / "premiums" / "KRA_over_KRB_summary.json").read_text())

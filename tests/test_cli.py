@@ -1,6 +1,7 @@
 import datetime as dt
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,24 @@ def write_config(tmp_path, tickers, /, out_name="out", **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+# one out-of-range value per config section key, with the message of the record that rejects it
+RANGE_ERRORS = [
+    ("forecast", {"epochs": 0}, "epochs must be >= 1"),
+    ("forecast", {"learning_rate": 0}, "learning_rate must be positive"),
+    ("forecast", {"lags": [4, 0]}, "lags must be >= 1, got 0"),
+    ("forecast", {"windows": [1]}, "rolling regime requires window >= 2"),
+    ("forecast", {"test_size": 0}, "test_size must be >= 1"),
+    ("forecast", {"tickers": ["ZZZ"]}, "tickers ['ZZZ'] are not declared inputs"),
+    ("wavelet", {"omega0": 4}, "omega0 must be >= 5, got 4"),
+    ("wavelet", {"dj": 0}, "s0 and dj must be positive"),
+    ("wavelet", {"num_scales": 0}, "num_scales must be >= 1"),
+    ("wavelet", {"scale_window_octaves": 0}, "smoothing widths must be positive"),
+    ("wavelet", {"mc_iterations": 0}, "iterations must be >= 1"),
+    ("wavelet", {"significance_level": 1.5}, "significance_level must be in (0, 1)"),
+    ("csv", {"on_invalid": "ignore"}, "on_invalid must be 'fail' or 'skip'"),
+]
 
 
 class TestConfig:
@@ -148,6 +167,52 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, value, message", RANGE_ERRORS, ids=[f"{sec}.{next(iter(v))}" for sec, v, _ in RANGE_ERRORS]
+    )
+    def test_range_error_exits_before_any_analysis(self, tmp_path, capsys, section, value, message):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, analyses=["premiums", "coherence", "forecast"], **{section: value})
+        message = f"config section {section}: {message}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "anchor, injected, key",
+        [
+            ('"tickers": {', '"tickers": {"AAA": "bbb.csv", ', "AAA"),
+            ('"seed": 321', '"seed": 7, "seed": 321', "seed"),
+            ('"forecast": {', '"forecast": {"epochs": 3, ', "epochs"),
+        ],
+        ids=["ticker", "top-level", "section"],
+    )
+    def test_repeated_json_key_exits_with_config_error(self, tmp_path, capsys, anchor, injected, key):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, forecast={"epochs": 2})
+        path.write_text(path.read_text(encoding="utf-8").replace(anchor, injected), encoding="utf-8")
+        message = f"config key {key!r} is repeated in one JSON object"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = json.loads(re.search(r"Example config:\s*```json\n(.*?)```", readme, re.DOTALL).group(1))
+        for name in example["tickers"].values():
+            write_prices(tmp_path / name, [10.0, 11.0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(example), encoding="utf-8")
+        config = load_config(path)
+        assert [name for name, _ in config.tickers] == list(example["tickers"])
+        assert config.out_dir == Path(example["out_dir"])
+        assert config.forecast.windows == tuple(example["forecast"]["windows"])
+        assert config.wavelet.mc_iterations == example["wavelet"]["mc_iterations"]
 
     def test_missing_seed(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -343,10 +408,26 @@ class TestForecastCommand:
         assert any("needs exactly 3 tickers" in f for f in manifest["failures"])
 
     def test_window_too_small_reported(self, tmp_path):
-        config_path = self.forecast_config(tmp_path, lags=[9], windows=[5])
-        assert main(["forecast", "--config", str(config_path)]) == 1
+        # the paper grid's shape: window 5 runs at lag 4 only, and the cell
+        # it skips is reported missing in the grid, not as a failure
+        config_path = self.forecast_config(
+            tmp_path, lags=[4, 9], windows=[5, 10], mece_train_size=None, tickers=["AAA"], test_size=5
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert any("window=5" in f for f in manifest["failures"])
+        assert manifest["failures"] == []
+        runs = sorted(p.stem for p in (tmp_path / "out" / "forecast" / "runs").glob("*.json"))
+        assert runs == ["AAA_lag4_dual-no_w10", "AAA_lag4_dual-no_w5", "AAA_lag9_dual-no_w10"]
+        grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())
+        assert grid["missing"] == ["window=5|lag=9|dual=no"]
+
+    def test_no_runnable_cell_is_config_error(self, tmp_path, capsys):
+        config_path = self.forecast_config(tmp_path, lags=[9], windows=[5, 9], mece_train_size=None)
+        with pytest.raises(ValueError, match=r"config section forecast: forecast\.windows \[5, 9\]"):
+            load_config(config_path)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        assert "config error: config section forecast: forecast.windows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_single_ticker_subset_windows_only(self, tmp_path):
         # 3 tickers loaded (so dual features exist), forecasts for one of

@@ -185,6 +185,12 @@ class TestRendering:
         assert rows[-1][0] == "MECE"
         assert rows[-1][1] == "MAPE"
 
+    def test_every_window_is_named_by_one_rule(self):
+        grid = assemble_grid([FakeRun(regime_label="window=15")], regimes=("window=15", "window=7", "mece"))
+        assert [row[0] for row in grid_table_rows(grid)[1::3]] == [
+            "Training Window = 15", "Training Window = 7", "MECE",
+        ]
+
     def test_values_rendered_four_decimals(self):
         grid = assemble_grid([FakeRun()])
         rows = grid_table_rows(grid)

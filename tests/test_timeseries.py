@@ -1,4 +1,6 @@
+import dataclasses
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from dualstock.timeseries import (
     CsvFormat,
     PriceSeries,
     ReturnSeries,
+    SummaryStats,
     align_series,
     daily_returns,
     load_ohlc_csv,
-    mid_price,
     premium_series,
     premium_summary,
     render_summary_csv,
@@ -25,56 +27,61 @@ from _oracles import sorted_quantile
 def make_series(mids, ticker="T", start=dt.date(2020, 1, 1)):
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(mids)))
     mids = np.asarray(mids, dtype=float)
-    return PriceSeries(ticker=ticker, dates=dates, high=mids, low=mids)
+    return PriceSeries(ticker=ticker, dates=dates, mid=mids)
+
+
+def load_one_row(tmp_path, high, low):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"date,high,low\n2020-01-01,{high!r},{low!r}\n", encoding="utf-8")
+    return load_ohlc_csv(path)
 
 
 class TestMidPrice:
-    def test_arithmetic_mean(self):
-        assert mid_price(10.0, 8.0) == 9.0
+    # the loader forms each row's mid price; a series stores nothing else
 
-    def test_identity(self):
-        assert mid_price(5.0, 5.0) == 5.0
+    def test_arithmetic_mean(self, tmp_path):
+        assert load_one_row(tmp_path, 10.0, 8.0).mid[0] == 9.0
 
-    def test_hand_value(self):
-        assert mid_price(2.34, 2.10) == pytest.approx(2.22, abs=1e-12)
+    def test_identity(self, tmp_path):
+        assert load_one_row(tmp_path, 5.0, 5.0).mid[0] == 5.0
+
+    def test_hand_value(self, tmp_path):
+        mid = load_one_row(tmp_path, 2.34, 2.10).mid[0]
+        assert mid == 0.5 * (2.34 + 2.10)
+        assert mid == pytest.approx(2.22, abs=1e-12)
 
     @pytest.mark.parametrize("high,low", [(1.0, 0.0), (1.0, -2.0), (2.0, 3.0)])
-    def test_domain_errors(self, high, low):
-        with pytest.raises(ValueError):
-            mid_price(high, low)
+    def test_domain_errors(self, tmp_path, high, low):
+        with pytest.raises(ValueError, match="line 2"):
+            load_one_row(tmp_path, high, low)
 
 
 class TestPriceSeries:
-    def test_mid_is_derived(self):
-        s = PriceSeries(
-            ticker="X",
-            dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
-            high=[10.0, 12.0],
-            low=[8.0, 9.0],
-        )
+    def test_fields_are_ticker_dates_mid(self):
+        s = PriceSeries("X", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [9.0, 10.5])
+        assert [f.name for f in dataclasses.fields(s)] == ["ticker", "dates", "mid"]
         assert np.array_equal(s.mid, [9.0, 10.5])
 
     def test_rejects_unsorted_dates(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            PriceSeries(
-                ticker="X",
-                dates=(dt.date(2020, 1, 2), dt.date(2020, 1, 1)),
-                high=[1.0, 1.0],
-                low=[1.0, 1.0],
-            )
+            PriceSeries(ticker="X", dates=(dt.date(2020, 1, 2), dt.date(2020, 1, 1)), mid=[1.0, 1.0])
 
-    def test_rejects_high_below_low(self):
-        with pytest.raises(ValueError, match="high"):
-            PriceSeries(
-                ticker="X",
-                dates=(dt.date(2020, 1, 1),),
-                high=[1.0],
-                low=[2.0],
-            )
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            PriceSeries(ticker="X", dates=(dt.date(2020, 1, 1),), mid=[1.0, 2.0])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             make_series([0.0])
+
+    @pytest.mark.parametrize("mid", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, mid):
+        with pytest.raises(ValueError, match="finite"):
+            make_series([1.0, mid])
+
+    def test_take_nothing_is_empty(self):
+        s = make_series([1.0, 2.0]).take([])
+        assert s.n == 0 and s.mid.dtype == np.float64 and s.mid.shape == (0,)
 
     def test_arrays_immutable(self):
         s = make_series([1.0, 2.0])
@@ -123,13 +130,8 @@ class TestAlign:
 
     def test_intersection(self):
         d = dt.date(2020, 1, 1)
-        a = PriceSeries("A", (d, d + dt.timedelta(1), d + dt.timedelta(2)), [1, 2, 3], [1, 2, 3])
-        b = PriceSeries(
-            "B",
-            (d + dt.timedelta(1), d + dt.timedelta(2), d + dt.timedelta(3)),
-            [4, 5, 6],
-            [4, 5, 6],
-        )
+        a = PriceSeries("A", (d, d + dt.timedelta(1), d + dt.timedelta(2)), [1, 2, 3])
+        b = PriceSeries("B", (d + dt.timedelta(1), d + dt.timedelta(2), d + dt.timedelta(3)), [4, 5, 6])
         ra, rb = align_series(a, b)
         assert ra.dates == rb.dates == (d + dt.timedelta(1), d + dt.timedelta(2))
         assert np.array_equal(ra.mid, [2, 3])
@@ -202,18 +204,18 @@ class TestPremiumSeries:
 class TestPremiumSummary:
     def test_singleton(self):
         s = premium_summary(ReturnSeries(dates=(dt.date(2020, 1, 1),), values=[0.1]))
-        assert s.minimum == s.q1 == s.median == s.mean == s.q3 == s.maximum == 0.1
+        assert s.min == s.q1 == s.median == s.mean == s.q3 == s.max == 0.1
         assert (s.count_premium, s.count_discount, s.count_parity) == (1, 0, 0)
 
     def test_hand_values(self):
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(4))
         s = premium_summary(ReturnSeries(dates=dates, values=[-0.1, 0.0, 0.1, 0.2]))
-        assert s.minimum == pytest.approx(-0.1)
+        assert s.min == pytest.approx(-0.1)
         assert s.q1 == pytest.approx(-0.025)
         assert s.median == pytest.approx(0.05)
         assert s.mean == pytest.approx(0.05)
         assert s.q3 == pytest.approx(0.125)
-        assert s.maximum == pytest.approx(0.2)
+        assert s.max == pytest.approx(0.2)
         assert (s.count_premium, s.count_discount, s.count_parity) == (2, 1, 1)
 
     def test_order_invariance(self):
@@ -238,7 +240,7 @@ class TestPremiumSummary:
             assert s.q1 == sorted_quantile(values, 0.25)
             assert s.median == sorted_quantile(values, 0.5)
             assert s.q3 == sorted_quantile(values, 0.75)
-            assert s.minimum == values.min() and s.maximum == values.max()
+            assert s.min == values.min() and s.max == values.max()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=60))
@@ -355,3 +357,34 @@ class TestSummaryRendering:
         assert header.startswith("min,q1,")
         assert row.split(",")[1] == "-0.025000"
         assert row.split(",")[-1] == "4"
+
+    @pytest.mark.parametrize(
+        "percent, csv_text, json_text",
+        [
+            (
+                False,
+                "min,q1,median,mean,q3,max,count_premium,count_discount,count_parity,n\n"
+                "0.000000,0.012346,0.500000,0.400000,1.250000,3.612100,3,0,1,4\n",
+                '{\n  "count_discount": 0,\n  "count_parity": 1,\n  "count_premium": 3,\n'
+                '  "max": 3.6121,\n  "mean": 0.4,\n  "median": 0.5,\n  "min": 0.0,\n'
+                '  "n": 4,\n  "q1": 0.012346,\n  "q3": 1.25\n}\n',
+            ),
+            (
+                True,
+                "min,q1,median,mean,q3,max,count_premium,count_discount,count_parity,n\n"
+                "0.000000,1.234568,50.000000,40.000000,125.000000,361.210000,3,0,1,4\n",
+                '{\n  "count_discount": 0,\n  "count_parity": 1,\n  "count_premium": 3,\n'
+                '  "max": 361.21,\n  "mean": 40.0,\n  "median": 50.0,\n  "min": 0.0,\n'
+                '  "n": 4,\n  "q1": 1.234568,\n  "q3": 125.0\n}\n',
+            ),
+        ],
+        ids=["fraction", "percent"],
+    )
+    def test_hand_built_bytes(self, percent, csv_text, json_text):
+        # min=0 is an int, but its field is declared float, so it prints as one
+        stats = SummaryStats(
+            min=0, q1=0.0123456789, median=0.5, mean=0.4, q3=1.25, max=3.6121,
+            count_premium=3, count_discount=0, count_parity=1, n=4,
+        )
+        assert render_summary_csv(stats, percent) == csv_text
+        assert json.dumps(summary_to_dict(stats, percent), indent=2, sort_keys=True) + "\n" == json_text
