@@ -1,12 +1,12 @@
 """Batch command-line pipeline: ingestion, premiums, coherence, forecasts.
 
 Subcommands: ``premiums``, ``coherence``, ``forecast``, ``run`` (the
-analyses selected in the config, optionally filtered with ``--only``), and
-``report`` (re-assemble metric grids from existing run manifests).  A single
-declarative JSON config plus flag overrides drives everything; the master
-seed deterministically derives one child seed per analysis unit, so reruns
-with identical inputs and config are byte-identical.  Every invocation
-writes a manifest listing emitted files and their content hashes.
+analyses selected in the config), and ``report`` (re-assemble metric grids
+from existing run manifests).  A single declarative JSON config plus flag
+overrides drives everything; the master seed deterministically derives one
+child seed per analysis unit, so reruns with identical inputs and config are
+byte-identical.  Every invocation writes a manifest listing emitted files
+and their content hashes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import sys
 import types
 import typing
@@ -54,7 +53,6 @@ from .wavelet import ScaleGrid, SmoothingSpec
 
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
-OUT_DIR_ENV = "DUALSTOCK_OUT"
 MIN_COHERENCE_LENGTH = 64
 ANALYSES = ("premiums", "coherence", "forecast")
 
@@ -64,7 +62,6 @@ class WaveletOptions:
     omega0: float = 6.0
     s0: float = 2.0
     dj: float = 1.0 / 12.0
-    num_scales: int | None = None
     time_std_scales: float = 1.0
     scale_window_octaves: float = 0.6
     mc_iterations: int = 1000
@@ -77,10 +74,8 @@ class WaveletOptions:
         self.monte_carlo(seed=0)
 
     def scale_grid(self, n: int) -> ScaleGrid:
-        """The scale grid for n returns: ``ScaleGrid.for_length`` unless num_scales is set."""
-        if self.num_scales is None:
-            return ScaleGrid.for_length(n, s0=self.s0, dj=self.dj, omega0=self.omega0)
-        return ScaleGrid(s0=self.s0, dj=self.dj, num_scales=self.num_scales, omega0=self.omega0)
+        """The scale grid for n returns."""
+        return ScaleGrid.for_length(n, s0=self.s0, dj=self.dj, omega0=self.omega0)
 
     def smoothing(self) -> SmoothingSpec:
         return SmoothingSpec(time_std_scales=self.time_std_scales, scale_window_octaves=self.scale_window_octaves)
@@ -96,7 +91,6 @@ class ForecastOptions:
     windows: tuple[int, ...] = (5, 10, 20, 50)
     mece_train_size: int | None = 5282  # None drops the MECE regime
     test_size: int = 300
-    retrain_per_origin: bool = True
     epochs: int = 200
     hidden_size: int = 16
     learning_rate: float = 1e-2
@@ -113,15 +107,12 @@ class ForecastOptions:
         if not any(_runs_at(regime, lag) for regime in self.regimes() for lag in self.lags):
             raise ValueError(
                 f"forecast.windows {list(self.windows)} and mece_train_size {self.mece_train_size} "
-                f"give no cell at lags {list(self.lags)}: a window runs only at lags below it"
+                f"give no cell at lags {list(self.lags)}: a training set runs only at lags below its size"
             )
 
     def regimes(self) -> list[RegimeSpec]:
         """One rolling regime per window, then MECE unless mece_train_size is None."""
-        regimes = [
-            RegimeSpec(kind="rolling", test_size=self.test_size, window=w, retrain_per_origin=self.retrain_per_origin)
-            for w in self.windows
-        ]
+        regimes = [RegimeSpec(kind="rolling", test_size=self.test_size, window=w) for w in self.windows]
         if self.mece_train_size is not None:
             regimes.append(RegimeSpec(kind="mece", test_size=self.test_size, train_size=self.mece_train_size))
         return regimes
@@ -135,8 +126,10 @@ class ForecastOptions:
 
 def _runs_at(regime: RegimeSpec, lag: int) -> bool:
     # as in the paper grid, a window runs only at lags below it (window 5 at
-    # lag 4 only); the cells left out are listed as missing in the grids
-    return regime.kind == "mece" or regime.window > lag
+    # lag 4 only), and so does a MECE training set; the cells left out are
+    # listed as missing in the grids
+    size = regime.train_size if regime.kind == "mece" else regime.window
+    return size > lag
 
 
 @dataclass(frozen=True)
@@ -244,9 +237,9 @@ def load_config(
         (name, (base / p).resolve() if not Path(p).is_absolute() else Path(p))
         for name, p in paths.items()
     )
-    resolved_out = out_dir or raw.get("out_dir") or os.environ.get(OUT_DIR_ENV)
+    resolved_out = out_dir or raw.get("out_dir")
     if resolved_out is None:
-        raise ValueError("no output directory: set out_dir in config, --out, or " + OUT_DIR_ENV)
+        raise ValueError("no output directory: set out_dir in config or pass --out")
     resolved_seed = seed if seed is not None else raw.get("seed")
     if resolved_seed is None:
         raise ValueError("no master seed: set seed in config or pass --seed")
@@ -469,7 +462,6 @@ def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
             "window": run.regime.window,
             "train_size": run.regime.train_size,
             "test_size": run.regime.test_size,
-            "retrain_per_origin": run.regime.retrain_per_origin,
         },
         "seed": run.seed,
         "hyperparameters": {
@@ -672,19 +664,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("premiums", "pairwise premium series and summary statistics"),
         ("coherence", "wavelet coherence fields with Monte-Carlo significance"),
         ("forecast", "LSTM forecast grid over regimes, lags, and dual options"),
-        ("run", "analyses selected by the config (filter with --only)"),
+        ("run", "analyses selected by the config"),
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        if name == "run":
-            p.add_argument(
-                "--only",
-                choices=ANALYSES,
-                default=None,
-                help="run a single analysis from the config selection",
-            )
     rep = sub.add_parser("report", help="re-assemble metric grids from run manifests")
     rep.add_argument("--runs", required=True, help="directory containing run manifests (*.json)")
     rep.add_argument("--out", required=True, help="output directory")
@@ -711,7 +696,7 @@ def main(argv=None) -> int:
         seed = config.seed
         out_dir = config.out_dir
         if args.command == "run":
-            selected = config.analyses if args.only is None else (args.only,)
+            selected = config.analyses
             command = "run:" + ",".join(selected)
         else:
             selected = (args.command,)

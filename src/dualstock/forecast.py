@@ -80,16 +80,13 @@ class RegimeSpec:
 
     MECE: one model on the first ``train_size`` observations forecasts all
     ``test_size`` test origins.  Rolling: each origin gets a model trained on
-    exactly the ``window`` observations preceding it (or, with
-    ``retrain_per_origin`` off, one model trained on the window preceding the
-    first origin is reused).
+    exactly the ``window`` observations preceding it.
     """
 
     kind: str
     test_size: int
     train_size: int | None = None
     window: int | None = None
-    retrain_per_origin: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("mece", "rolling"):
@@ -107,16 +104,14 @@ class RegimeSpec:
     def label(self) -> str:
         return "mece" if self.kind == "mece" else f"window={self.window}"
 
-    def train_range(self, origin: int, first_origin: int) -> tuple[int, int]:
+    def train_range(self, origin: int) -> tuple[int, int]:
         """Training index range [start, end) for the forecast at ``origin``.
 
-        MECE: [0, train_size).  Rolling: [origin - window, origin), or the
-        window before ``first_origin`` when models are not retrained.
+        MECE: [0, train_size).  Rolling: [origin - window, origin).
         """
         if self.kind == "mece":
             return (0, self.train_size)
-        end = origin if self.retrain_per_origin else first_origin
-        return (end - self.window, end)
+        return (origin - self.window, origin)
 
 
 @dataclass(frozen=True)
@@ -172,11 +167,11 @@ def forecast(
 
     Each origin's model is trained on the range ``regime.train_range`` gives
     it, and one model is trained per distinct range; the models train in one
-    lockstep batch and every origin is predicted in one batched forward.  A
-    model that serves every origin is seeded with ``cfg.seed``; a model
-    retrained per rolling origin t is seeded with child_seed(cfg.seed,
-    "origin:t"), so a forecast depends only on its own window.  Each query
-    uses only the lag window strictly before its origin.
+    lockstep batch and every origin is predicted in one batched forward.  The
+    MECE model, which serves every origin, is seeded with ``cfg.seed``; the
+    model of rolling origin t is seeded with child_seed(cfg.seed, "origin:t"),
+    so a forecast depends only on its own window.  Each query uses only the
+    lag window strictly before its origin.
 
     The training sample that targets index t takes its L = lag input steps
     from indices t-lag .. t-1.  Each step's vector is the own value alone
@@ -210,13 +205,12 @@ def forecast(
     # sample that targets index k+lag
     windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=0).transpose(0, 2, 1)
     origins = np.arange(first_origin, n)
-    provenance = tuple(regime.train_range(int(t), first_origin) for t in origins)
-    first_use: dict[tuple[int, int], int] = {}  # training range -> first origin it serves
-    for origin, span in zip(origins, provenance):
-        first_use.setdefault(span, int(origin))
-    spans = list(first_use)
-    per_origin_seed = regime.kind == "rolling" and regime.retrain_per_origin
-    seeds = [child_seed(cfg.seed, f"origin:{first_use[s]}") if per_origin_seed else cfg.seed for s in spans]
+    provenance = tuple(regime.train_range(int(t)) for t in origins)
+    # one model per distinct range: the MECE range serves every origin, and a
+    # rolling range ends at the one origin it serves
+    spans = list(dict.fromkeys(provenance))
+    rolling = regime.kind == "rolling"
+    seeds = [child_seed(cfg.seed, f"origin:{end}") if rolling else cfg.seed for _, end in spans]
     # every range has the same length, so the samples form one (B, N) grid
     # of target indices; fancy indexing copies their windows
     count = spans[0][1] - spans[0][0] - lag

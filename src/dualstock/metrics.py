@@ -29,11 +29,9 @@ __all__ = [
     "write_grid_json",
     "long_format_rows",
     "write_long_csv",
-    "DEFAULT_REGIMES",
 ]
 
 MAPE_ACTUAL_TOLERANCE = 1e-9
-DEFAULT_REGIMES = ("window=5", "window=10", "window=20", "window=50", "mece")
 
 _METRIC_NAMES = ("RMSE", "MAE", "MAPE")
 
@@ -114,9 +112,9 @@ class ReportGrid:
 def assemble_grid(
     runs,
     *,
-    regimes: tuple[str, ...] = DEFAULT_REGIMES,
-    lags: tuple[int, ...] = (4, 9),
-    duals: tuple[bool, ...] = (False, True),
+    regimes: tuple[str, ...],
+    lags: tuple[int, ...],
+    duals: tuple[bool, ...],
 ) -> ReportGrid:
     """Fold forecast runs for one ticker into the declared configuration grid.
 

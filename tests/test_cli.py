@@ -59,7 +59,6 @@ RANGE_ERRORS = [
     ("forecast", {"tickers": ["ZZZ"]}, "tickers ['ZZZ'] are not declared inputs"),
     ("wavelet", {"omega0": 4}, "omega0 must be >= 5, got 4"),
     ("wavelet", {"dj": 0}, "s0 and dj must be positive"),
-    ("wavelet", {"num_scales": 0}, "num_scales must be >= 1"),
     ("wavelet", {"scale_window_octaves": 0}, "smoothing widths must be positive"),
     ("wavelet", {"mc_iterations": 0}, "iterations must be >= 1"),
     ("wavelet", {"significance_level": 1.5}, "significance_level must be in (0, 1)"),
@@ -74,11 +73,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
 
-    def test_unknown_section_keys_rejected(self, tmp_path):
+    def test_unknown_section_keys_rejected(self, tmp_path, capsys):
+        # the last two were config keys; a config that still sets one fails
         tickers = synthetic_tickers(tmp_path)
-        path = write_config(tmp_path, tickers, wavelet={"nope": 1})
-        with pytest.raises(ValueError, match="wavelet"):
-            load_config(path)
+        for section, key, value in (
+            ("wavelet", "nope", 1),
+            ("forecast", "retrain_per_origin", False),
+            ("wavelet", "num_scales", 24),
+        ):
+            path = write_config(tmp_path, tickers, **{section: {key: value}})
+            message = f"unknown keys in config section {section!r}: [{key!r}]"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_config(path)
+            assert main(["run", "--config", str(path)]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         path = write_config(tmp_path, {"AAA": "absent.csv"})
@@ -91,14 +99,6 @@ class TestConfig:
         config = load_config(path, seed=999, out_dir=tmp_path / "elsewhere")
         assert config.seed == 999
         assert config.out_dir == tmp_path / "elsewhere"
-
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
-        tickers = synthetic_tickers(tmp_path)
-        config = {"tickers": tickers, "seed": 1}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        monkeypatch.setenv("DUALSTOCK_OUT", str(tmp_path / "envout"))
-        assert load_config(path).out_dir == tmp_path / "envout"
 
     @pytest.mark.parametrize(
         "section, value",
@@ -336,7 +336,7 @@ class TestCoherenceCommand:
             analyses=["coherence"],
             wavelet={"mc_iterations": 5},
         )
-        assert main(["run", "--config", str(config_path), "--only", "coherence"]) == 1
+        assert main(["coherence", "--config", str(config_path)]) == 1
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert [o["path"] for o in manifest["outputs"]] == ["coherence/AAA_BBB.csv", "coherence/AAA_BBB.svg"]
         assert [f.split(":")[0] for f in manifest["failures"]] == ["coherence AAA_FLAT", "coherence BBB_FLAT"]
@@ -420,6 +420,30 @@ class TestForecastCommand:
         assert runs == ["AAA_lag4_dual-no_w10", "AAA_lag4_dual-no_w5", "AAA_lag9_dual-no_w10"]
         grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())
         assert grid["missing"] == ["window=5|lag=9|dual=no"]
+
+    def test_mece_train_size_at_or_below_lag_skipped(self, tmp_path, capsys):
+        # a MECE training set runs only at lags below its size, as a window
+        # does; the cell it skips is missing in the grid, not a failure
+        config_path = self.forecast_config(
+            tmp_path, analyses=("premiums", "forecast"), lags=[4, 9], windows=[10],
+            mece_train_size=5, tickers=["AAA"], test_size=5,
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        runs = sorted(p.stem for p in (tmp_path / "out" / "forecast" / "runs").glob("*.json"))
+        assert runs == ["AAA_lag4_dual-no_mece", "AAA_lag4_dual-no_w10", "AAA_lag9_dual-no_w10"]
+        grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())
+        assert grid["missing"] == ["mece|lag=9|dual=no"]
+        # with no window that runs at lag 9 either, no cell is left
+        (tmp_path / "none").mkdir()
+        config_path = self.forecast_config(tmp_path / "none", lags=[9], windows=[5], mece_train_size=5)
+        message = "config section forecast: forecast.windows [5] and mece_train_size 5 give no cell at lags [9]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(config_path)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "none" / "out").exists()
 
     def test_no_runnable_cell_is_config_error(self, tmp_path, capsys):
         config_path = self.forecast_config(tmp_path, lags=[9], windows=[5, 9], mece_train_size=None)
@@ -572,9 +596,10 @@ class TestDeterminism:
             assert a == b
 
     def test_only_filter(self, tmp_path):
+        # run executes the config's analyses and nothing else
         tickers = synthetic_tickers(tmp_path)
-        config_path = write_config(tmp_path, tickers, analyses=["premiums", "forecast"])
-        assert main(["run", "--config", str(config_path), "--only", "premiums"]) == 0
+        config_path = write_config(tmp_path, tickers, analyses=["premiums"])
+        assert main(["run", "--config", str(config_path)]) == 0
         assert not (tmp_path / "out" / "forecast").exists()
 
     def test_each_input_read_once(self, tmp_path, monkeypatch):
@@ -665,6 +690,31 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
         assert "must precede its origin" in manifest["failures"][0]
+
+    def test_descriptor_with_a_removed_regime_key_rejected(self, tmp_path):
+        # a run descriptor whose regime holds retrain_per_origin (the train-once
+        # switch, no longer a regime field) fails with the file and the key named
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path,
+            tickers,
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA"],
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        descriptor = runs_dir / "AAA_lag4_dual-no_w10.json"
+        meta = json.loads(descriptor.read_text())
+        meta["regime"]["retrain_per_origin"] = True
+        descriptor.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        failures = json.loads((tmp_path / "rep" / "manifest.json").read_text())["failures"]
+        assert len(failures) == 1
+        assert failures[0].startswith("report: AAA_lag4_dual-no_w10.json: ")
+        assert "retrain_per_origin" in failures[0]
 
     def test_empty_runs_dir_fails(self, tmp_path):
         empty = tmp_path / "none"

@@ -23,10 +23,8 @@ def mece(train_size, test_size):
     return RegimeSpec(kind="mece", train_size=train_size, test_size=test_size)
 
 
-def rolling(window, test_size, retrain_per_origin=True):
-    return RegimeSpec(
-        kind="rolling", window=window, test_size=test_size, retrain_per_origin=retrain_per_origin
-    )
+def rolling(window, test_size):
+    return RegimeSpec(kind="rolling", window=window, test_size=test_size)
 
 
 def synthetic_prices(n, seed=0, level=25.0):
@@ -239,16 +237,6 @@ class TestRolling:
         poisoned = (sibs[0] * 3.0, sibs[1] + 1.0)
         run2 = forecast(prices, poisoned, lag=4, cfg=cfg, regime=rolling(10, 5))
         assert np.array_equal(base.predictions, run2.predictions)
-
-    def test_train_once_mode(self):
-        prices = synthetic_prices(60)
-        run = forecast(
-            prices, lag=4, cfg=TrainConfig(seed=4, **FAST),
-            regime=rolling(10, 5, retrain_per_origin=False),
-        )
-        first = 55
-        assert run.provenance == ((first - 10, first),) * 5
-        assert not run.regime.retrain_per_origin
 
     def test_single_sample_window(self):
         # window = lag + 1 yields exactly one supervised sample per origin

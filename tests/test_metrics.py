@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dualstock.forecast import RegimeSpec
 from dualstock.metrics import (
-    DEFAULT_REGIMES,
     MetricTriple,
     assemble_grid,
     grid_table_rows,
@@ -19,6 +18,12 @@ from dualstock.metrics import (
 )
 
 from _oracles import mae_brute, mape_brute, rmse_brute
+
+# the paper grid's axes, declared to every grid these tests assemble
+REGIMES = ("window=5", "window=10", "window=20", "window=50", "mece")
+LAGS = (4, 9)
+DUALS = (False, True)
+AXES = dict(regimes=REGIMES, lags=LAGS, duals=DUALS)
 
 
 class FakeRun:
@@ -138,43 +143,43 @@ class TestAssembleGrid:
     def all_runs(self, ticker="KRDMA"):
         runs = []
         seed = 0
-        for regime in DEFAULT_REGIMES:
-            for lag in (4, 9):
-                for dual in (False, True):
+        for regime in REGIMES:
+            for lag in LAGS:
+                for dual in DUALS:
                     runs.append(FakeRun(ticker, lag, dual, regime, seed=seed))
                     seed += 1
         return runs
 
     def test_full_grid(self):
-        grid = assemble_grid(self.all_runs())
+        grid = assemble_grid(self.all_runs(), **AXES)
         assert len(grid.cells) == 20
         assert grid.missing == ()
 
     def test_single_run_flags_missing(self):
-        grid = assemble_grid([FakeRun()])
+        grid = assemble_grid([FakeRun()], **AXES)
         assert len(grid.missing) == 19
         assert grid.cells[("mece", 4, False)] is not None
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            assemble_grid([FakeRun(seed=1), FakeRun(seed=2)])
+            assemble_grid([FakeRun(seed=1), FakeRun(seed=2)], **AXES)
 
     def test_outside_declared_set_rejected(self):
         with pytest.raises(ValueError, match="outside the declared grid"):
-            assemble_grid([FakeRun(regime_label="window=7")])
+            assemble_grid([FakeRun(regime_label="window=7")], **AXES)
 
     def test_multiple_tickers_rejected(self):
         with pytest.raises(ValueError, match="one ticker"):
-            assemble_grid([FakeRun("A"), FakeRun("B", lag=9)])
+            assemble_grid([FakeRun("A"), FakeRun("B", lag=9)], **AXES)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no runs"):
-            assemble_grid([])
+            assemble_grid([], **AXES)
 
 
 class TestRendering:
     def test_table_structure(self):
-        grid = assemble_grid([FakeRun()])
+        grid = assemble_grid([FakeRun()], **AXES)
         rows = grid_table_rows(grid)
         assert len(rows) == 1 + 5 * 3  # header + 5 regimes x 3 metrics
         assert rows[0] == [
@@ -186,13 +191,15 @@ class TestRendering:
         assert rows[-1][1] == "MAPE"
 
     def test_every_window_is_named_by_one_rule(self):
-        grid = assemble_grid([FakeRun(regime_label="window=15")], regimes=("window=15", "window=7", "mece"))
+        grid = assemble_grid(
+            [FakeRun(regime_label="window=15")], regimes=("window=15", "window=7", "mece"), lags=LAGS, duals=DUALS
+        )
         assert [row[0] for row in grid_table_rows(grid)[1::3]] == [
             "Training Window = 15", "Training Window = 7", "MECE",
         ]
 
     def test_values_rendered_four_decimals(self):
-        grid = assemble_grid([FakeRun()])
+        grid = assemble_grid([FakeRun()], **AXES)
         rows = grid_table_rows(grid)
         mece_rmse_row = next(r for r in rows if r[0] == "MECE" and r[1] == "RMSE")
         cell = mece_rmse_row[2]
@@ -200,13 +207,13 @@ class TestRendering:
         assert len(cell.split(".")[1]) == 4
 
     def test_missing_cells_blank(self):
-        grid = assemble_grid([FakeRun()])
+        grid = assemble_grid([FakeRun()], **AXES)
         rows = grid_table_rows(grid)
         window5 = next(r for r in rows if r[0] == "Training Window = 5")
         assert window5[2:] == ["", "", "", ""]
 
     def test_json_dict(self):
-        grid = assemble_grid([FakeRun()])
+        grid = assemble_grid([FakeRun()], **AXES)
         d = grid_to_json_dict(grid)
         assert d["ticker"] == "KRDMA"
         assert len(d["cells"]) == 20
@@ -214,7 +221,7 @@ class TestRendering:
         assert d["cells"]["mece|lag=4|dual=no"] is not None
 
     def test_long_format(self):
-        grid = assemble_grid([FakeRun(), FakeRun(lag=9, seed=30)])
+        grid = assemble_grid([FakeRun(), FakeRun(lag=9, seed=30)], **AXES)
         rows = long_format_rows([grid])
         assert rows[0] == ["ticker", "regime", "window", "lag", "dual", "metric", "value"]
         assert len(rows) == 1 + 2 * 3  # two cells x three metrics
