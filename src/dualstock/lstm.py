@@ -361,15 +361,17 @@ def train_batch(inputs, targets, cfg: TrainConfig, seeds) -> BatchTrainResult:
 def _init_params(params: _Views, rngs) -> None:
     """Seeded init of every model's row from its own generator.
 
-    ``weights`` and then ``head_w`` are drawn uniform in +-1/sqrt(H+D); the
-    forget-gate biases are 1 and every other parameter 0.
+    ``weights`` and then ``head_w`` are drawn uniform in +-1/sqrt(H+D), in
+    one draw per model; the forget-gate biases are 1 and every other
+    parameter 0.
     """
     hsz, width = params.head_w.shape[1], params.weights.shape[2]
     bound = 1.0 / math.sqrt(width)
     params.flat.fill(0.0)
     for weights, head_w, rng in zip(params.weights, params.head_w, rngs):
-        weights[:] = rng.uniform(-bound, bound, size=weights.shape)
-        head_w[:] = rng.uniform(-bound, bound, size=hsz)
+        draw = rng.uniform(-bound, bound, size=weights.size + hsz)
+        weights[:] = draw[: weights.size].reshape(weights.shape)
+        head_w[:] = draw[weights.size :]
     params.biases[:, :hsz] = 1.0
 
 

@@ -7,7 +7,10 @@ implementation paths.
 
 from __future__ import annotations
 
+import csv
+import datetime
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from dualstock.svgplot import (
     _LEVEL_COLORS,
     _fmt,
 )
+from dualstock.timeseries import CsvFormat, PriceSeries
 
 
 def cwt_direct(x, scales, omega0: float = 6.0, dt: float = 1.0) -> np.ndarray:
@@ -459,3 +463,82 @@ def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
     except OSError as exc:
         raise OSError(f"failed to write SVG to {out}: {exc}") from exc
     return out
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_date_per_row(raw: str, date_format: str) -> datetime.date:
+    if date_format == "%Y-%m-%d" and _ISO_DATE.fullmatch(raw):
+        return datetime.date.fromisoformat(raw)
+    return datetime.datetime.strptime(raw, date_format).date()
+
+
+def load_ohlc_csv_per_row(path, fmt: CsvFormat = CsvFormat(), ticker=None) -> PriceSeries:
+    """Row-at-a-time ``csv.DictReader`` loader: each row parsed, checked and appended in turn."""
+    path = Path(path)
+    name = ticker if ticker is not None else path.stem
+    dates: list[datetime.date] = []
+    mids: list[float] = []
+
+    def bad_row(line: int, reason: str) -> bool:
+        if fmt.on_invalid == "fail":
+            raise ValueError(f"{path}, line {line}: {reason}")
+        return False  # skip
+
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=fmt.delimiter)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file, header row required")
+        cols = set(reader.fieldnames)
+        if fmt.mid_col is not None:
+            needed = {fmt.date_col, fmt.mid_col}
+        else:
+            needed = {fmt.date_col, fmt.high_col, fmt.low_col}
+        missing = needed - cols
+        if missing:
+            raise ValueError(f"{path}: missing required columns {sorted(missing)}")
+
+        for row in reader:
+            line = reader.line_num
+            raw_date = (row.get(fmt.date_col) or "").strip()
+            try:
+                date = _parse_date_per_row(raw_date, fmt.date_format)
+            except ValueError:
+                bad_row(line, f"unparseable date {raw_date!r}")
+                continue
+            if fmt.mid_col is not None:
+                raw = (row.get(fmt.mid_col) or "").strip()
+                try:
+                    mid = float(raw)
+                except ValueError:
+                    bad_row(line, f"non-numeric price {raw!r}")
+                    continue
+                high = low = mid
+            else:
+                raw_h = (row.get(fmt.high_col) or "").strip()
+                raw_l = (row.get(fmt.low_col) or "").strip()
+                try:
+                    high = float(raw_h)
+                    low = float(raw_l)
+                except ValueError:
+                    bad_row(line, f"non-numeric price (high={raw_h!r}, low={raw_l!r})")
+                    continue
+                mid = 0.5 * (high + low)
+            if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
+                bad_row(line, f"non-positive or non-finite price (high={high}, low={low})")
+                continue
+            if high < low:
+                bad_row(line, f"high {high} < low {low}")
+                continue
+            if dates and date <= dates[-1]:
+                raise ValueError(
+                    f"{path}, line {line}: dates must be strictly increasing "
+                    f"({dates[-1]} then {date})"
+                )
+            dates.append(date)
+            mids.append(mid)
+
+    if not dates:
+        raise ValueError(f"{path}: no valid rows")
+    return PriceSeries(ticker=name, dates=tuple(dates), mid=mids)

@@ -21,7 +21,7 @@ from dualstock.timeseries import (
     summary_to_dict,
 )
 
-from _oracles import sorted_quantile
+from _oracles import load_ohlc_csv_per_row, sorted_quantile
 
 
 def make_series(mids, ticker="T", start=dt.date(2020, 1, 1)):
@@ -78,10 +78,6 @@ class TestPriceSeries:
     def test_rejects_nonfinite(self, mid):
         with pytest.raises(ValueError, match="finite"):
             make_series([1.0, mid])
-
-    def test_take_nothing_is_empty(self):
-        s = make_series([1.0, 2.0]).take([])
-        assert s.n == 0 and s.mid.dtype == np.float64 and s.mid.shape == (0,)
 
     def test_arrays_immutable(self):
         s = make_series([1.0, 2.0])
@@ -142,6 +138,7 @@ class TestAlign:
         b = make_series([2], start=dt.date(2021, 1, 1))
         ra, rb = align_series(a, b)
         assert ra.n == 0 and rb.n == 0
+        assert ra.mid.dtype == np.float64 and ra.mid.shape == (0,)
 
     def test_three_way_keeps_dates_all_share(self):
         a = make_series([1, 2, 3, 4])
@@ -330,6 +327,109 @@ class TestCsvLoading:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             CsvFormat(on_invalid="ignore")
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,high,low\n2020-01-01,10,8\n")
+        s = load_ohlc_csv(path)
+        assert s.dates == (dt.date(2020, 1, 1),)
+        assert np.array_equal(s.mid, [9.0])
+
+    @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
+    def test_repeated_column_rejected(self, tmp_path, on_invalid):
+        path = self.write(tmp_path, "date,high,low,high\n2020-01-01,10,8,99\n")
+        with pytest.raises(ValueError) as err:
+            load_ohlc_csv(path, CsvFormat(on_invalid=on_invalid))
+        assert str(err.value) == f"{path}: column 'high' appears more than once in the header"
+
+
+def _paper_length_csv(rows: int = 5640) -> str:
+    """High/low CSV of business days from 2000-01-03, formatted as the benchmark's inputs."""
+    rng = np.random.default_rng(7)
+    days = [d for d in (dt.date(2000, 1, 3) + dt.timedelta(i) for i in range(rows * 2)) if d.weekday() < 5]
+    mid = 3.0 + 177.0 / (1.0 + np.exp(-np.cumsum(rng.normal(0.0, 0.02, rows))))
+    half = rng.uniform(0.001, 0.02, rows)
+    lines = [
+        f"{days[i].isoformat()},{mid[i] * (1 + half[i]):.4f},{mid[i] * (1 - half[i]):.4f}"
+        for i in range(rows)
+    ]
+    return "date,high,low\n" + "\n".join(lines) + "\n"
+
+
+def _with_line(text: str, index: int, line: str) -> str:
+    """``text`` with its line ``index`` (0-based, header included) replaced."""
+    lines = text.split("\n")
+    lines[index] = line
+    return "\n".join(lines)
+
+
+_PAPER = _paper_length_csv()
+HEADER = "date,high,low\n"
+# (case id, file text, CsvFormat keyword arguments); each runs under both policies
+LOADER_CASES = [
+    ("plain", HEADER + "2020-01-01,10,8\n2020-01-02,11,9\n", {}),
+    ("crlf", "date,high,low\r\n2020-01-01,10,8\r\n2020-01-02,11,9\r\n", {}),
+    ("crlf_bad_row", "date,high,low\r\n2020-01-01,10,8\r\n2020-01-02,x,9\r\n", {}),
+    ("blank_before_header", "\n\ndate,high,low\n2020-01-01,10,8\n", {}),
+    ("blank_between_and_after", HEADER + "2020-01-01,10,8\n\n\r\n2020-01-02,11,9\n\n\n", {}),
+    ("blank_then_bad_row", HEADER + "2020-01-01,10,8\n\n\n2020-01-02,11,-9\n", {}),
+    ("quoted_delimiter_in_note", 'date,high,low,note\n2020-01-01,10,8,"a,b"\n2020-01-02,11,9,"c"\n', {}),
+    ("quoted_delimiter_in_price", HEADER + '2020-01-01,"10,5",8\n2020-01-02,11,9\n', {}),
+    ("quoted_newline_in_price", HEADER + '2020-01-01,10,8\n2020-01-02,"11\n",9\n2020-01-03,x,9\n', {}),
+    ("quoted_newline_splits_price", HEADER + '2020-01-01,10,8\n2020-01-02,"1\n1",9\n', {}),
+    ("quoted_newline_after_date", HEADER + '"2020-01-01\n",10,8\n2020-01-02,11,9\n', {}),
+    ("quoted_newline_inside_date", HEADER + '2020-01-01,10,8\n"2020-01\n-02",11,9\n2020-01-03,12,10\n', {}),
+    ("short_rows", HEADER + "2020-01-01,10,8\n2020-01-02,11\n2020-01-03\n2020-01-04,12,10\n", {}),
+    ("extra_columns", HEADER + "2020-01-01,10,8,99,x\n2020-01-02,11,9,,\n", {}),
+    ("whitespace", HEADER + " 2020-01-01 , 10 , 8 \n2020-01-02,\t11\t,9\n", {}),
+    ("whitespace_around_bad_price", HEADER + "2020-01-01, abc ,8\n", {}),
+    ("nan_price", HEADER + "2020-01-01,10,8\n2020-01-02,nan,9\n2020-01-03,12,10\n", {}),
+    ("inf_price", HEADER + "2020-01-01,10,8\n2020-01-02,inf,9\n2020-01-03,12,10\n", {}),
+    ("zero_low", HEADER + "2020-01-01,10,8\n2020-01-02,11,0\n2020-01-03,12,10\n", {}),
+    ("negative_low", HEADER + "2020-01-01,10,8\n2020-01-02,11,-1\n2020-01-03,12,10\n", {}),
+    ("high_below_low", HEADER + "2020-01-01,10,8\n2020-01-02,5,9\n2020-01-03,12,10\n", {}),
+    ("unparseable_date", HEADER + "2020-01-01,10,8\nyesterday,11,9\n2020-01-03,12,10\n", {}),
+    ("invalid_iso_month", HEADER + "2020-12-31,10,8\n2020-13-01,11,9\n2021-01-01,12,10\n", {}),
+    ("unpadded_iso_date", HEADER + "2020-01-04,10,8\n2020-1-5,11,9\n", {}),
+    ("non_iso_format", HEADER + "01/02/2020,10,8\n02/02/2020,11,9\n2020-02-03,12,10\n", {"date_format": "%d/%m/%Y"}),
+    ("mid_column", "date,price\n2020-01-01,10\n2020-01-02,abc\n2020-01-03,-2\n2020-01-04,12\n", {"mid_col": "price"}),
+    ("semicolon", "date;high;low\n2020-01-01;10;8\n2020-01-02;11,5;9\n2020-01-03;12;10\n", {"delimiter": ";"}),
+    ("unordered", HEADER + "2020-01-02,10,8\n2020-01-01,10,8\n", {}),
+    ("repeated_date", HEADER + "2020-01-02,10,8\n2020-01-02,11,9\n", {}),
+    ("unordered_before_bad_row", HEADER + "2020-01-02,10,8\n2020-01-01,10,8\n2020-01-03,x,8\n", {}),
+    ("unordered_after_skipped_row", HEADER + "2020-01-02,10,8\n2020-01-03,5,9\n2020-01-01,10,8\n", {}),
+    ("skipped_row_hides_disorder", HEADER + "2020-01-01,10,8\n2020-01-05,5,9\n2020-01-02,10,8\n", {}),
+    ("header_only", HEADER, {}),
+    ("empty_file", "", {}),
+    ("blank_only", "\n\n", {}),
+    ("no_valid_rows", HEADER + "2020-01-01,x,8\n", {}),
+    ("paper_length", _PAPER, {}),
+    ("paper_length_fault_in_third_chunk", _with_line(_PAPER, 4500, "2017-03-01,12,-1"), {}),
+    ("paper_length_disorder_at_chunk_start", _with_line(_PAPER, 2049, _PAPER.split("\n")[2048]), {}),
+    ("blank_chunk", HEADER + "2020-01-01,10,8\n" + "\n" * 3000 + "2020-01-02,11,x\n", {}),
+    ("paper_length_blank_rows", _PAPER.replace("\n2001-", "\n\n2001-").replace("2005-06-01,", "2005-06-01,x"), {}),
+]
+
+
+def _outcome(load, path, fmt):
+    try:
+        s = load(path, fmt)
+    except ValueError as exc:
+        return "error", str(exc)
+    return s.ticker, s.dates, s.mid.tobytes()
+
+
+class TestLoaderMatchesPerRowOracle:
+    # the chunked column loader and the row-at-a-time DictReader loader
+    # agree on every file: the series byte for byte, or the exact error
+
+    @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
+    @pytest.mark.parametrize("text,options", [c[1:] for c in LOADER_CASES], ids=[c[0] for c in LOADER_CASES])
+    def test_same_series_or_error(self, tmp_path, text, options, on_invalid):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fmt = CsvFormat(on_invalid=on_invalid, **options)
+        assert _outcome(load_ohlc_csv, path, fmt) == _outcome(load_ohlc_csv_per_row, path, fmt)
 
 
 class TestSummaryRendering:
