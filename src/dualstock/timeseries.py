@@ -45,13 +45,12 @@ def _frozen_array(values) -> np.ndarray:
 
 
 def _check_dates(dates: tuple[dt.date, ...]) -> None:
-    ascending = list(map(operator.lt, dates, dates[1:]))
-    if not all(ascending):
-        i = ascending.index(False)
-        raise ValueError(
-            f"dates must be strictly increasing; violation at position {i + 1} "
-            f"({dates[i]} -> {dates[i + 1]})"
-        )
+    for i in range(len(dates) - 1):
+        if dates[i] >= dates[i + 1]:
+            raise ValueError(
+                f"dates must be strictly increasing; violation at position {i + 1} "
+                f"({dates[i]} -> {dates[i + 1]})"
+            )
 
 
 @dataclass(frozen=True)
@@ -281,6 +280,25 @@ def _parse_prices(raw: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
+def _record_chunks(reader):
+    """Lists of up to _CHUNK_ROWS records from ``reader``, blank rows dropped.
+
+    A reader error (a field over ``csv.field_size_limit``) is raised only
+    after the records read before it are yielded, so that a defect earlier
+    in the file raises first.
+    """
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
+        except csv.Error:
+            yield list(filter(None, chunk))
+            raise
+        if not chunk:
+            return
+        yield list(filter(None, chunk))
+
+
 def _record_line(path: Path, fmt: CsvFormat, index: int) -> int:
     """File line on which data record ``index`` (0-based, blank rows not counted) ends."""
     with path.open(newline="", encoding=_ENCODING) as fh:
@@ -332,8 +350,7 @@ def load_ohlc_csv(
                 raise ValueError(f"{path}: column {col!r} appears more than once in the header")
         positions = [header.index(col) for col in columns]
 
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            rows = list(filter(None, chunk))
+        for rows in _record_chunks(reader):
             if not rows:
                 continue
             try:

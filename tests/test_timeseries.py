@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +344,21 @@ class TestCsvLoading:
             load_ohlc_csv(path, CsvFormat(on_invalid=on_invalid))
         assert str(err.value) == f"{path}: column 'high' appears more than once in the header"
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("date,high,low\n2020-01-01,10,8\n\n\n2020-01-02,11,-9\n", 5),
+            ("\n".join(["date,high,low", "2020-01-01,10,8"] + [""] * 3000 + ["2020-01-02,11,x"]), 3003),
+            ('date,high,low\n2020-01-01,10,8\n2020-01-02,"11\n\n",x\n', 5),
+        ],
+        ids=["after_blank_rows", "after_a_chunk_of_blank_rows", "multi_line_record"],
+    )
+    def test_error_names_physical_line(self, tmp_path, text, line):
+        # blank rows count as lines; a record names the line it ends on
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line {line}: "):
+            load_ohlc_csv(path)
+
 
 def _paper_length_csv(rows: int = 5640) -> str:
     """High/low CSV of business days from 2000-01-03, formatted as the benchmark's inputs."""
@@ -407,6 +424,8 @@ LOADER_CASES = [
     ("paper_length_fault_in_third_chunk", _with_line(_PAPER, 4500, "2017-03-01,12,-1"), {}),
     ("paper_length_disorder_at_chunk_start", _with_line(_PAPER, 2049, _PAPER.split("\n")[2048]), {}),
     ("blank_chunk", HEADER + "2020-01-01,10,8\n" + "\n" * 3000 + "2020-01-02,11,x\n", {}),
+    ("oversized_field_after_bad_row", HEADER + "2020-01-01,x,8\n2020-01-02,11,9\n2020-01-03," + "1" * 200_000 + ",9\n", {}),
+    ("bad_row_after_oversized_field", HEADER + "2020-01-01," + "1" * 200_000 + ",9\n2020-01-02,x,8\n", {}),
     ("paper_length_blank_rows", _PAPER.replace("\n2001-", "\n\n2001-").replace("2005-06-01,", "2005-06-01,x"), {}),
 ]
 
@@ -414,8 +433,8 @@ LOADER_CASES = [
 def _outcome(load, path, fmt):
     try:
         s = load(path, fmt)
-    except ValueError as exc:
-        return "error", str(exc)
+    except (ValueError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
     return s.ticker, s.dates, s.mid.tobytes()
 
 
