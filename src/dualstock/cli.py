@@ -7,11 +7,20 @@ overrides drives everything; the master seed deterministically derives one
 child seed per analysis unit, so reruns with identical inputs and config are
 byte-identical.  Every invocation writes a manifest listing emitted files
 and their content hashes.
+
+The work runs in units: a premium pair, a coherence pair, a forecast run, a
+grid set, an analysis as a whole and the ``report`` command.  Every unit
+runs inside ``CommandOutcome.unit``, which records an error of
+``UNIT_ERRORS`` as the failure line ``<analysis> <unit>: <message>`` and lets
+the next unit run, and every output goes through ``CommandOutcome.write``,
+which lists a file once it is whole on disk.  So one bad unit takes down no
+other, and the files it wrote before it failed stay listed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -20,6 +29,7 @@ import json
 import sys
 import types
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,13 +38,7 @@ import numpy as np
 from .atomicfile import atomic_open
 from .forecast import ForecastRun, RegimeSpec, forecast
 from .lstm import TrainConfig, TrainingDivergedError
-from .metrics import (
-    ReportGrid,
-    assemble_grid,
-    write_grid_csv,
-    write_grid_json,
-    write_long_csv,
-)
+from .metrics import ReportGrid, assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
 from .significance import MonteCarloSpec, significance
 from .svgplot import render_heatmap
@@ -104,7 +108,11 @@ class ForecastOptions:
             if lag < 1:
                 raise ValueError(f"lags must be >= 1, got {lag}")
         self.train_config(seed=0)
-        if not any(_runs_at(regime, lag) for regime in self.regimes() for lag in self.lags):
+        # the grid is every ticker x lag x dual x regime, so one empty list leaves no cell
+        for key in ("tickers", "lags", "duals"):
+            if getattr(self, key) == ():
+                raise ValueError(f"forecast.{key} is empty, so the forecast grid has no cell")
+        if not any(regime.train_length > lag for regime in self.regimes() for lag in self.lags):
             raise ValueError(
                 f"forecast.windows {list(self.windows)} and mece_train_size {self.mece_train_size} "
                 f"give no cell at lags {list(self.lags)}: a training set runs only at lags below its size"
@@ -124,14 +132,6 @@ class ForecastOptions:
         )
 
 
-def _runs_at(regime: RegimeSpec, lag: int) -> bool:
-    # as in the paper grid, a window runs only at lags below it (window 5 at
-    # lag 4 only), and so does a MECE training set; the cells left out are
-    # listed as missing in the grids
-    size = regime.train_size if regime.kind == "mece" else regime.window
-    return size > lag
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated pipeline configuration (paths resolved, files checked)."""
@@ -148,6 +148,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.tickers:
             raise ValueError("config must declare at least one ticker")
+        if not self.analyses:
+            raise ValueError("config key analyses must name at least one analysis")
         for analysis in self.analyses:
             if analysis not in ANALYSES:
                 raise ValueError(f"unknown analysis {analysis!r}; choose from {ANALYSES}")
@@ -259,14 +261,35 @@ def load_config(
     )
 
 
+# what one failing unit records before the run goes on with the next
+UNIT_ERRORS = (ValueError, OSError, FloatingPointError, TrainingDivergedError)
+
+
 @dataclass
 class CommandOutcome:
+    """The files one invocation wrote and the units that failed, for its manifest."""
+
     files: list[Path] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
-    def merge(self, other: "CommandOutcome") -> None:
-        self.files.extend(other.files)
-        self.failures.extend(other.failures)
+    def write(self, path: Path, text: str | Iterable[str]) -> None:
+        """Write ``text``, or its chunks one at a time, atomically to ``path``, then list the file."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_open(path) as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        self.files.append(path)
+
+    @contextlib.contextmanager
+    def unit(self, name: str):
+        """Run one unit: an error of ``UNIT_ERRORS`` is recorded as ``"<name>: <message>"``.
+
+        The run goes on after the block, and the files the unit wrote before
+        the error stay listed.
+        """
+        try:
+            yield
+        except UNIT_ERRORS as exc:
+            self.failures.append(f"{name}: {exc}")
 
 
 TickerSeries = list[tuple[str, PriceSeries]]
@@ -280,43 +303,35 @@ def _load_all(config: RunConfig) -> TickerSeries:
     ]
 
 
-def _write(path: Path, text: str, outcome: CommandOutcome) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path) as fh:
-        fh.write(text)
-    outcome.files.append(path)
+def _csv_text(rows: list[list[str]]) -> str:
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
-def cmd_premiums(config: RunConfig, series: TickerSeries) -> CommandOutcome:
-    """Premium series and summary stats for every ticker pair."""
-    outcome = CommandOutcome()
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def cmd_premiums(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
+    """Premium series and summary stats for every ticker pair, one unit per pair."""
     if len(series) < 2:
         raise ValueError("premiums needs at least two tickers")
     out = config.out_dir / "premiums"
+    scale = 100.0 if config.percent else 1.0
     for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
         label = f"{name_a}_over_{name_b}"
-        aligned_a, aligned_b = align_series(a, b)
-        if aligned_a.n == 0:
-            outcome.failures.append(f"premiums {label}: empty date intersection")
-            continue
-        premiums = premium_series(aligned_a, aligned_b)
-        stats = premium_summary(premiums)
-        scale = 100.0 if config.percent else 1.0
-        lines = ["date,premium"]
-        lines += [
-            f"{d.isoformat()},{v * scale:.6f}" for d, v in zip(premiums.dates, premiums.values)
-        ]
-        try:
-            _write(out / f"{label}_series.csv", "\n".join(lines) + "\n", outcome)
-            _write(out / f"{label}_summary.csv", render_summary_csv(stats, config.percent), outcome)
-            _write(
-                out / f"{label}_summary.json",
-                json.dumps(summary_to_dict(stats, config.percent), indent=2, sort_keys=True) + "\n",
-                outcome,
-            )
-        except OSError as exc:
-            outcome.failures.append(f"premiums {label}: {exc}")
-    return outcome
+        with outcome.unit(f"premiums {label}"):
+            aligned_a, aligned_b = align_series(a, b)
+            if aligned_a.n == 0:
+                raise ValueError("empty date intersection")
+            premiums = premium_series(aligned_a, aligned_b)
+            stats = premium_summary(premiums)
+            lines = ["date,premium"]
+            lines += [
+                f"{d.isoformat()},{v * scale:.6f}" for d, v in zip(premiums.dates, premiums.values)
+            ]
+            outcome.write(out / f"{label}_series.csv", "\n".join(lines) + "\n")
+            outcome.write(out / f"{label}_summary.csv", render_summary_csv(stats, config.percent))
+            outcome.write(out / f"{label}_summary.json", _json_text(summary_to_dict(stats, config.percent)))
 
 
 _DECIMALS = 10 ** np.arange(5, -1, -1)  # place values of the six decimals, in micro-units
@@ -352,8 +367,8 @@ def _fixed6(values: np.ndarray, out: np.ndarray) -> None:
     out[:, 3:] = (micro - carry * 1_000_000)[:, None] // _DECIMALS % 10 + ord("0")
 
 
-def _write_coherence_csv(path: Path, field, dates, outcome: CommandOutcome) -> None:
-    """Long-format CSV of a coherence field, written one scale row at a time.
+def _coherence_csv(field, dates) -> Iterable[str]:
+    """Long-format CSV of a coherence field: the header, then one chunk per scale row.
 
     A row's lines are assembled in an (n, width) byte buffer at fixed
     columns, NUL where a line is shorter than its columns; dropping the NULs
@@ -376,24 +391,20 @@ def _write_coherence_csv(path: Path, field, dates, outcome: CommandOutcome) -> N
     buf[:, [b + 9, b + 19, b + 21]] = ord(",")
     buf[:, b + 20] = ord("0")
     buf[:, b + 23] = ord("\n")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path) as fh:
-        fh.write("time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi\n")
-        for j, scale_column in enumerate(scale_columns):
-            buf[:, a:b] = 0
-            buf[:, a : a + len(scale_column)] = np.frombuffer(scale_column, dtype=np.uint8)
-            _fixed6(field.rho2[j], buf[:, b : b + 9])
-            _fixed6(field.phase[j], buf[:, b + 10 : b + 19])
-            if significant is not None:
-                buf[:, b + 20] = significant[j] + ord("0")
-            buf[:, b + 22] = inside[j] + ord("0")
-            fh.write(buf[buf != 0].tobytes().decode("ascii"))
-    outcome.files.append(path)
+    yield "time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi\n"
+    for j, scale_column in enumerate(scale_columns):
+        buf[:, a:b] = 0
+        buf[:, a : a + len(scale_column)] = np.frombuffer(scale_column, dtype=np.uint8)
+        _fixed6(field.rho2[j], buf[:, b : b + 9])
+        _fixed6(field.phase[j], buf[:, b + 10 : b + 19])
+        if significant is not None:
+            buf[:, b + 20] = significant[j] + ord("0")
+        buf[:, b + 22] = inside[j] + ord("0")
+        yield buf[buf != 0].tobytes().decode("ascii")
 
 
-def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
-    """Returns -> CWT -> coherence -> significance -> CSV + SVG per pair."""
-    outcome = CommandOutcome()
+def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
+    """Returns -> CWT -> coherence -> significance -> CSV + SVG, one unit per pair."""
     if len(series) < 2:
         raise ValueError("coherence needs at least two tickers")
     out = config.out_dir / "coherence"
@@ -401,24 +412,16 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
     sspec = w.smoothing()
     for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
         label = f"{name_a}_{name_b}"
-        aligned_a, aligned_b = align_series(a, b)
-        if aligned_a.n < MIN_COHERENCE_LENGTH + 1:
-            outcome.failures.append(
-                f"coherence {label}: need at least {MIN_COHERENCE_LENGTH + 1} common dates, "
-                f"got {aligned_a.n}"
-            )
-            continue
-        returns_a = daily_returns(aligned_a)
-        returns_b = daily_returns(aligned_b)
-        grid = w.scale_grid(returns_a.n)
-        mc = w.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
-        try:
+        with outcome.unit(f"coherence {label}"):
+            aligned_a, aligned_b = align_series(a, b)
+            if aligned_a.n < MIN_COHERENCE_LENGTH + 1:
+                raise ValueError(f"need at least {MIN_COHERENCE_LENGTH + 1} common dates, got {aligned_a.n}")
+            returns_a = daily_returns(aligned_a)
+            returns_b = daily_returns(aligned_b)
+            grid = w.scale_grid(returns_a.n)
+            mc = w.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
             field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc)
-        except ValueError as exc:
-            outcome.failures.append(f"coherence {label}: {exc}")
-            continue
-        try:
-            _write_coherence_csv(out / f"{label}.csv", field, returns_a.dates, outcome)
+            outcome.write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates))
             svg_path = render_heatmap(
                 field,
                 out / f"{label}.svg",
@@ -426,9 +429,6 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> CommandOutcome:
                 title=f"{name_a} / {name_b} squared coherence",
             )
             outcome.files.append(svg_path)
-        except OSError as exc:
-            outcome.failures.append(f"coherence {label}: {exc}")
-    return outcome
 
 
 def _run_stem(run: ForecastRun) -> str:
@@ -475,13 +475,12 @@ def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
     }
 
 
-def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
-    """Execute the declared (ticker x lag x dual x regime) grid."""
-    outcome = CommandOutcome()
+def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
+    """Execute the declared (ticker x lag x dual x regime) grid, one unit per run."""
     names = [name for name, _ in series]
     series = align_series(*(s for _, s in series))
     if series[0].n == 0:
-        raise ValueError("forecast: tickers share no common dates")
+        raise ValueError("tickers share no common dates")
     f = config.forecast
     out = config.out_dir / "forecast"
     regimes = f.regimes()
@@ -490,52 +489,35 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
     targets = names if f.tickers is None else list(f.tickers)
     runs_by_ticker: dict[str, list[ForecastRun]] = {name: [] for name in targets}
 
-    for name in targets:
+    for name, lag, dual in itertools.product(targets, f.lags, f.duals):
         siblings = tuple(mids[other] for other in names if other != name)
-        for lag in f.lags:
-            for dual in f.duals:
-                if dual and len(siblings) != 2:
-                    outcome.failures.append(
-                        f"forecast {name} lag={lag} dual=yes: needs exactly 3 tickers, "
-                        f"got {len(names)}"
-                    )
+        yes_no = "yes" if dual else "no"
+        cell = f"{name} lag={lag} dual={yes_no}"
+        with outcome.unit(f"forecast {cell}"):
+            if dual and len(siblings) != 2:
+                raise ValueError(f"needs exactly 3 tickers, got {len(names)}")
+            for regime in regimes:
+                # as in the paper grid, a training set runs only at lags below
+                # its length (window 5 at lag 4 only); the cells left out are
+                # listed as missing in the grids
+                if regime.train_length <= lag:
                     continue
-                for regime in regimes:
-                    if not _runs_at(regime, lag):
-                        continue
-                    unit = f"{name} lag={lag} dual={'yes' if dual else 'no'} {regime.label}"
-                    seed = child_seed(
-                        config.seed,
-                        f"forecast:{name}:lag={lag}:dual={'yes' if dual else 'no'}:{regime.label}",
+                with outcome.unit(f"forecast {cell} {regime.label}"):
+                    seed = child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}")
+                    run = forecast(
+                        mids[name],
+                        siblings if dual else None,
+                        regime=regime,
+                        lag=lag,
+                        include_dual=dual,
+                        cfg=f.train_config(seed),
+                        ticker=name,
+                        dates=dates,
                     )
-                    cfg = f.train_config(seed)
-                    try:
-                        run = forecast(
-                            mids[name],
-                            siblings if dual else None,
-                            regime=regime,
-                            lag=lag,
-                            include_dual=dual,
-                            cfg=cfg,
-                            ticker=name,
-                            dates=dates,
-                        )
-                    except (ValueError, FloatingPointError, TrainingDivergedError) as exc:
-                        outcome.failures.append(f"forecast {unit}: {exc}")
-                        continue
+                    # a run whose files cannot be written is left out of the grids
                     stem = _run_stem(run)
-                    # a run whose files cannot be written is left out of the
-                    # grids; the files written before the error stay listed
-                    try:
-                        _write(out / "runs" / f"{stem}.csv", _predictions_csv(run), outcome)
-                        _write(
-                            out / "runs" / f"{stem}.json",
-                            json.dumps(_run_manifest(run, config, f"{stem}.csv"), indent=2, sort_keys=True) + "\n",
-                            outcome,
-                        )
-                    except OSError as exc:
-                        outcome.failures.append(f"forecast {unit}: {exc}")
-                        continue
+                    outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run))
+                    outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, config, f"{stem}.csv")))
                     runs_by_ticker[name].append(run)
 
     declared_regimes = tuple(r.label for r in regimes)
@@ -546,32 +528,21 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> CommandOutcome:
     ]
     if grids:
         _write_grids(grids, out / "grids", outcome, "forecast")
-    return outcome
 
 
 def _write_grids(grids: list[ReportGrid], out: Path, outcome: CommandOutcome, command: str) -> None:
-    """Per-ticker grid CSV and JSON, plus one long-format CSV across the grids.
-
-    A write error is recorded as the ``command``'s grids failure; the files
-    written before it stay listed.
-    """
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    """Per-ticker grid CSV and JSON, plus one long-format CSV across the grids, as the ``command``'s grids unit."""
+    with outcome.unit(f"{command} grids"):
         for grid in grids:
-            write_grid_csv(grid, out / f"{grid.ticker}.csv")
-            outcome.files.append(out / f"{grid.ticker}.csv")
-            write_grid_json(grid, out / f"{grid.ticker}.json")
-            outcome.files.append(out / f"{grid.ticker}.json")
-        write_long_csv(grids, out / "long.csv")
-        outcome.files.append(out / "long.csv")
-    except OSError as exc:
-        outcome.failures.append(f"{command} grids: {exc}")
+            outcome.write(out / f"{grid.ticker}.csv", _csv_text(grid_table_rows(grid)))
+            outcome.write(out / f"{grid.ticker}.json", _json_text(grid_to_json_dict(grid)))
+        outcome.write(out / "long.csv", _csv_text(long_format_rows(grids)))
 
 
 def _read_run(manifest_path: Path) -> ForecastRun:
     """Forecast run rebuilt from a run descriptor and its predictions CSV."""
-    meta = json.loads(manifest_path.read_text(encoding="utf-8"))
     try:
+        meta = json.loads(manifest_path.read_text(encoding="utf-8"))
         with (manifest_path.parent / meta["predictions_csv"]).open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         return ForecastRun(
@@ -589,9 +560,8 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         raise ValueError(f"{manifest_path.name}: {exc}") from exc
 
 
-def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
+def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
     """Re-assemble full regime-by-lag metric grids from existing run manifests."""
-    outcome = CommandOutcome()
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
         raise ValueError(f"no run manifests (*.json) found in {runs_dir}")
@@ -611,7 +581,6 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> CommandOutcome:
         for ticker in sorted(by_ticker)
     ]
     _write_grids(grids, Path(out_dir) / "report", outcome, "report")
-    return outcome
 
 
 def _sha256(path: Path) -> str:
@@ -635,7 +604,7 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: Comm
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     with atomic_open(path) as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(manifest))
     return path
 
 
@@ -678,19 +647,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    outcome = CommandOutcome()
     if args.command == "report":
-        outcome = CommandOutcome()
         seed = None
         out_dir = Path(args.out)
-        try:
-            outcome = cmd_report(Path(args.runs), out_dir)
-        except (ValueError, OSError) as exc:
-            outcome.failures.append(f"report: {exc}")
         command = "report"
+        with outcome.unit("report"):
+            cmd_report(Path(args.runs), out_dir, outcome)
     else:
         try:
             config = load_config(args.config, seed=args.seed, out_dir=args.out)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         seed = config.seed
@@ -701,18 +668,15 @@ def main(argv=None) -> int:
         else:
             selected = (args.command,)
             command = args.command
-        outcome = CommandOutcome()
         handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
-        try:
-            series = _load_all(config)
-        except (ValueError, OSError) as exc:
-            outcome.failures += [f"{analysis}: {exc}" for analysis in selected]
-        else:
-            for analysis in selected:
-                try:
-                    outcome.merge(handlers[analysis](config, series))
-                except (ValueError, OSError) as exc:
-                    outcome.failures.append(f"{analysis}: {exc}")
+        series = None
+        for analysis in selected:
+            with outcome.unit(analysis):
+                # the inputs are read once and shared; a read that fails is
+                # retried, and fails alike, in each analysis's unit
+                if series is None:
+                    series = _load_all(config)
+                handlers[analysis](config, series, outcome)
     manifest_path = _write_manifest(out_dir, command, seed, outcome)
     print(f"{len(outcome.files)} files written under {out_dir} (manifest: {manifest_path.name})")
     for failure in outcome.failures:

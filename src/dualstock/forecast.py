@@ -104,6 +104,11 @@ class RegimeSpec:
     def label(self) -> str:
         return "mece" if self.kind == "mece" else f"window={self.window}"
 
+    @property
+    def train_length(self) -> int:
+        """Observations each model trains on; the regime runs only at lags below it."""
+        return self.train_size if self.kind == "mece" else self.window
+
     def train_range(self, origin: int) -> tuple[int, int]:
         """Training index range [start, end) for the forecast at ``origin``.
 
@@ -183,21 +188,21 @@ def forecast(
     own = np.asarray(own, dtype=np.float64)
     n = len(own)
     first_origin = n - regime.test_size
-    if regime.kind == "mece":
-        if first_origin < regime.train_size:
-            raise ValueError(
-                f"need at least train_size+test_size={regime.train_size + regime.test_size} "
-                f"observations, got {n}"
-            )
-        if regime.train_size <= lag:
-            raise ValueError(f"train_size={regime.train_size} leaves no samples at lag={lag}")
-    else:
-        if regime.window <= lag:
-            raise ValueError(f"window={regime.window} too small for lag={lag}; need window >= lag+1")
-        if first_origin - regime.window < 0:
-            raise ValueError(
-                f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
-            )
+    if regime.kind == "mece" and first_origin < regime.train_size:
+        raise ValueError(
+            f"need at least train_size+test_size={regime.train_size + regime.test_size} "
+            f"observations, got {n}"
+        )
+    if regime.train_length <= lag:
+        raise ValueError(
+            f"train_size={regime.train_size} leaves no samples at lag={lag}"
+            if regime.kind == "mece"
+            else f"window={regime.window} too small for lag={lag}; need window >= lag+1"
+        )
+    if regime.kind == "rolling" and first_origin - regime.window < 0:
+        raise ValueError(
+            f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
+        )
     scaled_own = scale_price(own)
     scaled_sibs = [scale_price(s) for s in siblings] if include_dual and siblings is not None else None
     features = _feature_rows(scaled_own, scaled_sibs, include_dual)

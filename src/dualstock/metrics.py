@@ -8,13 +8,9 @@ zero-filled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .atomicfile import atomic_open
 
 __all__ = [
     "MetricTriple",
@@ -24,11 +20,8 @@ __all__ = [
     "mape",
     "assemble_grid",
     "grid_table_rows",
-    "write_grid_csv",
     "grid_to_json_dict",
-    "write_grid_json",
     "long_format_rows",
-    "write_long_csv",
 ]
 
 MAPE_ACTUAL_TOLERANCE = 1e-9
@@ -169,12 +162,6 @@ def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
     return rows
 
 
-def write_grid_csv(grid: ReportGrid, path: str | Path) -> None:
-    lines = [",".join(row) for row in grid_table_rows(grid)]
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def grid_to_json_dict(grid: ReportGrid) -> dict:
     cells = {}
     for regime, lag, dual in grid._keys():
@@ -196,11 +183,6 @@ def grid_to_json_dict(grid: ReportGrid) -> dict:
             for regime, lag, dual in grid.missing
         ],
     }
-
-
-def write_grid_json(grid: ReportGrid, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(grid_to_json_dict(grid), indent=2, sort_keys=True) + "\n")
 
 
 def long_format_rows(grids) -> list[list[str]]:
@@ -227,9 +209,3 @@ def long_format_rows(grids) -> list[list[str]]:
                     ]
                 )
     return rows
-
-
-def write_long_csv(grids, path: str | Path) -> None:
-    lines = [",".join(row) for row in long_format_rows(grids)]
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")

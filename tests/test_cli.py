@@ -201,6 +201,29 @@ class TestConfig:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"analyses": []}, "config key analyses must name at least one analysis"),
+            ({"forecast": {"lags": []}}, "config section forecast: forecast.lags is empty"),
+            ({"forecast": {"duals": []}}, "config section forecast: forecast.duals is empty"),
+            ({"forecast": {"tickers": []}}, "config section forecast: forecast.tickers is empty"),
+        ],
+        ids=["analyses", "lags", "duals", "tickers"],
+    )
+    def test_empty_list_exits_with_config_error(self, tmp_path, capsys, overrides, message):
+        # an empty list would run nothing, write an empty manifest and exit 0
+        path = write_config(tmp_path, synthetic_tickers(tmp_path), **overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_windows_with_mece_is_valid(self, tmp_path):
+        path = write_config(tmp_path, synthetic_tickers(tmp_path), forecast={"windows": [], "mece_train_size": 80})
+        assert [r.label for r in load_config(path).forecast.regimes()] == ["mece"]
+
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         example = json.loads(re.search(r"Example config:\s*```json\n(.*?)```", readme, re.DOTALL).group(1))
@@ -565,6 +588,25 @@ class TestForecastCommand:
             assert len(manifest["failures"]) == 1
             assert manifest["failures"][0].startswith(f"{command} grids: ")
 
+    def test_no_common_date_fails_forecast_only(self, tmp_path):
+        # every pair overlaps except AAA/CCC, and no date is common to all three
+        mids = np.full(60, 10.0)
+        for name, start in (("aaa", 0), ("bbb", 30), ("ccc", 60)):
+            write_prices(tmp_path / f"{name}.csv", mids, start=dt.date(2021, 1, 1) + dt.timedelta(days=start))
+        tickers = {"AAA": "aaa.csv", "BBB": "bbb.csv", "CCC": "ccc.csv"}
+        config_path = self.forecast_config(tmp_path, tickers, analyses=("premiums", "forecast"))
+        assert main(["run", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            "forecast: tickers share no common dates",
+            "premiums AAA_over_CCC: empty date intersection",
+        ]
+        assert [o["path"] for o in manifest["outputs"]] == [
+            f"premiums/{pair}_{kind}"
+            for pair in ("AAA_over_BBB", "BBB_over_CCC")
+            for kind in ("series.csv", "summary.csv", "summary.json")
+        ]
+
     def test_unknown_forecast_ticker_rejected(self, tmp_path):
         config_path = self.forecast_config(tmp_path, tickers=["ZZZ"])
         assert main(["forecast", "--config", str(config_path)]) == 1
@@ -715,6 +757,27 @@ class TestReportCommand:
         assert len(failures) == 1
         assert failures[0].startswith("report: AAA_lag4_dual-no_w10.json: ")
         assert "retrain_per_origin" in failures[0]
+
+    def test_descriptor_that_is_not_json_names_the_file(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path,
+            tickers,
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA"],
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        (runs_dir / "AAA_lag4_dual-no_w10.json").write_text("{not json", encoding="utf-8")
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        failures = json.loads((tmp_path / "rep" / "manifest.json").read_text())["failures"]
+        assert failures == [
+            "report: AAA_lag4_dual-no_w10.json: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
 
     def test_empty_runs_dir_fails(self, tmp_path):
         empty = tmp_path / "none"

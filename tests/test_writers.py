@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualstock.atomicfile import atomic_open
-from dualstock.cli import CommandOutcome, _fixed6, _write_coherence_csv
+from dualstock.cli import CommandOutcome, _coherence_csv, _fixed6
 from dualstock.svgplot import render_heatmap
 from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence
 from _oracles import coherence_csv_per_cell, render_heatmap_per_cell
@@ -79,7 +79,7 @@ def test_csv_bytes_match_per_cell_oracle(tmp_path, case):
     dates = day_list(field.n)
     path = tmp_path / "field.csv"
     outcome = CommandOutcome()
-    _write_coherence_csv(path, field, dates, outcome)
+    outcome.write(path, _coherence_csv(field, dates))
     assert outcome.files == [path]
     assert path.read_bytes() == coherence_csv_per_cell(field, dates).encode("utf-8")
 
@@ -170,6 +170,6 @@ class TestAtomicOpen:
         field = make_field(field.rho2, field.phase, significant)
         outcome = CommandOutcome()
         with pytest.raises(TypeError):
-            _write_coherence_csv(tmp_path / "field.csv", field, day_list(field.n), outcome)
+            outcome.write(tmp_path / "field.csv", _coherence_csv(field, day_list(field.n)))
         assert outcome.files == []
         assert list(tmp_path.iterdir()) == []
