@@ -20,7 +20,7 @@ __all__ = ["atomic_open"]
 
 @contextlib.contextmanager
 def atomic_open(path: str | Path):
-    """Text handle (UTF-8) on a temporary sibling of ``path``, renamed onto it on success."""
+    """Binary handle on a temporary sibling of ``path``, renamed onto it on success."""
     path = Path(path)
     # A fixed name keeps error messages, which the manifest records, the same
     # on every run, and a stale one left by a killed run is simply truncated.
@@ -29,7 +29,7 @@ def atomic_open(path: str | Path):
     tmp = path.with_name(f".{path.name}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

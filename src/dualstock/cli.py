@@ -6,15 +6,16 @@ from existing run manifests).  A single declarative JSON config plus flag
 overrides drives everything; the master seed deterministically derives one
 child seed per analysis unit, so reruns with identical inputs and config are
 byte-identical.  Every invocation writes a manifest listing emitted files
-and their content hashes.
+and the SHA-256 of the bytes written to each.
 
 The work runs in units: a premium pair, a coherence pair, a forecast run, a
-grid set, an analysis as a whole and the ``report`` command.  Every unit
-runs inside ``CommandOutcome.unit``, which records an error of
-``UNIT_ERRORS`` as the failure line ``<analysis> <unit>: <message>`` and lets
-the next unit run, and every output goes through ``CommandOutcome.write``,
-which lists a file once it is whole on disk.  So one bad unit takes down no
-other, and the files it wrote before it failed stay listed.
+grid set, an analysis as a whole, the ``report`` command and each run
+descriptor it reads.  Every unit runs inside ``CommandOutcome.unit``, which
+records an error of ``UNIT_ERRORS`` as the failure line ``<analysis> <unit>:
+<message>`` and lets the next unit run, and every output, the SVG included,
+goes through ``CommandOutcome.write``, which hashes the bytes as it writes
+them and lists the file once it is whole on disk.  So one bad unit takes down
+no other, and the files it wrote before it failed stay listed.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_for
 
 MIN_COHERENCE_LENGTH = 64
 ANALYSES = ("premiums", "coherence", "forecast")
+PAIRWISE = ("premiums", "coherence")  # the analyses of ticker pairs
 
 
 @dataclass(frozen=True)
@@ -267,17 +269,26 @@ UNIT_ERRORS = (ValueError, OSError, FloatingPointError, TrainingDivergedError)
 
 @dataclass
 class CommandOutcome:
-    """The files one invocation wrote and the units that failed, for its manifest."""
+    """The files one invocation wrote, with their SHA-256, and the units that failed, for its manifest."""
 
-    files: list[Path] = field(default_factory=list)
+    files: dict[Path, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
     def write(self, path: Path, text: str | Iterable[str]) -> None:
-        """Write ``text``, or its chunks one at a time, atomically to ``path``, then list the file."""
+        """Write ``text``, or its chunks one by one, atomically to ``path`` as UTF-8; list it with its SHA-256."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(path) as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        self.files.append(path)
+        digest = hashlib.sha256()
+        try:
+            with atomic_open(path) as fh:
+                for chunk in [text] if isinstance(text, str) else text:
+                    data = chunk.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+        except OSError as exc:  # one raised while writing (a full disk, a failing chunk) names no file
+            if exc.filename is None:
+                raise OSError(f"{path}: {exc}") from exc
+            raise
+        self.files[path] = digest.hexdigest()
 
     @contextlib.contextmanager
     def unit(self, name: str):
@@ -422,13 +433,8 @@ def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutco
             mc = w.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
             field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc)
             outcome.write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates))
-            svg_path = render_heatmap(
-                field,
-                out / f"{label}.svg",
-                dates=returns_a.dates,
-                title=f"{name_a} / {name_b} squared coherence",
-            )
-            outcome.files.append(svg_path)
+            title = f"{name_a} / {name_b} squared coherence"
+            outcome.write(out / f"{label}.svg", render_heatmap(field, dates=returns_a.dates, title=title))
 
 
 def _run_stem(run: ForecastRun) -> str:
@@ -561,11 +567,19 @@ def _read_run(manifest_path: Path) -> ForecastRun:
 
 
 def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
-    """Re-assemble full regime-by-lag metric grids from existing run manifests."""
+    """Re-assemble full regime-by-lag metric grids from existing run manifests, one unit per manifest read.
+
+    A manifest that cannot be read is a failure line and a missing cell; the other runs still make their grids.
+    """
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
         raise ValueError(f"no run manifests (*.json) found in {runs_dir}")
-    runs = [_read_run(p) for p in manifests]
+    runs: list[ForecastRun] = []
+    for path in manifests:
+        with outcome.unit("report"):
+            runs.append(_read_run(path))
+    if not runs:
+        return
     by_ticker: dict[str, list[ForecastRun]] = {}
     for run in runs:
         by_ticker.setdefault(run.ticker, []).append(run)
@@ -583,28 +597,19 @@ def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
     _write_grids(grids, Path(out_dir) / "report", outcome, "report")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: CommandOutcome) -> Path:
-    entries = sorted(
-        {str(p.resolve().relative_to(out_dir.resolve())) for p in outcome.files}
-    )
+    root = out_dir.resolve()
+    entries = sorted({str(p.resolve().relative_to(root)): sha for p, sha in outcome.files.items()}.items())
     manifest = {
         "command": command,
         "seed": seed,
-        "outputs": [{"path": p, "sha256": _sha256(out_dir / p)} for p in entries],
+        "outputs": [{"path": p, "sha256": sha} for p, sha in entries],
         "failures": sorted(outcome.failures),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     with atomic_open(path) as fh:
-        fh.write(_json_text(manifest))
+        fh.write(_json_text(manifest).encode("utf-8"))
     return path
 
 
@@ -657,17 +662,19 @@ def main(argv=None) -> int:
     else:
         try:
             config = load_config(args.config, seed=args.seed, out_dir=args.out)
+            selected = config.analyses if args.command == "run" else (args.command,)
+            pairwise = [analysis for analysis in selected if analysis in PAIRWISE]
+            if pairwise and len(config.tickers) < 2:
+                raise ValueError(
+                    f"config key tickers must declare at least two tickers for {' and '.join(pairwise)}, "
+                    f"got {len(config.tickers)}"
+                )
         except (ValueError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         seed = config.seed
         out_dir = config.out_dir
-        if args.command == "run":
-            selected = config.analyses
-            command = "run:" + ",".join(selected)
-        else:
-            selected = (args.command,)
-            command = args.command
+        command = "run:" + ",".join(selected) if args.command == "run" else args.command
         handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
         series = None
         for analysis in selected:

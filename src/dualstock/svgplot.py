@@ -7,15 +7,15 @@ period increasing downward, rho^2 as the colormap, phase arrows decimated to
 one per 16x4 cell block (east = in phase, north = +pi/2), the cone of
 influence shaded, and significant regions contoured.
 
-The two large parts are found with numpy and streamed to the file one scale
-row at a time.  The heatmap draws one ``<rect>`` per run of equal quantized
-rho^2 in a row; a run starts at column 0 and wherever the level differs from
-the column before (``flatnonzero`` of the level changes).  The significance
-contour is the set of cell edges between a significant cell and a
-non-significant cell or the plot border; comparing the mask with its four
-shifted neighbours in a zero-padded copy gives one boolean array per side,
-and only the cells with at least one such edge are visited, in row-major
-order, left/right/top/bottom.  Cell-edge coordinates and run widths are
+The SVG text is yielded in chunks for a writer to stream to its file; the
+two large parts are found with numpy and yielded one scale row at a time.
+The heatmap draws one ``<rect>`` per run of equal quantized rho^2 in a row;
+a run starts at column 0 and wherever the level differs from the column
+before (``flatnonzero`` of the level changes).  The significance contour is
+the set of cell edges between a significant cell and a non-significant cell
+or the plot border; comparing the mask with its four shifted neighbours in a
+zero-padded copy gives one boolean array per side, and only the cells with
+at least one such edge are visited, in row-major order, left/right/top/bottom.  Cell-edge coordinates and run widths are
 formatted once each, with the same arithmetic as a per-cell formula, so the
 bytes do not depend on how the runs and edges were found.
 """
@@ -23,11 +23,10 @@ bytes do not depend on how the runs and edges were found.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from collections.abc import Iterable
 
 import numpy as np
 
-from .atomicfile import atomic_open
 from .wavelet import CoherenceField
 
 __all__ = ["render_heatmap"]
@@ -125,13 +124,8 @@ def _contour_rows(mask: np.ndarray, xs: list[str], ys: list[str]):
         yield "".join(segments)
 
 
-def render_heatmap(
-    field: CoherenceField,
-    out_path: str | Path,
-    dates=None,
-    title: str | None = None,
-) -> Path:
-    """Write the coherence field as an SVG file and return its path."""
+def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) -> Iterable[str]:
+    """The coherence field as SVG text, in chunks that join to the whole document."""
     rho2 = np.asarray(field.rho2)
     if not np.isfinite(rho2).all():
         raise ValueError("field contains non-finite rho2 values")
@@ -267,17 +261,11 @@ def render_heatmap(
 
     # The heatmap and the significance contour (edges between significant
     # and non-significant cells, merged into a single path element) are
-    # streamed a scale row at a time.
-    out = Path(out_path)
-    try:
-        with atomic_open(out) as fh:
-            fh.write("\n".join(opening) + "\n")
-            fh.writelines(_heatmap_rows(rho2, xs, ys, cell_w, cell_h))
-            if mask is not None and mask.any():
-                fh.write('<path class="significance-contour" d="')
-                fh.writelines(_contour_rows(mask, xs, ys))
-                fh.write('" stroke="#000000" stroke-width="1" fill="none"/>\n')
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write SVG to {out}: {exc}") from exc
-    return out
+    # yielded a scale row at a time.
+    yield "\n".join(opening) + "\n"
+    yield from _heatmap_rows(rho2, xs, ys, cell_w, cell_h)
+    if mask is not None and mask.any():
+        yield '<path class="significance-contour" d="'
+        yield from _contour_rows(mask, xs, ys)
+        yield '" stroke="#000000" stroke-width="1" fill="none"/>\n'
+    yield "\n".join(parts) + "\n"

@@ -6,10 +6,12 @@ synthetic data; every tolerance is pinned in the assertions below.
 """
 
 import datetime as dt
+import hashlib
 import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,10 +214,10 @@ def test_09_metric_oracles():
         assert rendered == "16.6667"
 
 
-@pytest.fixture(scope="module")
-def desk_scale_run(tmp_path_factory):
-    """Criterion 10 fixture: synthetic 3-ticker end-to-end pipeline, run twice."""
-    root = tmp_path_factory.mktemp("desk")
+def write_desk_inputs(root) -> Path:
+    """Write the desk-scale 3-ticker input CSVs and run config into ``root``; return the config's path."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(1010)
     n = 800
     trend = 25 + np.cumsum(rng.normal(0.005, 0.05, size=n))
@@ -245,6 +247,14 @@ def desk_scale_run(tmp_path_factory):
     }
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
+    return config_path
+
+
+@pytest.fixture(scope="module")
+def desk_scale_run(tmp_path_factory):
+    """Criterion 10 fixture: synthetic 3-ticker end-to-end pipeline, run twice."""
+    root = tmp_path_factory.mktemp("desk")
+    config_path = write_desk_inputs(root)
     start = time.perf_counter()
     rc1 = main(["run", "--config", str(config_path), "--out", str(root / "o1")])
     rc2 = main(["run", "--config", str(config_path), "--out", str(root / "o2")])
@@ -262,9 +272,10 @@ def test_10_desk_scale_end_to_end(desk_scale_run):
         assert m1["failures"] == [] and m2["failures"] == []
         assert m1["outputs"] == m2["outputs"]
         for entry in m1["outputs"]:
-            assert (root / "o1" / entry["path"]).read_bytes() == (
-                root / "o2" / entry["path"]
-            ).read_bytes()
+            written = (root / "o1" / entry["path"]).read_bytes()
+            assert written == (root / "o2" / entry["path"]).read_bytes()
+            # the manifest's digest is of the bytes on disk
+            assert entry["sha256"] == hashlib.sha256(written).hexdigest()
         # premium summary equals the sort-based oracle exactly, on the
         # unrounded premium values recomputed from the input files
         from dualstock.timeseries import align_series, load_ohlc_csv, premium_series

@@ -220,6 +220,42 @@ class TestConfig:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, analyses, named",
+        [
+            ("run", ["premiums", "coherence", "forecast"], "premiums and coherence"),
+            ("run", ["coherence"], "coherence"),
+            ("premiums", ["forecast"], "premiums"),
+            ("coherence", ["forecast"], "coherence"),
+        ],
+        ids=["run-premiums-coherence", "run-coherence", "premiums", "coherence"],
+    )
+    def test_pairwise_analysis_of_one_ticker_exits_with_config_error(
+        self, tmp_path, capsys, monkeypatch, command, analyses, named
+    ):
+        cli_module = importlib.import_module("dualstock.cli")
+        loaded = []
+        monkeypatch.setattr(cli_module, "load_ohlc_csv", lambda path, *a, **k: loaded.append(path))
+        path = write_config(tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}, analyses=analyses)
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"config error: config key tickers must declare at least two tickers for {named}, got 1"
+        assert loaded == []
+        assert not (tmp_path / "out").exists()
+
+    def test_forecast_of_one_ticker_needs_no_pair(self, tmp_path):
+        # the default analyses select premiums and coherence, but forecast runs alone
+        path = write_config(
+            tmp_path,
+            {"AAA": synthetic_tickers(tmp_path)["AAA"]},
+            analyses=["premiums", "coherence", "forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2,
+            },
+        )
+        assert main(["forecast", "--config", str(path)]) == 0
+
     def test_empty_windows_with_mece_is_valid(self, tmp_path):
         path = write_config(tmp_path, synthetic_tickers(tmp_path), forecast={"windows": [], "mece_train_size": 80})
         assert [r.label for r in load_config(path).forecast.regimes()] == ["mece"]
@@ -311,6 +347,17 @@ class TestPremiumsCommand:
         config_path = write_config(tmp_path, {"AAA": tickers["AAA"]})
         assert main(["premiums", "--config", str(config_path)]) == 1
 
+    @pytest.mark.parametrize("analysis", ["premiums", "coherence"])
+    def test_library_call_with_one_series_raises(self, tmp_path, analysis):
+        # main rejects such a config first; a direct caller gets an error, not a silent no-op
+        cli_module = importlib.import_module("dualstock.cli")
+        config = load_config(write_config(tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}))
+        outcome = cli_module.CommandOutcome()
+        with pytest.raises(ValueError, match=f"{analysis} needs at least two tickers"):
+            getattr(cli_module, f"cmd_{analysis}")(config, cli_module._load_all(config), outcome)
+        assert outcome.files == {} and outcome.failures == []
+        assert not (tmp_path / "out").exists()
+
     def test_percent_rendering(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
         config_path = write_config(tmp_path, tickers, percent=True)
@@ -379,7 +426,8 @@ class TestCoherenceCommand:
             "coherence/BBB_CCC.svg",
         ]
         assert len(manifest["failures"]) == 1
-        assert manifest["failures"][0].startswith("coherence AAA_CCC: failed to write SVG")
+        assert manifest["failures"][0].startswith("coherence AAA_CCC: ")
+        assert "AAA_CCC.svg" in manifest["failures"][0]
         on_disk = sorted(p.name for p in (tmp_path / "out" / "coherence").iterdir())
         assert on_disk == ["AAA_BBB.csv", "AAA_BBB.svg", "AAA_CCC.csv", "AAA_CCC.svg", "BBB_CCC.csv", "BBB_CCC.svg"]
 
@@ -778,6 +826,44 @@ class TestReportCommand:
             "report: AAA_lag4_dual-no_w10.json: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
+
+    def corrupted_report(self, tmp_path, windows):
+        config_path = write_config(
+            tmp_path,
+            synthetic_tickers(tmp_path),
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": windows, "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2,
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        (runs_dir / "AAA_lag4_dual-no_w10.json").write_text("{not json", encoding="utf-8")
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        return json.loads((tmp_path / "rep" / "manifest.json").read_text())
+
+    def test_unreadable_descriptor_fails_only_its_run(self, tmp_path):
+        manifest = self.corrupted_report(tmp_path, [10])
+        assert [o["path"] for o in manifest["outputs"]] == [
+            "report/BBB.csv", "report/BBB.json", "report/CCC.csv", "report/CCC.json", "report/long.csv",
+        ]
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith("report: AAA_lag4_dual-no_w10.json: ")
+        long_rows = (tmp_path / "rep" / "report" / "long.csv").read_text().strip().split("\n")[1:]
+        assert sorted({row.split(",")[0] for row in long_rows}) == ["BBB", "CCC"]
+
+    def test_unreadable_descriptor_is_a_missing_cell(self, tmp_path):
+        manifest = self.corrupted_report(tmp_path, [10, 20])
+        assert len(manifest["failures"]) == 1
+        assert "report/AAA.json" in [o["path"] for o in manifest["outputs"]]
+        cells = {
+            name: json.loads((tmp_path / "rep" / "report" / f"{name}.json").read_text())["cells"]
+            for name in ("AAA", "BBB")
+        }
+        assert cells["AAA"]["window=10|lag=4|dual=no"] is None
+        assert cells["AAA"]["window=20|lag=4|dual=no"] is not None
+        assert cells["BBB"]["window=10|lag=4|dual=no"] is not None
 
     def test_empty_runs_dir_fails(self, tmp_path):
         empty = tmp_path / "none"

@@ -1,6 +1,8 @@
 """Coherence CSV and SVG writers against the per-cell oracles, and atomic writes."""
 
 import datetime as dt
+import errno
+import hashlib
 import math
 
 import numpy as np
@@ -80,8 +82,9 @@ def test_csv_bytes_match_per_cell_oracle(tmp_path, case):
     path = tmp_path / "field.csv"
     outcome = CommandOutcome()
     outcome.write(path, _coherence_csv(field, dates))
-    assert outcome.files == [path]
+    assert list(outcome.files) == [path]
     assert path.read_bytes() == coherence_csv_per_cell(field, dates).encode("utf-8")
+    assert outcome.files[path] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("with_dates", [True, False])
@@ -89,10 +92,10 @@ def test_csv_bytes_match_per_cell_oracle(tmp_path, case):
 def test_svg_bytes_match_per_cell_oracle(tmp_path, case, with_dates):
     field = CASES[case]()
     dates = day_list(field.n) if with_dates else None
-    ours, oracle = tmp_path / "ours.svg", tmp_path / "oracle.svg"
-    assert render_heatmap(field, ours, dates=dates, title="AAA / BBB squared coherence") == ours
+    oracle = tmp_path / "oracle.svg"
+    ours = "".join(render_heatmap(field, dates=dates, title="AAA / BBB squared coherence")).encode()
     render_heatmap_per_cell(field, oracle, dates=dates, title="AAA / BBB squared coherence")
-    assert ours.read_bytes() == oracle.read_bytes()
+    assert ours == oracle.read_bytes()
 
 
 def test_fixed6_is_percent_format_on_ties_and_their_neighbours():
@@ -127,7 +130,7 @@ class TestAtomicOpen:
         target = tmp_path / "out.txt"
         plain = tmp_path / "plain.txt"
         with atomic_open(target) as fh:
-            fh.write("done\n")
+            fh.write(b"done\n")
         plain.write_text("done\n", encoding="utf-8")
         assert target.read_text(encoding="utf-8") == "done\n"
         assert target.stat().st_mode == plain.stat().st_mode
@@ -137,7 +140,7 @@ class TestAtomicOpen:
         target = tmp_path / "out.txt"
         with pytest.raises(RuntimeError, match="halfway"):
             with atomic_open(target) as fh:
-                fh.write("partial " * 10_000)
+                fh.write(b"partial " * 10_000)
                 raise RuntimeError("halfway")
         assert list(tmp_path.iterdir()) == []
 
@@ -146,7 +149,7 @@ class TestAtomicOpen:
         target.write_text("previous\n", encoding="utf-8")
         with pytest.raises(RuntimeError):
             with atomic_open(target) as fh:
-                fh.write("partial")
+                fh.write(b"partial")
                 raise RuntimeError("halfway")
         assert target.read_text(encoding="utf-8") == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
@@ -159,8 +162,22 @@ class TestAtomicOpen:
             raise OSError("disk full")
 
         monkeypatch.setattr(svgplot, "_contour_rows", failing_contour)
+        outcome = CommandOutcome()
         with pytest.raises(OSError, match="field.svg.*disk full"):
-            render_heatmap(random_field(1, 5, 30), tmp_path / "field.svg")
+            outcome.write(tmp_path / "field.svg", render_heatmap(random_field(1, 5, 30)))
+        assert list(outcome.files) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_names_the_file(self, tmp_path):
+        # an error raised while writing carries no filename of its own
+        def chunks():
+            yield "date,rho2\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        outcome = CommandOutcome()
+        with pytest.raises(OSError, match=r"field\.csv: \[Errno 28\] No space left on device"):
+            outcome.write(tmp_path / "field.csv", chunks())
+        assert list(outcome.files) == []
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_failing_midway_leaves_nothing_and_is_not_listed(self, tmp_path):
@@ -171,5 +188,5 @@ class TestAtomicOpen:
         outcome = CommandOutcome()
         with pytest.raises(TypeError):
             outcome.write(tmp_path / "field.csv", _coherence_csv(field, day_list(field.n)))
-        assert outcome.files == []
+        assert list(outcome.files) == []
         assert list(tmp_path.iterdir()) == []
