@@ -15,7 +15,10 @@ records an error of ``UNIT_ERRORS`` as the failure line ``<analysis> <unit>:
 <message>`` and lets the next unit run, and every output, the SVG included,
 goes through ``CommandOutcome.write``, which hashes the bytes as it writes
 them and lists the file once it is whole on disk.  So one bad unit takes down
-no other, and the files it wrote before it failed stay listed.
+no other, and the files it wrote before it failed stay listed.  A failure
+line names paths under the output directory (and, for ``report``, under
+``--runs``) relative to it, so a failing rerun into another directory records
+the same manifest.
 """
 
 from __future__ import annotations
@@ -269,10 +272,22 @@ UNIT_ERRORS = (ValueError, OSError, FloatingPointError, TrainingDivergedError)
 
 @dataclass
 class CommandOutcome:
-    """The files one invocation wrote, with their SHA-256, and the units that failed, for its manifest."""
+    """The files one invocation wrote, with their SHA-256, and the units that failed, for its manifest.
 
+    A failure line names a path under one of ``roots`` relative to the first
+    root that holds it.
+    """
+
+    roots: tuple[Path, ...] = ()
     files: dict[Path, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
+
+    def _relative(self, name):
+        """``name`` relative to the first of ``roots`` that holds it, else as it was."""
+        for root in self.roots:
+            with contextlib.suppress(TypeError, ValueError):
+                return str(Path(name).relative_to(root))
+        return name
 
     def write(self, path: Path, text: str | Iterable[str]) -> None:
         """Write ``text``, or its chunks one by one, atomically to ``path`` as UTF-8; list it with its SHA-256."""
@@ -286,7 +301,7 @@ class CommandOutcome:
                     fh.write(data)
         except OSError as exc:  # one raised while writing (a full disk, a failing chunk) names no file
             if exc.filename is None:
-                raise OSError(f"{path}: {exc}") from exc
+                raise OSError(f"{self._relative(path)}: {exc}") from exc
             raise
         self.files[path] = digest.hexdigest()
 
@@ -300,6 +315,9 @@ class CommandOutcome:
         try:
             yield
         except UNIT_ERRORS as exc:
+            for attr in ("filename", "filename2"):  # an OSError's paths; an unset one stays unset
+                if getattr(exc, attr, None) is not None:
+                    setattr(exc, attr, self._relative(getattr(exc, attr)))
             self.failures.append(f"{name}: {exc}")
 
 
@@ -652,11 +670,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    outcome = CommandOutcome()
     if args.command == "report":
         seed = None
         out_dir = Path(args.out)
         command = "report"
+        outcome = CommandOutcome(roots=(Path(args.runs), out_dir))
         with outcome.unit("report"):
             cmd_report(Path(args.runs), out_dir, outcome)
     else:
@@ -674,6 +692,7 @@ def main(argv=None) -> int:
             return 1
         seed = config.seed
         out_dir = config.out_dir
+        outcome = CommandOutcome(roots=(out_dir,))
         command = "run:" + ",".join(selected) if args.command == "run" else args.command
         handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
         series = None

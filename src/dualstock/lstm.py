@@ -15,9 +15,9 @@ operations over the batch.  Those operations run over whole contiguous
 full row, and the backward lays out every factor that does not depend on
 the recursion once per step, so that each cell forms dz for all four
 gates in a few row products, keeping each per-sample product's order.
-The weight gradient of a cell is a z-major (B, H+D, 4H) ``einsum`` outer
-product, one multiplication per element, added to a running sum that is
-transposed into the parameter layout once per step.  ``train_batch``
+Every cell's dz is kept, and after the recursion each model's weight
+gradient is one matrix product over its L cells, dZ^T Z, written straight
+into the parameter layout by one stacked ``matmul``.  ``train_batch``
 trains the models of a rolling run together, in blocks sized to stay in
 cache, and ``predict_batch`` predicts them in one forward.  Every model
 keeps its own seed, sample order, clip norm and divergence check, and
@@ -116,9 +116,8 @@ class _BackwardWork:
     with the o slot then overwritten), then times the cached gates [f, i, o]
     (the c slot skips this factor), then times ``gate_slope`` =
     [1 - f, 1 - i, 1 - o, 1 - c_hat**2].  ``tanh_c_slope`` is
-    1 - tanh(c)**2.  ``outer`` and ``grad_w`` are z-major (B, H+D, 4H): one
-    cell's weight gradient and the running sum, added contiguously and
-    transposed into the parameter layout once per pass.
+    1 - tanh(c)**2.  ``dz_all[t]`` holds cell t's dz, so that the weight
+    gradient is formed for all cells at once after the recursion.
     """
 
     def __init__(self, batch: int, lag: int, hidden_size: int, width: int) -> None:
@@ -128,13 +127,11 @@ class _BackwardWork:
         self.cell_factor = np.zeros((lag, batch, gates))
         self.gate_slope = np.empty((lag, batch, gates))
         self.tanh_c_slope = np.empty((lag, batch, hidden_size))
-        self.dz = np.empty((batch, gates))
+        self.dz_all = np.empty((lag, batch, gates))
         self.grad_b = np.empty((batch, gates))
         self.dh = np.empty((batch, width, 1))
         self.dc = np.empty((batch, hidden_size))
         self.tmp = np.empty((batch, hidden_size))
-        self.outer = np.empty((batch, width, gates))
-        self.grad_w = np.empty((batch, width, gates))
 
 
 def _cell(p: _Views, cache: _Cache, t: int) -> None:
@@ -214,9 +211,7 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
     np.subtract(1.0, w.tanh_c_slope, out=w.tanh_c_slope)
     f, o = act[:, :, 0], act[:, :, 2]
     gates = cache.act[:, :, : 3 * hsz]
-    dz, dc, tmp = w.dz, w.dc, w.tmp
-    dz4 = dz.reshape(batch, 4, hsz)
-    w.grad_w.fill(0.0)
+    dc, tmp = w.dc, w.tmp
     w.grad_b.fill(0.0)
     dc.fill(0.0)
     np.multiply(loss_grad[:, None], cache.z[-1, :, :hsz], out=grads.head_w)
@@ -227,6 +222,8 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
     # e.g. dz_f = ((dc * c_prev) * f) * (1 - f): reassociating would round
     # differently and change trained models.
     for t in range(lag - 1, -1, -1):
+        dz = w.dz_all[t]
+        dz4 = dz.reshape(batch, 4, hsz)
         np.multiply(dh, o[t], out=tmp)
         tmp *= w.tanh_c_slope[t]
         dc += tmp
@@ -234,16 +231,14 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
         np.multiply(dh, cache.tanh_c[t], out=dz4[:, 2])
         dz[:, : 3 * hsz] *= gates[t]
         dz *= w.gate_slope[t]
-        # One product per element, as np.outer.  einsum adds it to 0, which
-        # turns -0 into +0; the running sum starts at +0 and never reaches
-        # -0, so adding either zero leaves it bit for bit the same.
-        np.einsum("bj,bk->bjk", cache.z[t], dz, out=w.outer)
-        w.grad_w += w.outer
         w.grad_b += dz
         if t:
             np.matmul(weights_t, dz[:, :, None], out=w.dh)
         dc *= f[t]
-    grads.weights[...] = w.grad_w.transpose(0, 2, 1)
+    # The weight gradient of every cell at once: per model, the (4H, L) dz
+    # columns times the (L, H+D) cell inputs, summed over the cells inside
+    # one BLAS product and written in the parameter layout.
+    np.matmul(w.dz_all.transpose(1, 2, 0), cache.z[:-1].transpose(1, 0, 2), out=grads.weights)
     grads.biases[...] = w.grad_b
 
 
@@ -306,18 +301,11 @@ def _block_size(lag: int, hidden_size: int, input_size: int) -> int:
     """Models per block whose float64 buffers fit ``BLOCK_BYTES``."""
     width = hidden_size + input_size
     size = _param_count(hidden_size, input_size)
-    # Per model: params, grads, m, v and Adam's work (P each); the z-major
-    # weight-gradient outer and sum (4H x (H+D) each); z over L+1 cells and
-    # dh; act, cell_factor and gate_slope (4H per cell), c, tanh_c and
-    # tanh_c_slope (H per cell); pre, dz and grad_b (4H), c's extra cell,
-    # dc and tmp (H).
-    floats = (
-        5 * size
-        + 8 * hidden_size * width
-        + (lag + 2) * width
-        + 15 * hidden_size * lag
-        + 15 * hidden_size
-    )
+    # Per model: params, grads, m, v and Adam's work (P each); z over L+1
+    # cells and dh; act, cell_factor, gate_slope and dz_all (4H per cell),
+    # c, tanh_c and tanh_c_slope (H per cell); pre and grad_b (4H), c's
+    # extra cell, dc and tmp (H).
+    floats = 5 * size + (lag + 2) * width + 19 * hidden_size * lag + 11 * hidden_size
     return max(1, BLOCK_BYTES // (8 * floats))
 
 

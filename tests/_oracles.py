@@ -115,13 +115,16 @@ def lstm_forward_literal(flat, window, hidden_size: int, cells=None) -> float:
     return float(head_w @ h + flat[-1])
 
 
-def lstm_grads_literal(flat, window, loss_grad: float, hidden_size: int) -> np.ndarray:
+def lstm_grads_literal(flat, window, loss_grad: float, hidden_size: int, per_cell_outer: bool = False) -> np.ndarray:
     """One model's (P,) gradient for one (L, D) window, by BPTT one cell at a time.
 
     ``loss_grad`` is dLoss/dPrediction.  The forward is
-    ``lstm_forward_literal``; each cell's weight gradient is one ``np.outer``
-    added in reverse cell order, and every product is written left to right
-    as in the textbook formulas.
+    ``lstm_forward_literal`` and every product is written left to right as
+    in the textbook formulas.  The weight gradient is the sum over cells of
+    outer(dz, z): by default one 2-D matmul of the cells' dz columns with
+    their inputs, cells in ascending order; with ``per_cell_outer`` one
+    ``np.outer`` per cell, added in reverse cell order.  The two differ
+    only in the rounding of that sum.
     """
     hsz = hidden_size
     width = hsz + window.shape[1]
@@ -137,6 +140,7 @@ def lstm_grads_literal(flat, window, loss_grad: float, hidden_size: int) -> np.n
     grads[-1] = loss_grad
     dh = loss_grad * head_w
     dc = np.zeros(hsz)
+    dzs = []  # in reverse cell order
     for z, f, i, o, c_hat, c_prev, tanh_c, _ in reversed(cells):
         do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
@@ -148,10 +152,16 @@ def lstm_grads_literal(flat, window, loss_grad: float, hidden_size: int) -> np.n
                 dc * i * (1.0 - c_hat * c_hat),
             ]
         )
-        grad_w += np.outer(dz, z)
+        dzs.append(dz)
         grad_b += dz
         dh = (weights.T @ dz)[:hsz]
         dc = dc * f
+    zs = [cell[0] for cell in cells]
+    if per_cell_outer:
+        for dz, z in zip(dzs, reversed(zs)):
+            grad_w += np.outer(dz, z)
+    else:
+        grad_w[...] = np.array(dzs[::-1]).T @ np.array(zs)
     return grads
 
 

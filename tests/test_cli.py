@@ -431,6 +431,19 @@ class TestCoherenceCommand:
         on_disk = sorted(p.name for p in (tmp_path / "out" / "coherence").iterdir())
         assert on_disk == ["AAA_BBB.csv", "AAA_BBB.svg", "AAA_CCC.csv", "AAA_CCC.svg", "BBB_CCC.csv", "BBB_CCC.svg"]
 
+    def test_failure_line_does_not_depend_on_the_output_directory(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path, n=140)
+        config_path = write_config(tmp_path, tickers, analyses=["coherence"], wavelet={"mc_iterations": 1})
+        manifests = []
+        for out in (tmp_path / "o1", tmp_path / "deeper" / "o2"):
+            (out / "coherence" / "AAA_CCC.svg").mkdir(parents=True)
+            assert main(["coherence", "--config", str(config_path), "--out", str(out)]) == 1
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["failures"] == [
+            "coherence AAA_CCC: [Errno 21] Is a directory: 'coherence/.AAA_CCC.svg.tmp' -> 'coherence/AAA_CCC.svg'"
+        ]
+
     def test_too_short_series_fails(self, tmp_path):
         tickers = synthetic_tickers(tmp_path, n=40)
         tickers.pop("CCC")
@@ -758,6 +771,29 @@ class TestReportCommand:
                 "Training Window = 5", "Training Window = 10", "Training Window = 20",
                 "Training Window = 50", "MECE",
             }
+
+    def test_failure_line_names_the_runs_file_relative_to_the_runs(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path,
+            tickers,
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA", "BBB"],
+            },
+        )
+        manifests = []
+        for out in (tmp_path / "o1", tmp_path / "deeper" / "o2"):
+            assert main(["forecast", "--config", str(config_path), "--out", str(out)]) == 0
+            runs_dir = out / "forecast" / "runs"
+            (runs_dir / "AAA_lag4_dual-no_w10.csv").unlink()
+            assert main(["report", "--runs", str(runs_dir), "--out", str(out / "rep")]) == 1
+            manifests.append((out / "rep" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["failures"] == [
+            "report: [Errno 2] No such file or directory: 'AAA_lag4_dual-no_w10.csv'"
+        ]
 
     def test_provenance_after_origin_rejected(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)

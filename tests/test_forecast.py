@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import lstm_forward_literal, lstm_train_per_sample
+from dualstock import lstm
 from dualstock.forecast import (
     ForecastRun,
     PriceScaleWarning,
@@ -263,6 +264,25 @@ class TestBatchedTraining:
             flat, _ = lstm_train_per_sample(windows, own[start + lag : end], replace(cfg, seed=seed))
             prediction = lstm_forward_literal(flat, features[origin - lag : origin], cfg.hidden_size)
             assert run.predictions[k] == unscale(prediction)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_blocks_do_not_change_predictions(self, monkeypatch, dual):
+        # 20 origins: one default block, then blocks of 1 and of 7 models
+        prices = synthetic_prices(60)
+        sibs = (synthetic_prices(60, seed=5, level=20.0), synthetic_prices(60, seed=6, level=30.0))
+        cfg = TrainConfig(seed=11, **FAST)
+        dim = 3 if dual else 1
+
+        def run():
+            return forecast(prices, sibs, lag=4, include_dual=dual, cfg=cfg, regime=rolling(12, 20)).predictions
+
+        assert lstm._block_size(4, cfg.hidden_size, dim) >= 20
+        one_block = run()
+        per_model_bytes = lstm.BLOCK_BYTES // lstm._block_size(4, cfg.hidden_size, dim)
+        for models_per_block in (1, 7):
+            monkeypatch.setattr(lstm, "BLOCK_BYTES", models_per_block * per_model_bytes)
+            assert lstm._block_size(4, cfg.hidden_size, dim) == models_per_block
+            assert np.array_equal(run().view(np.uint64), one_block.view(np.uint64))
 
 
 class TestForecastRunValidation:

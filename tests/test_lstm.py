@@ -25,6 +25,9 @@ from dualstock.lstm import (
 # so the relative-error denominator is floored here.
 GRADCHECK_FLOOR = 1e-6
 
+# (lag, dim, hidden) of the gradient-oracle tests
+LITERAL_GRID = [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)]
+
 
 def random_flat(rng, batch: int, hidden: int, dim: int) -> np.ndarray:
     """(B, P) parameter buffers with every entry uniform in +-1/sqrt(H+D)."""
@@ -206,32 +209,54 @@ class TestBackward:
         grads = self.backward(12, hidden=2, loss_grad=1.7)
         assert grads.head_b[0] == 1.7
 
+    @staticmethod
+    def mixed_rows(batch: int, lag: int, dim: int, hidden: int, shift: int):
+        """``_backward`` over rows that cycle through three kinds, from kind ``shift`` on.
+
+        The kinds are plain, saturated (every pre-activation about +-40, so
+        gates round onto 0 or 1 and slopes onto 0, which makes signed zeros)
+        and a zero loss gradient.  Returns the buffers, windows, loss
+        gradients, kinds and gradients of the rows.
+        """
+        rng = np.random.default_rng([batch, lag, dim, hidden, shift])
+        flat = random_flat(rng, batch, hidden, dim)
+        windows = rng.standard_normal((batch, lag, dim))
+        loss_grad = rng.standard_normal(batch)
+        params = _Views(flat, hidden, dim)
+        kinds = (np.arange(batch) + shift) % 3
+        saturated = kinds == 1
+        params.weights[saturated] *= 1e-3
+        params.biases[saturated] = 40.0 * rng.choice([-1.0, 1.0], size=(saturated.sum(), 4 * hidden))
+        loss_grad[kinds == 2] = 0.0
+        cache = _Cache(batch, lag, hidden, dim)
+        cache.z[:-1, :, hidden:] = windows.transpose(1, 0, 2)
+        _forward(params, cache)
+        grads = _Views(np.full_like(flat, np.nan), hidden, dim)
+        _backward(params, cache, loss_grad, grads)
+        return flat, windows, loss_grad, kinds, grads
+
     @pytest.mark.parametrize("batch", [1, 7, 40])
-    @pytest.mark.parametrize("lag, dim, hidden", [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)])
+    @pytest.mark.parametrize("lag, dim, hidden", LITERAL_GRID)
     def test_matches_literal_gradient_bitwise(self, batch, lag, dim, hidden):
-        # Rows cycle through three kinds: plain, saturated (every
-        # pre-activation about +-40, so gates round onto 0 or 1 and slopes
-        # onto 0, which makes signed zeros) and a zero loss gradient.  At
-        # B = 1 the single row takes each kind in turn.
+        # At B = 1 the single row takes each kind in turn.
         for shift in range(3 if batch == 1 else 1):
-            rng = np.random.default_rng([batch, lag, dim, hidden, shift])
-            flat = random_flat(rng, batch, hidden, dim)
-            windows = rng.standard_normal((batch, lag, dim))
-            loss_grad = rng.standard_normal(batch)
-            params = _Views(flat, hidden, dim)
-            kinds = (np.arange(batch) + shift) % 3
-            saturated = kinds == 1
-            params.weights[saturated] *= 1e-3
-            params.biases[saturated] = 40.0 * rng.choice([-1.0, 1.0], size=(saturated.sum(), 4 * hidden))
-            loss_grad[kinds == 2] = 0.0
-            cache = _Cache(batch, lag, hidden, dim)
-            cache.z[:-1, :, hidden:] = windows.transpose(1, 0, 2)
-            _forward(params, cache)
-            grads = _Views(np.full_like(flat, np.nan), hidden, dim)
-            _backward(params, cache, loss_grad, grads)
+            flat, windows, loss_grad, kinds, grads = self.mixed_rows(batch, lag, dim, hidden, shift)
             for b in range(batch):
                 expected = lstm_grads_literal(flat[b], windows[b], loss_grad[b], hidden)
                 assert np.array_equal(grads.flat[b].view(np.uint64), expected.view(np.uint64)), (b, kinds[b])
+
+    @pytest.mark.parametrize("lag, dim, hidden", LITERAL_GRID)
+    def test_weight_gradient_moves_only_by_summation_rounding(self, lag, dim, hidden):
+        # Against one np.outer per cell added in reverse cell order: the
+        # weight gradient agrees to 1e-12 of its max-norm, and the rest of
+        # the buffer is bit for bit the same.
+        flat, windows, loss_grad, kinds, grads = self.mixed_rows(7, lag, dim, hidden, 0)
+        n_w = grads.weights[0].size
+        for b in range(7):
+            per_cell = lstm_grads_literal(flat[b], windows[b], loss_grad[b], hidden, per_cell_outer=True)
+            error = np.abs(grads.flat[b, :n_w] - per_cell[:n_w]).max()
+            assert error <= 1e-12 * np.abs(per_cell[:n_w]).max(), (b, kinds[b])
+            assert np.array_equal(grads.flat[b, n_w:].view(np.uint64), per_cell[n_w:].view(np.uint64))
 
 
 def make_samples(rng, count=10, lag=4, dim=1, target=0.3):
