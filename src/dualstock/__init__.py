@@ -33,11 +33,9 @@ from .wavelet import (
     CoherenceField,
     ScaleGrid,
     Scaleogram,
-    SmoothingSpec,
     coherence,
     cone_of_influence,
     cwt,
-    morlet_mother,
     phase_field,
     smooth,
 )

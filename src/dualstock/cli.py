@@ -41,7 +41,7 @@ import numpy as np
 
 from .atomicfile import atomic_open
 from .forecast import ForecastRun, RegimeSpec, forecast
-from .lstm import TrainConfig, TrainingDivergedError
+from .lstm import CLIP_NORM, TrainConfig, TrainingDivergedError
 from .metrics import ReportGrid, assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
 from .significance import MonteCarloSpec, significance
@@ -57,7 +57,7 @@ from .timeseries import (
     render_summary_csv,
     summary_to_dict,
 )
-from .wavelet import ScaleGrid, SmoothingSpec
+from .wavelet import ScaleGrid
 
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
@@ -68,26 +68,18 @@ PAIRWISE = ("premiums", "coherence")  # the analyses of ticker pairs
 
 @dataclass(frozen=True)
 class WaveletOptions:
-    omega0: float = 6.0
-    s0: float = 2.0
     dj: float = 1.0 / 12.0
-    time_std_scales: float = 1.0
-    scale_window_octaves: float = 0.6
     mc_iterations: int = 1000
     significance_level: float = 0.05
 
     def __post_init__(self) -> None:
         # the records' own checks reject bad values before any analysis runs
         self.scale_grid(MIN_COHERENCE_LENGTH)
-        self.smoothing()
         self.monte_carlo(seed=0)
 
     def scale_grid(self, n: int) -> ScaleGrid:
         """The scale grid for n returns."""
-        return ScaleGrid.for_length(n, s0=self.s0, dj=self.dj, omega0=self.omega0)
-
-    def smoothing(self) -> SmoothingSpec:
-        return SmoothingSpec(time_std_scales=self.time_std_scales, scale_window_octaves=self.scale_window_octaves)
+        return ScaleGrid.for_length(n, dj=self.dj)
 
     def monte_carlo(self, seed: int) -> MonteCarloSpec:
         return MonteCarloSpec(seed=seed, iterations=self.mc_iterations, significance_level=self.significance_level)
@@ -103,7 +95,6 @@ class ForecastOptions:
     epochs: int = 200
     hidden_size: int = 16
     learning_rate: float = 1e-2
-    clip_norm: float = 1.0
     tickers: tuple[str, ...] | None = None  # forecast subset; all loaded tickers if None
 
     def __post_init__(self) -> None:
@@ -131,10 +122,7 @@ class ForecastOptions:
         return regimes
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            seed=seed, epochs=self.epochs, learning_rate=self.learning_rate,
-            hidden_size=self.hidden_size, clip_norm=self.clip_norm,
-        )
+        return TrainConfig(seed=seed, epochs=self.epochs, learning_rate=self.learning_rate, hidden_size=self.hidden_size)
 
 
 @dataclass(frozen=True)
@@ -438,7 +426,6 @@ def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutco
         raise ValueError("coherence needs at least two tickers")
     out = config.out_dir / "coherence"
     w = config.wavelet
-    sspec = w.smoothing()
     for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
         label = f"{name_a}_{name_b}"
         with outcome.unit(f"coherence {label}"):
@@ -449,7 +436,7 @@ def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutco
             returns_b = daily_returns(aligned_b)
             grid = w.scale_grid(returns_a.n)
             mc = w.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
-            field = significance(returns_a.values, returns_b.values, grid, sspec, mc=mc)
+            field = significance(returns_a.values, returns_b.values, grid, mc=mc)
             outcome.write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates))
             title = f"{name_a} / {name_b} squared coherence"
             outcome.write(out / f"{label}.svg", render_heatmap(field, dates=returns_a.dates, title=title))
@@ -492,7 +479,7 @@ def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
             "epochs": f.epochs,
             "hidden_size": f.hidden_size,
             "learning_rate": f.learning_rate,
-            "clip_norm": f.clip_norm,
+            "clip_norm": CLIP_NORM,
             "optimizer": "adam",
         },
         "predictions_csv": csv_name,
@@ -513,36 +500,30 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
     targets = names if f.tickers is None else list(f.tickers)
     runs_by_ticker: dict[str, list[ForecastRun]] = {name: [] for name in targets}
 
-    for name, lag, dual in itertools.product(targets, f.lags, f.duals):
-        siblings = tuple(mids[other] for other in names if other != name)
+    for name, lag, dual, regime in itertools.product(targets, f.lags, f.duals, regimes):
+        # as in the paper grid, a training set runs only at lags below its
+        # length (window 5 at lag 4 only); the cells left out are listed as
+        # missing in the grids
+        if regime.train_length <= lag:
+            continue
         yes_no = "yes" if dual else "no"
-        cell = f"{name} lag={lag} dual={yes_no}"
-        with outcome.unit(f"forecast {cell}"):
-            if dual and len(siblings) != 2:
-                raise ValueError(f"needs exactly 3 tickers, got {len(names)}")
-            for regime in regimes:
-                # as in the paper grid, a training set runs only at lags below
-                # its length (window 5 at lag 4 only); the cells left out are
-                # listed as missing in the grids
-                if regime.train_length <= lag:
-                    continue
-                with outcome.unit(f"forecast {cell} {regime.label}"):
-                    seed = child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}")
-                    run = forecast(
-                        mids[name],
-                        siblings if dual else None,
-                        regime=regime,
-                        lag=lag,
-                        include_dual=dual,
-                        cfg=f.train_config(seed),
-                        ticker=name,
-                        dates=dates,
-                    )
-                    # a run whose files cannot be written is left out of the grids
-                    stem = _run_stem(run)
-                    outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run))
-                    outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, config, f"{stem}.csv")))
-                    runs_by_ticker[name].append(run)
+        with outcome.unit(f"forecast {name} lag={lag} dual={yes_no} {regime.label}"):
+            seed = child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}")
+            run = forecast(
+                mids[name],
+                tuple(mids[other] for other in names if other != name) if dual else None,
+                regime=regime,
+                lag=lag,
+                include_dual=dual,
+                cfg=f.train_config(seed),
+                ticker=name,
+                dates=dates,
+            )
+            # a run whose files cannot be written is left out of the grids
+            stem = _run_stem(run)
+            outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run))
+            outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, config, f"{stem}.csv")))
+            runs_by_ticker[name].append(run)
 
     declared_regimes = tuple(r.label for r in regimes)
     grids = [
@@ -685,6 +666,12 @@ def main(argv=None) -> int:
             if pairwise and len(config.tickers) < 2:
                 raise ValueError(
                     f"config key tickers must declare at least two tickers for {' and '.join(pairwise)}, "
+                    f"got {len(config.tickers)}"
+                )
+            # a dual run's features are its own series and its two siblings'
+            if "forecast" in selected and True in config.forecast.duals and len(config.tickers) != 3:
+                raise ValueError(
+                    f"config key forecast.duals includes true: a dual run needs exactly three declared tickers, "
                     f"got {len(config.tickers)}"
                 )
         except (ValueError, OSError) as exc:

@@ -47,6 +47,8 @@ __all__ = [
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+# Each sample's gradient is scaled down to this global L2 norm when above it.
+CLIP_NORM = 1.0
 
 
 class TrainingDivergedError(RuntimeError):
@@ -269,7 +271,6 @@ class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-2
     hidden_size: int = 16
-    clip_norm: float = 1.0
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -278,8 +279,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
 
 
 @dataclass
@@ -394,9 +393,9 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
             g = grads.flat
             g_sq = np.multiply(g, g, out=work)
             norm = np.sqrt(sum(seg.sum(axis=1) for seg in _segments(g_sq, hsz, dim)))
-            over = norm > cfg.clip_norm
+            over = norm > CLIP_NORM
             if over.any():
-                g *= np.divide(cfg.clip_norm, norm, out=np.ones(batch), where=over)[:, None]
+                g *= np.divide(CLIP_NORM, norm, out=np.ones(batch), where=over)[:, None]
                 np.multiply(g, g, out=g_sq)  # Adam's g**2 is of the clipped g
             step += 1
             bias1 = 1.0 - BETA1**step

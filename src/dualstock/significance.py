@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import CoherenceField, ScaleGrid, SmoothingSpec, _rho2, coherence, cwt
+from .wavelet import CoherenceField, ScaleGrid, _rho2, coherence, cwt
 
 __all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "ar1_surrogate", "significance"]
 
@@ -128,18 +128,11 @@ def _surrogate_block(params_a: AR1Params, params_b: AR1Params, n: int, seed: int
     return _ar1_paths(*lanes, z).T.copy()
 
 
-def significance(
-    a,
-    b,
-    grid: ScaleGrid,
-    sspec: SmoothingSpec = SmoothingSpec(),
-    *,
-    mc: MonteCarloSpec,
-) -> CoherenceField:
+def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField:
     """Observed coherence field of two daily series with its Monte-Carlo significance mask.
 
-    The transforms use the Morlet frequency ``grid.omega0`` and one sample per
-    trading day, for the observed pair and for every surrogate pair alike.
+    The transforms use one sample per trading day, for the observed pair and
+    for every surrogate pair alike.
 
     ``exceedances`` counts, per cell, the m surrogate coherences at or above
     the observed one.  A cell is significant when the observed rho2 lies
@@ -151,7 +144,7 @@ def significance(
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("series must have equal length")
-    observed = coherence(cwt(a, grid), cwt(b, grid), sspec)
+    observed = coherence(cwt(a, grid), cwt(b, grid))
     params_a = fit_ar1(a)
     params_b = fit_ar1(b)
     n = len(a)
@@ -162,7 +155,7 @@ def significance(
         for k in range(len(block)):
             sur_a = cwt(surrogates[2 * k], grid)
             sur_b = cwt(surrogates[2 * k + 1], grid)
-            count_ge += _rho2(sur_a, sur_b, sspec)[0] >= observed.rho2
+            count_ge += _rho2(sur_a, sur_b)[0] >= observed.rho2
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
     threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)
     return observed.with_significance(count_ge <= threshold, exceedances=count_ge)

@@ -1,26 +1,31 @@
 """Morlet continuous wavelet transform and wavelet coherence.
 
 One sample is one trading day: scales, periods and the cone of influence
-are all in days.  The Morlet frequency ``omega0`` is stored on ``ScaleGrid``
-alone.  The transform uses the energy convention only: the kernel at scale s
-carries a 1/sqrt(s) weight so every scale has comparable power (coherence
-does not depend on this choice).  The FFT path builds each scale's frequency
-response as the exact discrete Fourier transform of the sampled Morlet
-kernel (an alias-summed Gaussian), so it reproduces the direct time-domain
-summation to machine precision once the series is zero-padded to a power of
-two covering the kernel reach.
+are all in days.  The method is the standard Morlet one, with fixed
+constants: wave number ``OMEGA0`` = 6, smallest scale ``S0`` = 2 days, and
+coherence smoothing by a Gaussian in time one scale wide and a boxcar of
+``SCALE_WINDOW_OCTAVES`` = 0.6 octave across scales, the scale decorrelation
+length of this wavelet (Torrence & Compo 1998, table 2; Grinsted, Moore &
+Jevrejeva 2004).  The 0.6 octave fits wave number 6 only, so none of these
+is an option.  The transform uses the energy convention only: the
+kernel at scale s carries a 1/sqrt(s) weight so every scale has comparable
+power (coherence does not depend on this choice).  The FFT path builds each
+scale's frequency response as the exact discrete Fourier transform of the
+sampled Morlet kernel (an alias-summed Gaussian), so it reproduces the
+direct time-domain summation to machine precision once the series is
+zero-padded to a power of two covering the kernel reach.
 
-Padding is per scale: a row of width w * s (w = 1 for the transform,
-time_std for the smoothing) is padded to the power of two covering
-n + ceil(8 * w * s) + 1 points, and the rows that share a pad length are
+Padding is per scale: a row of scale s (a kernel s wide, for the transform
+and for the smoothing alike) is padded to the power of two covering
+n + ceil(8 * s) + 1 points, and the rows that share a pad length are
 transformed together (in cache-sized batches), so small scales no longer pay
 for the largest scale's reach.  The frequency tables are built per pad group
 and cached.
 
 Squared coherence smooths scale-normalized spectra with a Gaussian kernel in
-time (standard deviation proportional to scale) and a boxcar across scales;
-both kernels are renormalized at boundaries so weights always sum to one.
-The Gaussian is real and symmetric, so its spectrum is real: the two power
+time (standard deviation one scale) and a boxcar across scales; both
+kernels are renormalized at boundaries so weights always sum to one.  The
+Gaussian is real and symmetric, so its spectrum is real: the two power
 terms |W|^2 / s are smoothed with rfft/irfft against the half spectrum, the
 complex cross term with fft/ifft against the full one.  Because numerator
 and denominators share the same weights, Cauchy-Schwarz keeps rho^2 within
@@ -39,10 +44,7 @@ import numpy as np
 __all__ = [
     "ScaleGrid",
     "Scaleogram",
-    "SmoothingSpec",
     "CoherenceField",
-    "morlet_mother",
-    "fourier_factor",
     "cwt",
     "smooth",
     "coherence",
@@ -52,69 +54,49 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-
-def fourier_factor(omega0: float) -> float:
-    """Ratio of Fourier period to Morlet scale."""
-    return 4.0 * math.pi / (omega0 + math.sqrt(2.0 + omega0 * omega0))
-
-
-def morlet_mother(t, omega0: float = 6.0):
-    """Unit-energy Morlet wavelet pi^(-1/4) exp(i*omega0*t) exp(-t^2/2)."""
-    t = np.asarray(t, dtype=np.float64)
-    psi = math.pi ** -0.25 * np.exp(1j * omega0 * t) * np.exp(-0.5 * t * t)
-    return complex(psi) if psi.ndim == 0 else psi
+# Morlet wave number, smallest scale in days, coherence scale boxcar width.
+OMEGA0 = 6.0
+S0 = 2.0
+SCALE_WINDOW_OCTAVES = 0.6
+# Ratio of Fourier period to scale.
+FOURIER_FACTOR = 4.0 * math.pi / (OMEGA0 + math.sqrt(2.0 + OMEGA0 * OMEGA0))
 
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Dyadic scale ladder s0 * 2^(j*dj), j = 0..num_scales-1 (scales in days).
+    """Dyadic scale ladder S0 * 2^(j*dj), j = 0..num_scales-1 (scales in days)."""
 
-    ``omega0`` is the Morlet frequency; it must be at least 5 for the
-    zero-mean approximation to hold.
-    """
-
-    s0: float
     dj: float
     num_scales: int
-    omega0: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.s0 <= 0 or self.dj <= 0:
-            raise ValueError("s0 and dj must be positive")
+        if self.dj <= 0:
+            raise ValueError("dj must be positive")
         if self.num_scales < 1:
             raise ValueError("num_scales must be >= 1")
-        if self.omega0 < 5:
-            raise ValueError(f"omega0 must be >= 5, got {self.omega0}")
 
     @property
     def scales(self) -> np.ndarray:
         j = np.arange(self.num_scales)
-        return self.s0 * 2.0 ** (j * self.dj)
+        return S0 * 2.0 ** (j * self.dj)
 
     @property
     def fourier_periods(self) -> np.ndarray:
-        return self.scales * fourier_factor(self.omega0)
+        return self.scales * FOURIER_FACTOR
 
     @classmethod
-    def for_length(
-        cls,
-        n: int,
-        s0: float = 2.0,
-        dj: float = 1.0 / 12.0,
-        omega0: float = 6.0,
-    ) -> "ScaleGrid":
+    def for_length(cls, n: int, dj: float = 1.0 / 12.0) -> "ScaleGrid":
         """Default grid: largest Fourier period >= min(span/3, 512) days."""
         if n < 4:
             raise ValueError(f"series too short for a scale grid: n={n}")
-        cls(s0=s0, dj=dj, num_scales=1, omega0=omega0)  # checks s0, dj and omega0 before they are used
+        cls(dj=dj, num_scales=1)  # checks dj before it is used
         target = min(n / 3.0, 512.0)
-        ff = fourier_factor(omega0)
-        smallest_period = s0 * ff
+        smallest_period = S0 * FOURIER_FACTOR
         if target <= smallest_period:
             num = 1
         else:
             num = 1 + math.ceil(math.log2(target / smallest_period) / dj)
-        return cls(s0=s0, dj=dj, num_scales=num, omega0=omega0)
+        return cls(dj=dj, num_scales=num)
 
 
 @dataclass(frozen=True)
@@ -155,11 +137,11 @@ def _pad_length(n: int, reach: float) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _pad_groups(grid: ScaleGrid, n: int, width: float) -> tuple[tuple[int, int, int], ...]:
-    """Rows [lo, hi) sharing one pad length, for kernels width * scale points wide."""
+def _pad_groups(grid: ScaleGrid, n: int) -> tuple[tuple[int, int, int], ...]:
+    """Rows [lo, hi) sharing one pad length, for kernels one scale wide."""
     groups: list[tuple[int, int, int]] = []
     for j, s in enumerate(grid.scales):
-        npad = _pad_length(n, width * float(s))
+        npad = _pad_length(n, float(s))
         if groups and groups[-1][2] == npad:
             groups[-1] = (groups[-1][0], j + 1, npad)
         else:
@@ -189,8 +171,8 @@ def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int) -> np.ndarray
     """
     omega = _TWO_PI * np.fft.fftfreq(npad)
     scales = grid.scales[lo:hi, None]
-    arg = scales * omega - grid.omega0
-    ends = scales * np.array([omega.min(), omega.max()]) - grid.omega0
+    arg = scales * omega - OMEGA0
+    ends = scales * np.array([omega.min(), omega.max()]) - OMEGA0
     spacing = _TWO_PI * scales
     acc = np.zeros((hi - lo, npad))
     for image in range(-3, 4):
@@ -208,7 +190,7 @@ def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int) -> np.ndarray
 
 
 def cwt(x, grid: ScaleGrid) -> Scaleogram:
-    """Morlet transform of a real daily series on the grid, at ``grid.omega0``.
+    """Morlet transform of a real daily series on the grid.
 
     The mean is removed internally.  Computed as an FFT circular convolution
     after zero-padding each scale to the power of two covering its own
@@ -224,7 +206,7 @@ def cwt(x, grid: ScaleGrid) -> Scaleogram:
     n = len(x)
     xd = x - x.mean()
     coeffs = np.empty((grid.num_scales, n), dtype=np.complex128)
-    for lo, hi, npad in _pad_groups(grid, n, 1.0):
+    for lo, hi, npad in _pad_groups(grid, n):
         xhat = np.fft.fft(xd, npad)
         daughters = _daughter_matrix(grid, lo, hi, npad)
         for r0, r1 in _row_batches(lo, hi, npad):
@@ -237,27 +219,15 @@ def _check_compatible(a: Scaleogram, b: Scaleogram) -> None:
         raise ValueError("scaleograms must share the same grid and length")
 
 
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """Time Gaussian std = time_std_scales * scale; boxcar width in octaves."""
-
-    time_std_scales: float = 1.0
-    scale_window_octaves: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.time_std_scales <= 0 or self.scale_window_octaves <= 0:
-            raise ValueError("smoothing widths must be positive")
-
-
 @functools.lru_cache(maxsize=64)
-def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int, time_std: float):
-    """Real spectra of the rows' periodic Gaussians: (rfft half, full length).
+def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int):
+    """Real spectra of the rows' periodic Gaussians, each one scale wide: (rfft half, full length).
 
     The kernels are real and symmetric, so their spectra are real; the full
     spectrum mirrors the half one and smooths complex rows.
     """
     dist = np.arange(npad // 2 + 1, dtype=np.float64)
-    sigmas = time_std * grid.scales[lo:hi]
+    sigmas = grid.scales[lo:hi]
     kernels = np.empty((hi - lo, npad))
     kernels[:, : npad // 2 + 1] = np.exp(-0.5 * (dist[None, :] / sigmas[:, None]) ** 2)
     kernels[:, npad // 2 + 1 :] = kernels[:, npad // 2 - 1 : 0 : -1]
@@ -271,18 +241,18 @@ def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int, time_std: fl
 
 
 @functools.lru_cache(maxsize=64)
-def _smooth_weight_sums(grid: ScaleGrid, n: int, time_std: float) -> np.ndarray:
+def _smooth_weight_sums(grid: ScaleGrid, n: int) -> np.ndarray:
     """Per-cell sum of kernel weights inside the grid (boundary renormalizer)."""
     sums = np.empty((grid.num_scales, n))
-    for lo, hi, npad in _pad_groups(grid, n, time_std):
-        half, _ = _gauss_kernel_fft(grid, lo, hi, npad, time_std)
+    for lo, hi, npad in _pad_groups(grid, n):
+        half, _ = _gauss_kernel_fft(grid, lo, hi, npad)
         ones_hat = np.fft.rfft(np.ones(n), npad)
         sums[lo:hi] = np.fft.irfft(ones_hat * half, npad, axis=1)[:, :n]
     sums.flags.writeable = False
     return sums
 
 
-def _time_smooth(values: np.ndarray, grid: ScaleGrid, time_std: float) -> np.ndarray:
+def _time_smooth(values: np.ndarray, grid: ScaleGrid) -> np.ndarray:
     """Gaussian time smoothing of each row, renormalized at the boundaries.
 
     Real rows go through rfft/irfft against the half spectrum; complex rows
@@ -291,9 +261,9 @@ def _time_smooth(values: np.ndarray, grid: ScaleGrid, time_std: float) -> np.nda
     n = values.shape[1]
     out = np.empty(values.shape, dtype=np.result_type(values.dtype, np.float64))
     real = not np.iscomplexobj(out)
-    sums = _smooth_weight_sums(grid, n, time_std)
-    for lo, hi, npad in _pad_groups(grid, n, time_std):
-        half, full = _gauss_kernel_fft(grid, lo, hi, npad, time_std)
+    sums = _smooth_weight_sums(grid, n)
+    for lo, hi, npad in _pad_groups(grid, n):
+        half, full = _gauss_kernel_fft(grid, lo, hi, npad)
         for r0, r1 in _row_batches(lo, hi, npad):
             rows = slice(r0 - lo, r1 - lo)
             if real:
@@ -308,9 +278,9 @@ def _time_smooth(values: np.ndarray, grid: ScaleGrid, time_std: float) -> np.nda
     return out
 
 
-def _scale_boxcar(values: np.ndarray, dj: float, octaves: float) -> np.ndarray:
+def _scale_boxcar(values: np.ndarray, dj: float) -> np.ndarray:
     num = values.shape[0]
-    half = octaves / (2.0 * dj)
+    half = SCALE_WINDOW_OCTAVES / (2.0 * dj)
     out = np.empty_like(values)
     for j in range(num):
         lo = max(0, math.ceil(j - half))
@@ -319,18 +289,18 @@ def _scale_boxcar(values: np.ndarray, dj: float, octaves: float) -> np.ndarray:
     return out
 
 
-def smooth(values, spec: SmoothingSpec = SmoothingSpec(), *, grid: ScaleGrid) -> np.ndarray:
+def smooth(values, *, grid: ScaleGrid) -> np.ndarray:
     """Smooth a (num_scales, n) array on ``grid``; returns the same shape.
 
-    Time direction: Gaussian with standard deviation ``time_std_scales``
-    times each scale, in days.  Scale direction: boxcar over the octave
-    window.  Kernels are renormalized wherever they overhang a boundary, so
-    constants are preserved exactly.
+    Time direction: Gaussian with standard deviation one scale, in days.
+    Scale direction: boxcar ``SCALE_WINDOW_OCTAVES`` wide.  Kernels are
+    renormalized wherever they overhang a boundary, so constants are
+    preserved exactly.
     """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != grid.num_scales:
         raise ValueError(f"grid expects (num_scales, n); got shape {values.shape}")
-    return _scale_boxcar(_time_smooth(values, grid, spec.time_std_scales), grid.dj, spec.scale_window_octaves)
+    return _scale_boxcar(_time_smooth(values, grid), grid.dj)
 
 
 def phase_field(cross_smoothed: np.ndarray) -> np.ndarray:
@@ -407,14 +377,14 @@ class CoherenceField:
         return replace(self, significant=mask, exceedances=exceedances)
 
 
-def _rho2(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec):
+def _rho2(a: Scaleogram, b: Scaleogram):
     """Clamped squared coherence, the smoothed cross spectrum and the cells whose denominator vanished."""
     _check_compatible(a, b)
     grid = a.grid
     inv_s = 1.0 / grid.scales[:, None]
-    cross = smooth(a.values * np.conj(b.values) * inv_s, spec, grid=grid)
-    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, spec, grid=grid)
-    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, spec, grid=grid)
+    cross = smooth(a.values * np.conj(b.values) * inv_s, grid=grid)
+    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, grid=grid)
+    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, grid=grid)
     denom = power_a * power_b
     degenerate = denom <= 0.0
     rho2 = cross.real**2
@@ -426,14 +396,14 @@ def _rho2(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec):
     return rho2, cross, degenerate
 
 
-def coherence(a: Scaleogram, b: Scaleogram, spec: SmoothingSpec = SmoothingSpec()) -> CoherenceField:
+def coherence(a: Scaleogram, b: Scaleogram) -> CoherenceField:
     """Smoothed squared coherence and phase of two scaleograms.
 
     rho2 = |Q(W_ab / s)|^2 / (Q(|W_a|^2 / s) * Q(|W_b|^2 / s)) with Q the
     smoothing operator; cells with a vanishing denominator get rho2 = 0 and
     are flagged degenerate.  Values are clamped into [0, 1] after smoothing.
     """
-    rho2, cross, degenerate = _rho2(a, b, spec)
+    rho2, cross, degenerate = _rho2(a, b)
     return CoherenceField(
         rho2=rho2,
         phase=phase_field(cross),

@@ -32,6 +32,13 @@ from dualstock.svgplot import (
 from dualstock.timeseries import CsvFormat, PriceSeries
 
 
+def morlet_mother(t, omega0: float = 6.0):
+    """Unit-energy Morlet wavelet pi^(-1/4) exp(i*omega0*t) exp(-t^2/2)."""
+    t = np.asarray(t, dtype=np.float64)
+    psi = math.pi**-0.25 * np.exp(1j * omega0 * t) * np.exp(-0.5 * t * t)
+    return complex(psi) if psi.ndim == 0 else psi
+
+
 def cwt_direct(x, scales, omega0: float = 6.0, dt: float = 1.0) -> np.ndarray:
     """Direct double-sum CWT: W[j, tau] = sum_t x_t sqrt(dt/s) conj(psi((t-tau)dt/s))."""
     x = np.asarray(x, dtype=np.float64)
@@ -43,8 +50,7 @@ def cwt_direct(x, scales, omega0: float = 6.0, dt: float = 1.0) -> np.ndarray:
         weight = math.sqrt(dt / s)
         for tau in range(n):
             eta = (t_idx - tau) * dt / s
-            psi = math.pi**-0.25 * np.exp(1j * omega0 * eta) * np.exp(-0.5 * eta * eta)
-            out[j, tau] = np.sum(xd * weight * np.conj(psi))
+            out[j, tau] = np.sum(xd * weight * np.conj(morlet_mother(eta, omega0)))
     return out
 
 
@@ -173,9 +179,9 @@ def lstm_train_per_sample(inputs, targets, cfg):
     ``PCG64(cfg.seed)`` (weights, then head weights, uniform in
     +-1/sqrt(H+D); forget-gate biases 1), one permutation per epoch,
     ``lstm_forward_literal`` for the forward, ``lstm_grads_literal`` for the
-    gradient, the clip norm summed per segment in buffer order and Adam with
-    beta1 0.9, beta2 0.999 and epsilon 1e-8.  Returns the flat parameter
-    buffer and the epoch loss trace.
+    gradient, the gradient norm summed per segment in buffer order and
+    clipped to 1.0, and Adam with beta1 0.9, beta2 0.999 and epsilon 1e-8.
+    Returns the flat parameter buffer and the epoch loss trace.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -206,8 +212,8 @@ def lstm_train_per_sample(inputs, targets, cfg):
             grads = lstm_grads_literal(flat, inputs[idx], 2.0 * err, hsz)
             grad_w, grad_b, grad_head_w = segments(grads)
             norm = math.sqrt(sum(float((g * g).sum()) for g in (grad_w, grad_b, grad_head_w, grads[-1:])))
-            if norm > cfg.clip_norm:
-                grads *= cfg.clip_norm / norm
+            if norm > 1.0:
+                grads *= 1.0 / norm
             step += 1
             m = 0.9 * m + (1.0 - 0.9) * grads
             v = 0.999 * v + (1.0 - 0.999) * grads**2
@@ -237,7 +243,7 @@ def coherence_single_pad(x_a, x_b, grid, time_std: float = 1.0, octaves: float =
         omega = 2.0 * math.pi * np.fft.fftfreq(npad, d=dt)
         daughters = np.empty((len(scales), npad))
         for j, s in enumerate(scales):
-            arg = s * omega - grid.omega0
+            arg = s * omega - 6.0
             acc = np.zeros(npad)
             for image in range(-3, 4):
                 acc += np.exp(-0.5 * (arg - image * 2.0 * math.pi * s / dt) ** 2)

@@ -67,7 +67,7 @@ def test_02_cwt_oracle_equivalence():
         start = time.perf_counter()
         rng = np.random.default_rng(1002)
         x = rng.standard_normal(128)
-        grid = ScaleGrid(s0=2.0, dj=1 / 12, num_scales=24)
+        grid = ScaleGrid(dj=1 / 12, num_scales=24)
         fft_w = cwt(x, grid).values
         direct_w = cwt_direct(x, grid.scales)
         assert np.abs(fft_w - direct_w).max() < 1e-8

@@ -1,3 +1,4 @@
+import ast
 import datetime as dt
 import importlib
 import json
@@ -57,9 +58,7 @@ RANGE_ERRORS = [
     ("forecast", {"windows": [1]}, "rolling regime requires window >= 2"),
     ("forecast", {"test_size": 0}, "test_size must be >= 1"),
     ("forecast", {"tickers": ["ZZZ"]}, "tickers ['ZZZ'] are not declared inputs"),
-    ("wavelet", {"omega0": 4}, "omega0 must be >= 5, got 4"),
-    ("wavelet", {"dj": 0}, "s0 and dj must be positive"),
-    ("wavelet", {"scale_window_octaves": 0}, "smoothing widths must be positive"),
+    ("wavelet", {"dj": 0}, "dj must be positive"),
     ("wavelet", {"mc_iterations": 0}, "iterations must be >= 1"),
     ("wavelet", {"significance_level": 1.5}, "significance_level must be in (0, 1)"),
     ("csv", {"on_invalid": "ignore"}, "on_invalid must be 'fail' or 'skip'"),
@@ -73,20 +72,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
 
-    def test_unknown_section_keys_rejected(self, tmp_path, capsys):
-        # the last two were config keys; a config that still sets one fails
-        tickers = synthetic_tickers(tmp_path)
-        for section, key, value in (
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
             ("wavelet", "nope", 1),
+            # the rest were config keys; a config that still sets one fails
             ("forecast", "retrain_per_origin", False),
             ("wavelet", "num_scales", 24),
-        ):
-            path = write_config(tmp_path, tickers, **{section: {key: value}})
-            message = f"unknown keys in config section {section!r}: [{key!r}]"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                load_config(path)
-            assert main(["run", "--config", str(path)]) == 1
-            assert f"config error: {message}" in capsys.readouterr().err
+            # the Morlet-6 constants and the clip norm, even at their values
+            ("wavelet", "omega0", 6.0),
+            ("wavelet", "s0", 2.0),
+            ("wavelet", "time_std_scales", 1.0),
+            ("wavelet", "scale_window_octaves", 0.6),
+            ("forecast", "clip_norm", 1.0),
+        ],
+    )
+    def test_unknown_section_keys_rejected(self, tmp_path, capsys, section, key, value):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, tickers, analyses=["premiums", "coherence", "forecast"], **{section: {key: value}})
+        message = f"unknown keys in config section {section!r}: [{key!r}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_file(self, tmp_path):
         path = write_config(tmp_path, {"AAA": "absent.csv"})
@@ -272,6 +281,19 @@ class TestConfig:
         assert config.out_dir == Path(example["out_dir"])
         assert config.forecast.windows == tuple(example["forecast"]["windows"])
         assert config.wavelet.mc_iterations == example["wavelet"]["mc_iterations"]
+
+    def test_readme_quickstart_imports_exist(self):
+        # a public name deleted from the package must leave the README too
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        code = re.search(r"## Library quickstart\s*```python\n(.*?)```", readme, re.DOTALL).group(1)
+        imported = [
+            (node.module, alias.name)
+            for node in ast.walk(ast.parse(code))
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "dualstock"
+            for alias in node.names
+        ]
+        assert imported
+        assert [(m, n) for m, n in imported if not hasattr(importlib.import_module(m), n)] == []
 
     def test_missing_seed(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -483,13 +505,57 @@ class TestForecastCommand:
         header = csv_file.read_text().split("\n")[0]
         assert header == "origin_index,date,actual,predicted,train_start,train_end"
 
-    def test_dual_without_three_tickers_skips(self, tmp_path):
+    @pytest.mark.parametrize("names", [["AAA"], ["AAA", "BBB"]])
+    @pytest.mark.parametrize("command", ["forecast", "run"])
+    def test_dual_without_three_tickers_is_config_error(self, tmp_path, capsys, names, command):
+        tickers = synthetic_tickers(tmp_path)
+        config_path = self.forecast_config(tmp_path, {n: tickers[n] for n in names}, duals=[False, True])
+        assert main([command, "--config", str(config_path)]) == 1
+        message = (
+            "config error: config key forecast.duals includes true: "
+            f"a dual run needs exactly three declared tickers, got {len(names)}"
+        )
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_two_tickers_without_dual_run(self, tmp_path):
+        tickers = synthetic_tickers(tmp_path)
+        config_path = self.forecast_config(tmp_path, {"AAA": tickers["AAA"], "BBB": tickers["BBB"]}, duals=[False])
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        runs = sorted(p.stem for p in (tmp_path / "out" / "forecast" / "runs").glob("*.json"))
+        assert runs == [f"{t}_lag4_dual-no_{r}" for t in ("AAA", "BBB") for r in ("mece", "w10", "w5")]
+
+    def test_dual_check_only_when_forecast_selected(self, tmp_path):
+        # the coherence-paper benchmark's shape: two tickers, the default
+        # duals [false, true], and no forecast among the selected analyses
         tickers = synthetic_tickers(tmp_path)
         two = {"AAA": tickers["AAA"], "BBB": tickers["BBB"]}
-        config_path = self.forecast_config(tmp_path, two, duals=[False, True])
-        assert main(["forecast", "--config", str(config_path)]) == 1
+        config_path = write_config(tmp_path, two, analyses=["premiums", "coherence"], wavelet={"mc_iterations": 2})
+        assert main(["run", "--config", str(config_path)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert any("needs exactly 3 tickers" in f for f in manifest["failures"])
+        assert manifest["failures"] == []
+        assert {o["path"].split("/")[0] for o in manifest["outputs"]} == {"premiums", "coherence"}
+        # a subcommand other than forecast runs on a config that lists forecast
+        config_path = self.forecast_config(tmp_path, two, analyses=("forecast",), duals=[True])
+        assert main(["premiums", "--config", str(config_path)]) == 0
+
+    def test_library_call_with_dual_and_two_tickers_fails_each_run(self, tmp_path):
+        # main rejects such a config first; a direct caller gets one failure
+        # per run from forecast itself, not a silent no-op
+        cli_module = importlib.import_module("dualstock.cli")
+        tickers = synthetic_tickers(tmp_path)
+        config_path = self.forecast_config(tmp_path, {"AAA": tickers["AAA"], "BBB": tickers["BBB"]}, duals=[True])
+        config = load_config(config_path)
+        outcome = cli_module.CommandOutcome()
+        cli_module.cmd_forecast(config, cli_module._load_all(config), outcome)
+        assert outcome.files == {}
+        assert sorted(outcome.failures) == [
+            f"forecast {t} lag=4 dual=yes {r}: include_dual requires exactly two sibling series"
+            for t in ("AAA", "BBB")
+            for r in ("mece", "window=10", "window=5")
+        ]
 
     def test_window_too_small_reported(self, tmp_path):
         # the paper grid's shape: window 5 runs at lag 4 only, and the cell

@@ -66,7 +66,7 @@ class TestSymmetries:
         k, m = 16, 256
         long_a = rng.standard_normal(m + k)
         long_b = rng.standard_normal(m + k)
-        grid = ScaleGrid(s0=2.0, dj=1 / 6, num_scales=13)  # scales up to 8 days
+        grid = ScaleGrid(dj=1 / 6, num_scales=13)  # scales up to 8 days
         f0 = coherence(cwt(long_a[:m], grid), cwt(long_b[:m], grid))
         f1 = coherence(cwt(long_a[k : m + k], grid), cwt(long_b[k : m + k], grid))
         # interior: stay clear of both window edges by the full kernel reach
@@ -141,7 +141,7 @@ class TestPhase:
 
 class TestDegenerateCells:
     def test_zero_inputs_flagged(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=6)
+        grid = ScaleGrid(dj=1 / 4, num_scales=6)
         zero = cwt(np.zeros(128), grid)
         f = coherence(zero, zero)
         assert f.degenerate.all()
@@ -149,8 +149,8 @@ class TestDegenerateCells:
         assert (f.phase == 0.0).all()
 
     def test_grid_mismatch_error(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=6)
-        other = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=7)
+        grid = ScaleGrid(dj=1 / 4, num_scales=6)
+        other = ScaleGrid(dj=1 / 4, num_scales=7)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="same grid"):
             coherence(cwt(rng.standard_normal(64), grid), cwt(rng.standard_normal(64), other))
@@ -188,7 +188,7 @@ class TestFieldStructure:
         ],
     )
     def test_out_of_range_or_nan_cells_rejected(self, rho2, phase, message):
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=3)
+        grid = ScaleGrid(dj=1 / 4, num_scales=3)
         cells = dict(rho2=np.full((3, 8), 0.5), phase=np.full((3, 8), -math.pi))
         cells["rho2"][1, 4], cells["phase"][1, 4] = rho2, phase
         with pytest.raises(ValueError, match=message):

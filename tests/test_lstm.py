@@ -320,7 +320,6 @@ class TestTrain:
             {"learning_rate": 0.0},
             {"hidden_size": 0},
             {"learning_rate": -1e-3},
-            {"clip_norm": 0.0},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -9,7 +9,7 @@ from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence
 
 
 def make_field(num_scales=10, n=100, phase_value=0.0, significant="all"):
-    grid = ScaleGrid(s0=2.0, dj=0.25, num_scales=num_scales)
+    grid = ScaleGrid(dj=0.25, num_scales=num_scales)
     rho2 = np.linspace(0, 1, num_scales * n).reshape(num_scales, n)
     phase = np.full((num_scales, n), phase_value)
     if isinstance(significant, str) and significant == "all":

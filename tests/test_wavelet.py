@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from dualstock.wavelet import (
+    FOURIER_FACTOR,
     ScaleGrid,
     Scaleogram,
-    SmoothingSpec,
     cone_of_influence,
     cwt,
-    fourier_factor,
-    morlet_mother,
     smooth,
 )
 
-from _oracles import cwt_direct
+from _oracles import cwt_direct, morlet_mother
 
 wavelet = importlib.import_module("dualstock.wavelet")
 
@@ -37,22 +35,18 @@ class TestMorletMother:
         energy = np.trapezoid(np.abs(psi) ** 2, t)
         assert energy == pytest.approx(1.0, abs=1e-6)
 
-    def test_omega0_bound(self):
-        with pytest.raises(ValueError, match="omega0 must be >= 5"):
-            ScaleGrid(s0=2.0, dj=1 / 12, num_scales=4, omega0=4.0)
-
 
 class TestScaleGrid:
     def test_scales_increasing(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 12, num_scales=24)
+        grid = ScaleGrid(dj=1 / 12, num_scales=24)
         assert (np.diff(grid.scales) > 0).all()
         assert grid.scales[0] == 2.0
 
     def test_period_relation(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 12, num_scales=10)
+        grid = ScaleGrid(dj=1 / 12, num_scales=10)
         ff = 4 * math.pi / (6 + math.sqrt(2 + 36))
         assert np.allclose(grid.fourier_periods, grid.scales * ff, rtol=0, atol=1e-14)
-        assert fourier_factor(6.0) == pytest.approx(1.033, abs=1e-3)
+        assert FOURIER_FACTOR == pytest.approx(1.033, abs=1e-3)
 
     def test_for_length_covers_band(self):
         grid = ScaleGrid.for_length(512)
@@ -66,14 +60,14 @@ class TestScaleGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ScaleGrid(s0=0.0, dj=1 / 12, num_scales=4)
+            ScaleGrid(dj=0.0, num_scales=4)
         with pytest.raises(ValueError):
-            ScaleGrid(s0=2.0, dj=1 / 12, num_scales=0)
+            ScaleGrid(dj=1 / 12, num_scales=0)
 
 
 class TestCwt:
     def test_zero_input_gives_zero(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=8)
+        grid = ScaleGrid(dj=1 / 4, num_scales=8)
         sg = cwt(np.zeros(64), grid)
         assert np.abs(sg.values).max() == 0.0
 
@@ -88,10 +82,10 @@ class TestCwt:
     @pytest.mark.parametrize(
         "n, grid",
         [
-            (64, ScaleGrid(s0=2.0, dj=1 / 6, num_scales=12)),
-            (256, ScaleGrid(s0=2.0, dj=1 / 6, num_scales=12)),
+            (64, ScaleGrid(dj=1 / 6, num_scales=12)),
+            (256, ScaleGrid(dj=1 / 6, num_scales=12)),
             # scales 2..27 pad to 128, 256 and 512 points
-            (100, ScaleGrid(s0=2.0, dj=1 / 4, num_scales=16)),
+            (100, ScaleGrid(dj=1 / 4, num_scales=16)),
         ],
         ids=["64", "256", "100-three-pads"],
     )
@@ -105,9 +99,9 @@ class TestCwt:
     def test_rows_grouped_by_own_pad_length(self):
         # each scale pads to the power of two covering n + ceil(8 s) + 1; the
         # grid of the three-pad direct-summation case above spans 128..512
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=16)
+        grid = ScaleGrid(dj=1 / 4, num_scales=16)
         pads = [1 << math.ceil(math.log2(100 + math.ceil(8.0 * s) + 1)) for s in grid.scales]
-        groups = wavelet._pad_groups(grid, 100, 1.0)
+        groups = wavelet._pad_groups(grid, 100)
         assert [npad for _, _, npad in groups] == [128, 256, 512]
         assert [npad for lo, hi, npad in groups for _ in range(lo, hi)] == pads
 
@@ -116,11 +110,11 @@ class TestCwt:
         # skipping the aliases that underflow on a whole row leaves every
         # pad group's table bit-identical to the literal 7-alias sum
         grid = ScaleGrid.for_length(n)
-        for lo, hi, npad in wavelet._pad_groups(grid, n, 1.0):
+        for lo, hi, npad in wavelet._pad_groups(grid, n):
             omega = 2.0 * math.pi * np.fft.fftfreq(npad)
             literal = np.empty((hi - lo, npad))
             for j, s in enumerate(grid.scales[lo:hi]):
-                arg = s * omega - grid.omega0
+                arg = s * omega - 6.0
                 acc = np.zeros(npad)
                 for image in range(-3, 4):
                     acc += np.exp(-0.5 * (arg - image * (2.0 * math.pi * s)) ** 2)
@@ -128,21 +122,21 @@ class TestCwt:
             assert np.array_equal(wavelet._daughter_matrix(grid, lo, hi, npad), literal)
 
     def test_input_validation(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
+        grid = ScaleGrid(dj=1 / 4, num_scales=4)
         with pytest.raises(ValueError, match="length >= 4"):
             cwt([1.0, 2.0], grid)
         with pytest.raises(ValueError, match="non-finite"):
             cwt([1.0, np.nan, 2.0, 3.0], grid)
 
     def test_scaleogram_shape_validation(self):
-        grid = ScaleGrid(s0=2.0, dj=1 / 4, num_scales=4)
+        grid = ScaleGrid(dj=1 / 4, num_scales=4)
         with pytest.raises(ValueError, match="num_scales"):
             Scaleogram(values=np.zeros((3, 10)), grid=grid)
 
 
 class TestSmoothing:
     def setup_method(self):
-        self.grid = ScaleGrid(s0=2.0, dj=1 / 6, num_scales=13)  # scales 2..8
+        self.grid = ScaleGrid(dj=1 / 6, num_scales=13)  # scales 2..8
         self.n = 256
 
     def test_constant_preserved_exactly(self):
@@ -177,10 +171,6 @@ class TestSmoothing:
     def test_requires_grid_for_raw_arrays(self):
         with pytest.raises(TypeError, match="grid"):
             smooth(np.zeros((4, 8)))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SmoothingSpec(time_std_scales=0.0)
 
 
 class TestConeOfInfluence:

@@ -21,7 +21,7 @@ def make_field(rho2, phase, significant):
     return CoherenceField(
         rho2=rho2,
         phase=np.asarray(phase, dtype=np.float64),
-        grid=ScaleGrid(s0=2.0, dj=0.25, num_scales=num_scales),
+        grid=ScaleGrid(dj=0.25, num_scales=num_scales),
         # cone_of_influence needs two points; one point is one edge away
         coi=cone_of_influence(n) if n > 1 else np.array([math.sqrt(2.0)]),
         significant=significant,
