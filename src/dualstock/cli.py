@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import sys
 import types
 import typing
@@ -64,6 +65,9 @@ __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_for
 MIN_COHERENCE_LENGTH = 64
 ANALYSES = ("premiums", "coherence", "forecast")
 PAIRWISE = ("premiums", "coherence")  # the analyses of ticker pairs
+# a ticker name is part of output file names and CSV cells, and "_" joins two
+# names in a pair's label, so it holds no path separator, "_" or ","
+TICKER_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9.-]*")
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,8 @@ class RunConfig:
             if analysis not in ANALYSES:
                 raise ValueError(f"unknown analysis {analysis!r}; choose from {ANALYSES}")
         for name, path in self.tickers:
+            if not TICKER_NAME.fullmatch(name):
+                raise ValueError(f"config key tickers: name {name!r} must match {TICKER_NAME.pattern}")
             if not Path(path).is_file():
                 raise ValueError(f"input file for ticker {name} not found: {path}")
         unknown = set(self.forecast.tickers or ()) - {name for name, _ in self.tickers}
@@ -548,14 +554,21 @@ def _read_run(manifest_path: Path) -> ForecastRun:
     """Forecast run rebuilt from a run descriptor and its predictions CSV."""
     try:
         meta = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not (isinstance(meta["ticker"], str) and TICKER_NAME.fullmatch(meta["ticker"])):
+            raise ValueError(f"key ticker must match {TICKER_NAME.pattern}, got {meta['ticker']!r}")
+        if meta["dual"] not in ("yes", "no"):
+            raise ValueError(f"key dual must be 'yes' or 'no', got {meta['dual']!r}")
+        for key in ("lag", "seed"):
+            if type(meta[key]) is not int:  # a bool is not a lag or a seed
+                raise ValueError(f"key {key} must be an integer, got {meta[key]!r}")
         with (manifest_path.parent / meta["predictions_csv"]).open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         return ForecastRun(
             ticker=meta["ticker"],
-            lag=int(meta["lag"]),
+            lag=meta["lag"],
             include_dual=meta["dual"] == "yes",
             regime=RegimeSpec(**meta["regime"]),
-            seed=int(meta["seed"]),
+            seed=meta["seed"],
             predictions=[float(row["predicted"]) for row in rows],
             actuals=[float(row["actual"]) for row in rows],
             origins=[int(row["origin_index"]) for row in rows],

@@ -15,8 +15,8 @@ import csv
 import datetime as dt
 import itertools
 import math
-import operator
 import re
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -225,14 +225,11 @@ class CsvFormat:
     def __post_init__(self) -> None:
         if self.on_invalid not in ("fail", "skip"):
             raise ValueError(f"on_invalid must be 'fail' or 'skip', got {self.on_invalid!r}")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_ISO_DATE_RUN = re.compile(r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2})*")
-# Records parsed per column pass.  It bounds the raw strings held at once:
-# at 2048 the forecast benchmark's peak RSS rose by 0.9 MB (2%), at 512 it
-# did not rise.
-_CHUNK_ROWS = 512
 _ENCODING = "utf-8-sig"  # utf-8 that drops a leading byte-order mark
 
 
@@ -245,67 +242,29 @@ def _parse_date(raw: str, date_format: str) -> dt.date:
     return dt.datetime.strptime(raw, date_format).date()
 
 
-def _parse_dates(raw: list[str], date_format: str) -> tuple[list, np.ndarray]:
-    """A column's dates (None where a field does not parse) and the mask of those fields."""
-    # A column whose fields join into a run of dddd-dd-dd blocks parses in
-    # one pass.  A field that straddles two blocks is in no format that
-    # date.fromisoformat accepts, so it raises and the column goes per value.
-    if date_format == "%Y-%m-%d" and _ISO_DATE_RUN.fullmatch("".join(raw)):
-        try:
-            return list(map(dt.date.fromisoformat, raw)), np.zeros(len(raw), dtype=bool)
-        except ValueError:
-            pass
-    days = []
-    for field in raw:
-        try:
-            days.append(_parse_date(field.strip(), date_format))
-        except ValueError:
-            days.append(None)
-    return days, np.array([d is None for d in days])
+def _parse_record(raw_date: str, raw_prices: list[str], fmt: CsvFormat) -> tuple[dt.date, float, float]:
+    """A record's date, high and low; a mid column's one price is read as both.
 
-
-def _parse_prices(raw: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """A column's floats (NaN where a field does not parse) and the mask of those fields."""
-    try:
-        return np.fromiter(map(float, raw), np.float64, len(raw)), np.zeros(len(raw), dtype=bool)
-    except ValueError:
-        pass
-    values = np.full(len(raw), math.nan)
-    bad = np.zeros(len(raw), dtype=bool)
-    for i, field in enumerate(raw):
-        try:
-            values[i] = float(field)
-        except ValueError:
-            bad[i] = True
-    return values, bad
-
-
-def _record_chunks(reader):
-    """Lists of up to _CHUNK_ROWS records from ``reader``, blank rows dropped.
-
-    A reader error (a field over ``csv.field_size_limit``) is raised only
-    after the records read before it are yielded, so that a defect earlier
-    in the file raises first.
+    Raises ValueError naming the first check the record fails, in the order
+    date, numeric prices, positive and finite prices, high >= low.
     """
-    while True:
-        chunk: list[list[str]] = []
-        try:
-            chunk.extend(itertools.islice(reader, _CHUNK_ROWS))
-        except csv.Error:
-            yield list(filter(None, chunk))
-            raise
-        if not chunk:
-            return
-        yield list(filter(None, chunk))
-
-
-def _record_line(path: Path, fmt: CsvFormat, index: int) -> int:
-    """File line on which data record ``index`` (0-based, blank rows not counted) ends."""
-    with path.open(newline="", encoding=_ENCODING) as fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
-        # the header is the first row and not blank, so it is record 0 here
-        next(itertools.islice(filter(None, reader), index + 1, None))
-        return reader.line_num
+    raw_date = raw_date.strip()
+    try:
+        day = _parse_date(raw_date, fmt.date_format)
+    except ValueError:
+        raise ValueError(f"unparseable date {raw_date!r}") from None
+    raw_prices = [field.strip() for field in raw_prices]
+    try:
+        high, low = float(raw_prices[0]), float(raw_prices[-1])
+    except ValueError:
+        if fmt.mid_col is not None:
+            raise ValueError(f"non-numeric price {raw_prices[0]!r}") from None
+        raise ValueError(f"non-numeric price (high={raw_prices[0]!r}, low={raw_prices[1]!r})") from None
+    if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
+        raise ValueError(f"non-positive or non-finite price (high={high}, low={low})")
+    if high < low:
+        raise ValueError(f"high {high} < low {low}")
+    return day, high, low
 
 
 def load_ohlc_csv(
@@ -315,10 +274,10 @@ def load_ohlc_csv(
 ) -> PriceSeries:
     """Load one ticker's daily mid prices from a headed CSV file.
 
-    The file is read as UTF-8, with or without a byte-order mark, and blank
-    rows are skipped.  Records are parsed a chunk at a time as columns: each
-    row's high/low (or mid column) is checked and reduced to its mid, and
-    the chunk is converted to numbers before the next is read.  Row-level
+    The file is read once, as UTF-8 with or without a byte-order mark, and
+    its records are checked one at a time in file order: blank rows are
+    skipped, a short row reads its missing fields as empty, and each row's
+    high/low (or mid column) is checked and reduced to its mid.  Row-level
     defects follow ``fmt.on_invalid``; structural defects (missing or
     repeated columns, unordered dates, nothing loadable) always raise.  Of
     the defects that raise, the first in file order does, and its message
@@ -330,12 +289,9 @@ def load_ohlc_csv(
         columns = (fmt.date_col, fmt.mid_col)
     else:
         columns = (fmt.date_col, fmt.high_col, fmt.low_col)
+    iso = fmt.date_format == "%Y-%m-%d"
     dates: list[dt.date] = []
-    mids: list[np.ndarray] = []
-    start = 0  # data records before the current chunk
-
-    def fail(index: int, reason: str) -> ValueError:
-        return ValueError(f"{path}, line {_record_line(path, fmt, index)}: {reason}")
+    highs, lows = array("d"), array("d")
 
     with path.open(newline="", encoding=_ENCODING) as fh:
         reader = csv.reader(fh, delimiter=fmt.delimiter)
@@ -349,62 +305,45 @@ def load_ohlc_csv(
             if header.count(col) > 1:
                 raise ValueError(f"{path}: column {col!r} appears more than once in the header")
         positions = [header.index(col) for col in columns]
+        i_date, i_high, i_low = positions[0], positions[1], positions[-1]
+        width = max(positions) + 1
 
-        for rows in _record_chunks(reader):
-            if not rows:
+        for raw in reader:
+            if not raw:
                 continue
-            try:
-                raw_dates, *raw_prices = [list(map(operator.itemgetter(i), rows)) for i in positions]
-            except IndexError:  # a short row reads its missing fields as empty
-                raw_dates, *raw_prices = [[r[i] if i < len(r) else "" for r in rows] for i in positions]
-            days, bad_date = _parse_dates(raw_dates, fmt.date_format)
-            prices = [_parse_prices(raw) for raw in raw_prices]
-            (high, bad_high), (low, bad_low) = prices[0], prices[-1]
-            kept = (
-                ~(bad_date | bad_high | bad_low)
-                & np.isfinite(high)
-                & np.isfinite(low)
-                & (low > 0)
-                & (high >= low)
-            )
-            kept_days = list(itertools.compress(days, kept))
-            ordinals = np.fromiter(map(dt.date.toordinal, kept_days), np.int64, len(kept_days))
-            previous = dates[-1].toordinal() if dates else 0
-            unordered = np.flatnonzero(np.diff(ordinals, prepend=previous) <= 0)
-            first_unordered = int(np.flatnonzero(kept)[unordered[0]]) if len(unordered) else len(rows)
-            first_fault = len(rows) if fmt.on_invalid == "skip" or kept.all() else int(np.argmax(~kept))
-
-            if first_fault < first_unordered:
-                # the row's first failing check, in the order the mask lists them
-                i = first_fault
-                high_i, low_i = float(high[i]), float(low[i])
-                if bad_date[i]:
-                    reason = f"unparseable date {raw_dates[i].strip()!r}"
-                elif bad_high[i] or bad_low[i]:
-                    raw = [column[i].strip() for column in raw_prices]
-                    if fmt.mid_col is not None:
-                        reason = f"non-numeric price {raw[0]!r}"
-                    else:
-                        reason = f"non-numeric price (high={raw[0]!r}, low={raw[1]!r})"
-                elif not (math.isfinite(high_i) and math.isfinite(low_i)) or low_i <= 0:
-                    reason = f"non-positive or non-finite price (high={high_i}, low={low_i})"
-                else:
-                    reason = f"high {high_i} < low {low_i}"
-                raise fail(start + i, reason)
-            if first_unordered < len(rows):
-                j = unordered[0]
-                before = kept_days[j - 1] if j else dates[-1]
-                raise fail(
-                    start + first_unordered,
-                    f"dates must be strictly increasing ({before} then {kept_days[j]})",
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))
+            raw_date = raw[i_date]
+            # the common record is accepted here: a dddd-dd-dd-shaped date that
+            # date.fromisoformat reads (it reads no such field as _parse_date
+            # would not) and two in-range prices; any other goes to _parse_record
+            day = None
+            if iso and len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-":
+                try:
+                    day = dt.date.fromisoformat(raw_date)
+                    high, low = float(raw[i_high]), float(raw[i_low])
+                except ValueError:
+                    day = None
+            if day is None or not 0.0 < low <= high < math.inf:
+                try:
+                    day, high, low = _parse_record(raw_date, [raw[i] for i in positions[1:]], fmt)
+                except ValueError as exc:
+                    if fmt.on_invalid == "skip":
+                        continue
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            if dates and day <= dates[-1]:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: dates must be strictly increasing ({dates[-1]} then {day})"
                 )
-            dates += kept_days
-            mids.append(0.5 * (high[kept] + low[kept]) if fmt.mid_col is None else high[kept])
-            start += len(rows)
+            dates.append(day)
+            highs.append(high)
+            lows.append(low)
 
     if not dates:
         raise ValueError(f"{path}: no valid rows")
-    return PriceSeries(ticker=name, dates=tuple(dates), mid=np.concatenate(mids))
+    high = np.frombuffer(highs)
+    mid = high if fmt.mid_col is not None else 0.5 * (high + np.frombuffer(lows))
+    return PriceSeries(ticker=name, dates=dates, mid=mid)
 
 
 def summary_to_dict(stats: SummaryStats, percent: bool = False) -> dict:

@@ -1,5 +1,6 @@
 import ast
 import datetime as dt
+import hashlib
 import importlib
 import json
 import re
@@ -13,6 +14,7 @@ import pytest
 from dualstock.cli import load_config, main
 from dualstock.lstm import TrainingDivergedError
 from _oracles import ar1_series, sorted_quantile
+from test_acceptance import write_desk_inputs
 
 
 def write_prices(path, mids, start=dt.date(2021, 1, 1)):
@@ -62,6 +64,8 @@ RANGE_ERRORS = [
     ("wavelet", {"mc_iterations": 0}, "iterations must be >= 1"),
     ("wavelet", {"significance_level": 1.5}, "significance_level must be in (0, 1)"),
     ("csv", {"on_invalid": "ignore"}, "on_invalid must be 'fail' or 'skip'"),
+    ("csv", {"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
+    ("csv", {"delimiter": ""}, "delimiter must be one character, got ''"),
 ]
 
 
@@ -295,6 +299,41 @@ class TestConfig:
         assert imported
         assert [(m, n) for m, n in imported if not hasattr(importlib.import_module(m), n)] == []
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tickers": {}}, "config must declare at least one ticker"),
+            ({"csv": []}, "config section 'csv' must be an object"),
+            ({"out_dir": None}, "no output directory: set out_dir in config or pass --out"),
+        ],
+        ids=["no-ticker", "section-not-an-object", "no-output-directory"],
+    )
+    def test_config_error_exits_before_any_output(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, synthetic_tickers(tmp_path), **overrides)
+        # an override of None leaves the key out
+        config = {k: v for k, v in json.loads(path.read_text(encoding="utf-8")).items() if v is not None}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("name", ["../../x", "a/b", "A_B", "A,B", ""])
+    def test_unsafe_ticker_name_exits_with_config_error(self, tmp_path, capsys, name):
+        # a name is part of output paths and CSV cells: it may not leave the
+        # output directory, clash with the "_" that joins a pair, or split a cell
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, {name: tickers["AAA"], "BBB": tickers["BBB"]})
+        before = sorted(tmp_path.rglob("*"))
+        message = f"config key tickers: name {name!r} must match [A-Za-z0-9][A-Za-z0-9.-]*"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert main(["premiums", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_missing_seed(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
         config = {"tickers": tickers, "out_dir": str(tmp_path / "o")}
@@ -302,6 +341,20 @@ class TestConfig:
         path.write_text(json.dumps(config), encoding="utf-8")
         with pytest.raises(ValueError, match="seed"):
             load_config(path)
+
+
+# SHA-256 of each premiums file that the desk-scale fixture's inputs give
+DESK_PREMIUM_DIGESTS = {
+    "KRA_over_KRB_series.csv": "de240fd19efc75e683f2f770fd22fbb3ba4eb1b41b8d2a5ddef810990c12b341",
+    "KRA_over_KRB_summary.csv": "0c43f3a098f1fa888acf0fa2fb2f7cdea478bda488ea1e5565c6fdbb4ef9d240",
+    "KRA_over_KRB_summary.json": "eade905218b7758bd615bf13a98b8c85be1b0c0f81112c73e86f0c5abc16739c",
+    "KRA_over_KRD_series.csv": "27e1898915deed3b89ffbc0698a6bbfbab73616b98776e4928836fba67805474",
+    "KRA_over_KRD_summary.csv": "e91ad15442feeb3f7049715101af15830d03f6daa5fc102ae32c209d0ab3391e",
+    "KRA_over_KRD_summary.json": "5d23ee5936ce2a4b579e9bd184944e5c3a4cf49bfe642ae534f4020ea578dd27",
+    "KRB_over_KRD_series.csv": "8c61404c513e4701dac7cc7dc02307c46e2f937845ddbb3b7713939ef30fbb3f",
+    "KRB_over_KRD_summary.csv": "93f080283c997022eefa9cdb79f94c87285c226b75da8edb6bf299dda4e1ccbf",
+    "KRB_over_KRD_summary.json": "8ae9f3831e1fbd45774306863d55f391af644c41c98f6b75093d3f6d7b1be264",
+}
 
 
 class TestPremiumsCommand:
@@ -322,6 +375,14 @@ class TestPremiumsCommand:
         summary = json.loads((out / "AAA_over_BBB_summary.json").read_text())
         assert summary["n"] == len(values)
         assert summary["median"] == pytest.approx(sorted_quantile(values, 0.5), abs=2e-6)
+
+    def test_desk_outputs_are_pinned(self, tmp_path):
+        # the premiums files depend on ingest, date alignment and decimal
+        # formatting only, with no BLAS and no FFT, so their bytes hold on any machine
+        config_path = write_desk_inputs(tmp_path)
+        assert main(["premiums", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / "premiums"
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == DESK_PREMIUM_DIGESTS
 
     def test_identical_inputs_all_parity(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -929,7 +990,7 @@ class TestReportCommand:
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
 
-    def corrupted_report(self, tmp_path, windows):
+    def corrupted_report(self, tmp_path, windows, corrupt=lambda text: "{not json"):
         config_path = write_config(
             tmp_path,
             synthetic_tickers(tmp_path),
@@ -941,7 +1002,8 @@ class TestReportCommand:
         )
         assert main(["forecast", "--config", str(config_path)]) == 0
         runs_dir = tmp_path / "out" / "forecast" / "runs"
-        (runs_dir / "AAA_lag4_dual-no_w10.json").write_text("{not json", encoding="utf-8")
+        descriptor = runs_dir / "AAA_lag4_dual-no_w10.json"
+        descriptor.write_text(corrupt(descriptor.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         return json.loads((tmp_path / "rep" / "manifest.json").read_text())
 
@@ -966,6 +1028,26 @@ class TestReportCommand:
         assert cells["AAA"]["window=10|lag=4|dual=no"] is None
         assert cells["AAA"]["window=20|lag=4|dual=no"] is not None
         assert cells["BBB"]["window=10|lag=4|dual=no"] is not None
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dual", True, "key dual must be 'yes' or 'no', got True"),
+            ("lag", 4.7, "key lag must be an integer, got 4.7"),
+            ("seed", "7", "key seed must be an integer, got '7'"),
+            ("lag", True, "key lag must be an integer, got True"),
+            ("ticker", "../AAA", "key ticker must match [A-Za-z0-9][A-Za-z0-9.-]*, got '../AAA'"),
+        ],
+        ids=["dual-bool", "lag-float", "seed-string", "lag-bool", "ticker-path"],
+    )
+    def test_descriptor_field_read_strictly(self, tmp_path, key, value, message):
+        manifest = self.corrupted_report(
+            tmp_path, [10, 20], lambda text: json.dumps({**json.loads(text), key: value})
+        )
+        assert manifest["failures"] == [f"report: AAA_lag4_dual-no_w10.json: {message}"]
+        cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
+        assert cells["window=10|lag=4|dual=no"] is None
+        assert cells["window=20|lag=4|dual=no"] is not None
 
     def test_empty_runs_dir_fails(self, tmp_path):
         empty = tmp_path / "none"

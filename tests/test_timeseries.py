@@ -344,6 +344,21 @@ class TestCsvLoading:
             load_ohlc_csv(path, CsvFormat(on_invalid=on_invalid))
         assert str(err.value) == f"{path}: column 'high' appears more than once in the header"
 
+    def test_error_reads_the_file_once(self, tmp_path, monkeypatch):
+        # the line an error names comes from the one read, not a second pass
+        path = self.write(tmp_path, HEADER + "2020-01-01,10,8\n2020-01-02,11,x\n")
+        opened = []
+        real_open = type(path).open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "open", counting_open)
+        with pytest.raises(ValueError, match=r", line 3: non-numeric price"):
+            load_ohlc_csv(path)
+        assert opened == [path]
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -427,6 +442,9 @@ LOADER_CASES = [
     ("oversized_field_after_bad_row", HEADER + "2020-01-01,x,8\n2020-01-02,11,9\n2020-01-03," + "1" * 200_000 + ",9\n", {}),
     ("bad_row_after_oversized_field", HEADER + "2020-01-01," + "1" * 200_000 + ",9\n2020-01-02,x,8\n", {}),
     ("paper_length_blank_rows", _PAPER.replace("\n2001-", "\n\n2001-").replace("2005-06-01,", "2005-06-01,x"), {}),
+    # date.fromisoformat accepts both of these dates, and "%Y-%m-%d" rejects them
+    ("iso_basic_date", HEADER + "2020-01-01,10,8\n20200102,11,9\n2020-01-03,12,10\n", {}),
+    ("iso_week_date", HEADER + "2019-12-29,10,8\n2020-W01-1,11,9\n2020-01-01,12,10\n", {}),
 ]
 
 
@@ -439,7 +457,7 @@ def _outcome(load, path, fmt):
 
 
 class TestLoaderMatchesPerRowOracle:
-    # the chunked column loader and the row-at-a-time DictReader loader
+    # the csv.reader record loop and the row-at-a-time DictReader loader
     # agree on every file: the series byte for byte, or the exact error
 
     @pytest.mark.parametrize("on_invalid", ["fail", "skip"])
