@@ -107,7 +107,7 @@ class ForecastOptions:
         for lag in self.lags:
             if lag < 1:
                 raise ValueError(f"lags must be >= 1, got {lag}")
-        self.train_config(seed=0)
+        self.train_config()
         # the grid is every ticker x lag x dual x regime, so one empty list leaves no cell
         for key in ("tickers", "lags", "duals"):
             if getattr(self, key) == ():
@@ -125,8 +125,8 @@ class ForecastOptions:
             regimes.append(RegimeSpec(kind="mece", test_size=self.test_size, train_size=self.mece_train_size))
         return regimes
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(seed=seed, epochs=self.epochs, learning_rate=self.learning_rate, hidden_size=self.hidden_size)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate, hidden_size=self.hidden_size)
 
 
 @dataclass(frozen=True)
@@ -501,6 +501,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
     f = config.forecast
     out = config.out_dir / "forecast"
     regimes = f.regimes()
+    cfg = f.train_config()
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
@@ -514,14 +515,13 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
             continue
         yes_no = "yes" if dual else "no"
         with outcome.unit(f"forecast {name} lag={lag} dual={yes_no} {regime.label}"):
-            seed = child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}")
             run = forecast(
                 mids[name],
-                tuple(mids[other] for other in names if other != name) if dual else None,
+                tuple(mids[other] for other in names if other != name) if dual else (),
                 regime=regime,
                 lag=lag,
-                include_dual=dual,
-                cfg=f.train_config(seed),
+                cfg=cfg,
+                seed=child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}"),
                 ticker=name,
                 dates=dates,
             )
@@ -561,7 +561,11 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         for key in ("lag", "seed"):
             if type(meta[key]) is not int:  # a bool is not a lag or a seed
                 raise ValueError(f"key {key} must be an integer, got {meta[key]!r}")
-        with (manifest_path.parent / meta["predictions_csv"]).open(newline="", encoding="utf-8") as fh:
+        csv_name = meta["predictions_csv"]
+        # a descriptor names its predictions CSV beside it, never a path elsewhere
+        if not isinstance(csv_name, str) or Path(csv_name).name != csv_name or csv_name in ("", ".."):
+            raise ValueError(f"key predictions_csv must be a file name in the descriptor's directory, got {csv_name!r}")
+        with (manifest_path.parent / csv_name).open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         return ForecastRun(
             ticker=meta["ticker"],

@@ -62,14 +62,13 @@ def unscale(y):
     return float(prices) if prices.ndim == 0 else prices
 
 
-def _feature_rows(own: np.ndarray, siblings, include_dual: bool) -> np.ndarray:
-    """The (n, D) input rows: [own] (D = 1), or [own, sib1, sib2] when ``include_dual``."""
-    if not include_dual:
+def _feature_rows(own: np.ndarray, siblings) -> np.ndarray:
+    """The (n, D) input rows: [own] (D = 1), or [own, sib1, sib2] for a dual run (D = 3)."""
+    if not siblings:
         return own[:, None]
-    if siblings is None or len(siblings) != 2:
-        raise ValueError("include_dual requires exactly two sibling series")
-    siblings = [np.asarray(s, dtype=np.float64) for s in siblings]
-    if any(s.shape != own.shape for s in siblings):
+    if len(siblings) != 2:
+        raise ValueError("a dual run needs exactly two sibling series")
+    if any(np.shape(s) != own.shape for s in siblings):
         raise ValueError("sibling series must be aligned with the own series")
     return np.column_stack([own, *siblings])
 
@@ -140,6 +139,8 @@ class ForecastRun:
         origins = np.asarray(self.origins, dtype=np.int64)
         if not (len(predictions) == len(actuals) == len(origins) == self.regime.test_size):
             raise ValueError("predictions/actuals/origins must all have length test_size")
+        if not (np.isfinite(predictions).all() and np.isfinite(actuals).all()):
+            raise ValueError("predictions and actuals must be finite")
         if len(self.provenance) != len(origins):
             raise ValueError("one provenance range required per origin")
         for (start, end), origin in zip(self.provenance, origins):
@@ -159,12 +160,12 @@ class ForecastRun:
 
 def forecast(
     own,
-    siblings=None,
+    siblings=(),
     *,
     regime: RegimeSpec,
     lag: int,
-    include_dual: bool = False,
     cfg: TrainConfig,
+    seed: int,
     ticker: str = "",
     dates=None,
 ) -> ForecastRun:
@@ -173,15 +174,15 @@ def forecast(
     Each origin's model is trained on the range ``regime.train_range`` gives
     it, and one model is trained per distinct range; the models train in one
     lockstep batch and every origin is predicted in one batched forward.  The
-    MECE model, which serves every origin, is seeded with ``cfg.seed``; the
-    model of rolling origin t is seeded with child_seed(cfg.seed, "origin:t"),
-    so a forecast depends only on its own window.  Each query uses only the
-    lag window strictly before its origin.
+    MECE model, which serves every origin, is seeded with ``seed``; the model
+    of rolling origin t is seeded with child_seed(seed, "origin:t"), so a
+    forecast depends only on its own window.  Each query uses only the lag
+    window strictly before its origin.
 
     The training sample that targets index t takes its L = lag input steps
     from indices t-lag .. t-1.  Each step's vector is the own value alone
-    (D = 1), or [own, sibling1, sibling2] when ``include_dual`` (D = 3);
-    sibling data is not touched at all unless ``include_dual`` is set.
+    (D = 1), or [own, sibling1, sibling2] (D = 3) for a dual run: one given
+    its two ``siblings``.
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
@@ -204,8 +205,7 @@ def forecast(
             f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
         )
     scaled_own = scale_price(own)
-    scaled_sibs = [scale_price(s) for s in siblings] if include_dual and siblings is not None else None
-    features = _feature_rows(scaled_own, scaled_sibs, include_dual)
+    features = _feature_rows(scaled_own, [scale_price(s) for s in siblings])
     # windows[k] is a view of feature rows k .. k+lag-1: the inputs of the
     # sample that targets index k+lag
     windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=0).transpose(0, 2, 1)
@@ -215,7 +215,7 @@ def forecast(
     # rolling range ends at the one origin it serves
     spans = list(dict.fromkeys(provenance))
     rolling = regime.kind == "rolling"
-    seeds = [child_seed(cfg.seed, f"origin:{end}") if rolling else cfg.seed for _, end in spans]
+    seeds = [child_seed(seed, f"origin:{end}") if rolling else seed for _, end in spans]
     # every range has the same length, so the samples form one (B, N) grid
     # of target indices; fancy indexing copies their windows
     count = spans[0][1] - spans[0][0] - lag
@@ -227,9 +227,9 @@ def forecast(
     return ForecastRun(
         ticker=ticker,
         lag=lag,
-        include_dual=include_dual,
+        include_dual=len(siblings) > 0,
         regime=regime,
-        seed=cfg.seed,
+        seed=seed,
         predictions=predictions,
         actuals=own[origins],
         origins=origins,

@@ -265,9 +265,8 @@ def predict_batch(flat, inputs, hidden_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; every run is fully determined by the seed."""
+    """Training hyperparameters that every model of a grid shares; each model has its own seed."""
 
-    seed: int
     epochs: int = 200
     learning_rate: float = 1e-2
     hidden_size: int = 16
@@ -315,13 +314,12 @@ def train_batch(inputs, targets, cfg: TrainConfig, seeds) -> BatchTrainResult:
     own N samples with a PCG64 generator seeded with ``seeds[b]``, which
     draws its initialization and then one sample order per epoch; step s of
     an epoch updates every model on its sample ``order_b[s]``.  ``cfg``
-    supplies the hyperparameters (its ``seed`` is not used).  Each model's
-    gradient is clipped by its own global norm, so a model's parameters and
-    loss trace are bit-identical to training it alone (B = 1) on its
-    samples and seed, and the models run in equal blocks sized from
-    ``BLOCK_BYTES``.  Raises TrainingDivergedError naming the step at which
-    the epoch loss of the first model, in batch order, that diverges became
-    non-finite.
+    supplies the hyperparameters.  Each model's gradient is clipped by its
+    own global norm, so a model's parameters and loss trace are
+    bit-identical to training it alone (B = 1) on its samples and seed, and
+    the models run in equal blocks sized from ``BLOCK_BYTES``.  Raises
+    TrainingDivergedError naming the step at which the epoch loss of the
+    first model, in batch order, that diverges became non-finite.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

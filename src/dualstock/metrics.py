@@ -71,7 +71,7 @@ class MetricTriple:
     mape: float
 
     def __post_init__(self) -> None:
-        if self.rmse < 0 or self.mae < 0 or self.mape < 0:
+        if not (self.rmse >= 0 and self.mae >= 0 and self.mape >= 0):  # NaN fails too
             raise ValueError("metrics must be nonnegative")
         if self.mae > self.rmse * (1 + 1e-9) + 1e-12:
             raise ValueError(f"mae={self.mae} exceeds rmse={self.rmse}")

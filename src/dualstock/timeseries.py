@@ -15,7 +15,6 @@ import csv
 import datetime as dt
 import itertools
 import math
-import re
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -86,14 +85,12 @@ class PriceSeries:
 class ReturnSeries:
     """Dated fractional changes: one ticker's daily returns, or a premium.
 
-    ``daily_returns`` fills values[t] = mid[t+1]/mid[t] - 1 and names the
-    ticker; ``premium_series`` fills mid_a/mid_b - 1 on the pair's common
-    dates and leaves ``ticker`` as None.
+    ``daily_returns`` fills values[t] = mid[t+1]/mid[t] - 1;
+    ``premium_series`` fills mid_a/mid_b - 1 on the pair's common dates.
     """
 
     dates: tuple[dt.date, ...]
     values: np.ndarray
-    ticker: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -135,7 +132,7 @@ def daily_returns(s: PriceSeries) -> ReturnSeries:
     if s.n < 2:
         raise ValueError(f"need at least 2 observations to compute returns, got {s.n}")
     values = s.mid[1:] / s.mid[:-1] - 1.0
-    return ReturnSeries(ticker=s.ticker, dates=s.dates[1:], values=values)
+    return ReturnSeries(dates=s.dates[1:], values=values)
 
 
 def align_series(*series: PriceSeries) -> tuple[PriceSeries, ...]:
@@ -229,17 +226,7 @@ class CsvFormat:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _ENCODING = "utf-8-sig"  # utf-8 that drops a leading byte-order mark
-
-
-def _parse_date(raw: str, date_format: str) -> dt.date:
-    # date.fromisoformat accepts and rejects a dddd-dd-dd field exactly as
-    # strptime with "%Y-%m-%d" does, at a fraction of the cost; every other
-    # field or format goes through strptime.
-    if date_format == "%Y-%m-%d" and _ISO_DATE.fullmatch(raw):
-        return dt.date.fromisoformat(raw)
-    return dt.datetime.strptime(raw, date_format).date()
 
 
 def _parse_record(raw_date: str, raw_prices: list[str], fmt: CsvFormat) -> tuple[dt.date, float, float]:
@@ -250,7 +237,7 @@ def _parse_record(raw_date: str, raw_prices: list[str], fmt: CsvFormat) -> tuple
     """
     raw_date = raw_date.strip()
     try:
-        day = _parse_date(raw_date, fmt.date_format)
+        day = dt.datetime.strptime(raw_date, fmt.date_format).date()
     except ValueError:
         raise ValueError(f"unparseable date {raw_date!r}") from None
     raw_prices = [field.strip() for field in raw_prices]
@@ -279,9 +266,11 @@ def load_ohlc_csv(
     skipped, a short row reads its missing fields as empty, and each row's
     high/low (or mid column) is checked and reduced to its mid.  Row-level
     defects follow ``fmt.on_invalid``; structural defects (missing or
-    repeated columns, unordered dates, nothing loadable) always raise.  Of
-    the defects that raise, the first in file order does, and its message
-    names the 1-based file line, header included, on which the record ends.
+    repeated columns, a record that ``csv`` cannot read, such as one with a
+    field over ``csv.field_size_limit``, unordered dates, nothing loadable)
+    always raise.  Of the defects that raise, the first in file order does,
+    and its message names the 1-based file line, header included, on which
+    the record ends.
     """
     path = Path(path)
     name = ticker if ticker is not None else path.stem
@@ -295,49 +284,52 @@ def load_ohlc_csv(
 
     with path.open(newline="", encoding=_ENCODING) as fh:
         reader = csv.reader(fh, delimiter=fmt.delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, header row required")
-        missing = set(columns) - set(header)
-        if missing:
-            raise ValueError(f"{path}: missing required columns {sorted(missing)}")
-        for col in columns:
-            if header.count(col) > 1:
-                raise ValueError(f"{path}: column {col!r} appears more than once in the header")
-        positions = [header.index(col) for col in columns]
-        i_date, i_high, i_low = positions[0], positions[1], positions[-1]
-        width = max(positions) + 1
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, header row required")
+            missing = set(columns) - set(header)
+            if missing:
+                raise ValueError(f"{path}: missing required columns {sorted(missing)}")
+            for col in columns:
+                if header.count(col) > 1:
+                    raise ValueError(f"{path}: column {col!r} appears more than once in the header")
+            positions = [header.index(col) for col in columns]
+            i_date, i_high, i_low = positions[0], positions[1], positions[-1]
+            width = max(positions) + 1
 
-        for raw in reader:
-            if not raw:
-                continue
-            if len(raw) < width:
-                raw += [""] * (width - len(raw))
-            raw_date = raw[i_date]
-            # the common record is accepted here: a dddd-dd-dd-shaped date that
-            # date.fromisoformat reads (it reads no such field as _parse_date
-            # would not) and two in-range prices; any other goes to _parse_record
-            day = None
-            if iso and len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-":
-                try:
-                    day = dt.date.fromisoformat(raw_date)
-                    high, low = float(raw[i_high]), float(raw[i_low])
-                except ValueError:
-                    day = None
-            if day is None or not 0.0 < low <= high < math.inf:
-                try:
-                    day, high, low = _parse_record(raw_date, [raw[i] for i in positions[1:]], fmt)
-                except ValueError as exc:
-                    if fmt.on_invalid == "skip":
-                        continue
-                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            if dates and day <= dates[-1]:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: dates must be strictly increasing ({dates[-1]} then {day})"
-                )
-            dates.append(day)
-            highs.append(high)
-            lows.append(low)
+            for raw in reader:
+                if not raw:
+                    continue
+                if len(raw) < width:
+                    raw += [""] * (width - len(raw))
+                raw_date = raw[i_date]
+                # the common record is accepted here: a dddd-dd-dd-shaped date that
+                # date.fromisoformat reads (it reads no such field that strptime
+                # would not) and two in-range prices; any other goes to _parse_record
+                day = None
+                if iso and len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-":
+                    try:
+                        day = dt.date.fromisoformat(raw_date)
+                        high, low = float(raw[i_high]), float(raw[i_low])
+                    except ValueError:
+                        day = None
+                if day is None or not 0.0 < low <= high < math.inf:
+                    try:
+                        day, high, low = _parse_record(raw_date, [raw[i] for i in positions[1:]], fmt)
+                    except ValueError as exc:
+                        if fmt.on_invalid == "skip":
+                            continue
+                        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+                if dates and day <= dates[-1]:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: dates must be strictly increasing ({dates[-1]} then {day})"
+                    )
+                dates.append(day)
+                highs.append(high)
+                lows.append(low)
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
     if not dates:
         raise ValueError(f"{path}: no valid rows")

@@ -171,12 +171,12 @@ def lstm_grads_literal(flat, window, loss_grad: float, hidden_size: int, per_cel
     return grads
 
 
-def lstm_train_per_sample(inputs, targets, cfg):
+def lstm_train_per_sample(inputs, targets, cfg, seed):
     """Per-sample Adam training of one model, one sample and one cell at a time.
 
     ``inputs`` is (N, L, D) and ``targets`` (N,).  The literal form of
     ``dualstock.lstm.train_batch`` for one model: the init drawn from
-    ``PCG64(cfg.seed)`` (weights, then head weights, uniform in
+    ``PCG64(seed)`` (weights, then head weights, uniform in
     +-1/sqrt(H+D); forget-gate biases 1), one permutation per epoch,
     ``lstm_forward_literal`` for the forward, ``lstm_grads_literal`` for the
     gradient, the gradient norm summed per segment in buffer order and
@@ -185,7 +185,7 @@ def lstm_train_per_sample(inputs, targets, cfg):
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     hsz = cfg.hidden_size
     width = hsz + inputs.shape[2]
     n_w = 4 * hsz * width
@@ -504,56 +504,60 @@ def load_ohlc_csv_per_row(path, fmt: CsvFormat = CsvFormat(), ticker=None) -> Pr
 
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=fmt.delimiter)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file, header row required")
-        cols = set(reader.fieldnames)
-        if fmt.mid_col is not None:
-            needed = {fmt.date_col, fmt.mid_col}
-        else:
-            needed = {fmt.date_col, fmt.high_col, fmt.low_col}
-        missing = needed - cols
-        if missing:
-            raise ValueError(f"{path}: missing required columns {sorted(missing)}")
-
-        for row in reader:
-            line = reader.line_num
-            raw_date = (row.get(fmt.date_col) or "").strip()
-            try:
-                date = _parse_date_per_row(raw_date, fmt.date_format)
-            except ValueError:
-                bad_row(line, f"unparseable date {raw_date!r}")
-                continue
+        try:
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty file, header row required")
+            cols = set(reader.fieldnames)
             if fmt.mid_col is not None:
-                raw = (row.get(fmt.mid_col) or "").strip()
-                try:
-                    mid = float(raw)
-                except ValueError:
-                    bad_row(line, f"non-numeric price {raw!r}")
-                    continue
-                high = low = mid
+                needed = {fmt.date_col, fmt.mid_col}
             else:
-                raw_h = (row.get(fmt.high_col) or "").strip()
-                raw_l = (row.get(fmt.low_col) or "").strip()
+                needed = {fmt.date_col, fmt.high_col, fmt.low_col}
+            missing = needed - cols
+            if missing:
+                raise ValueError(f"{path}: missing required columns {sorted(missing)}")
+
+            for row in reader:
+                line = reader.line_num
+                raw_date = (row.get(fmt.date_col) or "").strip()
                 try:
-                    high = float(raw_h)
-                    low = float(raw_l)
+                    date = _parse_date_per_row(raw_date, fmt.date_format)
                 except ValueError:
-                    bad_row(line, f"non-numeric price (high={raw_h!r}, low={raw_l!r})")
+                    bad_row(line, f"unparseable date {raw_date!r}")
                     continue
-                mid = 0.5 * (high + low)
-            if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
-                bad_row(line, f"non-positive or non-finite price (high={high}, low={low})")
-                continue
-            if high < low:
-                bad_row(line, f"high {high} < low {low}")
-                continue
-            if dates and date <= dates[-1]:
-                raise ValueError(
-                    f"{path}, line {line}: dates must be strictly increasing "
-                    f"({dates[-1]} then {date})"
-                )
-            dates.append(date)
-            mids.append(mid)
+                if fmt.mid_col is not None:
+                    raw = (row.get(fmt.mid_col) or "").strip()
+                    try:
+                        mid = float(raw)
+                    except ValueError:
+                        bad_row(line, f"non-numeric price {raw!r}")
+                        continue
+                    high = low = mid
+                else:
+                    raw_h = (row.get(fmt.high_col) or "").strip()
+                    raw_l = (row.get(fmt.low_col) or "").strip()
+                    try:
+                        high = float(raw_h)
+                        low = float(raw_l)
+                    except ValueError:
+                        bad_row(line, f"non-numeric price (high={raw_h!r}, low={raw_l!r})")
+                        continue
+                    mid = 0.5 * (high + low)
+                if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
+                    bad_row(line, f"non-positive or non-finite price (high={high}, low={low})")
+                    continue
+                if high < low:
+                    bad_row(line, f"high {high} < low {low}")
+                    continue
+                if dates and date <= dates[-1]:
+                    raise ValueError(
+                        f"{path}, line {line}: dates must be strictly increasing "
+                        f"({dates[-1]} then {date})"
+                    )
+                dates.append(date)
+                mids.append(mid)
+        except csv.Error as exc:
+            # DictReader's own line_num is set only after a row is read
+            raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
 
     if not dates:
         raise ValueError(f"{path}: no valid rows")

@@ -356,6 +356,35 @@ DESK_PREMIUM_DIGESTS = {
     "KRB_over_KRD_summary.json": "8ae9f3831e1fbd45774306863d55f391af644c41c98f6b75093d3f6d7b1be264",
 }
 
+# the run descriptors of a 3-ticker forecast grid: lags 4 and 9, both duals,
+# window 10 and MECE, 1 epoch (TestForecastCommand.test_run_descriptors_are_pinned)
+FORECAST_DESCRIPTOR_DIGESTS = {
+    "AAA_lag4_dual-no_mece.json": "9ae69941d4e7d16fe958480283591971ab752b7650b041cbd01ea0a6d815d32a",
+    "AAA_lag4_dual-no_w10.json": "590bf9c38967becd2255bbb29214c29068f8bde237184155786c2974aa61f329",
+    "AAA_lag4_dual-yes_mece.json": "fed97491a958b2285b64cd104fed8c3700fd9dc91402276d70530f471eca50c2",
+    "AAA_lag4_dual-yes_w10.json": "6d25c83df8eb759c3936cef21dce876f035fb066ac4e21e36b4fd0203e63da7a",
+    "AAA_lag9_dual-no_mece.json": "a222bd8a1c980fe728917caeb42047e1fd4b0c91c08d001a601470467fa5fb32",
+    "AAA_lag9_dual-no_w10.json": "88ff4da84d444aaac5c75b2afb623f5d1029274ca61691e58f8d4439bd413d25",
+    "AAA_lag9_dual-yes_mece.json": "3809c08cf128140abf032f979c286ee08fb28fb2c91099f836b934bce8d7c822",
+    "AAA_lag9_dual-yes_w10.json": "4edae43e1ac4ee06a7558a840f0c5ebd2b952006e95eb09f8fc3c644b44b3875",
+    "BBB_lag4_dual-no_mece.json": "24cc2d653e14f80f2f49fb3fe10b767a17a410dbebca7ab070c0d7e0a28a98f8",
+    "BBB_lag4_dual-no_w10.json": "4c32a3ae2728bfe7fa9b0c81c34c2fcb3fe95ebadc939fec29ba63a742b87940",
+    "BBB_lag4_dual-yes_mece.json": "f49beba16eff7bf5b0e0ea70e35fb067e7ad3623175215da6b5a8fdca62664b1",
+    "BBB_lag4_dual-yes_w10.json": "8de362505425be656925c455958b632b575bb6e9d98c48a42acd88e200088a05",
+    "BBB_lag9_dual-no_mece.json": "f88635e42e5d75800a121602c0b4face2115f21220219f895ebe59027ac26c2f",
+    "BBB_lag9_dual-no_w10.json": "6802fca45060c6eeb14f5d751c6d9217cb2a713af3d6eb19df5da338079406e7",
+    "BBB_lag9_dual-yes_mece.json": "d8fcbfa00d72ec236b40bbbf3c4733e7593b23d9f358dfe6adb13dc83846d629",
+    "BBB_lag9_dual-yes_w10.json": "2b2ede41b51a87ad128fbc2a6b8bf4f2dc45418e5e0ae25101dc17f87036a85e",
+    "CCC_lag4_dual-no_mece.json": "79a796e3f40eb03fed0a33a96c786826c121139c154995f537778499a45a8aea",
+    "CCC_lag4_dual-no_w10.json": "7495c03425b1e327d8cfe4522a8c82a7f85d73554603f0cc1797321c47958985",
+    "CCC_lag4_dual-yes_mece.json": "942d4dee0ddcbee2273cb28850b00555e4c4a3302fb8c00e2e86af2ad812f51a",
+    "CCC_lag4_dual-yes_w10.json": "29536f0a976f95b041b206e0c7daf103d76dc4398575faa55e40b220beed9a66",
+    "CCC_lag9_dual-no_mece.json": "facc4f4ba4917324807b5bd54035ee7edeafe9d8255f305fec977c4a526fddd7",
+    "CCC_lag9_dual-no_w10.json": "bc0a0a156993a15a59fd4e990ef077816da389ffdfe5ff323f0a709d16b5abdb",
+    "CCC_lag9_dual-yes_mece.json": "ca76faa6d42efbcfcdeefd4bff240337d84e40ef67e513b857b963c99ac71096",
+    "CCC_lag9_dual-yes_w10.json": "b2d2530b7899c5ed358d2f17488dd2ba7c8454a4bbb2a952375c1ec3308e7943",
+}
+
 
 class TestPremiumsCommand:
     def test_three_pairs_and_oracle(self, tmp_path, capsys):
@@ -440,6 +469,21 @@ class TestPremiumsCommand:
             getattr(cli_module, f"cmd_{analysis}")(config, cli_module._load_all(config), outcome)
         assert outcome.files == {} and outcome.failures == []
         assert not (tmp_path / "out").exists()
+
+    def test_oversized_csv_field_fails_the_analysis(self, tmp_path):
+        # a field over csv.field_size_limit fails the analysis with its line
+        # named; the run still writes its manifest
+        tickers = synthetic_tickers(tmp_path)
+        path = tmp_path / tickers["BBB"]
+        lines = path.read_text().split("\n")
+        day, _high, low = lines[5].split(",")
+        lines[5] = f"{day},{'1' * 200_000},{low}"
+        path.write_text("\n".join(lines))
+        config_path = write_config(tmp_path, tickers)
+        assert main(["premiums", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == [f"premiums: {path}, line 6: field larger than field limit (131072)"]
+        assert manifest["outputs"] == []
 
     def test_percent_rendering(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -566,6 +610,16 @@ class TestForecastCommand:
         header = csv_file.read_text().split("\n")[0]
         assert header == "origin_index,date,actual,predicted,train_start,train_end"
 
+    def test_run_descriptors_are_pinned(self, tmp_path):
+        # a descriptor holds its run's seed and settings but no predictions,
+        # so its bytes hold on any machine and pin each run's seed derivation
+        config_path = self.forecast_config(
+            tmp_path, lags=[4, 9], duals=[False, True], windows=[10], test_size=5, epochs=1, hidden_size=2
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs = sorted((tmp_path / "out" / "forecast" / "runs").glob("*.json"))
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in runs} == FORECAST_DESCRIPTOR_DIGESTS
+
     @pytest.mark.parametrize("names", [["AAA"], ["AAA", "BBB"]])
     @pytest.mark.parametrize("command", ["forecast", "run"])
     def test_dual_without_three_tickers_is_config_error(self, tmp_path, capsys, names, command):
@@ -613,7 +667,7 @@ class TestForecastCommand:
         cli_module.cmd_forecast(config, cli_module._load_all(config), outcome)
         assert outcome.files == {}
         assert sorted(outcome.failures) == [
-            f"forecast {t} lag=4 dual=yes {r}: include_dual requires exactly two sibling series"
+            f"forecast {t} lag=4 dual=yes {r}: a dual run needs exactly two sibling series"
             for t in ("AAA", "BBB")
             for r in ("mece", "window=10", "window=5")
         ]
@@ -688,7 +742,7 @@ class TestForecastCommand:
         calls = []
 
         def diverge_first(inputs, targets, cfg, seeds):
-            calls.append(cfg.seed)
+            calls.append(seeds)
             if len(calls) == 1:
                 raise TrainingDivergedError("training loss became non-finite at step 1")
             return real_train_batch(inputs, targets, cfg, seeds)
@@ -990,7 +1044,8 @@ class TestReportCommand:
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
 
-    def corrupted_report(self, tmp_path, windows, corrupt=lambda text: "{not json"):
+    def corrupted_report(self, tmp_path, windows, corrupt=lambda text: "{not json", suffix=".json"):
+        """Report on a forecast's runs after ``corrupt`` rewrites one run's descriptor (or its ``.csv``)."""
         config_path = write_config(
             tmp_path,
             synthetic_tickers(tmp_path),
@@ -1002,8 +1057,8 @@ class TestReportCommand:
         )
         assert main(["forecast", "--config", str(config_path)]) == 0
         runs_dir = tmp_path / "out" / "forecast" / "runs"
-        descriptor = runs_dir / "AAA_lag4_dual-no_w10.json"
-        descriptor.write_text(corrupt(descriptor.read_text(encoding="utf-8")), encoding="utf-8")
+        target = runs_dir / f"AAA_lag4_dual-no_w10{suffix}"
+        target.write_text(corrupt(target.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         return json.loads((tmp_path / "rep" / "manifest.json").read_text())
 
@@ -1037,14 +1092,33 @@ class TestReportCommand:
             ("seed", "7", "key seed must be an integer, got '7'"),
             ("lag", True, "key lag must be an integer, got True"),
             ("ticker", "../AAA", "key ticker must match [A-Za-z0-9][A-Za-z0-9.-]*, got '../AAA'"),
+            *(
+                ("predictions_csv", name, f"key predictions_csv must be a file name in the descriptor's directory, got {name!r}")
+                for name in ("../../../AAA_lag4_dual-no_w10.csv", "/AAA_lag4_dual-no_w10.csv", "..")
+            ),
         ],
-        ids=["dual-bool", "lag-float", "seed-string", "lag-bool", "ticker-path"],
+        ids=["dual-bool", "lag-float", "seed-string", "lag-bool", "ticker-path", "csv-outside", "csv-absolute", "csv-parent"],
     )
     def test_descriptor_field_read_strictly(self, tmp_path, key, value, message):
         manifest = self.corrupted_report(
             tmp_path, [10, 20], lambda text: json.dumps({**json.loads(text), key: value})
         )
         assert manifest["failures"] == [f"report: AAA_lag4_dual-no_w10.json: {message}"]
+        cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
+        assert cells["window=10|lag=4|dual=no"] is None
+        assert cells["window=20|lag=4|dual=no"] is not None
+
+    @pytest.mark.parametrize("column", ["predicted", "actual"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_fails_its_run(self, tmp_path, column, value):
+        def set_first(text):
+            header, first, *rest = text.split("\n")
+            cells = first.split(",")
+            cells[header.split(",").index(column)] = value
+            return "\n".join([header, ",".join(cells), *rest])
+
+        manifest = self.corrupted_report(tmp_path, [10, 20], set_first, suffix=".csv")
+        assert manifest["failures"] == ["report: AAA_lag4_dual-no_w10.json: predictions and actuals must be finite"]
         cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
         assert cells["window=10|lag=4|dual=no"] is None
         assert cells["window=20|lag=4|dual=no"] is not None

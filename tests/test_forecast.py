@@ -1,6 +1,4 @@
 import importlib
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from dualstock.forecast import (
 from dualstock.lstm import TrainConfig
 from dualstock.seeds import child_seed
 
-FAST = dict(epochs=3, hidden_size=3)
+CFG = TrainConfig(epochs=3, hidden_size=3)
 
 
 def mece(train_size, test_size):
@@ -81,7 +79,7 @@ class TestBuildSupervised:
     def test_counting_without_dual(self, monkeypatch):
         prices = 100.0 + 10.0 * np.arange(7)
         inputs, targets = self.training_set(
-            monkeypatch, prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(6, 1)
+            monkeypatch, prices, lag=4, cfg=CFG, seed=1, regime=rolling(6, 1)
         )
         assert inputs.shape == (1, 2, 4, 1)  # window 6 at lag 4: 2 samples of (4, 1)
         scaled = scale_price(prices)
@@ -93,8 +91,7 @@ class TestBuildSupervised:
         prices = synthetic_prices(13)
         sib = (synthetic_prices(13, seed=5), synthetic_prices(13, seed=6))
         inputs, _ = self.training_set(
-            monkeypatch, prices, sib, lag=9, include_dual=True,
-            cfg=TrainConfig(seed=1, **FAST), regime=mece(12, 1),
+            monkeypatch, prices, sib, lag=9, cfg=CFG, seed=1, regime=mece(12, 1)
         )
         assert inputs.shape == (1, 3, 9, 3)
         scaled = [scale_price(x) for x in (prices, *sib)]
@@ -102,25 +99,21 @@ class TestBuildSupervised:
 
     def test_insufficient_length(self):
         with pytest.raises(ValueError, match="no samples"):
-            forecast(np.full(6, 20.0), lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(4, 2))
+            forecast(np.full(6, 20.0), lag=4, cfg=CFG, seed=1, regime=mece(4, 2))
 
     @pytest.mark.parametrize("lag", [0, -1])
     def test_lag_must_be_positive(self, lag):
         with pytest.raises(ValueError, match="lag must be >= 1"):
-            forecast(np.full(40, 20.0), lag=lag, cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 3))
+            forecast(np.full(40, 20.0), lag=lag, cfg=CFG, seed=1, regime=rolling(5, 3))
 
     def test_dual_requires_two_siblings(self):
-        with pytest.raises(ValueError, match="two sibling"):
-            forecast(
-                np.full(10, 20.0), (np.full(10, 20.0),), lag=2, include_dual=True,
-                cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 2),
-            )
+        with pytest.raises(ValueError, match="a dual run needs exactly two sibling series"):
+            forecast(np.full(10, 20.0), (np.full(10, 20.0),), lag=2, cfg=CFG, seed=1, regime=rolling(5, 2))
 
     def test_sibling_alignment_checked(self):
         with pytest.raises(ValueError, match="aligned"):
             forecast(
-                np.full(10, 20.0), (np.full(9, 20.0), np.full(10, 20.0)), lag=2, include_dual=True,
-                cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 2),
+                np.full(10, 20.0), (np.full(9, 20.0), np.full(10, 20.0)), lag=2, cfg=CFG, seed=1, regime=rolling(5, 2)
             )
 
 
@@ -146,8 +139,9 @@ class TestRegimeSpec:
 class TestMece:
     def test_bookkeeping_desk_scale(self):
         prices = synthetic_prices(230)
-        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(200, 30))
+        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=mece(200, 30))
         assert run.regime.label == "mece"
+        assert not run.include_dual  # a run without siblings
         assert len(run.predictions) == 30
         assert list(run.origins) == list(range(200, 230))
         assert run.provenance == ((0, 200),) * 30
@@ -156,45 +150,41 @@ class TestMece:
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="train_size"):
             forecast(
-                synthetic_prices(50), lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(100, 20),
+                synthetic_prices(50), lag=4, cfg=CFG, seed=1, regime=mece(100, 20),
             )
 
     def test_longer_dataset_tests_tail(self):
         prices = synthetic_prices(150)
-        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=mece(100, 20))
+        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=mece(100, 20))
         assert list(run.origins) == list(range(130, 150))
         assert run.provenance[0] == (0, 100)
 
     def test_deterministic(self):
         prices = synthetic_prices(120)
-        cfg = TrainConfig(seed=9, **FAST)
-        r1 = forecast(prices, lag=4, cfg=cfg, regime=mece(100, 10))
-        r2 = forecast(prices, lag=4, cfg=cfg, regime=mece(100, 10))
+        r1 = forecast(prices, lag=4, cfg=CFG, seed=9, regime=mece(100, 10))
+        r2 = forecast(prices, lag=4, cfg=CFG, seed=9, regime=mece(100, 10))
         assert np.array_equal(r1.predictions, r2.predictions)
 
     def test_misaligned_siblings_rejected(self):
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(119, seed=5), synthetic_prices(120, seed=6))
         with pytest.raises(ValueError, match="aligned"):
-            forecast(
-                prices, sibs, lag=4, include_dual=True,
-                cfg=TrainConfig(seed=2, **FAST), regime=mece(100, 10),
-            )
+            forecast(prices, sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
 
     def test_dual_features_used(self):
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(120, seed=5), synthetic_prices(120, seed=6))
-        cfg = TrainConfig(seed=2, **FAST)
-        base = forecast(prices, sibs, lag=4, include_dual=True, cfg=cfg, regime=mece(100, 10))
+        base = forecast(prices, sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
+        assert base.include_dual  # a run given its two siblings
         poisoned_sibs = (sibs[0] * 1.1, sibs[1])
-        other = forecast(prices, poisoned_sibs, lag=4, include_dual=True, cfg=cfg, regime=mece(100, 10))
+        other = forecast(prices, poisoned_sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
         assert not np.array_equal(base.predictions, other.predictions)
 
 
 class TestRolling:
     def test_bookkeeping(self):
         prices = synthetic_prices(80)
-        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(10, 15))
+        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=rolling(10, 15))
         assert run.regime.label == "window=10"
         for origin, (start, end) in zip(run.origins, run.provenance):
             assert (start, end) == (origin - 10, origin)
@@ -203,26 +193,25 @@ class TestRolling:
         with pytest.raises(ValueError, match="too small"):
             forecast(
                 synthetic_prices(80), lag=9,
-                cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 10),
+                cfg=CFG, seed=1, regime=rolling(5, 10),
             )
 
     def test_not_enough_history(self):
         with pytest.raises(ValueError, match="history"):
             forecast(
                 synthetic_prices(20), lag=4,
-                cfg=TrainConfig(seed=1, **FAST), regime=rolling(10, 15),
+                cfg=CFG, seed=1, regime=rolling(10, 15),
             )
 
     @pytest.mark.parametrize("window", [5, 10])
     def test_poisoning_outside_window(self, window):
         prices = synthetic_prices(60)
-        cfg = TrainConfig(seed=4, **FAST)
-        base = forecast(prices, lag=4, cfg=cfg, regime=rolling(window, 5))
+        base = forecast(prices, lag=4, cfg=CFG, seed=4, regime=rolling(window, 5))
         # perturb an observation before every training window of the last
         # 5 origins: windows start at 55 - window
         poisoned = prices.copy()
         poisoned[54 - window] *= 1.5
-        run2 = forecast(poisoned, lag=4, cfg=cfg, regime=rolling(window, 5))
+        run2 = forecast(poisoned, lag=4, cfg=CFG, seed=4, regime=rolling(window, 5))
         # the first origin's window starts at 55-window; index 54-window is
         # outside every window except none -> all later forecasts whose
         # window excludes it must be bit-identical
@@ -230,19 +219,10 @@ class TestRolling:
             if 54 - window < start:
                 assert run2.predictions[k] == base.predictions[k]
 
-    def test_sibling_poisoning_without_dual(self):
-        prices = synthetic_prices(60)
-        sibs = (synthetic_prices(60, seed=2), synthetic_prices(60, seed=3))
-        cfg = TrainConfig(seed=4, **FAST)
-        base = forecast(prices, sibs, lag=4, cfg=cfg, regime=rolling(10, 5))
-        poisoned = (sibs[0] * 3.0, sibs[1] + 1.0)
-        run2 = forecast(prices, poisoned, lag=4, cfg=cfg, regime=rolling(10, 5))
-        assert np.array_equal(base.predictions, run2.predictions)
-
     def test_single_sample_window(self):
         # window = lag + 1 yields exactly one supervised sample per origin
         prices = synthetic_prices(40)
-        run = forecast(prices, lag=4, cfg=TrainConfig(seed=1, **FAST), regime=rolling(5, 3))
+        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=rolling(5, 3))
         assert len(run.predictions) == 3
 
 
@@ -254,15 +234,15 @@ class TestBatchedTraining:
         # literal trainer and forward give for one origin at a time
         prices = synthetic_prices(60)
         sibs = (synthetic_prices(60, seed=5, level=20.0), synthetic_prices(60, seed=6, level=30.0))
-        cfg = TrainConfig(seed=11, **FAST)
-        run = forecast(prices, sibs, lag=lag, include_dual=dual, cfg=cfg, regime=rolling(12, 8))
+        seed = 11
+        run = forecast(prices, sibs if dual else (), lag=lag, cfg=CFG, seed=seed, regime=rolling(12, 8))
         own = scale_price(prices)
         features = np.column_stack([own, *(scale_price(s) for s in sibs)]) if dual else own[:, None]
         for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
             windows = np.array([features[t - lag : t] for t in range(start + lag, end)])
-            seed = child_seed(cfg.seed, f"origin:{origin}")
-            flat, _ = lstm_train_per_sample(windows, own[start + lag : end], replace(cfg, seed=seed))
-            prediction = lstm_forward_literal(flat, features[origin - lag : origin], cfg.hidden_size)
+            origin_seed = child_seed(seed, f"origin:{origin}")
+            flat, _ = lstm_train_per_sample(windows, own[start + lag : end], CFG, origin_seed)
+            prediction = lstm_forward_literal(flat, features[origin - lag : origin], CFG.hidden_size)
             assert run.predictions[k] == unscale(prediction)
 
     @pytest.mark.parametrize("dual", [False, True])
@@ -270,18 +250,17 @@ class TestBatchedTraining:
         # 20 origins: one default block, then blocks of 1 and of 7 models
         prices = synthetic_prices(60)
         sibs = (synthetic_prices(60, seed=5, level=20.0), synthetic_prices(60, seed=6, level=30.0))
-        cfg = TrainConfig(seed=11, **FAST)
         dim = 3 if dual else 1
 
         def run():
-            return forecast(prices, sibs, lag=4, include_dual=dual, cfg=cfg, regime=rolling(12, 20)).predictions
+            return forecast(prices, sibs if dual else (), lag=4, cfg=CFG, seed=11, regime=rolling(12, 20)).predictions
 
-        assert lstm._block_size(4, cfg.hidden_size, dim) >= 20
+        assert lstm._block_size(4, CFG.hidden_size, dim) >= 20
         one_block = run()
-        per_model_bytes = lstm.BLOCK_BYTES // lstm._block_size(4, cfg.hidden_size, dim)
+        per_model_bytes = lstm.BLOCK_BYTES // lstm._block_size(4, CFG.hidden_size, dim)
         for models_per_block in (1, 7):
             monkeypatch.setattr(lstm, "BLOCK_BYTES", models_per_block * per_model_bytes)
-            assert lstm._block_size(4, cfg.hidden_size, dim) == models_per_block
+            assert lstm._block_size(4, CFG.hidden_size, dim) == models_per_block
             assert np.array_equal(run().view(np.uint64), one_block.view(np.uint64))
 
 

@@ -1,6 +1,5 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,13 +268,13 @@ class TestTrain:
     def test_constant_target_converges(self):
         rng = np.random.default_rng(14)
         inputs, targets = make_samples(rng)
-        result = train_batch(inputs, targets, TrainConfig(seed=5, epochs=200, hidden_size=4), seeds=[5])
+        result = train_batch(inputs, targets, TrainConfig(epochs=200, hidden_size=4), seeds=[5])
         assert result.loss_trace[0, -1] < 1e-4
 
     def test_bit_identical_given_seed(self):
         rng = np.random.default_rng(15)
         inputs, targets = make_samples(rng, target=0.1)
-        cfg = TrainConfig(seed=77, epochs=5, hidden_size=4)
+        cfg = TrainConfig(epochs=5, hidden_size=4)
         r1 = train_batch(inputs, targets, cfg, seeds=[77])
         r2 = train_batch(inputs, targets, cfg, seeds=[77])
         assert np.array_equal(r1.flat, r2.flat)
@@ -284,13 +283,13 @@ class TestTrain:
     def test_seed_changes_trajectory(self):
         rng = np.random.default_rng(16)
         inputs, targets = make_samples(rng, target=0.1)
-        cfg = TrainConfig(seed=0, epochs=3, hidden_size=4)
+        cfg = TrainConfig(epochs=3, hidden_size=4)
         r1 = train_batch(inputs, targets, cfg, seeds=[1])
         r2 = train_batch(inputs, targets, cfg, seeds=[2])
         assert not np.array_equal(_Views(r1.flat, 4, 1).weights, _Views(r2.flat, 4, 1).weights)
 
     def test_divergence_raises(self):
-        cfg = TrainConfig(seed=0, epochs=1, hidden_size=2)
+        cfg = TrainConfig(epochs=1, hidden_size=2)
         with pytest.raises(TrainingDivergedError):
             train_batch(np.zeros((1, 1, 2, 1)), np.full((1, 1), np.nan), cfg, seeds=[0])
 
@@ -301,15 +300,15 @@ class TestTrain:
         inputs, targets = make_samples(rng, count=4)
         targets[0, 1] = np.nan
         with pytest.raises(TrainingDivergedError, match="at step 4$"):
-            train_batch(inputs, targets, TrainConfig(seed=0, epochs=3, hidden_size=2), seeds=[0])
+            train_batch(inputs, targets, TrainConfig(epochs=3, hidden_size=2), seeds=[0])
 
     @pytest.mark.parametrize("lag, dim, hidden", [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)])
     def test_matches_per_sample_oracle(self, lag, dim, hidden):
         rng = np.random.default_rng(20 + lag)
         inputs, targets = make_samples(rng, count=7, lag=lag, dim=dim, target=0.2)
-        cfg = TrainConfig(seed=lag, epochs=3, hidden_size=hidden, learning_rate=0.05)
+        cfg = TrainConfig(epochs=3, hidden_size=hidden, learning_rate=0.05)
         result = train_batch(inputs, targets, cfg, seeds=[lag])
-        flat, trace = lstm_train_per_sample(inputs[0], targets[0], cfg)
+        flat, trace = lstm_train_per_sample(inputs[0], targets[0], cfg, lag)
         assert np.array_equal(result.flat[0], flat)
         assert result.loss_trace[0].tolist() == trace
 
@@ -323,10 +322,8 @@ class TestTrain:
         ],
     )
     def test_config_validation(self, kwargs):
-        base = {"seed": 0}
-        base.update(kwargs)
         with pytest.raises(ValueError):
-            TrainConfig(**base)
+            TrainConfig(**kwargs)
 
 
 class TestTrainBatch:
@@ -337,14 +334,14 @@ class TestTrainBatch:
         inputs = 0.5 * rng.standard_normal((batch, count, lag, dim))
         targets = 0.3 * rng.standard_normal((batch, count))
         seeds = [int(s) for s in rng.integers(0, 2**31, batch)]
-        cfg = TrainConfig(seed=0, epochs=3, hidden_size=4)
+        cfg = TrainConfig(epochs=3, hidden_size=4)
         result = train_batch(inputs, targets, cfg, seeds)
         assert result.flat.shape == (batch, 4 * 4 * (4 + dim) + 5 * 4 + 1)
         for b in range(batch):
             alone = train_batch(inputs[b : b + 1], targets[b : b + 1], cfg, seeds[b : b + 1])
             assert np.array_equal(result.flat[b], alone.flat[0])
             assert np.array_equal(result.loss_trace[b], alone.loss_trace[0])
-            flat, trace = lstm_train_per_sample(inputs[b], targets[b], replace(cfg, seed=seeds[b]))
+            flat, trace = lstm_train_per_sample(inputs[b], targets[b], cfg, seeds[b])
             assert np.array_equal(result.flat[b], flat)
             assert result.loss_trace[b].tolist() == trace
 
@@ -353,7 +350,7 @@ class TestTrainBatch:
         inputs = 0.5 * rng.standard_normal((7, 4, 3, 2))
         targets = 0.3 * rng.standard_normal((7, 4))
         seeds = list(range(7))
-        cfg = TrainConfig(seed=0, epochs=2, hidden_size=3)
+        cfg = TrainConfig(epochs=2, hidden_size=3)
         one_block = train_batch(inputs, targets, cfg, seeds)
         for models_per_block in (1, 3):
             per_model_bytes = lstm.BLOCK_BYTES // lstm._block_size(3, 3, 2)
@@ -396,7 +393,7 @@ class TestTrainBatch:
         inputs = 0.1 * rng.standard_normal((3, 4, 2, 1))
         targets = np.full((3, 4), 0.2)
         targets[1, 2] = np.nan
-        cfg = TrainConfig(seed=0, epochs=2, hidden_size=2)
+        cfg = TrainConfig(epochs=2, hidden_size=2)
         with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
             train_batch(inputs, targets, cfg, seeds=[1, 2, 3])
         with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
@@ -415,7 +412,7 @@ class TestTrainBatch:
     )
     def test_shapes_validated(self, inputs, targets, seeds):
         with pytest.raises(ValueError):
-            train_batch(inputs, targets, TrainConfig(seed=0, epochs=1), seeds)
+            train_batch(inputs, targets, TrainConfig(epochs=1), seeds)
 
 
 class TestParams:

@@ -137,6 +137,9 @@ class TestMetricTriple:
             MetricTriple(rmse=1.0, mae=2.0, mape=1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             MetricTriple(rmse=-1.0, mae=0.0, mape=0.0)
+        for field in ("rmse", "mae", "mape"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                MetricTriple(**{"rmse": 1.0, "mae": 1.0, "mape": 1.0, field: float("nan")})
 
 
 class TestAssembleGrid:
