@@ -58,7 +58,7 @@ from .timeseries import (
     render_summary_csv,
     summary_to_dict,
 )
-from .wavelet import ScaleGrid
+from .wavelet import DJ, ScaleGrid
 
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
@@ -72,9 +72,9 @@ TICKER_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9.-]*")
 
 @dataclass(frozen=True)
 class WaveletOptions:
-    dj: float = 1.0 / 12.0
-    mc_iterations: int = 1000
-    significance_level: float = 0.05
+    dj: float = DJ
+    mc_iterations: int = MonteCarloSpec.iterations
+    significance_level: float = MonteCarloSpec.significance_level
 
     def __post_init__(self) -> None:
         # the records' own checks reject bad values before any analysis runs
@@ -96,9 +96,9 @@ class ForecastOptions:
     windows: tuple[int, ...] = (5, 10, 20, 50)
     mece_train_size: int | None = 5282  # None drops the MECE regime
     test_size: int = 300
-    epochs: int = 200
-    hidden_size: int = 16
-    learning_rate: float = 1e-2
+    epochs: int = TrainConfig.epochs
+    hidden_size: int = TrainConfig.hidden_size
+    learning_rate: float = TrainConfig.learning_rate
     tickers: tuple[str, ...] | None = None  # forecast subset; all loaded tickers if None
 
     def __post_init__(self) -> None:
@@ -320,10 +320,7 @@ TickerSeries = list[tuple[str, PriceSeries]]
 
 def _load_all(config: RunConfig) -> TickerSeries:
     """Every declared ticker's series, read once per invocation and shared by the analyses."""
-    return [
-        (name, load_ohlc_csv(path, config.csv_format, ticker=name))
-        for name, path in config.tickers
-    ]
+    return [(name, load_ohlc_csv(path, config.csv_format)) for name, path in config.tickers]
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -454,15 +451,15 @@ def _run_stem(run: ForecastRun) -> str:
     return f"{run.ticker}_lag{run.lag}_dual-{dual}_{regime}"
 
 
-def _predictions_csv(run: ForecastRun) -> str:
+def _predictions_csv(run: ForecastRun, dates) -> str:
+    """The run's rows; ``dates`` are the dates of the series it forecast, indexed by origin."""
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
-    for k in range(len(run.origins)):
-        date = run.dates[k].isoformat() if run.dates is not None else ""
+    for k, origin in enumerate(run.origins):
         start, end = run.provenance[k]
         # repr of the Python float is the shortest exact round-trip, so the
         # report command reproduces the same metrics bit for bit
         rows.append(
-            f"{int(run.origins[k])},{date},{float(run.actuals[k])!r},"
+            f"{int(origin)},{dates[origin].isoformat()},{float(run.actuals[k])!r},"
             f"{float(run.predictions[k])!r},{start},{end}"
         )
     return "\n".join(rows) + "\n"
@@ -523,11 +520,10 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
                 cfg=cfg,
                 seed=child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}"),
                 ticker=name,
-                dates=dates,
             )
             # a run whose files cannot be written is left out of the grids
             stem = _run_stem(run)
-            outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run))
+            outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run, dates))
             outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, config, f"{stem}.csv")))
             runs_by_ticker[name].append(run)
 

@@ -131,7 +131,6 @@ class ForecastRun:
     actuals: np.ndarray
     origins: np.ndarray
     provenance: tuple[tuple[int, int], ...]
-    dates: tuple | None = None
 
     def __post_init__(self) -> None:
         predictions = np.asarray(self.predictions, dtype=np.float64)
@@ -167,7 +166,6 @@ def forecast(
     cfg: TrainConfig,
     seed: int,
     ticker: str = "",
-    dates=None,
 ) -> ForecastRun:
     """Forecast the final ``regime.test_size`` observations of ``own``.
 
@@ -234,5 +232,4 @@ def forecast(
         actuals=own[origins],
         origins=origins,
         provenance=provenance,
-        dates=None if dates is None else tuple(dates[i] for i in origins),
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import CoherenceField, ScaleGrid, _rho2, coherence, cwt
+from .wavelet import CoherenceField, ScaleGrid, _rho2, cone_of_influence, cwt, phase_field
 
 __all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "ar1_surrogate", "significance"]
 
@@ -144,18 +144,22 @@ def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("series must have equal length")
-    observed = coherence(cwt(a, grid), cwt(b, grid))
+    rho2, cross = _rho2(cwt(a, grid), cwt(b, grid))
+    phase = phase_field(cross)
+    del cross  # only its phase is kept, so the Monte-Carlo loop does not hold it
     params_a = fit_ar1(a)
     params_b = fit_ar1(b)
     n = len(a)
-    count_ge = np.zeros(observed.rho2.shape, dtype=np.int64)
+    count_ge = np.zeros(rho2.shape, dtype=np.int64)
     for start in range(0, mc.iterations, BLOCK_ITERATIONS):
         block = range(start, min(mc.iterations, start + BLOCK_ITERATIONS))
         surrogates = _surrogate_block(params_a, params_b, n, mc.seed, block)
         for k in range(len(block)):
             sur_a = cwt(surrogates[2 * k], grid)
             sur_b = cwt(surrogates[2 * k + 1], grid)
-            count_ge += _rho2(sur_a, sur_b)[0] >= observed.rho2
+            count_ge += _rho2(sur_a, sur_b)[0] >= rho2
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
     threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)
-    return observed.with_significance(count_ge <= threshold, exceedances=count_ge)
+    return CoherenceField(
+        rho2, phase, grid, cone_of_influence(n), significant=count_ge <= threshold, exceedances=count_ge
+    )

@@ -147,7 +147,7 @@ def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) 
     # Cell edges, each formatted once: xs[t] is x_of(t) and ys[j] is y_of_row(j).
     xs = [_fmt(x_of(t)) for t in range(n + 1)]
     ys = [_fmt(y_of_row(j)) for j in range(num_scales + 1)]
-    mask = None if field.significant is None else np.asarray(field.significant, dtype=bool)
+    mask = field.significant
 
     opening: list[str] = []
     opening.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -172,7 +172,7 @@ def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) 
         for tb in range(ARROW_BLOCK_T // 2, n, ARROW_BLOCK_T):
             if not inside[jb, tb]:
                 continue
-            if field.significant is not None and not field.significant[jb, tb]:
+            if mask is not None and not mask[jb, tb]:
                 continue
             theta = float(field.phase[jb, tb])
             cx = x_of(tb + 0.5)

@@ -62,7 +62,6 @@ class PriceSeries:
     well-defined result.
     """
 
-    ticker: str
     dates: tuple[dt.date, ...]
     mid: np.ndarray
 
@@ -149,11 +148,7 @@ def align_series(*series: PriceSeries) -> tuple[PriceSeries, ...]:
         if s.n == len(common):
             return s
         keep = list(map(common.__contains__, s.dates))
-        return PriceSeries(
-            ticker=s.ticker,
-            dates=tuple(itertools.compress(s.dates, keep)),
-            mid=s.mid[np.array(keep, dtype=bool)],
-        )
+        return PriceSeries(dates=tuple(itertools.compress(s.dates, keep)), mid=s.mid[np.array(keep, dtype=bool)])
 
     return tuple(map(restrict, series))
 
@@ -254,11 +249,7 @@ def _parse_record(raw_date: str, raw_prices: list[str], fmt: CsvFormat) -> tuple
     return day, high, low
 
 
-def load_ohlc_csv(
-    path: str | Path,
-    fmt: CsvFormat = CsvFormat(),
-    ticker: str | None = None,
-) -> PriceSeries:
+def load_ohlc_csv(path: str | Path, fmt: CsvFormat = CsvFormat()) -> PriceSeries:
     """Load one ticker's daily mid prices from a headed CSV file.
 
     The file is read once, as UTF-8 with or without a byte-order mark, and
@@ -273,7 +264,6 @@ def load_ohlc_csv(
     the record ends.
     """
     path = Path(path)
-    name = ticker if ticker is not None else path.stem
     if fmt.mid_col is not None:
         columns = (fmt.date_col, fmt.mid_col)
     else:
@@ -335,7 +325,7 @@ def load_ohlc_csv(
         raise ValueError(f"{path}: no valid rows")
     high = np.frombuffer(highs)
     mid = high if fmt.mid_col is not None else 0.5 * (high + np.frombuffer(lows))
-    return PriceSeries(ticker=name, dates=dates, mid=mid)
+    return PriceSeries(dates=dates, mid=mid)
 
 
 def summary_to_dict(stats: SummaryStats, percent: bool = False) -> dict:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,8 @@ _TWO_PI = 2.0 * math.pi
 OMEGA0 = 6.0
 S0 = 2.0
 SCALE_WINDOW_OCTAVES = 0.6
+# Default scale ladder step in octaves: twelve scales per octave.
+DJ = 1.0 / 12.0
 # Ratio of Fourier period to scale.
 FOURIER_FACTOR = 4.0 * math.pi / (OMEGA0 + math.sqrt(2.0 + OMEGA0 * OMEGA0))
 
@@ -85,7 +87,7 @@ class ScaleGrid:
         return self.scales * FOURIER_FACTOR
 
     @classmethod
-    def for_length(cls, n: int, dj: float = 1.0 / 12.0) -> "ScaleGrid":
+    def for_length(cls, n: int, dj: float = DJ) -> "ScaleGrid":
         """Default grid: largest Fourier period >= min(span/3, 512) days."""
         if n < 4:
             raise ValueError(f"series too short for a scale grid: n={n}")
@@ -324,13 +326,12 @@ def cone_of_influence(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoherenceField:
-    """Squared coherence, phase, cone of influence, and significance mask.
+    """Squared coherence, phase, cone of influence, and Monte-Carlo significance.
 
-    ``significant`` and ``exceedances`` (per cell, the number of surrogate
-    coherences at or above the observed one) are filled by Monte-Carlo
-    significance testing and are None until then.  ``degenerate`` marks cells
-    whose smoothed denominator (or cross magnitude, for phase) vanished; their
-    rho2/phase are reported as 0.
+    ``significant`` (bool) and ``exceedances`` (int64: per cell, the number of
+    surrogate coherences at or above the observed one) come from
+    ``significance.significance``; a field from ``coherence`` has None for
+    both.  Every array is stored read-only.
     """
 
     rho2: np.ndarray
@@ -338,7 +339,6 @@ class CoherenceField:
     grid: ScaleGrid
     coi: np.ndarray
     significant: np.ndarray | None = None
-    degenerate: np.ndarray | None = None
     exceedances: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -354,10 +354,18 @@ class CoherenceField:
             raise ValueError("rho2 must lie in [0, 1] (clamp before construction)")
         if not (np.abs(phase) <= math.pi).all():
             raise ValueError("phase must lie in [-pi, pi]")
-        rho2.flags.writeable = False
-        phase.flags.writeable = False
-        object.__setattr__(self, "rho2", rho2)
-        object.__setattr__(self, "phase", phase)
+        coi = np.asarray(self.coi, dtype=np.float64)
+        if coi.shape != rho2.shape[1:]:
+            raise ValueError(f"coi must have shape {rho2.shape[1:]}, got {coi.shape}")
+        arrays = {"rho2": rho2, "phase": phase, "coi": coi}
+        for name, dtype in (("significant", bool), ("exceedances", np.int64)):
+            if getattr(self, name) is not None:
+                arrays[name] = np.asarray(getattr(self, name), dtype=dtype)
+                if arrays[name].shape != rho2.shape:
+                    raise ValueError(f"{name} must have the shape of rho2 {rho2.shape}, got {arrays[name].shape}")
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -368,17 +376,9 @@ class CoherenceField:
         periods = self.grid.fourier_periods
         return periods[:, None] <= self.coi[None, :]
 
-    def with_significance(self, mask: np.ndarray, exceedances: np.ndarray | None = None) -> "CoherenceField":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.rho2.shape:
-            raise ValueError("significance mask shape mismatch")
-        if exceedances is not None and np.shape(exceedances) != self.rho2.shape:
-            raise ValueError("exceedance counts shape mismatch")
-        return replace(self, significant=mask, exceedances=exceedances)
-
 
 def _rho2(a: Scaleogram, b: Scaleogram):
-    """Clamped squared coherence, the smoothed cross spectrum and the cells whose denominator vanished."""
+    """Clamped squared coherence (0 where the denominator vanished) and the smoothed cross spectrum."""
     _check_compatible(a, b)
     grid = a.grid
     inv_s = 1.0 / grid.scales[:, None]
@@ -393,21 +393,15 @@ def _rho2(a: Scaleogram, b: Scaleogram):
         rho2 /= denom
     rho2[degenerate] = 0.0
     np.clip(rho2, 0.0, 1.0, out=rho2)
-    return rho2, cross, degenerate
+    return rho2, cross
 
 
 def coherence(a: Scaleogram, b: Scaleogram) -> CoherenceField:
     """Smoothed squared coherence and phase of two scaleograms.
 
     rho2 = |Q(W_ab / s)|^2 / (Q(|W_a|^2 / s) * Q(|W_b|^2 / s)) with Q the
-    smoothing operator; cells with a vanishing denominator get rho2 = 0 and
-    are flagged degenerate.  Values are clamped into [0, 1] after smoothing.
+    smoothing operator; cells with a vanishing denominator get rho2 = 0.
+    Values are clamped into [0, 1] after smoothing.
     """
-    rho2, cross, degenerate = _rho2(a, b)
-    return CoherenceField(
-        rho2=rho2,
-        phase=phase_field(cross),
-        grid=a.grid,
-        coi=cone_of_influence(a.n),
-        degenerate=degenerate | (cross == 0),
-    )
+    rho2, cross = _rho2(a, b)
+    return CoherenceField(rho2, phase_field(cross), a.grid, cone_of_influence(a.n))

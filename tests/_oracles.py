@@ -490,10 +490,9 @@ def _parse_date_per_row(raw: str, date_format: str) -> datetime.date:
     return datetime.datetime.strptime(raw, date_format).date()
 
 
-def load_ohlc_csv_per_row(path, fmt: CsvFormat = CsvFormat(), ticker=None) -> PriceSeries:
+def load_ohlc_csv_per_row(path, fmt: CsvFormat = CsvFormat()) -> PriceSeries:
     """Row-at-a-time ``csv.DictReader`` loader: each row parsed, checked and appended in turn."""
     path = Path(path)
-    name = ticker if ticker is not None else path.stem
     dates: list[datetime.date] = []
     mids: list[float] = []
 
@@ -561,4 +560,4 @@ def load_ohlc_csv_per_row(path, fmt: CsvFormat = CsvFormat(), ticker=None) -> Pr
 
     if not dates:
         raise ValueError(f"{path}: no valid rows")
-    return PriceSeries(ticker=name, dates=tuple(dates), mid=mids)
+    return PriceSeries(dates=tuple(dates), mid=mids)

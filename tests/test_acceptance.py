@@ -284,8 +284,8 @@ def test_10_desk_scale_end_to_end(desk_scale_run):
         # unrounded premium values recomputed from the input files
         from dualstock.timeseries import align_series, load_ohlc_csv, premium_series
 
-        a = load_ohlc_csv(root / "KRA.csv", ticker="KRA")
-        b = load_ohlc_csv(root / "KRB.csv", ticker="KRB")
+        a = load_ohlc_csv(root / "KRA.csv")
+        b = load_ohlc_csv(root / "KRB.csv")
         premium = premium_series(*align_series(a, b))
         values = [float(v) for v in premium.values]
         stats = premium_summary(premium)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -144,7 +145,6 @@ class TestDegenerateCells:
         grid = ScaleGrid(dj=1 / 4, num_scales=6)
         zero = cwt(np.zeros(128), grid)
         f = coherence(zero, zero)
-        assert f.degenerate.all()
         assert (f.rho2 == 0.0).all()
         assert (f.phase == 0.0).all()
 
@@ -157,6 +157,10 @@ class TestDegenerateCells:
 
 
 class TestFieldStructure:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(CoherenceField)]
+        assert names == ["rho2", "phase", "grid", "coi", "significant", "exceedances"]
+
     def test_inside_coi_shape_and_edges(self):
         rng = np.random.default_rng(60)
         x = rng.standard_normal(128)
@@ -167,16 +171,33 @@ class TestFieldStructure:
         assert inside.shape == f.rho2.shape
         assert not inside[:, 0].any() and not inside[:, -1].any()
 
-    def test_with_significance(self):
+    def test_significance_arrays_stored(self):
         rng = np.random.default_rng(61)
         x = rng.standard_normal(128)
         grid = ScaleGrid.for_length(128)
         f = coherence(cwt(x, grid), cwt(x, grid))
+        assert f.significant is None and f.exceedances is None
         mask = np.zeros_like(f.rho2, dtype=bool)
-        f2 = f.with_significance(mask)
-        assert f2.significant is mask or np.array_equal(f2.significant, mask)
-        with pytest.raises(ValueError, match="shape"):
-            f.with_significance(np.zeros((1, 1), dtype=bool))
+        counts = np.arange(f.rho2.size).reshape(f.rho2.shape)
+        f2 = CoherenceField(f.rho2, f.phase, grid, f.coi, significant=mask, exceedances=counts)
+        assert np.array_equal(f2.significant, mask) and f2.significant.dtype == bool
+        assert np.array_equal(f2.exceedances, counts) and f2.exceedances.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("coi", np.zeros(3), r"coi must have shape \(8,\), got \(3,\)"),
+            ("coi", np.zeros((3, 8)), r"coi must have shape \(8,\), got \(3, 8\)"),
+            ("significant", np.zeros((1, 1), dtype=bool), r"significant must have the shape of rho2 \(3, 8\), got \(1, 1\)"),
+            ("exceedances", np.zeros((2, 2), dtype=np.int64), r"exceedances must have the shape of rho2 \(3, 8\), got \(2, 2\)"),
+        ],
+    )
+    def test_wrong_shape_rejected(self, name, value, message):
+        grid = ScaleGrid(dj=1 / 4, num_scales=3)
+        arrays = dict(rho2=np.full((3, 8), 0.5), phase=np.zeros((3, 8)), coi=cone_of_influence(8))
+        arrays[name] = value
+        with pytest.raises(ValueError, match=message):
+            CoherenceField(grid=grid, **arrays)
 
     @pytest.mark.parametrize(
         "rho2, phase, message",

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import numpy as np
 import pytest
@@ -265,6 +266,10 @@ class TestBatchedTraining:
 
 
 class TestForecastRunValidation:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(ForecastRun)]
+        assert names == ["ticker", "lag", "include_dual", "regime", "seed", "predictions", "actuals", "origins", "provenance"]
+
     def test_provenance_must_precede_origin(self):
         regime = RegimeSpec(kind="rolling", test_size=1, window=5)
         with pytest.raises(ValueError, match="precede"):

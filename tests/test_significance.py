@@ -165,6 +165,17 @@ class TestSignificance:
         assert field.exceedances.min() >= 0 and field.exceedances.max() <= 40
         assert np.array_equal(field.significant, field.exceedances <= 4)
 
+    def test_mask_and_counts_typed_and_read_only(self):
+        rng = np.random.default_rng(116)
+        a = ar1_series(0.5, 128, rng)
+        b = ar1_series(0.3, 128, rng)
+        field = significance(a, b, ScaleGrid.for_length(128), mc=MonteCarloSpec(seed=4, iterations=10))
+        assert field.significant.dtype == bool
+        assert field.exceedances.dtype == np.int64
+        for array in (field.significant, field.exceedances):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
     def test_counts_match_per_iteration_reference(self):
         # one ar1_surrogate pair and one full coherence field per iteration
         rng = np.random.default_rng(114)

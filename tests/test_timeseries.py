@@ -25,10 +25,10 @@ from dualstock.timeseries import (
 from _oracles import load_ohlc_csv_per_row, sorted_quantile
 
 
-def make_series(mids, ticker="T", start=dt.date(2020, 1, 1)):
+def make_series(mids, start=dt.date(2020, 1, 1)):
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(mids)))
     mids = np.asarray(mids, dtype=float)
-    return PriceSeries(ticker=ticker, dates=dates, mid=mids)
+    return PriceSeries(dates=dates, mid=mids)
 
 
 def load_one_row(tmp_path, high, low):
@@ -58,18 +58,18 @@ class TestMidPrice:
 
 
 class TestPriceSeries:
-    def test_fields_are_ticker_dates_mid(self):
-        s = PriceSeries("X", (dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [9.0, 10.5])
-        assert [f.name for f in dataclasses.fields(s)] == ["ticker", "dates", "mid"]
+    def test_fields_are_dates_mid(self):
+        s = PriceSeries((dt.date(2020, 1, 1), dt.date(2020, 1, 2)), [9.0, 10.5])
+        assert [f.name for f in dataclasses.fields(s)] == ["dates", "mid"]
         assert np.array_equal(s.mid, [9.0, 10.5])
 
     def test_rejects_unsorted_dates(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            PriceSeries(ticker="X", dates=(dt.date(2020, 1, 2), dt.date(2020, 1, 1)), mid=[1.0, 1.0])
+            PriceSeries(dates=(dt.date(2020, 1, 2), dt.date(2020, 1, 1)), mid=[1.0, 1.0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            PriceSeries(ticker="X", dates=(dt.date(2020, 1, 1),), mid=[1.0, 2.0])
+            PriceSeries(dates=(dt.date(2020, 1, 1),), mid=[1.0, 2.0])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -120,14 +120,14 @@ class TestDailyReturns:
 class TestAlign:
     def test_identity(self):
         a = make_series([1, 2, 3])
-        b = make_series([4, 5, 6], ticker="U")
+        b = make_series([4, 5, 6])
         ra, rb = align_series(a, b)
         assert ra is a and rb is b
 
     def test_intersection(self):
         d = dt.date(2020, 1, 1)
-        a = PriceSeries("A", (d, d + dt.timedelta(1), d + dt.timedelta(2)), [1, 2, 3])
-        b = PriceSeries("B", (d + dt.timedelta(1), d + dt.timedelta(2), d + dt.timedelta(3)), [4, 5, 6])
+        a = PriceSeries((d, d + dt.timedelta(1), d + dt.timedelta(2)), [1, 2, 3])
+        b = PriceSeries((d + dt.timedelta(1), d + dt.timedelta(2), d + dt.timedelta(3)), [4, 5, 6])
         ra, rb = align_series(a, b)
         assert ra.dates == rb.dates == (d + dt.timedelta(1), d + dt.timedelta(2))
         assert np.array_equal(ra.mid, [2, 3])
@@ -142,8 +142,8 @@ class TestAlign:
 
     def test_three_way_keeps_dates_all_share(self):
         a = make_series([1, 2, 3, 4])
-        b = make_series([5, 6, 7], ticker="U", start=dt.date(2020, 1, 2))
-        c = make_series([8, 9, 10, 11], ticker="V", start=dt.date(2019, 12, 31))
+        b = make_series([5, 6, 7], start=dt.date(2020, 1, 2))
+        c = make_series([8, 9, 10, 11], start=dt.date(2019, 12, 31))
         ra, rb, rc = align_series(a, b, c)
         assert ra.dates == rb.dates == rc.dates == (dt.date(2020, 1, 2), dt.date(2020, 1, 3))
         assert np.array_equal(ra.mid, [2, 3])
@@ -259,7 +259,6 @@ class TestCsvLoading:
         )
         s = load_ohlc_csv(path)
         assert s.n == 3
-        assert s.ticker == "prices"
         assert np.array_equal(s.mid, [9.0, 10.0, 11.0])
 
     def test_high_below_low_fail_names_row(self, tmp_path):
@@ -294,8 +293,7 @@ class TestCsvLoading:
 
     def test_mid_column_mode(self, tmp_path):
         path = self.write(tmp_path, "date,price\n2020-01-01,10\n2020-01-02,12\n")
-        s = load_ohlc_csv(path, CsvFormat(mid_col="price"), ticker="K")
-        assert s.ticker == "K"
+        s = load_ohlc_csv(path, CsvFormat(mid_col="price"))
         assert np.array_equal(s.mid, [10.0, 12.0])
 
     def test_unpadded_iso_date_accepted(self, tmp_path):
@@ -455,7 +453,7 @@ def _outcome(load, path, fmt):
         s = load(path, fmt)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return s.ticker, s.dates, s.mid.tobytes()
+    return s.dates, s.mid.tobytes()
 
 
 class TestLoaderMatchesPerRowOracle:

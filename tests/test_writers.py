@@ -180,11 +180,20 @@ class TestAtomicOpen:
         assert list(outcome.files) == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_csv_failing_midway_leaves_nothing_and_is_not_listed(self, tmp_path):
+    def test_csv_failing_midway_leaves_nothing_and_is_not_listed(self, tmp_path, monkeypatch):
+        import dualstock.cli as cli
+
+        calls = []
+
+        def failing_fixed6(values, out):
+            # two calls per scale row, so rows 0-2 are written before row 3 fails
+            calls.append(None)
+            if len(calls) > 6:
+                raise TypeError("row 3 cannot be formatted")
+            _fixed6(values, out)
+
+        monkeypatch.setattr(cli, "_fixed6", failing_fixed6)
         field = random_field(1, 5, 30)
-        significant = np.ones((5, 30), dtype=object)
-        significant[3, 7] = None  # rows 0-2 are written before row 3 fails
-        field = make_field(field.rho2, field.phase, significant)
         outcome = CommandOutcome()
         with pytest.raises(TypeError):
             outcome.write(tmp_path / "field.csv", _coherence_csv(field, day_list(field.n)))
