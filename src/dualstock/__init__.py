@@ -16,7 +16,7 @@ from .forecast import (
 from .lstm import BatchTrainResult, TrainConfig, TrainingDivergedError, predict_batch, train_batch
 from .metrics import MetricTriple, ReportGrid, assemble_grid, mae, mape, rmse
 from .seeds import child_seed
-from .significance import AR1Params, MonteCarloSpec, ar1_surrogate, fit_ar1, significance
+from .significance import AR1Params, MonteCarloSpec, fit_ar1, significance
 from .svgplot import render_heatmap
 from .timeseries import (
     CsvFormat,

@@ -42,7 +42,7 @@ import numpy as np
 
 from .atomicfile import atomic_open
 from .forecast import ForecastRun, RegimeSpec, forecast
-from .lstm import CLIP_NORM, TrainConfig, TrainingDivergedError
+from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig, TrainingDivergedError
 from .metrics import ReportGrid, assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
 from .significance import MonteCarloSpec, significance
@@ -58,7 +58,7 @@ from .timeseries import (
     render_summary_csv,
     summary_to_dict,
 )
-from .wavelet import DJ, ScaleGrid
+from .wavelet import ScaleGrid
 
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
@@ -72,21 +72,14 @@ TICKER_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9.-]*")
 
 @dataclass(frozen=True)
 class WaveletOptions:
-    dj: float = DJ
     mc_iterations: int = MonteCarloSpec.iterations
-    significance_level: float = MonteCarloSpec.significance_level
 
     def __post_init__(self) -> None:
-        # the records' own checks reject bad values before any analysis runs
-        self.scale_grid(MIN_COHERENCE_LENGTH)
+        # the record's own check rejects a bad value before any analysis runs
         self.monte_carlo(seed=0)
 
-    def scale_grid(self, n: int) -> ScaleGrid:
-        """The scale grid for n returns."""
-        return ScaleGrid.for_length(n, dj=self.dj)
-
     def monte_carlo(self, seed: int) -> MonteCarloSpec:
-        return MonteCarloSpec(seed=seed, iterations=self.mc_iterations, significance_level=self.significance_level)
+        return MonteCarloSpec(seed=seed, iterations=self.mc_iterations)
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,6 @@ class ForecastOptions:
     test_size: int = 300
     epochs: int = TrainConfig.epochs
     hidden_size: int = TrainConfig.hidden_size
-    learning_rate: float = TrainConfig.learning_rate
     tickers: tuple[str, ...] | None = None  # forecast subset; all loaded tickers if None
 
     def __post_init__(self) -> None:
@@ -126,7 +118,7 @@ class ForecastOptions:
         return regimes
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate, hidden_size=self.hidden_size)
+        return TrainConfig(epochs=self.epochs, hidden_size=self.hidden_size)
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,6 @@ class RunConfig:
     out_dir: Path
     seed: int
     analyses: tuple[str, ...] = ANALYSES
-    percent: bool = False
     csv_format: CsvFormat = CsvFormat()
     wavelet: WaveletOptions = WaveletOptions()
     forecast: ForecastOptions = ForecastOptions()
@@ -223,11 +214,11 @@ def load_config(
     raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-    known = {"tickers", "out_dir", "seed", "analyses", "percent", "csv", "wavelet", "forecast"}
+    known = {"tickers", "out_dir", "seed", "analyses", "csv", "wavelet", "forecast"}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, hint in (("seed", int), ("out_dir", str), ("percent", bool)):
+    for key, hint in (("seed", int), ("out_dir", str)):
         if key in raw and not _conforms(raw[key], hint):
             raise ValueError(f"config key {key} must be {hint.__name__}, got {raw[key]!r}")
     paths = raw.get("tickers")
@@ -253,7 +244,6 @@ def load_config(
         out_dir=Path(resolved_out),
         seed=int(resolved_seed),
         analyses=tuple(analyses),
-        percent=raw.get("percent", False),
         csv_format=_section(raw, "csv", CsvFormat()),
         wavelet=_section(raw, "wavelet", WaveletOptions()),
         forecast=_section(raw, "forecast", ForecastOptions()),
@@ -336,22 +326,18 @@ def cmd_premiums(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
     if len(series) < 2:
         raise ValueError("premiums needs at least two tickers")
     out = config.out_dir / "premiums"
-    scale = 100.0 if config.percent else 1.0
     for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
         label = f"{name_a}_over_{name_b}"
         with outcome.unit(f"premiums {label}"):
-            aligned_a, aligned_b = align_series(a, b)
-            if aligned_a.n == 0:
+            premiums = premium_series(a, b)
+            if premiums.n == 0:
                 raise ValueError("empty date intersection")
-            premiums = premium_series(aligned_a, aligned_b)
             stats = premium_summary(premiums)
             lines = ["date,premium"]
-            lines += [
-                f"{d.isoformat()},{v * scale:.6f}" for d, v in zip(premiums.dates, premiums.values)
-            ]
+            lines += [f"{d.isoformat()},{v:.6f}" for d, v in zip(premiums.dates, premiums.values)]
             outcome.write(out / f"{label}_series.csv", "\n".join(lines) + "\n")
-            outcome.write(out / f"{label}_summary.csv", render_summary_csv(stats, config.percent))
-            outcome.write(out / f"{label}_summary.json", _json_text(summary_to_dict(stats, config.percent)))
+            outcome.write(out / f"{label}_summary.csv", render_summary_csv(stats))
+            outcome.write(out / f"{label}_summary.json", _json_text(summary_to_dict(stats)))
 
 
 _DECIMALS = 10 ** np.arange(5, -1, -1)  # place values of the six decimals, in micro-units
@@ -428,7 +414,6 @@ def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutco
     if len(series) < 2:
         raise ValueError("coherence needs at least two tickers")
     out = config.out_dir / "coherence"
-    w = config.wavelet
     for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
         label = f"{name_a}_{name_b}"
         with outcome.unit(f"coherence {label}"):
@@ -437,8 +422,8 @@ def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutco
                 raise ValueError(f"need at least {MIN_COHERENCE_LENGTH + 1} common dates, got {aligned_a.n}")
             returns_a = daily_returns(aligned_a)
             returns_b = daily_returns(aligned_b)
-            grid = w.scale_grid(returns_a.n)
-            mc = w.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
+            grid = ScaleGrid.for_length(returns_a.n)
+            mc = config.wavelet.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
             field = significance(returns_a.values, returns_b.values, grid, mc=mc)
             outcome.write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates))
             title = f"{name_a} / {name_b} squared coherence"
@@ -465,8 +450,8 @@ def _predictions_csv(run: ForecastRun, dates) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
-    f = config.forecast
+def _run_manifest(run: ForecastRun, cfg: TrainConfig, csv_name: str) -> dict:
+    """The run's descriptor; ``cfg`` is the configuration that trained it."""
     return {
         "ticker": run.ticker,
         "lag": run.lag,
@@ -479,9 +464,9 @@ def _run_manifest(run: ForecastRun, config: RunConfig, csv_name: str) -> dict:
         },
         "seed": run.seed,
         "hyperparameters": {
-            "epochs": f.epochs,
-            "hidden_size": f.hidden_size,
-            "learning_rate": f.learning_rate,
+            "epochs": cfg.epochs,
+            "hidden_size": cfg.hidden_size,
+            "learning_rate": LEARNING_RATE,
             "clip_norm": CLIP_NORM,
             "optimizer": "adam",
         },
@@ -524,7 +509,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
             # a run whose files cannot be written is left out of the grids
             stem = _run_stem(run)
             outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run, dates))
-            outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, config, f"{stem}.csv")))
+            outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, cfg, f"{stem}.csv")))
             runs_by_ticker[name].append(run)
 
     declared_regimes = tuple(r.label for r in regimes)

@@ -47,6 +47,8 @@ __all__ = [
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+# Adam's step size.
+LEARNING_RATE = 1e-2
 # Each sample's gradient is scaled down to this global L2 norm when above it.
 CLIP_NORM = 1.0
 
@@ -268,14 +270,11 @@ class TrainConfig:
     """Training hyperparameters that every model of a grid shares; each model has its own seed."""
 
     epochs: int = 200
-    learning_rate: float = 1e-2
     hidden_size: int = 16
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
 
@@ -398,7 +397,7 @@ def _train_block(inputs: np.ndarray, targets: np.ndarray, cfg: TrainConfig, seed
             step += 1
             bias1 = 1.0 - BETA1**step
             bias2 = 1.0 - BETA2**step
-            scale = cfg.learning_rate / bias1
+            scale = LEARNING_RATE / bias1
             # v = beta2*v + (1-beta2)*g**2; m = beta1*m + (1-beta1)*g;
             # params -= scale*m / (sqrt(v/bias2) + eps), with g's buffer
             # reused once g is spent

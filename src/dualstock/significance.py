@@ -1,20 +1,20 @@
 """AR(1) red-noise surrogates and Monte-Carlo significance for coherence.
 
 A cell is significant when the observed squared coherence exceeds the
-empirical (1 - level) quantile of the coherence of independently generated
-AR(1) surrogate pairs fitted to the two input series.  ``significance``
-returns the observed ``CoherenceField`` with its boolean mask and, per cell,
-the exceedance count: how many of the m surrogate coherences reached the
-observed one.
+empirical (1 - ``SIGNIFICANCE_LEVEL``) quantile of the coherence of
+independently generated AR(1) surrogate pairs fitted to the two input
+series.  ``significance`` returns the observed ``CoherenceField`` with its
+boolean mask and, per cell, the exceedance count: how many of the m
+surrogate coherences reached the observed one.
 
 Surrogate iterations are seeded individually from (seed, iteration): each
 draws its z_a and then its z_b from ``SeedSequence((seed, iteration))``.
 They are drawn ``BLOCK_ITERATIONS`` at a time, with the AR(1) recursion
-vectorised over the block's series, and the per-iteration arithmetic is the
-same as ``ar1_surrogate``'s, so the surrogates are bit-identical to one
-``ar1_surrogate`` pair per iteration.  The exceedance counters are
-order-independent sums, so mask and counts are bit-identical no matter how
-iterations are scheduled.
+vectorised over the block's series, and each series keeps the arithmetic
+of the scalar recursion, so the surrogates are bit-identical to one scalar
+AR(1) draw per series (the test suite's ``ar1_surrogate`` oracle).  The
+exceedance counters are order-independent sums, so mask and counts are
+bit-identical no matter how iterations are scheduled.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ import numpy as np
 
 from .wavelet import CoherenceField, ScaleGrid, _rho2, cone_of_influence, cwt, phase_field
 
-__all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "ar1_surrogate", "significance"]
+__all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "significance"]
+
+# A cell is significant at 5%, the level of Torrence & Compo (1998).
+SIGNIFICANCE_LEVEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,10 @@ class MonteCarloSpec:
 
     seed: int
     iterations: int = 1000
-    significance_level: float = 0.05
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 < self.significance_level < 1.0:
-            raise ValueError("significance_level must be in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -96,13 +96,6 @@ def _ar1_paths(phi: np.ndarray, sigma: np.ndarray, mean: np.ndarray, z: np.ndarr
     return z
 
 
-def ar1_surrogate(params: AR1Params, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One AR(1) draw of length n, started from the stationary distribution."""
-    z = rng.standard_normal(n)
-    lane = [np.array([v]) for v in (params.phi, params.sigma, params.mean)]
-    return _ar1_paths(*lane, z[:, None])[:, 0]
-
-
 def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, iteration))))
 
@@ -117,7 +110,7 @@ def _surrogate_block(params_a: AR1Params, params_b: AR1Params, n: int, seed: int
     """(2 * len(iterations), n) surrogates: rows 2k and 2k + 1 are iteration k's a and b.
 
     Iteration i draws its z_a and then its z_b from ``SeedSequence((seed, i))``,
-    so every row equals ``ar1_surrogate`` on that iteration's generator.
+    so every row is that iteration's scalar AR(1) draw, bit for bit.
     """
     z = np.empty((n, 2 * len(iterations)))
     for k, i in enumerate(iterations):
@@ -136,9 +129,9 @@ def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField
 
     ``exceedances`` counts, per cell, the m surrogate coherences at or above
     the observed one.  A cell is significant when the observed rho2 lies
-    above the per-cell order statistic at ceil((1 - level) * m) of the
-    surrogate coherences, computed through the same transform and smoothing
-    pipeline as the observed field.
+    above the per-cell order statistic at ceil((1 - SIGNIFICANCE_LEVEL) * m)
+    of the surrogate coherences, computed through the same transform and
+    smoothing pipeline as the observed field.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -159,7 +152,7 @@ def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField
             sur_b = cwt(surrogates[2 * k + 1], grid)
             count_ge += _rho2(sur_a, sur_b)[0] >= rho2
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
-    threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)
+    threshold = math.floor(SIGNIFICANCE_LEVEL * mc.iterations + 1e-9)
     return CoherenceField(
         rho2, phase, grid, cone_of_influence(n), significant=count_ge <= threshold, exceedances=count_ge
     )

@@ -3,10 +3,9 @@
 The loader forms each row's mid price 0.5 * (high + low), or reads a mid
 column as it is, and the mid is the only price a series stores: every
 analysis reads one price per day.  Prices are strictly positive, dates
-strictly increasing.  Premiums are stored as dimensionless fractions (0.5
-means +50%); percent scaling happens only at report emission.  Pairwise
-analysis is defined on the date intersection of the two inputs -- there is
-no calendar imputation.
+strictly increasing.  Premiums are dimensionless fractions (0.5 means
++50%), stored and written as such.  Pairwise analysis is defined on the
+date intersection of the two inputs -- there is no calendar imputation.
 """
 
 from __future__ import annotations
@@ -328,18 +327,17 @@ def load_ohlc_csv(path: str | Path, fmt: CsvFormat = CsvFormat()) -> PriceSeries
     return PriceSeries(dates=dates, mid=mid)
 
 
-def summary_to_dict(stats: SummaryStats, percent: bool = False) -> dict:
-    """Summary keyed by field name; float fields scaled to percent if asked and rounded to 6 decimals."""
-    scale = 100.0 if percent else 1.0
+def summary_to_dict(stats: SummaryStats) -> dict:
+    """Summary keyed by field name; float fields rounded to 6 decimals."""
     # the module's annotations are strings, so a field's declared type is "float" or "int"
     return {
-        f.name: round(getattr(stats, f.name) * scale, 6) if f.type == "float" else getattr(stats, f.name)
+        f.name: round(float(getattr(stats, f.name)), 6) if f.type == "float" else getattr(stats, f.name)
         for f in fields(stats)
     }
 
 
-def render_summary_csv(stats: SummaryStats, percent: bool = False) -> str:
+def render_summary_csv(stats: SummaryStats) -> str:
     """Two-line CSV (header + values); float fields rendered with 6 decimals."""
-    d = summary_to_dict(stats, percent=percent)
+    d = summary_to_dict(stats)
     cells = [f"{d[f.name]:.6f}" if f.type == "float" else str(d[f.name]) for f in fields(stats)]
     return ",".join(d) + "\n" + ",".join(cells) + "\n"

@@ -2,14 +2,15 @@
 
 One sample is one trading day: scales, periods and the cone of influence
 are all in days.  The method is the standard Morlet one, with fixed
-constants: wave number ``OMEGA0`` = 6, smallest scale ``S0`` = 2 days, and
-coherence smoothing by a Gaussian in time one scale wide and a boxcar of
-``SCALE_WINDOW_OCTAVES`` = 0.6 octave across scales, the scale decorrelation
-length of this wavelet (Torrence & Compo 1998, table 2; Grinsted, Moore &
-Jevrejeva 2004).  The 0.6 octave fits wave number 6 only, so none of these
-is an option.  The transform uses the energy convention only: the
-kernel at scale s carries a 1/sqrt(s) weight so every scale has comparable
-power (coherence does not depend on this choice).  The FFT path builds each
+constants: wave number ``OMEGA0`` = 6, smallest scale ``S0`` = 2 days, a
+scale ladder of ``DJ`` = 1/12 octave per step, and coherence smoothing by
+a Gaussian in time one scale wide and a boxcar of ``SCALE_WINDOW_OCTAVES``
+= 0.6 octave across scales, the scale decorrelation length of this wavelet
+(Torrence & Compo 1998, table 2; Grinsted, Moore & Jevrejeva 2004).  The
+0.6 octave fits wave number 6 only, and none of these is an option.  The
+transform uses the energy convention only: the kernel at scale s carries
+a 1/sqrt(s) weight so every scale has comparable power (coherence does
+not depend on this choice).  The FFT path builds each
 scale's frequency response as the exact discrete Fourier transform of the
 sampled Morlet kernel (an alias-summed Gaussian), so it reproduces the
 direct time-domain summation to machine precision once the series is
@@ -58,7 +59,7 @@ _TWO_PI = 2.0 * math.pi
 OMEGA0 = 6.0
 S0 = 2.0
 SCALE_WINDOW_OCTAVES = 0.6
-# Default scale ladder step in octaves: twelve scales per octave.
+# Step of the dyadic scale ladder (Torrence & Compo 1998) in octaves: twelve scales per octave.
 DJ = 1.0 / 12.0
 # Ratio of Fourier period to scale.
 FOURIER_FACTOR = 4.0 * math.pi / (OMEGA0 + math.sqrt(2.0 + OMEGA0 * OMEGA0))
@@ -87,18 +88,17 @@ class ScaleGrid:
         return self.scales * FOURIER_FACTOR
 
     @classmethod
-    def for_length(cls, n: int, dj: float = DJ) -> "ScaleGrid":
-        """Default grid: largest Fourier period >= min(span/3, 512) days."""
+    def for_length(cls, n: int) -> "ScaleGrid":
+        """The ``DJ`` ladder for n days: largest Fourier period >= min(span/3, 512) days."""
         if n < 4:
             raise ValueError(f"series too short for a scale grid: n={n}")
-        cls(dj=dj, num_scales=1)  # checks dj before it is used
         target = min(n / 3.0, 512.0)
         smallest_period = S0 * FOURIER_FACTOR
         if target <= smallest_period:
             num = 1
         else:
-            num = 1 + math.ceil(math.log2(target / smallest_period) / dj)
-        return cls(dj=dj, num_scales=num)
+            num = 1 + math.ceil(math.log2(target / smallest_period) / DJ)
+        return cls(dj=DJ, num_scales=num)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,16 @@ def ar1_series(phi: float, n: int, rng: np.random.Generator, sigma: float = 1.0)
     return out
 
 
+def ar1_surrogate(params, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One AR(1) surrogate of length n with fitted ``params``, one step at a time.
+
+    The scalar recursion from the stationary distribution, then the mean
+    added.  ``dualstock.significance`` draws its surrogates in vectorised
+    blocks that must match this, bit for bit.
+    """
+    return ar1_series(params.phi, n, rng, sigma=params.sigma) + params.mean
+
+
 def lstm_forward_literal(flat, window, hidden_size: int, cells=None) -> float:
     """Prediction of one model for one (L, D) window, one cell at a time.
 
@@ -180,7 +190,8 @@ def lstm_train_per_sample(inputs, targets, cfg, seed):
     +-1/sqrt(H+D); forget-gate biases 1), one permutation per epoch,
     ``lstm_forward_literal`` for the forward, ``lstm_grads_literal`` for the
     gradient, the gradient norm summed per segment in buffer order and
-    clipped to 1.0, and Adam with beta1 0.9, beta2 0.999 and epsilon 1e-8.
+    clipped to 1.0, and Adam with step size 0.01, beta1 0.9, beta2 0.999 and
+    epsilon 1e-8.
     Returns the flat parameter buffer and the epoch loss trace.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -217,7 +228,7 @@ def lstm_train_per_sample(inputs, targets, cfg, seed):
             step += 1
             m = 0.9 * m + (1.0 - 0.9) * grads
             v = 0.999 * v + (1.0 - 0.999) * grads**2
-            scale = cfg.learning_rate / (1.0 - 0.9**step)
+            scale = 0.01 / (1.0 - 0.9**step)
             flat -= scale * m / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
         trace.append(sq_sum / len(inputs))
     return flat, trace

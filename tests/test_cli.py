@@ -26,6 +26,17 @@ def write_prices(path, mids, start=dt.date(2021, 1, 1)):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_example_config(tmp_path):
+    """The README's example config, with a stub CSV under ``tmp_path`` for each of its tickers."""
+    example = json.loads(re.search(r"Example config:\s*```json\n(.*?)```", README, re.DOTALL).group(1))
+    for name in example["tickers"].values():
+        write_prices(tmp_path / name, [10.0, 11.0])
+    return example
+
+
 def synthetic_tickers(tmp_path, n=120, seed=200):
     rng = np.random.default_rng(seed)
     trend = 20 + np.cumsum(rng.normal(0, 0.05, size=n))
@@ -55,14 +66,11 @@ def write_config(tmp_path, tickers, /, out_name="out", **overrides):
 # one out-of-range value per config section key, with the message of the record that rejects it
 RANGE_ERRORS = [
     ("forecast", {"epochs": 0}, "epochs must be >= 1"),
-    ("forecast", {"learning_rate": 0}, "learning_rate must be positive"),
     ("forecast", {"lags": [4, 0]}, "lags must be >= 1, got 0"),
     ("forecast", {"windows": [1]}, "rolling regime requires window >= 2"),
     ("forecast", {"test_size": 0}, "test_size must be >= 1"),
     ("forecast", {"tickers": ["ZZZ"]}, "tickers ['ZZZ'] are not declared inputs"),
-    ("wavelet", {"dj": 0}, "dj must be positive"),
     ("wavelet", {"mc_iterations": 0}, "iterations must be >= 1"),
-    ("wavelet", {"significance_level": 1.5}, "significance_level must be in (0, 1)"),
     ("csv", {"on_invalid": "ignore"}, "on_invalid must be 'fail' or 'skip'"),
     ("csv", {"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
     ("csv", {"delimiter": ""}, "delimiter must be one character, got ''"),
@@ -70,11 +78,20 @@ RANGE_ERRORS = [
 
 
 class TestConfig:
-    def test_unknown_keys_rejected(self, tmp_path):
-        tickers = synthetic_tickers(tmp_path)
-        path = write_config(tmp_path, tickers, bogus=1)
-        with pytest.raises(ValueError, match="unknown config keys"):
+    @pytest.mark.parametrize(
+        "key, value",
+        # premiums are written as fractions only, so percent, the key that
+        # scaled them, fails like any other unknown key
+        [("bogus", 1), ("percent", False), ("percent", True), ("percent", "false")],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, synthetic_tickers(tmp_path), **{key: value})
+        message = f"unknown config keys: [{key!r}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -89,6 +106,14 @@ class TestConfig:
             ("wavelet", "time_std_scales", 1.0),
             ("wavelet", "scale_window_octaves", 0.6),
             ("forecast", "clip_norm", 1.0),
+            # the scale step, the significance level and the learning rate, at
+            # their values and at others
+            ("wavelet", "dj", 1 / 12),
+            ("wavelet", "dj", 0.25),
+            ("wavelet", "significance_level", 0.05),
+            ("wavelet", "significance_level", 0.1),
+            ("forecast", "learning_rate", 0.01),
+            ("forecast", "learning_rate", 0.05),
         ],
     )
     def test_unknown_section_keys_rejected(self, tmp_path, capsys, section, key, value):
@@ -133,7 +158,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("percent", "false"),
             ("analyses", "premiums"),
             ("analyses", ["premiums", "bogus"]),
             ("seed", 1.5),
@@ -274,10 +298,8 @@ class TestConfig:
         assert [r.label for r in load_config(path).forecast.regimes()] == ["mece"]
 
     def test_readme_example_config_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-        example = json.loads(re.search(r"Example config:\s*```json\n(.*?)```", readme, re.DOTALL).group(1))
-        for name in example["tickers"].values():
-            write_prices(tmp_path / name, [10.0, 11.0])
+        # a config key deleted from the code must leave the README's example too
+        example = readme_example_config(tmp_path)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(example), encoding="utf-8")
         config = load_config(path)
@@ -286,10 +308,25 @@ class TestConfig:
         assert config.forecast.windows == tuple(example["forecast"]["windows"])
         assert config.wavelet.mc_iterations == example["wavelet"]["mc_iterations"]
 
+    def test_readme_wrong_type_examples_name_their_key(self, tmp_path):
+        # each wrong-typed value the README quotes, set in its example config,
+        # is the config error that names the key
+        quoted = re.search(r"wrong type \(for example (.*?)\) names its\s+key", README, re.DOTALL).group(1)
+        examples = re.findall(r'`"(\w+)": (.*?)`', quoted)
+        assert examples
+        for key, value in examples:
+            example = readme_example_config(tmp_path)
+            section = next((name for name, v in example.items() if isinstance(v, dict) and key in v), None)
+            (example[section] if section else example)[key] = json.loads(value)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(example), encoding="utf-8")
+            name = f"{section}.{key}" if section else key
+            with pytest.raises(ValueError, match=re.escape(f"config key {name} must be")):
+                load_config(path)
+
     def test_readme_quickstart_imports_exist(self):
         # a public name deleted from the package must leave the README too
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-        code = re.search(r"## Library quickstart\s*```python\n(.*?)```", readme, re.DOTALL).group(1)
+        code = re.search(r"## Library quickstart\s*```python\n(.*?)```", README, re.DOTALL).group(1)
         imported = [
             (node.module, alias.name)
             for node in ast.walk(ast.parse(code))
@@ -485,16 +522,6 @@ class TestPremiumsCommand:
         assert manifest["failures"] == [f"premiums: {path}, line 6: field larger than field limit (131072)"]
         assert manifest["outputs"] == []
 
-    def test_percent_rendering(self, tmp_path):
-        tickers = synthetic_tickers(tmp_path)
-        config_path = write_config(tmp_path, tickers, percent=True)
-        assert main(["premiums", "--config", str(config_path)]) == 0
-        summary = json.loads(
-            (tmp_path / "out" / "premiums" / "AAA_over_BBB_summary.json").read_text()
-        )
-        # fractions on these synthetic series are within +-1, percent beyond
-        assert abs(summary["max"]) > 1.0
-
 
 class TestCoherenceCommand:
     def coherence_config(self, tmp_path, n=140, iterations=20):
@@ -619,6 +646,18 @@ class TestForecastCommand:
         assert main(["forecast", "--config", str(config_path)]) == 0
         runs = sorted((tmp_path / "out" / "forecast" / "runs").glob("*.json"))
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in runs} == FORECAST_DESCRIPTOR_DIGESTS
+
+    def test_run_descriptor_records_the_training_settings(self, tmp_path):
+        # epochs and hidden size come from the config; the learning rate and
+        # the clip norm are constants, recorded all the same
+        config_path = self.forecast_config(tmp_path, windows=[10], test_size=3, epochs=2, hidden_size=3)
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs = sorted((tmp_path / "out" / "forecast" / "runs").glob("*.json"))
+        assert runs
+        for path in runs:
+            assert json.loads(path.read_text())["hyperparameters"] == {
+                "epochs": 2, "hidden_size": 3, "learning_rate": 0.01, "clip_norm": 1.0, "optimizer": "adam",
+            }
 
     @pytest.mark.parametrize("names", [["AAA"], ["AAA", "BBB"]])
     @pytest.mark.parametrize("command", ["forecast", "run"])

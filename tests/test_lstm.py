@@ -306,7 +306,7 @@ class TestTrain:
     def test_matches_per_sample_oracle(self, lag, dim, hidden):
         rng = np.random.default_rng(20 + lag)
         inputs, targets = make_samples(rng, count=7, lag=lag, dim=dim, target=0.2)
-        cfg = TrainConfig(epochs=3, hidden_size=hidden, learning_rate=0.05)
+        cfg = TrainConfig(epochs=3, hidden_size=hidden)
         result = train_batch(inputs, targets, cfg, seeds=[lag])
         flat, trace = lstm_train_per_sample(inputs[0], targets[0], cfg, lag)
         assert np.array_equal(result.flat[0], flat)
@@ -316,9 +316,7 @@ class TestTrain:
         "kwargs",
         [
             {"epochs": 0},
-            {"learning_rate": 0.0},
             {"hidden_size": 0},
-            {"learning_rate": -1e-3},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -7,13 +7,12 @@ import pytest
 from dualstock.significance import (
     AR1Params,
     MonteCarloSpec,
-    ar1_surrogate,
     fit_ar1,
     significance,
 )
 from dualstock.wavelet import ScaleGrid, coherence, cwt
 
-from _oracles import ar1_series
+from _oracles import ar1_series, ar1_surrogate
 
 # the package rebinds ``dualstock.significance`` to the function
 sig_module = importlib.import_module("dualstock.significance")
@@ -50,14 +49,13 @@ class TestFitAr1:
 class TestSurrogates:
     def test_deterministic_given_seed(self):
         params = AR1Params(phi=0.6, sigma=1.0, mean=3.0)
-        a = ar1_surrogate(params, 200, np.random.Generator(np.random.PCG64(9)))
-        b = ar1_surrogate(params, 200, np.random.Generator(np.random.PCG64(9)))
+        a = sig_module._surrogate_block(params, params, 200, 9, range(3))
+        b = sig_module._surrogate_block(params, params, 200, 9, range(3))
         assert np.array_equal(a, b)
 
     def test_moments(self):
         params = AR1Params(phi=0.5, sigma=1.0, mean=-2.0)
-        rng = np.random.Generator(np.random.PCG64(10))
-        x = ar1_surrogate(params, 50_000, rng)
+        x = sig_module._surrogate_block(params, params, 50_000, 10, range(1))[0]
         assert x.mean() == pytest.approx(-2.0, abs=0.05)
         # stationary variance sigma^2 / (1 - phi^2)
         assert x.var() == pytest.approx(1.0 / 0.75, rel=0.05)
@@ -71,9 +69,11 @@ class TestSurrogates:
     def test_matches_scalar_recursion(self, phi, sigma, mean):
         # the vectorised recursion on one lane is the scalar loop, bit for bit
         params = AR1Params(phi=phi, sigma=sigma, mean=mean)
+        lane = [np.array([v]) for v in (phi, sigma, mean)]
         for seed in range(12):
-            got = ar1_surrogate(params, 60, np.random.Generator(np.random.PCG64(seed)))
-            want = ar1_series(phi, 60, np.random.Generator(np.random.PCG64(seed)), sigma=sigma) + mean
+            z = np.random.Generator(np.random.PCG64(seed)).standard_normal(60)
+            got = sig_module._ar1_paths(*lane, z[:, None])[:, 0]
+            want = ar1_surrogate(params, 60, np.random.Generator(np.random.PCG64(seed)))
             assert np.array_equal(got, want)
 
     def test_block_draw_bit_equal_to_per_iteration_draws(self):
@@ -92,15 +92,11 @@ class TestMonteCarloSpec:
     def test_defaults(self):
         mc = MonteCarloSpec(seed=7)
         assert mc.iterations == 1000
-        assert mc.significance_level == 0.05
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"iterations": 0},
-            {"significance_level": 0.0},
-            {"significance_level": 1.0},
-            {"significance_level": 1.5},
             {"seed": -1},
         ],
     )
@@ -151,19 +147,21 @@ class TestSignificance:
         with pytest.raises(ValueError, match="zero variance"):
             significance(np.ones(128), np.ones(128), grid, mc=MonteCarloSpec(seed=0))
 
-    def test_returns_observed_field_with_counts(self):
+    # 5% of m iterations: at most floor(0.05 * m) surrogates may reach a significant cell
+    @pytest.mark.parametrize("iterations, allowed", [(40, 2), (19, 0)])
+    def test_returns_observed_field_with_counts(self, iterations, allowed):
         rng = np.random.default_rng(113)
         a = ar1_series(0.5, 160, rng)
         b = 0.5 * a + ar1_series(0.5, 160, rng)
         grid = ScaleGrid.for_length(160)
-        mc = MonteCarloSpec(seed=9, iterations=40, significance_level=0.1)
+        mc = MonteCarloSpec(seed=9, iterations=iterations)
         field = significance(a, b, grid, mc=mc)
         observed = coherence(cwt(a, grid), cwt(b, grid))
         assert np.array_equal(field.rho2, observed.rho2)
         assert np.array_equal(field.phase, observed.phase)
         assert field.exceedances.shape == field.rho2.shape
-        assert field.exceedances.min() >= 0 and field.exceedances.max() <= 40
-        assert np.array_equal(field.significant, field.exceedances <= 4)
+        assert field.exceedances.min() >= 0 and field.exceedances.max() <= iterations
+        assert np.array_equal(field.significant, field.exceedances <= allowed)
 
     def test_mask_and_counts_typed_and_read_only(self):
         rng = np.random.default_rng(116)
@@ -193,7 +191,7 @@ class TestSignificance:
             sur_b = ar1_surrogate(params_b, 128, it_rng)
             counts += coherence(cwt(sur_a, grid), cwt(sur_b, grid)).rho2 >= observed
         assert np.array_equal(field.exceedances, counts)
-        threshold = math.floor(mc.significance_level * mc.iterations + 1e-9)
+        threshold = math.floor(0.05 * mc.iterations + 1e-9)
         assert np.array_equal(field.significant, counts <= threshold)
 
     @pytest.mark.parametrize("block", [1, 7, 64])

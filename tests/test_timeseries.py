@@ -483,11 +483,6 @@ class TestSummaryRendering:
         assert d["q1"] == -0.025
         assert d["n"] == 4
 
-    def test_percent_flag(self):
-        d = summary_to_dict(self.stats, percent=True)
-        assert d["max"] == 20.0
-        assert d["count_premium"] == 2
-
     def test_csv_six_decimals(self):
         text = render_summary_csv(self.stats)
         header, row = text.strip().split("\n")
@@ -495,33 +490,18 @@ class TestSummaryRendering:
         assert row.split(",")[1] == "-0.025000"
         assert row.split(",")[-1] == "4"
 
-    @pytest.mark.parametrize(
-        "percent, csv_text, json_text",
-        [
-            (
-                False,
-                "min,q1,median,mean,q3,max,count_premium,count_discount,count_parity,n\n"
-                "0.000000,0.012346,0.500000,0.400000,1.250000,3.612100,3,0,1,4\n",
-                '{\n  "count_discount": 0,\n  "count_parity": 1,\n  "count_premium": 3,\n'
-                '  "max": 3.6121,\n  "mean": 0.4,\n  "median": 0.5,\n  "min": 0.0,\n'
-                '  "n": 4,\n  "q1": 0.012346,\n  "q3": 1.25\n}\n',
-            ),
-            (
-                True,
-                "min,q1,median,mean,q3,max,count_premium,count_discount,count_parity,n\n"
-                "0.000000,1.234568,50.000000,40.000000,125.000000,361.210000,3,0,1,4\n",
-                '{\n  "count_discount": 0,\n  "count_parity": 1,\n  "count_premium": 3,\n'
-                '  "max": 361.21,\n  "mean": 40.0,\n  "median": 50.0,\n  "min": 0.0,\n'
-                '  "n": 4,\n  "q1": 1.234568,\n  "q3": 125.0\n}\n',
-            ),
-        ],
-        ids=["fraction", "percent"],
-    )
-    def test_hand_built_bytes(self, percent, csv_text, json_text):
+    def test_hand_built_bytes(self):
         # min=0 is an int, but its field is declared float, so it prints as one
         stats = SummaryStats(
             min=0, q1=0.0123456789, median=0.5, mean=0.4, q3=1.25, max=3.6121,
             count_premium=3, count_discount=0, count_parity=1, n=4,
         )
-        assert render_summary_csv(stats, percent) == csv_text
-        assert json.dumps(summary_to_dict(stats, percent), indent=2, sort_keys=True) + "\n" == json_text
+        assert render_summary_csv(stats) == (
+            "min,q1,median,mean,q3,max,count_premium,count_discount,count_parity,n\n"
+            "0.000000,0.012346,0.500000,0.400000,1.250000,3.612100,3,0,1,4\n"
+        )
+        assert json.dumps(summary_to_dict(stats), indent=2, sort_keys=True) + "\n" == (
+            '{\n  "count_discount": 0,\n  "count_parity": 1,\n  "count_premium": 3,\n'
+            '  "max": 3.6121,\n  "mean": 0.4,\n  "median": 0.5,\n  "min": 0.0,\n'
+            '  "n": 4,\n  "q1": 0.012346,\n  "q3": 1.25\n}\n'
+        )
