@@ -33,7 +33,6 @@ from .wavelet import (
     CoherenceField,
     ScaleGrid,
     Scaleogram,
-    coherence,
     cone_of_influence,
     cwt,
     phase_field,

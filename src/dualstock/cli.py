@@ -395,7 +395,6 @@ def _coherence_csv(field, dates) -> Iterable[str]:
     buf = np.zeros((n, b + 24), dtype=np.uint8)
     buf[:, :a] = prefixes.view(np.uint8).reshape(n, a)
     buf[:, [b + 9, b + 19, b + 21]] = ord(",")
-    buf[:, b + 20] = ord("0")
     buf[:, b + 23] = ord("\n")
     yield "time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi\n"
     for j, scale_column in enumerate(scale_columns):
@@ -403,8 +402,7 @@ def _coherence_csv(field, dates) -> Iterable[str]:
         buf[:, a : a + len(scale_column)] = np.frombuffer(scale_column, dtype=np.uint8)
         _fixed6(field.rho2[j], buf[:, b : b + 9])
         _fixed6(field.phase[j], buf[:, b + 10 : b + 19])
-        if significant is not None:
-            buf[:, b + 20] = significant[j] + ord("0")
+        buf[:, b + 20] = significant[j] + ord("0")
         buf[:, b + 22] = inside[j] + ord("0")
         yield buf[buf != 0].tobytes().decode("ascii")
 
@@ -603,7 +601,6 @@ def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: Comm
         "outputs": [{"path": p, "sha256": sha} for p, sha in entries],
         "failures": sorted(outcome.failures),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
     with atomic_open(path) as fh:
         fh.write(_json_text(manifest).encode("utf-8"))
@@ -649,15 +646,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "report":
-        seed = None
-        out_dir = Path(args.out)
-        command = "report"
-        outcome = CommandOutcome(roots=(Path(args.runs), out_dir))
-        with outcome.unit("report"):
-            cmd_report(Path(args.runs), out_dir, outcome)
-    else:
-        try:
+    try:
+        if args.command == "report":
+            seed = None
+            out_dir = Path(args.out)
+            command = "report"
+            outcome = CommandOutcome(roots=(Path(args.runs), out_dir))
+        else:
             config = load_config(args.config, seed=args.seed, out_dir=args.out)
             selected = config.analyses if args.command == "run" else (args.command,)
             pairwise = [analysis for analysis in selected if analysis in PAIRWISE]
@@ -672,13 +667,19 @@ def main(argv=None) -> int:
                     f"config key forecast.duals includes true: a dual run needs exactly three declared tickers, "
                     f"got {len(config.tickers)}"
                 )
-        except (ValueError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        seed = config.seed
-        out_dir = config.out_dir
-        outcome = CommandOutcome(roots=(out_dir,))
-        command = "run:" + ",".join(selected) if args.command == "run" else args.command
+            seed = config.seed
+            out_dir = config.out_dir
+            command = "run:" + ",".join(selected) if args.command == "run" else args.command
+            outcome = CommandOutcome(roots=(out_dir,))
+        # an output path that cannot be a directory fails before any input is read
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    if args.command == "report":
+        with outcome.unit("report"):
+            cmd_report(Path(args.runs), out_dir, outcome)
+    else:
         handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
         series = None
         for analysis in selected:

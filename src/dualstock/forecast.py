@@ -90,6 +90,10 @@ class RegimeSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("mece", "rolling"):
             raise ValueError(f"kind must be 'mece' or 'rolling', got {self.kind!r}")
+        for key in ("test_size", "train_size", "window"):
+            value = getattr(self, key)
+            if value is not None and type(value) is not int:  # a float or a bool is not a size
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.test_size < 1:
             raise ValueError("test_size must be >= 1")
         if self.kind == "mece":

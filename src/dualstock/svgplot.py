@@ -4,8 +4,8 @@ Pure text emission, no plotting dependency: the output of a given field is
 byte-identical across runs, which keeps plots diffable in tests.  Layout
 follows the usual coherence display: time on x, log2(period) on y with
 period increasing downward, rho^2 as the colormap, phase arrows decimated to
-one per 16x4 cell block (east = in phase, north = +pi/2), the cone of
-influence shaded, and significant regions contoured.
+one per 16x4 cell block in significant cells (east = in phase, north =
++pi/2), the cone of influence shaded, and the significance mask contoured.
 
 The SVG text is yielded in chunks for a writer to stream to its file; the
 two large parts are found with numpy and yielded one scale row at a time.
@@ -166,13 +166,13 @@ def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) 
 
     parts: list[str] = []
     # Phase arrows: one per block, suppressed outside the significant region
-    # (when a mask is present) and outside the cone of influence.
+    # and outside the cone of influence.
     inside = field.inside_coi()
     for jb in range(ARROW_BLOCK_S // 2, num_scales, ARROW_BLOCK_S):
         for tb in range(ARROW_BLOCK_T // 2, n, ARROW_BLOCK_T):
             if not inside[jb, tb]:
                 continue
-            if mask is not None and not mask[jb, tb]:
+            if not mask[jb, tb]:
                 continue
             theta = float(field.phase[jb, tb])
             cx = x_of(tb + 0.5)
@@ -264,7 +264,7 @@ def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) 
     # yielded a scale row at a time.
     yield "\n".join(opening) + "\n"
     yield from _heatmap_rows(rho2, xs, ys, cell_w, cell_h)
-    if mask is not None and mask.any():
+    if mask.any():
         yield '<path class="significance-contour" d="'
         yield from _contour_rows(mask, xs, ys)
         yield '" stroke="#000000" stroke-width="1" fill="none"/>\n'

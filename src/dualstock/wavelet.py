@@ -30,8 +30,8 @@ Gaussian is real and symmetric, so its spectrum is real: the two power
 terms |W|^2 / s are smoothed with rfft/irfft against the half spectrum, the
 complex cross term with fft/ifft against the full one.  Because numerator
 and denominators share the same weights, Cauchy-Schwarz keeps rho^2 within
-[0, 1] up to float roundoff.  ``coherence`` adds the phase to the rho^2 that
-Monte-Carlo surrogates compute alone.
+[0, 1] up to float roundoff.  ``significance.significance`` builds every
+``CoherenceField`` from ``_rho2``, ``phase_field`` and ``cone_of_influence``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "CoherenceField",
     "cwt",
     "smooth",
-    "coherence",
     "phase_field",
     "cone_of_influence",
 ]
@@ -330,16 +329,15 @@ class CoherenceField:
 
     ``significant`` (bool) and ``exceedances`` (int64: per cell, the number of
     surrogate coherences at or above the observed one) come from
-    ``significance.significance``; a field from ``coherence`` has None for
-    both.  Every array is stored read-only.
+    ``significance.significance``.  Every array is stored read-only.
     """
 
     rho2: np.ndarray
     phase: np.ndarray
     grid: ScaleGrid
     coi: np.ndarray
-    significant: np.ndarray | None = None
-    exceedances: np.ndarray | None = None
+    significant: np.ndarray
+    exceedances: np.ndarray
 
     def __post_init__(self) -> None:
         rho2 = np.asarray(self.rho2, dtype=np.float64)
@@ -359,10 +357,9 @@ class CoherenceField:
             raise ValueError(f"coi must have shape {rho2.shape[1:]}, got {coi.shape}")
         arrays = {"rho2": rho2, "phase": phase, "coi": coi}
         for name, dtype in (("significant", bool), ("exceedances", np.int64)):
-            if getattr(self, name) is not None:
-                arrays[name] = np.asarray(getattr(self, name), dtype=dtype)
-                if arrays[name].shape != rho2.shape:
-                    raise ValueError(f"{name} must have the shape of rho2 {rho2.shape}, got {arrays[name].shape}")
+            arrays[name] = np.asarray(getattr(self, name), dtype=dtype)
+            if arrays[name].shape != rho2.shape:
+                raise ValueError(f"{name} must have the shape of rho2 {rho2.shape}, got {arrays[name].shape}")
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -394,14 +391,3 @@ def _rho2(a: Scaleogram, b: Scaleogram):
     rho2[degenerate] = 0.0
     np.clip(rho2, 0.0, 1.0, out=rho2)
     return rho2, cross
-
-
-def coherence(a: Scaleogram, b: Scaleogram) -> CoherenceField:
-    """Smoothed squared coherence and phase of two scaleograms.
-
-    rho2 = |Q(W_ab / s)|^2 / (Q(|W_a|^2 / s) * Q(|W_b|^2 / s)) with Q the
-    smoothing operator; cells with a vanishing denominator get rho2 = 0.
-    Values are clamped into [0, 1] after smoothing.
-    """
-    rho2, cross = _rho2(a, b)
-    return CoherenceField(rho2, phase_field(cross), a.grid, cone_of_influence(a.n))

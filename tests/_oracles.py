@@ -30,6 +30,7 @@ from dualstock.svgplot import (
     _fmt,
 )
 from dualstock.timeseries import CsvFormat, PriceSeries
+from dualstock.wavelet import CoherenceField, _rho2, cone_of_influence, phase_field
 
 
 def morlet_mother(t, omega0: float = 6.0):
@@ -234,6 +235,23 @@ def lstm_train_per_sample(inputs, targets, cfg, seed):
     return flat, trace
 
 
+def coherence(a, b) -> CoherenceField:
+    """The observed field of two scaleograms, built as ``significance`` builds it, with no Monte-Carlo run.
+
+    Not an oracle: a test helper for tests whose unit is rho2 and phase.  The
+    mask is all False and the exceedance counts are zero.
+    """
+    rho2, cross = _rho2(a, b)
+    return CoherenceField(
+        rho2,
+        phase_field(cross),
+        a.grid,
+        cone_of_influence(a.n),
+        significant=np.zeros(rho2.shape, dtype=bool),
+        exceedances=np.zeros(rho2.shape, dtype=np.int64),
+    )
+
+
 def coherence_single_pad(x_a, x_b, grid, time_std: float = 1.0, octaves: float = 0.6, dt: float = 1.0):
     """rho^2 and phase by one pad length for every scale and complex FFTs throughout.
 
@@ -294,7 +312,6 @@ def coherence_csv_per_cell(field, dates) -> str:
     inside = field.inside_coi()
     scales = field.grid.scales
     periods = field.grid.fourier_periods
-    significant = field.significant
     day_s = [dates[t].isoformat() for t in range(field.n)]
     # One joined block per scale keeps a few thousand row strings alive at a
     # time instead of the whole field's; the trailing "" ends the last line.
@@ -304,10 +321,9 @@ def coherence_csv_per_cell(field, dates) -> str:
         period_s = f"{periods[j]:.6f}"
         rows = []
         for t in range(field.n):
-            sig = int(significant[j, t]) if significant is not None else 0
             rows.append(
                 f"{t},{day_s[t]},{scale_s},{period_s},"
-                f"{field.rho2[j, t]:.6f},{field.phase[j, t]:.6f},{sig},{int(inside[j, t])}"
+                f"{field.rho2[j, t]:.6f},{field.phase[j, t]:.6f},{int(field.significant[j, t])},{int(inside[j, t])}"
             )
         blocks.append("\n".join(rows))
     blocks.append("")
@@ -367,37 +383,36 @@ def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
 
     # Significance contour: edges between significant and non-significant
     # cells, merged into a single path element.
-    if field.significant is not None:
-        mask = np.asarray(field.significant, dtype=bool)
-        segments: list[str] = []
-        for j in range(num_scales):
-            for t in range(n):
-                if not mask[j, t]:
-                    continue
-                x0, x1 = x_of(t), x_of(t + 1)
-                y0, y1 = y_of_row(j), y_of_row(j + 1)
-                if t == 0 or not mask[j, t - 1]:
-                    segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x0)} {_fmt(y1)}")
-                if t == n - 1 or not mask[j, t + 1]:
-                    segments.append(f"M{_fmt(x1)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y1)}")
-                if j == 0 or not mask[j - 1, t]:
-                    segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y0)}")
-                if j == num_scales - 1 or not mask[j + 1, t]:
-                    segments.append(f"M{_fmt(x0)} {_fmt(y1)}L{_fmt(x1)} {_fmt(y1)}")
-        if segments:
-            parts.append(
-                f'<path class="significance-contour" d="{"".join(segments)}" '
-                f'stroke="#000000" stroke-width="1" fill="none"/>'
-            )
+    mask = np.asarray(field.significant, dtype=bool)
+    segments: list[str] = []
+    for j in range(num_scales):
+        for t in range(n):
+            if not mask[j, t]:
+                continue
+            x0, x1 = x_of(t), x_of(t + 1)
+            y0, y1 = y_of_row(j), y_of_row(j + 1)
+            if t == 0 or not mask[j, t - 1]:
+                segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x0)} {_fmt(y1)}")
+            if t == n - 1 or not mask[j, t + 1]:
+                segments.append(f"M{_fmt(x1)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y1)}")
+            if j == 0 or not mask[j - 1, t]:
+                segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y0)}")
+            if j == num_scales - 1 or not mask[j + 1, t]:
+                segments.append(f"M{_fmt(x0)} {_fmt(y1)}L{_fmt(x1)} {_fmt(y1)}")
+    if segments:
+        parts.append(
+            f'<path class="significance-contour" d="{"".join(segments)}" '
+            f'stroke="#000000" stroke-width="1" fill="none"/>'
+        )
 
     # Phase arrows: one per block, suppressed outside the significant region
-    # (when a mask is present) and outside the cone of influence.
+    # and outside the cone of influence.
     inside = field.inside_coi()
     for jb in range(ARROW_BLOCK_S // 2, num_scales, ARROW_BLOCK_S):
         for tb in range(ARROW_BLOCK_T // 2, n, ARROW_BLOCK_T):
             if not inside[jb, tb]:
                 continue
-            if field.significant is not None and not field.significant[jb, tb]:
+            if not mask[jb, tb]:
                 continue
             theta = float(field.phase[jb, tb])
             cx = x_of(tb + 0.5)

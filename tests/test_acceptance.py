@@ -22,10 +22,11 @@ from dualstock.lstm import TrainConfig, _param_count, _Views
 from dualstock.metrics import mae, mape, rmse
 from dualstock.significance import MonteCarloSpec, significance
 from dualstock.timeseries import premium_summary
-from dualstock.wavelet import ScaleGrid, coherence, cwt
+from dualstock.wavelet import ScaleGrid, cwt
 
 from _oracles import (
     ar1_series,
+    coherence,
     cwt_direct,
     mae_brute,
     mape_brute,

@@ -126,6 +126,34 @@ class TestConfig:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_output_path_that_cannot_be_a_directory_fails_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        cli_module = importlib.import_module("dualstock.cli")
+        read = []
+        monkeypatch.setattr(cli_module, "load_ohlc_csv", lambda path, *a, **k: read.append(path))
+        monkeypatch.setattr(cli_module, "_read_run", lambda path: read.append(path))
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n", encoding="utf-8")
+        out = taken / "out" if under else taken
+        if command == "run":
+            path = write_config(tmp_path, synthetic_tickers(tmp_path))
+            argv = ["run", "--config", str(path), "--out", str(out)]
+        else:
+            runs = tmp_path / "runs"
+            runs.mkdir()
+            (runs / "AAA_lag4_dual-no_w10.json").write_text("{}", encoding="utf-8")
+            argv = ["report", "--runs", str(runs), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        reason = "[Errno 20] Not a directory" if under else "[Errno 17] File exists"
+        assert err == f"config error: {reason}: '{out}'\n"
+        assert read == []
+        assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file(self, tmp_path):
         path = write_config(tmp_path, {"AAA": "absent.csv"})
         with pytest.raises(ValueError, match="not found"):
@@ -1061,6 +1089,30 @@ class TestReportCommand:
         assert len(failures) == 1
         assert failures[0].startswith("report: AAA_lag4_dual-no_w10.json: ")
         assert "retrain_per_origin" in failures[0]
+
+    @pytest.mark.parametrize("key, value", [("window", 10.0), ("window", True), ("test_size", 3.0)])
+    def test_descriptor_with_a_non_integer_regime_size_fails_alone(self, tmp_path, key, value):
+        # the other ticker's runs still make their grid
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path,
+            tickers,
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA", "BBB"],
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        descriptor = runs_dir / "AAA_lag4_dual-no_w10.json"
+        meta = json.loads(descriptor.read_text())
+        meta["regime"][key] = value
+        descriptor.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert manifest["failures"] == [f"report: AAA_lag4_dual-no_w10.json: {key} must be an integer, got {value!r}"]
+        assert [o["path"] for o in manifest["outputs"]] == ["report/BBB.csv", "report/BBB.json", "report/long.csv"]
 
     def test_descriptor_that_is_not_json_names_the_file(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)

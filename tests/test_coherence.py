@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dualstock.wavelet import CoherenceField, ScaleGrid, coherence, cone_of_influence, cwt, phase_field, smooth
+from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence, cwt, phase_field, smooth
 
-from _oracles import ar1_series, coherence_single_pad
+from _oracles import ar1_series, coherence, coherence_single_pad
 
 
 def field_pair(a, b, grid=None, **kwargs):
@@ -158,8 +158,10 @@ class TestDegenerateCells:
 
 class TestFieldStructure:
     def test_fields(self):
-        names = [f.name for f in dataclasses.fields(CoherenceField)]
-        assert names == ["rho2", "phase", "grid", "coi", "significant", "exceedances"]
+        fields = dataclasses.fields(CoherenceField)
+        assert [f.name for f in fields] == ["rho2", "phase", "grid", "coi", "significant", "exceedances"]
+        # every field carries its Monte-Carlo result: no field has a default
+        assert all(f.default is dataclasses.MISSING for f in fields)
 
     def test_inside_coi_shape_and_edges(self):
         rng = np.random.default_rng(60)
@@ -176,7 +178,6 @@ class TestFieldStructure:
         x = rng.standard_normal(128)
         grid = ScaleGrid.for_length(128)
         f = coherence(cwt(x, grid), cwt(x, grid))
-        assert f.significant is None and f.exceedances is None
         mask = np.zeros_like(f.rho2, dtype=bool)
         counts = np.arange(f.rho2.size).reshape(f.rho2.shape)
         f2 = CoherenceField(f.rho2, f.phase, grid, f.coi, significant=mask, exceedances=counts)
@@ -194,7 +195,13 @@ class TestFieldStructure:
     )
     def test_wrong_shape_rejected(self, name, value, message):
         grid = ScaleGrid(dj=1 / 4, num_scales=3)
-        arrays = dict(rho2=np.full((3, 8), 0.5), phase=np.zeros((3, 8)), coi=cone_of_influence(8))
+        arrays = dict(
+            rho2=np.full((3, 8), 0.5),
+            phase=np.zeros((3, 8)),
+            coi=cone_of_influence(8),
+            significant=np.zeros((3, 8), dtype=bool),
+            exceedances=np.zeros((3, 8), dtype=np.int64),
+        )
         arrays[name] = value
         with pytest.raises(ValueError, match=message):
             CoherenceField(grid=grid, **arrays)
@@ -212,8 +219,9 @@ class TestFieldStructure:
         grid = ScaleGrid(dj=1 / 4, num_scales=3)
         cells = dict(rho2=np.full((3, 8), 0.5), phase=np.full((3, 8), -math.pi))
         cells["rho2"][1, 4], cells["phase"][1, 4] = rho2, phase
+        mask, counts = np.zeros((3, 8), dtype=bool), np.zeros((3, 8), dtype=np.int64)
         with pytest.raises(ValueError, match=message):
-            CoherenceField(grid=grid, coi=cone_of_influence(8), **cells)
+            CoherenceField(grid=grid, coi=cone_of_influence(8), significant=mask, exceedances=counts, **cells)
 
 
 class TestSinglePadOracle:

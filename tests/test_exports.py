@@ -34,3 +34,11 @@ def test_package_reexports_only_listed_names():
     ]
     assert unlisted == []
 
+
+
+def test_significance_is_the_only_producer_of_coherence_fields():
+    # a field without its Monte-Carlo result has no constructor left to build it
+    wavelet = importlib.import_module("dualstock.wavelet")
+    for module in (dualstock, wavelet):
+        assert "coherence" not in getattr(module, "__all__", ())
+        assert not hasattr(module, "coherence")

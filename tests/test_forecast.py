@@ -124,16 +124,23 @@ class TestRegimeSpec:
         assert RegimeSpec(kind="rolling", test_size=10, window=5).label == "window=5"
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"kind": "other", "test_size": 1},
-            {"kind": "mece", "test_size": 1},
-            {"kind": "rolling", "test_size": 1},
-            {"kind": "mece", "test_size": 0, "train_size": 10},
+            ({"kind": "other", "test_size": 1}, "kind must be 'mece' or 'rolling'"),
+            ({"kind": "mece", "test_size": 1}, "mece regime requires train_size >= 2"),
+            ({"kind": "rolling", "test_size": 1}, "rolling regime requires window >= 2"),
+            ({"kind": "mece", "test_size": 0, "train_size": 10}, "test_size must be >= 1"),
+            # a size is an int: not a float, a bool or a string
+            ({"kind": "rolling", "test_size": 1, "window": 10.0}, "window must be an integer, got 10.0"),
+            ({"kind": "rolling", "test_size": 1, "window": True}, "window must be an integer, got True"),
+            ({"kind": "rolling", "test_size": 1.0, "window": 10}, "test_size must be an integer, got 1.0"),
+            ({"kind": "mece", "test_size": False, "train_size": 10}, "test_size must be an integer, got False"),
+            ({"kind": "mece", "test_size": 1, "train_size": 10.0}, "train_size must be an integer, got 10.0"),
+            ({"kind": "mece", "test_size": 1, "train_size": "10"}, "train_size must be an integer, got '10'"),
         ],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             RegimeSpec(**kwargs)
 
 

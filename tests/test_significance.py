@@ -10,9 +10,9 @@ from dualstock.significance import (
     fit_ar1,
     significance,
 )
-from dualstock.wavelet import ScaleGrid, coherence, cwt
+from dualstock.wavelet import ScaleGrid, cwt
 
-from _oracles import ar1_series, ar1_surrogate
+from _oracles import ar1_series, ar1_surrogate, coherence
 
 # the package rebinds ``dualstock.significance`` to the function
 sig_module = importlib.import_module("dualstock.significance")

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from dualstock.cli import CommandOutcome
-from dualstock.svgplot import render_heatmap
+from dualstock.svgplot import ARROW_BLOCK_S, ARROW_BLOCK_T, render_heatmap
 from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence
 
 
@@ -22,6 +22,7 @@ def make_field(num_scales=10, n=100, phase_value=0.0, significant="all"):
         grid=grid,
         coi=cone_of_influence(n),
         significant=mask,
+        exceedances=np.zeros((num_scales, n), dtype=np.int64),
     )
 
 
@@ -109,6 +110,8 @@ class TestArrows:
         contours = [el for el in tags(root, "path") if el.get("class") == "significance-contour"]
         assert len(contours) == 1
 
-    def test_no_mask_draws_arrows_inside_coi_only(self):
-        angles = self.arrow_angles(render(make_field(significant=None)))
-        assert angles  # interior arrows exist even without a mask
+    def test_all_significant_draws_arrows_inside_coi_only(self):
+        field = make_field(significant="all")
+        blocks = field.inside_coi()[ARROW_BLOCK_S // 2 :: ARROW_BLOCK_S, ARROW_BLOCK_T // 2 :: ARROW_BLOCK_T]
+        angles = self.arrow_angles(render(field))
+        assert angles and len(angles) == blocks.sum()  # one arrow per block centre inside the cone

@@ -25,10 +25,12 @@ def make_field(rho2, phase, significant):
         # cone_of_influence needs two points; one point is one edge away
         coi=cone_of_influence(n) if n > 1 else np.array([math.sqrt(2.0)]),
         significant=significant,
+        exceedances=np.zeros((num_scales, n), dtype=np.int64),
     )
 
 
 def random_field(seed, num_scales, n, mask="blobs"):
+    """A random field whose mask is ``"blobs"``, ``"random"`` or ``"all"`` significant."""
     rng = np.random.default_rng(seed)
     # A smooth random field, so the heatmap has runs longer than one cell.
     rho2 = np.clip(np.cumsum(rng.normal(0.0, 0.08, size=(num_scales, n)), axis=1) % 1.0, 0.0, 1.0)
@@ -38,7 +40,7 @@ def random_field(seed, num_scales, n, mask="blobs"):
     elif mask == "random":
         significant = rng.random((num_scales, n)) < 0.5
     else:
-        significant = None
+        significant = np.ones((num_scales, n), dtype=bool)
     return make_field(rho2, phase, significant)
 
 
@@ -54,10 +56,9 @@ def edge_values_field():
 CASES = {
     "random-blobs": lambda: random_field(1, 13, 257),
     "random-checkerboard": lambda: random_field(2, 9, 64, mask="random"),
-    "random-no-mask": lambda: random_field(3, 11, 100, mask=None),
+    "random-all-significant": lambda: random_field(3, 11, 100, mask="all"),
     "all-significant": lambda: make_field(np.full((6, 40), 0.3), np.zeros((6, 40)), np.ones((6, 40), dtype=bool)),
     "none-significant": lambda: make_field(np.full((6, 40), 0.3), np.zeros((6, 40)), np.zeros((6, 40), dtype=bool)),
-    "no-mask": lambda: make_field(np.full((6, 40), 0.3), np.zeros((6, 40)), None),
     "one-cell": lambda: make_field([[0.7]], [[-0.0]], np.array([[True]])),
     "one-time-step": lambda: random_field(4, 8, 1),
     "one-scale": lambda: random_field(5, 1, 50),
@@ -65,7 +66,9 @@ CASES = {
         np.tile([[0.0], [1.0]], (2, 30)), np.full((4, 30), -math.pi), np.eye(4, 30, dtype=bool)
     ),
     "one-run-per-row": lambda: make_field(
-        np.linspace(0.0, 1.0, 12)[:, None] * np.ones((12, 80)), np.full((12, 80), math.pi / 2), None
+        np.linspace(0.0, 1.0, 12)[:, None] * np.ones((12, 80)),
+        np.full((12, 80), math.pi / 2),
+        np.arange(12)[:, None] < np.full((12, 80), 6),  # the upper six rows, edge to edge
     ),
     "edge-values": edge_values_field,
 }
