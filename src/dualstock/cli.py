@@ -43,7 +43,7 @@ import numpy as np
 from .atomicfile import atomic_open
 from .forecast import ForecastRun, RegimeSpec, forecast
 from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig, TrainingDivergedError
-from .metrics import ReportGrid, assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
+from .metrics import assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
 from .significance import MonteCarloSpec, significance
 from .svgplot import render_heatmap
@@ -485,7 +485,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
-    runs_by_ticker: dict[str, list[ForecastRun]] = {name: [] for name in targets}
+    runs: list[ForecastRun] = []
 
     for name, lag, dual, regime in itertools.product(targets, f.lags, f.duals, regimes):
         # as in the paper grid, a training set runs only at lags below its
@@ -508,21 +508,20 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
             stem = _run_stem(run)
             outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run, dates))
             outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, cfg, f"{stem}.csv")))
-            runs_by_ticker[name].append(run)
+            runs.append(run)
 
-    declared_regimes = tuple(r.label for r in regimes)
-    grids = [
-        assemble_grid(runs_by_ticker[name], regimes=declared_regimes, lags=f.lags, duals=f.duals)
-        for name in targets
-        if runs_by_ticker[name]
-    ]
-    if grids:
-        _write_grids(grids, out / "grids", outcome, "forecast")
+    # the declared axes, so a run that failed is a missing cell
+    _write_grids(runs, out / "grids", outcome, "forecast", [r.label for r in regimes], f.lags, f.duals)
 
 
-def _write_grids(grids: list[ReportGrid], out: Path, outcome: CommandOutcome, command: str) -> None:
-    """Per-ticker grid CSV and JSON, plus one long-format CSV across the grids, as the ``command``'s grids unit."""
+def _write_grids(runs: list[ForecastRun], out: Path, outcome: CommandOutcome, command: str, regimes, lags, duals):
+    """Per-ticker grids on the given axes, as CSV and JSON, plus one long-format CSV, as the ``command``'s grids unit."""
+    if not runs:
+        return
     with outcome.unit(f"{command} grids"):
+        tickers = dict.fromkeys(run.ticker for run in runs)  # in the order their first runs arrive
+        groups = [[run for run in runs if run.ticker == ticker] for ticker in tickers]
+        grids = [assemble_grid(group, regimes=regimes, lags=lags, duals=duals) for group in groups]
         for grid in grids:
             outcome.write(out / f"{grid.ticker}.csv", _csv_text(grid_table_rows(grid)))
             outcome.write(out / f"{grid.ticker}.json", _json_text(grid_to_json_dict(grid)))
@@ -562,9 +561,14 @@ def _read_run(manifest_path: Path) -> ForecastRun:
 
 
 def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
-    """Re-assemble full regime-by-lag metric grids from existing run manifests, one unit per manifest read.
+    """Re-assemble the metric grids from existing run descriptors, one unit per descriptor read.
 
-    A manifest that cannot be read is a failure line and a missing cell; the other runs still make their grids.
+    The axes are the runs': rolling windows ascending, then MECE if any run is
+    MECE; lags ascending; the duals present, no before yes.  The tickers come
+    ascending.  So the grids are those ``forecast`` wrote when each of its
+    declared windows, lags and duals has a run and it lists windows, lags and
+    tickers ascending.  A descriptor that cannot be read is a failure line;
+    the other runs still make their grids.
     """
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
@@ -573,23 +577,12 @@ def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
     for path in manifests:
         with outcome.unit("report"):
             runs.append(_read_run(path))
-    if not runs:
-        return
-    by_ticker: dict[str, list[ForecastRun]] = {}
-    for run in runs:
-        by_ticker.setdefault(run.ticker, []).append(run)
-
-    # the default grid's rows and columns, plus any window or lag the runs add
-    defaults = ForecastOptions()
-    windows = sorted(set(defaults.windows) | {r.regime.window for r in runs if r.regime.kind == "rolling"})
-    regimes = tuple([f"window={w}" for w in windows] + ["mece"])
-    lags = tuple(sorted(set(defaults.lags) | {r.lag for r in runs}))
-
-    grids = [
-        assemble_grid(by_ticker[ticker], regimes=regimes, lags=lags, duals=defaults.duals)
-        for ticker in sorted(by_ticker)
-    ]
-    _write_grids(grids, Path(out_dir) / "report", outcome, "report")
+    regimes = [f"window={w}" for w in sorted({r.regime.window for r in runs if r.regime.kind == "rolling"})]
+    if any(r.regime.kind == "mece" for r in runs):
+        regimes.append("mece")
+    lags = sorted({r.lag for r in runs})
+    duals = sorted({r.include_dual for r in runs})
+    _write_grids(sorted(runs, key=lambda r: r.ticker), Path(out_dir) / "report", outcome, "report", regimes, lags, duals)
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: CommandOutcome) -> Path:

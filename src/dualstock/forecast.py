@@ -124,7 +124,7 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class ForecastRun:
-    """Predictions, actuals, and per-origin training provenance for one config."""
+    """Predictions, actuals, and per-origin training provenance (the regime's ``train_range``) for one config."""
 
     ticker: str
     lag: int
@@ -150,6 +150,12 @@ class ForecastRun:
             if not (0 <= start <= end <= origin):
                 raise ValueError(
                     f"provenance [{start}, {end}) must precede its origin {origin}"
+                )
+            expected = self.regime.train_range(int(origin))
+            if (start, end) != expected:
+                raise ValueError(
+                    f"provenance [{start}, {end}) at origin {origin} must be the {self.regime.label} "
+                    f"training range [{expected[0]}, {expected[1]})"
                 )
         for arr in (predictions, actuals, origins):
             arr.flags.writeable = False

@@ -312,25 +312,26 @@ def test_10_desk_scale_end_to_end(desk_scale_run):
 
 
 def test_11_report_grid_structure(desk_scale_run):
-    with criterion(11, "report emits the 5-regime x 3-metric x 4-column table shape"):
+    with criterion(11, "report on the desk runs writes forecast/grids byte for byte"):
         root, rc1, _, _ = desk_scale_run
         assert rc1 == 0
         runs_dir = root / "o1" / "forecast" / "runs"
         rc = main(["report", "--runs", str(runs_dir), "--out", str(root / "rep")])
         assert rc == 0
+        # the runs' own axes: 3 regimes x 3 metrics x 4 columns
         for name in ("KRA", "KRB", "KRD"):
             lines = (root / "rep" / "report" / f"{name}.csv").read_text().strip().split("\n")
             assert lines[0] == (
                 "regime,metric,lag4_dual_no,lag4_dual_yes,lag9_dual_no,lag9_dual_yes"
             )
-            assert len(lines) == 1 + 5 * 3
             regime_order = [line.split(",")[0] for line in lines[1:]]
             assert regime_order == (
-                ["Training Window = 5"] * 3
-                + ["Training Window = 10"] * 3
-                + ["Training Window = 20"] * 3
-                + ["Training Window = 50"] * 3
-                + ["MECE"] * 3
+                ["Training Window = 10"] * 3 + ["Training Window = 20"] * 3 + ["MECE"] * 3
             )
             metric_cycle = [line.split(",")[1] for line in lines[1:]]
-            assert metric_cycle == ["RMSE", "MAE", "MAPE"] * 5
+            assert metric_cycle == ["RMSE", "MAE", "MAPE"] * 3
+        grids = sorted((root / "o1" / "forecast" / "grids").iterdir())
+        assert len(grids) == 7
+        assert sorted(p.name for p in (root / "rep" / "report").iterdir()) == [p.name for p in grids]
+        for path in grids:
+            assert (root / "rep" / "report" / path.name).read_bytes() == path.read_bytes()

@@ -995,30 +995,75 @@ class TestStaleFiles:
 
 
 class TestReportCommand:
-    def test_reassembles_paper_shape(self, tmp_path):
+    def forecast_and_report(self, tmp_path, ticker_files=None, **forecast):
+        """Forecast on the synthetic tickers, report on its runs, and return the report's grid directory."""
+        settings = {
+            "lags": [4, 9], "duals": [False, True], "windows": [10],
+            "mece_train_size": 80, "test_size": 3, "epochs": 1, "hidden_size": 2,
+        }
+        settings.update(forecast)
+        ticker_files = ticker_files or synthetic_tickers(tmp_path)
+        config_path = write_config(tmp_path, ticker_files, analyses=["forecast"], forecast=settings)
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 0
+        grids, report = tmp_path / "out" / "forecast" / "grids", tmp_path / "rep" / "report"
+        # every declared axis value has a run, so report writes forecast's grids byte for byte
+        assert sorted(p.name for p in report.iterdir()) == sorted(p.name for p in grids.iterdir())
+        for path in grids.iterdir():
+            assert (report / path.name).read_bytes() == path.read_bytes()
+        return report
+
+    @pytest.mark.parametrize(
+        "forecast, header, regimes",
+        [
+            ({}, "lag4_dual_no,lag4_dual_yes,lag9_dual_no,lag9_dual_yes", ["Training Window = 10", "MECE"]),
+            ({"duals": [False]}, "lag4_dual_no,lag9_dual_no", ["Training Window = 10", "MECE"]),
+            ({"windows": [15], "mece_train_size": None, "lags": [4]}, "lag4_dual_no,lag4_dual_yes", ["Training Window = 15"]),
+        ],
+        ids=["paper-shape", "dual-no-only", "window-15"],
+    )
+    def test_axes_are_the_runs(self, tmp_path, forecast, header, regimes):
+        report = self.forecast_and_report(tmp_path, **forecast)
+        for name in ("AAA", "BBB", "CCC"):
+            lines = (report / f"{name}.csv").read_text().strip().split("\n")
+            assert lines[0] == "regime,metric," + header
+            assert [line.split(",")[0] for line in lines[1:]] == [r for r in regimes for _ in range(3)]
+
+    def test_tickers_ascending_where_one_name_prefixes_another(self, tmp_path):
+        # AB1's descriptor files sort before AB's, yet long.csv lists AB first, as the config does
+        files = synthetic_tickers(tmp_path)
+        report = self.forecast_and_report(tmp_path, {"AB": files["AAA"], "AB1": files["BBB"]}, duals=[False])
+        rows = (report / "long.csv").read_text().strip().split("\n")[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == ["AB", "AB1"]
+
+    def test_skipped_cells_are_missing_as_in_forecast(self, tmp_path):
+        # the paper's windows and lags: window 5 runs at lag 4 only
+        report = self.forecast_and_report(tmp_path, windows=[5, 10, 20, 50], duals=[False], tickers=["AAA"])
+        grid = json.loads((report / "AAA.json").read_text())
+        assert grid["regimes"] == ["window=5", "window=10", "window=20", "window=50", "mece"]
+        assert grid["lags"] == [4, 9]
+        assert grid["missing"] == ["window=5|lag=9|dual=no"]
+
+    def test_duplicate_run_fails_the_grids(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
         config_path = write_config(
             tmp_path,
             tickers,
             analyses=["forecast"],
             forecast={
-                "lags": [4, 9], "duals": [False, True], "windows": [10],
-                "mece_train_size": 80, "test_size": 5, "epochs": 2, "hidden_size": 2,
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA"],
             },
         )
         assert main(["forecast", "--config", str(config_path)]) == 0
         runs_dir = tmp_path / "out" / "forecast" / "runs"
-        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 0
-        for name in ("AAA", "BBB", "CCC"):
-            text = (tmp_path / "rep" / "report" / f"{name}.csv").read_text()
-            lines = text.strip().split("\n")
-            assert len(lines) == 1 + 5 * 3  # header + 5 regimes x 3 metrics
-            assert lines[0] == "regime,metric,lag4_dual_no,lag4_dual_yes,lag9_dual_no,lag9_dual_yes"
-            regimes = {line.split(",")[0] for line in lines[1:]}
-            assert regimes == {
-                "Training Window = 5", "Training Window = 10", "Training Window = 20",
-                "Training Window = 50", "MECE",
-            }
+        descriptor = runs_dir / "AAA_lag4_dual-no_w10.json"
+        (runs_dir / "AAA_copy.json").write_bytes(descriptor.read_bytes())
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert manifest["failures"] == ["report grids: duplicate run for configuration ('window=10', 4, False)"]
+        assert manifest["outputs"] == []
 
     def test_failure_line_names_the_runs_file_relative_to_the_runs(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -1064,6 +1109,27 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
         assert "must precede its origin" in manifest["failures"][0]
+
+    def test_provenance_other_than_the_regime_range_rejected(self, tmp_path):
+        # a training range that precedes its origin but is not the window
+        # before it fails its run alone
+        def widen_first(text):
+            header, first, *rest = text.split("\n")
+            cells = first.split(",")
+            cells[-2] = str(int(cells[-2]) - 3)
+            return "\n".join([header, ",".join(cells), *rest])
+
+        manifest = self.corrupted_report(tmp_path, [10, 20], widen_first, suffix=".csv")
+        assert manifest["failures"] == [
+            "report: AAA_lag4_dual-no_w10.json: "
+            "provenance [104, 117) at origin 117 must be the window=10 training range [107, 117)"
+        ]
+        assert [o["path"] for o in manifest["outputs"]] == [
+            f"report/{name}.{ext}" for name in ("AAA", "BBB", "CCC") for ext in ("csv", "json")
+        ] + ["report/long.csv"]
+        cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
+        assert cells["window=10|lag=4|dual=no"] is None
+        assert cells["window=20|lag=4|dual=no"] is not None
 
     def test_descriptor_with_a_removed_regime_key_rejected(self, tmp_path):
         # a run descriptor whose regime holds retrain_per_origin (the train-once

@@ -286,6 +286,24 @@ class TestForecastRunValidation:
                 provenance=((8, 11),),
             )
 
+    @pytest.mark.parametrize(
+        "regime, provenance, expected",
+        [
+            (RegimeSpec(kind="rolling", test_size=1, window=5), (3, 10), "window=5 training range [5, 10)"),
+            (RegimeSpec(kind="mece", test_size=1, train_size=8), (0, 7), "mece training range [0, 8)"),
+        ],
+        ids=["rolling", "mece"],
+    )
+    def test_provenance_must_be_the_regime_training_range(self, regime, provenance, expected):
+        # a range that precedes its origin but is not the regime's names both ranges
+        with pytest.raises(ValueError) as excinfo:
+            ForecastRun(
+                ticker="T", lag=2, include_dual=False, regime=regime, seed=0,
+                predictions=[1.0], actuals=[1.0], origins=[10],
+                provenance=(provenance,),
+            )
+        assert str(excinfo.value) == f"provenance [{provenance[0]}, {provenance[1]}) at origin 10 must be the {expected}"
+
     def test_length_consistency(self):
         regime = RegimeSpec(kind="rolling", test_size=2, window=5)
         with pytest.raises(ValueError, match="test_size"):
