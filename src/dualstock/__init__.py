@@ -32,7 +32,6 @@ from .timeseries import (
 from .wavelet import (
     CoherenceField,
     ScaleGrid,
-    Scaleogram,
     cone_of_influence,
     cwt,
     phase_field,

@@ -79,7 +79,8 @@ class RegimeSpec:
 
     MECE: one model on the first ``train_size`` observations forecasts all
     ``test_size`` test origins.  Rolling: each origin gets a model trained on
-    exactly the ``window`` observations preceding it.
+    exactly the ``window`` observations preceding it.  Each kind sets its own
+    size only: a MECE regime takes no ``window``, a rolling one no ``train_size``.
     """
 
     kind: str
@@ -99,9 +100,13 @@ class RegimeSpec:
         if self.kind == "mece":
             if self.train_size is None or self.train_size < 2:
                 raise ValueError("mece regime requires train_size >= 2")
+            if self.window is not None:
+                raise ValueError(f"mece regime takes no window, got window={self.window}")
         else:
             if self.window is None or self.window < 2:
                 raise ValueError("rolling regime requires window >= 2")
+            if self.train_size is not None:
+                raise ValueError(f"rolling regime takes no train_size, got train_size={self.train_size}")
 
     @property
     def label(self) -> str:

@@ -137,7 +137,7 @@ def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("series must have equal length")
-    rho2, cross = _rho2(cwt(a, grid), cwt(b, grid))
+    rho2, cross = _rho2(cwt(a, grid), cwt(b, grid), grid)
     phase = phase_field(cross)
     del cross  # only its phase is kept, so the Monte-Carlo loop does not hold it
     params_a = fit_ar1(a)
@@ -150,7 +150,7 @@ def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField
         for k in range(len(block)):
             sur_a = cwt(surrogates[2 * k], grid)
             sur_b = cwt(surrogates[2 * k + 1], grid)
-            count_ge += _rho2(sur_a, sur_b)[0] >= rho2
+            count_ge += _rho2(sur_a, sur_b, grid)[0] >= rho2
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
     threshold = math.floor(SIGNIFICANCE_LEVEL * mc.iterations + 1e-9)
     return CoherenceField(

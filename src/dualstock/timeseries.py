@@ -200,9 +200,10 @@ class CsvFormat:
     """Column mapping and parsing policy for OHLC CSV ingestion.
 
     Either ``high_col``/``low_col`` or a single ``mid_col`` must be present
-    in the file.  ``on_invalid`` controls rows with missing or non-numeric
-    prices and rows violating high >= low > 0: "fail" raises naming the row,
-    "skip" drops the row.
+    in the file; each column the format reads (``columns``) fills one role,
+    so no two of its keys may name the same column.  ``on_invalid`` controls
+    rows with missing or non-numeric prices and rows violating
+    high >= low > 0: "fail" raises naming the row, "skip" drops the row.
     """
 
     date_col: str = "date"
@@ -218,34 +219,22 @@ class CsvFormat:
             raise ValueError(f"on_invalid must be 'fail' or 'skip', got {self.on_invalid!r}")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+        keys = self._column_keys()
+        names = self.columns
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{keys[names.index(name)]} and {keys[i]} both name column {name!r}")
+
+    def _column_keys(self) -> tuple[str, ...]:
+        return ("date_col", "mid_col") if self.mid_col is not None else ("date_col", "high_col", "low_col")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The columns read, in the order date, high, low; or date, mid when ``mid_col`` is set."""
+        return tuple(getattr(self, key) for key in self._column_keys())
 
 
 _ENCODING = "utf-8-sig"  # utf-8 that drops a leading byte-order mark
-
-
-def _parse_record(raw_date: str, raw_prices: list[str], fmt: CsvFormat) -> tuple[dt.date, float, float]:
-    """A record's date, high and low; a mid column's one price is read as both.
-
-    Raises ValueError naming the first check the record fails, in the order
-    date, numeric prices, positive and finite prices, high >= low.
-    """
-    raw_date = raw_date.strip()
-    try:
-        day = dt.datetime.strptime(raw_date, fmt.date_format).date()
-    except ValueError:
-        raise ValueError(f"unparseable date {raw_date!r}") from None
-    raw_prices = [field.strip() for field in raw_prices]
-    try:
-        high, low = float(raw_prices[0]), float(raw_prices[-1])
-    except ValueError:
-        if fmt.mid_col is not None:
-            raise ValueError(f"non-numeric price {raw_prices[0]!r}") from None
-        raise ValueError(f"non-numeric price (high={raw_prices[0]!r}, low={raw_prices[1]!r})") from None
-    if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
-        raise ValueError(f"non-positive or non-finite price (high={high}, low={low})")
-    if high < low:
-        raise ValueError(f"high {high} < low {low}")
-    return day, high, low
 
 
 def load_ohlc_csv(path: str | Path, fmt: CsvFormat = CsvFormat()) -> PriceSeries:
@@ -254,19 +243,19 @@ def load_ohlc_csv(path: str | Path, fmt: CsvFormat = CsvFormat()) -> PriceSeries
     The file is read once, as UTF-8 with or without a byte-order mark, and
     its records are checked one at a time in file order: blank rows are
     skipped, a short row reads its missing fields as empty, and each row's
-    high/low (or mid column) is checked and reduced to its mid.  Row-level
-    defects follow ``fmt.on_invalid``; structural defects (missing or
-    repeated columns, a record that ``csv`` cannot read, such as one with a
-    field over ``csv.field_size_limit``, unordered dates, nothing loadable)
-    always raise.  Of the defects that raise, the first in file order does,
-    and its message names the 1-based file line, header included, on which
-    the record ends.
+    high/low (or mid column) is checked and reduced to its mid.  Under the
+    ISO format a ``dddd-dd-dd`` date field is read by ``date.fromisoformat``;
+    ``strptime`` with ``fmt.date_format`` decides every date that reader does
+    not take, after stripping it (so years in full-width or Arabic-Indic
+    digits still load).  Row-level defects follow ``fmt.on_invalid``;
+    structural defects (missing or repeated columns, a record that ``csv``
+    cannot read, such as one with a field over ``csv.field_size_limit``,
+    unordered dates, nothing loadable) always raise.  Of the defects that
+    raise, the first in file order does, and its message names the 1-based
+    file line, header included, on which the record ends.
     """
     path = Path(path)
-    if fmt.mid_col is not None:
-        columns = (fmt.date_col, fmt.mid_col)
-    else:
-        columns = (fmt.date_col, fmt.high_col, fmt.low_col)
+    columns = fmt.columns
     iso = fmt.date_format == "%Y-%m-%d"
     dates: list[dt.date] = []
     highs, lows = array("d"), array("d")
@@ -293,23 +282,38 @@ def load_ohlc_csv(path: str | Path, fmt: CsvFormat = CsvFormat()) -> PriceSeries
                 if len(raw) < width:
                     raw += [""] * (width - len(raw))
                 raw_date = raw[i_date]
-                # the common record is accepted here: a dddd-dd-dd-shaped date that
-                # date.fromisoformat reads (it reads no such field that strptime
-                # would not) and two in-range prices; any other goes to _parse_record
-                day = None
-                if iso and len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-":
+                try:
+                    # date.fromisoformat reads a dddd-dd-dd field, unstripped, and
+                    # reads none that strptime would not; strptime decides the rest
+                    day = None
+                    if iso and len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-":
+                        try:
+                            day = dt.date.fromisoformat(raw_date)
+                        except ValueError:
+                            pass
+                    if day is None:
+                        raw_date = raw_date.strip()
+                        try:
+                            day = dt.datetime.strptime(raw_date, fmt.date_format).date()
+                        except ValueError:
+                            raise ValueError(f"unparseable date {raw_date!r}") from None
+                    # float() skips the whitespace that the messages strip
                     try:
-                        day = dt.date.fromisoformat(raw_date)
                         high, low = float(raw[i_high]), float(raw[i_low])
                     except ValueError:
-                        day = None
-                if day is None or not 0.0 < low <= high < math.inf:
-                    try:
-                        day, high, low = _parse_record(raw_date, [raw[i] for i in positions[1:]], fmt)
-                    except ValueError as exc:
-                        if fmt.on_invalid == "skip":
-                            continue
-                        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+                        if fmt.mid_col is not None:
+                            raise ValueError(f"non-numeric price {raw[i_high].strip()!r}") from None
+                        raise ValueError(
+                            f"non-numeric price (high={raw[i_high].strip()!r}, low={raw[i_low].strip()!r})"
+                        ) from None
+                    if not 0.0 < low <= high < math.inf:
+                        if not (math.isfinite(high) and math.isfinite(low)) or low <= 0:
+                            raise ValueError(f"non-positive or non-finite price (high={high}, low={low})")
+                        raise ValueError(f"high {high} < low {low}")
+                except ValueError as exc:
+                    if fmt.on_invalid == "skip":
+                        continue
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
                 if dates and day <= dates[-1]:
                     raise ValueError(
                         f"{path}, line {reader.line_num}: dates must be strictly increasing ({dates[-1]} then {day})"

@@ -10,11 +10,13 @@ a Gaussian in time one scale wide and a boxcar of ``SCALE_WINDOW_OCTAVES``
 0.6 octave fits wave number 6 only, and none of these is an option.  The
 transform uses the energy convention only: the kernel at scale s carries
 a 1/sqrt(s) weight so every scale has comparable power (coherence does
-not depend on this choice).  The FFT path builds each
-scale's frequency response as the exact discrete Fourier transform of the
-sampled Morlet kernel (an alias-summed Gaussian), so it reproduces the
-direct time-domain summation to machine precision once the series is
-zero-padded to a power of two covering the kernel reach.
+not depend on this choice).  ``cwt(x, grid)`` returns the complex
+coefficients as a plain (num_scales, n) array; the functions that read
+them take the grid beside it.  The FFT path builds each scale's frequency
+response as the exact discrete Fourier transform of the sampled Morlet
+kernel (an alias-summed Gaussian), so it reproduces the direct time-domain
+summation to machine precision once the series is zero-padded to a power
+of two covering the kernel reach.
 
 Padding is per scale: a row of scale s (a kernel s wide, for the transform
 and for the smoothing alike) is padded to the power of two covering
@@ -44,7 +46,6 @@ import numpy as np
 
 __all__ = [
     "ScaleGrid",
-    "Scaleogram",
     "CoherenceField",
     "cwt",
     "smooth",
@@ -98,28 +99,6 @@ class ScaleGrid:
         else:
             num = 1 + math.ceil(math.log2(target / smallest_period) / DJ)
         return cls(dj=DJ, num_scales=num)
-
-
-@dataclass(frozen=True)
-class Scaleogram:
-    """Complex wavelet coefficients on a (scale, time) grid."""
-
-    values: np.ndarray
-    grid: ScaleGrid
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 2 or values.shape[0] != self.grid.num_scales:
-            raise ValueError(
-                f"values must be (num_scales, n); got {values.shape} for "
-                f"{self.grid.num_scales} scales"
-            )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
 
 
 # Bytes of complex FFT work per batch of rows.  Rows are transformed a few
@@ -190,8 +169,8 @@ def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int) -> np.ndarray
     return out
 
 
-def cwt(x, grid: ScaleGrid) -> Scaleogram:
-    """Morlet transform of a real daily series on the grid.
+def cwt(x, grid: ScaleGrid) -> np.ndarray:
+    """Morlet transform of a real daily series on the grid: complex coefficients, (num_scales, n).
 
     The mean is removed internally.  Computed as an FFT circular convolution
     after zero-padding each scale to the power of two covering its own
@@ -212,12 +191,7 @@ def cwt(x, grid: ScaleGrid) -> Scaleogram:
         daughters = _daughter_matrix(grid, lo, hi, npad)
         for r0, r1 in _row_batches(lo, hi, npad):
             coeffs[r0:r1] = np.fft.ifft(xhat * daughters[r0 - lo : r1 - lo], axis=1)[:, :n]
-    return Scaleogram(values=coeffs, grid=grid)
-
-
-def _check_compatible(a: Scaleogram, b: Scaleogram) -> None:
-    if a.grid != b.grid or a.n != b.n:
-        raise ValueError("scaleograms must share the same grid and length")
+    return coeffs
 
 
 @functools.lru_cache(maxsize=64)
@@ -374,14 +348,19 @@ class CoherenceField:
         return periods[:, None] <= self.coi[None, :]
 
 
-def _rho2(a: Scaleogram, b: Scaleogram):
-    """Clamped squared coherence (0 where the denominator vanished) and the smoothed cross spectrum."""
-    _check_compatible(a, b)
-    grid = a.grid
+def _rho2(a: np.ndarray, b: np.ndarray, grid: ScaleGrid):
+    """Clamped squared coherence (0 where the denominator vanished) and the smoothed cross spectrum.
+
+    ``a`` and ``b`` are two ``cwt`` coefficient arrays on ``grid``.
+    """
+    if a.shape != b.shape or a.shape[0] != grid.num_scales:
+        raise ValueError(
+            f"coefficients must be two ({grid.num_scales}, n) arrays of one shape; got {a.shape} and {b.shape}"
+        )
     inv_s = 1.0 / grid.scales[:, None]
-    cross = smooth(a.values * np.conj(b.values) * inv_s, grid=grid)
-    power_a = smooth((a.values.real**2 + a.values.imag**2) * inv_s, grid=grid)
-    power_b = smooth((b.values.real**2 + b.values.imag**2) * inv_s, grid=grid)
+    cross = smooth(a * np.conj(b) * inv_s, grid=grid)
+    power_a = smooth((a.real**2 + a.imag**2) * inv_s, grid=grid)
+    power_b = smooth((b.real**2 + b.imag**2) * inv_s, grid=grid)
     denom = power_a * power_b
     degenerate = denom <= 0.0
     rho2 = cross.real**2

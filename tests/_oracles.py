@@ -235,18 +235,20 @@ def lstm_train_per_sample(inputs, targets, cfg, seed):
     return flat, trace
 
 
-def coherence(a, b) -> CoherenceField:
-    """The observed field of two scaleograms, built as ``significance`` builds it, with no Monte-Carlo run.
+def coherence(a, b, grid) -> CoherenceField:
+    """The observed field of two ``cwt`` coefficient arrays on ``grid``, built as ``significance`` builds it.
+
+    No Monte-Carlo run.
 
     Not an oracle: a test helper for tests whose unit is rho2 and phase.  The
     mask is all False and the exceedance counts are zero.
     """
-    rho2, cross = _rho2(a, b)
+    rho2, cross = _rho2(a, b, grid)
     return CoherenceField(
         rho2,
         phase_field(cross),
-        a.grid,
-        cone_of_influence(a.n),
+        grid,
+        cone_of_influence(a.shape[1]),
         significant=np.zeros(rho2.shape, dtype=bool),
         exceedances=np.zeros(rho2.shape, dtype=np.int64),
     )

@@ -58,7 +58,7 @@ def test_01_self_coherence():
         for _ in range(20):
             x = rng.standard_normal(512)
             sg = cwt(x, grid)
-            field = coherence(sg, sg)
+            field = coherence(sg, sg, grid)
             assert np.abs(field.rho2 - 1.0).max() < 1e-6
         assert time.perf_counter() - start < 30.0
 
@@ -69,7 +69,7 @@ def test_02_cwt_oracle_equivalence():
         rng = np.random.default_rng(1002)
         x = rng.standard_normal(128)
         grid = ScaleGrid(dj=1 / 12, num_scales=24)
-        fft_w = cwt(x, grid).values
+        fft_w = cwt(x, grid)
         direct_w = cwt_direct(x, grid.scales)
         assert np.abs(fft_w - direct_w).max() < 1e-8
         assert time.perf_counter() - start < 10.0
@@ -86,7 +86,7 @@ def test_03_shared_band_detection():
         a = shared + 0.5 * rng.standard_normal(n)
         b = shared + 0.5 * rng.standard_normal(n)
         grid = ScaleGrid.for_length(n)
-        field = coherence(cwt(a, grid), cwt(b, grid))
+        field = coherence(cwt(a, grid), cwt(b, grid), grid)
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & field.inside_coi()
         assert field.rho2[sel].mean() > 0.9
@@ -101,7 +101,7 @@ def test_04_phase_lead_lag():
         t = np.arange(n)
         grid = ScaleGrid.for_length(n)
         field = coherence(
-            cwt(np.cos(2 * np.pi * t / 32), grid), cwt(np.sin(2 * np.pi * t / 32), grid)
+            cwt(np.cos(2 * np.pi * t / 32), grid), cwt(np.sin(2 * np.pi * t / 32), grid), grid
         )
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & field.inside_coi()
@@ -116,7 +116,7 @@ def test_05_null_calibration():
         b = ar1_series(0.5, n, rng)
         grid = ScaleGrid.for_length(n)
         mask = significance(a, b, grid, mc=MonteCarloSpec(seed=2005, iterations=1000)).significant
-        field = coherence(cwt(a, grid), cwt(b, grid))
+        field = coherence(cwt(a, grid), cwt(b, grid), grid)
         fraction = mask[field.inside_coi()].mean()
         assert 0.01 <= fraction <= 0.12
 

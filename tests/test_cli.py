@@ -74,6 +74,8 @@ RANGE_ERRORS = [
     ("csv", {"on_invalid": "ignore"}, "on_invalid must be 'fail' or 'skip'"),
     ("csv", {"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
     ("csv", {"delimiter": ""}, "delimiter must be one character, got ''"),
+    # one column cannot fill two roles: every mid would be the day's low
+    ("csv", {"high_col": "low"}, "high_col and low_col both name column 'low'"),
 ]
 
 
@@ -1179,6 +1181,21 @@ class TestReportCommand:
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
         assert manifest["failures"] == [f"report: AAA_lag4_dual-no_w10.json: {key} must be an integer, got {value!r}"]
         assert [o["path"] for o in manifest["outputs"]] == ["report/BBB.csv", "report/BBB.json", "report/long.csv"]
+
+    def test_descriptor_with_the_other_kinds_size_fails_alone(self, tmp_path):
+        # a rolling regime with a train_size is rejected, not read as its window
+        def add_train_size(text):
+            meta = json.loads(text)
+            meta["regime"]["train_size"] = 5
+            return json.dumps(meta)
+
+        manifest = self.corrupted_report(tmp_path, [10], add_train_size)
+        assert manifest["failures"] == [
+            "report: AAA_lag4_dual-no_w10.json: rolling regime takes no train_size, got train_size=5"
+        ]
+        assert [o["path"] for o in manifest["outputs"]] == [
+            "report/BBB.csv", "report/BBB.json", "report/CCC.csv", "report/CCC.json", "report/long.csv",
+        ]
 
     def test_descriptor_that_is_not_json_names_the_file(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)

@@ -9,9 +9,9 @@ from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence, cwt,
 from _oracles import ar1_series, coherence, coherence_single_pad
 
 
-def field_pair(a, b, grid=None, **kwargs):
+def field_pair(a, b, grid=None):
     grid = grid or ScaleGrid.for_length(len(a))
-    return coherence(cwt(a, grid, **kwargs), cwt(b, grid, **kwargs))
+    return coherence(cwt(a, grid), cwt(b, grid), grid)
 
 
 class TestSelfCoherence:
@@ -19,7 +19,7 @@ class TestSelfCoherence:
         rng = np.random.default_rng(21)
         x = rng.standard_normal(256)
         grid = ScaleGrid.for_length(256)
-        f = coherence(cwt(x, grid), cwt(x, grid))
+        f = coherence(cwt(x, grid), cwt(x, grid), grid)
         assert np.abs(f.rho2 - 1.0).max() < 1e-6
 
     def test_preclamp_excursion_bounded(self):
@@ -31,9 +31,9 @@ class TestSelfCoherence:
         grid = ScaleGrid.for_length(256)
         sa, sb = cwt(a, grid), cwt(b, grid)
         inv_s = 1.0 / grid.scales[:, None]
-        num = smooth(sa.values * np.conj(sb.values) * inv_s, grid=grid)
-        pa = smooth(np.abs(sa.values) ** 2 * inv_s, grid=grid)
-        pb = smooth(np.abs(sb.values) ** 2 * inv_s, grid=grid)
+        num = smooth(sa * np.conj(sb) * inv_s, grid=grid)
+        pa = smooth(np.abs(sa) ** 2 * inv_s, grid=grid)
+        pb = smooth(np.abs(sb) ** 2 * inv_s, grid=grid)
         raw = np.abs(num) ** 2 / (pa * pb)
         assert raw.max() < 1.0 + 1e-6
 
@@ -68,8 +68,8 @@ class TestSymmetries:
         long_a = rng.standard_normal(m + k)
         long_b = rng.standard_normal(m + k)
         grid = ScaleGrid(dj=1 / 6, num_scales=13)  # scales up to 8 days
-        f0 = coherence(cwt(long_a[:m], grid), cwt(long_b[:m], grid))
-        f1 = coherence(cwt(long_a[k : m + k], grid), cwt(long_b[k : m + k], grid))
+        f0 = coherence(cwt(long_a[:m], grid), cwt(long_b[:m], grid), grid)
+        f1 = coherence(cwt(long_a[k : m + k], grid), cwt(long_b[k : m + k], grid), grid)
         # interior: stay clear of both window edges by the full kernel reach
         margin = int(math.ceil(8 * grid.scales[-1])) + k
         interior = slice(margin, m - margin)
@@ -86,7 +86,7 @@ class TestDetection:
         a = shared + 0.5 * rng.standard_normal(n)
         b = shared + 0.5 * rng.standard_normal(n)
         grid = ScaleGrid.for_length(n)
-        f = coherence(cwt(a, grid), cwt(b, grid))
+        f = coherence(cwt(a, grid), cwt(b, grid), grid)
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & f.inside_coi()
         assert f.rho2[sel].mean() > 0.9
@@ -100,7 +100,7 @@ class TestDetection:
         for _ in range(20):
             a = rng.standard_normal(n)
             b = rng.standard_normal(n)
-            f = coherence(cwt(a, grid), cwt(b, grid))
+            f = coherence(cwt(a, grid), cwt(b, grid), grid)
             means.append(f.rho2.mean())
         assert np.mean(means) < 0.5
 
@@ -110,7 +110,7 @@ class TestPhase:
         rng = np.random.default_rng(50)
         x = rng.standard_normal(256)
         grid = ScaleGrid.for_length(256)
-        f = coherence(cwt(x, grid), cwt(x, grid))
+        f = coherence(cwt(x, grid), cwt(x, grid), grid)
         inside = f.inside_coi()
         assert np.abs(f.phase[inside]).max() < 1e-8
 
@@ -118,7 +118,7 @@ class TestPhase:
         n = 512
         t = np.arange(n)
         grid = ScaleGrid.for_length(n)
-        f = coherence(cwt(np.cos(2 * np.pi * t / 32), grid), cwt(np.sin(2 * np.pi * t / 32), grid))
+        f = coherence(cwt(np.cos(2 * np.pi * t / 32), grid), cwt(np.sin(2 * np.pi * t / 32), grid), grid)
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & f.inside_coi()
         assert np.abs(f.phase[sel] - math.pi / 2).max() < 0.1
@@ -144,7 +144,7 @@ class TestDegenerateCells:
     def test_zero_inputs_flagged(self):
         grid = ScaleGrid(dj=1 / 4, num_scales=6)
         zero = cwt(np.zeros(128), grid)
-        f = coherence(zero, zero)
+        f = coherence(zero, zero, grid)
         assert (f.rho2 == 0.0).all()
         assert (f.phase == 0.0).all()
 
@@ -152,8 +152,8 @@ class TestDegenerateCells:
         grid = ScaleGrid(dj=1 / 4, num_scales=6)
         other = ScaleGrid(dj=1 / 4, num_scales=7)
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="same grid"):
-            coherence(cwt(rng.standard_normal(64), grid), cwt(rng.standard_normal(64), other))
+        with pytest.raises(ValueError, match=r"two \(6, n\) arrays of one shape; got \(6, 64\) and \(7, 64\)"):
+            coherence(cwt(rng.standard_normal(64), grid), cwt(rng.standard_normal(64), other), grid)
 
 
 class TestFieldStructure:
@@ -168,7 +168,7 @@ class TestFieldStructure:
         x = rng.standard_normal(128)
         y = rng.standard_normal(128)
         grid = ScaleGrid.for_length(128)
-        f = coherence(cwt(x, grid), cwt(y, grid))
+        f = coherence(cwt(x, grid), cwt(y, grid), grid)
         inside = f.inside_coi()
         assert inside.shape == f.rho2.shape
         assert not inside[:, 0].any() and not inside[:, -1].any()
@@ -177,7 +177,7 @@ class TestFieldStructure:
         rng = np.random.default_rng(61)
         x = rng.standard_normal(128)
         grid = ScaleGrid.for_length(128)
-        f = coherence(cwt(x, grid), cwt(x, grid))
+        f = coherence(cwt(x, grid), cwt(x, grid), grid)
         mask = np.zeros_like(f.rho2, dtype=bool)
         counts = np.arange(f.rho2.size).reshape(f.rho2.shape)
         f2 = CoherenceField(f.rho2, f.phase, grid, f.coi, significant=mask, exceedances=counts)
@@ -236,6 +236,6 @@ class TestSinglePadOracle:
         pads = {1 << math.ceil(math.log2(n + math.ceil(8.0 * s) + 1)) for s in grid.scales}
         assert len(pads) >= 2
         rho2, phase = coherence_single_pad(a, b, grid)
-        field = coherence(cwt(a, grid), cwt(b, grid))
+        field = coherence(cwt(a, grid), cwt(b, grid), grid)
         assert np.abs(field.rho2 - rho2).max() < 1e-12
         assert np.abs(np.angle(np.exp(1j * (field.phase - phase)))).max() < 1e-12

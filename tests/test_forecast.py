@@ -137,6 +137,15 @@ class TestRegimeSpec:
             ({"kind": "mece", "test_size": False, "train_size": 10}, "test_size must be an integer, got False"),
             ({"kind": "mece", "test_size": 1, "train_size": 10.0}, "train_size must be an integer, got 10.0"),
             ({"kind": "mece", "test_size": 1, "train_size": "10"}, "train_size must be an integer, got '10'"),
+            # each kind sets its own size only
+            (
+                {"kind": "rolling", "test_size": 300, "window": 10, "train_size": 5},
+                "rolling regime takes no train_size, got train_size=5",
+            ),
+            (
+                {"kind": "mece", "test_size": 300, "train_size": 5282, "window": 10},
+                "mece regime takes no window, got window=10",
+            ),
         ],
     )
     def test_validation(self, kwargs, message):

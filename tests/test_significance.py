@@ -114,7 +114,7 @@ class TestSignificance:
         grid = ScaleGrid.for_length(256)
         mc = MonteCarloSpec(seed=3, iterations=200)
         mask = significance(x, x, grid, mc=mc).significant
-        f = coherence(cwt(x, grid), cwt(x, grid))
+        f = coherence(cwt(x, grid), cwt(x, grid), grid)
         inside = f.inside_coi()
         assert mask[inside].all()
 
@@ -156,7 +156,7 @@ class TestSignificance:
         grid = ScaleGrid.for_length(160)
         mc = MonteCarloSpec(seed=9, iterations=iterations)
         field = significance(a, b, grid, mc=mc)
-        observed = coherence(cwt(a, grid), cwt(b, grid))
+        observed = coherence(cwt(a, grid), cwt(b, grid), grid)
         assert np.array_equal(field.rho2, observed.rho2)
         assert np.array_equal(field.phase, observed.phase)
         assert field.exceedances.shape == field.rho2.shape
@@ -182,14 +182,14 @@ class TestSignificance:
         grid = ScaleGrid.for_length(128)
         mc = MonteCarloSpec(seed=21, iterations=12)
         field = significance(a, b, grid, mc=mc)
-        observed = coherence(cwt(a, grid), cwt(b, grid)).rho2
+        observed = coherence(cwt(a, grid), cwt(b, grid), grid).rho2
         params_a, params_b = fit_ar1(a), fit_ar1(b)
         counts = np.zeros(observed.shape, dtype=np.int64)
         for i in range(mc.iterations):
             it_rng = sig_module._iteration_rng(mc.seed, i)
             sur_a = ar1_surrogate(params_a, 128, it_rng)
             sur_b = ar1_surrogate(params_b, 128, it_rng)
-            counts += coherence(cwt(sur_a, grid), cwt(sur_b, grid)).rho2 >= observed
+            counts += coherence(cwt(sur_a, grid), cwt(sur_b, grid), grid).rho2 >= observed
         assert np.array_equal(field.exceedances, counts)
         threshold = math.floor(0.05 * mc.iterations + 1e-9)
         assert np.array_equal(field.significant, counts <= threshold)

@@ -325,6 +325,25 @@ class TestCsvLoading:
         with pytest.raises(ValueError):
             CsvFormat(on_invalid="ignore")
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"high_col": "low"}, "high_col and low_col both name column 'low'"),
+            ({"low_col": "date"}, "date_col and low_col both name column 'date'"),
+            ({"mid_col": "date"}, "date_col and mid_col both name column 'date'"),
+        ],
+        ids=["high-is-low", "low-is-date", "mid-is-date"],
+    )
+    def test_one_column_in_two_roles_rejected(self, options, message):
+        with pytest.raises(ValueError) as err:
+            CsvFormat(**options)
+        assert str(err.value) == message
+
+    def test_columns_are_the_roles_read(self):
+        assert CsvFormat().columns == ("date", "high", "low")
+        # with a mid column, high and low are not read, so they may name anything
+        assert CsvFormat(mid_col="close", high_col="close").columns == ("date", "close")
+
     def test_byte_order_mark_accepted(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_bytes(b"\xef\xbb\xbfdate,high,low\n2020-01-01,10,8\n")
@@ -445,6 +464,14 @@ LOADER_CASES = [
     # date.fromisoformat accepts both of these dates, and "%Y-%m-%d" rejects them
     ("iso_basic_date", HEADER + "2020-01-01,10,8\n20200102,11,9\n2020-01-03,12,10\n", {}),
     ("iso_week_date", HEADER + "2019-12-29,10,8\n2020-W01-1,11,9\n2020-01-01,12,10\n", {}),
+    # dddd-dd-dd-shaped dates that date.fromisoformat rejects and strptime reads
+    ("fullwidth_digit_year", HEADER + "2020-01-01,10,8\n\uff12\uff10\uff12\uff10-01-02,11,9\n2020-01-03,12,10\n", {}),
+    ("arabic_indic_digit_year", HEADER + "2020-01-02,10,8\n\u0662\u0660\u0662\u0660-01-03,11,9\n2020-01-04,12,10\n", {}),
+    (
+        "dotted_date_semicolon_padded_prices",
+        "date;high;low\n02.01.2020; 10.5 ;8\n03.01.2020;11 ; 9\n 06.01.2020 ;\t12;10\n07.01.2020; x ;9\n",
+        {"delimiter": ";", "date_format": "%d.%m.%Y"},
+    ),
 ]
 
 

@@ -7,7 +7,6 @@ import pytest
 from dualstock.wavelet import (
     FOURIER_FACTOR,
     ScaleGrid,
-    Scaleogram,
     cone_of_influence,
     cwt,
     smooth,
@@ -69,14 +68,14 @@ class TestCwt:
     def test_zero_input_gives_zero(self):
         grid = ScaleGrid(dj=1 / 4, num_scales=8)
         sg = cwt(np.zeros(64), grid)
-        assert np.abs(sg.values).max() == 0.0
+        assert np.abs(sg).max() == 0.0
 
     def test_peak_at_forcing_period(self):
         n = 512
         x = np.cos(2 * np.pi * np.arange(n) / 32)
         grid = ScaleGrid.for_length(n)
         sg = cwt(x, grid)
-        j_peak = int(np.abs(sg.values[:, n // 2]).argmax())
+        j_peak = int(np.abs(sg[:, n // 2]).argmax())
         assert grid.fourier_periods[j_peak] == pytest.approx(32, rel=0.05)
 
     @pytest.mark.parametrize(
@@ -92,7 +91,7 @@ class TestCwt:
     def test_matches_direct_summation(self, n, grid):
         rng = np.random.default_rng(42)
         x = rng.standard_normal(n)
-        fft_w = cwt(x, grid).values
+        fft_w = cwt(x, grid)
         direct_w = cwt_direct(x, grid.scales)
         assert np.abs(fft_w - direct_w).max() < 1e-8
 
@@ -127,11 +126,6 @@ class TestCwt:
             cwt([1.0, 2.0], grid)
         with pytest.raises(ValueError, match="non-finite"):
             cwt([1.0, np.nan, 2.0, 3.0], grid)
-
-    def test_scaleogram_shape_validation(self):
-        grid = ScaleGrid(dj=1 / 4, num_scales=4)
-        with pytest.raises(ValueError, match="num_scales"):
-            Scaleogram(values=np.zeros((3, 10)), grid=grid)
 
 
 class TestSmoothing:
