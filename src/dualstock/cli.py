@@ -229,7 +229,12 @@ def load_config(
         (name, (base / p).resolve() if not Path(p).is_absolute() else Path(p))
         for name, p in paths.items()
     )
-    resolved_out = out_dir or raw.get("out_dir")
+    # Path("") is the working directory, which an empty setting never means
+    if raw.get("out_dir") == "":
+        raise ValueError("config key out_dir must not be empty")
+    if out_dir == "":
+        raise ValueError("--out must not be empty")
+    resolved_out = raw.get("out_dir") if out_dir is None else out_dir
     if resolved_out is None:
         raise ValueError("no output directory: set out_dir in config or pass --out")
     resolved_seed = seed if seed is not None else raw.get("seed")
@@ -437,8 +442,7 @@ def _run_stem(run: ForecastRun) -> str:
 def _predictions_csv(run: ForecastRun, dates) -> str:
     """The run's rows; ``dates`` are the dates of the series it forecast, indexed by origin."""
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
-    for k, origin in enumerate(run.origins):
-        start, end = run.provenance[k]
+    for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
         # repr of the Python float is the shortest exact round-trip, so the
         # report command reproduces the same metrics bit for bit
         rows.append(
@@ -511,7 +515,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
             runs.append(run)
 
     # the declared axes, so a run that failed is a missing cell
-    _write_grids(runs, out / "grids", outcome, "forecast", [r.label for r in regimes], f.lags, f.duals)
+    _write_grids(runs, out / "grids", outcome, "forecast", regimes, f.lags, f.duals)
 
 
 def _write_grids(runs: list[ForecastRun], out: Path, outcome: CommandOutcome, command: str, regimes, lags, duals):
@@ -529,7 +533,7 @@ def _write_grids(runs: list[ForecastRun], out: Path, outcome: CommandOutcome, co
 
 
 def _read_run(manifest_path: Path) -> ForecastRun:
-    """Forecast run rebuilt from a run descriptor and its predictions CSV."""
+    """Forecast run rebuilt from a run descriptor and its predictions CSV, whose training ranges must be its regime's."""
     try:
         meta = json.loads(manifest_path.read_text(encoding="utf-8"))
         if not (isinstance(meta["ticker"], str) and TICKER_NAME.fullmatch(meta["ticker"])):
@@ -545,7 +549,7 @@ def _read_run(manifest_path: Path) -> ForecastRun:
             raise ValueError(f"key predictions_csv must be a file name in the descriptor's directory, got {csv_name!r}")
         with (manifest_path.parent / csv_name).open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        return ForecastRun(
+        run = ForecastRun(
             ticker=meta["ticker"],
             lag=meta["lag"],
             include_dual=meta["dual"] == "yes",
@@ -554,8 +558,17 @@ def _read_run(manifest_path: Path) -> ForecastRun:
             predictions=[float(row["predicted"]) for row in rows],
             actuals=[float(row["actual"]) for row in rows],
             origins=[int(row["origin_index"]) for row in rows],
-            provenance=[(int(row["train_start"]), int(row["train_end"])) for row in rows],
         )
+        for row, origin, expected in zip(rows, run.origins, run.provenance):
+            start, end = int(row["train_start"]), int(row["train_end"])
+            if not 0 <= start <= end <= origin:
+                raise ValueError(f"provenance [{start}, {end}) must precede its origin {origin}")
+            if (start, end) != expected:
+                raise ValueError(
+                    f"provenance [{start}, {end}) at origin {origin} must be the {run.regime.label} "
+                    f"training range [{expected[0]}, {expected[1]})"
+                )
+        return run
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path.name}: {exc}") from exc
 
@@ -563,12 +576,13 @@ def _read_run(manifest_path: Path) -> ForecastRun:
 def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
     """Re-assemble the metric grids from existing run descriptors, one unit per descriptor read.
 
-    The axes are the runs': rolling windows ascending, then MECE if any run is
-    MECE; lags ascending; the duals present, no before yes.  The tickers come
-    ascending.  So the grids are those ``forecast`` wrote when each of its
-    declared windows, lags and duals has a run and it lists windows, lags and
-    tickers ascending.  A descriptor that cannot be read is a failure line;
-    the other runs still make their grids.
+    The axes are the runs': their regimes, one per label, rolling windows
+    ascending, then MECE if any run is MECE; lags ascending; the duals
+    present, no before yes.  The tickers come ascending.  So the grids are
+    those ``forecast`` wrote when each of its declared windows, lags and duals
+    has a run and it lists windows, lags and tickers ascending.  A descriptor
+    that cannot be read is a failure line; the other runs still make their
+    grids.
     """
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
@@ -577,9 +591,8 @@ def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
     for path in manifests:
         with outcome.unit("report"):
             runs.append(_read_run(path))
-    regimes = [f"window={w}" for w in sorted({r.regime.window for r in runs if r.regime.kind == "rolling"})]
-    if any(r.regime.kind == "mece" for r in runs):
-        regimes.append("mece")
+    by_label = {r.regime.label: r.regime for r in runs}
+    regimes = sorted(by_label.values(), key=lambda regime: (regime.kind == "mece", regime.train_length))
     lags = sorted({r.lag for r in runs})
     duals = sorted({r.include_dual for r in runs})
     _write_grids(sorted(runs, key=lambda r: r.ticker), Path(out_dir) / "report", outcome, "report", regimes, lags, duals)
@@ -641,6 +654,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
+            for flag in ("runs", "out"):
+                if getattr(args, flag) == "":
+                    raise ValueError(f"--{flag} must not be empty")
             seed = None
             out_dir = Path(args.out)
             command = "report"

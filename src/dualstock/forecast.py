@@ -10,8 +10,8 @@ lockstep (``lstm.train_batch``) and all origins are predicted in one batched
 forward; a model's result does not depend on the batch it trains in, so the
 predictions equal, bit for bit, those of each origin's model trained alone
 at B = 1.  Every forecast is a pure function of observations strictly
-before its origin; the provenance field records the exact training index
-range per origin.
+before its origin; a run's ``provenance``, the exact training index range
+per origin, is its regime's ``train_range`` at each origin.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class ForecastRun:
-    """Predictions, actuals, and per-origin training provenance (the regime's ``train_range``) for one config."""
+    """Predictions and actuals at each origin for one config; its regime gives each origin's training range."""
 
     ticker: str
     lag: int
@@ -139,7 +139,6 @@ class ForecastRun:
     predictions: np.ndarray
     actuals: np.ndarray
     origins: np.ndarray
-    provenance: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         predictions = np.asarray(self.predictions, dtype=np.float64)
@@ -149,27 +148,23 @@ class ForecastRun:
             raise ValueError("predictions/actuals/origins must all have length test_size")
         if not (np.isfinite(predictions).all() and np.isfinite(actuals).all()):
             raise ValueError("predictions and actuals must be finite")
-        if len(self.provenance) != len(origins):
-            raise ValueError("one provenance range required per origin")
-        for (start, end), origin in zip(self.provenance, origins):
-            if not (0 <= start <= end <= origin):
-                raise ValueError(
-                    f"provenance [{start}, {end}) must precede its origin {origin}"
-                )
-            expected = self.regime.train_range(int(origin))
-            if (start, end) != expected:
-                raise ValueError(
-                    f"provenance [{start}, {end}) at origin {origin} must be the {self.regime.label} "
-                    f"training range [{expected[0]}, {expected[1]})"
-                )
+        # every training range [start, end) lies in [0, origin) iff the first origin is the training length or later
+        first = int(origins.min())
+        if first < self.regime.train_length:
+            start, end = self.regime.train_range(first)
+            raise ValueError(
+                f"the {self.regime.label} training range [{start}, {end}) of origin {first} must lie in [0, {first})"
+            )
         for arr in (predictions, actuals, origins):
             arr.flags.writeable = False
         object.__setattr__(self, "predictions", predictions)
         object.__setattr__(self, "actuals", actuals)
         object.__setattr__(self, "origins", origins)
-        object.__setattr__(
-            self, "provenance", tuple((int(start), int(end)) for start, end in self.provenance)
-        )
+
+    @property
+    def provenance(self) -> tuple[tuple[int, int], ...]:
+        """The training index range [start, end) of each origin: the regime's ``train_range``."""
+        return tuple(self.regime.train_range(int(origin)) for origin in self.origins)
 
 
 def forecast(
@@ -246,5 +241,4 @@ def forecast(
         predictions=predictions,
         actuals=own[origins],
         origins=origins,
-        provenance=provenance,
     )

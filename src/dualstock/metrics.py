@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forecast import RegimeSpec
+
 __all__ = [
     "MetricTriple",
     "ReportGrid",
@@ -86,33 +88,34 @@ class ReportGrid:
     """Per-ticker grid of MetricTriples keyed by (regime label, lag, dual)."""
 
     ticker: str
-    regimes: tuple[str, ...]
+    regimes: tuple[RegimeSpec, ...]
     lags: tuple[int, ...]
     duals: tuple[bool, ...]
     cells: dict
 
     @property
     def missing(self) -> tuple[tuple[str, int, bool], ...]:
-        return tuple(key for key in self._keys() if self.cells[key] is None)
+        return tuple((regime.label, lag, dual) for regime, lag, dual, triple in self._entries() if triple is None)
 
-    def _keys(self):
+    def _entries(self):
+        """(regime, lag, dual, triple) per cell in the grid's order; the triple is None where missing."""
         for regime in self.regimes:
             for lag in self.lags:
                 for dual in self.duals:
-                    yield (regime, lag, dual)
+                    yield regime, lag, dual, self.cells[(regime.label, lag, dual)]
 
 
 def assemble_grid(
     runs,
     *,
-    regimes: tuple[str, ...],
+    regimes: tuple[RegimeSpec, ...],
     lags: tuple[int, ...],
     duals: tuple[bool, ...],
 ) -> ReportGrid:
-    """Fold forecast runs for one ticker into the declared configuration grid.
+    """Fold forecast runs for one ticker into the declared grid, one cell per (regime label, lag, dual).
 
-    Each run must carry ticker, lag, include_dual, regime.label, predictions,
-    and actuals.  Duplicate configurations and runs outside the declared set
+    Each run must carry ticker, lag, include_dual, regime, predictions, and
+    actuals.  Duplicate configurations and runs outside the declared set
     are errors; declared configurations without a run are flagged missing.
     """
     runs = list(runs)
@@ -121,7 +124,7 @@ def assemble_grid(
     tickers = sorted({r.ticker for r in runs})
     if len(tickers) > 1:
         raise ValueError(f"assemble_grid expects one ticker per grid, got {tickers}")
-    declared = {(regime, lag, dual) for regime in regimes for lag in lags for dual in duals}
+    declared = {(regime.label, lag, dual) for regime in regimes for lag in lags for dual in duals}
     cells: dict = {key: None for key in declared}
     for run in runs:
         key = (run.regime.label, run.lag, run.include_dual)
@@ -146,13 +149,12 @@ def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
     header = ["regime", "metric"] + _column_names(grid)
     rows = [header]
     for regime in grid.regimes:
-        # "window=15" displays as "Training Window = 15", any window alike
-        display = "MECE" if regime == "mece" else regime.replace("window=", "Training Window = ")
+        display = "MECE" if regime.kind == "mece" else f"Training Window = {regime.window}"
         for metric in _METRIC_NAMES:
             row = [display, metric]
             for lag in grid.lags:
                 for dual in grid.duals:
-                    triple = grid.cells[(regime, lag, dual)]
+                    triple = grid.cells[(regime.label, lag, dual)]
                     if triple is None:
                         row.append("")
                     else:
@@ -164,9 +166,8 @@ def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
 
 def grid_to_json_dict(grid: ReportGrid) -> dict:
     cells = {}
-    for regime, lag, dual in grid._keys():
-        key = f"{regime}|lag={lag}|dual={'yes' if dual else 'no'}"
-        triple = grid.cells[(regime, lag, dual)]
+    for regime, lag, dual, triple in grid._entries():
+        key = f"{regime.label}|lag={lag}|dual={'yes' if dual else 'no'}"
         cells[key] = (
             None
             if triple is None
@@ -174,7 +175,7 @@ def grid_to_json_dict(grid: ReportGrid) -> dict:
         )
     return {
         "ticker": grid.ticker,
-        "regimes": list(grid.regimes),
+        "regimes": [regime.label for regime in grid.regimes],
         "lags": list(grid.lags),
         "duals": ["yes" if d else "no" for d in grid.duals],
         "cells": cells,
@@ -189,19 +190,16 @@ def long_format_rows(grids) -> list[list[str]]:
     """Flat rows ticker,regime,window,lag,dual,metric,value across grids."""
     rows = [["ticker", "regime", "window", "lag", "dual", "metric", "value"]]
     for grid in grids:
-        for regime, lag, dual in grid._keys():
-            triple = grid.cells[(regime, lag, dual)]
+        for regime, lag, dual, triple in grid._entries():
             if triple is None:
                 continue
-            window = regime.split("=", 1)[1] if regime.startswith("window=") else ""
-            kind = "rolling" if window else "mece"
             for metric in _METRIC_NAMES:
                 value = getattr(triple, metric.lower())
                 rows.append(
                     [
                         grid.ticker,
-                        kind,
-                        window,
+                        regime.kind,
+                        "" if regime.window is None else str(regime.window),
                         str(lag),
                         "yes" if dual else "no",
                         metric,

@@ -126,9 +126,7 @@ def _contour_rows(mask: np.ndarray, xs: list[str], ys: list[str]):
 
 def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) -> Iterable[str]:
     """The coherence field as SVG text, in chunks that join to the whole document."""
-    rho2 = np.asarray(field.rho2)
-    if not np.isfinite(rho2).all():
-        raise ValueError("field contains non-finite rho2 values")
+    rho2 = field.rho2
     num_scales, n = rho2.shape
     periods = field.grid.fourier_periods
     dj = field.grid.dj

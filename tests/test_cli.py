@@ -156,6 +156,40 @@ class TestConfig:
         assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, out_dir, message",
+        [
+            (["premiums", "--config", "CONFIG", "--out", ""], "OUT", "--out must not be empty"),
+            (["premiums", "--config", "CONFIG"], "", "config key out_dir must not be empty"),
+            (["run", "--config", "CONFIG", "--out", "OUT"], "", "config key out_dir must not be empty"),
+            (["report", "--runs", "RUNS", "--out", ""], "OUT", "--out must not be empty"),
+            (["report", "--runs", "", "--out", "OUT"], "OUT", "--runs must not be empty"),
+        ],
+        ids=["flag-out", "config-out_dir", "config-out_dir-overridden", "report-out", "report-runs"],
+    )
+    def test_empty_output_or_runs_path_fails_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, out_dir, message
+    ):
+        # an empty path is the working directory to Path(""), never what was meant
+        cli_module = importlib.import_module("dualstock.cli")
+        read = []
+        monkeypatch.setattr(cli_module, "load_ohlc_csv", lambda path, *a, **k: read.append(path))
+        monkeypatch.setattr(cli_module, "_read_run", lambda path: read.append(path))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, synthetic_tickers(tmp_path), out_dir=str(out) if out_dir else out_dir)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "AAA_lag4_dual-no_w10.json").write_text("{}", encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        paths = {"CONFIG": str(config), "OUT": str(out), "RUNS": str(runs)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert read == []
+        assert list(work.iterdir()) == []
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path):
         path = write_config(tmp_path, {"AAA": "absent.csv"})
         with pytest.raises(ValueError, match="not found"):
@@ -1022,8 +1056,9 @@ class TestReportCommand:
             ({}, "lag4_dual_no,lag4_dual_yes,lag9_dual_no,lag9_dual_yes", ["Training Window = 10", "MECE"]),
             ({"duals": [False]}, "lag4_dual_no,lag9_dual_no", ["Training Window = 10", "MECE"]),
             ({"windows": [15], "mece_train_size": None, "lags": [4]}, "lag4_dual_no,lag4_dual_yes", ["Training Window = 15"]),
+            ({"windows": []}, "lag4_dual_no,lag4_dual_yes,lag9_dual_no,lag9_dual_yes", ["MECE"]),
         ],
-        ids=["paper-shape", "dual-no-only", "window-15"],
+        ids=["paper-shape", "dual-no-only", "window-15", "mece-only"],
     )
     def test_axes_are_the_runs(self, tmp_path, forecast, header, regimes):
         report = self.forecast_and_report(tmp_path, **forecast)

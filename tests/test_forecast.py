@@ -284,34 +284,24 @@ class TestBatchedTraining:
 class TestForecastRunValidation:
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(ForecastRun)]
-        assert names == ["ticker", "lag", "include_dual", "regime", "seed", "predictions", "actuals", "origins", "provenance"]
-
-    def test_provenance_must_precede_origin(self):
-        regime = RegimeSpec(kind="rolling", test_size=1, window=5)
-        with pytest.raises(ValueError, match="precede"):
-            ForecastRun(
-                ticker="T", lag=4, include_dual=False, regime=regime, seed=0,
-                predictions=[1.0], actuals=[1.0], origins=[10],
-                provenance=((8, 11),),
-            )
+        assert names == ["ticker", "lag", "include_dual", "regime", "seed", "predictions", "actuals", "origins"]
 
     @pytest.mark.parametrize(
-        "regime, provenance, expected",
+        "regime, origin, expected",
         [
-            (RegimeSpec(kind="rolling", test_size=1, window=5), (3, 10), "window=5 training range [5, 10)"),
-            (RegimeSpec(kind="mece", test_size=1, train_size=8), (0, 7), "mece training range [0, 8)"),
+            (RegimeSpec(kind="rolling", test_size=1, window=5), 3, "the window=5 training range [-2, 3) of origin 3"),
+            (RegimeSpec(kind="mece", test_size=1, train_size=8), 7, "the mece training range [0, 8) of origin 7"),
         ],
         ids=["rolling", "mece"],
     )
-    def test_provenance_must_be_the_regime_training_range(self, regime, provenance, expected):
-        # a range that precedes its origin but is not the regime's names both ranges
+    def test_provenance_must_precede_origin(self, regime, origin, expected):
+        # an origin before the end of its regime's training range has no valid range
         with pytest.raises(ValueError) as excinfo:
             ForecastRun(
                 ticker="T", lag=2, include_dual=False, regime=regime, seed=0,
-                predictions=[1.0], actuals=[1.0], origins=[10],
-                provenance=(provenance,),
+                predictions=[1.0], actuals=[1.0], origins=[origin],
             )
-        assert str(excinfo.value) == f"provenance [{provenance[0]}, {provenance[1]}) at origin 10 must be the {expected}"
+        assert str(excinfo.value) == f"{expected} must lie in [0, {origin})"
 
     def test_length_consistency(self):
         regime = RegimeSpec(kind="rolling", test_size=2, window=5)
@@ -319,5 +309,4 @@ class TestForecastRunValidation:
             ForecastRun(
                 ticker="T", lag=4, include_dual=False, regime=regime, seed=0,
                 predictions=[1.0], actuals=[1.0], origins=[10],
-                provenance=((5, 10),),
             )

@@ -19,8 +19,14 @@ from dualstock.metrics import (
 
 from _oracles import mae_brute, mape_brute, rmse_brute
 
+
+def rolling(window):
+    return RegimeSpec(kind="rolling", test_size=10, window=window)
+
+
+MECE = RegimeSpec(kind="mece", test_size=10, train_size=50)
 # the paper grid's axes, declared to every grid these tests assemble
-REGIMES = ("window=5", "window=10", "window=20", "window=50", "mece")
+REGIMES = (rolling(5), rolling(10), rolling(20), rolling(50), MECE)
 LAGS = (4, 9)
 DUALS = (False, True)
 AXES = dict(regimes=REGIMES, lags=LAGS, duals=DUALS)
@@ -29,16 +35,13 @@ AXES = dict(regimes=REGIMES, lags=LAGS, duals=DUALS)
 class FakeRun:
     """Minimal run-shaped object for grid assembly tests."""
 
-    def __init__(self, ticker="KRDMA", lag=4, dual=False, regime_label="mece", n=10, seed=0):
+    def __init__(self, ticker="KRDMA", lag=4, dual=False, regime=MECE, seed=0):
         rng = np.random.default_rng(seed)
         self.ticker = ticker
         self.lag = lag
         self.include_dual = dual
-        if regime_label == "mece":
-            self.regime = RegimeSpec(kind="mece", test_size=n, train_size=50)
-        else:
-            window = int(regime_label.split("=")[1])
-            self.regime = RegimeSpec(kind="rolling", test_size=n, window=window)
+        self.regime = regime
+        n = regime.test_size
         self.actuals = rng.uniform(5, 50, size=n)
         self.predictions = self.actuals + rng.normal(0, 1, size=n)
 
@@ -169,7 +172,7 @@ class TestAssembleGrid:
 
     def test_outside_declared_set_rejected(self):
         with pytest.raises(ValueError, match="outside the declared grid"):
-            assemble_grid([FakeRun(regime_label="window=7")], **AXES)
+            assemble_grid([FakeRun(regime=rolling(7))], **AXES)
 
     def test_multiple_tickers_rejected(self):
         with pytest.raises(ValueError, match="one ticker"):
@@ -195,7 +198,7 @@ class TestRendering:
 
     def test_every_window_is_named_by_one_rule(self):
         grid = assemble_grid(
-            [FakeRun(regime_label="window=15")], regimes=("window=15", "window=7", "mece"), lags=LAGS, duals=DUALS
+            [FakeRun(regime=rolling(15))], regimes=(rolling(15), rolling(7), MECE), lags=LAGS, duals=DUALS
         )
         assert [row[0] for row in grid_table_rows(grid)[1::3]] == [
             "Training Window = 15", "Training Window = 7", "MECE",
