@@ -15,6 +15,15 @@ of the scalar recursion, so the surrogates are bit-identical to one scalar
 AR(1) draw per series (the test suite's ``ar1_surrogate`` oracle).  The
 exceedance counters are order-independent sums, so mask and counts are
 bit-identical no matter how iterations are scheduled.
+
+The observed field and every surrogate pair go through the same row-band
+pass (``wavelet._rho2_rows``): the observed rho^2 and phase are filled one
+scale row at a time, and each surrogate row's ``>=`` comparison with the
+observed row is added to the counts as soon as the row is complete.  So no
+(num_scales, n) array is allocated per surrogate iteration; a call holds
+the result's rho^2, phase and counts (1.5 complex fields) plus the pass's
+batches and band, within 3 complex fields at n = 2000 once the kernel
+tables are cached.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import CoherenceField, ScaleGrid, _rho2, cone_of_influence, cwt, phase_field
+from .wavelet import CoherenceField, ScaleGrid, _rho2_rows, cone_of_influence, phase_field
 
 __all__ = ["AR1Params", "MonteCarloSpec", "fit_ar1", "significance"]
 
@@ -137,20 +146,21 @@ def significance(a, b, grid: ScaleGrid, *, mc: MonteCarloSpec) -> CoherenceField
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("series must have equal length")
-    rho2, cross = _rho2(cwt(a, grid), cwt(b, grid), grid)
-    phase = phase_field(cross)
-    del cross  # only its phase is kept, so the Monte-Carlo loop does not hold it
+    n = a.size  # the producer checks that each input is a 1-D series
+    rho2 = np.empty((grid.num_scales, n))
+    phase = np.empty((grid.num_scales, n))
+    for j, rho2_row, cross_row in _rho2_rows(a, b, grid):
+        rho2[j] = rho2_row
+        phase[j] = phase_field(cross_row)
     params_a = fit_ar1(a)
     params_b = fit_ar1(b)
-    n = len(a)
     count_ge = np.zeros(rho2.shape, dtype=np.int64)
     for start in range(0, mc.iterations, BLOCK_ITERATIONS):
         block = range(start, min(mc.iterations, start + BLOCK_ITERATIONS))
         surrogates = _surrogate_block(params_a, params_b, n, mc.seed, block)
         for k in range(len(block)):
-            sur_a = cwt(surrogates[2 * k], grid)
-            sur_b = cwt(surrogates[2 * k + 1], grid)
-            count_ge += _rho2(sur_a, sur_b, grid)[0] >= rho2
+            for j, rho2_row, _ in _rho2_rows(surrogates[2 * k], surrogates[2 * k + 1], grid):
+                count_ge[j] += rho2_row >= rho2[j]
     # observed > (1-level) order statistic  <=>  #{surrogate >= observed} <= floor(level*m)
     threshold = math.floor(SIGNIFICANCE_LEVEL * mc.iterations + 1e-9)
     return CoherenceField(

@@ -78,10 +78,11 @@ def _escape(text: str) -> str:
 def _heatmap_rows(rho2: np.ndarray, xs: list[str], ys: list[str], cell_w: float, cell_h: float):
     """One chunk of ``<rect>`` lines per scale row, one rect per run of a color level."""
     n = rho2.shape[1]
-    quant = np.minimum((rho2 * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
     height = _fmt(cell_h)
     widths: dict[int, str] = {}
-    for j, row in enumerate(quant):
+    for j, values in enumerate(rho2):
+        # one row at a time, so no whole-field temporaries
+        row = np.minimum((values * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
         starts = [0] + (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
         lengths = np.diff(starts, append=n).tolist()
         for length in set(lengths).difference(widths):

@@ -32,8 +32,21 @@ Gaussian is real and symmetric, so its spectrum is real: the two power
 terms |W|^2 / s are smoothed with rfft/irfft against the half spectrum, the
 complex cross term with fft/ifft against the full one.  Because numerator
 and denominators share the same weights, Cauchy-Schwarz keeps rho^2 within
-[0, 1] up to float roundoff.  ``significance.significance`` builds every
-``CoherenceField`` from ``_rho2``, ``phase_field`` and ``cone_of_influence``.
+[0, 1] up to float roundoff.
+
+The coherence of a pair is one band pass down the scale rows
+(``_rho2_rows``): each row batch is transformed, its cross term
+conj(W_b) * W_a / s and its two powers are formed and time-smoothed, and
+the smoothed rows are kept in a band only until the 0.6-octave boxcar of
+every row that reads them is complete; then that row's rho^2 and smoothed
+cross spectrum are yielded.  So a pair never allocates a (num_scales, n)
+array: beyond the cached tables it holds a few ``ROW_BLOCK_BYTES`` batches
+and a band of a batch plus two boxcar windows of rows.  The cross term's
+operand order is fixed, because complex multiply is not bit-commutative;
+with it, every cell is the same bytes as the whole-array pipeline of
+``cwt`` and ``smooth``, whatever the batch size.  ``significance.significance``
+builds every ``CoherenceField`` from the band pass, ``phase_field`` and
+``cone_of_influence``.
 """
 
 from __future__ import annotations
@@ -105,8 +118,10 @@ class ScaleGrid:
 # at a time so each batch's buffers stay in cache: at n = 5581 on a 2-vCPU
 # Xeon, batches of 2 MB (16 rows) ran the CWT about a third faster, and the
 # complex time smoothing about 15% faster, than one batch of all 89 rows
-# that share the 8192-point pad.
-ROW_BLOCK_BYTES = 2 << 20
+# that share the 8192-point pad.  Batches of 256 KB (2 rows at that pad, 1
+# at 16384) ran ``significance`` as fast as 2 MB ones within the host's
+# drift, and they bound what the coherence band pass holds per pair.
+ROW_BLOCK_BYTES = 256 << 10
 
 
 def _pad_length(n: int, reach: float) -> int:
@@ -169,6 +184,22 @@ def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int) -> np.ndarray
     return out
 
 
+def _demeaned(x) -> np.ndarray:
+    """A finite 1-D series of at least 4 days as float64, with its mean removed."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or len(x) < 4:
+        raise ValueError(f"input must be a 1-D series of length >= 4, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("input contains non-finite values")
+    return x - x.mean()
+
+
+def _transform_rows(xhat: np.ndarray, grid: ScaleGrid, group, r0: int, r1: int) -> np.ndarray:
+    """Rows [r0, r1) of one pad group's transform, npad wide; ``xhat`` is the series' npad-point FFT."""
+    lo, hi, npad = group
+    return np.fft.ifft(xhat * _daughter_matrix(grid, lo, hi, npad)[r0 - lo : r1 - lo], axis=1)
+
+
 def cwt(x, grid: ScaleGrid) -> np.ndarray:
     """Morlet transform of a real daily series on the grid: complex coefficients, (num_scales, n).
 
@@ -178,19 +209,13 @@ def cwt(x, grid: ScaleGrid) -> np.ndarray:
     sum_t x(t) * w(s) * conj(psi((t - tau) / s)) with w(s) the
     normalization weight, everywhere on the grid.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 4:
-        raise ValueError(f"input must be a 1-D series of length >= 4, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite values")
-    n = len(x)
-    xd = x - x.mean()
+    xd = _demeaned(x)
+    n = len(xd)
     coeffs = np.empty((grid.num_scales, n), dtype=np.complex128)
-    for lo, hi, npad in _pad_groups(grid, n):
-        xhat = np.fft.fft(xd, npad)
-        daughters = _daughter_matrix(grid, lo, hi, npad)
-        for r0, r1 in _row_batches(lo, hi, npad):
-            coeffs[r0:r1] = np.fft.ifft(xhat * daughters[r0 - lo : r1 - lo], axis=1)[:, :n]
+    for group in _pad_groups(grid, n):
+        xhat = np.fft.fft(xd, group[2])
+        for r0, r1 in _row_batches(*group):
+            coeffs[r0:r1] = _transform_rows(xhat, grid, group, r0, r1)[:, :n]
     return coeffs
 
 
@@ -227,41 +252,33 @@ def _smooth_weight_sums(grid: ScaleGrid, n: int) -> np.ndarray:
     return sums
 
 
-def _time_smooth(values: np.ndarray, grid: ScaleGrid) -> np.ndarray:
-    """Gaussian time smoothing of each row, renormalized at the boundaries.
+def _time_smooth_rows(values: np.ndarray, grid: ScaleGrid, group, r0: int, out: np.ndarray) -> None:
+    """Gaussian time smoothing of rows r0.. of one pad group into ``out``, renormalized at the boundaries.
 
     Real rows go through rfft/irfft against the half spectrum; complex rows
     through fft/ifft against the full one.
     """
+    lo, hi, npad = group
     n = values.shape[1]
-    out = np.empty(values.shape, dtype=np.result_type(values.dtype, np.float64))
-    real = not np.iscomplexobj(out)
-    sums = _smooth_weight_sums(grid, n)
-    for lo, hi, npad in _pad_groups(grid, n):
-        half, full = _gauss_kernel_fft(grid, lo, hi, npad)
-        for r0, r1 in _row_batches(lo, hi, npad):
-            rows = slice(r0 - lo, r1 - lo)
-            if real:
-                vhat = np.fft.rfft(values[r0:r1], npad, axis=1)
-                vhat *= half[rows]
-                smoothed = np.fft.irfft(vhat, npad, axis=1)
-            else:
-                vhat = np.fft.fft(values[r0:r1], npad, axis=1)
-                vhat *= full[rows]
-                smoothed = np.fft.ifft(vhat, axis=1)
-            np.divide(smoothed[:, :n], sums[r0:r1], out=out[r0:r1])
-    return out
+    rows = slice(r0 - lo, r0 - lo + len(values))
+    half, full = _gauss_kernel_fft(grid, lo, hi, npad)
+    if np.iscomplexobj(values):
+        vhat = np.fft.fft(values, npad, axis=1)
+        vhat *= full[rows]
+        smoothed = np.fft.ifft(vhat, axis=1)
+    else:
+        vhat = np.fft.rfft(values, npad, axis=1)
+        vhat *= half[rows]
+        smoothed = np.fft.irfft(vhat, npad, axis=1)
+    np.divide(smoothed[:, :n], _smooth_weight_sums(grid, n)[r0 : r0 + len(values)], out=out)
 
 
-def _scale_boxcar(values: np.ndarray, dj: float) -> np.ndarray:
-    num = values.shape[0]
-    half = SCALE_WINDOW_OCTAVES / (2.0 * dj)
-    out = np.empty_like(values)
-    for j in range(num):
-        lo = max(0, math.ceil(j - half))
-        hi = min(num - 1, math.floor(j + half))
-        out[j] = values[lo : hi + 1].mean(axis=0)
-    return out
+@functools.lru_cache(maxsize=64)
+def _boxcar_windows(grid: ScaleGrid) -> tuple[tuple[int, int], ...]:
+    """Per row j, the rows [lo, hi) that the ``SCALE_WINDOW_OCTAVES`` scale boxcar averages."""
+    half = SCALE_WINDOW_OCTAVES / (2.0 * grid.dj)
+    num = grid.num_scales
+    return tuple((max(0, math.ceil(j - half)), min(num, math.floor(j + half) + 1)) for j in range(num))
 
 
 def smooth(values, *, grid: ScaleGrid) -> np.ndarray:
@@ -275,7 +292,14 @@ def smooth(values, *, grid: ScaleGrid) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != grid.num_scales:
         raise ValueError(f"grid expects (num_scales, n); got shape {values.shape}")
-    return _scale_boxcar(_time_smooth(values, grid), grid.dj)
+    timed = np.empty(values.shape, dtype=np.result_type(values.dtype, np.float64))
+    for group in _pad_groups(grid, values.shape[1]):
+        for r0, r1 in _row_batches(*group):
+            _time_smooth_rows(values[r0:r1], grid, group, r0, timed[r0:r1])
+    out = np.empty_like(timed)
+    for j, (lo, hi) in enumerate(_boxcar_windows(grid)):
+        out[j] = timed[lo:hi].mean(axis=0)
+    return out
 
 
 def phase_field(cross_smoothed: np.ndarray) -> np.ndarray:
@@ -348,25 +372,74 @@ class CoherenceField:
         return periods[:, None] <= self.coi[None, :]
 
 
-def _rho2(a: np.ndarray, b: np.ndarray, grid: ScaleGrid):
-    """Clamped squared coherence (0 where the denominator vanished) and the smoothed cross spectrum.
+def _cross_term(w_a: np.ndarray, w_b: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
+    """conj(W_b) * W_a / s, in that operand order.
 
-    ``a`` and ``b`` are two ``cwt`` coefficient arrays on ``grid``.
+    numpy's complex multiply is not bit-commutative (it may fuse a multiply
+    and an add), and ``a * np.conj(b)`` runs as multiply(conj(b), a) only on
+    arrays large enough for numpy to reuse the temporary.  The fixed order
+    makes a row computed alone the same bytes as that row of a whole field.
     """
-    if a.shape != b.shape or a.shape[0] != grid.num_scales:
-        raise ValueError(
-            f"coefficients must be two ({grid.num_scales}, n) arrays of one shape; got {a.shape} and {b.shape}"
-        )
+    cross = np.conj(w_b)
+    np.multiply(cross, w_a, out=cross)
+    cross *= inv_s
+    return cross
+
+
+def _power_term(w: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
+    """|W|^2 / s."""
+    power = w.real**2
+    power += w.imag**2
+    power *= inv_s
+    return power
+
+
+def _rho2_rows(x_a, x_b, grid: ScaleGrid):
+    """Clamped squared coherence of two daily series, one scale row at a time, in row order.
+
+    Yields ``(j, rho2 row, smoothed cross row)`` for j = 0 .. num_scales - 1;
+    rho2 is 0 where the denominator vanished.  Each row batch of a pad group
+    is transformed, multiplied and time-smoothed on its own; the smoothed
+    rows wait in a band only until the scale boxcar of every row that reads
+    them is complete, so no (num_scales, n) array is allocated.  Every cell
+    has the arithmetic of the whole-array pipeline (``cwt``, then ``smooth``
+    of conj(W_b) * W_a / s and of the two powers |W|^2 / s), bit for bit.
+    """
+    xs = (_demeaned(x_a), _demeaned(x_b))
+    n = len(xs[0])
+    windows = _boxcar_windows(grid)
     inv_s = 1.0 / grid.scales[:, None]
-    cross = smooth(a * np.conj(b) * inv_s, grid=grid)
-    power_a = smooth((a.real**2 + a.imag**2) * inv_s, grid=grid)
-    power_b = smooth((b.real**2 + b.imag**2) * inv_s, grid=grid)
-    denom = power_a * power_b
-    degenerate = denom <= 0.0
-    rho2 = cross.real**2
-    rho2 += cross.imag**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho2 /= denom
-    rho2[degenerate] = 0.0
-    np.clip(rho2, 0.0, 1.0, out=rho2)
-    return rho2, cross
+    groups = _pad_groups(grid, n)
+    # Band rows: a batch plus two boxcar windows.  One window's rows are
+    # waiting when a batch arrives; the spare one lets the band be shifted
+    # down only every few batches.
+    step = max(r1 - r0 for group in groups for r0, r1 in _row_batches(*group))
+    depth = min(grid.num_scales, step + 2 * max(hi - lo for lo, hi in windows))
+    bands = (np.empty((depth, n), dtype=np.complex128), np.empty((depth, n)), np.empty((depth, n)))
+    base = 0  # grid row held in band row 0
+    j = 0  # next row to yield
+    for group in groups:
+        xhats = [np.fft.fft(x, group[2]) for x in xs]
+        for r0, r1 in _row_batches(*group):
+            if r1 - base > depth:
+                keep = windows[j][0]  # no later window reads a row below it
+                for band in bands:
+                    band[: r0 - keep] = band[keep - base : r0 - base]
+                base = keep
+            w_a, w_b = (_transform_rows(xhat, grid, group, r0, r1)[:, :n] for xhat in xhats)
+            inv = inv_s[r0:r1]
+            terms = (_cross_term(w_a, w_b, inv), _power_term(w_a, inv), _power_term(w_b, inv))
+            for term, band in zip(terms, bands):
+                _time_smooth_rows(term, grid, group, r0, band[r0 - base : r1 - base])
+            while j < grid.num_scales and windows[j][1] <= r1:
+                window = slice(windows[j][0] - base, windows[j][1] - base)
+                cross_row, power_a, power_b = (band[window].mean(axis=0) for band in bands)
+                denom = power_a * power_b
+                rho2 = cross_row.real**2
+                rho2 += cross_row.imag**2
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rho2 /= denom
+                rho2[denom <= 0.0] = 0.0
+                np.clip(rho2, 0.0, 1.0, out=rho2)
+                yield j, rho2, cross_row
+                j += 1

@@ -30,7 +30,7 @@ from dualstock.svgplot import (
     _fmt,
 )
 from dualstock.timeseries import CsvFormat, PriceSeries
-from dualstock.wavelet import CoherenceField, _rho2, cone_of_influence, phase_field
+from dualstock.wavelet import CoherenceField, _rho2_rows, cone_of_influence, phase_field, smooth
 
 
 def morlet_mother(t, omega0: float = 6.0):
@@ -235,20 +235,60 @@ def lstm_train_per_sample(inputs, targets, cfg, seed):
     return flat, trace
 
 
-def coherence(a, b, grid) -> CoherenceField:
-    """The observed field of two ``cwt`` coefficient arrays on ``grid``, built as ``significance`` builds it.
+def same_bytes(x, y) -> bool:
+    """Equal dtype, shape and bytes: unlike ``np.array_equal``, -0.0 differs from 0.0."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def rho2_full(a, b, grid):
+    """Clamped squared coherence (0 where the denominator vanished) and the smoothed cross spectrum.
+
+    ``a`` and ``b`` are two ``cwt`` coefficient arrays on ``grid``.  The
+    whole-array pipeline, kept as the bitwise reference of the row-band
+    producer ``wavelet._rho2_rows``: every (num_scales, n) term is smoothed
+    at once by the public ``smooth``.  The cross term is conj(b) * a in that
+    operand order, as the producer forms it (complex multiply is not
+    bit-commutative).
+    """
+    if a.shape != b.shape or a.shape[0] != grid.num_scales:
+        raise ValueError(
+            f"coefficients must be two ({grid.num_scales}, n) arrays of one shape; got {a.shape} and {b.shape}"
+        )
+    inv_s = 1.0 / grid.scales[:, None]
+    cross = smooth(np.multiply(np.conj(b), a) * inv_s, grid=grid)
+    power_a = smooth((a.real**2 + a.imag**2) * inv_s, grid=grid)
+    power_b = smooth((b.real**2 + b.imag**2) * inv_s, grid=grid)
+    denom = power_a * power_b
+    degenerate = denom <= 0.0
+    rho2 = cross.real**2
+    rho2 += cross.imag**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 /= denom
+    rho2[degenerate] = 0.0
+    np.clip(rho2, 0.0, 1.0, out=rho2)
+    return rho2, cross
+
+
+def coherence(x_a, x_b, grid) -> CoherenceField:
+    """The observed field of two daily series on ``grid``, built as ``significance`` builds it.
 
     No Monte-Carlo run.
 
     Not an oracle: a test helper for tests whose unit is rho2 and phase.  The
     mask is all False and the exceedance counts are zero.
     """
-    rho2, cross = _rho2(a, b, grid)
+    n = len(x_a)
+    rho2 = np.empty((grid.num_scales, n))
+    phase = np.empty((grid.num_scales, n))
+    for j, rho2_row, cross_row in _rho2_rows(x_a, x_b, grid):
+        rho2[j] = rho2_row
+        phase[j] = phase_field(cross_row)
     return CoherenceField(
         rho2,
-        phase_field(cross),
+        phase,
         grid,
-        cone_of_influence(a.shape[1]),
+        cone_of_influence(n),
         significant=np.zeros(rho2.shape, dtype=bool),
         exceedances=np.zeros(rho2.shape, dtype=np.int64),
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 
 from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence, cwt, phase_field, smooth
 
-from _oracles import ar1_series, coherence, coherence_single_pad
+from _oracles import ar1_series, coherence, coherence_single_pad, rho2_full, same_bytes
+
+wavelet = importlib.import_module("dualstock.wavelet")
 
 
 def field_pair(a, b, grid=None):
     grid = grid or ScaleGrid.for_length(len(a))
-    return coherence(cwt(a, grid), cwt(b, grid), grid)
+    return coherence(a, b, grid)
 
 
 class TestSelfCoherence:
@@ -19,7 +22,7 @@ class TestSelfCoherence:
         rng = np.random.default_rng(21)
         x = rng.standard_normal(256)
         grid = ScaleGrid.for_length(256)
-        f = coherence(cwt(x, grid), cwt(x, grid), grid)
+        f = coherence(x, x, grid)
         assert np.abs(f.rho2 - 1.0).max() < 1e-6
 
     def test_preclamp_excursion_bounded(self):
@@ -68,8 +71,8 @@ class TestSymmetries:
         long_a = rng.standard_normal(m + k)
         long_b = rng.standard_normal(m + k)
         grid = ScaleGrid(dj=1 / 6, num_scales=13)  # scales up to 8 days
-        f0 = coherence(cwt(long_a[:m], grid), cwt(long_b[:m], grid), grid)
-        f1 = coherence(cwt(long_a[k : m + k], grid), cwt(long_b[k : m + k], grid), grid)
+        f0 = coherence(long_a[:m], long_b[:m], grid)
+        f1 = coherence(long_a[k : m + k], long_b[k : m + k], grid)
         # interior: stay clear of both window edges by the full kernel reach
         margin = int(math.ceil(8 * grid.scales[-1])) + k
         interior = slice(margin, m - margin)
@@ -86,7 +89,7 @@ class TestDetection:
         a = shared + 0.5 * rng.standard_normal(n)
         b = shared + 0.5 * rng.standard_normal(n)
         grid = ScaleGrid.for_length(n)
-        f = coherence(cwt(a, grid), cwt(b, grid), grid)
+        f = coherence(a, b, grid)
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & f.inside_coi()
         assert f.rho2[sel].mean() > 0.9
@@ -100,7 +103,7 @@ class TestDetection:
         for _ in range(20):
             a = rng.standard_normal(n)
             b = rng.standard_normal(n)
-            f = coherence(cwt(a, grid), cwt(b, grid), grid)
+            f = coherence(a, b, grid)
             means.append(f.rho2.mean())
         assert np.mean(means) < 0.5
 
@@ -110,7 +113,7 @@ class TestPhase:
         rng = np.random.default_rng(50)
         x = rng.standard_normal(256)
         grid = ScaleGrid.for_length(256)
-        f = coherence(cwt(x, grid), cwt(x, grid), grid)
+        f = coherence(x, x, grid)
         inside = f.inside_coi()
         assert np.abs(f.phase[inside]).max() < 1e-8
 
@@ -118,7 +121,7 @@ class TestPhase:
         n = 512
         t = np.arange(n)
         grid = ScaleGrid.for_length(n)
-        f = coherence(cwt(np.cos(2 * np.pi * t / 32), grid), cwt(np.sin(2 * np.pi * t / 32), grid), grid)
+        f = coherence(np.cos(2 * np.pi * t / 32), np.sin(2 * np.pi * t / 32), grid)
         band = (grid.fourier_periods >= 28) & (grid.fourier_periods <= 36)
         sel = band[:, None] & f.inside_coi()
         assert np.abs(f.phase[sel] - math.pi / 2).max() < 0.1
@@ -143,17 +146,10 @@ class TestPhase:
 class TestDegenerateCells:
     def test_zero_inputs_flagged(self):
         grid = ScaleGrid(dj=1 / 4, num_scales=6)
-        zero = cwt(np.zeros(128), grid)
+        zero = np.zeros(128)
         f = coherence(zero, zero, grid)
         assert (f.rho2 == 0.0).all()
         assert (f.phase == 0.0).all()
-
-    def test_grid_mismatch_error(self):
-        grid = ScaleGrid(dj=1 / 4, num_scales=6)
-        other = ScaleGrid(dj=1 / 4, num_scales=7)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=r"two \(6, n\) arrays of one shape; got \(6, 64\) and \(7, 64\)"):
-            coherence(cwt(rng.standard_normal(64), grid), cwt(rng.standard_normal(64), other), grid)
 
 
 class TestFieldStructure:
@@ -168,7 +164,7 @@ class TestFieldStructure:
         x = rng.standard_normal(128)
         y = rng.standard_normal(128)
         grid = ScaleGrid.for_length(128)
-        f = coherence(cwt(x, grid), cwt(y, grid), grid)
+        f = coherence(x, y, grid)
         inside = f.inside_coi()
         assert inside.shape == f.rho2.shape
         assert not inside[:, 0].any() and not inside[:, -1].any()
@@ -177,7 +173,7 @@ class TestFieldStructure:
         rng = np.random.default_rng(61)
         x = rng.standard_normal(128)
         grid = ScaleGrid.for_length(128)
-        f = coherence(cwt(x, grid), cwt(x, grid), grid)
+        f = coherence(x, x, grid)
         mask = np.zeros_like(f.rho2, dtype=bool)
         counts = np.arange(f.rho2.size).reshape(f.rho2.shape)
         f2 = CoherenceField(f.rho2, f.phase, grid, f.coi, significant=mask, exceedances=counts)
@@ -236,6 +232,43 @@ class TestSinglePadOracle:
         pads = {1 << math.ceil(math.log2(n + math.ceil(8.0 * s) + 1)) for s in grid.scales}
         assert len(pads) >= 2
         rho2, phase = coherence_single_pad(a, b, grid)
-        field = coherence(cwt(a, grid), cwt(b, grid), grid)
+        field = coherence(a, b, grid)
         assert np.abs(field.rho2 - rho2).max() < 1e-12
         assert np.abs(np.angle(np.exp(1j * (field.phase - phase)))).max() < 1e-12
+
+
+class TestRowBandProducer:
+    def test_cross_term_of_one_row_is_the_whole_fields_row(self):
+        # at this size numpy reuses the temporary of a * np.conj(b) and swaps
+        # its operands, and a row computed alone differs from the field's row
+        # in about 30% of its cells unless the operand order is fixed
+        n = 5580
+        grid = ScaleGrid.for_length(n)
+        rng = np.random.default_rng(70)
+        a, b = cwt(rng.standard_normal(n), grid), cwt(rng.standard_normal(n), grid)
+        inv_s = 1.0 / grid.scales[:, None]
+        field = wavelet._cross_term(a, b, inv_s)
+        for j in (0, 48, 96):
+            assert same_bytes(wavelet._cross_term(a[j : j + 1], b[j : j + 1], inv_s[j : j + 1])[0], field[j])
+
+    # budget 1 gives one-row batches; the truncated grid ends in a one-row pad group
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("n", [64, 140, 800])
+    def test_rows_are_the_full_array_oracles_bytes(self, n, budget, truncated, monkeypatch):
+        rng = np.random.default_rng(71 + n)
+        a = ar1_series(0.4, n, rng)
+        b = 0.3 * a + ar1_series(0.6, n, rng)
+        grid = ScaleGrid.for_length(n)
+        if truncated:
+            grid = ScaleGrid(dj=grid.dj, num_scales=wavelet._pad_groups(grid, n)[0][1] + 1)
+            lo, hi, _ = wavelet._pad_groups(grid, n)[-1]
+            assert hi - lo == 1
+        rho2, cross = rho2_full(cwt(a, grid), cwt(b, grid), grid)
+        if budget is not None:
+            monkeypatch.setattr(wavelet, "ROW_BLOCK_BYTES", budget)
+        rows = list(wavelet._rho2_rows(a, b, grid))
+        assert [j for j, _, _ in rows] == list(range(grid.num_scales))
+        assert same_bytes(np.array([row for _, row, _ in rows]), rho2)
+        assert same_bytes(np.array([row for _, _, row in rows]), cross)
+        assert same_bytes(np.array([phase_field(row) for _, _, row in rows]), phase_field(cross))

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from dualstock.significance import (
     fit_ar1,
     significance,
 )
-from dualstock.wavelet import ScaleGrid, cwt
+from dualstock.wavelet import ScaleGrid, cwt, phase_field
 
-from _oracles import ar1_series, ar1_surrogate, coherence
+from _oracles import ar1_series, ar1_surrogate, coherence, rho2_full, same_bytes
 
 # the package rebinds ``dualstock.significance`` to the function
 sig_module = importlib.import_module("dualstock.significance")
+wavelet = importlib.import_module("dualstock.wavelet")
 
 
 class TestFitAr1:
@@ -114,7 +116,7 @@ class TestSignificance:
         grid = ScaleGrid.for_length(256)
         mc = MonteCarloSpec(seed=3, iterations=200)
         mask = significance(x, x, grid, mc=mc).significant
-        f = coherence(cwt(x, grid), cwt(x, grid), grid)
+        f = coherence(x, x, grid)
         inside = f.inside_coi()
         assert mask[inside].all()
 
@@ -156,9 +158,9 @@ class TestSignificance:
         grid = ScaleGrid.for_length(160)
         mc = MonteCarloSpec(seed=9, iterations=iterations)
         field = significance(a, b, grid, mc=mc)
-        observed = coherence(cwt(a, grid), cwt(b, grid), grid)
-        assert np.array_equal(field.rho2, observed.rho2)
-        assert np.array_equal(field.phase, observed.phase)
+        rho2, cross = rho2_full(cwt(a, grid), cwt(b, grid), grid)
+        assert np.array_equal(field.rho2, rho2)
+        assert np.array_equal(field.phase, phase_field(cross))
         assert field.exceedances.shape == field.rho2.shape
         assert field.exceedances.min() >= 0 and field.exceedances.max() <= iterations
         assert np.array_equal(field.significant, field.exceedances <= allowed)
@@ -174,25 +176,52 @@ class TestSignificance:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
 
-    def test_counts_match_per_iteration_reference(self):
-        # one ar1_surrogate pair and one full coherence field per iteration
+    # budget 1 gives the producer one-row batches
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("n", [64, 128, 140, 800])
+    def test_counts_match_per_iteration_reference(self, n, budget, monkeypatch):
+        # one ar1_surrogate pair and one full-array coherence field per
+        # iteration, compared byte for byte
         rng = np.random.default_rng(114)
-        a = ar1_series(0.4, 128, rng)
-        b = ar1_series(0.7, 128, rng)
-        grid = ScaleGrid.for_length(128)
+        a = ar1_series(0.4, n, rng)
+        b = ar1_series(0.7, n, rng)
+        grid = ScaleGrid.for_length(n)
         mc = MonteCarloSpec(seed=21, iterations=12)
-        field = significance(a, b, grid, mc=mc)
-        observed = coherence(cwt(a, grid), cwt(b, grid), grid).rho2
+        observed, cross = rho2_full(cwt(a, grid), cwt(b, grid), grid)
         params_a, params_b = fit_ar1(a), fit_ar1(b)
         counts = np.zeros(observed.shape, dtype=np.int64)
         for i in range(mc.iterations):
             it_rng = sig_module._iteration_rng(mc.seed, i)
-            sur_a = ar1_surrogate(params_a, 128, it_rng)
-            sur_b = ar1_surrogate(params_b, 128, it_rng)
-            counts += coherence(cwt(sur_a, grid), cwt(sur_b, grid), grid).rho2 >= observed
-        assert np.array_equal(field.exceedances, counts)
+            sur_a = ar1_surrogate(params_a, n, it_rng)
+            sur_b = ar1_surrogate(params_b, n, it_rng)
+            counts += rho2_full(cwt(sur_a, grid), cwt(sur_b, grid), grid)[0] >= observed
         threshold = math.floor(0.05 * mc.iterations + 1e-9)
-        assert np.array_equal(field.significant, counts <= threshold)
+        if budget is not None:
+            monkeypatch.setattr(wavelet, "ROW_BLOCK_BYTES", budget)
+        field = significance(a, b, grid, mc=mc)
+        assert same_bytes(field.rho2, observed)
+        assert same_bytes(field.phase, phase_field(cross))
+        assert same_bytes(field.exceedances, counts)
+        assert same_bytes(field.significant, counts <= threshold)
+
+    def test_peak_memory_within_three_fields(self):
+        # no (num_scales, n) array per surrogate: the result's rho2, phase and
+        # counts take 1.5 complex fields, the row-band producer's batches and
+        # band the rest (numpy reports its buffers to tracemalloc)
+        rng = np.random.default_rng(117)
+        n = 2000
+        a = ar1_series(0.5, n, rng)
+        b = ar1_series(0.3, n, rng)
+        grid = ScaleGrid.for_length(n)
+        mc = MonteCarloSpec(seed=6, iterations=2)
+        significance(a, b, grid, mc=mc)  # builds the cached kernel tables
+        tracemalloc.start()
+        try:
+            significance(a, b, grid, mc=mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * grid.num_scales * n * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_independent_of_block_size(self, block, monkeypatch):
