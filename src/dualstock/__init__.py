@@ -9,11 +9,12 @@ from .forecast import (
     ForecastRun,
     PriceScaleWarning,
     RegimeSpec,
+    TrainingDivergedError,
     forecast,
     scale_price,
     unscale,
 )
-from .lstm import BatchTrainResult, TrainConfig, TrainingDivergedError, predict_batch, train_batch
+from .lstm import BatchTrainResult, TrainConfig, predict_batch, train_batch
 from .metrics import MetricTriple, ReportGrid, assemble_grid, mae, mape, rmse
 from .seeds import child_seed
 from .significance import AR1Params, MonteCarloSpec, fit_ar1, significance

@@ -2,34 +2,48 @@
 
 Prices are mapped to x/100 - 1 before modeling (no min-max scaling: the test
 range must stay unknown at training time) and predictions are mapped back to
-price units.  One ``forecast`` serves both training regimes of a
-``RegimeSpec``: a single mutually-exclusive train/test split ("mece") and
-rolling windows that retrain on exactly the w observations preceding each
-forecast origin.  The per-origin models of a rolling run train together in
-lockstep (``lstm.train_batch``) and all origins are predicted in one batched
-forward; a model's result does not depend on the batch it trains in, so the
-predictions equal, bit for bit, those of each origin's model trained alone
-at B = 1.  Every forecast is a pure function of observations strictly
-before its origin; a run's ``provenance``, the exact training index range
-per origin, is its regime's ``train_range`` at each origin.
+price units.  One path serves both training regimes of a ``RegimeSpec``: a
+single mutually-exclusive train/test split ("mece") and rolling windows that
+retrain on exactly the w observations preceding each forecast origin.  A run
+is planned, trained and served in three steps.  ``plan_forecast`` checks it
+and lays out its models' samples, seeds and queries.  ``train_plans`` trains
+every plan that shares (lag, dual, regime), such as the tickers' MECE runs
+of one grid cell or a rolling run's per-origin models, in one lockstep
+``lstm.train_batch`` call.  ``serve`` predicts a run's origins in one batched
+forward.  A model's result does not depend on the batch it trains in, so the
+predictions equal, bit for bit, those of each model trained alone at B = 1.
+A model whose loss becomes non-finite fails only its own run
+(``TrainingDivergedError``); a ``FloatingPointError`` from the activation
+range check fails every run of its call, though sigmoid and tanh are
+bounded, so the check cannot trip on finite inputs.  ``forecast`` is the
+one-run case of the same path.  Every forecast is a pure function of
+observations strictly before its origin; a run's ``provenance``, the exact
+training index range per origin, is its regime's ``train_range`` at each
+origin.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import TrainConfig, predict_batch, train_batch
+from .lstm import BatchTrainResult, TrainConfig, predict_batch, train_batch
 from .seeds import child_seed
 
 __all__ = [
     "PriceScaleWarning",
+    "TrainingDivergedError",
     "RegimeSpec",
     "ForecastRun",
+    "ForecastPlan",
     "scale_price",
     "unscale",
+    "plan_forecast",
+    "train_plans",
+    "serve",
     "forecast",
 ]
 
@@ -38,6 +52,10 @@ SCALE_CEILING = 200.0  # price at which x/100 - 1 leaves the tanh range
 
 class PriceScaleWarning(UserWarning):
     """Price at or above 200 breaches the below-100 scaling assumption."""
+
+
+class TrainingDivergedError(RuntimeError):
+    """Raised for a run when the training loss of one of its models became non-finite."""
 
 
 def scale_price(x):
@@ -167,25 +185,51 @@ class ForecastRun:
         return tuple(self.regime.train_range(int(origin)) for origin in self.origins)
 
 
-def forecast(
+@dataclass(frozen=True, eq=False)
+class ForecastPlan:
+    """One run laid out before any training: its models' samples and seeds, and its queries.
+
+    Model m trains on the samples that target the indices ``target_index[m]``,
+    seeded with ``seeds[m]``; origin ``origins[k]`` is predicted by model
+    ``served[k]`` from the lag window just before it.  A plan is compared by
+    identity (``eq=False``), so it can key its run.
+    """
+
+    ticker: str
+    lag: int
+    include_dual: bool
+    regime: RegimeSpec
+    seed: int
+    windows: np.ndarray  # windows[k]: the (L, D) inputs of the sample that targets index k + lag
+    targets: np.ndarray  # (M, N) scaled own values of each model's samples
+    target_index: np.ndarray  # (M, N)
+    seeds: tuple[int, ...]
+    served: np.ndarray  # (T,)
+    origins: np.ndarray
+    actuals: np.ndarray
+
+    def inputs(self) -> np.ndarray:
+        """The (M, N, L, D) training inputs; fancy indexing copies their windows."""
+        return self.windows[self.target_index - self.lag]
+
+
+def plan_forecast(
     own,
     siblings=(),
     *,
     regime: RegimeSpec,
     lag: int,
-    cfg: TrainConfig,
     seed: int,
     ticker: str = "",
-) -> ForecastRun:
-    """Forecast the final ``regime.test_size`` observations of ``own``.
+) -> ForecastPlan:
+    """Check one run and lay out its training samples, seeds and queries; nothing is trained.
 
     Each origin's model is trained on the range ``regime.train_range`` gives
-    it, and one model is trained per distinct range; the models train in one
-    lockstep batch and every origin is predicted in one batched forward.  The
-    MECE model, which serves every origin, is seeded with ``seed``; the model
-    of rolling origin t is seeded with child_seed(seed, "origin:t"), so a
-    forecast depends only on its own window.  Each query uses only the lag
-    window strictly before its origin.
+    it, and one model is planned per distinct range.  The MECE model, which
+    serves every origin, is seeded with ``seed``; the model of rolling origin
+    t is seeded with child_seed(seed, "origin:t"), so a forecast depends only
+    on its own window.  Each query uses only the lag window strictly before
+    its origin.
 
     The training sample that targets index t takes its L = lag input steps
     from indices t-lag .. t-1.  Each step's vector is the own value alone
@@ -214,8 +258,7 @@ def forecast(
         )
     scaled_own = scale_price(own)
     features = _feature_rows(scaled_own, [scale_price(s) for s in siblings])
-    # windows[k] is a view of feature rows k .. k+lag-1: the inputs of the
-    # sample that targets index k+lag
+    # windows[k] is a view of feature rows k .. k+lag-1
     windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=0).transpose(0, 2, 1)
     origins = np.arange(first_origin, n)
     provenance = tuple(regime.train_range(int(t)) for t in origins)
@@ -223,22 +266,103 @@ def forecast(
     # rolling range ends at the one origin it serves
     spans = list(dict.fromkeys(provenance))
     rolling = regime.kind == "rolling"
-    seeds = [child_seed(seed, f"origin:{end}") if rolling else seed for _, end in spans]
-    # every range has the same length, so the samples form one (B, N) grid
-    # of target indices; fancy indexing copies their windows
+    model_of = {span: k for k, span in enumerate(spans)}
+    # every range has the same length, so the samples form one (M, N) grid
+    # of target indices
     count = spans[0][1] - spans[0][0] - lag
     target_index = np.array([start + lag for start, _ in spans])[:, None] + np.arange(count)
-    trained = train_batch(windows[target_index - lag], scaled_own[target_index], cfg, seeds)
-    model_of = {span: k for k, span in enumerate(spans)}
-    served = trained.flat[[model_of[span] for span in provenance]]
-    predictions = unscale(predict_batch(served, windows[origins - lag], cfg.hidden_size))
-    return ForecastRun(
+    return ForecastPlan(
         ticker=ticker,
         lag=lag,
         include_dual=len(siblings) > 0,
         regime=regime,
         seed=seed,
-        predictions=predictions,
-        actuals=own[origins],
+        windows=windows,
+        targets=scaled_own[target_index],
+        target_index=target_index,
+        seeds=tuple(child_seed(seed, f"origin:{end}") if rolling else seed for _, end in spans),
+        served=np.array([model_of[span] for span in provenance]),
         origins=origins,
+        actuals=own[origins],
     )
+
+
+def train_plans(plans, cfg: TrainConfig) -> Iterator[tuple[ForecastPlan, BatchTrainResult | FloatingPointError]]:
+    """Train every plan's models, one ``train_batch`` call per (lag, dual, regime).
+
+    The plans of one key share (L, D, N): the key fixes the lag, the input
+    width and the samples per model.  Their models train as one lockstep
+    batch, in plan order, and each plan gets its own rows of the result,
+    bit-identical to training it alone.  Yields each plan with its
+    ``BatchTrainResult``, one call's plans at a time, so that only one
+    call's parameters are held at once.  A ``FloatingPointError`` from the
+    activation range check fails its whole call: every plan of the call is
+    yielded with that error instead.
+    """
+    groups: dict[tuple, list[ForecastPlan]] = {}
+    for plan in plans:
+        groups.setdefault((plan.lag, plan.include_dual, plan.regime), []).append(plan)
+    for group in groups.values():
+        try:
+            result = train_batch(
+                np.concatenate([plan.inputs() for plan in group]),
+                np.concatenate([plan.targets for plan in group]),
+                cfg,
+                [s for plan in group for s in plan.seeds],
+            )
+        except FloatingPointError as exc:
+            for plan in group:
+                yield plan, exc
+            continue
+        end = 0
+        for plan in group:
+            rows = slice(end, end + len(plan.seeds))
+            end = rows.stop
+            yield plan, BatchTrainResult(result.flat[rows], result.loss_trace[rows], result.diverged_at[rows])
+        del result  # freed before the next call trains
+
+
+def serve(plan: ForecastPlan, trained: BatchTrainResult | FloatingPointError, hidden_size: int) -> ForecastRun:
+    """Predict every origin of ``plan`` in one batched forward of its trained models.
+
+    Raises the error that failed the plan's training call, or
+    TrainingDivergedError naming the step at which the epoch loss of the
+    plan's first diverged model, in model order, became non-finite.
+    """
+    if isinstance(trained, FloatingPointError):
+        raise trained
+    diverged = np.flatnonzero(trained.diverged_at)
+    if diverged.size:
+        raise TrainingDivergedError(f"training loss became non-finite at step {trained.diverged_at[diverged[0]]}")
+    queries = plan.windows[plan.origins - plan.lag]
+    predictions = unscale(predict_batch(trained.flat[plan.served], queries, hidden_size))
+    return ForecastRun(
+        ticker=plan.ticker,
+        lag=plan.lag,
+        include_dual=plan.include_dual,
+        regime=plan.regime,
+        seed=plan.seed,
+        predictions=predictions,
+        actuals=plan.actuals,
+        origins=plan.origins,
+    )
+
+
+def forecast(
+    own,
+    siblings=(),
+    *,
+    regime: RegimeSpec,
+    lag: int,
+    cfg: TrainConfig,
+    seed: int,
+    ticker: str = "",
+) -> ForecastRun:
+    """Forecast the final ``regime.test_size`` observations of ``own``: one run planned, trained and served.
+
+    ``plan_forecast`` documents the samples, seeds and queries; the run's
+    models train in one lockstep batch.
+    """
+    plan = plan_forecast(own, siblings, regime=regime, lag=lag, seed=seed, ticker=ticker)
+    ((_, trained),) = train_plans([plan], cfg)
+    return serve(plan, trained, cfg.hidden_size)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dualstock.cli import load_config, main
-from dualstock.lstm import TrainingDivergedError
 from _oracles import ar1_series, sorted_quantile
 from test_acceptance import write_desk_inputs
 
@@ -846,9 +845,10 @@ class TestForecastCommand:
 
         def diverge_first(inputs, targets, cfg, seeds):
             calls.append(seeds)
+            result = real_train_batch(inputs, targets, cfg, seeds)
             if len(calls) == 1:
-                raise TrainingDivergedError("training loss became non-finite at step 1")
-            return real_train_batch(inputs, targets, cfg, seeds)
+                result.diverged_at[0] = 1
+            return result
 
         monkeypatch.setattr(forecast_module, "train_batch", diverge_first)
         config_path = self.forecast_config(tmp_path, windows=[5], mece_train_size=80, tickers=["AAA"])
@@ -860,7 +860,64 @@ class TestForecastCommand:
         runs = sorted(o["path"] for o in manifest["outputs"] if "/runs/" in o["path"])
         assert runs == ["forecast/runs/AAA_lag4_dual-no_mece.csv", "forecast/runs/AAA_lag4_dual-no_mece.json"]
 
-    def test_range_check_failure_is_recorded_as_its_run_failure(self, tmp_path, monkeypatch):
+    def test_grouped_tickers_match_one_ticker_runs(self, tmp_path, monkeypatch):
+        # the tickers' runs of one (lag, dual, regime) train in one call and
+        # write the bytes that each ticker's own invocation writes
+        forecast_module = importlib.import_module("dualstock.forecast")
+        real_train_batch = forecast_module.train_batch
+        calls = []
+
+        def counting(inputs, targets, cfg, seeds):
+            calls.append(len(seeds))
+            return real_train_batch(inputs, targets, cfg, seeds)
+
+        monkeypatch.setattr(forecast_module, "train_batch", counting)
+        config_path = self.forecast_config(tmp_path, duals=[False, True], windows=[10])
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        # (window=10, mece) x (dual no, yes): one call each, of 10 models per
+        # ticker for the window and one for MECE
+        assert calls == [30, 3, 30, 3]
+        grouped = tmp_path / "out" / "forecast" / "runs"
+        alone = {}
+        for ticker in ("AAA", "BBB", "CCC"):
+            calls.clear()
+            config_path = self.forecast_config(tmp_path, duals=[False, True], windows=[10], tickers=[ticker])
+            assert main(["forecast", "--config", str(config_path), "--out", str(tmp_path / ticker)]) == 0
+            assert calls == [10, 1, 10, 1]
+            alone.update((p.name, p.read_bytes()) for p in (tmp_path / ticker / "forecast" / "runs").iterdir())
+        assert len(alone) == 3 * 2 * 2 * 2  # tickers x dual x regimes x (CSV, JSON)
+        assert {p.name: p.read_bytes() for p in grouped.iterdir()} == alone
+
+    def test_diverged_model_fails_only_its_run(self, tmp_path, monkeypatch):
+        # one call trains the three tickers' MECE models; a NaN target of
+        # BBB's model fails BBB's run alone, at the step that ends its first
+        # epoch, and the other two runs write what they write unpoisoned
+        config_path = self.forecast_config(tmp_path)
+        assert main(["forecast", "--config", str(config_path), "--out", str(tmp_path / "clean")]) == 0
+        forecast_module = importlib.import_module("dualstock.forecast")
+        real_train_batch = forecast_module.train_batch
+
+        def poison_bbb_mece(inputs, targets, cfg, seeds):
+            if len(seeds) == 3:  # the MECE call: one model per ticker, in grid order
+                targets = targets.copy()
+                targets[1, 0] = np.nan
+            return real_train_batch(inputs, targets, cfg, seeds)
+
+        monkeypatch.setattr(forecast_module, "train_batch", poison_bbb_mece)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        # MECE trains on 80 - 4 = 76 samples per epoch
+        assert manifest["failures"] == ["forecast BBB lag=4 dual=no mece: training loss became non-finite at step 76"]
+        runs = tmp_path / "out" / "forecast" / "runs"
+        clean = tmp_path / "clean" / "forecast" / "runs"
+        assert sorted(p.name for p in clean.iterdir() if p.name not in {q.name for q in runs.iterdir()}) == [
+            "BBB_lag4_dual-no_mece.csv",
+            "BBB_lag4_dual-no_mece.json",
+        ]
+        for path in runs.iterdir():
+            assert path.read_bytes() == (clean / path.name).read_bytes()
+
+    def test_range_check_failure_fails_every_run_of_its_call(self, tmp_path, monkeypatch):
         lstm_module = importlib.import_module("dualstock.lstm")
         real_check = lstm_module._check_ranges
         calls = []
@@ -876,16 +933,17 @@ class TestForecastCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
-        # AAA's window=5 and window=10 runs make 3 + 13 checks; the 41st is
-        # inside AAA's MECE training
-        assert manifest["failures"] == ["forecast AAA lag=4 dual=no mece: gate activations escaped [0, 1]"]
+        # one call per regime trains the three tickers together: the
+        # window=5 and window=10 calls make 2 + 12 checks, so the 41st is
+        # inside the MECE call, and each of its three runs fails
+        assert manifest["failures"] == [
+            f"forecast {t} lag=4 dual=no mece: gate activations escaped [0, 1]" for t in ("AAA", "BBB", "CCC")
+        ]
         listed = [o["path"] for o in manifest["outputs"]]
         runs = [
             f"forecast/runs/{t}_lag4_dual-no_{r}.{ext}"
-            for t in ("AAA", "BBB", "CCC") for r in ("mece", "w10", "w5") for ext in ("csv", "json")
+            for t in ("AAA", "BBB", "CCC") for r in ("w10", "w5") for ext in ("csv", "json")
         ]
-        runs.remove("forecast/runs/AAA_lag4_dual-no_mece.csv")
-        runs.remove("forecast/runs/AAA_lag4_dual-no_mece.json")
         grids = [f"forecast/grids/{name}" for name in ("AAA.csv", "AAA.json", "BBB.csv", "BBB.json", "CCC.csv", "CCC.json", "long.csv")]
         assert [p for p in listed if p.startswith("forecast/")] == grids + runs
         assert any(p.startswith("premiums/") for p in listed)

@@ -8,7 +8,6 @@ from _oracles import lstm_forward_literal, lstm_grads_literal, lstm_train_per_sa
 from dualstock import lstm
 from dualstock.lstm import (
     TrainConfig,
-    TrainingDivergedError,
     _backward,
     _Cache,
     _check_ranges,
@@ -288,19 +287,24 @@ class TestTrain:
         r2 = train_batch(inputs, targets, cfg, seeds=[2])
         assert not np.array_equal(_Views(r1.flat, 4, 1).weights, _Views(r2.flat, 4, 1).weights)
 
-    def test_divergence_raises(self):
+    def test_divergence_is_reported(self):
+        # a diverged model is reported, not raised: the step that ended its
+        # first non-finite epoch
         cfg = TrainConfig(epochs=1, hidden_size=2)
-        with pytest.raises(TrainingDivergedError):
-            train_batch(np.zeros((1, 1, 2, 1)), np.full((1, 1), np.nan), cfg, seeds=[0])
+        result = train_batch(np.zeros((1, 1, 2, 1)), np.full((1, 1), np.nan), cfg, seeds=[0])
+        assert result.diverged_at.tolist() == [1]
+        assert np.isnan(result.loss_trace).all()
 
-    def test_divergence_mid_epoch_raises_at_epoch_end(self):
+    def test_divergence_mid_epoch_is_reported_at_epoch_end(self):
         # the NaN parameters left by one sample reach the next samples of the
-        # epoch; the run still fails as diverged, at the end of that epoch
+        # epoch; the model is diverged at the end of that epoch, and its
+        # block, all of it diverged, stops there
         rng = np.random.default_rng(19)
         inputs, targets = make_samples(rng, count=4)
         targets[0, 1] = np.nan
-        with pytest.raises(TrainingDivergedError, match="at step 4$"):
-            train_batch(inputs, targets, TrainConfig(epochs=3, hidden_size=2), seeds=[0])
+        result = train_batch(inputs, targets, TrainConfig(epochs=3, hidden_size=2), seeds=[0])
+        assert result.diverged_at.tolist() == [4]
+        assert np.isnan(result.loss_trace).all()
 
     @pytest.mark.parametrize("lag, dim, hidden", [(1, 1, 1), (4, 1, 16), (9, 3, 16), (3, 2, 5)])
     def test_matches_per_sample_oracle(self, lag, dim, hidden):
@@ -358,8 +362,7 @@ class TestTrainBatch:
             assert np.array_equal(blocked.flat, one_block.flat)
             assert np.array_equal(blocked.loss_trace, one_block.loss_trace)
         targets[5, 1] = np.nan  # a model of the last block diverges
-        with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
-            train_batch(inputs, targets, cfg, seeds)
+        assert train_batch(inputs, targets, cfg, seeds).diverged_at.tolist() == [0, 0, 0, 0, 0, 4, 0]
 
     @pytest.mark.parametrize("lag", [1, 4, 9])
     @pytest.mark.parametrize("dim", [1, 3])
@@ -386,16 +389,23 @@ class TestTrainBatch:
         batched = predict_batch(flat, windows, hidden_size=3)
         assert batched.tolist() == [lstm_forward_literal(p, w, 3) for p, w in zip(flat, windows)]
 
-    def test_diverged_model_fails_its_batch_with_its_step(self):
+    def test_diverged_model_reports_its_step_and_spares_its_batch(self):
+        # the diverged model reports the same step in the batch as alone,
+        # and the healthy models of its batch train as they do alone
         rng = np.random.default_rng(41)
         inputs = 0.1 * rng.standard_normal((3, 4, 2, 1))
         targets = np.full((3, 4), 0.2)
         targets[1, 2] = np.nan
         cfg = TrainConfig(epochs=2, hidden_size=2)
-        with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
-            train_batch(inputs, targets, cfg, seeds=[1, 2, 3])
-        with pytest.raises(TrainingDivergedError, match="non-finite at step 4$"):
-            train_batch(inputs[1:2], targets[1:2], cfg, seeds=[2])
+        batch = train_batch(inputs, targets, cfg, seeds=[1, 2, 3])
+        assert batch.diverged_at.tolist() == [0, 4, 0]
+        assert train_batch(inputs[1:2], targets[1:2], cfg, seeds=[2]).diverged_at.tolist() == [4]
+        assert np.isnan(batch.loss_trace[1]).all()
+        for b in (0, 2):
+            alone = train_batch(inputs[b : b + 1], targets[b : b + 1], cfg, seeds=[b + 1])
+            assert alone.diverged_at.tolist() == [0]
+            assert np.array_equal(batch.flat[b].view(np.uint64), alone.flat[0].view(np.uint64))
+            assert np.array_equal(batch.loss_trace[b].view(np.uint64), alone.loss_trace[0].view(np.uint64))
 
     @pytest.mark.parametrize(
         "inputs, targets, seeds",
