@@ -20,13 +20,13 @@ line names paths under the output directory (and, for ``report``, under
 ``--runs``) relative to it, so a failing rerun into another directory records
 the same manifest.
 
-``forecast`` plans every run of its grid before it trains any: the runs
-that share (lag, dual, regime), one per ticker, train in one lockstep
-``train_batch`` call, and each run is then served and written in its own
-unit, in grid order.  A model whose loss becomes non-finite fails only the
-run that owns it.  A ``FloatingPointError`` from the activation range check
-still fails every run of its call, but sigmoid and tanh are bounded, so the
-check cannot trip on finite inputs.
+``forecast`` makes one ``forecast_group`` call per (lag, dual, regime): the
+tickers' runs train in one lockstep ``train_batch`` call, and each run is
+written in its own unit as its call returns.  A model whose loss becomes
+non-finite fails only the run that owns it.  A failed check, or a
+``FloatingPointError`` from the activation range check, fails every run of
+its call; sigmoid and tanh are bounded, so the range check cannot trip on
+finite inputs.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomicfile import atomic_open
-from .forecast import ForecastPlan, ForecastRun, RegimeSpec, TrainingDivergedError, plan_forecast, serve, train_plans
+from .forecast import ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
 from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig
 from .metrics import assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
@@ -484,22 +484,13 @@ def _run_manifest(run: ForecastRun, cfg: TrainConfig, csv_name: str) -> dict:
     }
 
 
-def _attempt(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or the error of ``UNIT_ERRORS`` it raised, for its unit to raise later."""
-    try:
-        return fn(*args, **kwargs)
-    except UNIT_ERRORS as exc:
-        return exc
-
-
 def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
     """Execute the declared (ticker x lag x dual x regime) grid, one unit per run.
 
-    Every run is planned first.  The runs that share (lag, dual, regime)
-    then train in one lockstep call (``train_plans``), and each is served
-    as soon as its call is done.  Last, each run is written in its own
-    unit, in grid order; a run that could not be planned or served raises
-    its error there.
+    Each (lag, dual, regime) is one ``forecast_group`` call over the
+    tickers, and each of its runs is written in its own unit as the call
+    returns.  An error that fails the whole call is recorded for each of
+    its runs.
     """
     names = [name for name, _ in series]
     series = align_series(*(s for _, s in series))
@@ -512,44 +503,39 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
-    # as in the paper grid, a training set runs only at lags below its
-    # length (window 5 at lag 4 only); the cells left out are listed as
-    # missing in the grids
-    cells = [
-        (name, lag, dual, regime)
-        for name, lag, dual, regime in itertools.product(targets, f.lags, f.duals, regimes)
-        if regime.train_length > lag
-    ]
-    plans = [
-        _attempt(
-            plan_forecast,
-            mids[name],
-            tuple(mids[other] for other in names if other != name) if dual else (),
-            regime=regime,
-            lag=lag,
-            seed=child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={'yes' if dual else 'no'}:{regime.label}"),
-            ticker=name,
-        )
-        for name, lag, dual, regime in cells
-    ]
-    served = {}
-    for plan, trained in train_plans([plan for plan in plans if isinstance(plan, ForecastPlan)], cfg):
-        served[plan] = _attempt(serve, plan, trained, cfg.hidden_size)
-        del trained  # its call's parameters, freed before the next call trains
     runs: list[ForecastRun] = []
+    for lag, dual, regime in itertools.product(f.lags, f.duals, regimes):
+        # as in the paper grid, a training set runs only at lags below its
+        # length (window 5 at lag 4 only); the cells left out are listed as
+        # missing in the grids
+        if regime.train_length <= lag:
+            continue
+        yes_no = "yes" if dual else "no"
+        try:
+            results = forecast_group(
+                targets,
+                [mids[name] for name in targets],
+                [tuple(mids[other] for other in names if other != name) if dual else () for name in targets],
+                [child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}") for name in targets],
+                regime=regime,
+                lag=lag,
+                cfg=cfg,
+            )
+        except UNIT_ERRORS as exc:
+            results = [exc] * len(targets)
+        for name, run in zip(targets, results):
+            with outcome.unit(f"forecast {name} lag={lag} dual={yes_no} {regime.label}"):
+                if isinstance(run, Exception):
+                    raise run
+                # a run whose files cannot be written is left out of the grids
+                stem = _run_stem(run)
+                outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run, dates))
+                outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, cfg, f"{stem}.csv")))
+                runs.append(run)
 
-    for (name, lag, dual, regime), plan in zip(cells, plans):
-        with outcome.unit(f"forecast {name} lag={lag} dual={'yes' if dual else 'no'} {regime.label}"):
-            run = plan if isinstance(plan, Exception) else served[plan]
-            if isinstance(run, Exception):
-                raise run
-            # a run whose files cannot be written is left out of the grids
-            stem = _run_stem(run)
-            outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run, dates))
-            outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, cfg, f"{stem}.csv")))
-            runs.append(run)
-
-    # the declared axes, so a run that failed is a missing cell
+    # the declared axes, so a run that failed is a missing cell; the grids
+    # list the tickers in declared order
+    runs.sort(key=lambda run: targets.index(run.ticker))
     _write_grids(runs, out / "grids", outcome, "forecast", regimes, f.lags, f.duals)
 
 

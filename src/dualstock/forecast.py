@@ -4,33 +4,30 @@ Prices are mapped to x/100 - 1 before modeling (no min-max scaling: the test
 range must stay unknown at training time) and predictions are mapped back to
 price units.  One path serves both training regimes of a ``RegimeSpec``: a
 single mutually-exclusive train/test split ("mece") and rolling windows that
-retrain on exactly the w observations preceding each forecast origin.  A run
-is planned, trained and served in three steps.  ``plan_forecast`` checks it
-and lays out its models' samples, seeds and queries.  ``train_plans`` trains
-every plan that shares (lag, dual, regime), such as the tickers' MECE runs
-of one grid cell or a rolling run's per-origin models, in one lockstep
-``lstm.train_batch`` call.  ``serve`` predicts a run's origins in one batched
-forward.  A model's result does not depend on the batch it trains in, so the
-predictions equal, bit for bit, those of each model trained alone at B = 1.
-A model whose loss becomes non-finite fails only its own run
-(``TrainingDivergedError``); a ``FloatingPointError`` from the activation
-range check fails every run of its call, though sigmoid and tanh are
-bounded, so the check cannot trip on finite inputs.  ``forecast`` is the
-one-run case of the same path.  Every forecast is a pure function of
-observations strictly before its origin; a run's ``provenance``, the exact
-training index range per origin, is its regime's ``train_range`` at each
-origin.
+retrain on exactly the w observations preceding each forecast origin.
+``forecast_group`` forecasts the runs that share (lag, dual, regime), such
+as the tickers' runs of one grid cell: it checks them and lays out their
+samples once, trains every model of every run (a rolling run has one per
+origin) in one lockstep ``lstm.train_batch`` call, and predicts each run's
+origins in one batched forward.  A model's result does not depend on the
+batch it trains in, so the predictions equal, bit for bit, those of each
+model trained alone at B = 1.  A model whose loss becomes non-finite fails
+only its own run (``TrainingDivergedError``); a ``FloatingPointError`` from
+the activation range check fails every run of its call, though sigmoid and
+tanh are bounded, so the check cannot trip on finite inputs.  ``forecast``
+is the one-run case.  Every forecast is a pure function of observations
+strictly before its origin; a run's ``provenance``, the exact training
+index range per origin, is its regime's ``train_range`` at each origin.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import BatchTrainResult, TrainConfig, predict_batch, train_batch
+from .lstm import TrainConfig, predict_batch, train_batch
 from .seeds import child_seed
 
 __all__ = [
@@ -38,12 +35,9 @@ __all__ = [
     "TrainingDivergedError",
     "RegimeSpec",
     "ForecastRun",
-    "ForecastPlan",
     "scale_price",
     "unscale",
-    "plan_forecast",
-    "train_plans",
-    "serve",
+    "forecast_group",
     "forecast",
 ]
 
@@ -185,61 +179,52 @@ class ForecastRun:
         return tuple(self.regime.train_range(int(origin)) for origin in self.origins)
 
 
-@dataclass(frozen=True, eq=False)
-class ForecastPlan:
-    """One run laid out before any training: its models' samples and seeds, and its queries.
-
-    Model m trains on the samples that target the indices ``target_index[m]``,
-    seeded with ``seeds[m]``; origin ``origins[k]`` is predicted by model
-    ``served[k]`` from the lag window just before it.  A plan is compared by
-    identity (``eq=False``), so it can key its run.
-    """
-
-    ticker: str
-    lag: int
-    include_dual: bool
-    regime: RegimeSpec
-    seed: int
-    windows: np.ndarray  # windows[k]: the (L, D) inputs of the sample that targets index k + lag
-    targets: np.ndarray  # (M, N) scaled own values of each model's samples
-    target_index: np.ndarray  # (M, N)
-    seeds: tuple[int, ...]
-    served: np.ndarray  # (T,)
-    origins: np.ndarray
-    actuals: np.ndarray
-
-    def inputs(self) -> np.ndarray:
-        """The (M, N, L, D) training inputs; fancy indexing copies their windows."""
-        return self.windows[self.target_index - self.lag]
-
-
-def plan_forecast(
-    own,
-    siblings=(),
+def forecast_group(
+    tickers,
+    owns,
+    siblings,
+    seeds,
     *,
     regime: RegimeSpec,
     lag: int,
-    seed: int,
-    ticker: str = "",
-) -> ForecastPlan:
-    """Check one run and lay out its training samples, seeds and queries; nothing is trained.
+    cfg: TrainConfig,
+) -> list[ForecastRun | TrainingDivergedError]:
+    """Forecast the final ``regime.test_size`` observations of each own series: the runs of one (lag, dual, regime).
+
+    Run r forecasts ``owns[r]`` for ``tickers[r]``, seeded with ``seeds[r]``;
+    it is dual when given its two ``siblings[r]`` and uses the own series
+    alone when given ``()``.  The runs share the series length, so they
+    share origins, training ranges and sample indices: these are laid out
+    once, and every model of every run trains in one lockstep
+    ``train_batch`` call, in run order.  Returns each run's ``ForecastRun``,
+    or the ``TrainingDivergedError`` naming the step at which the epoch loss
+    of its first diverged model, in model order, became non-finite.  A
+    failed check (``ValueError``), or a ``FloatingPointError`` from the
+    activation range check, raises for the whole call.
 
     Each origin's model is trained on the range ``regime.train_range`` gives
-    it, and one model is planned per distinct range.  The MECE model, which
-    serves every origin, is seeded with ``seed``; the model of rolling origin
-    t is seeded with child_seed(seed, "origin:t"), so a forecast depends only
-    on its own window.  Each query uses only the lag window strictly before
-    its origin.
-
-    The training sample that targets index t takes its L = lag input steps
-    from indices t-lag .. t-1.  Each step's vector is the own value alone
-    (D = 1), or [own, sibling1, sibling2] (D = 3) for a dual run: one given
-    its two ``siblings``.
+    it, and one model is trained per distinct range.  The MECE model, which
+    serves every origin, is seeded with the run's seed; the model of rolling
+    origin t is seeded with child_seed(seed, "origin:t"), so a forecast
+    depends only on its own window.  Each query uses only the lag window
+    strictly before its origin.  The training sample that targets index t
+    takes its L = lag input steps from indices t-lag .. t-1; each step's
+    vector is the own value alone (D = 1), or [own, sibling1, sibling2]
+    (D = 3) for a dual run.
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    own = np.asarray(own, dtype=np.float64)
-    n = len(own)
+    if not len(tickers) == len(owns) == len(siblings) == len(seeds):
+        raise ValueError("each run needs its ticker, own series, siblings and seed")
+    owns = [np.asarray(own, dtype=np.float64) for own in owns]
+    lengths = [len(own) for own in owns]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"the runs of one call need series of one length, got lengths {lengths}")
+    duals = {len(sibs) > 0 for sibs in siblings}
+    if len(duals) != 1:
+        raise ValueError("the runs of one call must all be dual or all be given no siblings")
+    (dual,) = duals
+    n = lengths[0]
     first_origin = n - regime.test_size
     if regime.kind == "mece" and first_origin < regime.train_size:
         raise ValueError(
@@ -256,96 +241,54 @@ def plan_forecast(
         raise ValueError(
             f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
         )
-    scaled_own = scale_price(own)
-    features = _feature_rows(scaled_own, [scale_price(s) for s in siblings])
-    # windows[k] is a view of feature rows k .. k+lag-1
-    windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=0).transpose(0, 2, 1)
+    # (R, n, D): the runs' scaled input rows, own value first
+    features = np.stack(
+        [
+            _feature_rows(scale_price(own), [scale_price(s) for s in sibs])
+            for own, sibs in zip(owns, siblings)
+        ]
+    )
+    # windows[r, k] is a view of run r's feature rows k .. k+lag-1
+    windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=1).transpose(0, 1, 3, 2)
     origins = np.arange(first_origin, n)
-    provenance = tuple(regime.train_range(int(t)) for t in origins)
+    provenance = [regime.train_range(int(t)) for t in origins]
     # one model per distinct range: the MECE range serves every origin, and a
     # rolling range ends at the one origin it serves
     spans = list(dict.fromkeys(provenance))
-    rolling = regime.kind == "rolling"
-    model_of = {span: k for k, span in enumerate(spans)}
-    # every range has the same length, so the samples form one (M, N) grid
-    # of target indices
+    model_of = {span: m for m, span in enumerate(spans)}
+    served = np.array([model_of[span] for span in provenance])
+    # every range has the same length, so each run's samples form one (M, N)
+    # grid of target indices
     count = spans[0][1] - spans[0][0] - lag
     target_index = np.array([start + lag for start, _ in spans])[:, None] + np.arange(count)
-    return ForecastPlan(
-        ticker=ticker,
-        lag=lag,
-        include_dual=len(siblings) > 0,
-        regime=regime,
-        seed=seed,
-        windows=windows,
-        targets=scaled_own[target_index],
-        target_index=target_index,
-        seeds=tuple(child_seed(seed, f"origin:{end}") if rolling else seed for _, end in spans),
-        served=np.array([model_of[span] for span in provenance]),
-        origins=origins,
-        actuals=own[origins],
+    trained = train_batch(
+        windows[:, target_index - lag].reshape(-1, count, lag, features.shape[2]),
+        features[:, target_index, 0].reshape(-1, count),
+        cfg,
+        [child_seed(seed, f"origin:{end}") if regime.kind == "rolling" else seed for seed in seeds for _, end in spans],
     )
-
-
-def train_plans(plans, cfg: TrainConfig) -> Iterator[tuple[ForecastPlan, BatchTrainResult | FloatingPointError]]:
-    """Train every plan's models, one ``train_batch`` call per (lag, dual, regime).
-
-    The plans of one key share (L, D, N): the key fixes the lag, the input
-    width and the samples per model.  Their models train as one lockstep
-    batch, in plan order, and each plan gets its own rows of the result,
-    bit-identical to training it alone.  Yields each plan with its
-    ``BatchTrainResult``, one call's plans at a time, so that only one
-    call's parameters are held at once.  A ``FloatingPointError`` from the
-    activation range check fails its whole call: every plan of the call is
-    yielded with that error instead.
-    """
-    groups: dict[tuple, list[ForecastPlan]] = {}
-    for plan in plans:
-        groups.setdefault((plan.lag, plan.include_dual, plan.regime), []).append(plan)
-    for group in groups.values():
-        try:
-            result = train_batch(
-                np.concatenate([plan.inputs() for plan in group]),
-                np.concatenate([plan.targets for plan in group]),
-                cfg,
-                [s for plan in group for s in plan.seeds],
-            )
-        except FloatingPointError as exc:
-            for plan in group:
-                yield plan, exc
+    flat = trained.flat.reshape(len(owns), len(spans), -1)
+    diverged_at = trained.diverged_at.reshape(len(owns), len(spans))
+    runs: list[ForecastRun | TrainingDivergedError] = []
+    for r, (ticker, own, seed) in enumerate(zip(tickers, owns, seeds)):
+        steps = diverged_at[r][diverged_at[r] > 0]
+        if steps.size:
+            runs.append(TrainingDivergedError(f"training loss became non-finite at step {steps[0]}"))
             continue
-        end = 0
-        for plan in group:
-            rows = slice(end, end + len(plan.seeds))
-            end = rows.stop
-            yield plan, BatchTrainResult(result.flat[rows], result.loss_trace[rows], result.diverged_at[rows])
-        del result  # freed before the next call trains
-
-
-def serve(plan: ForecastPlan, trained: BatchTrainResult | FloatingPointError, hidden_size: int) -> ForecastRun:
-    """Predict every origin of ``plan`` in one batched forward of its trained models.
-
-    Raises the error that failed the plan's training call, or
-    TrainingDivergedError naming the step at which the epoch loss of the
-    plan's first diverged model, in model order, became non-finite.
-    """
-    if isinstance(trained, FloatingPointError):
-        raise trained
-    diverged = np.flatnonzero(trained.diverged_at)
-    if diverged.size:
-        raise TrainingDivergedError(f"training loss became non-finite at step {trained.diverged_at[diverged[0]]}")
-    queries = plan.windows[plan.origins - plan.lag]
-    predictions = unscale(predict_batch(trained.flat[plan.served], queries, hidden_size))
-    return ForecastRun(
-        ticker=plan.ticker,
-        lag=plan.lag,
-        include_dual=plan.include_dual,
-        regime=plan.regime,
-        seed=plan.seed,
-        predictions=predictions,
-        actuals=plan.actuals,
-        origins=plan.origins,
-    )
+        predictions = unscale(predict_batch(flat[r, served], windows[r, origins - lag], cfg.hidden_size))
+        runs.append(
+            ForecastRun(
+                ticker=ticker,
+                lag=lag,
+                include_dual=dual,
+                regime=regime,
+                seed=seed,
+                predictions=predictions,
+                actuals=own[origins],
+                origins=origins,
+            )
+        )
+    return runs
 
 
 def forecast(
@@ -358,11 +301,11 @@ def forecast(
     seed: int,
     ticker: str = "",
 ) -> ForecastRun:
-    """Forecast the final ``regime.test_size`` observations of ``own``: one run planned, trained and served.
+    """Forecast the final ``regime.test_size`` observations of ``own``: the one-run case of ``forecast_group``.
 
-    ``plan_forecast`` documents the samples, seeds and queries; the run's
-    models train in one lockstep batch.
+    Raises TrainingDivergedError if one of the run's models diverged.
     """
-    plan = plan_forecast(own, siblings, regime=regime, lag=lag, seed=seed, ticker=ticker)
-    ((_, trained),) = train_plans([plan], cfg)
-    return serve(plan, trained, cfg.hidden_size)
+    (run,) = forecast_group([ticker], [own], [siblings], [seed], regime=regime, lag=lag, cfg=cfg)
+    if isinstance(run, TrainingDivergedError):
+        raise run
+    return run

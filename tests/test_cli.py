@@ -1,4 +1,5 @@
 import ast
+import csv
 import datetime as dt
 import hashlib
 import importlib
@@ -949,6 +950,53 @@ class TestForecastCommand:
         assert any(p.startswith("premiums/") for p in listed)
         on_disk = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
         assert on_disk == sorted(listed + ["manifest.json"])
+
+    def test_failed_check_fails_every_run_of_its_call(self, tmp_path):
+        # a MECE training set longer than the inputs fails the check of each
+        # MECE call, so each ticker's MECE run fails; the window runs and the
+        # grids are still written, with the MECE cells missing
+        config_path = self.forecast_config(tmp_path, duals=[False, True], mece_train_size=200)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            f"forecast {t} lag=4 dual={d} mece: need at least train_size+test_size=210 observations, got 120"
+            for t in ("AAA", "BBB", "CCC")
+            for d in ("no", "yes")
+        ]
+        runs = [
+            f"forecast/runs/{t}_lag4_dual-{d}_{r}.{ext}"
+            for t in ("AAA", "BBB", "CCC") for d in ("no", "yes") for r in ("w10", "w5") for ext in ("csv", "json")
+        ]
+        grids = [f"forecast/grids/{t}.{ext}" for t in ("AAA", "BBB", "CCC") for ext in ("csv", "json")]
+        assert [o["path"] for o in manifest["outputs"]] == grids + ["forecast/grids/long.csv"] + runs
+        for t in ("AAA", "BBB", "CCC"):
+            grid = json.loads((out / "forecast" / "grids" / f"{t}.json").read_text())
+            assert grid["missing"] == ["mece|lag=4|dual=no", "mece|lag=4|dual=yes"]
+
+    def test_grids_keep_ticker_order_when_a_first_run_fails(self, tmp_path, monkeypatch):
+        # AAA's run of the first call fails, so BBB's is the first run
+        # written; the grids still list the tickers in declared order
+        forecast_module = importlib.import_module("dualstock.forecast")
+        real_train_batch = forecast_module.train_batch
+        calls = []
+
+        def diverge_first_model(inputs, targets, cfg, seeds):
+            calls.append(None)
+            result = real_train_batch(inputs, targets, cfg, seeds)
+            if len(calls) == 1:
+                result.diverged_at[0] = 1
+            return result
+
+        monkeypatch.setattr(forecast_module, "train_batch", diverge_first_model)
+        config_path = self.forecast_config(tmp_path)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        grids = tmp_path / "out" / "forecast" / "grids"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failures"] == ["forecast AAA lag=4 dual=no window=5: training loss became non-finite at step 1"]
+        with (grids / "long.csv").open(newline="") as fh:
+            assert list(dict.fromkeys(row["ticker"] for row in csv.DictReader(fh))) == ["AAA", "BBB", "CCC"]
+        assert json.loads((grids / "AAA.json").read_text())["missing"] == ["window=5|lag=4|dual=no"]
 
     def test_write_error_in_one_run_does_not_stop_the_others(self, tmp_path):
         config_path = self.forecast_config(tmp_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import re
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from dualstock.forecast import (
     PriceScaleWarning,
     RegimeSpec,
     forecast,
+    forecast_group,
     scale_price,
     unscale,
 )
@@ -279,6 +281,53 @@ class TestBatchedTraining:
             monkeypatch.setattr(lstm, "BLOCK_BYTES", models_per_block * per_model_bytes)
             assert lstm._block_size(4, CFG.hidden_size, dim) == models_per_block
             assert np.array_equal(run().view(np.uint64), one_block.view(np.uint64))
+
+
+class TestForecastGroup:
+    def count_calls(self, monkeypatch):
+        """The number of models of each ``train_batch`` call, as ``forecast_group`` makes them."""
+        forecast_module = importlib.import_module("dualstock.forecast")
+        real_train_batch = forecast_module.train_batch
+        calls = []
+
+        def counting(inputs, targets, cfg, seeds):
+            calls.append(len(seeds))
+            return real_train_batch(inputs, targets, cfg, seeds)
+
+        monkeypatch.setattr(forecast_module, "train_batch", counting)
+        return calls
+
+    @pytest.mark.parametrize("regime", [mece(30, 6), rolling(12, 6)])
+    def test_runs_equal_one_run_calls(self, monkeypatch, regime):
+        # one call trains both runs' models; each run is the run forecast
+        # gives alone, bit for bit
+        owns = [synthetic_prices(60), synthetic_prices(60, seed=3, level=40.0)]
+        calls = self.count_calls(monkeypatch)
+        runs = forecast_group(["T0", "T1"], owns, [(), ()], [11, 12], regime=regime, lag=4, cfg=CFG)
+        assert calls == [2 if regime.kind == "mece" else 12]
+        for r, (run, own) in enumerate(zip(runs, owns)):
+            alone = forecast(own, lag=4, cfg=CFG, seed=11 + r, regime=regime, ticker=f"T{r}")
+            assert (run.ticker, run.seed, run.include_dual) == (alone.ticker, alone.seed, False)
+            assert np.array_equal(run.predictions.view(np.uint64), alone.predictions.view(np.uint64))
+            assert np.array_equal(run.actuals, alone.actuals) and np.array_equal(run.origins, alone.origins)
+
+    @pytest.mark.parametrize(
+        "lengths, duals, message",
+        [
+            ((60, 61), (False, False), "the runs of one call need series of one length, got lengths [60, 61]"),
+            ((), (), "the runs of one call need series of one length, got lengths []"),
+            ((60, 60), (False, True), "the runs of one call must all be dual or all be given no siblings"),
+            ((60, 60), (False,), "each run needs its ticker, own series, siblings and seed"),
+        ],
+    )
+    def test_inputs_checked_before_training(self, monkeypatch, lengths, duals, message):
+        owns = [synthetic_prices(n, seed=n) for n in lengths]
+        siblings = [(synthetic_prices(60, seed=5), synthetic_prices(60, seed=6)) if dual else () for dual in duals]
+        names = [f"T{r}" for r in range(len(owns))]
+        calls = self.count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            forecast_group(names, owns, siblings, list(range(len(owns))), regime=rolling(12, 6), lag=4, cfg=CFG)
+        assert calls == []
 
 
 class TestForecastRunValidation:
