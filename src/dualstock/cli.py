@@ -286,14 +286,18 @@ class CommandOutcome:
                 return str(Path(name).relative_to(root))
         return name
 
-    def write(self, path: Path, text: str | Iterable[str]) -> None:
-        """Write ``text``, or its chunks one by one, atomically to ``path`` as UTF-8; list it with its SHA-256."""
+    def write(self, path: Path, text: str | bytes | Iterable[str | bytes]) -> None:
+        """Write ``text``, or its chunks one by one, atomically to ``path``; list it with its SHA-256.
+
+        ``text`` and each chunk are ``str``, written as UTF-8, or ``bytes``,
+        written as they are.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256()
         try:
             with atomic_open(path) as fh:
-                for chunk in [text] if isinstance(text, str) else text:
-                    data = chunk.encode("utf-8")
+                for chunk in [text] if isinstance(text, (str, bytes)) else text:
+                    data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
                     digest.update(data)
                     fh.write(data)
         except OSError as exc:  # one raised while writing (a full disk, a failing chunk) names no file
@@ -353,7 +357,6 @@ def cmd_premiums(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
             outcome.write(out / f"{label}_summary.json", _json_text(summary_to_dict(stats)))
 
 
-_DECIMALS = 10 ** np.arange(5, -1, -1)  # place values of the six decimals, in micro-units
 _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 
 
@@ -366,7 +369,9 @@ def _fixed6(values: np.ndarray, out: np.ndarray) -> None:
     ``%`` rounds the exact binary value: with f the fractional part, f * 1e6
     is p + err exactly (Dekker's product; 1e6 has 20 significant bits and
     needs no split), p - floor(p) - 0.5 is exact wherever it is near 0, so
-    comparing it with -err decides every half without roundoff.
+    comparing it with -err decides every half without roundoff.  The rounded
+    micro-units are an integer of at most 1e6, held in float64; each decimal
+    is floor(rest / 10**k), exact for integers below 2**53.
     """
     magnitude = np.abs(values)
     whole = np.floor(magnitude)
@@ -377,22 +382,28 @@ def _fixed6(values: np.ndarray, out: np.ndarray) -> None:
     err = (hi * 1e6 - p) + (frac - hi) * 1e6
     floor_p = np.floor(p)
     above_half = (p - floor_p) - 0.5
-    micro = floor_p.astype(np.int64)
-    micro += (above_half > -err) | ((above_half == -err) & (micro % 2 == 1))
-    carry = micro // 1_000_000
+    odd = (floor_p.astype(np.int64) & 1).astype(bool)
+    micro = floor_p + ((above_half > -err) | ((above_half == -err) & odd))
+    carry = micro == 1e6
     out[:, 0] = np.where(np.signbit(values), ord("-"), 0)
-    out[:, 1] = whole.astype(np.int64) + carry + ord("0")
+    out[:, 1] = whole + carry + ord("0")
     out[:, 2] = ord(".")
-    out[:, 3:] = (micro - carry * 1_000_000)[:, None] // _DECIMALS % 10 + ord("0")
+    rest = np.where(carry, 0.0, micro)
+    for column, place in enumerate((1e5, 1e4, 1e3, 1e2, 1e1), start=3):
+        digit = np.floor(rest / place)
+        out[:, column] = digit + ord("0")
+        rest -= digit * place
+    out[:, 8] = rest + ord("0")
 
 
-def _coherence_csv(field, dates) -> Iterable[str]:
-    """Long-format CSV of a coherence field: the header, then one chunk per scale row.
+def _coherence_csv(field, dates) -> Iterable[bytes]:
+    """Long-format CSV of a coherence field as ASCII bytes: the header, then one chunk per scale row.
 
     A row's lines are assembled in an (n, width) byte buffer at fixed
     columns, NUL where a line is shorter than its columns; dropping the NULs
-    leaves the lines.  The validated field keeps rho2 in [0, 1] and the phase
-    in [-pi, pi], inside the range of ``_fixed6``.
+    leaves the lines, yielded as bytes for the writer to hash and write
+    without a decode.  The validated field keeps rho2 in [0, 1] and the
+    phase in [-pi, pi], inside the range of ``_fixed6``.
     """
     n = field.n
     inside = field.inside_coi()
@@ -409,7 +420,7 @@ def _coherence_csv(field, dates) -> Iterable[str]:
     buf[:, :a] = prefixes.view(np.uint8).reshape(n, a)
     buf[:, [b + 9, b + 19, b + 21]] = ord(",")
     buf[:, b + 23] = ord("\n")
-    yield "time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi\n"
+    yield b"time_index,date,scale_days,period_days,rho2,phase_rad,significant,inside_coi\n"
     for j, scale_column in enumerate(scale_columns):
         buf[:, a:b] = 0
         buf[:, a : a + len(scale_column)] = np.frombuffer(scale_column, dtype=np.uint8)
@@ -417,7 +428,7 @@ def _coherence_csv(field, dates) -> Iterable[str]:
         _fixed6(field.phase[j], buf[:, b + 10 : b + 19])
         buf[:, b + 20] = significant[j] + ord("0")
         buf[:, b + 22] = inside[j] + ord("0")
-        yield buf[buf != 0].tobytes().decode("ascii")
+        yield buf[buf != 0].tobytes()
 
 
 def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:

@@ -9,15 +9,23 @@ one per 16x4 cell block in significant cells (east = in phase, north =
 
 The SVG text is yielded in chunks for a writer to stream to its file; the
 two large parts are found with numpy and yielded one scale row at a time.
-The heatmap draws one ``<rect>`` per run of equal quantized rho^2 in a row;
-a run starts at column 0 and wherever the level differs from the column
-before (``flatnonzero`` of the level changes).  The significance contour is
-the set of cell edges between a significant cell and a non-significant cell
-or the plot border; comparing the mask with its four shifted neighbours in a
-zero-padded copy gives one boolean array per side, and only the cells with
-at least one such edge are visited, in row-major order, left/right/top/bottom.  Cell-edge coordinates and run widths are
-formatted once each, with the same arithmetic as a per-cell formula, so the
-bytes do not depend on how the runs and edges were found.
+The heatmap is drawn at plot resolution: each scale row is cut into bins of
+k = ceil(n / ``PLOT_W``) consecutive cells (the last bin may be shorter), so
+a row has at most ``PLOT_W`` bins, and n <= ``PLOT_W`` gives one bin per
+cell.  A bin's level is its mean rho^2 quantized to ``QUANT_LEVELS``, the
+mean being the cells' sum, left to right from 0.0, over their count.  One
+``<rect>`` is drawn per run of bins of equal level, spanning the run's
+cells; a run starts at bin 0 and wherever the level differs from the bin
+before.  The significance contour is the set of cell edges between a
+significant cell and a non-significant cell or the plot border; comparing
+the mask with its four shifted neighbours in a zero-padded copy gives one
+boolean array per side.  Left and right edges are drawn one per cell; the
+top and bottom edges of consecutive cells in a row merge into one segment.
+The cells are visited in row-major order, each drawing its left edge, its
+right edge, then the top and the bottom run that starts at it.  Cell-edge
+coordinates and run widths are formatted once each, with the same
+arithmetic as a per-cell formula, so the bytes do not depend on how the
+runs and edges were found.
 """
 
 from __future__ import annotations
@@ -76,25 +84,44 @@ def _escape(text: str) -> str:
 
 
 def _heatmap_rows(rho2: np.ndarray, xs: list[str], ys: list[str], cell_w: float, cell_h: float):
-    """One chunk of ``<rect>`` lines per scale row, one rect per run of a color level."""
+    """One chunk of ``<rect>`` lines per scale row, one rect per run of bins of a color level."""
     n = rho2.shape[1]
+    k = math.ceil(n / PLOT_W)  # cells per bin
+    bins = -(-n // k)
+    counts = np.full(bins, float(k))
+    counts[-1] = n - (bins - 1) * k
+    cells = np.minimum(np.arange(bins + 1) * k, n)  # first cell of each bin, then n
     height = _fmt(cell_h)
     widths: dict[int, str] = {}
+    sums = np.empty(bins)
     for j, values in enumerate(rho2):
         # one row at a time, so no whole-field temporaries
-        row = np.minimum((values * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
-        starts = [0] + (np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()
-        lengths = np.diff(starts, append=n).tolist()
+        sums[:] = 0.0
+        for offset in range(k):
+            column = values[offset::k]
+            sums[: len(column)] += column
+        level = np.minimum((sums / counts * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
+        runs = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
+        starts, stops = cells[runs[:-1]].tolist(), cells[runs[1:]].tolist()
+        lengths = [stop - start for start, stop in zip(starts, stops)]
         for length in set(lengths).difference(widths):
             widths[length] = _fmt(length * cell_w)
         y = f'" y="{ys[j]}" width="'
         fill = f'" height="{height}" fill="'
         yield "".join(
             [
-                f'<rect class="cell" x="{xs[t]}{y}{widths[length]}{fill}{_LEVEL_COLORS[level]}"/>\n'
-                for t, length, level in zip(starts, lengths, row[starts].tolist())
+                f'<rect class="cell" x="{xs[t]}{y}{widths[length]}{fill}{_LEVEL_COLORS[lv]}"/>\n'
+                for t, length, lv in zip(starts, lengths, level[runs[:-1]].tolist())
             ]
         )
+
+
+def _run_stops(edges: np.ndarray) -> np.ndarray:
+    """Per cell of a row, the end of the run of set cells that starts there, else 0."""
+    stops = np.zeros(len(edges), dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(edges, prepend=False, append=False))  # run starts and ends, alternating
+    stops[bounds[::2]] = bounds[1::2]
+    return stops
 
 
 def _contour_rows(mask: np.ndarray, xs: list[str], ys: list[str]):
@@ -107,21 +134,24 @@ def _contour_rows(mask: np.ndarray, xs: list[str], ys: list[str]):
         mask & ~padded[:-2, 1:-1],  # top
         mask & ~padded[2:, 1:-1],  # bottom
     )
-    edged = sides[0] | sides[1] | sides[2] | sides[3]
     for j in range(mask.shape[0]):
-        cells = np.flatnonzero(edged[j])
+        left, right = sides[0][j], sides[1][j]
+        top, bottom = _run_stops(sides[2][j]), _run_stops(sides[3][j])
+        cells = np.flatnonzero(left | right | (top > 0) | (bottom > 0))
         y0, y1 = ys[j], ys[j + 1]
         segments: list[str] = []
-        for t, left, right, top, bottom in zip(cells.tolist(), *(side[j, cells].tolist() for side in sides)):
+        for t, has_left, has_right, top_stop, bottom_stop in zip(
+            cells.tolist(), *(side[cells].tolist() for side in (left, right, top, bottom))
+        ):
             x0, x1 = xs[t], xs[t + 1]
-            if left:
+            if has_left:
                 segments.append(f"M{x0} {y0}L{x0} {y1}")
-            if right:
+            if has_right:
                 segments.append(f"M{x1} {y0}L{x1} {y1}")
-            if top:
-                segments.append(f"M{x0} {y0}L{x1} {y0}")
-            if bottom:
-                segments.append(f"M{x0} {y1}L{x1} {y1}")
+            if top_stop:
+                segments.append(f"M{x0} {y0}L{xs[top_stop]} {y0}")
+            if bottom_stop:
+                segments.append(f"M{x0} {y1}L{xs[bottom_stop]} {y1}")
         yield "".join(segments)
 
 

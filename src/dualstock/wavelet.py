@@ -23,7 +23,8 @@ and for the smoothing alike) is padded to the power of two covering
 n + ceil(8 * s) + 1 points, and the rows that share a pad length are
 transformed together (in cache-sized batches), so small scales no longer pay
 for the largest scale's reach.  The frequency tables are built per pad group
-and cached.
+and cached; their ``exp`` runs only where its argument can leave a nonzero
+value.
 
 Squared coherence smooths scale-normalized spectra with a Gaussian kernel in
 time (standard deviation one scale) and a boxcar across scales; both
@@ -40,8 +41,11 @@ conj(W_b) * W_a / s and its two powers are formed and time-smoothed, and
 the smoothed rows are kept in a band only until the 0.6-octave boxcar of
 every row that reads them is complete; then that row's rho^2 and smoothed
 cross spectrum are yielded.  So a pair never allocates a (num_scales, n)
-array: beyond the cached tables it holds a few ``ROW_BLOCK_BYTES`` batches
-and a band of a batch plus two boxcar windows of rows.  The cross term's
+array: beyond the cached tables it holds a band of a batch plus two boxcar
+windows of rows and a few work buffers of ``ROW_BLOCK_BYTES``.  The work
+buffers are allocated once per pass, viewed per pad group as (rows, npad)
+and filled through ``out=`` (numpy >= 2.0 takes ``out`` in ``np.fft``), so
+the pass allocates only the rows it yields.  The cross term's
 operand order is fixed, because complex multiply is not bit-commutative;
 with it, every cell is the same bytes as the whole-array pipeline of
 ``cwt`` and ``smooth``, whatever the batch size.  ``significance.significance``
@@ -150,6 +154,17 @@ def _row_batches(lo: int, hi: int, npad: int):
     return [(r, min(hi, r + step)) for r in range(lo, hi, step)]
 
 
+def _batch_sizes(grid: ScaleGrid, n: int) -> tuple[int, int]:
+    """Rows of the largest batch and its rows x npad, over the grid's pad groups."""
+    batches = [(r1 - r0, npad) for lo, hi, npad in _pad_groups(grid, n) for r0, r1 in _row_batches(lo, hi, npad)]
+    return max(rows for rows, _ in batches), max(rows * npad for rows, npad in batches)
+
+
+def _rows_view(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first rows * width elements of a flat work buffer, as (rows, width)."""
+    return buf[: rows * width].reshape(rows, width)
+
+
 # exp(-0.5 * x * x) rounds to exactly 0.0 for |x| >= 38.62.
 _UNDERFLOW_ARG = 38.62
 
@@ -158,27 +173,28 @@ _UNDERFLOW_ARG = 38.62
 def _daughter_matrix(grid: ScaleGrid, lo: int, hi: int, npad: int) -> np.ndarray:
     """Frequency response of rows [lo, hi): exact DFT of the sampled Morlet kernel.
 
-    That DFT is the Gaussian summed over its aliases k * 2 pi s,
-    k = -3..3.  Along a row the Gaussian's argument is monotone in omega, so
-    an alias whose argument stays beyond ``_UNDERFLOW_ARG`` at both ends of
-    the row adds exactly zero there and is skipped: skipping leaves the
-    table bit-identical.
+    That DFT is the Gaussian summed over its aliases k * 2 pi s, k = -3..3.
+    The frequencies of each half of ``fftfreq``, [0, npad/2) and [npad/2,
+    npad), increase with the column, so an alias's argument lies within
+    ``_UNDERFLOW_ARG`` on one column range per half; ``exp`` runs on that
+    range widened by one column, and every column it skips would add exactly
+    0.0.  So the table is the same bytes as the literal 7-alias sum.
     """
     omega = _TWO_PI * np.fft.fftfreq(npad)
-    scales = grid.scales[lo:hi, None]
-    arg = scales * omega - OMEGA0
-    ends = scales * np.array([omega.min(), omega.max()]) - OMEGA0
+    scales = grid.scales[lo:hi]
     spacing = _TWO_PI * scales
     acc = np.zeros((hi - lo, npad))
     for image in range(-3, 4):
-        shifted = ends - image * spacing
-        live = (shifted[:, 0] <= 0.0) & (shifted[:, 1] >= 0.0)
-        live |= np.abs(shifted).min(axis=1) < _UNDERFLOW_ARG
-        rows = np.flatnonzero(live)
-        if rows.size:
-            r = slice(rows[0], rows[-1] + 1)
-            acc[r] += np.exp(-0.5 * (arg[r] - image * spacing[r]) ** 2)
-    norm = np.sqrt(_TWO_PI * scales)
+        # columns where |s * omega - OMEGA0 - image * 2 pi s| < _UNDERFLOW_ARG
+        centre = OMEGA0 + image * spacing
+        bounds = ((centre - _UNDERFLOW_ARG) / scales, (centre + _UNDERFLOW_ARG) / scales)
+        for c0, c1 in ((0, npad // 2), (npad // 2, npad)):
+            first = np.maximum(c0 + np.searchsorted(omega[c0:c1], bounds[0]) - 1, c0)
+            stop = np.minimum(c0 + np.searchsorted(omega[c0:c1], bounds[1], side="right") + 1, c1)
+            for r in np.flatnonzero(first < stop).tolist():
+                cols = slice(first[r], stop[r])
+                acc[r, cols] += np.exp(-0.5 * ((scales[r] * omega[cols] - OMEGA0) - image * spacing[r]) ** 2)
+    norm = np.sqrt(_TWO_PI * scales[:, None])
     out = norm * math.pi ** -0.25 * acc
     out.flags.writeable = False
     return out
@@ -194,10 +210,16 @@ def _demeaned(x) -> np.ndarray:
     return x - x.mean()
 
 
-def _transform_rows(xhat: np.ndarray, grid: ScaleGrid, group, r0: int, r1: int) -> np.ndarray:
-    """Rows [r0, r1) of one pad group's transform, npad wide; ``xhat`` is the series' npad-point FFT."""
+def _transform_rows(xhat: np.ndarray, grid: ScaleGrid, group, r0: int, r1: int, spectrum, out) -> np.ndarray:
+    """Rows [r0, r1) of one pad group's transform, npad wide, in ``out``; ``xhat`` is the series' npad-point FFT.
+
+    ``spectrum`` and ``out`` are flat complex work buffers of at least
+    (r1 - r0) * npad elements; ``spectrum`` is overwritten.
+    """
     lo, hi, npad = group
-    return np.fft.ifft(xhat * _daughter_matrix(grid, lo, hi, npad)[r0 - lo : r1 - lo], axis=1)
+    product = _rows_view(spectrum, r1 - r0, npad)
+    np.multiply(xhat, _daughter_matrix(grid, lo, hi, npad)[r0 - lo : r1 - lo], out=product)
+    return np.fft.ifft(product, axis=1, out=_rows_view(out, r1 - r0, npad))
 
 
 def cwt(x, grid: ScaleGrid) -> np.ndarray:
@@ -212,10 +234,12 @@ def cwt(x, grid: ScaleGrid) -> np.ndarray:
     xd = _demeaned(x)
     n = len(xd)
     coeffs = np.empty((grid.num_scales, n), dtype=np.complex128)
+    size = _batch_sizes(grid, n)[1]
+    spectrum, rows = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
     for group in _pad_groups(grid, n):
         xhat = np.fft.fft(xd, group[2])
         for r0, r1 in _row_batches(*group):
-            coeffs[r0:r1] = _transform_rows(xhat, grid, group, r0, r1)[:, :n]
+            coeffs[r0:r1] = _transform_rows(xhat, grid, group, r0, r1, spectrum, rows)[:, :n]
     return coeffs
 
 
@@ -224,12 +248,15 @@ def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int):
     """Real spectra of the rows' periodic Gaussians, each one scale wide: (rfft half, full length).
 
     The kernels are real and symmetric, so their spectra are real; the full
-    spectrum mirrors the half one and smooths complex rows.
+    spectrum mirrors the half one and smooths complex rows.  ``exp`` runs
+    only up to one column past dist = ``_UNDERFLOW_ARG`` * sigma; beyond, the
+    kernel is exactly 0.0.
     """
     dist = np.arange(npad // 2 + 1, dtype=np.float64)
-    sigmas = grid.scales[lo:hi]
-    kernels = np.empty((hi - lo, npad))
-    kernels[:, : npad // 2 + 1] = np.exp(-0.5 * (dist[None, :] / sigmas[:, None]) ** 2)
+    kernels = np.zeros((hi - lo, npad))
+    for r, sigma in enumerate(grid.scales[lo:hi]):
+        reach = min(npad // 2 + 1, math.ceil(_UNDERFLOW_ARG * sigma) + 1)
+        kernels[r, :reach] = np.exp(-0.5 * (dist[:reach] / sigma) ** 2)
     kernels[:, npad // 2 + 1 :] = kernels[:, npad // 2 - 1 : 0 : -1]
     full = np.empty((hi - lo, npad))
     full[:, : npad // 2 + 1] = np.fft.rfft(kernels, axis=1).real
@@ -252,25 +279,27 @@ def _smooth_weight_sums(grid: ScaleGrid, n: int) -> np.ndarray:
     return sums
 
 
-def _time_smooth_rows(values: np.ndarray, grid: ScaleGrid, group, r0: int, out: np.ndarray) -> None:
+def _time_smooth_rows(values: np.ndarray, grid: ScaleGrid, group, r0: int, out: np.ndarray, spectrum, signal) -> None:
     """Gaussian time smoothing of rows r0.. of one pad group into ``out``, renormalized at the boundaries.
 
     Real rows go through rfft/irfft against the half spectrum; complex rows
-    through fft/ifft against the full one.
+    through fft/ifft against the full one.  ``spectrum`` (complex) and
+    ``signal`` (of the rows' dtype) are flat work buffers of at least
+    rows * npad elements, both overwritten.
     """
     lo, hi, npad = group
-    n = values.shape[1]
-    rows = slice(r0 - lo, r0 - lo + len(values))
+    num, n = values.shape
+    rows = slice(r0 - lo, r0 - lo + num)
     half, full = _gauss_kernel_fft(grid, lo, hi, npad)
     if np.iscomplexobj(values):
-        vhat = np.fft.fft(values, npad, axis=1)
+        vhat = np.fft.fft(values, npad, axis=1, out=_rows_view(spectrum, num, npad))
         vhat *= full[rows]
-        smoothed = np.fft.ifft(vhat, axis=1)
+        smoothed = np.fft.ifft(vhat, axis=1, out=_rows_view(signal, num, npad))
     else:
-        vhat = np.fft.rfft(values, npad, axis=1)
+        vhat = np.fft.rfft(values, npad, axis=1, out=_rows_view(spectrum, num, npad // 2 + 1))
         vhat *= half[rows]
-        smoothed = np.fft.irfft(vhat, npad, axis=1)
-    np.divide(smoothed[:, :n], _smooth_weight_sums(grid, n)[r0 : r0 + len(values)], out=out)
+        smoothed = np.fft.irfft(vhat, npad, axis=1, out=_rows_view(signal, num, npad))
+    np.divide(smoothed[:, :n], _smooth_weight_sums(grid, n)[r0 : r0 + num], out=out)
 
 
 @functools.lru_cache(maxsize=64)
@@ -293,9 +322,11 @@ def smooth(values, *, grid: ScaleGrid) -> np.ndarray:
     if values.ndim != 2 or values.shape[0] != grid.num_scales:
         raise ValueError(f"grid expects (num_scales, n); got shape {values.shape}")
     timed = np.empty(values.shape, dtype=np.result_type(values.dtype, np.float64))
+    size = _batch_sizes(grid, values.shape[1])[1]
+    spectrum, signal = np.empty(size, dtype=np.complex128), np.empty(size, dtype=timed.dtype)
     for group in _pad_groups(grid, values.shape[1]):
         for r0, r1 in _row_batches(*group):
-            _time_smooth_rows(values[r0:r1], grid, group, r0, timed[r0:r1])
+            _time_smooth_rows(values[r0:r1], grid, group, r0, timed[r0:r1], spectrum, signal)
     out = np.empty_like(timed)
     for j, (lo, hi) in enumerate(_boxcar_windows(grid)):
         out[j] = timed[lo:hi].mean(axis=0)
@@ -372,24 +403,24 @@ class CoherenceField:
         return periods[:, None] <= self.coi[None, :]
 
 
-def _cross_term(w_a: np.ndarray, w_b: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
-    """conj(W_b) * W_a / s, in that operand order.
+def _cross_term(w_a: np.ndarray, w_b: np.ndarray, inv_s: np.ndarray, out=None) -> np.ndarray:
+    """conj(W_b) * W_a / s, in that operand order, into ``out`` if given.
 
     numpy's complex multiply is not bit-commutative (it may fuse a multiply
     and an add), and ``a * np.conj(b)`` runs as multiply(conj(b), a) only on
     arrays large enough for numpy to reuse the temporary.  The fixed order
     makes a row computed alone the same bytes as that row of a whole field.
     """
-    cross = np.conj(w_b)
+    cross = np.conjugate(w_b, out=out)
     np.multiply(cross, w_a, out=cross)
     cross *= inv_s
     return cross
 
 
-def _power_term(w: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
-    """|W|^2 / s."""
-    power = w.real**2
-    power += w.imag**2
+def _power_term(w: np.ndarray, inv_s: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|W|^2 / s into ``out``; ``scratch`` (of w's shape) holds Im(W)^2."""
+    power = np.square(w.real, out=out)
+    power += np.square(w.imag, out=scratch)
     power *= inv_s
     return power
 
@@ -397,13 +428,16 @@ def _power_term(w: np.ndarray, inv_s: np.ndarray) -> np.ndarray:
 def _rho2_rows(x_a, x_b, grid: ScaleGrid):
     """Clamped squared coherence of two daily series, one scale row at a time, in row order.
 
-    Yields ``(j, rho2 row, smoothed cross row)`` for j = 0 .. num_scales - 1;
-    rho2 is 0 where the denominator vanished.  Each row batch of a pad group
-    is transformed, multiplied and time-smoothed on its own; the smoothed
-    rows wait in a band only until the scale boxcar of every row that reads
-    them is complete, so no (num_scales, n) array is allocated.  Every cell
-    has the arithmetic of the whole-array pipeline (``cwt``, then ``smooth``
-    of conj(W_b) * W_a / s and of the two powers |W|^2 / s), bit for bit.
+    Yields ``(j, rho2 row, smoothed cross row)`` for j = 0 .. num_scales - 1,
+    each row a fresh array; rho2 is 0 where the denominator vanished.  Each
+    row batch of a pad group is transformed, multiplied and time-smoothed on
+    its own; the smoothed rows wait in a band only until the scale boxcar of
+    every row that reads them is complete, so no (num_scales, n) array is
+    allocated.  The batches' transforms, spectra, terms and the power rows'
+    boxcar means live in work buffers allocated once per pass and filled
+    through ``out=``.  Every cell has the arithmetic of the whole-array
+    pipeline (``cwt``, then ``smooth`` of conj(W_b) * W_a / s and of the two
+    powers |W|^2 / s), bit for bit.
     """
     xs = (_demeaned(x_a), _demeaned(x_b))
     n = len(xs[0])
@@ -413,9 +447,18 @@ def _rho2_rows(x_a, x_b, grid: ScaleGrid):
     # Band rows: a batch plus two boxcar windows.  One window's rows are
     # waiting when a batch arrives; the spare one lets the band be shifted
     # down only every few batches.
-    step = max(r1 - r0 for group in groups for r0, r1 in _row_batches(*group))
+    step, size = _batch_sizes(grid, n)
     depth = min(grid.num_scales, step + 2 * max(hi - lo for lo, hi in windows))
     bands = (np.empty((depth, n), dtype=np.complex128), np.empty((depth, n)), np.empty((depth, n)))
+    # Work buffers, each within ``ROW_BLOCK_BYTES`` (or one npad-wide row):
+    # the two transforms (the first one then takes the smoothed cross term),
+    # the FFT spectra, the real signal (Im(W)^2, then the smoothed powers),
+    # the three terms, and the two power rows' boxcar means.
+    transforms = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128))
+    spectrum = np.empty(size, dtype=np.complex128)
+    signal = np.empty(size)
+    terms = (np.empty(step * n, dtype=np.complex128), np.empty(step * n), np.empty(step * n))
+    means = (np.empty(n), np.empty(n))
     base = 0  # grid row held in band row 0
     j = 0  # next row to yield
     for group in groups:
@@ -426,17 +469,28 @@ def _rho2_rows(x_a, x_b, grid: ScaleGrid):
                 for band in bands:
                     band[: r0 - keep] = band[keep - base : r0 - base]
                 base = keep
-            w_a, w_b = (_transform_rows(xhat, grid, group, r0, r1)[:, :n] for xhat in xhats)
+            num = r1 - r0
+            w_a, w_b = (
+                _transform_rows(xhat, grid, group, r0, r1, spectrum, out)[:, :n] for xhat, out in zip(xhats, transforms)
+            )
             inv = inv_s[r0:r1]
-            terms = (_cross_term(w_a, w_b, inv), _power_term(w_a, inv), _power_term(w_b, inv))
-            for term, band in zip(terms, bands):
-                _time_smooth_rows(term, grid, group, r0, band[r0 - base : r1 - base])
+            scratch = _rows_view(signal, num, n)
+            cross = _cross_term(w_a, w_b, inv, out=_rows_view(terms[0], num, n))
+            power_a = _power_term(w_a, inv, _rows_view(terms[1], num, n), scratch)
+            power_b = _power_term(w_b, inv, _rows_view(terms[2], num, n), scratch)
+            for term, band, smoothed in zip((cross, power_a, power_b), bands, (transforms[0], signal, signal)):
+                _time_smooth_rows(term, grid, group, r0, band[r0 - base : r1 - base], spectrum, smoothed)
             while j < grid.num_scales and windows[j][1] <= r1:
+                # the boxcar mean, as ``mean(axis=0)`` computes it: a sum, then a division by the count
                 window = slice(windows[j][0] - base, windows[j][1] - base)
-                cross_row, power_a, power_b = (band[window].mean(axis=0) for band in bands)
-                denom = power_a * power_b
-                rho2 = cross_row.real**2
-                rho2 += cross_row.imag**2
+                count = np.intp(windows[j][1] - windows[j][0])
+                cross_row = np.add.reduce(bands[0][window], axis=0)
+                mean_a, mean_b = (np.add.reduce(band[window], axis=0, out=out) for band, out in zip(bands[1:], means))
+                for mean in (cross_row, mean_a, mean_b):
+                    np.true_divide(mean, count, out=mean)
+                denom = np.multiply(mean_a, mean_b, out=mean_a)
+                rho2 = np.square(cross_row.real)
+                rho2 += np.square(cross_row.imag, out=mean_b)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     rho2 /= denom
                 rho2[denom <= 0.0] = 0.0

@@ -373,7 +373,15 @@ def coherence_csv_per_cell(field, dates) -> str:
 
 
 def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
-    """The coherence SVG with per-cell run and edge loops, joined and written at once."""
+    """The coherence SVG with per-bin run and per-cell edge loops, joined and written at once.
+
+    Each scale row is cut into bins of k = ceil(n / PLOT_W) cells; a bin's
+    level is the quantized mean of its cells, summed one by one from 0.0,
+    and one rect is drawn per run of bins of one level.  The contour lists
+    every cell's edges, then merges the top and the bottom edges of
+    consecutive cells in a row into one segment, drawn at the run's first
+    cell.
+    """
     rho2 = np.asarray(field.rho2)
     if not np.isfinite(rho2).all():
         raise ValueError("field contains non-finite rho2 values")
@@ -407,40 +415,62 @@ def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
 
-    # Heatmap: run-length encode each scale row at quantized color levels.
-    quant = np.minimum((rho2 * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1)
+    # Heatmap: bins of k cells, each at its mean's quantized color level,
+    # run-length encoded along each scale row.
+    k = math.ceil(n / PLOT_W)
     for j in range(num_scales):
-        row = quant[j]
-        y = y_of_row(j)
-        start = 0
-        for t in range(1, n + 1):
-            if t == n or row[t] != row[start]:
-                level = row[start]
-                parts.append(
-                    f'<rect class="cell" x="{_fmt(x_of(start))}" y="{_fmt(y)}" '
-                    f'width="{_fmt((t - start) * cell_w)}" height="{_fmt(cell_h)}" '
-                    f'fill="{_LEVEL_COLORS[level]}"/>'
-                )
-                start = t
+        bins = []  # (first cell, stop cell, level)
+        for first in range(0, n, k):
+            stop = min(first + k, n)
+            total = 0.0
+            for t in range(first, stop):
+                total += float(rho2[j, t])
+            level = min(int(total / (stop - first) * QUANT_LEVELS), QUANT_LEVELS - 1)
+            if bins and bins[-1][2] == level:
+                bins[-1] = (bins[-1][0], stop, level)
+            else:
+                bins.append((first, stop, level))
+        for first, stop, level in bins:
+            parts.append(
+                f'<rect class="cell" x="{_fmt(x_of(first))}" y="{_fmt(y_of_row(j))}" '
+                f'width="{_fmt((stop - first) * cell_w)}" height="{_fmt(cell_h)}" '
+                f'fill="{_LEVEL_COLORS[level]}"/>'
+            )
 
     # Significance contour: edges between significant and non-significant
-    # cells, merged into a single path element.
+    # cells (or the border), listed per cell as (side, row, column).
     mask = np.asarray(field.significant, dtype=bool)
-    segments: list[str] = []
+    edges = set()
     for j in range(num_scales):
         for t in range(n):
             if not mask[j, t]:
                 continue
-            x0, x1 = x_of(t), x_of(t + 1)
-            y0, y1 = y_of_row(j), y_of_row(j + 1)
             if t == 0 or not mask[j, t - 1]:
-                segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x0)} {_fmt(y1)}")
+                edges.add(("left", j, t))
             if t == n - 1 or not mask[j, t + 1]:
-                segments.append(f"M{_fmt(x1)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y1)}")
+                edges.add(("right", j, t))
             if j == 0 or not mask[j - 1, t]:
-                segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y0)}")
+                edges.add(("top", j, t))
             if j == num_scales - 1 or not mask[j + 1, t]:
-                segments.append(f"M{_fmt(x0)} {_fmt(y1)}L{_fmt(x1)} {_fmt(y1)}")
+                edges.add(("bottom", j, t))
+    # Merged into one path: per cell in row-major order its left and right
+    # edges, then the top and the bottom run of consecutive edges that
+    # starts at it, one segment each.
+    segments: list[str] = []
+    for j in range(num_scales):
+        y0, y1 = y_of_row(j), y_of_row(j + 1)
+        for t in range(n):
+            x0, x1 = x_of(t), x_of(t + 1)
+            if ("left", j, t) in edges:
+                segments.append(f"M{_fmt(x0)} {_fmt(y0)}L{_fmt(x0)} {_fmt(y1)}")
+            if ("right", j, t) in edges:
+                segments.append(f"M{_fmt(x1)} {_fmt(y0)}L{_fmt(x1)} {_fmt(y1)}")
+            for side, y in (("top", y0), ("bottom", y1)):
+                if (side, j, t) in edges and (side, j, t - 1) not in edges:
+                    stop = t + 1
+                    while (side, j, stop) in edges:
+                        stop += 1
+                    segments.append(f"M{_fmt(x0)} {_fmt(y)}L{_fmt(x_of(stop))} {_fmt(y)}")
     if segments:
         parts.append(
             f'<path class="significance-contour" d="{"".join(segments)}" '

@@ -272,3 +272,17 @@ class TestRowBandProducer:
         assert same_bytes(np.array([row for _, row, _ in rows]), rho2)
         assert same_bytes(np.array([row for _, _, row in rows]), cross)
         assert same_bytes(np.array([phase_field(row) for _, _, row in rows]), phase_field(cross))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_yielded_rows_are_fresh_arrays(self, budget, monkeypatch):
+        # the pass reuses its work buffers; no yielded row may be one of them,
+        # or a caller's list would change under it as the pass goes on
+        if budget is not None:
+            monkeypatch.setattr(wavelet, "ROW_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(72)
+        a, b = rng.standard_normal(140), rng.standard_normal(140)
+        rows = list(wavelet._rho2_rows(a, b, ScaleGrid.for_length(140)))
+        for (_, rho2, cross), (_, next_rho2, next_cross) in zip(rows, rows[1:]):
+            for x in (rho2, cross):
+                for y in (next_rho2, next_cross):
+                    assert not np.shares_memory(x, y)

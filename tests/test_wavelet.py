@@ -12,7 +12,7 @@ from dualstock.wavelet import (
     smooth,
 )
 
-from _oracles import cwt_direct, morlet_mother
+from _oracles import cwt_direct, morlet_mother, same_bytes
 
 wavelet = importlib.import_module("dualstock.wavelet")
 
@@ -119,6 +119,28 @@ class TestCwt:
                     acc += np.exp(-0.5 * (arg - image * (2.0 * math.pi * s)) ** 2)
                 literal[j] = math.sqrt(2.0 * math.pi * s) * math.pi**-0.25 * acc
             assert np.array_equal(wavelet._daughter_matrix(grid, lo, hi, npad), literal)
+
+    @pytest.mark.parametrize("n", [64, 800, 5581])
+    def test_tables_are_the_literal_formulas_bytes(self, n):
+        # exp runs only where its argument lies within _UNDERFLOW_ARG (plus one
+        # column); every table keeps the bytes of the formula on every column
+        grid = ScaleGrid.for_length(n)
+        for lo, hi, npad in wavelet._pad_groups(grid, n):
+            scales = grid.scales[lo:hi, None]
+            omega = 2.0 * math.pi * np.fft.fftfreq(npad)
+            arg = scales * omega - 6.0
+            acc = np.zeros((hi - lo, npad))
+            for image in range(-3, 4):
+                acc += np.exp(-0.5 * (arg - image * (2.0 * math.pi * scales)) ** 2)
+            daughters = np.sqrt(2.0 * math.pi * scales) * math.pi**-0.25 * acc
+            assert same_bytes(wavelet._daughter_matrix(grid, lo, hi, npad), daughters)
+            dist = np.arange(npad // 2 + 1, dtype=np.float64)
+            kernels = np.exp(-0.5 * (dist[None, :] / scales) ** 2)
+            kernels = np.concatenate([kernels, kernels[:, -2:0:-1]], axis=1)
+            half = np.fft.rfft(kernels, axis=1).real
+            full = np.concatenate([half, half[:, -2:0:-1]], axis=1)
+            got_half, got_full = wavelet._gauss_kernel_fft(grid, lo, hi, npad)
+            assert same_bytes(got_half, half) and same_bytes(got_full, full)
 
     def test_input_validation(self):
         grid = ScaleGrid(dj=1 / 4, num_scales=4)

@@ -4,13 +4,15 @@ import datetime as dt
 import errno
 import hashlib
 import math
+import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from dualstock.atomicfile import atomic_open
 from dualstock.cli import CommandOutcome, _coherence_csv, _fixed6
-from dualstock.svgplot import render_heatmap
+from dualstock.svgplot import MARGIN_LEFT, MARGIN_TOP, PLOT_H, PLOT_W, QUANT_LEVELS, _LEVEL_COLORS, _fmt, render_heatmap
 from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence
 from _oracles import coherence_csv_per_cell, render_heatmap_per_cell
 
@@ -71,6 +73,30 @@ CASES = {
         np.arange(12)[:, None] < np.full((12, 80), 6),  # the upper six rows, edge to edge
     ),
     "edge-values": edge_values_field,
+    # as wide as the plot: one bin per cell
+    "plot-width": lambda: random_field(10, 3, 880),
+    # wider than the plot: bins of 2 cells, then of 3 with a last bin of 2,
+    # then the paper's 7 with a last bin of 2
+    "binned-even": lambda: random_field(6, 4, 1000),
+    "binned-ragged": lambda: random_field(7, 5, 1763, mask="random"),
+    "binned-paper-width": lambda: random_field(8, 3, 5581),
+    # bins of 2 cells whose means fall on, or one ulp below, a level boundary
+    "binned-level-edges": lambda: make_field(
+        np.tile(
+            [
+                [0.25, 0.25, 0.25, np.nextafter(0.25, 0.0)],
+                [0.0, 0.5, 0.5, 0.0],
+                [1.0 / 32, 3.0 / 32, 0.1, 0.0],
+                [1.0, 1.0, 1.0, 0.9],
+                [0.96875, 1.0, 0.0, 0.0],
+            ],
+            (1, 300),
+        ),
+        np.zeros((5, 1200)),
+        np.tile(
+            [[True, False, False], [True, True, False], [False, True, True], [True, True, True], [False] * 3], (1, 400)
+        ),
+    ),
 }
 
 
@@ -101,6 +127,35 @@ def test_svg_bytes_match_per_cell_oracle(tmp_path, case, with_dates):
     assert ours == oracle.read_bytes()
 
 
+def _percent6(values) -> bytes:
+    return "".join("%.6f" % v for v in values.tolist()).encode()
+
+
+def _fixed6_text(values) -> bytes:
+    out = np.zeros((len(values), 9), dtype=np.uint8)
+    _fixed6(values, out)
+    return out.tobytes().replace(b"\0", b"")
+
+
+def test_fixed6_seeded_sweep_is_percent_format():
+    rng = np.random.default_rng(28)
+    values = np.concatenate([rng.uniform(0.0, 1.0, 100_000), rng.uniform(-math.pi, math.pi, 100_000)])
+    assert _fixed6_text(values) == _percent6(values)
+
+
+def test_fixed6_every_half_and_its_neighbours_is_percent_format():
+    # the nearest double to every m + 0.5 micro-unit below 1, and to a seeded
+    # sample of them on the other integer digits and signs of the phase
+    rng = np.random.default_rng(29)
+    halves = (np.arange(1_000_000) + 0.5) / 1e6
+    others = rng.integers(-3, 4, 200_000) + rng.choice(halves, 200_000)
+    for centre in (halves, others):
+        for values in (centre, np.nextafter(centre, -np.inf), np.nextafter(centre, np.inf)):
+            assert _fixed6_text(values) == _percent6(values)
+    special = np.array([0.0, -0.0, 0.9999995, 9.4999995, -0.9999995, -9.4999995, 0.0000005, -0.0000005])
+    assert _fixed6_text(special) == _percent6(special)
+
+
 def test_fixed6_is_percent_format_on_ties_and_their_neighbours():
     rng = np.random.default_rng(0)
     halves = (np.arange(100_000) + 0.5) / 1e6  # nearest doubles to x.5 micro-units
@@ -126,6 +181,114 @@ def test_edge_values_print_as_the_per_cell_formatting():
     text = coherence_csv_per_cell(field, day_list(field.n))
     assert ",-0.000000," in text  # -0.0 and tiny negative phases keep their sign
     assert ",3.141593," in text and ",-3.141593," in text
+
+
+def svg_root(field):
+    return ET.fromstring("".join(render_heatmap(field)))
+
+
+def svg_elements(root, tag, cls):
+    return [el for el in root.iter(f"{{http://www.w3.org/2000/svg}}{tag}") if el.get("class") == cls]
+
+
+@pytest.mark.parametrize("case", ["random-blobs", "one-cell", "one-run-per-row", "edge-values", "plot-width"])
+def test_heatmap_up_to_plot_width_is_one_rect_per_run_of_cells(case):
+    # n <= PLOT_W: one bin per cell, so the rects are the run-length code of
+    # every cell's quantized rho2, as drawn before the heatmap was binned
+    field = CASES[case]()
+    num_scales, n = field.rho2.shape
+    assert n <= PLOT_W
+    cell_w, cell_h = PLOT_W / n, PLOT_H / num_scales
+    expected = []
+    for j, row in enumerate(np.minimum((field.rho2 * QUANT_LEVELS).astype(int), QUANT_LEVELS - 1).tolist()):
+        start = 0
+        for t in range(1, n + 1):
+            if t == n or row[t] != row[start]:
+                x, y = _fmt(MARGIN_LEFT + start * cell_w), _fmt(MARGIN_TOP + j * cell_h)
+                expected.append((x, y, _fmt((t - start) * cell_w), _LEVEL_COLORS[row[start]]))
+                start = t
+    rects = [
+        (el.get("x"), el.get("y"), el.get("width"), el.get("fill")) for el in svg_elements(svg_root(field), "rect", "cell")
+    ]
+    assert rects == expected
+
+
+@pytest.mark.parametrize("n", [880, 881, 1763, 5581])
+def test_heatmap_rows_tile_whole_bins(n):
+    # a row's rects start on bins of k = ceil(n / PLOT_W) cells and span the
+    # row edge to edge, so a row has at most PLOT_W of them
+    field = random_field(9, 3, n, mask="random")
+    k = math.ceil(n / PLOT_W)
+    cell_w = PLOT_W / n
+    xs = {_fmt(MARGIN_LEFT + t * cell_w): t for t in range(n + 1)}
+    rows: dict[str, list] = {}
+    for el in svg_elements(svg_root(field), "rect", "cell"):
+        rows.setdefault(el.get("y"), []).append((xs[el.get("x")], el.get("width")))
+    assert len(rows) == 3
+    for rects in rows.values():
+        starts = [t for t, _ in rects]
+        assert len(rects) <= PLOT_W and starts[0] == 0 and all(t % k == 0 for t in starts)
+        assert [width for _, width in rects] == [_fmt((b - a) * cell_w) for a, b in zip(starts, starts[1:] + [n])]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_contour_splits_into_the_mask_edges(case):
+    # every segment of the contour path, cut into unit cell edges, is one
+    # side of one cell; together they are the four side masks of significant
+    field = CASES[case]()
+    mask = field.significant
+    num_scales, n = mask.shape
+    xs = {_fmt(MARGIN_LEFT + t * PLOT_W / n): t for t in range(n + 1)}
+    ys = {_fmt(MARGIN_TOP + j * PLOT_H / num_scales): j for j in range(num_scales + 1)}
+    assert len(xs) == n + 1 and len(ys) == num_scales + 1
+    sides = {name: np.zeros(mask.shape, dtype=bool) for name in ("left", "right", "top", "bottom")}
+    contours = svg_elements(svg_root(field), "path", "significance-contour")
+    segments = re.findall(r"M([^ ]+) ([^L]+)L([^ ]+) ([^M]+)", contours[0].get("d")) if contours else []
+    for x0, y0, x1, y1 in segments:
+        t0, j0, t1, j1 = xs[x0], ys[y0], xs[x1], ys[y1]
+        if t0 == t1:  # a vertical edge of one cell, left of column t0
+            assert j1 == j0 + 1
+            if t0 < n and mask[j0, t0] and (t0 == 0 or not mask[j0, t0 - 1]):
+                name, t = "left", t0
+            else:
+                name, t = "right", t0 - 1
+            assert not sides[name][j0, t]
+            sides[name][j0, t] = True
+        else:  # a run of top or bottom edges along row line j0
+            assert j0 == j1 and t0 < t1
+            if j0 < num_scales and mask[j0, t0] and (j0 == 0 or not mask[j0 - 1, t0]):
+                name, j = "top", j0
+            else:
+                name, j = "bottom", j0 - 1
+            assert not sides[name][j, t0:t1].any()
+            sides[name][j, t0:t1] = True
+    padded = np.pad(mask, 1)
+    assert np.array_equal(sides["left"], mask & ~padded[1:-1, :-2])
+    assert np.array_equal(sides["right"], mask & ~padded[1:-1, 2:])
+    assert np.array_equal(sides["top"], mask & ~padded[:-2, 1:-1])
+    assert np.array_equal(sides["bottom"], mask & ~padded[2:, 1:-1])
+
+
+class TestCommandOutcomeWrite:
+    TEXT = "date,rho2\n2020-01-01,0.5\nÄ,ü\n"
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            TEXT,
+            TEXT.encode(),
+            ["date,rho2\n", "2020-01-01,0.5\n", "Ä,ü\n"],
+            [b"date,rho2\n", b"2020-01-01,0.5\n", "Ä,ü\n".encode()],
+            iter([b"date,rho2\n", "2020-01-01,0.5\n", "Ä".encode(), ",ü\n"]),
+        ],
+        ids=["str", "bytes", "str-chunks", "bytes-chunks", "mixed-chunks"],
+    )
+    def test_str_and_bytes_write_one_file_and_digest(self, tmp_path, given):
+        path = tmp_path / "out.csv"
+        outcome = CommandOutcome()
+        outcome.write(path, given)
+        assert path.read_bytes() == self.TEXT.encode("utf-8")
+        assert outcome.files == {path: hashlib.sha256(self.TEXT.encode("utf-8")).hexdigest()}
 
 
 class TestAtomicOpen:
