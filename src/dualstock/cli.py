@@ -3,8 +3,9 @@
 Subcommands: ``premiums``, ``coherence``, ``forecast``, ``run`` (the
 analyses selected in the config), and ``report`` (re-assemble metric grids
 from existing run manifests).  A single declarative JSON config plus flag
-overrides drives everything; the master seed deterministically derives one
-child seed per analysis unit, so reruns with identical inputs and config are
+overrides drives everything; ``config.load_config``, imported here, checks
+all of it.  The master seed deterministically derives one child seed per
+analysis unit, so reruns with identical inputs and config are
 byte-identical.  Every invocation writes a manifest listing emitted files
 and the SHA-256 of the bytes written to each.
 
@@ -20,9 +21,10 @@ line names paths under the output directory (and, for ``report``, under
 ``--runs``) relative to it, so a failing rerun into another directory records
 the same manifest.
 
-``forecast`` makes one ``forecast_group`` call per (lag, dual, regime): the
-tickers' runs train in one lockstep ``train_batch`` call, and each run is
-written in its own unit as its call returns.  A model whose loss becomes
+``forecast`` makes one ``forecast_group`` call per cell of
+``ForecastOptions.cells``, a (lag, dual, regime) that runs: the tickers'
+runs train in one lockstep ``train_batch`` call, and each run is written by
+``_write_run`` in its own unit as its call returns.  A model whose loss becomes
 non-finite fails only the run that owns it.  A failed check, or a
 ``FloatingPointError`` from the activation range check, fails every run of
 its call; sigmoid and tanh are bounded, so the range check cannot trip on
@@ -38,10 +40,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import re
 import sys
-import types
-import typing
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,14 +48,14 @@ from pathlib import Path
 import numpy as np
 
 from .atomicfile import atomic_open
+from .config import ANALYSES, TICKER_NAME, RunConfig, load_config
 from .forecast import ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
 from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig
 from .metrics import assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
-from .significance import MonteCarloSpec, significance
+from .significance import significance
 from .svgplot import render_heatmap
 from .timeseries import (
-    CsvFormat,
     PriceSeries,
     align_series,
     daily_returns,
@@ -71,197 +70,6 @@ from .wavelet import ScaleGrid
 __all__ = ["RunConfig", "load_config", "cmd_premiums", "cmd_coherence", "cmd_forecast", "cmd_report", "main"]
 
 MIN_COHERENCE_LENGTH = 64
-ANALYSES = ("premiums", "coherence", "forecast")
-PAIRWISE = ("premiums", "coherence")  # the analyses of ticker pairs
-# a ticker name is part of output file names and CSV cells, and "_" joins two
-# names in a pair's label, so it holds no path separator, "_" or ","
-TICKER_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9.-]*")
-
-
-@dataclass(frozen=True)
-class WaveletOptions:
-    mc_iterations: int = MonteCarloSpec.iterations
-
-    def __post_init__(self) -> None:
-        # the record's own check rejects a bad value before any analysis runs
-        self.monte_carlo(seed=0)
-
-    def monte_carlo(self, seed: int) -> MonteCarloSpec:
-        return MonteCarloSpec(seed=seed, iterations=self.mc_iterations)
-
-
-@dataclass(frozen=True)
-class ForecastOptions:
-    lags: tuple[int, ...] = (4, 9)
-    duals: tuple[bool, ...] = (False, True)
-    windows: tuple[int, ...] = (5, 10, 20, 50)
-    mece_train_size: int | None = 5282  # None drops the MECE regime
-    test_size: int = 300
-    epochs: int = TrainConfig.epochs
-    hidden_size: int = TrainConfig.hidden_size
-    tickers: tuple[str, ...] | None = None  # forecast subset; all loaded tickers if None
-
-    def __post_init__(self) -> None:
-        # the records' own checks reject bad values before any analysis runs;
-        # no record holds a lag, so its bound is checked here
-        for lag in self.lags:
-            if lag < 1:
-                raise ValueError(f"lags must be >= 1, got {lag}")
-        self.train_config()
-        # the grid is every ticker x lag x dual x regime, so one empty list leaves no cell
-        for key in ("tickers", "lags", "duals"):
-            if getattr(self, key) == ():
-                raise ValueError(f"forecast.{key} is empty, so the forecast grid has no cell")
-        if not any(regime.train_length > lag for regime in self.regimes() for lag in self.lags):
-            raise ValueError(
-                f"forecast.windows {list(self.windows)} and mece_train_size {self.mece_train_size} "
-                f"give no cell at lags {list(self.lags)}: a training set runs only at lags below its size"
-            )
-
-    def regimes(self) -> list[RegimeSpec]:
-        """One rolling regime per window, then MECE unless mece_train_size is None."""
-        regimes = [RegimeSpec(kind="rolling", test_size=self.test_size, window=w) for w in self.windows]
-        if self.mece_train_size is not None:
-            regimes.append(RegimeSpec(kind="mece", test_size=self.test_size, train_size=self.mece_train_size))
-        return regimes
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, hidden_size=self.hidden_size)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated pipeline configuration (paths resolved, files checked)."""
-
-    tickers: tuple[tuple[str, Path], ...]
-    out_dir: Path
-    seed: int
-    analyses: tuple[str, ...] = ANALYSES
-    csv_format: CsvFormat = CsvFormat()
-    wavelet: WaveletOptions = WaveletOptions()
-    forecast: ForecastOptions = ForecastOptions()
-
-    def __post_init__(self) -> None:
-        if not self.tickers:
-            raise ValueError("config must declare at least one ticker")
-        if not self.analyses:
-            raise ValueError("config key analyses must name at least one analysis")
-        for analysis in self.analyses:
-            if analysis not in ANALYSES:
-                raise ValueError(f"unknown analysis {analysis!r}; choose from {ANALYSES}")
-        for name, path in self.tickers:
-            if not TICKER_NAME.fullmatch(name):
-                raise ValueError(f"config key tickers: name {name!r} must match {TICKER_NAME.pattern}")
-            if not Path(path).is_file():
-                raise ValueError(f"input file for ticker {name} not found: {path}")
-        unknown = set(self.forecast.tickers or ()) - {name for name, _ in self.tickers}
-        if unknown:
-            raise ValueError(f"config section forecast: tickers {sorted(unknown)} are not declared inputs")
-
-
-def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits a dataclass field type (a tuple is a JSON list)."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_conforms(value, arm) for arm in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_conforms(v, typing.get_args(hint)[0]) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _check_unique(key: str, values: list) -> None:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"config key {key} must not repeat {value!r}")
-
-
-def _section(raw: dict, name: str, defaults):
-    """Merge one config section over a dataclass's defaults, checking keys and types."""
-    data = raw.get(name, {})
-    if not isinstance(data, dict):
-        raise ValueError(f"config section {name!r} must be an object")
-    hints = typing.get_type_hints(type(defaults))
-    unknown = set(data) - set(hints)
-    if unknown:
-        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    for key, value in data.items():
-        hint = hints[key]
-        if not _conforms(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ValueError(f"config key {name}.{key} must be {expected}, got {value!r}")
-        if isinstance(value, list):
-            _check_unique(f"{name}.{key}", value)
-    try:
-        return dataclasses.replace(
-            defaults, **{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-        )
-    except ValueError as exc:
-        raise ValueError(f"config section {name}: {exc}") from None
-
-
-def _unique_keys(pairs: list) -> dict:
-    """JSON object hook: a repeated key is an error, not last-one-wins."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"config key {key!r} is repeated in one JSON object")
-        obj[key] = value
-    return obj
-
-
-def load_config(
-    path: str | Path,
-    seed: int | None = None,
-    out_dir: str | Path | None = None,
-) -> RunConfig:
-    """Parse and validate a JSON config file, applying flag overrides."""
-    path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    if not isinstance(raw, dict):
-        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-    known = {"tickers", "out_dir", "seed", "analyses", "csv", "wavelet", "forecast"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, hint in (("seed", int), ("out_dir", str)):
-        if key in raw and not _conforms(raw[key], hint):
-            raise ValueError(f"config key {key} must be {hint.__name__}, got {raw[key]!r}")
-    paths = raw.get("tickers")
-    if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
-        raise ValueError(f"config key tickers must be an object mapping names to CSV paths, got {paths!r}")
-    base = path.parent
-    tickers = tuple(
-        (name, (base / p).resolve() if not Path(p).is_absolute() else Path(p))
-        for name, p in paths.items()
-    )
-    # Path("") is the working directory, which an empty setting never means
-    if raw.get("out_dir") == "":
-        raise ValueError("config key out_dir must not be empty")
-    if out_dir == "":
-        raise ValueError("--out must not be empty")
-    resolved_out = raw.get("out_dir") if out_dir is None else out_dir
-    if resolved_out is None:
-        raise ValueError("no output directory: set out_dir in config or pass --out")
-    resolved_seed = seed if seed is not None else raw.get("seed")
-    if resolved_seed is None:
-        raise ValueError("no master seed: set seed in config or pass --seed")
-    analyses = raw.get("analyses", list(ANALYSES))
-    if not isinstance(analyses, list) or not all(a in ANALYSES for a in analyses):
-        raise ValueError(f"config key analyses must be a list of names from {ANALYSES}, got {analyses!r}")
-    _check_unique("analyses", analyses)
-    return RunConfig(
-        tickers=tickers,
-        out_dir=Path(resolved_out),
-        seed=int(resolved_seed),
-        analyses=tuple(analyses),
-        csv_format=_section(raw, "csv", CsvFormat()),
-        wavelet=_section(raw, "wavelet", WaveletOptions()),
-        forecast=_section(raw, "forecast", ForecastOptions()),
-    )
-
 
 # what one failing unit records before the run goes on with the next
 UNIT_ERRORS = (ValueError, OSError, FloatingPointError, TrainingDivergedError)
@@ -452,12 +260,6 @@ def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutco
             outcome.write(out / f"{label}.svg", render_heatmap(field, dates=returns_a.dates, title=title))
 
 
-def _run_stem(run: ForecastRun) -> str:
-    dual = "yes" if run.include_dual else "no"
-    regime = "mece" if run.regime.kind == "mece" else f"w{run.regime.window}"
-    return f"{run.ticker}_lag{run.lag}_dual-{dual}_{regime}"
-
-
 def _predictions_csv(run: ForecastRun, dates) -> str:
     """The run's rows; ``dates`` are the dates of the series it forecast, indexed by origin."""
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
@@ -471,18 +273,17 @@ def _predictions_csv(run: ForecastRun, dates) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _run_manifest(run: ForecastRun, cfg: TrainConfig, csv_name: str) -> dict:
-    """The run's descriptor; ``cfg`` is the configuration that trained it."""
-    return {
+def _write_run(run: ForecastRun, dates, cfg: TrainConfig, out: Path, outcome: CommandOutcome) -> None:
+    """The run's predictions CSV and its descriptor under ``out``; ``cfg`` trained it, ``dates`` index its origins."""
+    dual = "yes" if run.include_dual else "no"
+    regime = "mece" if run.regime.kind == "mece" else f"w{run.regime.window}"
+    stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{regime}"
+    outcome.write(out / f"{stem}.csv", _predictions_csv(run, dates))
+    descriptor = {
         "ticker": run.ticker,
         "lag": run.lag,
-        "dual": "yes" if run.include_dual else "no",
-        "regime": {
-            "kind": run.regime.kind,
-            "window": run.regime.window,
-            "train_size": run.regime.train_size,
-            "test_size": run.regime.test_size,
-        },
+        "dual": dual,
+        "regime": dataclasses.asdict(run.regime),
         "seed": run.seed,
         "hyperparameters": {
             "epochs": cfg.epochs,
@@ -491,17 +292,18 @@ def _run_manifest(run: ForecastRun, cfg: TrainConfig, csv_name: str) -> dict:
             "clip_norm": CLIP_NORM,
             "optimizer": "adam",
         },
-        "predictions_csv": csv_name,
+        "predictions_csv": f"{stem}.csv",
     }
+    outcome.write(out / f"{stem}.json", _json_text(descriptor))
 
 
 def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
     """Execute the declared (ticker x lag x dual x regime) grid, one unit per run.
 
-    Each (lag, dual, regime) is one ``forecast_group`` call over the
-    tickers, and each of its runs is written in its own unit as the call
-    returns.  An error that fails the whole call is recorded for each of
-    its runs.
+    Each cell of ``ForecastOptions.cells`` is one ``forecast_group`` call
+    over the tickers, and each of its runs is written in its own unit as the
+    call returns.  An error that fails the whole call is recorded for each
+    of its runs.
     """
     names = [name for name, _ in series]
     series = align_series(*(s for _, s in series))
@@ -509,20 +311,17 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
         raise ValueError("tickers share no common dates")
     f = config.forecast
     out = config.out_dir / "forecast"
-    regimes = f.regimes()
     cfg = f.train_config()
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
     runs: list[ForecastRun] = []
-    for lag, dual, regime in itertools.product(f.lags, f.duals, regimes):
-        # as in the paper grid, a training set runs only at lags below its
-        # length (window 5 at lag 4 only); the cells left out are listed as
-        # missing in the grids
-        if regime.train_length <= lag:
-            continue
+    for lag, dual, regime in f.cells():
         yes_no = "yes" if dual else "no"
         try:
+            # a lone series has no sibling to give, and forecast_group takes a run given none for one without a dual
+            if dual and len(names) != 3:
+                raise ValueError("a dual run needs exactly two sibling series")
             results = forecast_group(
                 targets,
                 [mids[name] for name in targets],
@@ -539,15 +338,13 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
                 if isinstance(run, Exception):
                     raise run
                 # a run whose files cannot be written is left out of the grids
-                stem = _run_stem(run)
-                outcome.write(out / "runs" / f"{stem}.csv", _predictions_csv(run, dates))
-                outcome.write(out / "runs" / f"{stem}.json", _json_text(_run_manifest(run, cfg, f"{stem}.csv")))
+                _write_run(run, dates, cfg, out / "runs", outcome)
                 runs.append(run)
 
-    # the declared axes, so a run that failed is a missing cell; the grids
-    # list the tickers in declared order
+    # the declared axes, so a run that failed, or a cell left out of cells(),
+    # is a missing cell; the grids list the tickers in declared order
     runs.sort(key=lambda run: targets.index(run.ticker))
-    _write_grids(runs, out / "grids", outcome, "forecast", regimes, f.lags, f.duals)
+    _write_grids(runs, out / "grids", outcome, "forecast", f.regimes(), f.lags, f.duals)
 
 
 def _write_grids(runs: list[ForecastRun], out: Path, outcome: CommandOutcome, command: str, regimes, lags, duals):
@@ -694,23 +491,11 @@ def main(argv=None) -> int:
             command = "report"
             outcome = CommandOutcome(roots=(Path(args.runs), out_dir))
         else:
-            config = load_config(args.config, seed=args.seed, out_dir=args.out)
-            selected = config.analyses if args.command == "run" else (args.command,)
-            pairwise = [analysis for analysis in selected if analysis in PAIRWISE]
-            if pairwise and len(config.tickers) < 2:
-                raise ValueError(
-                    f"config key tickers must declare at least two tickers for {' and '.join(pairwise)}, "
-                    f"got {len(config.tickers)}"
-                )
-            # a dual run's features are its own series and its two siblings'
-            if "forecast" in selected and True in config.forecast.duals and len(config.tickers) != 3:
-                raise ValueError(
-                    f"config key forecast.duals includes true: a dual run needs exactly three declared tickers, "
-                    f"got {len(config.tickers)}"
-                )
+            subcommand = None if args.command == "run" else (args.command,)
+            config = load_config(args.config, seed=args.seed, out_dir=args.out, analyses=subcommand)
             seed = config.seed
             out_dir = config.out_dir
-            command = "run:" + ",".join(selected) if args.command == "run" else args.command
+            command = "run:" + ",".join(config.analyses) if args.command == "run" else args.command
             outcome = CommandOutcome(roots=(out_dir,))
         # an output path that cannot be a directory fails before any input is read
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -723,7 +508,7 @@ def main(argv=None) -> int:
     else:
         handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
         series = None
-        for analysis in selected:
+        for analysis in config.analyses:
             with outcome.unit(analysis):
                 # the inputs are read once and shared; a read that fails is
                 # retried, and fails alike, in each analysis's unit

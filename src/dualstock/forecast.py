@@ -126,8 +126,18 @@ class RegimeSpec:
 
     @property
     def train_length(self) -> int:
-        """Observations each model trains on; the regime runs only at lags below it."""
+        """Observations each model trains on."""
         return self.train_size if self.kind == "mece" else self.window
+
+    def lag_error(self, lag: int) -> str | None:
+        """Why the regime cannot run at ``lag``, or None: a training set runs only at 1 <= lag < its length."""
+        if lag < 1:
+            return f"lag must be >= 1, got {lag}"
+        if lag < self.train_length:
+            return None
+        if self.kind == "mece":
+            return f"train_size={self.train_size} leaves no samples at lag={lag}"
+        return f"window={self.window} too small for lag={lag}; need window >= lag+1"
 
     def train_range(self, origin: int) -> tuple[int, int]:
         """Training index range [start, end) for the forecast at ``origin``.
@@ -141,7 +151,7 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class ForecastRun:
-    """Predictions and actuals at each origin for one config; its regime gives each origin's training range."""
+    """Predictions and actuals at each origin for one config, at a lag its regime runs at; its regime gives each origin's training range."""
 
     ticker: str
     lag: int
@@ -153,6 +163,8 @@ class ForecastRun:
     origins: np.ndarray
 
     def __post_init__(self) -> None:
+        if error := self.regime.lag_error(self.lag):
+            raise ValueError(error)
         predictions = np.asarray(self.predictions, dtype=np.float64)
         actuals = np.asarray(self.actuals, dtype=np.float64)
         origins = np.asarray(self.origins, dtype=np.int64)
@@ -212,8 +224,8 @@ def forecast_group(
     vector is the own value alone (D = 1), or [own, sibling1, sibling2]
     (D = 3) for a dual run.
     """
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
+    if error := regime.lag_error(lag):
+        raise ValueError(error)
     if not len(tickers) == len(owns) == len(siblings) == len(seeds):
         raise ValueError("each run needs its ticker, own series, siblings and seed")
     owns = [np.asarray(own, dtype=np.float64) for own in owns]
@@ -230,12 +242,6 @@ def forecast_group(
         raise ValueError(
             f"need at least train_size+test_size={regime.train_size + regime.test_size} "
             f"observations, got {n}"
-        )
-    if regime.train_length <= lag:
-        raise ValueError(
-            f"train_size={regime.train_size} leaves no samples at lag={lag}"
-            if regime.kind == "mece"
-            else f"window={regime.window} too small for lag={lag}; need window >= lag+1"
         )
     if regime.kind == "rolling" and first_origin - regime.window < 0:
         raise ValueError(

@@ -12,6 +12,7 @@ import datetime
 import math
 import re
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -412,7 +413,7 @@ def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
     if title:
         parts.append(
             f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
 
     # Heatmap: bins of k cells, each at its mean's quantized color level,

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import importlib
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from dualstock.cli import load_config, main
+from dualstock.config import ForecastOptions
 from _oracles import ar1_series, sorted_quantile
 from test_acceptance import write_desk_inputs
 
@@ -361,6 +363,56 @@ class TestConfig:
         path = write_config(tmp_path, synthetic_tickers(tmp_path), forecast={"windows": [], "mece_train_size": 80})
         assert [r.label for r in load_config(path).forecast.regimes()] == ["mece"]
 
+    def test_cli_shares_the_config_loader(self):
+        # the console script and callers of dualstock.cli find the loader there
+        config_module = importlib.import_module("dualstock.config")
+        cli_module = importlib.import_module("dualstock.cli")
+        assert cli_module.load_config is config_module.load_config
+        assert callable(cli_module.main)
+
+    @pytest.mark.parametrize(
+        "names, overrides, message",
+        [
+            (
+                ["AAA"],
+                {"analyses": ["premiums"]},
+                "config key tickers must declare at least two tickers for premiums, got 1",
+            ),
+            (
+                ["AAA", "BBB"],
+                {"analyses": ["forecast"], "forecast": {"duals": [False, True]}},
+                "config key forecast.duals includes true: a dual run needs exactly three declared tickers, got 2",
+            ),
+        ],
+        ids=["pair-of-one", "dual-of-two"],
+    )
+    def test_load_config_rejects_a_selection_its_tickers_cannot_run(self, tmp_path, names, overrides, message):
+        tickers = synthetic_tickers(tmp_path)
+        path = write_config(tmp_path, {name: tickers[name] for name in names}, **overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+
+    def test_subcommand_analysis_replaces_the_analyses_key(self, tmp_path):
+        # the key selects coherence, which one ticker cannot run; forecast can
+        path = write_config(
+            tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}, analyses=["coherence"], forecast={"duals": [False]}
+        )
+        assert load_config(path, analyses=("forecast",)).analyses == ("forecast",)
+        with pytest.raises(ValueError, match="at least two tickers for coherence"):
+            load_config(path)
+        # an empty key fails all the same
+        path = write_config(tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}, analyses=[])
+        with pytest.raises(ValueError, match="config key analyses must name at least one analysis"):
+            load_config(path, analyses=("forecast",))
+
+    def test_forecast_cells_are_the_grid_at_lags_each_regime_runs(self):
+        options = ForecastOptions(lags=(4, 9), duals=(False, True), windows=(5, 10), mece_train_size=9)
+        assert [(lag, dual, regime.label) for lag, dual, regime in options.cells()] == [
+            (4, False, "window=5"), (4, False, "window=10"), (4, False, "mece"),
+            (4, True, "window=5"), (4, True, "window=10"), (4, True, "mece"),
+            (9, False, "window=10"), (9, True, "window=10"),
+        ]
+
     def test_readme_example_config_loads(self, tmp_path):
         # a config key deleted from the code must leave the README's example too
         example = readme_example_config(tmp_path)
@@ -562,9 +614,14 @@ class TestPremiumsCommand:
 
     @pytest.mark.parametrize("analysis", ["premiums", "coherence"])
     def test_library_call_with_one_series_raises(self, tmp_path, analysis):
-        # main rejects such a config first; a direct caller gets an error, not a silent no-op
+        # load_config rejects such a config when it selects the analysis; on
+        # one that selects another, a direct caller gets an error, not a silent no-op
         cli_module = importlib.import_module("dualstock.cli")
-        config = load_config(write_config(tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}))
+        config = load_config(
+            write_config(
+                tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}, analyses=["forecast"], forecast={"duals": [False]}
+            )
+        )
         outcome = cli_module.CommandOutcome()
         with pytest.raises(ValueError, match=f"{analysis} needs at least two tickers"):
             getattr(cli_module, f"cmd_{analysis}")(config, cli_module._load_all(config), outcome)
@@ -760,11 +817,14 @@ class TestForecastCommand:
         assert main(["premiums", "--config", str(config_path)]) == 0
 
     def test_library_call_with_dual_and_two_tickers_fails_each_run(self, tmp_path):
-        # main rejects such a config first; a direct caller gets one failure
-        # per run from forecast itself, not a silent no-op
+        # load_config rejects such a config when it selects forecast; on one
+        # that selects another analysis, a direct caller gets one failure per
+        # run from forecast itself, not a silent no-op
         cli_module = importlib.import_module("dualstock.cli")
         tickers = synthetic_tickers(tmp_path)
-        config_path = self.forecast_config(tmp_path, {"AAA": tickers["AAA"], "BBB": tickers["BBB"]}, duals=[True])
+        config_path = self.forecast_config(
+            tmp_path, {"AAA": tickers["AAA"], "BBB": tickers["BBB"]}, analyses=("premiums",), duals=[True]
+        )
         config = load_config(config_path)
         outcome = cli_module.CommandOutcome()
         cli_module.cmd_forecast(config, cli_module._load_all(config), outcome)
@@ -774,6 +834,36 @@ class TestForecastCommand:
             for t in ("AAA", "BBB")
             for r in ("mece", "window=10", "window=5")
         ]
+
+    def test_library_call_with_dual_and_one_series_fails_each_dual_run(self, tmp_path):
+        # a direct caller may give fewer series than the config declares; a
+        # lone series has no siblings, so its dual runs fail and write nothing,
+        # and its runs without a dual write the bytes they write alone
+        cli_module = importlib.import_module("dualstock.cli")
+        tickers = synthetic_tickers(tmp_path)
+        config = load_config(
+            self.forecast_config(
+                tmp_path, {"AAA": tickers["AAA"], "BBB": tickers["BBB"]}, analyses=("premiums",), duals=[False, True]
+            )
+        )
+        outcome = cli_module.CommandOutcome()
+        cli_module.cmd_forecast(config, cli_module._load_all(config)[:1], outcome)
+        assert sorted(outcome.failures) == [
+            f"forecast AAA lag=4 dual=yes {r}: a dual run needs exactly two sibling series"
+            for r in ("mece", "window=10", "window=5")
+        ]
+        runs = tmp_path / "out" / "forecast" / "runs"
+        assert sorted(p.name for p in runs.iterdir()) == [
+            f"AAA_lag4_dual-no_{r}.{ext}" for r in ("mece", "w10", "w5") for ext in ("csv", "json")
+        ]
+        alone = dataclasses.replace(
+            config, out_dir=tmp_path / "alone", forecast=dataclasses.replace(config.forecast, duals=(False,))
+        )
+        cli_module.cmd_forecast(alone, cli_module._load_all(alone)[:1], cli_module.CommandOutcome())
+        for path in runs.iterdir():
+            assert path.read_bytes() == (tmp_path / "alone" / "forecast" / "runs" / path.name).read_bytes()
+        grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())
+        assert sorted(grid["missing"]) == [f"{r}|lag=4|dual=yes" for r in ("mece", "window=10", "window=5")]
 
     def test_window_too_small_reported(self, tmp_path):
         # the paper grid's shape: window 5 runs at lag 4 only, and the cell
@@ -1359,7 +1449,9 @@ class TestReportCommand:
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
 
-    def corrupted_report(self, tmp_path, windows, corrupt=lambda text: "{not json", suffix=".json"):
+    def corrupted_report(
+        self, tmp_path, windows, corrupt=lambda text: "{not json", suffix=".json", stem="AAA_lag4_dual-no_w10"
+    ):
         """Report on a forecast's runs after ``corrupt`` rewrites one run's descriptor (or its ``.csv``)."""
         config_path = write_config(
             tmp_path,
@@ -1372,7 +1464,7 @@ class TestReportCommand:
         )
         assert main(["forecast", "--config", str(config_path)]) == 0
         runs_dir = tmp_path / "out" / "forecast" / "runs"
-        target = runs_dir / f"AAA_lag4_dual-no_w10{suffix}"
+        target = runs_dir / f"{stem}{suffix}"
         target.write_text(corrupt(target.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         return json.loads((tmp_path / "rep" / "manifest.json").read_text())
@@ -1422,6 +1514,26 @@ class TestReportCommand:
         cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
         assert cells["window=10|lag=4|dual=no"] is None
         assert cells["window=20|lag=4|dual=no"] is not None
+
+    @pytest.mark.parametrize(
+        "stem, lag, message, regime",
+        [
+            ("AAA_lag4_dual-no_w10", 0, "lag must be >= 1, got 0", "window=10"),
+            ("AAA_lag4_dual-no_w5", 9, "window=5 too small for lag=9; need window >= lag+1", "window=5"),
+        ],
+        ids=["lag-0", "lag-9-window-5"],
+    )
+    def test_descriptor_lag_its_regime_cannot_run_fails_its_run(self, tmp_path, stem, lag, message, regime):
+        # forecast never writes such a run, so report grids none
+        manifest = self.corrupted_report(
+            tmp_path, [5, 10], lambda text: json.dumps({**json.loads(text), "lag": lag}), stem=stem
+        )
+        assert manifest["failures"] == [f"report: {stem}.json: {message}"]
+        assert "report/AAA.csv" in [o["path"] for o in manifest["outputs"]]
+        header = (tmp_path / "rep" / "report" / "AAA.csv").read_text().split("\n")[0]
+        assert header == "regime,metric,lag4_dual_no"
+        cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
+        assert [key for key, cell in cells.items() if cell is None] == [f"{regime}|lag=4|dual=no"]
 
     @pytest.mark.parametrize("column", ["predicted", "actual"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
