@@ -8,31 +8,31 @@ that block (gate g is ``weights[g*H:(g+1)*H]``).  Gradients and the Adam
 moments use the same layout.
 
 The numerical core runs B independent models in lockstep: their buffers are
-the rows of one (B, P) array, activations sit in preallocated (L, B, .)
-caches, and each cell step is one stacked ``matmul`` plus elementwise
-operations over the batch.  Those operations run over whole contiguous
-(B, 4H) gate rows where they can: the forward takes the sigmoid of the
-full row, and the backward lays out every factor that does not depend on
-the recursion once per step, so that each cell forms dz for all four
-gates in a few row products, keeping each per-sample product's order.
-Every cell's dz is kept, and after the recursion each model's weight
-gradient is one matrix product over its L cells, dZ^T Z, written straight
-into the parameter layout by one stacked ``matmul``.  ``train_batch``
-trains many models together, in blocks sized to stay in cache: the
-per-origin models of a rolling run, and the runs of every ticker that
-share a (lag, dual, regime).  ``predict_batch`` predicts them in one
-forward.  Every model keeps its own seed, sample order, clip norm and
-divergence check, and every product uses the same numpy primitive at any
-B, so a model's trained parameters and loss trace are bit-identical to
-training it alone at B = 1, whatever batch it trains in.  A model whose
-loss becomes non-finite is reported in ``diverged_at``, not raised, so it
-fails only the run that owns it.  Training is per-sample stochastic,
-fully determined by the seeds.
+the rows of one (B, P) array, one ``_Cache`` per block holds every (L, B, .)
+array of the forward and the backward pass, and each cell step is one
+stacked ``matmul`` plus elementwise operations over the batch.  Those
+operations run over whole contiguous (B, 4H) gate rows where they can: the
+forward takes the sigmoid of the full row, and the backward lays out every
+factor that does not depend on the recursion once per step, so that each
+cell forms dz for all four gates in a few row products, keeping each
+per-sample product's order.  Every cell's dz is kept, and after the
+recursion each model's weight gradient is one matrix product over its L
+cells, dZ^T Z, written straight into the parameter layout by one stacked
+``matmul``.  ``train_batch`` trains many models together, in blocks sized to
+stay in cache by measuring one model's ``_Cache`` and parameter rows: the
+per-origin models of a rolling run, and the runs of every ticker that share
+a (lag, dual, regime).  ``predict_batch`` predicts them in one forward.
+Every model keeps its own seed, sample order, clip norm and divergence
+check, and every product uses the same numpy primitive at any B, so a
+model's trained parameters and loss trace are bit-identical to training it
+alone at B = 1, whatever batch it trains in.  A model whose loss becomes
+non-finite is reported in ``diverged_at``, not raised, so it fails only the
+run that owns it.  Training is per-sample stochastic, fully determined by
+the seeds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -80,50 +80,34 @@ class _Views:
 
 
 class _Cache:
-    """Activations of B models over L cell steps, allocated once and reused.
+    """Every array of a lockstep forward and backward pass over B models and L cells.
 
+    One cache is allocated per block and reused by every sample.  Forward:
     ``z[t]`` is the input [h_{t-1}, x_t] of cell t (``z[0, :, :H]`` is the
     initial hidden state) and ``z[L, :, :H]`` the final hidden output;
     ``act[t]`` holds [f, i, o, c_hat]; ``c[t]`` is the cell state entering
     cell t and ``c[L]`` the final one.  ``pre`` holds one cell's gate
-    pre-activations.  ``work``, allocated by the first backward pass, holds
-    the backward pass's arrays (see ``_BackwardWork``).
+    pre-activations.  Backward: per cell, the gate slots [f, i, o, c] of dz
+    are multiplied in the order of the per-sample formulas: first
+    [dc * c_prev, dc * c_hat, dh * tanh_c, dc * i] (dc times
+    ``cell_factor`` = [c_prev, c_hat, 0, i], with the o slot then
+    overwritten), then times the cached gates [f, i, o] (the c slot skips
+    this factor), then times ``gate_slope`` = [1 - f, 1 - i, 1 - o,
+    1 - c_hat**2].  ``tanh_c_slope`` is 1 - tanh(c)**2.  ``dz_all[t]``
+    holds cell t's dz, so that the weight gradient is formed for all cells
+    at once after the recursion.  ``predict_batch`` allocates the backward
+    arrays too and leaves them unused.
     """
 
     def __init__(self, batch: int, lag: int, hidden_size: int, input_size: int) -> None:
         width = hidden_size + input_size
+        gates = 4 * hidden_size
         self.hidden_size = hidden_size
         self.z = np.zeros((lag + 1, batch, width))
-        self.act = np.empty((lag, batch, 4 * hidden_size))
+        self.act = np.empty((lag, batch, gates))
         self.c = np.zeros((lag + 1, batch, hidden_size))
         self.tanh_c = np.empty((lag, batch, hidden_size))
-        self.pre = np.empty((batch, 4 * hidden_size))
-
-    @functools.cached_property
-    def work(self) -> _BackwardWork:
-        lag, batch = self.act.shape[:2]
-        return _BackwardWork(batch, lag, self.hidden_size, self.z.shape[2])
-
-    @property
-    def lag(self) -> int:
-        return self.act.shape[0]
-
-
-class _BackwardWork:
-    """Work arrays of the backward pass over B models and L cells.
-
-    Per cell, the gate slots [f, i, o, c] of dz are multiplied in the order
-    of the per-sample formulas: first [dc * c_prev, dc * c_hat,
-    dh * tanh_c, dc * i] (dc times ``cell_factor`` = [c_prev, c_hat, 0, i],
-    with the o slot then overwritten), then times the cached gates [f, i, o]
-    (the c slot skips this factor), then times ``gate_slope`` =
-    [1 - f, 1 - i, 1 - o, 1 - c_hat**2].  ``tanh_c_slope`` is
-    1 - tanh(c)**2.  ``dz_all[t]`` holds cell t's dz, so that the weight
-    gradient is formed for all cells at once after the recursion.
-    """
-
-    def __init__(self, batch: int, lag: int, hidden_size: int, width: int) -> None:
-        gates = 4 * hidden_size
+        self.pre = np.empty((batch, gates))
         # zeros: the o slot is multiplied but never written, and left
         # uninitialised it could hold slow subnormals or NaNs
         self.cell_factor = np.zeros((lag, batch, gates))
@@ -134,6 +118,15 @@ class _BackwardWork:
         self.dh = np.empty((batch, width, 1))
         self.dc = np.empty((batch, hidden_size))
         self.tmp = np.empty((batch, hidden_size))
+
+    @property
+    def lag(self) -> int:
+        return self.act.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array the cache holds."""
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
 
 
 def _cell(p: _Views, cache: _Cache, t: int) -> None:
@@ -198,10 +191,9 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
     """
     hsz = cache.hidden_size
     lag, batch = cache.act.shape[:2]
-    w = cache.work
     act = cache.act.reshape(lag, batch, 4, hsz)
-    cell_factor = w.cell_factor.reshape(lag, batch, 4, hsz)
-    gate_slope = w.gate_slope.reshape(lag, batch, 4, hsz)
+    cell_factor = cache.cell_factor.reshape(lag, batch, 4, hsz)
+    gate_slope = cache.gate_slope.reshape(lag, batch, 4, hsz)
     # The factors that do not depend on the recursion are laid out for all
     # cells at once, so that each cell multiplies whole (B, 4H) rows.
     cell_factor[:, :, 0] = cache.c[:-1]
@@ -209,39 +201,39 @@ def _backward(p: _Views, cache: _Cache, loss_grad: np.ndarray, grads: _Views) ->
     np.subtract(1.0, act[:, :, :3], out=gate_slope[:, :, :3])
     np.multiply(act[:, :, 3], act[:, :, 3], out=gate_slope[:, :, 3])
     np.subtract(1.0, gate_slope[:, :, 3], out=gate_slope[:, :, 3])
-    np.multiply(cache.tanh_c, cache.tanh_c, out=w.tanh_c_slope)
-    np.subtract(1.0, w.tanh_c_slope, out=w.tanh_c_slope)
+    tanh_c_slope = np.multiply(cache.tanh_c, cache.tanh_c, out=cache.tanh_c_slope)
+    np.subtract(1.0, tanh_c_slope, out=tanh_c_slope)
     f, o = act[:, :, 0], act[:, :, 2]
     gates = cache.act[:, :, : 3 * hsz]
-    dc, tmp = w.dc, w.tmp
-    w.grad_b.fill(0.0)
+    dc, tmp, dz_all, grad_b = cache.dc, cache.tmp, cache.dz_all, cache.grad_b
+    grad_b.fill(0.0)
     dc.fill(0.0)
     np.multiply(loss_grad[:, None], cache.z[-1, :, :hsz], out=grads.head_w)
     grads.head_b[:] = loss_grad
-    dh = np.multiply(loss_grad[:, None], p.head_w, out=w.dh[:, :hsz, 0])
+    dh = np.multiply(loss_grad[:, None], p.head_w, out=cache.dh[:, :hsz, 0])
     weights_t = p.weights.transpose(0, 2, 1)
     # Every product keeps the left-to-right order of the per-sample formulas,
     # e.g. dz_f = ((dc * c_prev) * f) * (1 - f): reassociating would round
     # differently and change trained models.
     for t in range(lag - 1, -1, -1):
-        dz = w.dz_all[t]
+        dz = dz_all[t]
         dz4 = dz.reshape(batch, 4, hsz)
         np.multiply(dh, o[t], out=tmp)
-        tmp *= w.tanh_c_slope[t]
+        tmp *= tanh_c_slope[t]
         dc += tmp
         np.multiply(dc[:, None, :], cell_factor[t], out=dz4)
         np.multiply(dh, cache.tanh_c[t], out=dz4[:, 2])
         dz[:, : 3 * hsz] *= gates[t]
-        dz *= w.gate_slope[t]
-        w.grad_b += dz
+        dz *= cache.gate_slope[t]
+        grad_b += dz
         if t:
-            np.matmul(weights_t, dz[:, :, None], out=w.dh)
+            np.matmul(weights_t, dz[:, :, None], out=cache.dh)
         dc *= f[t]
     # The weight gradient of every cell at once: per model, the (4H, L) dz
     # columns times the (L, H+D) cell inputs, summed over the cells inside
     # one BLAS product and written in the parameter layout.
-    np.matmul(w.dz_all.transpose(1, 2, 0), cache.z[:-1].transpose(1, 0, 2), out=grads.weights)
-    grads.biases[...] = w.grad_b
+    np.matmul(dz_all.transpose(1, 2, 0), cache.z[:-1].transpose(1, 0, 2), out=grads.weights)
+    grads.biases[...] = grad_b
 
 
 def predict_batch(flat, inputs, hidden_size: int) -> np.ndarray:
@@ -298,15 +290,13 @@ BLOCK_BYTES = 3 << 20
 
 
 def _block_size(lag: int, hidden_size: int, input_size: int) -> int:
-    """Models per block whose float64 buffers fit ``BLOCK_BYTES``."""
-    width = hidden_size + input_size
-    size = _param_count(hidden_size, input_size)
-    # Per model: params, grads, m, v and Adam's work (P each); z over L+1
-    # cells and dh; act, cell_factor, gate_slope and dz_all (4H per cell),
-    # c, tanh_c and tanh_c_slope (H per cell); pre and grad_b (4H), c's
-    # extra cell, dc and tmp (H).
-    floats = 5 * size + (lag + 2) * width + 19 * hidden_size * lag + 11 * hidden_size
-    return max(1, BLOCK_BYTES // (8 * floats))
+    """Models per block whose float64 buffers fit ``BLOCK_BYTES``.
+
+    Per model: its ``_Cache`` and the five P-long rows of ``_train_block``
+    (params, grads, m, v and Adam's work).
+    """
+    per_model = _Cache(1, lag, hidden_size, input_size).nbytes + 5 * 8 * _param_count(hidden_size, input_size)
+    return max(1, BLOCK_BYTES // per_model)
 
 
 def train_batch(inputs, targets, cfg: TrainConfig, seeds) -> BatchTrainResult:

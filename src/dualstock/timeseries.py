@@ -201,7 +201,8 @@ class CsvFormat:
 
     Either ``high_col``/``low_col`` or a single ``mid_col`` must be present
     in the file; each column the format reads (``columns``) fills one role,
-    so no two of its keys may name the same column.  ``on_invalid`` controls
+    so no two of its keys may name the same column.  ``delimiter`` is one
+    character other than csv's quote and line breaks.  ``on_invalid`` controls
     rows with missing or non-numeric prices and rows violating
     high >= low > 0: "fail" raises naming the row, "skip" drops the row.
     """
@@ -219,6 +220,8 @@ class CsvFormat:
             raise ValueError(f"on_invalid must be 'fail' or 'skip', got {self.on_invalid!r}")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.delimiter in '"\r\n':
+            raise ValueError(f"delimiter {self.delimiter!r} is csv's quote or line break")
         keys = self._column_keys()
         names = self.columns
         for i, name in enumerate(names):

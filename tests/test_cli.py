@@ -76,6 +76,10 @@ RANGE_ERRORS = [
     ("csv", {"on_invalid": "ignore"}, "on_invalid must be 'fail' or 'skip'"),
     ("csv", {"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
     ("csv", {"delimiter": ""}, "delimiter must be one character, got ''"),
+    # csv.reader cannot split fields on its quote or on a line break
+    ("csv", {"delimiter": '"'}, "delimiter '\"' is csv's quote or line break"),
+    ("csv", {"delimiter": "\r"}, "delimiter '\\r' is csv's quote or line break"),
+    ("csv", {"delimiter": "\n"}, "delimiter '\\n' is csv's quote or line break"),
     # one column cannot fill two roles: every mid would be the day's low
     ("csv", {"high_col": "low"}, "high_col and low_col both name column 'low'"),
 ]
