@@ -9,26 +9,15 @@ analysis unit, so reruns with identical inputs and config are
 byte-identical.  Every invocation writes a manifest listing emitted files
 and the SHA-256 of the bytes written to each.
 
-The work runs in units: a premium pair, a coherence pair, a forecast run, a
-grid set, an analysis as a whole, the ``report`` command and each run
-descriptor it reads.  Every unit runs inside ``CommandOutcome.unit``, which
-records an error of ``UNIT_ERRORS`` as the failure line ``<analysis> <unit>:
-<message>`` and lets the next unit run, and every output, the SVG included,
-goes through ``CommandOutcome.write``, which hashes the bytes as it writes
-them and lists the file once it is whole on disk.  So one bad unit takes down
-no other, and the files it wrote before it failed stay listed.  A failure
-line names paths under the output directory (and, for ``report``, under
-``--runs``) relative to it, so a failing rerun into another directory records
-the same manifest.
-
-``forecast`` makes one ``forecast_group`` call per cell of
-``ForecastOptions.cells``, a (lag, dual, regime) that runs: the tickers'
-runs train in one lockstep ``train_batch`` call, and each run is written by
-``_write_run`` in its own unit as its call returns.  A model whose loss becomes
-non-finite fails only the run that owns it.  A failed check, or a
-``FloatingPointError`` from the activation range check, fails every run of
-its call; sigmoid and tanh are bounded, so the range check cannot trip on
-finite inputs.
+Each ``cmd_*`` returns its ``Unit``s in canonical order and writes nothing:
+a premium pair, a coherence pair, the runs of one ``forecast_group`` call, a
+descriptor that ``report`` reads, and last the grids over the runs written
+before them.  ``CommandOutcome.execute`` computes and writes them one at a
+time, and records an error of ``UNIT_ERRORS`` as the failure line
+``<analysis> <unit>: <message>``; an analysis that cannot be planned fails as
+``<analysis>: <message>``.  A failure line names paths under the output
+directory (and, for ``report``, under ``--runs``) relative to it, so a failing
+rerun into another directory records the same manifest.
 """
 
 from __future__ import annotations
@@ -37,11 +26,12 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,20 +104,44 @@ class CommandOutcome:
             raise
         self.files[path] = digest.hexdigest()
 
-    @contextlib.contextmanager
-    def unit(self, name: str):
-        """Run one unit: an error of ``UNIT_ERRORS`` is recorded as ``"<name>: <message>"``.
+    def execute(self, units: Iterable[Unit]) -> list:
+        """Compute and write each unit in order; the results of the parts written, which each ``compute`` is given."""
+        written = []
+        for unit in units:
+            self._run(unit, written)  # which drops the unit's parts as it returns
+        return written
 
-        The run goes on after the block, and the files the unit wrote before
-        the error stay listed.
-        """
+    def _run(self, unit: Unit, written: list) -> None:
+        """Compute ``unit``, write its parts and append the results of those written whole to ``written``."""
         try:
-            yield
-        except UNIT_ERRORS as exc:
-            for attr in ("filename", "filename2"):  # an OSError's paths; an unset one stays unset
-                if getattr(exc, attr, None) is not None:
-                    setattr(exc, attr, self._relative(getattr(exc, attr)))
-            self.failures.append(f"{name}: {exc}")
+            parts = unit.compute(written)
+        except UNIT_ERRORS as exc:  # it fails every name of the unit
+            parts = [exc] * len(unit.names)
+        for name, part in zip(unit.names, parts):
+            try:
+                if isinstance(part, Exception):
+                    raise part
+                files, result = part
+                for path, text in files.items():
+                    self.write(path, text)
+                written.append(result)
+            except UNIT_ERRORS as exc:  # the part's failure line; the files it wrote stay listed
+                for attr in ("filename", "filename2"):  # an OSError's paths; an unset one stays unset
+                    if getattr(exc, attr, None) is not None:
+                        setattr(exc, attr, self._relative(getattr(exc, attr)))
+                self.failures.append(f"{name}: {exc}")
+
+
+@dataclass(frozen=True)
+class Unit:
+    """Work under one or more names; ``compute(written)`` is given the results written before it and writes no file.
+
+    For each name it returns the part's ``(files, result)``, ``files`` mapping
+    paths to text, bytes or lazy chunks, or the exception that failed it alone.
+    """
+
+    names: tuple[str, ...]
+    compute: Callable[[list], list]
 
 
 TickerSeries = list[tuple[str, PriceSeries]]
@@ -146,23 +160,28 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_premiums(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
+def cmd_premiums(config: RunConfig, series: TickerSeries) -> list[Unit]:
     """Premium series and summary stats for every ticker pair, one unit per pair."""
     if len(series) < 2:
         raise ValueError("premiums needs at least two tickers")
-    out = config.out_dir / "premiums"
-    for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
-        label = f"{name_a}_over_{name_b}"
-        with outcome.unit(f"premiums {label}"):
-            premiums = premium_series(a, b)
-            if premiums.n == 0:
-                raise ValueError("empty date intersection")
-            stats = premium_summary(premiums)
-            lines = ["date,premium"]
-            lines += [f"{d.isoformat()},{v:.6f}" for d, v in zip(premiums.dates, premiums.values)]
-            outcome.write(out / f"{label}_series.csv", "\n".join(lines) + "\n")
-            outcome.write(out / f"{label}_summary.csv", render_summary_csv(stats))
-            outcome.write(out / f"{label}_summary.json", _json_text(summary_to_dict(stats)))
+
+    def pair(name_a, a, name_b, b, written):
+        premiums = premium_series(a, b)
+        if premiums.n == 0:
+            raise ValueError("empty date intersection")
+        stats = premium_summary(premiums)
+        lines = ["date,premium"]
+        lines += [f"{d.isoformat()},{v:.6f}" for d, v in zip(premiums.dates, premiums.values)]
+        out, label = config.out_dir / "premiums", f"{name_a}_over_{name_b}"
+        files = {
+            out / f"{label}_series.csv": "\n".join(lines) + "\n",
+            out / f"{label}_summary.csv": render_summary_csv(stats),
+            out / f"{label}_summary.json": _json_text(summary_to_dict(stats)),
+        }
+        return [(files, None)]
+
+    pairs = itertools.combinations(series, 2)
+    return [Unit((f"premiums {a}_over_{b}",), functools.partial(pair, a, sa, b, sb)) for (a, sa), (b, sb) in pairs]
 
 
 _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
@@ -239,29 +258,37 @@ def _coherence_csv(field, dates) -> Iterable[bytes]:
         yield buf[buf != 0].tobytes()
 
 
-def cmd_coherence(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
-    """Returns -> CWT -> coherence -> significance -> CSV + SVG, one unit per pair."""
+def cmd_coherence(config: RunConfig, series: TickerSeries) -> list[Unit]:
+    """Returns -> CWT -> coherence -> significance -> CSV + SVG, one unit per pair; both files are lazy chunks."""
     if len(series) < 2:
         raise ValueError("coherence needs at least two tickers")
-    out = config.out_dir / "coherence"
-    for (name_a, a), (name_b, b) in itertools.combinations(series, 2):
-        label = f"{name_a}_{name_b}"
-        with outcome.unit(f"coherence {label}"):
-            aligned_a, aligned_b = align_series(a, b)
-            if aligned_a.n < MIN_COHERENCE_LENGTH + 1:
-                raise ValueError(f"need at least {MIN_COHERENCE_LENGTH + 1} common dates, got {aligned_a.n}")
-            returns_a = daily_returns(aligned_a)
-            returns_b = daily_returns(aligned_b)
-            grid = ScaleGrid.for_length(returns_a.n)
-            mc = config.wavelet.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
-            field = significance(returns_a.values, returns_b.values, grid, mc=mc)
-            outcome.write(out / f"{label}.csv", _coherence_csv(field, returns_a.dates))
-            title = f"{name_a} / {name_b} squared coherence"
-            outcome.write(out / f"{label}.svg", render_heatmap(field, dates=returns_a.dates, title=title))
+
+    def pair(name_a, a, name_b, b, written):
+        aligned_a, aligned_b = align_series(a, b)
+        if aligned_a.n < MIN_COHERENCE_LENGTH + 1:
+            raise ValueError(f"need at least {MIN_COHERENCE_LENGTH + 1} common dates, got {aligned_a.n}")
+        returns_a = daily_returns(aligned_a)
+        returns_b = daily_returns(aligned_b)
+        grid = ScaleGrid.for_length(returns_a.n)
+        mc = config.wavelet.monte_carlo(child_seed(config.seed, f"coherence:{name_a}/{name_b}"))
+        field = significance(returns_a.values, returns_b.values, grid, mc=mc)
+        out, label = config.out_dir / "coherence", f"{name_a}_{name_b}"
+        title = f"{name_a} / {name_b} squared coherence"
+        files = {
+            out / f"{label}.csv": _coherence_csv(field, returns_a.dates),
+            out / f"{label}.svg": render_heatmap(field, dates=returns_a.dates, title=title),
+        }
+        return [(files, None)]
+
+    pairs = itertools.combinations(series, 2)
+    return [Unit((f"coherence {a}_{b}",), functools.partial(pair, a, sa, b, sb)) for (a, sa), (b, sb) in pairs]
 
 
-def _predictions_csv(run: ForecastRun, dates) -> str:
-    """The run's rows; ``dates`` are the dates of the series it forecast, indexed by origin."""
+def _run_files(run: ForecastRun, dates, cfg: TrainConfig, out: Path) -> dict[Path, str]:
+    """The run's predictions CSV and its descriptor under ``out``; ``cfg`` trained it, ``dates`` index its origins."""
+    dual = "yes" if run.include_dual else "no"
+    regime = "mece" if run.regime.kind == "mece" else f"w{run.regime.window}"
+    stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{regime}"
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
     for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
         # repr of the Python float is the shortest exact round-trip, so the
@@ -270,15 +297,6 @@ def _predictions_csv(run: ForecastRun, dates) -> str:
             f"{int(origin)},{dates[origin].isoformat()},{float(run.actuals[k])!r},"
             f"{float(run.predictions[k])!r},{start},{end}"
         )
-    return "\n".join(rows) + "\n"
-
-
-def _write_run(run: ForecastRun, dates, cfg: TrainConfig, out: Path, outcome: CommandOutcome) -> None:
-    """The run's predictions CSV and its descriptor under ``out``; ``cfg`` trained it, ``dates`` index its origins."""
-    dual = "yes" if run.include_dual else "no"
-    regime = "mece" if run.regime.kind == "mece" else f"w{run.regime.window}"
-    stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{regime}"
-    outcome.write(out / f"{stem}.csv", _predictions_csv(run, dates))
     descriptor = {
         "ticker": run.ticker,
         "lag": run.lag,
@@ -294,16 +312,14 @@ def _write_run(run: ForecastRun, dates, cfg: TrainConfig, out: Path, outcome: Co
         },
         "predictions_csv": f"{stem}.csv",
     }
-    outcome.write(out / f"{stem}.json", _json_text(descriptor))
+    return {out / f"{stem}.csv": "\n".join(rows) + "\n", out / f"{stem}.json": _json_text(descriptor)}
 
 
-def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcome) -> None:
-    """Execute the declared (ticker x lag x dual x regime) grid, one unit per run.
+def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
+    """The declared (ticker x lag x dual x regime) grid: one unit per cell, one part per run, then the grids.
 
     Each cell of ``ForecastOptions.cells`` is one ``forecast_group`` call
-    over the tickers, and each of its runs is written in its own unit as the
-    call returns.  An error that fails the whole call is recorded for each
-    of its runs.
+    over the tickers.  The grids unit reads the runs whose files were written.
     """
     names = [name for name, _ in series]
     series = align_series(*(s for _, s in series))
@@ -315,10 +331,11 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
     targets = names if f.tickers is None else list(f.tickers)
-    runs: list[ForecastRun] = []
-    for lag, dual, regime in f.cells():
+
+    def cell(lag, dual, regime) -> Unit:
         yes_no = "yes" if dual else "no"
-        try:
+
+        def compute(written):
             # a lone series has no sibling to give, and forecast_group takes a run given none for one without a dual
             if dual and len(names) != 3:
                 raise ValueError("a dual run needs exactly two sibling series")
@@ -331,34 +348,26 @@ def cmd_forecast(config: RunConfig, series: TickerSeries, outcome: CommandOutcom
                 lag=lag,
                 cfg=cfg,
             )
-        except UNIT_ERRORS as exc:
-            results = [exc] * len(targets)
-        for name, run in zip(targets, results):
-            with outcome.unit(f"forecast {name} lag={lag} dual={yes_no} {regime.label}"):
-                if isinstance(run, Exception):
-                    raise run
-                # a run whose files cannot be written is left out of the grids
-                _write_run(run, dates, cfg, out / "runs", outcome)
-                runs.append(run)
+            return [run if isinstance(run, Exception) else (_run_files(run, dates, cfg, out / "runs"), run) for run in results]
 
-    # the declared axes, so a run that failed, or a cell left out of cells(),
-    # is a missing cell; the grids list the tickers in declared order
-    runs.sort(key=lambda run: targets.index(run.ticker))
-    _write_grids(runs, out / "grids", outcome, "forecast", f.regimes(), f.lags, f.duals)
+        return Unit(tuple(f"forecast {name} lag={lag} dual={yes_no} {regime.label}" for name in targets), compute)
+
+    # on the declared axes, a run that failed, or a cell left out of cells(), is a missing cell
+    grids = Unit(("forecast grids",), lambda written: _grids(written, targets, out / "grids", f.regimes(), f.lags, f.duals))
+    return [cell(*c) for c in f.cells()] + [grids]
 
 
-def _write_grids(runs: list[ForecastRun], out: Path, outcome: CommandOutcome, command: str, regimes, lags, duals):
-    """Per-ticker grids on the given axes, as CSV and JSON, plus one long-format CSV, as the ``command``'s grids unit."""
-    if not runs:
-        return
-    with outcome.unit(f"{command} grids"):
-        tickers = dict.fromkeys(run.ticker for run in runs)  # in the order their first runs arrive
-        groups = [[run for run in runs if run.ticker == ticker] for ticker in tickers]
-        grids = [assemble_grid(group, regimes=regimes, lags=lags, duals=duals) for group in groups]
-        for grid in grids:
-            outcome.write(out / f"{grid.ticker}.csv", _csv_text(grid_table_rows(grid)))
-            outcome.write(out / f"{grid.ticker}.json", _json_text(grid_to_json_dict(grid)))
-        outcome.write(out / "long.csv", _csv_text(long_format_rows(grids)))
+def _grids(runs: list[ForecastRun], tickers, out: Path, regimes, lags, duals) -> list:
+    """The grids unit's part: each ticker's grid on the axes as CSV and JSON, in ``tickers`` order, and a long CSV."""
+    groups = [[run for run in runs if run.ticker == ticker] for ticker in tickers]
+    grids = [assemble_grid(group, regimes=regimes, lags=lags, duals=duals) for group in groups if group]
+    files = {}
+    for grid in grids:
+        files[out / f"{grid.ticker}.csv"] = _csv_text(grid_table_rows(grid))
+        files[out / f"{grid.ticker}.json"] = _json_text(grid_to_json_dict(grid))
+    if grids:
+        files[out / "long.csv"] = _csv_text(long_format_rows(grids))
+    return [(files, None)]
 
 
 def _read_run(manifest_path: Path) -> ForecastRun:
@@ -402,8 +411,8 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         raise ValueError(f"{manifest_path.name}: {exc}") from exc
 
 
-def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
-    """Re-assemble the metric grids from existing run descriptors, one unit per descriptor read.
+def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
+    """Re-assemble the metric grids from existing run descriptors: one unit per descriptor read, then the grids.
 
     The axes are the runs': their regimes, one per label, rolling windows
     ascending, then MECE if any run is MECE; lags ascending; the duals
@@ -416,15 +425,16 @@ def cmd_report(runs_dir: Path, out_dir: Path, outcome: CommandOutcome) -> None:
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
         raise ValueError(f"no run manifests (*.json) found in {runs_dir}")
-    runs: list[ForecastRun] = []
-    for path in manifests:
-        with outcome.unit("report"):
-            runs.append(_read_run(path))
-    by_label = {r.regime.label: r.regime for r in runs}
-    regimes = sorted(by_label.values(), key=lambda regime: (regime.kind == "mece", regime.train_length))
-    lags = sorted({r.lag for r in runs})
-    duals = sorted({r.include_dual for r in runs})
-    _write_grids(sorted(runs, key=lambda r: r.ticker), Path(out_dir) / "report", outcome, "report", regimes, lags, duals)
+
+    def grids(runs):
+        by_label = {r.regime.label: r.regime for r in runs}
+        regimes = sorted(by_label.values(), key=lambda regime: (regime.kind == "mece", regime.train_length))
+        lags = sorted({r.lag for r in runs})
+        duals = sorted({r.include_dual for r in runs})
+        return _grids(runs, sorted({r.ticker for r in runs}), Path(out_dir) / "report", regimes, lags, duals)
+
+    reads = [Unit(("report",), lambda written, path=path: [({}, _read_run(path))]) for path in manifests]
+    return reads + [Unit(("report grids",), grids)]
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int | None, outcome: CommandOutcome) -> Path:
@@ -490,6 +500,7 @@ def main(argv=None) -> int:
             out_dir = Path(args.out)
             command = "report"
             outcome = CommandOutcome(roots=(Path(args.runs), out_dir))
+            plans = [Unit(("report",), lambda written: [({}, cmd_report(Path(args.runs), out_dir))])]
         else:
             subcommand = None if args.command == "run" else (args.command,)
             config = load_config(args.config, seed=args.seed, out_dir=args.out, analyses=subcommand)
@@ -497,24 +508,17 @@ def main(argv=None) -> int:
             out_dir = config.out_dir
             command = "run:" + ",".join(config.analyses) if args.command == "run" else args.command
             outcome = CommandOutcome(roots=(out_dir,))
+            handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
+            series = functools.cache(lambda: _load_all(config))  # a read that fails is retried, and fails alike
+            plans = [Unit((a,), lambda written, a=a: [({}, handlers[a](config, series()))]) for a in config.analyses]
         # an output path that cannot be a directory fails before any input is read
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "report":
-        with outcome.unit("report"):
-            cmd_report(Path(args.runs), out_dir, outcome)
-    else:
-        handlers = {"premiums": cmd_premiums, "coherence": cmd_coherence, "forecast": cmd_forecast}
-        series = None
-        for analysis in config.analyses:
-            with outcome.unit(analysis):
-                # the inputs are read once and shared; a read that fails is
-                # retried, and fails alike, in each analysis's unit
-                if series is None:
-                    series = _load_all(config)
-                handlers[analysis](config, series, outcome)
+    for plan in plans:  # a unit named after its analysis, whose one result is the analysis's units
+        for units in outcome.execute([plan]):
+            outcome.execute(units)
     manifest_path = _write_manifest(out_dir, command, seed, outcome)
     print(f"{len(outcome.files)} files written under {out_dir} (manifest: {manifest_path.name})")
     for failure in outcome.failures:

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualstock import cli
 from dualstock.cli import main
+from dualstock.config import load_config
 from dualstock.forecast import RegimeSpec, forecast
 from dualstock.lstm import TrainConfig, _param_count, _Views
 from dualstock.metrics import mae, mape, rmse
@@ -332,3 +334,53 @@ def test_11_report_grid_structure(desk_scale_run):
         assert sorted(p.name for p in (root / "rep" / "report").iterdir()) == [p.name for p in grids]
         for path in grids:
             assert (root / "rep" / "report" / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def desk_units_computed(desk_scale_run, tmp_path_factory):
+    """Criteria 12 and 13 fixture: every desk unit computed before any is written.
+
+    The output directory is under one that does not exist.  Within each
+    analysis the units compute in reverse order, except the forecast grids,
+    which read the runs and so compute last.  Returns the config, each
+    analysis's units with their parts, and the paths that computing created
+    in the input and working directories.
+    """
+    root = desk_scale_run[0]
+    work = tmp_path_factory.mktemp("compute")
+    before = set(root.rglob("*"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        config = load_config(root / "config.json", out_dir=work / "absent" / "out")
+        series = cli._load_all(config)
+        planned = []
+        for analysis in config.analyses:
+            units = getattr(cli, f"cmd_{analysis}")(config, series)
+            independent = units[:-1] if analysis == "forecast" else units
+            parts = {id(unit): unit.compute([]) for unit in reversed(independent)}
+            if analysis == "forecast":
+                runs = [result for unit in independent for _, result in parts[id(unit)]]
+                parts[id(units[-1])] = units[-1].compute(runs)
+            planned.append([(unit, parts[id(unit)]) for unit in units])
+    created = sorted(set(root.rglob("*")) - before) + sorted(work.rglob("*"))
+    return config, planned, created
+
+
+def test_12_units_write_in_canonical_order(desk_scale_run, desk_units_computed):
+    with criterion(12, "desk units computed out of order, written in canonical order: the same manifest"):
+        root = desk_scale_run[0]
+        config, planned, _ = desk_units_computed
+        outcome = cli.CommandOutcome(roots=(config.out_dir,))
+        for units in planned:
+            outcome.execute([cli.Unit(unit.names, lambda written, parts=parts: parts) for unit, parts in units])
+        assert outcome.failures == []
+        command = "run:" + ",".join(config.analyses)
+        manifest = cli._write_manifest(config.out_dir, command, config.seed, outcome)
+        assert manifest.read_bytes() == (root / "o1" / "manifest.json").read_bytes()
+
+
+def test_13_computing_units_writes_nothing(desk_units_computed):
+    with criterion(13, "computing every desk unit creates no file or directory"):
+        _, planned, created = desk_units_computed
+        assert sum(len(units) for units in planned) == 3 + 3 + 13
+        assert created == []

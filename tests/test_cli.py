@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,23 @@ class TestConfig:
         assert read == []
         assert list(work.iterdir()) == []
         assert not out.exists()
+
+    def test_relative_paths(self, tmp_path, monkeypatch):
+        # ticker paths resolve against the config's directory, out_dir against the working directory
+        cfgdir = tmp_path / "cfgdir"
+        cfgdir.mkdir()
+        tickers = synthetic_tickers(cfgdir)
+        config = {"tickers": tickers, "out_dir": "out", "seed": 1, "analyses": ["premiums"]}
+        (cfgdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        loaded = load_config("../cfgdir/config.json")
+        assert dict(loaded.tickers) == {name: (cfgdir / file).resolve() for name, file in tickers.items()}
+        assert loaded.out_dir == Path("out")
+        assert main(["premiums", "--config", "../cfgdir/config.json"]) == 0
+        assert (work / "out" / "manifest.json").is_file()
+        assert not (cfgdir / "out").exists()
 
     def test_missing_input_file(self, tmp_path):
         path = write_config(tmp_path, {"AAA": "absent.csv"})
@@ -628,7 +646,7 @@ class TestPremiumsCommand:
         )
         outcome = cli_module.CommandOutcome()
         with pytest.raises(ValueError, match=f"{analysis} needs at least two tickers"):
-            getattr(cli_module, f"cmd_{analysis}")(config, cli_module._load_all(config), outcome)
+            outcome.execute(getattr(cli_module, f"cmd_{analysis}")(config, cli_module._load_all(config)))
         assert outcome.files == {} and outcome.failures == []
         assert not (tmp_path / "out").exists()
 
@@ -722,6 +740,26 @@ class TestCoherenceCommand:
         assert json.loads(manifests[0])["failures"] == [
             "coherence AAA_CCC: [Errno 21] Is a directory: 'coherence/.AAA_CCC.svg.tmp' -> 'coherence/AAA_CCC.svg'"
         ]
+
+    def test_each_field_is_released_before_the_next_pair_computes(self, tmp_path, monkeypatch):
+        # a pair's field, and the lazy CSV and SVG chunks over it, are dropped
+        # once its files are written, so one field at a time is alive
+        cli_module = importlib.import_module("dualstock.cli")
+        compute = cli_module.significance
+        fields = []
+
+        def released_before(*args, **kwargs):
+            assert all(ref() is None for ref in fields), "an earlier pair's field is still alive"
+            field = compute(*args, **kwargs)
+            fields.append(weakref.ref(field))
+            return field
+
+        monkeypatch.setattr(cli_module, "significance", released_before)
+        config_path = write_config(
+            tmp_path, synthetic_tickers(tmp_path, n=140), analyses=["coherence"], wavelet={"mc_iterations": 2}
+        )
+        assert main(["coherence", "--config", str(config_path)]) == 0
+        assert len(fields) == 3
 
     def test_too_short_series_fails(self, tmp_path):
         tickers = synthetic_tickers(tmp_path, n=40)
@@ -831,7 +869,7 @@ class TestForecastCommand:
         )
         config = load_config(config_path)
         outcome = cli_module.CommandOutcome()
-        cli_module.cmd_forecast(config, cli_module._load_all(config), outcome)
+        outcome.execute(cli_module.cmd_forecast(config, cli_module._load_all(config)))
         assert outcome.files == {}
         assert sorted(outcome.failures) == [
             f"forecast {t} lag=4 dual=yes {r}: a dual run needs exactly two sibling series"
@@ -851,7 +889,7 @@ class TestForecastCommand:
             )
         )
         outcome = cli_module.CommandOutcome()
-        cli_module.cmd_forecast(config, cli_module._load_all(config)[:1], outcome)
+        outcome.execute(cli_module.cmd_forecast(config, cli_module._load_all(config)[:1]))
         assert sorted(outcome.failures) == [
             f"forecast AAA lag=4 dual=yes {r}: a dual run needs exactly two sibling series"
             for r in ("mece", "window=10", "window=5")
@@ -863,7 +901,7 @@ class TestForecastCommand:
         alone = dataclasses.replace(
             config, out_dir=tmp_path / "alone", forecast=dataclasses.replace(config.forecast, duals=(False,))
         )
-        cli_module.cmd_forecast(alone, cli_module._load_all(alone)[:1], cli_module.CommandOutcome())
+        cli_module.CommandOutcome().execute(cli_module.cmd_forecast(alone, cli_module._load_all(alone)[:1]))
         for path in runs.iterdir():
             assert path.read_bytes() == (tmp_path / "alone" / "forecast" / "runs" / path.name).read_bytes()
         grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())

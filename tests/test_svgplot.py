@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from dualstock.cli import CommandOutcome
+from dualstock.cli import CommandOutcome, Unit
 from dualstock.svgplot import ARROW_BLOCK_S, ARROW_BLOCK_T, render_heatmap
 from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence
 
@@ -69,8 +69,7 @@ class TestStructure:
         target = tmp_path / "AAA_CCC.svg"
         target.mkdir()
         outcome = CommandOutcome()
-        with outcome.unit("coherence AAA_CCC"):
-            outcome.write(target, render_heatmap(make_field()))
+        outcome.execute([Unit(("coherence AAA_CCC",), lambda written: [({target: render_heatmap(make_field())}, None)])])
         assert len(outcome.failures) == 1
         assert outcome.failures[0].startswith("coherence AAA_CCC: ")
         assert "AAA_CCC.svg" in outcome.failures[0]

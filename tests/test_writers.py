@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualstock.atomicfile import atomic_open
-from dualstock.cli import CommandOutcome, _coherence_csv, _fixed6
+from dualstock.cli import CommandOutcome, Unit, _coherence_csv, _fixed6
 from dualstock.svgplot import MARGIN_LEFT, MARGIN_TOP, PLOT_H, PLOT_W, QUANT_LEVELS, _LEVEL_COLORS, _fmt, render_heatmap
 from dualstock.wavelet import CoherenceField, ScaleGrid, cone_of_influence
 from _oracles import coherence_csv_per_cell, render_heatmap_per_cell
@@ -291,6 +291,43 @@ class TestCommandOutcomeWrite:
         outcome.write(path, given)
         assert path.read_bytes() == self.TEXT.encode("utf-8")
         assert outcome.files == {path: hashlib.sha256(self.TEXT.encode("utf-8")).hexdigest()}
+
+
+class TestCommandOutcomeExecute:
+    def test_units_run_in_order_and_a_failed_compute_fails_each_name(self, tmp_path):
+        seen = []
+
+        def fails(written):
+            raise ValueError("bad cell")
+
+        def reads(written):
+            seen.append(list(written))
+            return [({tmp_path / "b.txt": "b\n"}, "b")]
+
+        units = [
+            Unit(("first",), lambda written: [({tmp_path / "a.txt": "a\n"}, "a")]),
+            Unit(("cell one", "cell two"), fails),
+            Unit(("later",), reads),
+        ]
+        outcome = CommandOutcome(roots=(tmp_path,))
+        assert outcome.execute(units) == ["a", "b"]
+        assert seen == [["a"]]
+        assert outcome.failures == ["cell one: bad cell", "cell two: bad cell"]
+        assert list(outcome.files) == [tmp_path / "a.txt", tmp_path / "b.txt"]
+
+    def test_chunk_raising_midway_fails_its_part_alone(self, tmp_path):
+        # the temporary file is closed and removed: pytest turns an unclosed
+        # file's ResourceWarning into an error (pyproject.toml)
+        def chunks():
+            yield "date,rho2\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        parts = [({tmp_path / "one.csv": chunks()}, 1), ({tmp_path / "two.csv": "two\n"}, 2), ValueError("diverged")]
+        outcome = CommandOutcome(roots=(tmp_path,))
+        assert outcome.execute([Unit(("run one", "run two", "run three"), lambda written: parts)]) == [2]
+        assert outcome.failures == ["run one: one.csv: [Errno 28] No space left on device", "run three: diverged"]
+        assert list(outcome.files) == [tmp_path / "two.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["two.csv"]
 
 
 class TestAtomicOpen:
