@@ -319,31 +319,33 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
     """The declared (ticker x lag x dual x regime) grid: one unit per cell, one part per run, then the grids.
 
     Each cell of ``ForecastOptions.cells`` is one ``forecast_group`` call
-    over the tickers.  The grids unit reads the runs whose files were written.
+    over the tickers at the cell's lag, dual and regime; each run's siblings
+    are the other given series.  Every forecast ticker must be among the
+    given series.  The grids unit reads the runs whose files were written.
     """
     names = [name for name, _ in series]
+    f = config.forecast
+    targets = names if f.tickers is None else list(f.tickers)
+    if missing := [name for name in targets if name not in names]:
+        raise ValueError(f"tickers {missing} are not among the given series")
     series = align_series(*(s for _, s in series))
     if series[0].n == 0:
         raise ValueError("tickers share no common dates")
-    f = config.forecast
     out = config.out_dir / "forecast"
     cfg = f.train_config()
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
-    targets = names if f.tickers is None else list(f.tickers)
 
     def cell(lag, dual, regime) -> Unit:
         yes_no = "yes" if dual else "no"
 
         def compute(written):
-            # a lone series has no sibling to give, and forecast_group takes a run given none for one without a dual
-            if dual and len(names) != 3:
-                raise ValueError("a dual run needs exactly two sibling series")
             results = forecast_group(
                 targets,
                 [mids[name] for name in targets],
-                [tuple(mids[other] for other in names if other != name) if dual else () for name in targets],
+                [tuple(mids[other] for other in names if other != name) for name in targets],
                 [child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}") for name in targets],
+                dual=dual,
                 regime=regime,
                 lag=lag,
                 cfg=cfg,
@@ -399,8 +401,6 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         )
         for row, origin, expected in zip(rows, run.origins, run.provenance):
             start, end = int(row["train_start"]), int(row["train_end"])
-            if not 0 <= start <= end <= origin:
-                raise ValueError(f"provenance [{start}, {end}) must precede its origin {origin}")
             if (start, end) != expected:
                 raise ValueError(
                     f"provenance [{start}, {end}) at origin {origin} must be the {run.regime.label} "

@@ -5,11 +5,11 @@ range must stay unknown at training time) and predictions are mapped back to
 price units.  One path serves both training regimes of a ``RegimeSpec``: a
 single mutually-exclusive train/test split ("mece") and rolling windows that
 retrain on exactly the w observations preceding each forecast origin.
-``forecast_group`` forecasts the runs that share (lag, dual, regime), such
-as the tickers' runs of one grid cell: it checks them and lays out their
-samples once, trains every model of every run (a rolling run has one per
-origin) in one lockstep ``lstm.train_batch`` call, and predicts each run's
-origins in one batched forward.  A model's result does not depend on the
+``forecast_group`` forecasts the runs that share (lag, dual, regime), its
+three keywords, such as the tickers' runs of one grid cell: it checks them
+and lays out their samples once, trains every model of every run (a rolling
+run has one per origin) in one lockstep ``lstm.train_batch`` call, and
+predicts each run's origins in one batched forward.  A model's result does not depend on the
 batch it trains in, so the predictions equal, bit for bit, those of each
 model trained alone at B = 1.  A model whose loss becomes non-finite fails
 only its own run (``TrainingDivergedError``); a ``FloatingPointError`` from
@@ -17,7 +17,8 @@ the activation range check fails every run of its call, though sigmoid and
 tanh are bounded, so the check cannot trip on finite inputs.  ``forecast``
 is the one-run case.  Every forecast is a pure function of observations
 strictly before its origin; a run's ``provenance``, the exact training
-index range per origin, is its regime's ``train_range`` at each origin.
+index range per origin, is its regime's ``train_range`` at each origin, and
+the regime's ``history_error`` is the one rule that it lie in [0, origin).
 """
 
 from __future__ import annotations
@@ -74,15 +75,15 @@ def unscale(y):
     return float(prices) if prices.ndim == 0 else prices
 
 
-def _feature_rows(own: np.ndarray, siblings) -> np.ndarray:
-    """The (n, D) input rows: [own] (D = 1), or [own, sib1, sib2] for a dual run (D = 3)."""
-    if not siblings:
-        return own[:, None]
+def _feature_rows(own: np.ndarray, siblings, dual: bool) -> np.ndarray:
+    """The (n, D) scaled input rows: [own] (D = 1), or [own, sib1, sib2] for a dual run (D = 3)."""
+    if not dual:
+        return scale_price(own)[:, None]
     if len(siblings) != 2:
         raise ValueError("a dual run needs exactly two sibling series")
     if any(np.shape(s) != own.shape for s in siblings):
         raise ValueError("sibling series must be aligned with the own series")
-    return np.column_stack([own, *siblings])
+    return np.column_stack([scale_price(x) for x in (own, *siblings)])
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,13 @@ class RegimeSpec:
             return f"train_size={self.train_size} leaves no samples at lag={lag}"
         return f"window={self.window} too small for lag={lag}; need window >= lag+1"
 
+    def history_error(self, origin: int) -> str | None:
+        """Why ``origin`` has too little history, or None: its training range must lie in [0, origin)."""
+        if origin >= self.train_length:
+            return None
+        start, end = self.train_range(origin)
+        return f"the {self.label} training range [{start}, {end}) of origin {origin} must lie in [0, {origin})"
+
     def train_range(self, origin: int) -> tuple[int, int]:
         """Training index range [start, end) for the forecast at ``origin``.
 
@@ -172,13 +180,9 @@ class ForecastRun:
             raise ValueError("predictions/actuals/origins must all have length test_size")
         if not (np.isfinite(predictions).all() and np.isfinite(actuals).all()):
             raise ValueError("predictions and actuals must be finite")
-        # every training range [start, end) lies in [0, origin) iff the first origin is the training length or later
-        first = int(origins.min())
-        if first < self.regime.train_length:
-            start, end = self.regime.train_range(first)
-            raise ValueError(
-                f"the {self.regime.label} training range [{start}, {end}) of origin {first} must lie in [0, {first})"
-            )
+        # every training range lies in [0, origin) iff the first origin's does
+        if error := self.regime.history_error(int(origins.min())):
+            raise ValueError(error)
         for arr in (predictions, actuals, origins):
             arr.flags.writeable = False
         object.__setattr__(self, "predictions", predictions)
@@ -197,6 +201,7 @@ def forecast_group(
     siblings,
     seeds,
     *,
+    dual: bool,
     regime: RegimeSpec,
     lag: int,
     cfg: TrainConfig,
@@ -204,10 +209,11 @@ def forecast_group(
     """Forecast the final ``regime.test_size`` observations of each own series: the runs of one (lag, dual, regime).
 
     Run r forecasts ``owns[r]`` for ``tickers[r]``, seeded with ``seeds[r]``;
-    it is dual when given its two ``siblings[r]`` and uses the own series
-    alone when given ``()``.  The runs share the series length, so they
-    share origins, training ranges and sample indices: these are laid out
-    once, and every model of every run trains in one lockstep
+    a ``dual`` run also takes its two ``siblings[r]`` as inputs, and a run
+    without a dual reads no ``siblings[r]``.  The runs share the series
+    length, so they share origins, training ranges and sample indices:
+    these are laid out once, after ``regime.history_error`` passes the first
+    origin, and every model of every run trains in one lockstep
     ``train_batch`` call, in run order.  Returns each run's ``ForecastRun``,
     or the ``TrainingDivergedError`` naming the step at which the epoch loss
     of its first diverged model, in model order, became non-finite.  A
@@ -232,28 +238,12 @@ def forecast_group(
     lengths = [len(own) for own in owns]
     if len(set(lengths)) != 1:
         raise ValueError(f"the runs of one call need series of one length, got lengths {lengths}")
-    duals = {len(sibs) > 0 for sibs in siblings}
-    if len(duals) != 1:
-        raise ValueError("the runs of one call must all be dual or all be given no siblings")
-    (dual,) = duals
     n = lengths[0]
     first_origin = n - regime.test_size
-    if regime.kind == "mece" and first_origin < regime.train_size:
-        raise ValueError(
-            f"need at least train_size+test_size={regime.train_size + regime.test_size} "
-            f"observations, got {n}"
-        )
-    if regime.kind == "rolling" and first_origin - regime.window < 0:
-        raise ValueError(
-            f"not enough history: first origin {first_origin} needs {regime.window} prior observations"
-        )
+    if error := regime.history_error(first_origin):
+        raise ValueError(error)
     # (R, n, D): the runs' scaled input rows, own value first
-    features = np.stack(
-        [
-            _feature_rows(scale_price(own), [scale_price(s) for s in sibs])
-            for own, sibs in zip(owns, siblings)
-        ]
-    )
+    features = np.stack([_feature_rows(own, sibs, dual) for own, sibs in zip(owns, siblings)])
     # windows[r, k] is a view of run r's feature rows k .. k+lag-1
     windows = np.lib.stride_tricks.sliding_window_view(features, lag, axis=1).transpose(0, 1, 3, 2)
     origins = np.arange(first_origin, n)
@@ -309,9 +299,12 @@ def forecast(
 ) -> ForecastRun:
     """Forecast the final ``regime.test_size`` observations of ``own``: the one-run case of ``forecast_group``.
 
-    Raises TrainingDivergedError if one of the run's models diverged.
+    The run is dual when it is given ``siblings``.  Raises TrainingDivergedError
+    if one of the run's models diverged.
     """
-    (run,) = forecast_group([ticker], [own], [siblings], [seed], regime=regime, lag=lag, cfg=cfg)
+    (run,) = forecast_group(
+        [ticker], [own], [siblings], [seed], dual=len(siblings) > 0, regime=regime, lag=lag, cfg=cfg
+    )
     if isinstance(run, TrainingDivergedError):
         raise run
     return run

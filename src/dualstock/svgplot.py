@@ -155,7 +155,7 @@ def _contour_rows(mask: np.ndarray, xs: list[str], ys: list[str]):
         yield "".join(segments)
 
 
-def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) -> Iterable[str]:
+def render_heatmap(field: CoherenceField, dates, title: str) -> Iterable[str]:
     """The coherence field as SVG text, in chunks that join to the whole document."""
     rho2 = field.rho2
     num_scales, n = rho2.shape
@@ -187,11 +187,10 @@ def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) 
     opening.append(
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>'
     )
-    if title:
-        opening.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
-        )
+    opening.append(
+        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
+    )
 
     parts: list[str] = []
     # Phase arrows: one per block, suppressed outside the significant region
@@ -273,7 +272,7 @@ def render_heatmap(field: CoherenceField, dates=None, title: str | None = None) 
     for k in range(n_ticks):
         t = round(k * (n - 1) / max(1, n_ticks - 1))
         x = x_of(t + 0.5)
-        label = str(dates[t]) if dates is not None else str(t)
+        label = str(dates[t])
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP + PLOT_H)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(MARGIN_TOP + PLOT_H + 4)}" stroke="#333333" stroke-width="1"/>'

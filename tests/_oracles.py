@@ -373,7 +373,7 @@ def coherence_csv_per_cell(field, dates) -> str:
     return "\n".join(blocks)
 
 
-def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
+def render_heatmap_per_cell(field, out_path, dates, title) -> Path:
     """The coherence SVG with per-bin run and per-cell edge loops, joined and written at once.
 
     Each scale row is cut into bins of k = ceil(n / PLOT_W) cells; a bin's
@@ -410,11 +410,10 @@ def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
     parts.append(
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>'
     )
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
+    parts.append(
+        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+    )
 
     # Heatmap: bins of k cells, each at its mean's quantized color level,
     # run-length encoded along each scale row.
@@ -557,7 +556,7 @@ def render_heatmap_per_cell(field, out_path, dates=None, title=None) -> Path:
     for k in range(n_ticks):
         t = round(k * (n - 1) / max(1, n_ticks - 1))
         x = x_of(t + 0.5)
-        label = str(dates[t]) if dates is not None else str(t)
+        label = str(dates[t])
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP + PLOT_H)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(MARGIN_TOP + PLOT_H + 4)}" stroke="#333333" stroke-width="1"/>'

@@ -907,6 +907,24 @@ class TestForecastCommand:
         grid = json.loads((tmp_path / "out" / "forecast" / "grids" / "AAA.json").read_text())
         assert sorted(grid["missing"]) == [f"{r}|lag=4|dual=yes" for r in ("mece", "window=10", "window=5")]
 
+    def test_library_call_with_a_forecast_ticker_not_given_fails_the_analysis(self, tmp_path):
+        # a direct caller may give fewer series than the config declares; a
+        # forecast ticker among the missing fails the analysis at planning,
+        # which main records as one failure line, and nothing is written
+        cli_module = importlib.import_module("dualstock.cli")
+        tickers = synthetic_tickers(tmp_path)
+        config = load_config(
+            self.forecast_config(tmp_path, tickers, analyses=("premiums",), duals=[False], tickers=["BBB", "CCC"])
+        )
+        series = cli_module._load_all(config)[:2]
+        with pytest.raises(ValueError, match=re.escape("tickers ['CCC'] are not among the given series")):
+            cli_module.cmd_forecast(config, series)
+        outcome = cli_module.CommandOutcome()
+        plan = cli_module.Unit(("forecast",), lambda written: [({}, cli_module.cmd_forecast(config, series))])
+        assert outcome.execute([plan]) == []
+        assert outcome.failures == ["forecast: tickers ['CCC'] are not among the given series"]
+        assert outcome.files == {} and not (tmp_path / "out").exists()
+
     def test_window_too_small_reported(self, tmp_path):
         # the paper grid's shape: window 5 runs at lag 4 only, and the cell
         # it skips is reported missing in the grid, not as a failure
@@ -1092,7 +1110,7 @@ class TestForecastCommand:
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"] == [
-            f"forecast {t} lag=4 dual={d} mece: need at least train_size+test_size=210 observations, got 120"
+            f"forecast {t} lag=4 dual={d} mece: the mece training range [0, 200) of origin 110 must lie in [0, 110)"
             for t in ("AAA", "BBB", "CCC")
             for d in ("no", "yes")
         ]
@@ -1383,7 +1401,58 @@ class TestReportCommand:
         csv_path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
-        assert "must precede its origin" in manifest["failures"][0]
+        assert manifest["failures"] == [
+            "report: AAA_lag4_dual-no_w10.json: "
+            "provenance [107, 118) at origin 117 must be the window=10 training range [107, 117)"
+        ]
+
+    @pytest.mark.parametrize(
+        "stem, size, message",
+        [
+            ("mece", {"train_size": 200}, "the mece training range [0, 200) of origin 117 must lie in [0, 117)"),
+            ("w10", {"window": 200}, "the window=200 training range [-83, 117) of origin 117 must lie in [0, 117)"),
+        ],
+        ids=["mece", "rolling"],
+    )
+    def test_history_rule_has_one_message(self, tmp_path, monkeypatch, stem, size, message):
+        # a regime whose training range does not fit before the first origin
+        # fails forecast_group before any training, a ForecastRun at that
+        # origin, and report on a descriptor enlarged to it, all with one message
+        forecast_module = importlib.import_module("dualstock.forecast")
+        config_path = write_config(
+            tmp_path,
+            synthetic_tickers(tmp_path),
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": 80,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA"],
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        descriptor = tmp_path / "out" / "forecast" / "runs" / f"AAA_lag4_dual-no_{stem}.json"
+        meta = json.loads(descriptor.read_text())
+        meta["regime"].update(size)
+        descriptor.write_text(json.dumps(meta))
+        regime = forecast_module.RegimeSpec(**meta["regime"])
+
+        calls = []
+        monkeypatch.setattr(forecast_module, "train_batch", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as excinfo:
+            forecast_module.forecast_group(
+                ["AAA"], [np.full(120, 20.0)], [()], [0], dual=False, regime=regime, lag=4,
+                cfg=forecast_module.TrainConfig(epochs=1, hidden_size=2),
+            )
+        assert str(excinfo.value) == message and calls == []
+        with pytest.raises(ValueError) as excinfo:
+            forecast_module.ForecastRun(
+                ticker="AAA", lag=4, include_dual=False, regime=regime, seed=0,
+                predictions=[1.0] * 3, actuals=[1.0] * 3, origins=[117, 118, 119],
+            )
+        assert str(excinfo.value) == message
+        runs_dir = descriptor.parent
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert manifest["failures"] == [f"report: {descriptor.name}: {message}"]
 
     def test_provenance_other_than_the_regime_range_rejected(self, tmp_path):
         # a training range that precedes its origin but is not the window

@@ -167,7 +167,7 @@ class TestMece:
         assert np.array_equal(run.actuals, prices[200:])
 
     def test_insufficient_data(self):
-        with pytest.raises(ValueError, match="train_size"):
+        with pytest.raises(ValueError, match=re.escape("the mece training range [0, 100) of origin 30 must lie in [0, 30)")):
             forecast(
                 synthetic_prices(50), lag=4, cfg=CFG, seed=1, regime=mece(100, 20),
             )
@@ -199,6 +199,14 @@ class TestMece:
         other = forecast(prices, poisoned_sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
         assert not np.array_equal(base.predictions, other.predictions)
 
+    def test_siblings_as_one_array(self):
+        # a (2, n) array of the siblings is a dual run, as a tuple of the two series is
+        prices = synthetic_prices(120)
+        sibs = (synthetic_prices(120, seed=5), synthetic_prices(120, seed=6))
+        runs = [forecast(prices, s, lag=4, cfg=CFG, seed=2, regime=mece(100, 10)) for s in (sibs, np.stack(sibs))]
+        assert runs[1].include_dual
+        assert np.array_equal(runs[0].predictions.view(np.uint64), runs[1].predictions.view(np.uint64))
+
 
 class TestRolling:
     def test_bookkeeping(self):
@@ -216,7 +224,7 @@ class TestRolling:
             )
 
     def test_not_enough_history(self):
-        with pytest.raises(ValueError, match="history"):
+        with pytest.raises(ValueError, match=re.escape("the window=10 training range [-5, 5) of origin 5 must lie in [0, 5)")):
             forecast(
                 synthetic_prices(20), lag=4,
                 cfg=CFG, seed=1, regime=rolling(10, 15),
@@ -303,7 +311,7 @@ class TestForecastGroup:
         # gives alone, bit for bit
         owns = [synthetic_prices(60), synthetic_prices(60, seed=3, level=40.0)]
         calls = self.count_calls(monkeypatch)
-        runs = forecast_group(["T0", "T1"], owns, [(), ()], [11, 12], regime=regime, lag=4, cfg=CFG)
+        runs = forecast_group(["T0", "T1"], owns, [(), ()], [11, 12], dual=False, regime=regime, lag=4, cfg=CFG)
         assert calls == [2 if regime.kind == "mece" else 12]
         for r, (run, own) in enumerate(zip(runs, owns)):
             alone = forecast(own, lag=4, cfg=CFG, seed=11 + r, regime=regime, ticker=f"T{r}")
@@ -312,22 +320,36 @@ class TestForecastGroup:
             assert np.array_equal(run.actuals, alone.actuals) and np.array_equal(run.origins, alone.origins)
 
     @pytest.mark.parametrize(
-        "lengths, duals, message",
+        "lengths, runs_given_siblings, dual, message",
         [
-            ((60, 61), (False, False), "the runs of one call need series of one length, got lengths [60, 61]"),
-            ((), (), "the runs of one call need series of one length, got lengths []"),
-            ((60, 60), (False, True), "the runs of one call must all be dual or all be given no siblings"),
-            ((60, 60), (False,), "each run needs its ticker, own series, siblings and seed"),
+            ((60, 61), 2, False, "the runs of one call need series of one length, got lengths [60, 61]"),
+            ((), 0, False, "the runs of one call need series of one length, got lengths []"),
+            ((60, 60), 1, False, "each run needs its ticker, own series, siblings and seed"),
+            ((60,), 1, True, "a dual run needs exactly two sibling series"),
         ],
     )
-    def test_inputs_checked_before_training(self, monkeypatch, lengths, duals, message):
+    def test_inputs_checked_before_training(self, monkeypatch, lengths, runs_given_siblings, dual, message):
         owns = [synthetic_prices(n, seed=n) for n in lengths]
-        siblings = [(synthetic_prices(60, seed=5), synthetic_prices(60, seed=6)) if dual else () for dual in duals]
         names = [f"T{r}" for r in range(len(owns))]
         calls = self.count_calls(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(message)):
-            forecast_group(names, owns, siblings, list(range(len(owns))), regime=rolling(12, 6), lag=4, cfg=CFG)
+            forecast_group(
+                names, owns, [()] * runs_given_siblings, list(range(len(owns))),
+                dual=dual, regime=rolling(12, 6), lag=4, cfg=CFG,
+            )
         assert calls == []
+
+    @pytest.mark.parametrize("regime", [mece(30, 6), rolling(12, 6)])
+    def test_siblings_unread_without_dual(self, regime):
+        owns = [synthetic_prices(60), synthetic_prices(60, seed=3, level=40.0)]
+        siblings = [(synthetic_prices(60, seed=5), synthetic_prices(60, seed=6))] * 2
+
+        def predictions(siblings):
+            runs = forecast_group(["T0", "T1"], owns, siblings, [11, 12], dual=False, regime=regime, lag=4, cfg=CFG)
+            return [run.predictions.view(np.uint64) for run in runs]
+
+        for given, alone in zip(predictions(siblings), predictions([(), ()])):
+            assert np.array_equal(given, alone)
 
 
 class TestForecastRunValidation:

@@ -30,8 +30,12 @@ def tags(root, name):
     return [el for el in root.iter() if el.tag.split("}")[-1] == name]
 
 
-def render(field, **kwargs):
-    return "".join(render_heatmap(field, **kwargs))
+def day_labels(n):
+    return [f"d{i}" for i in range(n)]
+
+
+def render(field, title="demo title"):
+    return "".join(render_heatmap(field, day_labels(field.n), title))
 
 
 def parse(text):
@@ -50,8 +54,7 @@ class TestStructure:
         assert len(cells) >= 10  # at least one run per scale row
 
     def test_title_and_dates(self):
-        dates = [f"d{i}" for i in range(100)]
-        text = render(make_field(), dates=dates, title="demo title")
+        text = render(make_field())
         assert "demo title" in text
         assert "d0" in text
 
@@ -69,7 +72,7 @@ class TestStructure:
         target = tmp_path / "AAA_CCC.svg"
         target.mkdir()
         outcome = CommandOutcome()
-        outcome.execute([Unit(("coherence AAA_CCC",), lambda written: [({target: render_heatmap(make_field())}, None)])])
+        outcome.execute([Unit(("coherence AAA_CCC",), lambda written: [({target: render_heatmap(make_field(), day_labels(100), "demo title")}, None)])])
         assert len(outcome.failures) == 1
         assert outcome.failures[0].startswith("coherence AAA_CCC: ")
         assert "AAA_CCC.svg" in outcome.failures[0]

@@ -120,7 +120,7 @@ def test_csv_bytes_match_per_cell_oracle(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_svg_bytes_match_per_cell_oracle(tmp_path, case, with_dates):
     field = CASES[case]()
-    dates = day_list(field.n) if with_dates else None
+    dates = day_list(field.n) if with_dates else range(field.n)  # any sequence labels the ticks
     oracle = tmp_path / "oracle.svg"
     # the second title holds the three characters that text content escapes
     for title in ("AAA / BBB squared coherence", "AT&T <B> / C squared coherence"):
@@ -186,7 +186,7 @@ def test_edge_values_print_as_the_per_cell_formatting():
 
 
 def svg_root(field):
-    return ET.fromstring("".join(render_heatmap(field)))
+    return ET.fromstring("".join(render_heatmap(field, day_list(field.n), "AAA / BBB squared coherence")))
 
 
 def svg_elements(root, tag, cls):
@@ -369,7 +369,7 @@ class TestAtomicOpen:
         monkeypatch.setattr(svgplot, "_contour_rows", failing_contour)
         outcome = CommandOutcome()
         with pytest.raises(OSError, match="field.svg.*disk full"):
-            outcome.write(tmp_path / "field.svg", render_heatmap(random_field(1, 5, 30)))
+            outcome.write(tmp_path / "field.svg", render_heatmap(random_field(1, 5, 30), day_list(30), "title"))
         assert list(outcome.files) == []
         assert list(tmp_path.iterdir()) == []
 
