@@ -39,7 +39,7 @@ import numpy as np
 
 from .atomicfile import atomic_open
 from .config import ANALYSES, TICKER_NAME, RunConfig, load_config
-from .forecast import ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
+from .forecast import DUAL_LABELS, ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
 from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig
 from .metrics import assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
@@ -286,9 +286,8 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> list[Unit]:
 
 def _run_files(run: ForecastRun, dates, cfg: TrainConfig, out: Path) -> dict[Path, str]:
     """The run's predictions CSV and its descriptor under ``out``; ``cfg`` trained it, ``dates`` index its origins."""
-    dual = "yes" if run.include_dual else "no"
-    regime = "mece" if run.regime.kind == "mece" else f"w{run.regime.window}"
-    stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{regime}"
+    dual = DUAL_LABELS[run.include_dual]
+    stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{run.regime.stem}"
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
     for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
         # repr of the Python float is the shortest exact round-trip, so the
@@ -337,14 +336,12 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
     dates = series[0].dates
 
     def cell(lag, dual, regime) -> Unit:
-        yes_no = "yes" if dual else "no"
-
         def compute(written):
             results = forecast_group(
                 targets,
                 [mids[name] for name in targets],
                 [tuple(mids[other] for other in names if other != name) for name in targets],
-                [child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={yes_no}:{regime.label}") for name in targets],
+                [child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={DUAL_LABELS[dual]}:{regime.label}") for name in targets],
                 dual=dual,
                 regime=regime,
                 lag=lag,
@@ -352,7 +349,7 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
             )
             return [run if isinstance(run, Exception) else (_run_files(run, dates, cfg, out / "runs"), run) for run in results]
 
-        return Unit(tuple(f"forecast {name} lag={lag} dual={yes_no} {regime.label}" for name in targets), compute)
+        return Unit(tuple(f"forecast {name} lag={lag} dual={DUAL_LABELS[dual]} {regime.label}" for name in targets), compute)
 
     # on the declared axes, a run that failed, or a cell left out of cells(), is a missing cell
     grids = Unit(("forecast grids",), lambda written: _grids(written, targets, out / "grids", f.regimes(), f.lags, f.duals))
@@ -378,8 +375,8 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         meta = json.loads(manifest_path.read_text(encoding="utf-8"))
         if not (isinstance(meta["ticker"], str) and TICKER_NAME.fullmatch(meta["ticker"])):
             raise ValueError(f"key ticker must match {TICKER_NAME.pattern}, got {meta['ticker']!r}")
-        if meta["dual"] not in ("yes", "no"):
-            raise ValueError(f"key dual must be 'yes' or 'no', got {meta['dual']!r}")
+        if meta["dual"] not in DUAL_LABELS:
+            raise ValueError(f"key dual must be {' or '.join(map(repr, DUAL_LABELS[::-1]))}, got {meta['dual']!r}")
         for key in ("lag", "seed"):
             if type(meta[key]) is not int:  # a bool is not a lag or a seed
                 raise ValueError(f"key {key} must be an integer, got {meta[key]!r}")
@@ -392,7 +389,7 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         run = ForecastRun(
             ticker=meta["ticker"],
             lag=meta["lag"],
-            include_dual=meta["dual"] == "yes",
+            include_dual=bool(DUAL_LABELS.index(meta["dual"])),
             regime=RegimeSpec(**meta["regime"]),
             seed=meta["seed"],
             predictions=[float(row["predicted"]) for row in rows],
@@ -414,13 +411,12 @@ def _read_run(manifest_path: Path) -> ForecastRun:
 def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
     """Re-assemble the metric grids from existing run descriptors: one unit per descriptor read, then the grids.
 
-    The axes are the runs': their regimes, one per label, rolling windows
-    ascending, then MECE if any run is MECE; lags ascending; the duals
-    present, no before yes.  The tickers come ascending.  So the grids are
-    those ``forecast`` wrote when each of its declared windows, lags and duals
-    has a run and it lists windows, lags and tickers ascending.  A descriptor
-    that cannot be read is a failure line; the other runs still make their
-    grids.
+    The axes are the runs': their regimes, one per label, in ``order``; lags
+    ascending; the duals present, false before true.  The tickers come
+    ascending.  So the grids are those ``forecast`` wrote when each of its
+    declared windows, lags and duals has a run and it lists windows, lags and
+    tickers ascending.  A descriptor that cannot be read is a failure line;
+    the other runs still make their grids.
     """
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
@@ -428,7 +424,7 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
 
     def grids(runs):
         by_label = {r.regime.label: r.regime for r in runs}
-        regimes = sorted(by_label.values(), key=lambda regime: (regime.kind == "mece", regime.train_length))
+        regimes = sorted(by_label.values(), key=lambda regime: regime.order)
         lags = sorted({r.lag for r in runs})
         duals = sorted({r.include_dual for r in runs})
         return _grids(runs, sorted({r.ticker for r in runs}), Path(out_dir) / "report", regimes, lags, duals)

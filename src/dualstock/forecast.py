@@ -19,6 +19,11 @@ is the one-run case.  Every forecast is a pure function of observations
 strictly before its origin; a run's ``provenance``, the exact training
 index range per origin, is its regime's ``train_range`` at each origin, and
 the regime's ``history_error`` is the one rule that it lie in [0, origin).
+
+Two owners spell the forecast grid's axes for every module: a regime's
+``label``, ``stem``, ``title`` and ``order`` give its seed labels and grid
+keys, run file names, table rows and report order, and ``DUAL_LABELS[dual]``
+spells a dual flag.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .seeds import child_seed
 __all__ = [
     "PriceScaleWarning",
     "TrainingDivergedError",
+    "DUAL_LABELS",
     "RegimeSpec",
     "ForecastRun",
     "scale_price",
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 SCALE_CEILING = 200.0  # price at which x/100 - 1 leaves the tanh range
+DUAL_LABELS = ("no", "yes")  # DUAL_LABELS[dual]: a dual flag in file names, grid keys and descriptors
 
 
 class PriceScaleWarning(UserWarning):
@@ -123,7 +130,23 @@ class RegimeSpec:
 
     @property
     def label(self) -> str:
+        """The regime in seed labels, unit names and grid keys: ``mece`` or ``window=<window>``."""
         return "mece" if self.kind == "mece" else f"window={self.window}"
+
+    @property
+    def stem(self) -> str:
+        """The regime's part of a run file's name: ``mece`` or ``w<window>``."""
+        return "mece" if self.kind == "mece" else f"w{self.window}"
+
+    @property
+    def title(self) -> str:
+        """The regime's row name in a grid table: ``MECE`` or ``Training Window = <window>``."""
+        return "MECE" if self.kind == "mece" else f"Training Window = {self.window}"
+
+    @property
+    def order(self) -> tuple[bool, int]:
+        """The key a report sorts regimes by: rolling windows ascending, then MECE."""
+        return (self.kind == "mece", self.train_length)
 
     @property
     def train_length(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import RegimeSpec
+from .forecast import DUAL_LABELS, RegimeSpec
 
 __all__ = [
     "MetricTriple",
@@ -136,38 +136,22 @@ def assemble_grid(
     return ReportGrid(ticker=tickers[0], regimes=tuple(regimes), lags=tuple(lags), duals=tuple(duals), cells=cells)
 
 
-def _column_names(grid: ReportGrid) -> list[str]:
-    return [
-        f"lag{lag}_dual_{'yes' if dual else 'no'}"
-        for lag in grid.lags
-        for dual in grid.duals
-    ]
-
-
 def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
     """Comparison table: regime blocks of RMSE/MAE/MAPE rows, lag x dual columns."""
-    header = ["regime", "metric"] + _column_names(grid)
-    rows = [header]
+    columns = [(lag, dual) for lag in grid.lags for dual in grid.duals]
+    rows = [["regime", "metric"] + [f"lag{lag}_dual_{DUAL_LABELS[dual]}" for lag, dual in columns]]
     for regime in grid.regimes:
-        display = "MECE" if regime.kind == "mece" else f"Training Window = {regime.window}"
         for metric in _METRIC_NAMES:
-            row = [display, metric]
-            for lag in grid.lags:
-                for dual in grid.duals:
-                    triple = grid.cells[(regime.label, lag, dual)]
-                    if triple is None:
-                        row.append("")
-                    else:
-                        value = getattr(triple, metric.lower())
-                        row.append(f"{value:.4f}")
-            rows.append(row)
+            triples = [grid.cells[(regime.label, lag, dual)] for lag, dual in columns]
+            values = ["" if triple is None else f"{getattr(triple, metric.lower()):.4f}" for triple in triples]
+            rows.append([regime.title, metric] + values)
     return rows
 
 
 def grid_to_json_dict(grid: ReportGrid) -> dict:
     cells = {}
     for regime, lag, dual, triple in grid._entries():
-        key = f"{regime.label}|lag={lag}|dual={'yes' if dual else 'no'}"
+        key = f"{regime.label}|lag={lag}|dual={DUAL_LABELS[dual]}"
         cells[key] = (
             None
             if triple is None
@@ -177,12 +161,9 @@ def grid_to_json_dict(grid: ReportGrid) -> dict:
         "ticker": grid.ticker,
         "regimes": [regime.label for regime in grid.regimes],
         "lags": list(grid.lags),
-        "duals": ["yes" if d else "no" for d in grid.duals],
+        "duals": [DUAL_LABELS[dual] for dual in grid.duals],
         "cells": cells,
-        "missing": [
-            f"{regime}|lag={lag}|dual={'yes' if dual else 'no'}"
-            for regime, lag, dual in grid.missing
-        ],
+        "missing": [f"{regime}|lag={lag}|dual={DUAL_LABELS[dual]}" for regime, lag, dual in grid.missing],
     }
 
 
@@ -201,7 +182,7 @@ def long_format_rows(grids) -> list[list[str]]:
                         regime.kind,
                         "" if regime.window is None else str(regime.window),
                         str(lag),
-                        "yes" if dual else "no",
+                        DUAL_LABELS[dual],
                         metric,
                         f"{value:.4f}",
                     ]

@@ -81,8 +81,6 @@ def fit_ar1(x) -> AR1Params:
     if denom == 0.0:
         raise ValueError("series has zero variance; cannot fit AR(1)")
     phi = float(centered[:-1] @ centered[1:]) / denom
-    if not abs(phi) < 1:
-        raise ValueError(f"degenerate lag-1 autocorrelation {phi}")
     resid = centered[1:] - phi * centered[:-1]
     sigma = float(np.sqrt(np.mean(resid * resid)))
     return AR1Params(phi=phi, sigma=sigma, mean=mean)

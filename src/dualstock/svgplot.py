@@ -66,7 +66,6 @@ def _color(v: float) -> str:
             t = 0.0 if p1 == p0 else (v - p0) / (p1 - p0)
             rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
             return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#{:02x}{:02x}{:02x}".format(*_COLOR_STOPS[-1][1])
 
 
 # The heatmap only shows rho^2 quantized to QUANT_LEVELS, each drawn at its

@@ -245,7 +245,7 @@ def cwt(x, grid: ScaleGrid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int):
-    """Real spectra of the rows' periodic Gaussians, each one scale wide: (rfft half, full length).
+    """Read-only real spectra of the rows' periodic Gaussians, each one scale wide: (rfft half view, full length).
 
     The kernels are real and symmetric, so their spectra are real; the full
     spectrum mirrors the half one and smooths complex rows.  ``exp`` runs
@@ -261,10 +261,8 @@ def _gauss_kernel_fft(grid: ScaleGrid, lo: int, hi: int, npad: int):
     full = np.empty((hi - lo, npad))
     full[:, : npad // 2 + 1] = np.fft.rfft(kernels, axis=1).real
     full[:, npad // 2 + 1 :] = full[:, npad // 2 - 1 : 0 : -1]
-    half = full[:, : npad // 2 + 1].copy()
-    half.flags.writeable = False
     full.flags.writeable = False
-    return half, full
+    return full[:, : npad // 2 + 1], full
 
 
 @functools.lru_cache(maxsize=64)

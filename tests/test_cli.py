@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dualstock.cli import load_config, main
-from dualstock.config import ForecastOptions
+from dualstock.config import ForecastOptions, RunConfig
 from _oracles import ar1_series, sorted_quantile
 from test_acceptance import write_desk_inputs
 
@@ -426,6 +426,12 @@ class TestConfig:
         path = write_config(tmp_path, {"AAA": synthetic_tickers(tmp_path)["AAA"]}, analyses=[])
         with pytest.raises(ValueError, match="config key analyses must name at least one analysis"):
             load_config(path, analyses=("forecast",))
+
+    def test_run_config_built_directly_rejects_an_unknown_analysis(self, tmp_path):
+        # load_config checks the names first; a library caller gets the record's check
+        message = "unknown analysis 'bogus'; choose from ('premiums', 'coherence', 'forecast')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(tickers=(("AAA", tmp_path / "a.csv"),), out_dir=tmp_path, seed=0, analyses=("bogus",))
 
     def test_forecast_cells_are_the_grid_at_lags_each_regime_runs(self):
         options = ForecastOptions(lags=(4, 9), duals=(False, True), windows=(5, 10), mece_train_size=9)

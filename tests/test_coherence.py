@@ -187,11 +187,13 @@ class TestFieldStructure:
             ("coi", np.zeros((3, 8)), r"coi must have shape \(8,\), got \(3, 8\)"),
             ("significant", np.zeros((1, 1), dtype=bool), r"significant must have the shape of rho2 \(3, 8\), got \(1, 1\)"),
             ("exceedances", np.zeros((2, 2), dtype=np.int64), r"exceedances must have the shape of rho2 \(3, 8\), got \(2, 2\)"),
+            ("phase", np.zeros((3, 7)), "rho2 and phase must be 2-D grids of equal shape"),
+            ("grid", ScaleGrid(dj=1 / 4, num_scales=4), "grid dimension mismatch"),
         ],
     )
     def test_wrong_shape_rejected(self, name, value, message):
-        grid = ScaleGrid(dj=1 / 4, num_scales=3)
         arrays = dict(
+            grid=ScaleGrid(dj=1 / 4, num_scales=3),
             rho2=np.full((3, 8), 0.5),
             phase=np.zeros((3, 8)),
             coi=cone_of_influence(8),
@@ -200,7 +202,7 @@ class TestFieldStructure:
         )
         arrays[name] = value
         with pytest.raises(ValueError, match=message):
-            CoherenceField(grid=grid, **arrays)
+            CoherenceField(**arrays)
 
     @pytest.mark.parametrize(
         "rho2, phase, message",

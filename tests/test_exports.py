@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,20 @@ def test_significance_is_the_only_producer_of_coherence_fields():
     for module in (dualstock, wavelet):
         assert "coherence" not in getattr(module, "__all__", ())
         assert not hasattr(module, "coherence")
+
+
+def test_cli_import_loads_the_functions_the_benchmark_times():
+    # benchmarks/tracer.py wraps significance.significance through sys.modules
+    # right after importing dualstock.cli: were that import made lazy, the
+    # benchmark would record no significance time and project a false gain
+    src = Path(dualstock.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import dualstock.cli as cli\n"
+        "assert 'dualstock.significance' in sys.modules, 'dualstock.cli does not import dualstock.significance'\n"
+        "significance = sys.modules['dualstock.significance']\n"
+        "for fn in (cli.main, cli.load_config, significance.significance):\n"
+        "    assert callable(fn), fn\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -7,9 +7,11 @@ import pytest
 from _oracles import lstm_forward_literal, lstm_train_per_sample
 from dualstock import lstm
 from dualstock.forecast import (
+    DUAL_LABELS,
     ForecastRun,
     PriceScaleWarning,
     RegimeSpec,
+    TrainingDivergedError,
     forecast,
     forecast_group,
     scale_price,
@@ -125,6 +127,21 @@ class TestRegimeSpec:
         assert RegimeSpec(kind="mece", test_size=10, train_size=50).label == "mece"
         assert RegimeSpec(kind="rolling", test_size=10, window=5).label == "window=5"
 
+    def test_spellings(self):
+        # a regime's run file stem, table row and report order, and a dual
+        # flag's label, are spelled here for every module
+        regimes = [mece(50, 10), rolling(20, 10), rolling(5, 10)]
+        assert [r.stem for r in regimes] == ["mece", "w20", "w5"]
+        assert [r.title for r in regimes] == ["MECE", "Training Window = 20", "Training Window = 5"]
+        assert [r.label for r in sorted(regimes, key=lambda r: r.order)] == ["window=5", "window=20", "mece"]
+        assert [DUAL_LABELS[dual] for dual in (False, True)] == ["no", "yes"]
+        with pytest.raises(TypeError):
+            DUAL_LABELS["placebo"]  # a dual flag is a bool, not any truthy value
+
+    def test_properties_stay_out_of_the_descriptor(self):
+        # a run descriptor holds dataclasses.asdict(regime): the fields alone
+        assert list(dataclasses.asdict(mece(50, 10))) == ["kind", "test_size", "train_size", "window"]
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -206,6 +223,13 @@ class TestMece:
         runs = [forecast(prices, s, lag=4, cfg=CFG, seed=2, regime=mece(100, 10)) for s in (sibs, np.stack(sibs))]
         assert runs[1].include_dual
         assert np.array_equal(runs[0].predictions.view(np.uint64), runs[1].predictions.view(np.uint64))
+
+    def test_diverged_run_raises(self):
+        # forecast_group returns a diverged run's error; forecast, the one-run case, raises it
+        prices = synthetic_prices(120)
+        prices[10] = np.nan  # in the training range, so the loss becomes NaN
+        with pytest.raises(TrainingDivergedError, match=r"^training loss became non-finite at step \d+$"):
+            forecast(prices, lag=4, cfg=CFG, seed=1, regime=mece(100, 10))
 
 
 class TestRolling:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,10 +131,17 @@ class TestCellForward:
             assert (np.abs(c_hat) < 1).all()
             assert (np.abs(cache.z[t + 1, 0, :6]) <= 1).all()
 
-    def test_shape_mismatch(self):
-        # a window of D = 2 against a D = 1 model's buffer
-        with pytest.raises(ValueError, match="shape"):
-            predict_batch(np.zeros((1, _param_count(2, 1))), np.ones((1, 1, 2)), hidden_size=2)
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            # a window of D = 2 against a D = 1 model's buffer
+            (np.ones((1, 1, 2)), "shape"),
+            pytest.param(np.ones((1, 1)), re.escape("inputs must be (B, L, D) with every axis >= 1, got shape (1, 1)"), id="2-D"),
+        ],
+    )
+    def test_shape_mismatch(self, inputs, message):
+        with pytest.raises(ValueError, match=message):
+            predict_batch(np.zeros((1, _param_count(2, 1))), inputs, hidden_size=2)
 
     def test_range_check_is_a_real_check(self):
         # an activation outside its range raises (also under python -O);

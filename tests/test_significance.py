@@ -63,9 +63,13 @@ class TestSurrogates:
         assert x.var() == pytest.approx(1.0 / 0.75, rel=0.05)
         assert fit_ar1(x).phi == pytest.approx(0.5, abs=0.02)
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError, match="phi"):
-            AR1Params(phi=1.0, sigma=1.0, mean=0.0)
+    @pytest.mark.parametrize(
+        "phi, sigma, message",
+        [(1.0, 1.0, r"\|phi\| must be < 1 for stationarity, got 1.0"), (0.5, -1.0, "sigma must be nonnegative")],
+    )
+    def test_params_validation(self, phi, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            AR1Params(phi=phi, sigma=sigma, mean=0.0)
 
     @pytest.mark.parametrize("phi, sigma, mean", [(-0.35, 0.7, 4.25), (0.93, 0.011, -3.0), (0.2, 13.0, 0.1)])
     def test_matches_scalar_recursion(self, phi, sigma, mean):

@@ -246,6 +246,32 @@ class TestPremiumSummary:
         assert s.count_premium + s.count_discount + s.count_parity == s.n == len(values)
 
 
+STATS = dict(min=0.0, q1=1.0, median=2.0, mean=2.0, q3=3.0, max=4.0, count_premium=2, count_discount=1, count_parity=1, n=4)
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: ReturnSeries(dates=(dt.date(2020, 1, 1),), values=[[0.1]]), "expected a 1-D sequence", id="2-D"
+            ),
+            pytest.param(
+                lambda: ReturnSeries(dates=(dt.date(2020, 1, 1),), values=[0.1, 0.2]),
+                "dates and values must have equal length",
+                id="length",
+            ),
+            pytest.param(lambda: SummaryStats(**{**STATS, "q1": 5.0}), "summary order statistics out of order", id="order"),
+            pytest.param(
+                lambda: SummaryStats(**{**STATS, "n": 5}), "premium/discount/parity counts must partition n", id="counts"
+            ),
+        ],
+    )
+    def test_rejected(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
 class TestCsvLoading:
     def write(self, tmp_path, text, name="prices.csv"):
         path = tmp_path / name

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ class TestScaleGrid:
             ScaleGrid(dj=0.0, num_scales=4)
         with pytest.raises(ValueError):
             ScaleGrid(dj=1 / 12, num_scales=0)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_for_length_of_a_short_series_is_one_scale(self, n):
+        # n / 3 is at most the smallest Fourier period, 2 * FOURIER_FACTOR
+        assert ScaleGrid.for_length(n).num_scales == 1
+        assert ScaleGrid.for_length(7).num_scales > 1
 
 
 class TestCwt:
@@ -214,3 +221,20 @@ class TestConeOfInfluence:
         coi = cone_of_influence(n)
         idx = np.arange(n)
         assert np.array_equal(coi, math.sqrt(2) * np.minimum(idx, n - 1 - idx))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: ScaleGrid.for_length(3), "series too short for a scale grid: n=3", id="for-length"),
+        pytest.param(
+            lambda: smooth(np.zeros((3, 8)), grid=ScaleGrid(dj=1 / 4, num_scales=4)),
+            "grid expects (num_scales, n); got shape (3, 8)",
+            id="smooth",
+        ),
+        pytest.param(lambda: cone_of_influence(1), "need n >= 2 for a cone of influence", id="coi"),
+    ],
+)
+def test_short_or_misshapen_input_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
