@@ -10,7 +10,7 @@ from .forecast import (
     PriceScaleWarning,
     RegimeSpec,
     TrainingDivergedError,
-    forecast,
+    forecast_group,
     scale_price,
     unscale,
 )

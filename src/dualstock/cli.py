@@ -286,7 +286,7 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> list[Unit]:
 
 def _run_files(run: ForecastRun, dates, cfg: TrainConfig, out: Path) -> dict[Path, str]:
     """The run's predictions CSV and its descriptor under ``out``; ``cfg`` trained it, ``dates`` index its origins."""
-    dual = DUAL_LABELS[run.include_dual]
+    dual = DUAL_LABELS[run.dual]
     stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{run.regime.stem}"
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
     for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
@@ -389,7 +389,7 @@ def _read_run(manifest_path: Path) -> ForecastRun:
         run = ForecastRun(
             ticker=meta["ticker"],
             lag=meta["lag"],
-            include_dual=bool(DUAL_LABELS.index(meta["dual"])),
+            dual=bool(DUAL_LABELS.index(meta["dual"])),
             regime=RegimeSpec(**meta["regime"]),
             seed=meta["seed"],
             predictions=[float(row["predicted"]) for row in rows],
@@ -426,7 +426,7 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
         by_label = {r.regime.label: r.regime for r in runs}
         regimes = sorted(by_label.values(), key=lambda regime: regime.order)
         lags = sorted({r.lag for r in runs})
-        duals = sorted({r.include_dual for r in runs})
+        duals = sorted({r.dual for r in runs})
         return _grids(runs, sorted({r.ticker for r in runs}), Path(out_dir) / "report", regimes, lags, duals)
 
     reads = [Unit(("report",), lambda written, path=path: [({}, _read_run(path))]) for path in manifests]

@@ -14,11 +14,11 @@ batch it trains in, so the predictions equal, bit for bit, those of each
 model trained alone at B = 1.  A model whose loss becomes non-finite fails
 only its own run (``TrainingDivergedError``); a ``FloatingPointError`` from
 the activation range check fails every run of its call, though sigmoid and
-tanh are bounded, so the check cannot trip on finite inputs.  ``forecast``
-is the one-run case.  Every forecast is a pure function of observations
-strictly before its origin; a run's ``provenance``, the exact training
-index range per origin, is its regime's ``train_range`` at each origin, and
-the regime's ``history_error`` is the one rule that it lie in [0, origin).
+tanh are bounded, so the check cannot trip on finite inputs.  Every
+forecast is a pure function of observations strictly before its origin; a
+run's ``provenance``, the exact training index range per origin, is its
+regime's ``train_range`` at each origin, and the regime's ``history_error``
+is the one rule that it lie in [0, origin).
 
 Two owners spell the forecast grid's axes for every module: a regime's
 ``label``, ``stem``, ``title`` and ``order`` give its seed labels and grid
@@ -45,7 +45,6 @@ __all__ = [
     "scale_price",
     "unscale",
     "forecast_group",
-    "forecast",
 ]
 
 SCALE_CEILING = 200.0  # price at which x/100 - 1 leaves the tanh range
@@ -57,7 +56,7 @@ class PriceScaleWarning(UserWarning):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised for a run when the training loss of one of its models became non-finite."""
+    """A run's failure when the training loss of one of its models became non-finite; the library returns it, never raises it."""
 
 
 def scale_price(x):
@@ -186,7 +185,7 @@ class ForecastRun:
 
     ticker: str
     lag: int
-    include_dual: bool
+    dual: bool
     regime: RegimeSpec
     seed: int
     predictions: np.ndarray
@@ -203,8 +202,11 @@ class ForecastRun:
             raise ValueError("predictions/actuals/origins must all have length test_size")
         if not (np.isfinite(predictions).all() and np.isfinite(actuals).all()):
             raise ValueError("predictions and actuals must be finite")
+        if (gaps := np.flatnonzero(np.diff(origins) != 1)).size:
+            k = gaps[0]
+            raise ValueError(f"origins must be consecutive: {origins[k + 1]} follows {origins[k]}")
         # every training range lies in [0, origin) iff the first origin's does
-        if error := self.regime.history_error(int(origins.min())):
+        if error := self.regime.history_error(int(origins[0])):
             raise ValueError(error)
         for arr in (predictions, actuals, origins):
             arr.flags.writeable = False
@@ -237,11 +239,12 @@ def forecast_group(
     length, so they share origins, training ranges and sample indices:
     these are laid out once, after ``regime.history_error`` passes the first
     origin, and every model of every run trains in one lockstep
-    ``train_batch`` call, in run order.  Returns each run's ``ForecastRun``,
-    or the ``TrainingDivergedError`` naming the step at which the epoch loss
-    of its first diverged model, in model order, became non-finite.  A
-    failed check (``ValueError``), or a ``FloatingPointError`` from the
-    activation range check, raises for the whole call.
+    ``train_batch`` call, in run order; a one-run call is the single-run
+    case.  Returns each run's ``ForecastRun``, or the
+    ``TrainingDivergedError`` naming the step at which the epoch loss of its
+    first diverged model, in model order, became non-finite.  A failed check
+    (``ValueError``), or a ``FloatingPointError`` from the activation range
+    check, raises for the whole call.
 
     Each origin's model is trained on the range ``regime.train_range`` gives
     it, and one model is trained per distinct range.  The MECE model, which
@@ -299,7 +302,7 @@ def forecast_group(
             ForecastRun(
                 ticker=ticker,
                 lag=lag,
-                include_dual=dual,
+                dual=dual,
                 regime=regime,
                 seed=seed,
                 predictions=predictions,
@@ -308,26 +311,3 @@ def forecast_group(
             )
         )
     return runs
-
-
-def forecast(
-    own,
-    siblings=(),
-    *,
-    regime: RegimeSpec,
-    lag: int,
-    cfg: TrainConfig,
-    seed: int,
-    ticker: str = "",
-) -> ForecastRun:
-    """Forecast the final ``regime.test_size`` observations of ``own``: the one-run case of ``forecast_group``.
-
-    The run is dual when it is given ``siblings``.  Raises TrainingDivergedError
-    if one of the run's models diverged.
-    """
-    (run,) = forecast_group(
-        [ticker], [own], [siblings], [seed], dual=len(siblings) > 0, regime=regime, lag=lag, cfg=cfg
-    )
-    if isinstance(run, TrainingDivergedError):
-        raise run
-    return run

@@ -114,7 +114,7 @@ def assemble_grid(
 ) -> ReportGrid:
     """Fold forecast runs for one ticker into the declared grid, one cell per (regime label, lag, dual).
 
-    Each run must carry ticker, lag, include_dual, regime, predictions, and
+    Each run must carry ticker, lag, dual, regime, predictions, and
     actuals.  Duplicate configurations and runs outside the declared set
     are errors; declared configurations without a run are flagged missing.
     """
@@ -127,7 +127,7 @@ def assemble_grid(
     declared = {(regime.label, lag, dual) for regime in regimes for lag in lags for dual in duals}
     cells: dict = {key: None for key in declared}
     for run in runs:
-        key = (run.regime.label, run.lag, run.include_dual)
+        key = (run.regime.label, run.lag, run.dual)
         if key not in declared:
             raise ValueError(f"run configuration {key} is outside the declared grid")
         if cells[key] is not None:

@@ -19,7 +19,7 @@ import pytest
 from dualstock import cli
 from dualstock.cli import main
 from dualstock.config import load_config
-from dualstock.forecast import RegimeSpec, forecast
+from dualstock.forecast import RegimeSpec, forecast_group
 from dualstock.lstm import TrainConfig, _param_count, _Views
 from dualstock.metrics import mae, mape, rmse
 from dualstock.significance import MonteCarloSpec, significance
@@ -157,19 +157,19 @@ def test_07_causality_poisoning():
         cfg = TrainConfig(epochs=4, hidden_size=3)
         rolling = [RegimeSpec(kind="rolling", window=window, test_size=6) for window in (5, 10)]
         for regime in rolling:
-            base = forecast(prices, regime=regime, lag=4, cfg=cfg, seed=7)
+            (base,) = forecast_group(["T"], [prices], [()], [7], dual=False, regime=regime, lag=4, cfg=cfg)
             for k, ((start, _end), origin) in enumerate(zip(base.provenance, base.origins)):
                 for poison_at in (start - 1, origin + 1):  # before window / after origin
                     if not 0 <= poison_at < n:
                         continue
                     poisoned = prices.copy()
                     poisoned[poison_at] *= 0.6
-                    rerun = forecast(poisoned, regime=regime, lag=4, cfg=cfg, seed=7)
+                    (rerun,) = forecast_group(["T"], [poisoned], [()], [7], dual=False, regime=regime, lag=4, cfg=cfg)
                     assert rerun.predictions[k] == base.predictions[k]
         # a dual run reads either sibling only inside its training range and
         # before its origin
         for regime in (*rolling, RegimeSpec(kind="mece", train_size=60, test_size=6)):
-            base = forecast(prices, siblings, regime=regime, lag=4, cfg=cfg, seed=7)
+            (base,) = forecast_group(["T"], [prices], [siblings], [7], dual=True, regime=regime, lag=4, cfg=cfg)
             for k, ((start, _end), origin) in enumerate(zip(base.provenance, base.origins)):
                 for which in (0, 1):
                     for poison_at in (start - 1, origin):  # before training range / at origin
@@ -178,7 +178,9 @@ def test_07_causality_poisoning():
                         poisoned = list(siblings)
                         poisoned[which] = siblings[which].copy()
                         poisoned[which][poison_at] *= 0.6
-                        rerun = forecast(prices, poisoned, regime=regime, lag=4, cfg=cfg, seed=7)
+                        (rerun,) = forecast_group(
+                            ["T"], [prices], [poisoned], [7], dual=True, regime=regime, lag=4, cfg=cfg
+                        )
                         assert rerun.predictions[k] == base.predictions[k]
 
 
@@ -188,13 +190,14 @@ def test_08_regime_bookkeeping():
         n = 5582
         prices = np.clip(20 + np.cumsum(rng.normal(0, 0.15, n)), 2, 190)
         cfg = TrainConfig(epochs=1, hidden_size=2)
-        run = forecast(prices, regime=RegimeSpec(kind="mece", train_size=5282, test_size=300), lag=4, cfg=cfg, seed=8)
+        mece = RegimeSpec(kind="mece", train_size=5282, test_size=300)
+        (run,) = forecast_group(["T"], [prices], [()], [8], dual=False, regime=mece, lag=4, cfg=cfg)
         assert len(run.provenance) == 300
         assert all(p == (0, 5282) for p in run.provenance)
         assert list(run.origins) == list(range(5282, 5582))
         for window in (5, 10, 20, 50):
             regime = RegimeSpec(kind="rolling", window=window, test_size=300)
-            rolling = forecast(prices, regime=regime, lag=4, cfg=cfg, seed=8)
+            (rolling,) = forecast_group(["T"], [prices], [()], [8], dual=False, regime=regime, lag=4, cfg=cfg)
             for origin, (start, end) in zip(rolling.origins, rolling.provenance):
                 assert (start, end) == (origin - window, origin)
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dualstock.forecast as forecast_module
 from dualstock.cli import load_config, main
 from dualstock.config import ForecastOptions, RunConfig
 from _oracles import ar1_series, sorted_quantile
@@ -996,7 +997,6 @@ class TestForecastCommand:
         assert [g.name for g in grids] == ["AAA.csv", "long.csv"]
 
     def test_diverged_run_is_recorded_as_its_failure(self, tmp_path, monkeypatch):
-        forecast_module = importlib.import_module("dualstock.forecast")
         real_train_batch = forecast_module.train_batch
         calls = []
 
@@ -1020,7 +1020,6 @@ class TestForecastCommand:
     def test_grouped_tickers_match_one_ticker_runs(self, tmp_path, monkeypatch):
         # the tickers' runs of one (lag, dual, regime) train in one call and
         # write the bytes that each ticker's own invocation writes
-        forecast_module = importlib.import_module("dualstock.forecast")
         real_train_batch = forecast_module.train_batch
         calls = []
 
@@ -1051,7 +1050,6 @@ class TestForecastCommand:
         # epoch, and the other two runs write what they write unpoisoned
         config_path = self.forecast_config(tmp_path)
         assert main(["forecast", "--config", str(config_path), "--out", str(tmp_path / "clean")]) == 0
-        forecast_module = importlib.import_module("dualstock.forecast")
         real_train_batch = forecast_module.train_batch
 
         def poison_bbb_mece(inputs, targets, cfg, seeds):
@@ -1133,7 +1131,6 @@ class TestForecastCommand:
     def test_grids_keep_ticker_order_when_a_first_run_fails(self, tmp_path, monkeypatch):
         # AAA's run of the first call fails, so BBB's is the first run
         # written; the grids still list the tickers in declared order
-        forecast_module = importlib.import_module("dualstock.forecast")
         real_train_batch = forecast_module.train_batch
         calls = []
 
@@ -1424,7 +1421,6 @@ class TestReportCommand:
         # a regime whose training range does not fit before the first origin
         # fails forecast_group before any training, a ForecastRun at that
         # origin, and report on a descriptor enlarged to it, all with one message
-        forecast_module = importlib.import_module("dualstock.forecast")
         config_path = write_config(
             tmp_path,
             synthetic_tickers(tmp_path),
@@ -1451,7 +1447,7 @@ class TestReportCommand:
         assert str(excinfo.value) == message and calls == []
         with pytest.raises(ValueError) as excinfo:
             forecast_module.ForecastRun(
-                ticker="AAA", lag=4, include_dual=False, regime=regime, seed=0,
+                ticker="AAA", lag=4, dual=False, regime=regime, seed=0,
                 predictions=[1.0] * 3, actuals=[1.0] * 3, origins=[117, 118, 119],
             )
         assert str(excinfo.value) == message
@@ -1473,6 +1469,24 @@ class TestReportCommand:
         assert manifest["failures"] == [
             "report: AAA_lag4_dual-no_w10.json: "
             "provenance [104, 117) at origin 117 must be the window=10 training range [107, 117)"
+        ]
+        assert [o["path"] for o in manifest["outputs"]] == [
+            f"report/{name}.{ext}" for name in ("AAA", "BBB", "CCC") for ext in ("csv", "json")
+        ] + ["report/long.csv"]
+        cells = json.loads((tmp_path / "rep" / "report" / "AAA.json").read_text())["cells"]
+        assert cells["window=10|lag=4|dual=no"] is None
+        assert cells["window=20|lag=4|dual=no"] is not None
+
+    def test_repeated_origin_rejected(self, tmp_path):
+        # a predictions CSV whose second row repeats its first fails its run
+        # alone: its origins are not consecutive
+        def repeat_first(text):
+            header, first, _second, *rest = text.split("\n")
+            return "\n".join([header, first, first, *rest])
+
+        manifest = self.corrupted_report(tmp_path, [10, 20], repeat_first, suffix=".csv")
+        assert manifest["failures"] == [
+            "report: AAA_lag4_dual-no_w10.json: origins must be consecutive: 117 follows 117"
         ]
         assert [o["path"] for o in manifest["outputs"]] == [
             f"report/{name}.{ext}" for name in ("AAA", "BBB", "CCC") for ext in ("csv", "json")

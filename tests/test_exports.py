@@ -1,6 +1,8 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dualstock
+import dualstock.forecast as forecast_module
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(dualstock.__path__))
 
@@ -36,6 +39,31 @@ def test_package_reexports_only_listed_names():
     ]
     assert unlisted == []
 
+
+def test_forecast_is_the_module_and_forecast_group_its_entry_point():
+    # the package exports no function named after a submodule, which would
+    # hide it from ``import dualstock.forecast as m``
+    assert inspect.ismodule(forecast_module)
+    assert dualstock.forecast_group is forecast_module.forecast_group
+    assert not hasattr(forecast_module, "forecast")
+
+
+def test_readme_quickstart_imports_classes_and_functions():
+    # a quickstart importing a submodule name (``from dualstock import
+    # forecast``) would run without an import error
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\s*```python\n(.*?)```", readme, re.DOTALL).group(1)
+    names = [
+        alias.name
+        for node in ast.parse(block).body
+        if isinstance(node, ast.ImportFrom) and node.module == "dualstock"
+        for alias in node.names
+    ]
+    assert "forecast_group" in names
+    assert [
+        name for name in names
+        if not (inspect.isclass(getattr(dualstock, name, None)) or inspect.isfunction(getattr(dualstock, name, None)))
+    ] == []
 
 
 def test_significance_is_the_only_producer_of_coherence_fields():

@@ -1,9 +1,9 @@
 import dataclasses
-import importlib
 import re
 import numpy as np
 import pytest
 
+import dualstock.forecast as forecast_module
 from _oracles import lstm_forward_literal, lstm_train_per_sample
 from dualstock import lstm
 from dualstock.forecast import (
@@ -12,7 +12,6 @@ from dualstock.forecast import (
     PriceScaleWarning,
     RegimeSpec,
     TrainingDivergedError,
-    forecast,
     forecast_group,
     scale_price,
     unscale,
@@ -64,11 +63,10 @@ class TestScaling:
 
 
 class TestBuildSupervised:
-    """The (window, target) samples that ``forecast`` trains on."""
+    """The (window, target) samples that ``forecast_group`` trains on."""
 
     def training_set(self, monkeypatch, *args, **kwargs):
-        """The inputs and targets ``forecast(*args, **kwargs)`` passes to ``train_batch``."""
-        forecast_module = importlib.import_module("dualstock.forecast")
+        """The inputs and targets ``forecast_group(*args, **kwargs)`` passes to ``train_batch``."""
         real_train_batch = forecast_module.train_batch
         seen = []
 
@@ -77,14 +75,14 @@ class TestBuildSupervised:
             return real_train_batch(inputs, targets, cfg, seeds)
 
         monkeypatch.setattr(forecast_module, "train_batch", recording)
-        forecast(*args, **kwargs)
+        forecast_group(*args, **kwargs)
         [(inputs, targets)] = seen
         return inputs, targets
 
     def test_counting_without_dual(self, monkeypatch):
         prices = 100.0 + 10.0 * np.arange(7)
         inputs, targets = self.training_set(
-            monkeypatch, prices, lag=4, cfg=CFG, seed=1, regime=rolling(6, 1)
+            monkeypatch, ["T"], [prices], [()], [1], dual=False, regime=rolling(6, 1), lag=4, cfg=CFG
         )
         assert inputs.shape == (1, 2, 4, 1)  # window 6 at lag 4: 2 samples of (4, 1)
         scaled = scale_price(prices)
@@ -96,7 +94,7 @@ class TestBuildSupervised:
         prices = synthetic_prices(13)
         sib = (synthetic_prices(13, seed=5), synthetic_prices(13, seed=6))
         inputs, _ = self.training_set(
-            monkeypatch, prices, sib, lag=9, cfg=CFG, seed=1, regime=mece(12, 1)
+            monkeypatch, ["T"], [prices], [sib], [1], dual=True, regime=mece(12, 1), lag=9, cfg=CFG
         )
         assert inputs.shape == (1, 3, 9, 3)
         scaled = [scale_price(x) for x in (prices, *sib)]
@@ -104,21 +102,24 @@ class TestBuildSupervised:
 
     def test_insufficient_length(self):
         with pytest.raises(ValueError, match="no samples"):
-            forecast(np.full(6, 20.0), lag=4, cfg=CFG, seed=1, regime=mece(4, 2))
+            forecast_group(["T"], [np.full(6, 20.0)], [()], [1], dual=False, regime=mece(4, 2), lag=4, cfg=CFG)
 
     @pytest.mark.parametrize("lag", [0, -1])
     def test_lag_must_be_positive(self, lag):
         with pytest.raises(ValueError, match="lag must be >= 1"):
-            forecast(np.full(40, 20.0), lag=lag, cfg=CFG, seed=1, regime=rolling(5, 3))
+            forecast_group(["T"], [np.full(40, 20.0)], [()], [1], dual=False, regime=rolling(5, 3), lag=lag, cfg=CFG)
 
     def test_dual_requires_two_siblings(self):
         with pytest.raises(ValueError, match="a dual run needs exactly two sibling series"):
-            forecast(np.full(10, 20.0), (np.full(10, 20.0),), lag=2, cfg=CFG, seed=1, regime=rolling(5, 2))
+            forecast_group(
+                ["T"], [np.full(10, 20.0)], [(np.full(10, 20.0),)], [1], dual=True, regime=rolling(5, 2), lag=2, cfg=CFG
+            )
 
     def test_sibling_alignment_checked(self):
         with pytest.raises(ValueError, match="aligned"):
-            forecast(
-                np.full(10, 20.0), (np.full(9, 20.0), np.full(10, 20.0)), lag=2, cfg=CFG, seed=1, regime=rolling(5, 2)
+            forecast_group(
+                ["T"], [np.full(10, 20.0)], [(np.full(9, 20.0), np.full(10, 20.0))], [1],
+                dual=True, regime=rolling(5, 2), lag=2, cfg=CFG,
             )
 
 
@@ -175,9 +176,9 @@ class TestRegimeSpec:
 class TestMece:
     def test_bookkeeping_desk_scale(self):
         prices = synthetic_prices(230)
-        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=mece(200, 30))
+        (run,) = forecast_group(["T"], [prices], [()], [1], dual=False, regime=mece(200, 30), lag=4, cfg=CFG)
         assert run.regime.label == "mece"
-        assert not run.include_dual  # a run without siblings
+        assert not run.dual  # a run without siblings
         assert len(run.predictions) == 30
         assert list(run.origins) == list(range(200, 230))
         assert run.provenance == ((0, 200),) * 30
@@ -185,84 +186,86 @@ class TestMece:
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match=re.escape("the mece training range [0, 100) of origin 30 must lie in [0, 30)")):
-            forecast(
-                synthetic_prices(50), lag=4, cfg=CFG, seed=1, regime=mece(100, 20),
+            forecast_group(
+                ["T"], [synthetic_prices(50)], [()], [1], dual=False, regime=mece(100, 20), lag=4, cfg=CFG,
             )
 
     def test_longer_dataset_tests_tail(self):
         prices = synthetic_prices(150)
-        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=mece(100, 20))
+        (run,) = forecast_group(["T"], [prices], [()], [1], dual=False, regime=mece(100, 20), lag=4, cfg=CFG)
         assert list(run.origins) == list(range(130, 150))
         assert run.provenance[0] == (0, 100)
 
     def test_deterministic(self):
         prices = synthetic_prices(120)
-        r1 = forecast(prices, lag=4, cfg=CFG, seed=9, regime=mece(100, 10))
-        r2 = forecast(prices, lag=4, cfg=CFG, seed=9, regime=mece(100, 10))
+        (r1,) = forecast_group(["T"], [prices], [()], [9], dual=False, regime=mece(100, 10), lag=4, cfg=CFG)
+        (r2,) = forecast_group(["T"], [prices], [()], [9], dual=False, regime=mece(100, 10), lag=4, cfg=CFG)
         assert np.array_equal(r1.predictions, r2.predictions)
 
     def test_misaligned_siblings_rejected(self):
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(119, seed=5), synthetic_prices(120, seed=6))
         with pytest.raises(ValueError, match="aligned"):
-            forecast(prices, sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
+            forecast_group(["T"], [prices], [sibs], [2], dual=True, regime=mece(100, 10), lag=4, cfg=CFG)
 
     def test_dual_features_used(self):
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(120, seed=5), synthetic_prices(120, seed=6))
-        base = forecast(prices, sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
-        assert base.include_dual  # a run given its two siblings
+        (base,) = forecast_group(["T"], [prices], [sibs], [2], dual=True, regime=mece(100, 10), lag=4, cfg=CFG)
+        assert base.dual  # a run given its two siblings
         poisoned_sibs = (sibs[0] * 1.1, sibs[1])
-        other = forecast(prices, poisoned_sibs, lag=4, cfg=CFG, seed=2, regime=mece(100, 10))
+        (other,) = forecast_group(["T"], [prices], [poisoned_sibs], [2], dual=True, regime=mece(100, 10), lag=4, cfg=CFG)
         assert not np.array_equal(base.predictions, other.predictions)
 
     def test_siblings_as_one_array(self):
         # a (2, n) array of the siblings is a dual run, as a tuple of the two series is
         prices = synthetic_prices(120)
         sibs = (synthetic_prices(120, seed=5), synthetic_prices(120, seed=6))
-        runs = [forecast(prices, s, lag=4, cfg=CFG, seed=2, regime=mece(100, 10)) for s in (sibs, np.stack(sibs))]
-        assert runs[1].include_dual
+        runs = [
+            forecast_group(["T"], [prices], [s], [2], dual=True, regime=mece(100, 10), lag=4, cfg=CFG)[0]
+            for s in (sibs, np.stack(sibs))
+        ]
+        assert runs[1].dual
         assert np.array_equal(runs[0].predictions.view(np.uint64), runs[1].predictions.view(np.uint64))
 
-    def test_diverged_run_raises(self):
-        # forecast_group returns a diverged run's error; forecast, the one-run case, raises it
+    def test_diverged_run_is_returned(self):
+        # forecast_group returns a diverged run's error in the run's place and raises nothing
         prices = synthetic_prices(120)
         prices[10] = np.nan  # in the training range, so the loss becomes NaN
-        with pytest.raises(TrainingDivergedError, match=r"^training loss became non-finite at step \d+$"):
-            forecast(prices, lag=4, cfg=CFG, seed=1, regime=mece(100, 10))
+        (run,) = forecast_group(["T"], [prices], [()], [1], dual=False, regime=mece(100, 10), lag=4, cfg=CFG)
+        assert isinstance(run, TrainingDivergedError)
+        assert re.fullmatch(r"training loss became non-finite at step \d+", str(run))
 
 
 class TestRolling:
     def test_bookkeeping(self):
         prices = synthetic_prices(80)
-        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=rolling(10, 15))
+        (run,) = forecast_group(["T"], [prices], [()], [1], dual=False, regime=rolling(10, 15), lag=4, cfg=CFG)
         assert run.regime.label == "window=10"
         for origin, (start, end) in zip(run.origins, run.provenance):
             assert (start, end) == (origin - 10, origin)
 
     def test_window_too_small(self):
         with pytest.raises(ValueError, match="too small"):
-            forecast(
-                synthetic_prices(80), lag=9,
-                cfg=CFG, seed=1, regime=rolling(5, 10),
+            forecast_group(
+                ["T"], [synthetic_prices(80)], [()], [1], dual=False, regime=rolling(5, 10), lag=9, cfg=CFG,
             )
 
     def test_not_enough_history(self):
         with pytest.raises(ValueError, match=re.escape("the window=10 training range [-5, 5) of origin 5 must lie in [0, 5)")):
-            forecast(
-                synthetic_prices(20), lag=4,
-                cfg=CFG, seed=1, regime=rolling(10, 15),
+            forecast_group(
+                ["T"], [synthetic_prices(20)], [()], [1], dual=False, regime=rolling(10, 15), lag=4, cfg=CFG,
             )
 
     @pytest.mark.parametrize("window", [5, 10])
     def test_poisoning_outside_window(self, window):
         prices = synthetic_prices(60)
-        base = forecast(prices, lag=4, cfg=CFG, seed=4, regime=rolling(window, 5))
+        (base,) = forecast_group(["T"], [prices], [()], [4], dual=False, regime=rolling(window, 5), lag=4, cfg=CFG)
         # perturb an observation before every training window of the last
         # 5 origins: windows start at 55 - window
         poisoned = prices.copy()
         poisoned[54 - window] *= 1.5
-        run2 = forecast(poisoned, lag=4, cfg=CFG, seed=4, regime=rolling(window, 5))
+        (run2,) = forecast_group(["T"], [poisoned], [()], [4], dual=False, regime=rolling(window, 5), lag=4, cfg=CFG)
         # the first origin's window starts at 55-window; index 54-window is
         # outside every window except none -> all later forecasts whose
         # window excludes it must be bit-identical
@@ -273,7 +276,7 @@ class TestRolling:
     def test_single_sample_window(self):
         # window = lag + 1 yields exactly one supervised sample per origin
         prices = synthetic_prices(40)
-        run = forecast(prices, lag=4, cfg=CFG, seed=1, regime=rolling(5, 3))
+        (run,) = forecast_group(["T"], [prices], [()], [1], dual=False, regime=rolling(5, 3), lag=4, cfg=CFG)
         assert len(run.predictions) == 3
 
 
@@ -286,7 +289,9 @@ class TestBatchedTraining:
         prices = synthetic_prices(60)
         sibs = (synthetic_prices(60, seed=5, level=20.0), synthetic_prices(60, seed=6, level=30.0))
         seed = 11
-        run = forecast(prices, sibs if dual else (), lag=lag, cfg=CFG, seed=seed, regime=rolling(12, 8))
+        (run,) = forecast_group(
+            ["T"], [prices], [sibs if dual else ()], [seed], dual=dual, regime=rolling(12, 8), lag=lag, cfg=CFG
+        )
         own = scale_price(prices)
         features = np.column_stack([own, *(scale_price(s) for s in sibs)]) if dual else own[:, None]
         for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
@@ -304,7 +309,10 @@ class TestBatchedTraining:
         dim = 3 if dual else 1
 
         def run():
-            return forecast(prices, sibs if dual else (), lag=4, cfg=CFG, seed=11, regime=rolling(12, 20)).predictions
+            (run,) = forecast_group(
+                ["T"], [prices], [sibs if dual else ()], [11], dual=dual, regime=rolling(12, 20), lag=4, cfg=CFG
+            )
+            return run.predictions
 
         assert lstm._block_size(4, CFG.hidden_size, dim) >= 20
         one_block = run()
@@ -318,7 +326,6 @@ class TestBatchedTraining:
 class TestForecastGroup:
     def count_calls(self, monkeypatch):
         """The number of models of each ``train_batch`` call, as ``forecast_group`` makes them."""
-        forecast_module = importlib.import_module("dualstock.forecast")
         real_train_batch = forecast_module.train_batch
         calls = []
 
@@ -331,15 +338,15 @@ class TestForecastGroup:
 
     @pytest.mark.parametrize("regime", [mece(30, 6), rolling(12, 6)])
     def test_runs_equal_one_run_calls(self, monkeypatch, regime):
-        # one call trains both runs' models; each run is the run forecast
-        # gives alone, bit for bit
+        # one call trains both runs' models; each run is the run a one-run
+        # call gives, bit for bit
         owns = [synthetic_prices(60), synthetic_prices(60, seed=3, level=40.0)]
         calls = self.count_calls(monkeypatch)
         runs = forecast_group(["T0", "T1"], owns, [(), ()], [11, 12], dual=False, regime=regime, lag=4, cfg=CFG)
         assert calls == [2 if regime.kind == "mece" else 12]
         for r, (run, own) in enumerate(zip(runs, owns)):
-            alone = forecast(own, lag=4, cfg=CFG, seed=11 + r, regime=regime, ticker=f"T{r}")
-            assert (run.ticker, run.seed, run.include_dual) == (alone.ticker, alone.seed, False)
+            (alone,) = forecast_group([f"T{r}"], [own], [()], [11 + r], dual=False, regime=regime, lag=4, cfg=CFG)
+            assert (run.ticker, run.seed, run.dual) == (alone.ticker, alone.seed, False)
             assert np.array_equal(run.predictions.view(np.uint64), alone.predictions.view(np.uint64))
             assert np.array_equal(run.actuals, alone.actuals) and np.array_equal(run.origins, alone.origins)
 
@@ -379,7 +386,7 @@ class TestForecastGroup:
 class TestForecastRunValidation:
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(ForecastRun)]
-        assert names == ["ticker", "lag", "include_dual", "regime", "seed", "predictions", "actuals", "origins"]
+        assert names == ["ticker", "lag", "dual", "regime", "seed", "predictions", "actuals", "origins"]
 
     @pytest.mark.parametrize(
         "regime, origin, expected",
@@ -393,7 +400,7 @@ class TestForecastRunValidation:
         # an origin before the end of its regime's training range has no valid range
         with pytest.raises(ValueError) as excinfo:
             ForecastRun(
-                ticker="T", lag=2, include_dual=False, regime=regime, seed=0,
+                ticker="T", lag=2, dual=False, regime=regime, seed=0,
                 predictions=[1.0], actuals=[1.0], origins=[origin],
             )
         assert str(excinfo.value) == f"{expected} must lie in [0, {origin})"
@@ -402,6 +409,21 @@ class TestForecastRunValidation:
         regime = RegimeSpec(kind="rolling", test_size=2, window=5)
         with pytest.raises(ValueError, match="test_size"):
             ForecastRun(
-                ticker="T", lag=4, include_dual=False, regime=regime, seed=0,
+                ticker="T", lag=4, dual=False, regime=regime, seed=0,
                 predictions=[1.0], actuals=[1.0], origins=[10],
             )
+
+    @pytest.mark.parametrize(
+        "origins, message",
+        [([750, 750, 752], "750 follows 750"), ([751, 750, 752], "750 follows 751")],
+        ids=["repeated", "decreasing"],
+    )
+    def test_origins_must_be_consecutive(self, origins, message):
+        # every run forecasts the consecutive origins n - test_size .. n - 1
+        regime = RegimeSpec(kind="rolling", test_size=3, window=5)
+        with pytest.raises(ValueError) as excinfo:
+            ForecastRun(
+                ticker="T", lag=4, dual=False, regime=regime, seed=0,
+                predictions=[1.0] * 3, actuals=[1.0] * 3, origins=origins,
+            )
+        assert str(excinfo.value) == f"origins must be consecutive: {message}"

@@ -39,7 +39,7 @@ class FakeRun:
         rng = np.random.default_rng(seed)
         self.ticker = ticker
         self.lag = lag
-        self.include_dual = dual
+        self.dual = dual
         self.regime = regime
         n = regime.test_size
         self.actuals = rng.uniform(5, 50, size=n)
