@@ -377,9 +377,8 @@ def _read_run(manifest_path: Path) -> ForecastRun:
             raise ValueError(f"key ticker must match {TICKER_NAME.pattern}, got {meta['ticker']!r}")
         if meta["dual"] not in DUAL_LABELS:
             raise ValueError(f"key dual must be {' or '.join(map(repr, DUAL_LABELS[::-1]))}, got {meta['dual']!r}")
-        for key in ("lag", "seed"):
-            if type(meta[key]) is not int:  # a bool is not a lag or a seed
-                raise ValueError(f"key {key} must be an integer, got {meta[key]!r}")
+        if type(meta["seed"]) is not int:  # a bool is not a seed
+            raise ValueError(f"key seed must be an integer, got {meta['seed']!r}")
         csv_name = meta["predictions_csv"]
         # a descriptor names its predictions CSV beside it, never a path elsewhere
         if not isinstance(csv_name, str) or Path(csv_name).name != csv_name or csv_name in ("", ".."):
@@ -415,8 +414,9 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
     ascending; the duals present, false before true.  The tickers come
     ascending.  So the grids are those ``forecast`` wrote when each of its
     declared windows, lags and duals has a run and it lists windows, lags and
-    tickers ascending.  A descriptor that cannot be read is a failure line;
-    the other runs still make their grids.
+    tickers ascending.  A descriptor that cannot be read, or that holds the
+    (ticker, regime, lag, dual) of a descriptor read before it, is a failure
+    line; the other runs still make their grids.
     """
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
@@ -429,7 +429,14 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
         duals = sorted({r.dual for r in runs})
         return _grids(runs, sorted({r.ticker for r in runs}), Path(out_dir) / "report", regimes, lags, duals)
 
-    reads = [Unit(("report",), lambda written, path=path: [({}, _read_run(path))]) for path in manifests]
+    def read(path, written):
+        run = _read_run(path)
+        configuration = (run.ticker, run.regime.label, run.lag, run.dual)
+        if configuration in {(r.ticker, r.regime.label, r.lag, r.dual) for r in written}:
+            raise ValueError(f"{path.name}: duplicate run for configuration {configuration}")
+        return [({}, run)]
+
+    reads = [Unit(("report",), functools.partial(read, path)) for path in manifests]
     return reads + [Unit(("report grids",), grids)]
 
 

@@ -1,7 +1,7 @@
-"""The run configuration: ``load_config`` reads one JSON file, applies the
-flag overrides (the seed, the output directory, a subcommand's analysis) and
-returns a ``RunConfig`` that the selected analyses can run, every value
-checked by its record, so a library caller gets the error the CLI prints.
+"""The run configuration: ``load_config`` parses one JSON file (its keys and
+each value's JSON type) and applies the flag overrides (the seed, the output
+directory, a subcommand's analysis); every other rule is checked by the record
+that holds the value, so a library caller gets the error the CLI prints.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .forecast import RegimeSpec
+from .forecast import RegimeSpec, not_a_lag
 from .lstm import TrainConfig
 from .significance import MonteCarloSpec
 from .timeseries import CsvFormat
@@ -53,16 +53,20 @@ class ForecastOptions:
     tickers: tuple[str, ...] | None = None  # forecast subset; all loaded tickers if None
 
     def __post_init__(self) -> None:
-        # the records' own checks reject bad values before any analysis runs;
-        # no record holds a lag, so its bound is checked here
+        # the lag rule and the records' own checks reject bad values before any analysis runs
         for lag in self.lags:
-            if lag < 1:
-                raise ValueError(f"lags must be >= 1, got {lag}")
+            if error := not_a_lag(lag):
+                raise ValueError(error)
         self.train_config()
-        # the grid is every ticker x lag x dual x regime, so one empty list leaves no cell
-        for key in ("tickers", "lags", "duals"):
-            if getattr(self, key) == ():
+        # the grid is every ticker x lag x dual x regime: an empty axis leaves
+        # no cell, and a repeated entry would run and write its cells twice
+        for key in ("tickers", "lags", "duals", "windows"):
+            values = getattr(self, key)
+            if values == () and key != "windows":
                 raise ValueError(f"forecast.{key} is empty, so the forecast grid has no cell")
+            for i, value in enumerate(values or ()):
+                if value in values[:i]:
+                    raise ValueError(f"forecast.{key} must not repeat {value!r}")
         if not self.cells():
             raise ValueError(
                 f"forecast.windows {list(self.windows)} and mece_train_size {self.mece_train_size} "
@@ -85,6 +89,17 @@ class ForecastOptions:
         return TrainConfig(epochs=self.epochs, hidden_size=self.hidden_size)
 
 
+def _check_analyses(analyses) -> None:
+    """The analyses rule: at least one, each a name from ``ANALYSES``, none repeated."""
+    if not analyses:
+        raise ValueError("config key analyses must name at least one analysis")
+    for i, analysis in enumerate(analyses):
+        if analysis not in ANALYSES:
+            raise ValueError(f"config key analyses must be names from {ANALYSES}, got {analysis!r}")
+        if analysis in analyses[:i]:
+            raise ValueError(f"config key analyses must not repeat {analysis!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated pipeline configuration (paths resolved, files checked, the selected analyses runnable)."""
@@ -100,11 +115,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.tickers:
             raise ValueError("config must declare at least one ticker")
-        if not self.analyses:
-            raise ValueError("config key analyses must name at least one analysis")
-        for analysis in self.analyses:
-            if analysis not in ANALYSES:
-                raise ValueError(f"unknown analysis {analysis!r}; choose from {ANALYSES}")
+        _check_analyses(self.analyses)
         for name, path in self.tickers:
             if not TICKER_NAME.fullmatch(name):
                 raise ValueError(f"config key tickers: name {name!r} must match {TICKER_NAME.pattern}")
@@ -138,12 +149,6 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _check_unique(key: str, values: list) -> None:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"config key {key} must not repeat {value!r}")
-
-
 def _section(raw: dict, name: str, defaults):
     """Merge one config section over a dataclass's defaults, checking keys and types."""
     data = raw.get(name, {})
@@ -158,8 +163,6 @@ def _section(raw: dict, name: str, defaults):
         if not _conforms(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ValueError(f"config key {name}.{key} must be {expected}, got {value!r}")
-        if isinstance(value, list):
-            _check_unique(f"{name}.{key}", value)
     try:
         return dataclasses.replace(
             defaults, **{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
@@ -196,7 +199,7 @@ def load_config(
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, hint in (("seed", int), ("out_dir", str)):
+    for key, hint in (("seed", int), ("out_dir", str), ("analyses", list)):
         if key in raw and not _conforms(raw[key], hint):
             raise ValueError(f"config key {key} must be {hint.__name__}, got {raw[key]!r}")
     paths = raw.get("tickers")
@@ -218,16 +221,13 @@ def load_config(
     resolved_seed = seed if seed is not None else raw.get("seed")
     if resolved_seed is None:
         raise ValueError("no master seed: set seed in config or pass --seed")
-    selected = raw.get("analyses", list(ANALYSES))
-    if not isinstance(selected, list) or not all(a in ANALYSES for a in selected):
-        raise ValueError(f"config key analyses must be a list of names from {ANALYSES}, got {selected!r}")
-    _check_unique("analyses", selected)
+    selected = tuple(raw.get("analyses", ANALYSES))
+    _check_analyses(selected)
     return RunConfig(
         tickers=tickers,
         out_dir=Path(resolved_out),
         seed=int(resolved_seed),
-        # an empty key fails even where a subcommand's analysis replaces it
-        analyses=tuple(analyses if analyses is not None and selected else selected),
+        analyses=selected if analyses is None else analyses,
         csv_format=_section(raw, "csv", CsvFormat()),
         wavelet=_section(raw, "wavelet", WaveletOptions()),
         forecast=_section(raw, "forecast", ForecastOptions()),

@@ -81,6 +81,11 @@ def unscale(y):
     return float(prices) if prices.ndim == 0 else prices
 
 
+def not_a_lag(lag) -> str | None:
+    """Why ``lag`` is not a lag, or None: a lag is an integer >= 1, and a float or a bool is not one."""
+    return None if type(lag) is int and lag >= 1 else f"lag must be an integer >= 1, got {lag!r}"
+
+
 def _feature_rows(own: np.ndarray, siblings, dual: bool) -> np.ndarray:
     """The (n, D) scaled input rows: [own] (D = 1), or [own, sib1, sib2] for a dual run (D = 3)."""
     if not dual:
@@ -154,8 +159,8 @@ class RegimeSpec:
 
     def lag_error(self, lag: int) -> str | None:
         """Why the regime cannot run at ``lag``, or None: a training set runs only at 1 <= lag < its length."""
-        if lag < 1:
-            return f"lag must be >= 1, got {lag}"
+        if error := not_a_lag(lag):
+            return error
         if lag < self.train_length:
             return None
         if self.kind == "mece":

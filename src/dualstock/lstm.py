@@ -263,6 +263,9 @@ class TrainConfig:
     hidden_size: int = 16
 
     def __post_init__(self) -> None:
+        for key in ("epochs", "hidden_size"):
+            if type(getattr(self, key)) is not int:  # a float or a bool is not a count
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.hidden_size < 1:

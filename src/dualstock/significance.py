@@ -64,6 +64,9 @@ class MonteCarloSpec:
     iterations: int = 1000
 
     def __post_init__(self) -> None:
+        for key in ("seed", "iterations"):
+            if type(getattr(self, key)) is not int:  # a float or a bool is not a count
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.seed < 0:

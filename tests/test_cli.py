@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import importlib
 import json
@@ -16,7 +17,7 @@ import pytest
 
 import dualstock.forecast as forecast_module
 from dualstock.cli import load_config, main
-from dualstock.config import ForecastOptions, RunConfig
+from dualstock.config import ForecastOptions, RunConfig, WaveletOptions
 from _oracles import ar1_series, sorted_quantile
 from test_acceptance import write_desk_inputs
 
@@ -70,7 +71,7 @@ def write_config(tmp_path, tickers, /, out_name="out", **overrides):
 # one out-of-range value per config section key, with the message of the record that rejects it
 RANGE_ERRORS = [
     ("forecast", {"epochs": 0}, "epochs must be >= 1"),
-    ("forecast", {"lags": [4, 0]}, "lags must be >= 1, got 0"),
+    ("forecast", {"lags": [4, 0]}, "lag must be an integer >= 1, got 0"),
     ("forecast", {"windows": [1]}, "rolling regime requires window >= 2"),
     ("forecast", {"test_size": 0}, "test_size must be >= 1"),
     ("forecast", {"tickers": ["ZZZ"]}, "tickers ['ZZZ'] are not declared inputs"),
@@ -273,26 +274,54 @@ class TestConfig:
         assert "config error: config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides, key, repeated",
+        "key, values, message",
         [
-            ({"analyses": ["premiums", "coherence", "premiums"]}, "analyses", "'premiums'"),
-            ({"forecast": {"lags": [4, 4]}}, "forecast.lags", "4"),
-            ({"forecast": {"duals": [False, True, False]}}, "forecast.duals", "False"),
-            ({"forecast": {"windows": [10, 20, 10]}}, "forecast.windows", "10"),
-            ({"forecast": {"tickers": ["AAA", "BBB", "AAA"]}}, "forecast.tickers", "'AAA'"),
+            ("analyses", ["premiums", "coherence", "premiums"], "config key analyses must not repeat 'premiums'"),
+            ("lags", [4, 4], "forecast.lags must not repeat 4"),
+            ("duals", [False, True, False], "forecast.duals must not repeat False"),
+            ("windows", [10, 20, 10], "forecast.windows must not repeat 10"),
+            ("tickers", ["AAA", "BBB", "AAA"], "forecast.tickers must not repeat 'AAA'"),
         ],
         ids=["analyses", "lags", "duals", "windows", "tickers"],
     )
-    def test_repeated_list_entry_exits_with_config_error(self, tmp_path, capsys, overrides, key, repeated):
-        # a repeated entry would run (and write) the same unit twice
+    def test_repeated_list_entry_exits_with_config_error(self, tmp_path, capsys, key, values, message):
+        # a repeated entry would run (and write) the same unit twice; the record
+        # that holds the list rejects it, for a library caller as for the CLI
         tickers = synthetic_tickers(tmp_path)
-        path = write_config(tmp_path, tickers, **overrides)
-        message = f"config key {key} must not repeat {repeated}"
-        with pytest.raises(ValueError, match=message):
+        if key == "analyses":
+            path = write_config(tmp_path, tickers, analyses=values)
+            declared = tuple((name, tmp_path / file) for name, file in tickers.items())
+            build = functools.partial(RunConfig, tickers=declared, out_dir=tmp_path / "out", seed=0, analyses=tuple(values))
+            line = message
+        else:
+            path = write_config(tmp_path, tickers, forecast={key: values})
+            build = functools.partial(ForecastOptions, **{key: tuple(values)})
+            line = f"config section forecast: {message}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+        with pytest.raises(ValueError, match=re.escape(line)):
             load_config(path)
         assert main(["run", "--config", str(path)]) == 1
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == f"config error: {line}"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "options, kwargs, message",
+        [
+            # a lag or a count is an int, not a float, a bool or a string
+            (ForecastOptions, {"lags": (4.0,)}, "lag must be an integer >= 1, got 4.0"),
+            (ForecastOptions, {"lags": (4, True)}, "lag must be an integer >= 1, got True"),
+            (ForecastOptions, {"lags": ("4",)}, "lag must be an integer >= 1, got '4'"),
+            (ForecastOptions, {"epochs": True}, "epochs must be an integer, got True"),
+            (ForecastOptions, {"hidden_size": 16.0}, "hidden_size must be an integer, got 16.0"),
+            (WaveletOptions, {"mc_iterations": 2.5}, "iterations must be an integer, got 2.5"),
+        ],
+        ids=["lag-float", "lag-bool", "lag-string", "epochs-bool", "hidden-size-float", "mc-iterations-float"],
+    )
+    def test_options_built_directly_reject_a_non_integer(self, options, kwargs, message):
+        # JSON types stop these in load_config; a library caller gets the record's check
+        with pytest.raises(ValueError, match=re.escape(message)):
+            options(**kwargs)
 
     @pytest.mark.parametrize(
         "section, value, message", RANGE_ERRORS, ids=[f"{sec}.{next(iter(v))}" for sec, v, _ in RANGE_ERRORS]
@@ -429,8 +458,8 @@ class TestConfig:
             load_config(path, analyses=("forecast",))
 
     def test_run_config_built_directly_rejects_an_unknown_analysis(self, tmp_path):
-        # load_config checks the names first; a library caller gets the record's check
-        message = "unknown analysis 'bogus'; choose from ('premiums', 'coherence', 'forecast')"
+        # load_config and the record check the names by one rule, with one message
+        message = "config key analyses must be names from ('premiums', 'coherence', 'forecast'), got 'bogus'"
         with pytest.raises(ValueError, match=re.escape(message)):
             RunConfig(tickers=(("AAA", tmp_path / "a.csv"),), out_dir=tmp_path, seed=0, analyses=("bogus",))
 
@@ -1341,7 +1370,9 @@ class TestReportCommand:
         assert grid["lags"] == [4, 9]
         assert grid["missing"] == ["window=5|lag=9|dual=no"]
 
-    def test_duplicate_run_fails_the_grids(self, tmp_path):
+    def test_duplicate_run_fails_its_descriptor_alone(self, tmp_path):
+        # AAA_copy.json sorts first, so the original is the descriptor read
+        # second: it fails, and the copy's run makes AAA's grid
         tickers = synthetic_tickers(tmp_path)
         config_path = write_config(
             tmp_path,
@@ -1349,7 +1380,7 @@ class TestReportCommand:
             analyses=["forecast"],
             forecast={
                 "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
-                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA"],
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA", "BBB"],
             },
         )
         assert main(["forecast", "--config", str(config_path)]) == 0
@@ -1358,8 +1389,13 @@ class TestReportCommand:
         (runs_dir / "AAA_copy.json").write_bytes(descriptor.read_bytes())
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
-        assert manifest["failures"] == ["report grids: duplicate run for configuration ('window=10', 4, False)"]
-        assert manifest["outputs"] == []
+        assert manifest["failures"] == [
+            "report: AAA_lag4_dual-no_w10.json: duplicate run for configuration ('AAA', 'window=10', 4, False)"
+        ]
+        grids = tmp_path / "out" / "forecast" / "grids"
+        assert [o["path"] for o in manifest["outputs"]] == [f"report/{p.name}" for p in sorted(grids.iterdir())]
+        for path in grids.iterdir():
+            assert (tmp_path / "rep" / "report" / path.name).read_bytes() == path.read_bytes()
 
     def test_failure_line_names_the_runs_file_relative_to_the_runs(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)
@@ -1626,9 +1662,9 @@ class TestReportCommand:
         "key, value, message",
         [
             ("dual", True, "key dual must be 'yes' or 'no', got True"),
-            ("lag", 4.7, "key lag must be an integer, got 4.7"),
+            ("lag", 4.7, "lag must be an integer >= 1, got 4.7"),
             ("seed", "7", "key seed must be an integer, got '7'"),
-            ("lag", True, "key lag must be an integer, got True"),
+            ("lag", True, "lag must be an integer >= 1, got True"),
             ("ticker", "../AAA", "key ticker must match [A-Za-z0-9][A-Za-z0-9.-]*, got '../AAA'"),
             *(
                 ("predictions_csv", name, f"key predictions_csv must be a file name in the descriptor's directory, got {name!r}")
@@ -1649,7 +1685,7 @@ class TestReportCommand:
     @pytest.mark.parametrize(
         "stem, lag, message, regime",
         [
-            ("AAA_lag4_dual-no_w10", 0, "lag must be >= 1, got 0", "window=10"),
+            ("AAA_lag4_dual-no_w10", 0, "lag must be an integer >= 1, got 0", "window=10"),
             ("AAA_lag4_dual-no_w5", 9, "window=5 too small for lag=9; need window >= lag+1", "window=5"),
         ],
         ids=["lag-0", "lag-9-window-5"],

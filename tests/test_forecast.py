@@ -106,7 +106,7 @@ class TestBuildSupervised:
 
     @pytest.mark.parametrize("lag", [0, -1])
     def test_lag_must_be_positive(self, lag):
-        with pytest.raises(ValueError, match="lag must be >= 1"):
+        with pytest.raises(ValueError, match=f"lag must be an integer >= 1, got {lag}"):
             forecast_group(["T"], [np.full(40, 20.0)], [()], [1], dual=False, regime=rolling(5, 3), lag=lag, cfg=CFG)
 
     def test_dual_requires_two_siblings(self):
@@ -351,22 +351,25 @@ class TestForecastGroup:
             assert np.array_equal(run.actuals, alone.actuals) and np.array_equal(run.origins, alone.origins)
 
     @pytest.mark.parametrize(
-        "lengths, runs_given_siblings, dual, message",
+        "lengths, runs_given_siblings, dual, lag, message",
         [
-            ((60, 61), 2, False, "the runs of one call need series of one length, got lengths [60, 61]"),
-            ((), 0, False, "the runs of one call need series of one length, got lengths []"),
-            ((60, 60), 1, False, "each run needs its ticker, own series, siblings and seed"),
-            ((60,), 1, True, "a dual run needs exactly two sibling series"),
+            ((60, 61), 2, False, 4, "the runs of one call need series of one length, got lengths [60, 61]"),
+            ((), 0, False, 4, "the runs of one call need series of one length, got lengths []"),
+            ((60, 60), 1, False, 4, "each run needs its ticker, own series, siblings and seed"),
+            ((60,), 1, True, 4, "a dual run needs exactly two sibling series"),
+            # a lag is an int: not a float, and not a bool, which would run as lag 1
+            ((60,), 1, False, 4.0, "lag must be an integer >= 1, got 4.0"),
+            ((60,), 1, False, True, "lag must be an integer >= 1, got True"),
         ],
     )
-    def test_inputs_checked_before_training(self, monkeypatch, lengths, runs_given_siblings, dual, message):
+    def test_inputs_checked_before_training(self, monkeypatch, lengths, runs_given_siblings, dual, lag, message):
         owns = [synthetic_prices(n, seed=n) for n in lengths]
         names = [f"T{r}" for r in range(len(owns))]
         calls = self.count_calls(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(message)):
             forecast_group(
                 names, owns, [()] * runs_given_siblings, list(range(len(owns))),
-                dual=dual, regime=rolling(12, 6), lag=4, cfg=CFG,
+                dual=dual, regime=rolling(12, 6), lag=lag, cfg=CFG,
             )
         assert calls == []
 

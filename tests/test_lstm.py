@@ -337,6 +337,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", 2.5), ("epochs", True), ("hidden_size", 16.0), ("hidden_size", False)],
+    )
+    def test_count_must_be_an_integer(self, key, value):
+        # a float or a bool is not a count: True would train 1 epoch and be written as true
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            TrainConfig(**{key: value})
+
 
 class TestTrainBatch:
     @pytest.mark.parametrize("batch", [1, 7, 64])

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,12 @@ class TestMonteCarloSpec:
         base.update(kwargs)
         with pytest.raises(ValueError):
             MonteCarloSpec(**base)
+
+    @pytest.mark.parametrize("key, value", [("iterations", 2.5), ("iterations", True), ("seed", 1.0), ("seed", False)])
+    def test_count_must_be_an_integer(self, key, value):
+        # a float or a bool is not an iteration count or a seed
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            MonteCarloSpec(**{"seed": 1, key: value})
 
 
 class TestSignificance:
