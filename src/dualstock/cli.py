@@ -39,7 +39,7 @@ import numpy as np
 
 from .atomicfile import atomic_open
 from .config import ANALYSES, TICKER_NAME, RunConfig, load_config
-from .forecast import DUAL_LABELS, ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
+from .forecast import DUAL_LABELS, Cell, ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
 from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig
 from .metrics import assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
@@ -286,8 +286,7 @@ def cmd_coherence(config: RunConfig, series: TickerSeries) -> list[Unit]:
 
 def _run_files(run: ForecastRun, dates, cfg: TrainConfig, out: Path) -> dict[Path, str]:
     """The run's predictions CSV and its descriptor under ``out``; ``cfg`` trained it, ``dates`` index its origins."""
-    dual = DUAL_LABELS[run.dual]
-    stem = f"{run.ticker}_lag{run.lag}_dual-{dual}_{run.regime.stem}"
+    stem = run.cell.stem(run.ticker)
     rows = ["origin_index,date,actual,predicted,train_start,train_end"]
     for k, (origin, (start, end)) in enumerate(zip(run.origins, run.provenance)):
         # repr of the Python float is the shortest exact round-trip, so the
@@ -299,7 +298,7 @@ def _run_files(run: ForecastRun, dates, cfg: TrainConfig, out: Path) -> dict[Pat
     descriptor = {
         "ticker": run.ticker,
         "lag": run.lag,
-        "dual": dual,
+        "dual": DUAL_LABELS[run.dual],
         "regime": dataclasses.asdict(run.regime),
         "seed": run.seed,
         "hyperparameters": {
@@ -317,7 +316,7 @@ def _run_files(run: ForecastRun, dates, cfg: TrainConfig, out: Path) -> dict[Pat
 def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
     """The declared (ticker x lag x dual x regime) grid: one unit per cell, one part per run, then the grids.
 
-    Each cell of ``ForecastOptions.cells`` is one ``forecast_group`` call
+    Each ``Cell`` of ``ForecastOptions.cells`` is one ``forecast_group`` call
     over the tickers at the cell's lag, dual and regime; each run's siblings
     are the other given series.  Every forecast ticker must be among the
     given series.  The grids unit reads the runs whose files were written.
@@ -335,25 +334,25 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
     mids = {name: s.mid for name, s in zip(names, series)}
     dates = series[0].dates
 
-    def cell(lag, dual, regime) -> Unit:
+    def unit(cell: Cell) -> Unit:
         def compute(written):
             results = forecast_group(
                 targets,
                 [mids[name] for name in targets],
                 [tuple(mids[other] for other in names if other != name) for name in targets],
-                [child_seed(config.seed, f"forecast:{name}:lag={lag}:dual={DUAL_LABELS[dual]}:{regime.label}") for name in targets],
-                dual=dual,
-                regime=regime,
-                lag=lag,
+                [child_seed(config.seed, cell.seed_label(name)) for name in targets],
+                dual=cell.dual,
+                regime=cell.regime,
+                lag=cell.lag,
                 cfg=cfg,
             )
             return [run if isinstance(run, Exception) else (_run_files(run, dates, cfg, out / "runs"), run) for run in results]
 
-        return Unit(tuple(f"forecast {name} lag={lag} dual={DUAL_LABELS[dual]} {regime.label}" for name in targets), compute)
+        return Unit(tuple(cell.unit_name(name) for name in targets), compute)
 
     # on the declared axes, a run that failed, or a cell left out of cells(), is a missing cell
     grids = Unit(("forecast grids",), lambda written: _grids(written, targets, out / "grids", f.regimes(), f.lags, f.duals))
-    return [cell(*c) for c in f.cells()] + [grids]
+    return [unit(cell) for cell in f.cells()] + [grids]
 
 
 def _grids(runs: list[ForecastRun], tickers, out: Path, regimes, lags, duals) -> list:
@@ -415,8 +414,8 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
     ascending.  So the grids are those ``forecast`` wrote when each of its
     declared windows, lags and duals has a run and it lists windows, lags and
     tickers ascending.  A descriptor that cannot be read, or that holds the
-    (ticker, regime, lag, dual) of a descriptor read before it, is a failure
-    line; the other runs still make their grids.
+    ticker and ``Cell`` of a descriptor read before it, is a failure line; the
+    other runs still make their grids.
     """
     manifests = sorted(Path(runs_dir).glob("*.json"))
     if not manifests:
@@ -431,9 +430,8 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
 
     def read(path, written):
         run = _read_run(path)
-        configuration = (run.ticker, run.regime.label, run.lag, run.dual)
-        if configuration in {(r.ticker, r.regime.label, r.lag, r.dual) for r in written}:
-            raise ValueError(f"{path.name}: duplicate run for configuration {configuration}")
+        if (run.ticker, run.cell) in {(r.ticker, r.cell) for r in written}:
+            raise ValueError(f"{path.name}: duplicate run of {run.ticker} for cell {run.cell.key}")
         return [({}, run)]
 
     reads = [Unit(("report",), functools.partial(read, path)) for path in manifests]

@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .forecast import RegimeSpec, not_a_lag
+from .forecast import Cell, RegimeSpec, not_a_lag
 from .lstm import TrainConfig
 from .significance import MonteCarloSpec
 from .timeseries import CsvFormat
@@ -80,10 +80,10 @@ class ForecastOptions:
             regimes.append(RegimeSpec(kind="mece", test_size=self.test_size, train_size=self.mece_train_size))
         return regimes
 
-    def cells(self) -> list[tuple[int, bool, RegimeSpec]]:
-        """The (lag, dual, regime) cells that run, in grid order; the others are missing cells of the grids."""
+    def cells(self) -> list[Cell]:
+        """The cells that run, by lag, then dual, then regime; the others are missing cells of the grids."""
         grid = itertools.product(self.lags, self.duals, self.regimes())
-        return [(lag, dual, regime) for lag, dual, regime in grid if regime.lag_error(lag) is None]
+        return [Cell(regime, lag, dual) for lag, dual, regime in grid if regime.lag_error(lag) is None]
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, hidden_size=self.hidden_size)
@@ -116,12 +116,15 @@ class RunConfig:
         if not self.tickers:
             raise ValueError("config must declare at least one ticker")
         _check_analyses(self.analyses)
-        for name, path in self.tickers:
+        names = [name for name, _ in self.tickers]
+        for i, (name, path) in enumerate(self.tickers):
             if not TICKER_NAME.fullmatch(name):
                 raise ValueError(f"config key tickers: name {name!r} must match {TICKER_NAME.pattern}")
+            if name in names[:i]:  # its pairs and runs would write over each other's files
+                raise ValueError(f"config key tickers must not repeat {name!r}")
             if not Path(path).is_file():
                 raise ValueError(f"input file for ticker {name} not found: {path}")
-        unknown = set(self.forecast.tickers or ()) - {name for name, _ in self.tickers}
+        unknown = set(self.forecast.tickers or ()) - set(names)
         if unknown:
             raise ValueError(f"config section forecast: tickers {sorted(unknown)} are not declared inputs")
         pairwise = [analysis for analysis in self.analyses if analysis in PAIRWISE]

@@ -20,10 +20,11 @@ run's ``provenance``, the exact training index range per origin, is its
 regime's ``train_range`` at each origin, and the regime's ``history_error``
 is the one rule that it lie in [0, origin).
 
-Two owners spell the forecast grid's axes for every module: a regime's
-``label``, ``stem``, ``title`` and ``order`` give its seed labels and grid
-keys, run file names, table rows and report order, and ``DUAL_LABELS[dual]``
-spells a dual flag.
+A ``Cell`` (regime, lag, dual) is one cell of the forecast grid, and it
+spells the cell for every module: a run's seed label, unit name and file
+stem, the cell's grid key and its table column.  A regime's ``label``,
+``stem``, ``title`` and ``order`` spell its part of those and give its table
+rows and report order.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "TrainingDivergedError",
     "DUAL_LABELS",
     "RegimeSpec",
+    "Cell",
     "ForecastRun",
     "scale_price",
     "unscale",
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 SCALE_CEILING = 200.0  # price at which x/100 - 1 leaves the tanh range
-DUAL_LABELS = ("no", "yes")  # DUAL_LABELS[dual]: a dual flag in file names, grid keys and descriptors
+DUAL_LABELS = ("no", "yes")  # DUAL_LABELS[dual]: a dual flag in cell spellings, descriptors and grid axes
 
 
 class PriceScaleWarning(UserWarning):
@@ -184,6 +186,54 @@ class RegimeSpec:
         return (origin - self.window, origin)
 
 
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """One cell of the forecast grid: a regime, a lag and whether the siblings are inputs (``dual``).
+
+    A cell is one at any test size: its identity is its grid ``key``, the
+    regime's label, the lag and the dual.  Its lag need not be one the regime
+    runs at, since such a cell is a missing cell of the grid.
+    """
+
+    regime: RegimeSpec
+    lag: int
+    dual: bool
+
+    def __post_init__(self) -> None:
+        if error := not_a_lag(self.lag):
+            raise ValueError(error)
+        if type(self.dual) is not bool:
+            raise ValueError(f"dual must be a bool, got {self.dual!r}")
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key if isinstance(other, Cell) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    @property
+    def key(self) -> str:
+        """The cell in a grid JSON's ``cells`` and ``missing``: ``window=10|lag=4|dual=no``."""
+        return f"{self.regime.label}|lag={self.lag}|dual={DUAL_LABELS[self.dual]}"
+
+    @property
+    def column(self) -> str:
+        """The cell's column in a grid table: ``lag4_dual_no``."""
+        return f"lag{self.lag}_dual_{DUAL_LABELS[self.dual]}"
+
+    def seed_label(self, ticker: str) -> str:
+        """The label a ticker's run derives its seed from: ``forecast:<ticker>:lag=4:dual=no:window=10``."""
+        return f"forecast:{ticker}:lag={self.lag}:dual={DUAL_LABELS[self.dual]}:{self.regime.label}"
+
+    def unit_name(self, ticker: str) -> str:
+        """A ticker's run in failure lines: ``forecast <ticker> lag=4 dual=no window=10``."""
+        return f"forecast {ticker} lag={self.lag} dual={DUAL_LABELS[self.dual]} {self.regime.label}"
+
+    def stem(self, ticker: str) -> str:
+        """The name of a ticker's run files, less the suffix: ``<ticker>_lag4_dual-no_w10``."""
+        return f"{ticker}_lag{self.lag}_dual-{DUAL_LABELS[self.dual]}_{self.regime.stem}"
+
+
 @dataclass(frozen=True)
 class ForecastRun:
     """Predictions and actuals at each origin for one config, at a lag its regime runs at; its regime gives each origin's training range."""
@@ -218,6 +268,10 @@ class ForecastRun:
         object.__setattr__(self, "predictions", predictions)
         object.__setattr__(self, "actuals", actuals)
         object.__setattr__(self, "origins", origins)
+
+    @property
+    def cell(self) -> Cell:
+        return Cell(self.regime, self.lag, self.dual)
 
     @property
     def provenance(self) -> tuple[tuple[int, int], ...]:

@@ -1,9 +1,9 @@
 """Forecast error metrics and the regime-by-lag comparison grid.
 
 Metrics operate on unscaled prices.  MAPE is reported in percent.  Grids are
-assembled per ticker with one cell per (regime, lag, dual) configuration;
-configurations declared but not supplied are flagged missing, never
-zero-filled.
+assembled per ticker with one ``forecast.Cell`` per (regime, lag, dual), which
+spells each grid key and table column as it spells each run file name; cells
+declared but not supplied are flagged missing, never zero-filled.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import DUAL_LABELS, RegimeSpec
+from .forecast import DUAL_LABELS, Cell, RegimeSpec
 
 __all__ = [
     "MetricTriple",
@@ -85,24 +85,17 @@ class MetricTriple:
 
 @dataclass(frozen=True)
 class ReportGrid:
-    """Per-ticker grid of MetricTriples keyed by (regime label, lag, dual)."""
+    """Per-ticker grid: each cell's MetricTriple, None where missing, by regime, then lag, then dual."""
 
     ticker: str
     regimes: tuple[RegimeSpec, ...]
     lags: tuple[int, ...]
     duals: tuple[bool, ...]
-    cells: dict
+    cells: dict[Cell, MetricTriple | None]
 
     @property
-    def missing(self) -> tuple[tuple[str, int, bool], ...]:
-        return tuple((regime.label, lag, dual) for regime, lag, dual, triple in self._entries() if triple is None)
-
-    def _entries(self):
-        """(regime, lag, dual, triple) per cell in the grid's order; the triple is None where missing."""
-        for regime in self.regimes:
-            for lag in self.lags:
-                for dual in self.duals:
-                    yield regime, lag, dual, self.cells[(regime.label, lag, dual)]
+    def missing(self) -> tuple[Cell, ...]:
+        return tuple(cell for cell, triple in self.cells.items() if triple is None)
 
 
 def assemble_grid(
@@ -112,11 +105,11 @@ def assemble_grid(
     lags: tuple[int, ...],
     duals: tuple[bool, ...],
 ) -> ReportGrid:
-    """Fold forecast runs for one ticker into the declared grid, one cell per (regime label, lag, dual).
+    """Fold forecast runs for one ticker into the declared grid, one ``Cell`` per (regime, lag, dual).
 
     Each run must carry ticker, lag, dual, regime, predictions, and
-    actuals.  Duplicate configurations and runs outside the declared set
-    are errors; declared configurations without a run are flagged missing.
+    actuals.  Two runs of one cell and a run outside the declared cells
+    are errors; declared cells without a run are flagged missing.
     """
     runs = list(runs)
     if not runs:
@@ -124,46 +117,40 @@ def assemble_grid(
     tickers = sorted({r.ticker for r in runs})
     if len(tickers) > 1:
         raise ValueError(f"assemble_grid expects one ticker per grid, got {tickers}")
-    declared = {(regime.label, lag, dual) for regime in regimes for lag in lags for dual in duals}
-    cells: dict = {key: None for key in declared}
+    cells = {Cell(regime, lag, dual): None for regime in regimes for lag in lags for dual in duals}
     for run in runs:
-        key = (run.regime.label, run.lag, run.dual)
-        if key not in declared:
-            raise ValueError(f"run configuration {key} is outside the declared grid")
-        if cells[key] is not None:
-            raise ValueError(f"duplicate run for configuration {key}")
-        cells[key] = MetricTriple.of(run.predictions, run.actuals)
+        cell = Cell(run.regime, run.lag, run.dual)
+        if cell not in cells:
+            raise ValueError(f"run cell {cell.key} is outside the declared grid")
+        if cells[cell] is not None:
+            raise ValueError(f"duplicate run for cell {cell.key}")
+        cells[cell] = MetricTriple.of(run.predictions, run.actuals)
     return ReportGrid(ticker=tickers[0], regimes=tuple(regimes), lags=tuple(lags), duals=tuple(duals), cells=cells)
 
 
 def grid_table_rows(grid: ReportGrid) -> list[list[str]]:
     """Comparison table: regime blocks of RMSE/MAE/MAPE rows, lag x dual columns."""
-    columns = [(lag, dual) for lag in grid.lags for dual in grid.duals]
-    rows = [["regime", "metric"] + [f"lag{lag}_dual_{DUAL_LABELS[dual]}" for lag, dual in columns]]
+    rows = [["regime", "metric"] + [cell.column for cell in grid.cells if cell.regime == grid.regimes[0]]]
     for regime in grid.regimes:
+        triples = [triple for cell, triple in grid.cells.items() if cell.regime == regime]
         for metric in _METRIC_NAMES:
-            triples = [grid.cells[(regime.label, lag, dual)] for lag, dual in columns]
             values = ["" if triple is None else f"{getattr(triple, metric.lower()):.4f}" for triple in triples]
             rows.append([regime.title, metric] + values)
     return rows
 
 
 def grid_to_json_dict(grid: ReportGrid) -> dict:
-    cells = {}
-    for regime, lag, dual, triple in grid._entries():
-        key = f"{regime.label}|lag={lag}|dual={DUAL_LABELS[dual]}"
-        cells[key] = (
-            None
-            if triple is None
-            else {"rmse": triple.rmse, "mae": triple.mae, "mape": triple.mape}
-        )
+    cells = {
+        cell.key: None if triple is None else {"rmse": triple.rmse, "mae": triple.mae, "mape": triple.mape}
+        for cell, triple in grid.cells.items()
+    }
     return {
         "ticker": grid.ticker,
         "regimes": [regime.label for regime in grid.regimes],
         "lags": list(grid.lags),
         "duals": [DUAL_LABELS[dual] for dual in grid.duals],
         "cells": cells,
-        "missing": [f"{regime}|lag={lag}|dual={DUAL_LABELS[dual]}" for regime, lag, dual in grid.missing],
+        "missing": [cell.key for cell in grid.missing],
     }
 
 
@@ -171,20 +158,13 @@ def long_format_rows(grids) -> list[list[str]]:
     """Flat rows ticker,regime,window,lag,dual,metric,value across grids."""
     rows = [["ticker", "regime", "window", "lag", "dual", "metric", "value"]]
     for grid in grids:
-        for regime, lag, dual, triple in grid._entries():
+        for cell, triple in grid.cells.items():
             if triple is None:
                 continue
+            window = "" if cell.regime.window is None else str(cell.regime.window)
             for metric in _METRIC_NAMES:
                 value = getattr(triple, metric.lower())
                 rows.append(
-                    [
-                        grid.ticker,
-                        regime.kind,
-                        "" if regime.window is None else str(regime.window),
-                        str(lag),
-                        DUAL_LABELS[dual],
-                        metric,
-                        f"{value:.4f}",
-                    ]
+                    [grid.ticker, cell.regime.kind, window, str(cell.lag), DUAL_LABELS[cell.dual], metric, f"{value:.4f}"]
                 )
     return rows

@@ -19,7 +19,7 @@ import pytest
 from dualstock import cli
 from dualstock.cli import main
 from dualstock.config import load_config
-from dualstock.forecast import RegimeSpec, forecast_group
+from dualstock.forecast import Cell, RegimeSpec, forecast_group
 from dualstock.lstm import TrainConfig, _param_count, _Views
 from dualstock.metrics import mae, mape, rmse
 from dualstock.significance import MonteCarloSpec, significance
@@ -337,6 +337,25 @@ def test_11_report_grid_structure(desk_scale_run):
         assert sorted(p.name for p in (root / "rep" / "report").iterdir()) == [p.name for p in grids]
         for path in grids:
             assert (root / "rep" / "report" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_desk_cells_spell_their_run_files_and_grid_keys(desk_scale_run):
+    # the Cell rebuilt from each descriptor's fields gives back its file names
+    # and a key of its ticker's grid
+    root, rc1, _, _ = desk_scale_run
+    assert rc1 == 0
+    descriptors = sorted((root / "o1" / "forecast" / "runs").glob("*.json"))
+    assert len(descriptors) == 3 * 2 * 2 * 3  # tickers x lags x duals x regimes: every desk cell runs
+    keys = {name: set() for name in ("KRA", "KRB", "KRD")}
+    for path in descriptors:
+        meta = json.loads(path.read_text())
+        cell = Cell(RegimeSpec(**meta["regime"]), meta["lag"], meta["dual"] == "yes")
+        assert cell.stem(meta["ticker"]) == path.stem
+        assert f"{cell.stem(meta['ticker'])}.csv" == meta["predictions_csv"]
+        keys[meta["ticker"]].add(cell.key)
+    for name, cell_keys in keys.items():
+        grid = json.loads((root / "o1" / "forecast" / "grids" / f"{name}.json").read_text())
+        assert set(grid["cells"]) == cell_keys and grid["missing"] == []
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ import pytest
 
 import dualstock.forecast as forecast_module
 from dualstock.cli import load_config, main
+from dualstock.forecast import Cell
 from dualstock.config import ForecastOptions, RunConfig, WaveletOptions
 from _oracles import ar1_series, sorted_quantile
 from test_acceptance import write_desk_inputs
@@ -457,18 +458,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="config key analyses must name at least one analysis"):
             load_config(path, analyses=("forecast",))
 
-    def test_run_config_built_directly_rejects_an_unknown_analysis(self, tmp_path):
-        # load_config and the record check the names by one rule, with one message
-        message = "config key analyses must be names from ('premiums', 'coherence', 'forecast'), got 'bogus'"
+    @pytest.mark.parametrize(
+        "names, analyses, message",
+        [
+            # load_config and the record check the names by one rule, with one message
+            (
+                ("AAA",),
+                ("bogus",),
+                "config key analyses must be names from ('premiums', 'coherence', 'forecast'), got 'bogus'",
+            ),
+            # load_config's JSON hook stops a repeated ticker key first; a
+            # repeated name would write its pair and runs over each other's files
+            (("AAA", "AAA"), ("premiums",), "config key tickers must not repeat 'AAA'"),
+        ],
+        ids=["unknown-analysis", "repeated-ticker"],
+    )
+    def test_run_config_built_directly_rejects_a_bad_entry(self, tmp_path, names, analyses, message):
+        path = tmp_path / synthetic_tickers(tmp_path)["AAA"]
         with pytest.raises(ValueError, match=re.escape(message)):
-            RunConfig(tickers=(("AAA", tmp_path / "a.csv"),), out_dir=tmp_path, seed=0, analyses=("bogus",))
+            RunConfig(tickers=tuple((name, path) for name in names), out_dir=tmp_path, seed=0, analyses=analyses)
 
     def test_forecast_cells_are_the_grid_at_lags_each_regime_runs(self):
         options = ForecastOptions(lags=(4, 9), duals=(False, True), windows=(5, 10), mece_train_size=9)
-        assert [(lag, dual, regime.label) for lag, dual, regime in options.cells()] == [
-            (4, False, "window=5"), (4, False, "window=10"), (4, False, "mece"),
-            (4, True, "window=5"), (4, True, "window=10"), (4, True, "mece"),
-            (9, False, "window=10"), (9, True, "window=10"),
+        w5, w10, mece = options.regimes()
+        assert [regime.label for regime in (w5, w10, mece)] == ["window=5", "window=10", "mece"]
+        assert options.cells() == [
+            Cell(w5, 4, False), Cell(w10, 4, False), Cell(mece, 4, False),
+            Cell(w5, 4, True), Cell(w10, 4, True), Cell(mece, 4, True),
+            Cell(w10, 9, False), Cell(w10, 9, True),
         ]
 
     def test_readme_example_config_loads(self, tmp_path):
@@ -1390,12 +1407,34 @@ class TestReportCommand:
         assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
         assert manifest["failures"] == [
-            "report: AAA_lag4_dual-no_w10.json: duplicate run for configuration ('AAA', 'window=10', 4, False)"
+            "report: AAA_lag4_dual-no_w10.json: duplicate run of AAA for cell window=10|lag=4|dual=no"
         ]
         grids = tmp_path / "out" / "forecast" / "grids"
         assert [o["path"] for o in manifest["outputs"]] == [f"report/{p.name}" for p in sorted(grids.iterdir())]
         for path in grids.iterdir():
             assert (tmp_path / "rep" / "report" / path.name).read_bytes() == path.read_bytes()
+
+    def test_runs_of_one_window_at_two_test_sizes_make_both_grids(self, tmp_path):
+        # a cell is its regime's label, its lag and its dual: AAA's runs at
+        # test size 5 and BBB's at 4 share the window=10 cells, and report
+        # writes each ticker the grid that its own forecast wrote
+        tickers = synthetic_tickers(tmp_path)
+        runs_dir = tmp_path / "runs"
+        runs_dir.mkdir()
+        for name, test_size in (("AAA", 5), ("BBB", 4)):
+            settings = {
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": test_size, "epochs": 1, "hidden_size": 2, "tickers": [name],
+            }
+            config_path = write_config(tmp_path, tickers, out_name=name, analyses=["forecast"], forecast=settings)
+            assert main(["forecast", "--config", str(config_path)]) == 0
+            for path in (tmp_path / name / "forecast" / "runs").iterdir():
+                (runs_dir / path.name).write_bytes(path.read_bytes())
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 0
+        for name in ("AAA", "BBB"):
+            for suffix in (".csv", ".json"):
+                written = (tmp_path / name / "forecast" / "grids" / f"{name}{suffix}").read_bytes()
+                assert (tmp_path / "rep" / "report" / f"{name}{suffix}").read_bytes() == written
 
     def test_failure_line_names_the_runs_file_relative_to_the_runs(self, tmp_path):
         tickers = synthetic_tickers(tmp_path)

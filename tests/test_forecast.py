@@ -7,7 +7,7 @@ import dualstock.forecast as forecast_module
 from _oracles import lstm_forward_literal, lstm_train_per_sample
 from dualstock import lstm
 from dualstock.forecast import (
-    DUAL_LABELS,
+    Cell,
     ForecastRun,
     PriceScaleWarning,
     RegimeSpec,
@@ -129,15 +129,11 @@ class TestRegimeSpec:
         assert RegimeSpec(kind="rolling", test_size=10, window=5).label == "window=5"
 
     def test_spellings(self):
-        # a regime's run file stem, table row and report order, and a dual
-        # flag's label, are spelled here for every module
+        # a regime's run file stem, table row and report order are spelled here for every module
         regimes = [mece(50, 10), rolling(20, 10), rolling(5, 10)]
         assert [r.stem for r in regimes] == ["mece", "w20", "w5"]
         assert [r.title for r in regimes] == ["MECE", "Training Window = 20", "Training Window = 5"]
         assert [r.label for r in sorted(regimes, key=lambda r: r.order)] == ["window=5", "window=20", "mece"]
-        assert [DUAL_LABELS[dual] for dual in (False, True)] == ["no", "yes"]
-        with pytest.raises(TypeError):
-            DUAL_LABELS["placebo"]  # a dual flag is a bool, not any truthy value
 
     def test_properties_stay_out_of_the_descriptor(self):
         # a run descriptor holds dataclasses.asdict(regime): the fields alone
@@ -171,6 +167,54 @@ class TestRegimeSpec:
     def test_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RegimeSpec(**kwargs)
+
+
+class TestCell:
+    def test_spellings(self):
+        # a cell is spelled here for every module: seed label, unit name, run
+        # file stem, grid key and table column
+        cell = Cell(rolling(10, 50), 4, False)
+        assert cell.seed_label("KRA") == "forecast:KRA:lag=4:dual=no:window=10"
+        assert cell.unit_name("KRA") == "forecast KRA lag=4 dual=no window=10"
+        assert cell.stem("KRA") == "KRA_lag4_dual-no_w10"
+        assert cell.key == "window=10|lag=4|dual=no"
+        assert cell.column == "lag4_dual_no"
+        cell = Cell(mece(500, 50), 9, True)
+        assert [cell.seed_label("T"), cell.unit_name("T"), cell.stem("T"), cell.key, cell.column] == [
+            "forecast:T:lag=9:dual=yes:mece",
+            "forecast T lag=9 dual=yes mece",
+            "T_lag9_dual-yes_mece",
+            "mece|lag=9|dual=yes",
+            "lag9_dual_yes",
+        ]
+
+    def test_identity_is_the_grid_key(self):
+        # the grids key on the regime's label, the lag and the dual: a test
+        # size, or a MECE train size, is not part of a cell
+        assert Cell(rolling(10, 50), 4, False) == Cell(rolling(10, 40), 4, False)
+        assert hash(Cell(rolling(10, 50), 4, False)) == hash(Cell(rolling(10, 40), 4, False))
+        assert Cell(mece(500, 50), 4, False) == Cell(mece(400, 50), 4, False)
+        others = [Cell(rolling(20, 50), 4, False), Cell(rolling(10, 50), 9, False), Cell(rolling(10, 50), 4, True)]
+        assert all(other != Cell(rolling(10, 50), 4, False) for other in others)
+
+    def test_a_run_gives_its_cell(self):
+        (run,) = forecast_group(["T"], [synthetic_prices(40)], [()], [1], dual=False, regime=rolling(10, 3), lag=4, cfg=CFG)
+        assert run.cell == Cell(rolling(10, 3), 4, False)
+        assert run.cell.stem(run.ticker) == "T_lag4_dual-no_w10"
+
+    @pytest.mark.parametrize(
+        "lag, dual, message",
+        [
+            (4, "placebo", "dual must be a bool, got 'placebo'"),  # a dual is a bool, not any value
+            (4.0, False, "lag must be an integer >= 1, got 4.0"),
+            (True, False, "lag must be an integer >= 1, got True"),
+        ],
+        ids=["dual-string", "lag-float", "lag-bool"],
+    )
+    def test_rejected_when_built(self, lag, dual, message):
+        with pytest.raises(ValueError) as excinfo:
+            Cell(rolling(10, 50), lag, dual)
+        assert str(excinfo.value) == message
 
 
 class TestMece:

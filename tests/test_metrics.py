@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualstock.forecast import RegimeSpec
+from dualstock.forecast import Cell, RegimeSpec
 from dualstock.metrics import (
     MetricTriple,
     assemble_grid,
@@ -164,7 +164,7 @@ class TestAssembleGrid:
     def test_single_run_flags_missing(self):
         grid = assemble_grid([FakeRun()], **AXES)
         assert len(grid.missing) == 19
-        assert grid.cells[("mece", 4, False)] is not None
+        assert grid.cells[Cell(MECE, 4, False)] is not None
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
