@@ -15,7 +15,7 @@ from .forecast import (
     unscale,
 )
 from .lstm import BatchTrainResult, TrainConfig, predict_batch, train_batch
-from .metrics import MetricTriple, ReportGrid, assemble_grid, mae, mape, rmse
+from .metrics import LossTable, MetricTriple, ReportGrid, assemble_grid, mae, mape, rmse
 from .seeds import child_seed
 from .significance import AR1Params, MonteCarloSpec, fit_ar1, significance
 from .svgplot import render_heatmap

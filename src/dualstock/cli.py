@@ -12,7 +12,9 @@ and the SHA-256 of the bytes written to each.
 Each ``cmd_*`` returns its ``Unit``s in canonical order and writes nothing:
 a premium pair, a coherence pair, the runs of one ``forecast_group`` call, a
 descriptor that ``report`` reads, and last the grids over the runs written
-before them.  ``CommandOutcome.execute`` computes and writes them one at a
+before them.  The grids' runs, and each run ``report`` reads with those read
+before it, make one ``metrics.LossTable``, the owner of the rules for a set of
+runs.  ``CommandOutcome.execute`` computes and writes them one at a
 time, and records an error of ``UNIT_ERRORS`` as the failure line
 ``<analysis> <unit>: <message>``; an analysis that cannot be planned fails as
 ``<analysis>: <message>``.  A failure line names paths under the output
@@ -41,7 +43,7 @@ from .atomicfile import atomic_open
 from .config import ANALYSES, TICKER_NAME, RunConfig, load_config
 from .forecast import DUAL_LABELS, Cell, ForecastRun, RegimeSpec, TrainingDivergedError, forecast_group
 from .lstm import CLIP_NORM, LEARNING_RATE, TrainConfig
-from .metrics import assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
+from .metrics import LossTable, assemble_grid, grid_table_rows, grid_to_json_dict, long_format_rows
 from .seeds import child_seed
 from .significance import significance
 from .svgplot import render_heatmap
@@ -356,9 +358,9 @@ def cmd_forecast(config: RunConfig, series: TickerSeries) -> list[Unit]:
 
 
 def _grids(runs: list[ForecastRun], tickers, out: Path, regimes, lags, duals) -> list:
-    """The grids unit's part: each ticker's grid on the axes as CSV and JSON, in ``tickers`` order, and a long CSV."""
-    groups = [[run for run in runs if run.ticker == ticker] for ticker in tickers]
-    grids = [assemble_grid(group, regimes=regimes, lags=lags, duals=duals) for group in groups if group]
+    """The grids unit's part: each ticker's grid on the axes, read from one ``LossTable`` of the runs, as CSV and JSON, in ``tickers`` order, and a long CSV."""
+    table = LossTable(runs)
+    grids = [assemble_grid(table, t, regimes=regimes, lags=lags, duals=duals) for t in tickers if t in table.tickers]
     files = {}
     for grid in grids:
         files[out / f"{grid.ticker}.csv"] = _csv_text(grid_table_rows(grid))
@@ -368,8 +370,8 @@ def _grids(runs: list[ForecastRun], tickers, out: Path, regimes, lags, duals) ->
     return [(files, None)]
 
 
-def _read_run(manifest_path: Path) -> ForecastRun:
-    """Forecast run rebuilt from a run descriptor and its predictions CSV, whose training ranges must be its regime's."""
+def _read_run(manifest_path: Path, written: list[ForecastRun]) -> ForecastRun:
+    """Forecast run rebuilt from a run descriptor and its CSV: its training ranges are its regime's, and it fits a ``LossTable`` with ``written``."""
     try:
         meta = json.loads(manifest_path.read_text(encoding="utf-8"))
         if not (isinstance(meta["ticker"], str) and TICKER_NAME.fullmatch(meta["ticker"])):
@@ -401,6 +403,7 @@ def _read_run(manifest_path: Path) -> ForecastRun:
                     f"provenance [{start}, {end}) at origin {origin} must be the {run.regime.label} "
                     f"training range [{expected[0]}, {expected[1]})"
                 )
+        LossTable([*written, run])
         return run
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path.name}: {exc}") from exc
@@ -413,8 +416,8 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
     ascending; the duals present, false before true.  The tickers come
     ascending.  So the grids are those ``forecast`` wrote when each of its
     declared windows, lags and duals has a run and it lists windows, lags and
-    tickers ascending.  A descriptor that cannot be read, or that holds the
-    ticker and ``Cell`` of a descriptor read before it, is a failure line; the
+    tickers ascending.  A descriptor that cannot be read, or whose run the
+    ``LossTable`` of the runs read before it rejects, is a failure line; the
     other runs still make their grids.
     """
     manifests = sorted(Path(runs_dir).glob("*.json"))
@@ -429,10 +432,7 @@ def cmd_report(runs_dir: Path, out_dir: Path) -> list[Unit]:
         return _grids(runs, sorted({r.ticker for r in runs}), Path(out_dir) / "report", regimes, lags, duals)
 
     def read(path, written):
-        run = _read_run(path)
-        if (run.ticker, run.cell) in {(r.ticker, r.cell) for r in written}:
-            raise ValueError(f"{path.name}: duplicate run of {run.ticker} for cell {run.cell.key}")
-        return [({}, run)]
+        return [({}, _read_run(path, written))]
 
     reads = [Unit(("report",), functools.partial(read, path)) for path in manifests]
     return reads + [Unit(("report grids",), grids)]

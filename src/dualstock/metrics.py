@@ -1,20 +1,26 @@
 """Forecast error metrics and the regime-by-lag comparison grid.
 
-Metrics operate on unscaled prices.  MAPE is reported in percent.  Grids are
-assembled per ticker with one ``forecast.Cell`` per (regime, lag, dual), which
-spells each grid key and table column as it spells each run file name; cells
-declared but not supplied are flagged missing, never zero-filled.
+Metrics operate on unscaled prices.  MAPE is reported in percent.  A
+``LossTable`` holds a set of forecast runs as columns over one origin axis per
+ticker, and it is the one place that states the rules for such a set: one run
+per (ticker, cell), and every run of a ticker on that ticker's origins and
+actuals.  Grids are assembled per ticker from its columns, with one
+``forecast.Cell`` per (regime, lag, dual), which spells each grid key and
+table column as it spells each run file name; cells declared but without a
+run are flagged missing, never zero-filled.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import DUAL_LABELS, Cell, RegimeSpec
+from .forecast import DUAL_LABELS, Cell, ForecastRun, RegimeSpec
 
 __all__ = [
+    "LossTable",
     "MetricTriple",
     "ReportGrid",
     "rmse",
@@ -83,6 +89,42 @@ class MetricTriple:
         return cls(rmse=rmse(pred, actual), mae=mae(pred, actual), mape=mape(pred, actual))
 
 
+class LossTable:
+    """The per-origin forecasts of a set of runs, by ticker and ``Cell``.
+
+    Per ticker it holds one origin axis (``origins``) and one actuals column
+    (``actuals``), and per (ticker, cell) that run's predictions at those
+    origins (``predictions[ticker][cell]``), in the order the runs are given.
+    Each entry is the run's own read-only array: nothing is copied, and no
+    loss is derived until a caller asks for one.  A second run of one
+    (ticker, cell) is an error, and so is a run whose origins or actuals
+    differ from those of its ticker's first run, so a ticker's columns
+    compare origin by origin.
+    """
+
+    def __init__(self, runs: Iterable[ForecastRun]) -> None:
+        self.origins: dict[str, np.ndarray] = {}
+        self.actuals: dict[str, np.ndarray] = {}
+        self.predictions: dict[str, dict[Cell, np.ndarray]] = {}
+        for run in runs:
+            columns = self.predictions.setdefault(run.ticker, {})
+            if run.cell in columns:
+                raise ValueError(f"duplicate run of {run.ticker} for cell {run.cell.key}")
+            origins = self.origins.setdefault(run.ticker, run.origins)
+            actuals = self.actuals.setdefault(run.ticker, run.actuals)
+            if not (np.array_equal(run.origins, origins) and np.array_equal(run.actuals, actuals)):
+                raise ValueError(
+                    f"run of {run.ticker} for cell {run.cell.key} has other origins or actuals "
+                    f"than its run for cell {next(iter(columns)).key}"
+                )
+            columns[run.cell] = run.predictions
+
+    @property
+    def tickers(self) -> tuple[str, ...]:
+        """The tickers with a run, in the order of their first runs."""
+        return tuple(self.predictions)
+
+
 @dataclass(frozen=True)
 class ReportGrid:
     """Per-ticker grid: each cell's MetricTriple, None where missing, by regime, then lag, then dual."""
@@ -99,33 +141,26 @@ class ReportGrid:
 
 
 def assemble_grid(
-    runs,
+    table: LossTable,
+    ticker: str,
     *,
     regimes: tuple[RegimeSpec, ...],
     lags: tuple[int, ...],
     duals: tuple[bool, ...],
 ) -> ReportGrid:
-    """Fold forecast runs for one ticker into the declared grid, one ``Cell`` per (regime, lag, dual).
+    """Fold the table's columns of ``ticker`` into the declared grid, one ``Cell`` per (regime, lag, dual).
 
-    Each run must carry ticker, lag, dual, regime, predictions, and
-    actuals.  Two runs of one cell and a run outside the declared cells
-    are errors; declared cells without a run are flagged missing.
+    A column outside the declared cells is an error; declared cells without
+    a column are flagged missing.
     """
-    runs = list(runs)
-    if not runs:
-        raise ValueError("no runs supplied")
-    tickers = sorted({r.ticker for r in runs})
-    if len(tickers) > 1:
-        raise ValueError(f"assemble_grid expects one ticker per grid, got {tickers}")
+    if ticker not in table.tickers:
+        raise ValueError(f"no runs of {ticker}")
     cells = {Cell(regime, lag, dual): None for regime in regimes for lag in lags for dual in duals}
-    for run in runs:
-        cell = Cell(run.regime, run.lag, run.dual)
+    for cell, predictions in table.predictions[ticker].items():
         if cell not in cells:
             raise ValueError(f"run cell {cell.key} is outside the declared grid")
-        if cells[cell] is not None:
-            raise ValueError(f"duplicate run for cell {cell.key}")
-        cells[cell] = MetricTriple.of(run.predictions, run.actuals)
-    return ReportGrid(ticker=tickers[0], regimes=tuple(regimes), lags=tuple(lags), duals=tuple(duals), cells=cells)
+        cells[cell] = MetricTriple.of(predictions, table.actuals[ticker])
+    return ReportGrid(ticker=ticker, regimes=tuple(regimes), lags=tuple(lags), duals=tuple(duals), cells=cells)
 
 
 def grid_table_rows(grid: ReportGrid) -> list[list[str]]:

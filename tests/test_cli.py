@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import dualstock.forecast as forecast_module
-from dualstock.cli import load_config, main
-from dualstock.forecast import Cell
+from dualstock.cli import _grids, load_config, main
+from dualstock.forecast import Cell, ForecastRun, RegimeSpec
 from dualstock.config import ForecastOptions, RunConfig, WaveletOptions
 from _oracles import ar1_series, sorted_quantile
 from test_acceptance import write_desk_inputs
@@ -146,7 +146,7 @@ class TestConfig:
         cli_module = importlib.import_module("dualstock.cli")
         read = []
         monkeypatch.setattr(cli_module, "load_ohlc_csv", lambda path, *a, **k: read.append(path))
-        monkeypatch.setattr(cli_module, "_read_run", lambda path: read.append(path))
+        monkeypatch.setattr(cli_module, "_read_run", lambda path, written: read.append(path))
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n", encoding="utf-8")
         out = taken / "out" if under else taken
@@ -184,7 +184,7 @@ class TestConfig:
         cli_module = importlib.import_module("dualstock.cli")
         read = []
         monkeypatch.setattr(cli_module, "load_ohlc_csv", lambda path, *a, **k: read.append(path))
-        monkeypatch.setattr(cli_module, "_read_run", lambda path: read.append(path))
+        monkeypatch.setattr(cli_module, "_read_run", lambda path, written: read.append(path))
         out = tmp_path / "out"
         config = write_config(tmp_path, synthetic_tickers(tmp_path), out_dir=str(out) if out_dir else out_dir)
         runs = tmp_path / "runs"
@@ -612,6 +612,54 @@ FORECAST_DESCRIPTOR_DIGESTS = {
     "CCC_lag9_dual-yes_mece.json": "ca76faa6d42efbcfcdeefd4bff240337d84e40ef67e513b857b963c99ac71096",
     "CCC_lag9_dual-yes_w10.json": "b2d2530b7899c5ed358d2f17488dd2ba7c8454a4bbb2a952375c1ec3308e7943",
 }
+
+
+# SHA-256 of each grid file that TestGridFiles.hand_built_runs give: two
+# tickers, window 10 and MECE at lags 4 and 9, both duals, KRB's
+# mece|lag=9|dual=yes missing (TestGridFiles.test_grid_files_are_pinned)
+GRID_DIGESTS = {
+    "KRA.csv": "3db1ba562e6cc5a20e6f7707832fba3334e282e260763000cc5e536399604e31",
+    "KRA.json": "aad1a33a30df9e491e01300a783c8bfd0d06a54ab1017e9145a79c5fd0fbf8da",
+    "KRB.csv": "7dc437ce78426733b726a7bbcba31965b12e71a92d5a701f8754f61e079fbf52",
+    "KRB.json": "3e49dc7180fd32b887fe2d2b49ca9a8a3b5a60cf19704c9c5315d7f1d4d9acc2",
+    "long.csv": "57a9456b020e5edfa2ed94b7224e0e801e69fd77b7fd272c172d96e0f52039ee",
+}
+
+
+class TestGridFiles:
+    WINDOW = RegimeSpec(kind="rolling", test_size=6, window=10)
+    MECE = RegimeSpec(kind="mece", test_size=6, train_size=20)
+    AXES = dict(regimes=(WINDOW, MECE), lags=(4, 9), duals=(False, True))
+
+    def hand_built_runs(self):
+        # fixed predictions and actuals, with no training: the metrics take
+        # no BLAS product, so the grid bytes hold on any machine
+        origins = np.arange(30, 36)
+        actuals = {
+            "KRA": np.array([20.0, 20.5, 21.25, 20.75, 21.5, 22.0]),
+            "KRB": np.array([14.0, 13.75, 13.5, 14.25, 14.5, 14.125]),
+        }
+        step = np.array([0.25, -0.5, 0.125, 0.75, -0.25, 0.375])
+        runs = []
+        for k, (regime, lag, dual) in enumerate(
+            (regime, lag, dual) for regime in self.AXES["regimes"] for lag in (4, 9) for dual in (False, True)
+        ):
+            for ticker in ("KRA", "KRB"):
+                if (ticker, regime, lag, dual) == ("KRB", self.MECE, 9, True):
+                    continue
+                scale = k + 1 if ticker == "KRA" else 8 - k
+                predictions = actuals[ticker] + scale * step
+                runs.append(ForecastRun(ticker, lag, dual, regime, k, predictions, actuals[ticker], origins))
+        return runs
+
+    def test_grid_files_are_pinned(self):
+        # forecast and report write these files through _grids; the desk-scale
+        # grids rest on BLAS, so here fixed runs pin the bytes instead
+        ((files, _),) = _grids(self.hand_built_runs(), ["KRA", "KRB"], Path("grids"), **self.AXES)
+        digests = {path.name: hashlib.sha256(text.encode("utf-8")).hexdigest() for path, text in files.items()}
+        assert digests == GRID_DIGESTS
+        grid = json.loads(files[Path("grids") / "KRB.json"])
+        assert grid["missing"] == ["mece|lag=9|dual=yes"]
 
 
 class TestPremiumsCommand:
@@ -1408,6 +1456,39 @@ class TestReportCommand:
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
         assert manifest["failures"] == [
             "report: AAA_lag4_dual-no_w10.json: duplicate run of AAA for cell window=10|lag=4|dual=no"
+        ]
+        grids = tmp_path / "out" / "forecast" / "grids"
+        assert [o["path"] for o in manifest["outputs"]] == [f"report/{p.name}" for p in sorted(grids.iterdir())]
+        for path in grids.iterdir():
+            assert (tmp_path / "rep" / "report" / path.name).read_bytes() == path.read_bytes()
+
+    def test_run_off_its_tickers_origins_fails_its_descriptor_alone(self, tmp_path):
+        # AAA_zz.json, read after AAA's other descriptors, holds a run of a
+        # new cell (lag 5) one origin shorter than theirs: it fails, and the
+        # grids are those forecast wrote, with no lag=5 column
+        tickers = synthetic_tickers(tmp_path)
+        config_path = write_config(
+            tmp_path,
+            tickers,
+            analyses=["forecast"],
+            forecast={
+                "lags": [4], "duals": [False], "windows": [10], "mece_train_size": None,
+                "test_size": 3, "epochs": 1, "hidden_size": 2, "tickers": ["AAA", "BBB"],
+            },
+        )
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        runs_dir = tmp_path / "out" / "forecast" / "runs"
+        meta = json.loads((runs_dir / "AAA_lag4_dual-no_w10.json").read_text())
+        meta.update(lag=5, predictions_csv="AAA_zz.csv")
+        meta["regime"]["test_size"] = 2
+        (runs_dir / "AAA_zz.json").write_text(json.dumps(meta))
+        header, _, *rest = (runs_dir / "AAA_lag4_dual-no_w10.csv").read_text().splitlines()
+        (runs_dir / "AAA_zz.csv").write_text("\n".join([header, *rest]) + "\n")
+        assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "rep")]) == 1
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            "report: AAA_zz.json: run of AAA for cell window=10|lag=5|dual=no has other origins or actuals "
+            "than its run for cell window=10|lag=4|dual=no"
         ]
         grids = tmp_path / "out" / "forecast" / "grids"
         assert [o["path"] for o in manifest["outputs"]] == [f"report/{p.name}" for p in sorted(grids.iterdir())]

@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualstock.forecast import Cell, RegimeSpec
+from dualstock.forecast import Cell, ForecastRun, RegimeSpec
 from dualstock.metrics import (
+    LossTable,
     MetricTriple,
     assemble_grid,
     grid_table_rows,
@@ -32,18 +35,34 @@ DUALS = (False, True)
 AXES = dict(regimes=REGIMES, lags=LAGS, duals=DUALS)
 
 
+ORIGINS = np.arange(100, 110)
+
+
+@functools.cache
+def ticker_actuals(ticker):
+    """One read-only actuals array per ticker, shared by its runs."""
+    actuals = np.random.default_rng(list(ticker.encode())).uniform(5, 50, size=len(ORIGINS))
+    actuals.flags.writeable = False
+    return actuals
+
+
 class FakeRun:
-    """Minimal run-shaped object for grid assembly tests."""
+    """Minimal run-shaped object for grid assembly tests: its ticker's origins and actuals, its own predictions.
+
+    Unlike a ``ForecastRun`` it may hold a lag its regime cannot run at, so
+    it fills every cell of the paper grid's axes.
+    """
 
     def __init__(self, ticker="KRDMA", lag=4, dual=False, regime=MECE, seed=0):
-        rng = np.random.default_rng(seed)
         self.ticker = ticker
-        self.lag = lag
-        self.dual = dual
-        self.regime = regime
-        n = regime.test_size
-        self.actuals = rng.uniform(5, 50, size=n)
-        self.predictions = self.actuals + rng.normal(0, 1, size=n)
+        self.cell = Cell(regime, lag, dual)
+        self.origins = ORIGINS
+        self.actuals = ticker_actuals(ticker)
+        self.predictions = self.actuals + np.random.default_rng(seed).normal(0, 1, size=len(ORIGINS))
+
+
+def grid_of(runs, ticker="KRDMA", **axes):
+    return assemble_grid(LossTable(runs), ticker, **(axes or AXES))
 
 
 class TestHandValues:
@@ -145,47 +164,120 @@ class TestMetricTriple:
                 MetricTriple(**{"rmse": 1.0, "mae": 1.0, "mape": 1.0, field: float("nan")})
 
 
-class TestAssembleGrid:
-    def all_runs(self, ticker="KRDMA"):
-        runs = []
-        seed = 0
-        for regime in REGIMES:
-            for lag in LAGS:
-                for dual in DUALS:
-                    runs.append(FakeRun(ticker, lag, dual, regime, seed=seed))
-                    seed += 1
-        return runs
+def all_runs(ticker="KRDMA"):
+    runs = []
+    seed = 0
+    for regime in REGIMES:
+        for lag in LAGS:
+            for dual in DUALS:
+                runs.append(FakeRun(ticker, lag, dual, regime, seed=seed))
+                seed += 1
+    return runs
 
+
+class TestLossTable:
+    def test_columns_are_the_runs_own_arrays(self):
+        runs = all_runs() + all_runs("KRDMB")
+        table = LossTable(runs)
+        assert table.tickers == ("KRDMA", "KRDMB")
+        for run in runs:
+            assert table.origins[run.ticker] is run.origins
+            assert table.actuals[run.ticker] is run.actuals
+            assert table.predictions[run.ticker][run.cell] is run.predictions
+        assert list(table.predictions["KRDMA"]) == [run.cell for run in all_runs()]
+
+    def test_columns_of_real_runs_are_read_only(self):
+        regime = rolling(10)
+        runs = [
+            ForecastRun("KRDMA", lag, False, regime, 0, ticker_actuals("KRDMA") + lag, ticker_actuals("KRDMA"), ORIGINS)
+            for lag in LAGS
+        ]
+        table = LossTable(runs)
+        columns = [table.origins["KRDMA"], table.actuals["KRDMA"], *table.predictions["KRDMA"].values()]
+        assert [column.flags.writeable for column in columns] == [False] * 4
+        assert [column.tobytes() for column in columns[2:]] == [run.predictions.tobytes() for run in runs]
+
+    def test_duplicate_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            LossTable([FakeRun(seed=1), FakeRun("KRDMB"), FakeRun(seed=2)])
+        assert str(excinfo.value) == "duplicate run of KRDMA for cell mece|lag=4|dual=no"
+
+    def test_duplicate_at_another_test_size_rejected(self):
+        # a cell is one at any test size, so the second run repeats it
+        other = RegimeSpec(kind="mece", test_size=20, train_size=50)
+        with pytest.raises(ValueError, match=r"^duplicate run of KRDMA for cell mece\|lag=4\|dual=no$"):
+            LossTable([FakeRun(), FakeRun(regime=other)])
+
+    @pytest.mark.parametrize("change", ["origins", "actuals"])
+    def test_run_off_its_tickers_origin_axis_rejected(self, change):
+        off = FakeRun(lag=9)
+        if change == "origins":
+            off.origins = ORIGINS + 1
+        else:
+            off.actuals = off.actuals + 7.0
+        with pytest.raises(ValueError) as excinfo:
+            LossTable([FakeRun(), FakeRun("KRDMB"), off])
+        assert str(excinfo.value) == (
+            "run of KRDMA for cell mece|lag=9|dual=no has other origins or actuals than its run for cell mece|lag=4|dual=no"
+        )
+
+    def test_each_ticker_has_its_own_origin_axis(self):
+        other = FakeRun("KRDMB")
+        other.origins = ORIGINS + 5
+        table = LossTable([FakeRun(), other])
+        assert table.origins["KRDMB"] is other.origins
+
+    def test_empty(self):
+        assert LossTable([]).tickers == ()
+
+
+class TestAssembleGrid:
     def test_full_grid(self):
-        grid = assemble_grid(self.all_runs(), **AXES)
+        grid = grid_of(all_runs())
         assert len(grid.cells) == 20
         assert grid.missing == ()
 
     def test_single_run_flags_missing(self):
-        grid = assemble_grid([FakeRun()], **AXES)
+        grid = grid_of([FakeRun()])
         assert len(grid.missing) == 19
         assert grid.cells[Cell(MECE, 4, False)] is not None
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            assemble_grid([FakeRun(seed=1), FakeRun(seed=2)], **AXES)
+    def test_grid_reads_its_ticker_only(self):
+        grid = grid_of([FakeRun("A"), FakeRun("B", lag=9)], ticker="B")
+        assert grid.ticker == "B"
+        assert grid.missing == tuple(cell for cell in grid.cells if cell != Cell(MECE, 9, False))
+
+    def test_triples_are_the_columns_metrics(self):
+        runs = all_runs()
+        grid = grid_of(runs)
+        for run in runs:
+            assert grid.cells[run.cell] == MetricTriple.of(run.predictions, run.actuals)
+
+    def test_bytes_do_not_depend_on_run_order(self):
+        runs = all_runs() + all_runs("KRDMB")
+        orders = [runs, runs[::-1], [runs[k] for k in np.random.default_rng(5).permutation(len(runs))]]
+        rendered = set()
+        for order in orders:
+            grids = [grid_of(order, ticker) for ticker in ("KRDMA", "KRDMB")]
+            rendered.add(
+                json.dumps([grid_to_json_dict(grid) for grid in grids])
+                + repr([grid_table_rows(grid) for grid in grids])
+                + repr(long_format_rows(grids))
+            )
+        assert len(rendered) == 1
 
     def test_outside_declared_set_rejected(self):
         with pytest.raises(ValueError, match="outside the declared grid"):
-            assemble_grid([FakeRun(regime=rolling(7))], **AXES)
-
-    def test_multiple_tickers_rejected(self):
-        with pytest.raises(ValueError, match="one ticker"):
-            assemble_grid([FakeRun("A"), FakeRun("B", lag=9)], **AXES)
+            grid_of([FakeRun(regime=rolling(7))])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no runs"):
-            assemble_grid([], **AXES)
+        with pytest.raises(ValueError, match="^no runs of KRDMA$"):
+            grid_of([])
 
 
 class TestRendering:
     def test_table_structure(self):
-        grid = assemble_grid([FakeRun()], **AXES)
+        grid = grid_of([FakeRun()])
         rows = grid_table_rows(grid)
         assert len(rows) == 1 + 5 * 3  # header + 5 regimes x 3 metrics
         assert rows[0] == [
@@ -197,15 +289,13 @@ class TestRendering:
         assert rows[-1][1] == "MAPE"
 
     def test_every_window_is_named_by_one_rule(self):
-        grid = assemble_grid(
-            [FakeRun(regime=rolling(15))], regimes=(rolling(15), rolling(7), MECE), lags=LAGS, duals=DUALS
-        )
+        grid = grid_of([FakeRun(regime=rolling(15))], regimes=(rolling(15), rolling(7), MECE), lags=LAGS, duals=DUALS)
         assert [row[0] for row in grid_table_rows(grid)[1::3]] == [
             "Training Window = 15", "Training Window = 7", "MECE",
         ]
 
     def test_values_rendered_four_decimals(self):
-        grid = assemble_grid([FakeRun()], **AXES)
+        grid = grid_of([FakeRun()])
         rows = grid_table_rows(grid)
         mece_rmse_row = next(r for r in rows if r[0] == "MECE" and r[1] == "RMSE")
         cell = mece_rmse_row[2]
@@ -213,13 +303,13 @@ class TestRendering:
         assert len(cell.split(".")[1]) == 4
 
     def test_missing_cells_blank(self):
-        grid = assemble_grid([FakeRun()], **AXES)
+        grid = grid_of([FakeRun()])
         rows = grid_table_rows(grid)
         window5 = next(r for r in rows if r[0] == "Training Window = 5")
         assert window5[2:] == ["", "", "", ""]
 
     def test_json_dict(self):
-        grid = assemble_grid([FakeRun()], **AXES)
+        grid = grid_of([FakeRun()])
         d = grid_to_json_dict(grid)
         assert d["ticker"] == "KRDMA"
         assert len(d["cells"]) == 20
@@ -227,7 +317,7 @@ class TestRendering:
         assert d["cells"]["mece|lag=4|dual=no"] is not None
 
     def test_long_format(self):
-        grid = assemble_grid([FakeRun(), FakeRun(lag=9, seed=30)], **AXES)
+        grid = grid_of([FakeRun(), FakeRun(lag=9, seed=30)])
         rows = long_format_rows([grid])
         assert rows[0] == ["ticker", "regime", "window", "lag", "dual", "metric", "value"]
         assert len(rows) == 1 + 2 * 3  # two cells x three metrics
